@@ -1,7 +1,9 @@
 // Accumulate-only microbench: the B = 8 emission + seal hot path in
-// isolation, probe vs sharded engine × dense vs sparse emission format
-// (table/flat_rows.hpp), without the estimator noise of the full batch
-// bench. The workload replays the extend loop's emission shape —
+// isolation (table/flat_rows.hpp), without the estimator noise of the
+// full batch bench. Three cells per point, selected the way a sink
+// selects them: the probe path (prepare_emit with no vertex domain),
+// sharded dense rows (a domain, flip threshold SIZE_MAX) and sharded
+// sparse records (a domain, flip threshold 0). The workload replays the extend loop's emission shape —
 // same-v1 bursts through the run-bulk API, duplicate keys re-emitted
 // across bursts, the frontier pending-register dedup when the sink is
 // sparse — at several table sizes and lane densities, then seals kByV1
@@ -15,17 +17,19 @@
 // Writes BENCH_accumulate.json:
 //   cells[]: {emissions, density, engine, format, accumulate_s, seal_s,
 //             rows, bytes_per_row, frontier_folds}
-//   headlines: geomean sharded/probe wall ratios per stage (dense, the
-//   PR 9 comparison) and geomean sparse/dense wall + bytes-per-row
-//   ratios (< 1 means sparse is smaller/faster).
+//   headlines: geomean sharded/probe wall ratios per stage on dense rows
+//   and geomean sparse/dense wall + bytes-per-row ratios on the sharded
+//   path (< 1 means sharded/sparse is smaller/faster).
 //
-// Knobs: CCBT_BENCH_TRIALS (default 5 repetitions, best-of).
+// Exits nonzero when the three cells of a point disagree on the sealed
+// row count. Knobs: CCBT_BENCH_TRIALS (default 5 repetitions, best-of).
 
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -102,23 +106,32 @@ struct Workload {
   }
 };
 
-/// Replay the workload into a fresh sink on `engine` under `format`,
-/// mimicking the extend loop: acquire a run handle per burst,
+/// One cell's sink configuration: whether prepare_emit gets the vertex
+/// domain (sharded) or none (probe), and the dense-to-sparse flip
+/// threshold in force.
+struct SinkConfig {
+  const char* engine;
+  const char* format;
+  bool sharded;
+  std::size_t flip_rows;
+};
+
+/// Replay the workload into a fresh sink prepared per `cfg`, mimicking
+/// the extend loop: acquire a run handle per burst,
 /// run-append when it is valid (sharded), per-row probe append
 /// otherwise — and, when the sink is sparse, fold consecutive same-key
 /// emissions in a pending register first, exactly as the frontier dedup
 /// in extend_with_graph_grouped does. Returns the emit wall; `seal_s`
 /// gets the kByV1 sort + merge wall, `tel` the pre-seal telemetry.
-double replay(const Workload& w, AccumEngine engine, EmitFormat format,
-              double* seal_s, std::size_t* sealed_rows,
-              AccumTelemetry* tel) {
-  set_accum_engine(engine);
-  set_emit_format(format);
+double replay(const Workload& w, const SinkConfig& cfg, double* seal_s,
+              std::size_t* sealed_rows, AccumTelemetry* tel) {
+  const std::size_t saved_flip = sparse_flip_rows();
+  set_sparse_flip_rows(cfg.flip_rows);
   Rows t;
   Row16 src;
   for (int l = 0; l < B; ++l) src.c[l] = 1;
   Timer emit_timer;
-  t.prepare_emit(AccumEngine::kAuto, w.domain);
+  t.prepare_emit(cfg.sharded ? w.domain : 0);
   const bool dedup = t.sparse();
   std::uint64_t folds = 0;
   for (const Workload::Burst& b : w.bursts) {
@@ -185,8 +198,7 @@ double replay(const Workload& w, AccumEngine engine, EmitFormat format,
   *seal_s = seal_timer.seconds();
   *sealed_rows = t.size();
   if (!ok) std::fprintf(stderr, "seal fell back to dense path!\n");
-  set_accum_engine(AccumEngine::kAuto);
-  set_emit_format(EmitFormat::kAuto);
+  set_sparse_flip_rows(saved_flip);
   return emit_s;
 }
 
@@ -238,75 +250,67 @@ int main() {
   std::vector<double> accum_ratios, seal_ratios, total_ratios;
   std::vector<double> sp_accum_ratios, sp_seal_ratios, sp_total_ratios;
   std::vector<double> sp_bytes_ratios;
-  const AccumEngine engines[2] = {AccumEngine::kProbe,
-                                  AccumEngine::kSharded};
-  const char* engine_names[2] = {"probe", "sharded"};
-  const EmitFormat formats[2] = {EmitFormat::kDense, EmitFormat::kSparse};
-  const char* format_names[2] = {"dense", "sparse"};
+  constexpr std::size_t kNeverFlip = std::numeric_limits<std::size_t>::max();
+  const SinkConfig configs[3] = {{"probe", "dense", false, kNeverFlip},
+                                 {"sharded", "dense", true, kNeverFlip},
+                                 {"sharded", "sparse", true, 0}};
+  enum { kProbe = 0, kDense = 1, kSparse = 2 };
   for (const Point& pt : points) {
     const Workload w =
         Workload::make(pt.emissions, domain, burst_len, pt.density, 42);
-    double best[2][2][2];  // [engine][format][stage] best-of-reps
-    std::size_t rows[2][2] = {{0, 0}, {0, 0}};
-    double bpr[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
-    std::uint64_t folds[2][2] = {{0, 0}, {0, 0}};
-    for (int e = 0; e < 2; ++e) {
-      for (int fm = 0; fm < 2; ++fm) {
-        best[e][fm][0] = best[e][fm][1] = 1e30;
-        for (int r = 0; r < reps; ++r) {
-          double seal = 0.0;
-          std::size_t sealed = 0;
-          AccumTelemetry tel;
-          const double emit =
-              replay(w, engines[e], formats[fm], &seal, &sealed, &tel);
-          best[e][fm][0] = std::min(best[e][fm][0], emit);
-          best[e][fm][1] = std::min(best[e][fm][1], seal);
-          rows[e][fm] = sealed;
-          bpr[e][fm] = tel.bytes_per_row();
-          folds[e][fm] = tel.frontier_folds;
-        }
-        Cell c;
-        c.emissions = pt.emissions;
-        c.density = pt.density;
-        c.engine = engine_names[e];
-        c.format = format_names[fm];
-        c.accumulate_s = best[e][fm][0];
-        c.seal_s = best[e][fm][1];
-        c.rows = rows[e][fm];
-        c.bytes_per_row = bpr[e][fm];
-        c.frontier_folds = folds[e][fm];
-        cells.push_back(c);
-        std::printf(
-            "%-10zu %-8.2f %-8s %-7s %10.2f %10.2f %10.2f %9zu %7.1f "
-            "%9" PRIu64 "\n",
-            pt.emissions, pt.density, engine_names[e], format_names[fm],
-            1e3 * c.accumulate_s, 1e3 * c.seal_s,
-            1e3 * (c.accumulate_s + c.seal_s), c.rows, c.bytes_per_row,
-            c.frontier_folds);
+    double best[3][2];  // [config][stage] best-of-reps
+    std::size_t rows[3] = {0, 0, 0};
+    double bpr[3] = {0.0, 0.0, 0.0};
+    std::uint64_t folds[3] = {0, 0, 0};
+    for (int ci = 0; ci < 3; ++ci) {
+      best[ci][0] = best[ci][1] = 1e30;
+      for (int r = 0; r < reps; ++r) {
+        double seal = 0.0;
+        std::size_t sealed = 0;
+        AccumTelemetry tel;
+        const double emit = replay(w, configs[ci], &seal, &sealed, &tel);
+        best[ci][0] = std::min(best[ci][0], emit);
+        best[ci][1] = std::min(best[ci][1], seal);
+        rows[ci] = sealed;
+        bpr[ci] = tel.bytes_per_row();
+        folds[ci] = tel.frontier_folds;
       }
-      if (rows[e][0] != rows[e][1]) {
-        std::fprintf(stderr,
-                     "sealed row mismatch: %s dense %zu sparse %zu\n",
-                     engine_names[e], rows[e][0], rows[e][1]);
-        return 1;
-      }
-      // Sparse/dense per engine.
-      sp_accum_ratios.push_back(best[e][1][0] / best[e][0][0]);
-      sp_seal_ratios.push_back(best[e][1][1] / best[e][0][1]);
-      sp_total_ratios.push_back((best[e][1][0] + best[e][1][1]) /
-                                (best[e][0][0] + best[e][0][1]));
-      sp_bytes_ratios.push_back(bpr[e][1] / bpr[e][0]);
+      Cell c;
+      c.emissions = pt.emissions;
+      c.density = pt.density;
+      c.engine = configs[ci].engine;
+      c.format = configs[ci].format;
+      c.accumulate_s = best[ci][0];
+      c.seal_s = best[ci][1];
+      c.rows = rows[ci];
+      c.bytes_per_row = bpr[ci];
+      c.frontier_folds = folds[ci];
+      cells.push_back(c);
+      std::printf(
+          "%-10zu %-8.2f %-8s %-7s %10.2f %10.2f %10.2f %9zu %7.1f "
+          "%9" PRIu64 "\n",
+          pt.emissions, pt.density, c.engine, c.format,
+          1e3 * c.accumulate_s, 1e3 * c.seal_s,
+          1e3 * (c.accumulate_s + c.seal_s), c.rows, c.bytes_per_row,
+          c.frontier_folds);
     }
-    if (rows[0][0] != rows[1][0]) {
-      std::fprintf(stderr, "sealed row mismatch: probe %zu sharded %zu\n",
-                   rows[0][0], rows[1][0]);
+    if (rows[kProbe] != rows[kDense] || rows[kDense] != rows[kSparse]) {
+      std::fprintf(stderr,
+                   "sealed row mismatch: probe %zu sharded dense %zu "
+                   "sharded sparse %zu\n",
+                   rows[kProbe], rows[kDense], rows[kSparse]);
       return 1;
     }
-    // Sharded/probe on the dense format (the PR 9 comparison).
-    accum_ratios.push_back(best[1][0][0] / best[0][0][0]);
-    seal_ratios.push_back(best[1][0][1] / best[0][0][1]);
-    total_ratios.push_back((best[1][0][0] + best[1][0][1]) /
-                           (best[0][0][0] + best[0][0][1]));
+    auto ratios = [&](int num, int den, std::vector<double>& accum,
+                      std::vector<double>& seal, std::vector<double>& total) {
+      accum.push_back(best[num][0] / best[den][0]);
+      seal.push_back(best[num][1] / best[den][1]);
+      total.push_back((best[num][0] + best[num][1]) /
+                      (best[den][0] + best[den][1]));
+    };
+    ratios(kDense, kProbe, accum_ratios, seal_ratios, total_ratios);
+    ratios(kSparse, kDense, sp_accum_ratios, sp_seal_ratios, sp_total_ratios);
+    sp_bytes_ratios.push_back(bpr[kSparse] / bpr[kDense]);
   }
 
   const double gm_accum = geomean(accum_ratios);
@@ -320,7 +324,8 @@ int main() {
       "\nsharded/probe wall ratios, dense (geomean; < 1 = sharded "
       "faster):\n"
       "  accumulate %.3f   seal %.3f   total %.3f\n"
-      "sparse/dense ratios (geomean; < 1 = sparse smaller/faster):\n"
+      "sparse/dense ratios, sharded (geomean; < 1 = sparse "
+      "smaller/faster):\n"
       "  accumulate %.3f   seal %.3f   total %.3f   bytes/row %.3f\n",
       gm_accum, gm_seal, gm_total, gm_sp_accum, gm_sp_seal, gm_sp_total,
       gm_sp_bytes);

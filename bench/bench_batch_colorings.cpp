@@ -64,10 +64,10 @@ struct Cell {
   // Per-stage wall breakdown summed over the cell's plan executions.
   StageWall stage;
   // Accumulate-stage wall vs the B = 1 cell of the same (graph, query) —
-  // the stage the sharded engine targets (B > 1 only).
+  // the stage sharded emission targets (B > 1 only).
   double accum_ratio = 0.0;
   // Accumulation telemetry sampled from the same batched execution as
-  // the lane-layout fields: engine choice, combining-cache folds,
+  // the lane-layout fields: sharded/sparse phases, combining-cache folds,
   // run-bulk usage, shard occupancy (B > 1).
   AccumTelemetry accum;
 };
@@ -140,17 +140,15 @@ int main() {
         cell.width = width;
         cell.trials = trials;
         try {
-          Timer timer;
-          const EstimatorResult r = estimate_matches(session, opts);
-          cell.wall = timer.seconds();
-          cell.per_trial_ms = 1e3 * cell.wall / trials;
-          cell.stage = r.stage;
           {
-            // One extra execution to sample the layout chooser's
-            // observations and the accumulation telemetry (untimed; the
-            // estimator API reports counts, not telemetry). B = 1 too:
-            // its hash-map accumulation reports emit_bytes, the
-            // denominator of the emission byte-traffic headline.
+            // One untimed execution before the timed run: it warms this
+            // width's code paths and allocator state (without it the
+            // first cell at each width pays the process's cold start),
+            // and it samples the layout chooser's observations and the
+            // accumulation telemetry (the estimator API reports counts,
+            // not telemetry). B = 1 too: its hash-map accumulation
+            // reports emit_bytes, the denominator of the emission
+            // byte-traffic headline.
             std::vector<std::uint64_t> seeds;
             for (int l = 0; l < width; ++l) seeds.push_back(1000 + l);
             const ExecStats sample = session.count_colorful_seeded(
@@ -166,6 +164,11 @@ int main() {
               cell.width_hist = sample.lanes.width_rows;
             }
           }
+          Timer timer;
+          const EstimatorResult r = estimate_matches(session, opts);
+          cell.wall = timer.seconds();
+          cell.per_trial_ms = 1e3 * cell.wall / trials;
+          cell.stage = r.stage;
           if (width == 1) {
             baseline_counts = r.colorful_per_trial;
             baseline_per_trial = cell.per_trial_ms;

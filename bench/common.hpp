@@ -2,7 +2,7 @@
 // Shared plumbing for the figure-regeneration benches.
 //
 // Every bench binary runs with no arguments and bounded time. The
-// environment variable CCBT_BENCH_SCALE (default 0.2) scales the stand-in
+// environment variable CCBT_BENCH_SCALE (default 0.10) scales the stand-in
 // graphs; raise it toward 1.0 to run closer to the paper's sizes.
 
 #include <cstdlib>

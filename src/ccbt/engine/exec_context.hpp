@@ -129,12 +129,6 @@ struct ExecOptions {
   /// lane_payload.hpp). Off forces the dense u64[B] layout everywhere.
   bool lane_compress = true;
 
-  /// Join the half-cycle merge directly on the narrow flat rows when both
-  /// sealed halves stayed narrow (B > 1): live-lane-intersection
-  /// multiply-add on the packed payloads, no dense per-bucket expansion.
-  /// Off forces the dense merge_bucket everywhere (parity ablation).
-  bool packed_merge = true;
-
   /// Fault injection and recovery (distributed engine only; the shared
   /// engine ignores it).
   DistOptions dist;

@@ -177,11 +177,11 @@ template <int B, typename Emit>
 FlatRowsT<B> accumulate_flat(const ExecContext& cx, std::size_t n,
                              Emit&& emit) {
   ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-  // Every sink is bound to its accumulation engine up front (the
-  // CCBT_ACCUM-pinnable probe/sharded choice): the per-row appends then
-  // never test or allocate their caches, and the run-bulk extend path
-  // can be entered for the whole phase. The graph's vertex count is the
-  // shard-cut domain — emitted v1 values are vertices or kNoVertex.
+  // Every sink is bound to its emission path up front: the per-row
+  // appends then never test or allocate their caches, and the run-bulk
+  // extend path can be entered for the whole phase. The graph's vertex
+  // count is the shard-cut domain — emitted v1 values are vertices or
+  // kNoVertex — so every fresh sink here shards.
   const VertexId shard_domain = cx.g.num_vertices();
 #ifdef _OPENMP
   if (cx.opts.use_threads && pool_threads() > 1 && n > 4096) {
@@ -191,7 +191,7 @@ FlatRowsT<B> accumulate_flat(const ExecContext& cx, std::size_t n,
 #pragma omp parallel num_threads(threads)
     {
       FlatRowsT<B>& local = rows[omp_get_thread_num()];
-      local.prepare_emit(AccumEngine::kAuto, shard_domain);
+      local.prepare_emit(shard_domain);
 #pragma omp for schedule(dynamic, 512)
       for (std::size_t i = 0; i < n; ++i) {
         if (budget_hit.load(std::memory_order_relaxed)) continue;
@@ -219,7 +219,7 @@ FlatRowsT<B> accumulate_flat(const ExecContext& cx, std::size_t n,
   }
 #endif
   FlatRowsT<B> out;
-  out.prepare_emit(AccumEngine::kAuto, shard_domain);
+  out.prepare_emit(shard_domain);
   for (std::size_t i = 0; i < n; ++i) {
     emit(i, out);
     if ((i & 0xFFF) == 0) check_budget(cx, out.size());
@@ -605,7 +605,7 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
             side16.push_back((rank << 8) | a);
           }
 
-          // Probe engine: pipeline the combining-cache probes a tile
+          // Probe path: pipeline the combining-cache probes a tile
           // ahead — prefetch each slot at enqueue, append on flush, so
           // the dependent slot load is in flight across a tile of
           // emissions instead of stalling every append. (Emission
@@ -633,8 +633,8 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
             if (tn == kTile) flush_tile();
           };
 
-          // Frontier-side dedup (sparse emission format only, so
-          // CCBT_EMIT=dense reproduces the oracle path exactly): the
+          // Frontier-side dedup (sparse emission records only, so a
+          // dense phase emits exactly the rows it always did): the
           // bucket is sorted by (v0, sig), so emissions for one (v, w)
           // burst repeat keys back to back — sibling rows whose
           // signatures close over the same color set. A one-row pending
@@ -665,10 +665,10 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
                                 }) -
                             side16.begin());
             }
-            // Sharded engine: the whole (v, w) burst shares v1 == w,
+            // Sharded sink: the whole (v, w) burst shares v1 == w,
             // so it lands in one shard — resolve the shard and its
             // cache slice once and emit through the run handle (one
-            // L1 probe + push per row). Invalid on the probe engine,
+            // L1 probe + push per row). Invalid on the probe path,
             // and re-acquired after any generic fallback, which can
             // escalate the sink and tear the shards down.
             auto run = sink.run_u16(w, end - lo);
@@ -712,7 +712,7 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
                 pend.c[l] = ((m >> l) & 1) != 0 ? r2.c[l]
                                                 : std::uint16_t{0};
               }
-              // Probe engine: the slot load is in flight while the
+              // Probe path: the slot load is in flight while the
               // burst keeps folding into the register.
               sink.prefetch_combine(k);
             };
@@ -1192,10 +1192,8 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
     // on each side's payload width); otherwise each slot-0 bucket is
     // decoded through group_expanded into a scratch (a raw subspan when
     // dense, so B = 1 and dense tables pay nothing).
-    const FlatRowsT<B>* const pflat =
-        cx.opts.packed_merge ? plus.flat_storage() : nullptr;
-    const FlatRowsT<B>* const mflat =
-        cx.opts.packed_merge ? minus.flat_storage() : nullptr;
+    const FlatRowsT<B>* const pflat = plus.flat_storage();
+    const FlatRowsT<B>* const mflat = minus.flat_storage();
     auto merge_u = [&](VertexId u, auto&& add,
                        std::vector<TableEntryT<B>>& pscratch,
                        std::vector<TableEntryT<B>>& mscratch) {

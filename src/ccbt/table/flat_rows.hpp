@@ -24,24 +24,26 @@
 // runs. Run sums during the merge pass are computed in 64-bit, so the
 // deduped counts are bit-identical to the dense path's.
 //
-// Emission itself runs on one of two engines (AccumEngine below; a sink
-// binds one per accumulation phase via prepare_emit). The probe engine
-// probes a global direct-mapped combining cache per append. The sharded
-// engine — the default — lands u16 rows pre-bucketed in 64 shards cut
+// Emission takes one of two paths, bound once per accumulation phase by
+// prepare_emit from what the producer hands it. A fresh u16 sink given
+// a vertex domain shards: u16 rows land pre-bucketed in 64 shards cut
 // over the high bits of v1, each with its own L1-sized combining cache,
-// and takes whole same-v1 bursts through a run handle (run_u16) that
+// and whole same-v1 bursts go through a run handle (run_u16) that
 // resolves the shard and cache slice once per burst; the cut is
 // monotone in v1, so the shards hand the kByV1 seal its leading radix
-// digits pre-sorted. Escalation out of u16 flattens the shards in place
-// and continues on the probe path — engine choice is a pure performance
-// knob, sealed tables are bit-identical (tests/test_accum_sharded.cpp).
+// digits pre-sorted. A sharded phase that outgrows sparse_flip_rows()
+// re-encodes its shards as sparse records. Every other sink (no usable
+// domain, already-escalated rows) probes one global direct-mapped
+// combining cache per append, and escalation out of u16 flattens the
+// shards in place and continues on that probe path. The path is a pure
+// performance choice: sealed tables are bit-identical
+// (tests/test_accum_sharded.cpp).
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -57,140 +59,14 @@
 
 namespace ccbt {
 
-/// Which sort the narrow seal uses. kAuto takes the LSD radix sort once
-/// the row count clears its setup cost and the counting-partition +
-/// per-bucket comparison sort below it; the explicit values pin one path
-/// (the seal-sort property tests drive both and assert bit-identical
-/// sealed tables; CCBT_SEAL_SORT=comparison|radix pins a whole process).
-enum class SealSortAlgo : std::uint8_t { kAuto = 0, kComparison = 1, kRadix = 2 };
-
-namespace detail_seal {
-
-inline SealSortAlgo seal_sort_from_env() {
-  const char* env = std::getenv("CCBT_SEAL_SORT");
-  if (env != nullptr) {
-    if (std::strcmp(env, "comparison") == 0) return SealSortAlgo::kComparison;
-    if (std::strcmp(env, "radix") == 0) return SealSortAlgo::kRadix;
-  }
-  return SealSortAlgo::kAuto;
-}
-
-inline std::atomic<SealSortAlgo>& seal_sort_state() {
-  static std::atomic<SealSortAlgo> state{seal_sort_from_env()};
-  return state;
-}
-
-}  // namespace detail_seal
-
-inline SealSortAlgo seal_sort_algo() {
-  return detail_seal::seal_sort_state().load(std::memory_order_relaxed);
-}
-
-/// Override the seal-sort selection process-wide (tests; kAuto restores
-/// the default policy).
-inline void set_seal_sort_algo(SealSortAlgo a) {
-  detail_seal::seal_sort_state().store(a, std::memory_order_relaxed);
-}
-
-/// Which accumulation engine the B > 1 sinks run. kProbe is the
-/// original per-emission combining-cache probe into one flat buffer —
-/// kept as the differential oracle. kSharded routes u16 emissions into
-/// 1 << kShardBits shards cut by the high bits of the packed v1 field:
-/// duplicate bursts collapse inside a cache-resident shard, and the
-/// slot-1 seal sorts each shard independently (its leading radix
-/// passes are pre-satisfied by the shard order). kAuto resolves to
-/// kSharded whenever the producer supplies a vertex domain. Both
-/// engines feed the same sort-merge seal, and every count is an exact
-/// u64 sum, so sealed tables are bit-identical either way (the parity
-/// tests assert it). CCBT_ACCUM=probe|sharded pins a whole process.
-enum class AccumEngine : std::uint8_t { kAuto = 0, kProbe = 1, kSharded = 2 };
-
-namespace detail_accum {
-
-inline AccumEngine accum_from_env() {
-  const char* env = std::getenv("CCBT_ACCUM");
-  if (env != nullptr) {
-    if (std::strcmp(env, "probe") == 0) return AccumEngine::kProbe;
-    if (std::strcmp(env, "sharded") == 0) return AccumEngine::kSharded;
-  }
-  return AccumEngine::kAuto;
-}
-
-inline std::atomic<AccumEngine>& accum_state() {
-  static std::atomic<AccumEngine> state{accum_from_env()};
-  return state;
-}
-
-}  // namespace detail_accum
-
-inline AccumEngine accum_engine() {
-  return detail_accum::accum_state().load(std::memory_order_relaxed);
-}
-
-/// Override the accumulation-engine selection process-wide (tests;
-/// kAuto restores the default policy).
-inline void set_accum_engine(AccumEngine e) {
-  detail_accum::accum_state().store(e, std::memory_order_relaxed);
-}
-
-/// Which row format u16 emissions land in. kDense is the fixed-stride
-/// union-of-lanes row (8-byte key + all B u16 counts — 24 bytes at
-/// B = 8) — kept bit-identical as the differential oracle. kSparse is a
-/// variable-length record: 8-byte key + occupancy byte + only the
-/// occupied u16 counts (~11-12 bytes at the Fig 15 workload's ~0.15
-/// lane density), cutting the emission and seal byte traffic that made
-/// B = 8 accumulate structurally ~1.2x of 8 x B = 1. The format is a
-/// pure performance knob: zero lanes carry no information, seal-time
-/// run sums are exact u64 adds either way, and the sparse seal decodes
-/// into the same fixed-stride sorted rows the dense seal produces, so
-/// sealed tables are bit-identical (the parity tests assert it).
-///
-/// kAuto is adaptive: a sharded phase starts on dense rows (records
-/// pay an extra seal-time decode pass that loses on cache-resident
-/// tables) and flips to sparse records once it crosses
-/// sparse_flip_rows() — re-encoding the rows emitted so far, in order,
-/// so the sealed result stays bit-identical — which confines the
-/// format to the large bandwidth-bound phases where its byte saving
-/// wins. CCBT_EMIT=dense|sparse pins a whole process to one format
-/// unconditionally.
-enum class EmitFormat : std::uint8_t { kAuto = 0, kDense = 1, kSparse = 2 };
-
 namespace detail_emit {
 
-inline EmitFormat emit_from_env() {
-  const char* env = std::getenv("CCBT_EMIT");
-  if (env != nullptr) {
-    if (std::strcmp(env, "dense") == 0) return EmitFormat::kDense;
-    if (std::strcmp(env, "sparse") == 0) return EmitFormat::kSparse;
-  }
-  return EmitFormat::kAuto;
-}
-
-inline std::atomic<EmitFormat>& emit_state() {
-  static std::atomic<EmitFormat> state{emit_from_env()};
-  return state;
-}
-
-}  // namespace detail_emit
-
-inline EmitFormat emit_format() {
-  return detail_emit::emit_state().load(std::memory_order_relaxed);
-}
-
-/// Override the emission-format selection process-wide (tests; kAuto
-/// restores the default policy).
-inline void set_emit_format(EmitFormat f) {
-  detail_emit::emit_state().store(f, std::memory_order_relaxed);
-}
-
-namespace detail_emit {
-
-/// Default row count at which a kAuto sharded phase flips from dense
-/// rows to sparse records. Chosen from bench_accumulate: the sparse
-/// format's seal (per-shard key/offset radix over cache-resident shard
-/// buffers) and its thinner emission stream break even around ~1M rows
-/// (-4% total wall) and win clearly beyond (-19% at 4M); below the
-/// crossover the record decode pass is pure overhead.
+/// Default row count at which a sharded phase flips from dense rows to
+/// sparse records. Chosen from bench_accumulate: the sparse format's
+/// seal (per-shard key/offset radix over cache-resident shard buffers)
+/// and its thinner emission stream break even around ~1M rows (-4%
+/// total wall) and win clearly beyond (-19% at 4M); below the crossover
+/// the record decode pass is pure overhead.
 inline constexpr std::size_t kDefaultSparseFlipRows = std::size_t{1} << 20;
 
 inline std::atomic<std::size_t>& flip_state() {
@@ -200,12 +76,17 @@ inline std::atomic<std::size_t>& flip_state() {
 
 }  // namespace detail_emit
 
+/// Row count at which a sharded sink re-encodes its rows as sparse
+/// records and keeps emitting records (read once per phase, at
+/// prepare_emit).
 inline std::size_t sparse_flip_rows() {
   return detail_emit::flip_state().load(std::memory_order_relaxed);
 }
 
-/// Override the kAuto dense-to-sparse flip threshold process-wide
-/// (tests force tiny tables across the flip; 0 flips immediately).
+/// Override the dense-to-sparse flip threshold process-wide — the one
+/// test hook on the B > 1 emission path: 0 makes every fresh sharded
+/// sink sparse before its first emission, SIZE_MAX keeps every phase on
+/// dense rows.
 inline void set_sparse_flip_rows(std::size_t rows) {
   detail_emit::flip_state().store(rows, std::memory_order_relaxed);
 }
@@ -216,7 +97,7 @@ inline void set_sparse_flip_rows(std::size_t rows) {
 /// says how evenly the shard cut spread the key space.
 struct AccumTelemetry {
   std::uint64_t phases = 0;           // accumulation phases observed
-  std::uint64_t sharded_phases = 0;   // phases run on the sharded engine
+  std::uint64_t sharded_phases = 0;   // phases run on v1-cut shards
   std::uint64_t sparse_phases = 0;    // phases emitting sparse records
   std::uint64_t rows = 0;             // rows handed to the seal
   std::uint64_t emit_bytes = 0;       // bytes those rows occupy pre-seal
@@ -289,7 +170,6 @@ class FlatRowsT {
 
   std::size_t size() const {
     if (sharded_) return shard_rows_;
-    if (sparse_) return sp_rows_;
     switch (mode_) {
       case Mode::kU16: return n16_.size();
       case Mode::kU32: return n32_.size();
@@ -323,15 +203,11 @@ class FlatRowsT {
       const std::size_t per = n >> kShardBits;
       if (per >= 64) {
         if (sparse_) {
-          for (auto& buf : shard_sp16_) buf.reserve(per * kSparseRowGuess);
+          for (auto& buf : shard_recs_) buf.reserve(per * kSparseRowGuess);
         } else {
           for (auto& shard : shard16_) shard.reserve(per);
         }
       }
-      return;
-    }
-    if (sparse_) {
-      sp16_.reserve(n * kSparseRowGuess);
       return;
     }
     switch (mode_) {
@@ -355,9 +231,8 @@ class FlatRowsT {
   /// Bytes the rows occupy in the current representation.
   std::uint64_t byte_size() const {
     if (sparse_) {
-      if (!sharded_) return sp16_.size();
       std::uint64_t b = 0;
-      for (const auto& buf : shard_sp16_) b += buf.size();
+      for (const auto& buf : shard_recs_) b += buf.size();
       return b;
     }
     if (sharded_) return shard_rows_ * sizeof(Row16);
@@ -380,17 +255,14 @@ class FlatRowsT {
   /// the measured duplicate factor of the Fig 15 workload is 1.3-1.8x.
   /// Sums are exact u64 adds, so seal-time counts are unchanged.
   void append(const TableKey& key, const Vec& cnt) {
-    if (!prepared_) [[unlikely]] prepare_emit(AccumEngine::kAuto, 0);
+    if (!prepared_) [[unlikely]] prepare_emit(0);
     if (mode_ != Mode::kWide && packable_key(key)) {
       // OR of the lanes bounds the max: any count above the width has a
       // high bit the OR keeps.
       Count hi = 0;
       for (int l = 0; l < B; ++l) hi |= LaneOps<B>::lane(cnt, l);
       const std::uint64_t k = pack_key(key);
-      if (sharded_ && !sparse_ && shard_rows_ >= sparse_flip_at_)
-        [[unlikely]] {
-        flip_shards_to_sparse();
-      }
+      maybe_flip_to_sparse();
       if (sparse_) {
         if (hi <= 0xFFFFull) {
           sparse_emit_vec(k, cnt, ~LaneMask{0});
@@ -446,7 +318,7 @@ class FlatRowsT {
   /// never escalates the buffer).
   void append_masked(const TableKey& key, const Vec& src, LaneMask m,
                      Count src_hi) {
-    if (!prepared_) [[unlikely]] prepare_emit(AccumEngine::kAuto, 0);
+    if (!prepared_) [[unlikely]] prepare_emit(0);
     if (mode_ != Mode::kWide && packable_key(key)) {
       Count hi = src_hi;
       if ((mode_ == Mode::kU16 && hi > 0xFFFFull) ||
@@ -454,10 +326,7 @@ class FlatRowsT {
         hi = masked_or(src, m);
       }
       const std::uint64_t k = pack_key(key);
-      if (sharded_ && !sparse_ && shard_rows_ >= sparse_flip_at_)
-        [[unlikely]] {
-        flip_shards_to_sparse();
-      }
+      maybe_flip_to_sparse();
       if (sparse_) {
         if (hi <= 0xFFFFull) {
           sparse_emit_vec(k, src, m);
@@ -513,24 +382,14 @@ class FlatRowsT {
                          const PackedFlatRowT<B, std::uint16_t>& src,
                          LaneMask m) {
     if (mode_ == Mode::kU16) [[likely]] {
-      if (!prepared_) [[unlikely]] prepare_emit(AccumEngine::kAuto, 0);
-      if (sharded_ && !sparse_ && shard_rows_ >= sparse_flip_at_)
-        [[unlikely]] {
-        flip_shards_to_sparse();
-      }
+      if (!prepared_) [[unlikely]] prepare_emit(0);
+      maybe_flip_to_sparse();
       if (sparse_) {
-        if (sharded_) {
-          const std::size_t s = shard_of(k);
-          if (sparse_fold_or_push(shard_sp16_[s], shard_slot(s, k), k, src,
-                                  m)) {
-            ++shard_sp_rows_[s];
-            ++shard_rows_;
-          }
-          return;
-        }
-        if (sparse_fold_or_push(sp16_, combine_[combine_hash(k)], k, src,
+        const std::size_t s = shard_of(k);
+        if (sparse_fold_or_push(shard_recs_[s], shard_slot(s, k), k, src,
                                 m)) {
-          ++sp_rows_;
+          ++shard_rec_rows_[s];
+          ++shard_rows_;
         }
         return;
       }
@@ -576,51 +435,34 @@ class FlatRowsT {
 
   // --------------------------------------------- accumulation phases
 
-  /// Bind this sink to an accumulation engine for the coming phase.
+  /// Bind this sink to its emission path for the coming phase.
   /// accumulate_flat calls this once per sink before its emission loop,
   /// which is what lets the per-row appends skip the old lazy
   /// combining-cache resize; a stray direct append still self-prepares
-  /// through an [[unlikely]] guard, landing on the probe engine.
+  /// through an [[unlikely]] guard with no domain, landing on the probe
+  /// path.
   ///
-  /// `want` == kAuto defers to the process-wide pin (CCBT_ACCUM /
-  /// set_accum_engine), which itself defaults to the sharded engine.
-  /// The sharded engine needs the producer's vertex domain to place the
-  /// shard cut over v1 (and a fresh u16 sink to shard into); without
-  /// either it degrades to the probe engine. Idempotent until clear().
-  void prepare_emit(AccumEngine want, VertexId domain) {
+  /// A fresh u16 sink with a usable vertex `domain` (0 < domain <
+  /// kPacked28NoVertex) shards its emissions over v1 and arms the
+  /// dense-to-sparse flip at sparse_flip_rows() (a threshold of 0 flips
+  /// right here, before the first emission). Anything else — no domain
+  /// to place the cut, rows already emitted or escalated — probes the
+  /// global combining cache. Idempotent until clear().
+  void prepare_emit(VertexId domain) {
     if (prepared_) return;
     prepared_ = true;
     if (sharded_) {
       // Still holding sharded rows from a phase whose caches were
       // dropped: keep the cut (and the row format), just stand the
       // shard caches back up.
-      engine_ = AccumEngine::kSharded;
       if (shard_combine_.empty()) {
         shard_combine_.assign(kShardCount << kShardCombineBits,
                               CombineSlot{});
       }
       return;
     }
-    if (sparse_) {
-      // Un-sharded sparse rows from a cache-dropped phase: keep the
-      // format, stand the probe cache back up.
-      if (combine_.empty()) combine_.resize(kCombineSlots);
-      return;
-    }
-    AccumEngine eng = want != AccumEngine::kAuto ? want : accum_engine();
-    if (eng == AccumEngine::kAuto) eng = AccumEngine::kSharded;
-    // Sparse records exist only in u16 mode, and only a fresh sink can
-    // adopt the format (rows already emitted dense stay dense for the
-    // phase — absorb handles the mix). kSparse pins the format from
-    // the first row; kAuto arms the mid-phase dense-to-sparse flip on
-    // the sharded engine instead, so small phases never pay the record
-    // decode.
-    const EmitFormat fmt = emit_format();
-    const bool sparse =
-        fmt == EmitFormat::kSparse && mode_ == Mode::kU16 && empty();
-    if (eng == AccumEngine::kSharded && mode_ == Mode::kU16 && empty() &&
-        domain > 0 && domain < kPacked28NoVertex) {
-      engine_ = AccumEngine::kSharded;
+    if (mode_ == Mode::kU16 && empty() && domain > 0 &&
+        domain < kPacked28NoVertex) {
       sharded_ = true;
       // Cut the top kShardBits of the domain's occupied bit range, so
       // the shards split any domain evenly and the shard index is
@@ -629,32 +471,23 @@ class FlatRowsT {
           0, static_cast<int>(std::bit_width(
                  static_cast<std::uint32_t>(domain - 1))) -
                  kShardBits);
-      if (sparse) {
-        sparse_ = true;
-        shard_sp16_.resize(kShardCount);
-        shard_sp_rows_.assign(kShardCount, 0);
-      } else {
-        shard16_.resize(kShardCount);
-        if (fmt == EmitFormat::kAuto) sparse_flip_at_ = sparse_flip_rows();
-      }
+      shard16_.resize(kShardCount);
       shard_combine_.assign(kShardCount << kShardCombineBits,
                             CombineSlot{});
+      sparse_flip_at_ = sparse_flip_rows();
+      maybe_flip_to_sparse();
       return;
     }
-    engine_ = AccumEngine::kProbe;
-    sparse_ = sparse;
     if (combine_.empty()) combine_.resize(kCombineSlots);
   }
-
-  /// Engine this sink was prepared with (kProbe until prepared).
-  AccumEngine engine() const { return engine_; }
 
   /// True while emissions are landing in v1-cut shards (u16 only; any
   /// escalation or wide absorb flattens and clears this).
   bool sharded() const { return sharded_; }
 
   /// True while emissions are landing as variable-length sparse records
-  /// (u16 only; any escalation or mixed absorb decodes and clears this).
+  /// (sharded u16 sinks only; any escalation or mixed absorb decodes and
+  /// clears this).
   /// The extend loop keys its frontier-side dedup on this.
   bool sparse() const { return sparse_; }
 
@@ -682,22 +515,20 @@ class FlatRowsT {
   /// the whole run, keeping geometric growth (never a creeping
   /// exact-fit reserve that would degrade pushes to O(n^2) copying).
   RunU16 run_u16(VertexId v1, std::size_t hint) {
-    if (!prepared_) [[unlikely]] prepare_emit(AccumEngine::kAuto, 0);
+    if (!prepared_) [[unlikely]] prepare_emit(0);
     if (!sharded_) return {};
-    if (!sparse_ && shard_rows_ >= sparse_flip_at_) [[unlikely]] {
-      flip_shards_to_sparse();
-    }
+    maybe_flip_to_sparse();
     const std::size_t s =
         std::min<std::size_t>(std::size_t{v1} >> shard_shift_,
                               kShardCount - 1);
     CombineSlot* slots = shard_combine_.data() + (s << kShardCombineBits);
     if (sparse_) {
-      auto& buf = shard_sp16_[s];
+      auto& buf = shard_recs_[s];
       const std::size_t want = hint * kSparseRowGuess;
       if (buf.capacity() - buf.size() < want) {
         buf.reserve(std::max(buf.size() + want, 2 * buf.capacity()));
       }
-      return {nullptr, &buf, slots, &shard_sp_rows_[s]};
+      return {nullptr, &buf, slots, &shard_rec_rows_[s]};
     }
     auto& rows = shard16_[s];
     if (rows.capacity() - rows.size() < hint) {
@@ -722,7 +553,7 @@ class FlatRowsT {
     fold_or_push(*run.rows, run.slots[shard_combine_hash(k)], k, src, m);
   }
 
-  /// Prefetch the combining-cache slot `k` will probe. The probe-engine
+  /// Prefetch the combining-cache slot `k` will probe. The probe-path
   /// extend loop queues a small tile of emissions and prefetches each
   /// slot at enqueue time, so the dependent slot load in
   /// append_masked_u16 is in flight a tile ahead of its use.
@@ -760,7 +591,7 @@ class FlatRowsT {
       ++t.sharded_phases;
       t.shard_slots += kShardCount;
       if (sparse_) {
-        for (const auto& buf : shard_sp16_) {
+        for (const auto& buf : shard_recs_) {
           t.shards_occupied += static_cast<std::uint64_t>(!buf.empty());
         }
       } else {
@@ -778,28 +609,18 @@ class FlatRowsT {
   template <typename F>
   void for_each_dense(F&& f) const {
     Entry tmp;
+    auto visit16 = [&](std::uint64_t k, const Row16& r) {
+      tmp.key = unpack_key(k);
+      tmp.cnt = expand_counts(r);
+      f(tmp);
+    };
     if (sparse_) {
-      auto visit = [&](const std::vector<std::uint8_t>& buf) {
-        sparse_scan(buf, [&](std::uint64_t k, const Row16& r) {
-          tmp.key = unpack_key(k);
-          tmp.cnt = expand_counts(r);
-          f(tmp);
-        });
-      };
-      if (sharded_) {
-        for (const auto& buf : shard_sp16_) visit(buf);
-      } else {
-        visit(sp16_);
-      }
+      for (const auto& buf : shard_recs_) sparse_scan(buf, visit16);
       return;
     }
     if (sharded_) {
       for (const auto& shard : shard16_) {
-        for (const Row16& r : shard) {
-          tmp.key = unpack_key(r.k);
-          tmp.cnt = expand_counts(r);
-          f(tmp);
-        }
+        for (const Row16& r : shard) visit16(r.k, r);
       }
       return;
     }
@@ -820,14 +641,7 @@ class FlatRowsT {
       mx = std::max(mx, b == kPacked28NoVertex ? kNoVertex : b);
     };
     if (sparse_) {
-      auto visit = [&](const std::vector<std::uint8_t>& buf) {
-        sparse_scan_keys(buf, fold);
-      };
-      if (sharded_) {
-        for (const auto& buf : shard_sp16_) visit(buf);
-      } else {
-        visit(sp16_);
-      }
+      for (const auto& buf : shard_recs_) sparse_scan_keys(buf, fold);
       return mx;
     }
     if (sharded_) {
@@ -905,23 +719,17 @@ class FlatRowsT {
       frontier_folds_ = front;
       return;
     }
-    if (sparse_ && o.sparse_ && sharded_ == o.sharded_ &&
-        (!sharded_ || shard_shift_ == o.shard_shift_)) {
-      // Same-format sparse sinks concatenate byte-wise (per shard when
-      // sharded); this sink's cache offsets stay valid because the
-      // other's records land strictly after them.
-      if (sharded_) {
-        for (std::size_t s = 0; s < kShardCount; ++s) {
-          auto& dst = shard_sp16_[s];
-          auto& src = o.shard_sp16_[s];
-          dst.insert(dst.end(), src.begin(), src.end());
-          shard_sp_rows_[s] += o.shard_sp_rows_[s];
-        }
-        shard_rows_ += o.shard_rows_;
-      } else {
-        sp16_.insert(sp16_.end(), o.sp16_.begin(), o.sp16_.end());
-        sp_rows_ += o.sp_rows_;
+    if (sparse_ && o.sparse_ && shard_shift_ == o.shard_shift_) {
+      // Same-cut sparse sinks concatenate byte-wise per shard; this
+      // sink's cache offsets stay valid because the other's records land
+      // strictly after them.
+      for (std::size_t s = 0; s < kShardCount; ++s) {
+        auto& dst = shard_recs_[s];
+        auto& src = o.shard_recs_[s];
+        dst.insert(dst.end(), src.begin(), src.end());
+        shard_rec_rows_[s] += o.shard_rec_rows_[s];
       }
+      shard_rows_ += o.shard_rows_;
       o.clear();
       return;
     }
@@ -969,28 +777,47 @@ class FlatRowsT {
 
   /// Sort the narrow rows into the dense seal's order for `slot` (the
   /// packed key's grouping field first, then the raw packed key — the
-  /// same row order the dense seal's comparators produce). Two engines:
-  /// an LSD radix sort over the slot-permuted packed key (the default
-  /// once the row count clears its setup cost) and the original stable
-  /// counting partition + per-bucket comparison sort; see
-  /// set_seal_sort_algo. Returns false (rows untouched) when a slot
-  /// value falls outside [0, domain) — including kNoVertex, whose packed
-  /// pattern is the all-ones field — or when the rows are wide; the
-  /// caller falls back to the dense path. A sharded sink always leaves
-  /// this flattened: the slot-1 seal sorts shard by shard (the shard
-  /// blocks are already ascending-v1, so concatenating the per-shard
-  /// sorts IS the global order and the radix passes above shard_shift_
-  /// never run); any other slot flattens first and sorts globally.
+  /// same row order the dense seal's comparators produce) with an LSD
+  /// radix sort over the slot-permuted packed key. Returns false (rows
+  /// untouched) when a slot value falls outside [0, domain) — including
+  /// kNoVertex, whose packed pattern is the all-ones field — or when the
+  /// rows are wide; the caller falls back to the dense path. A sharded
+  /// sink always leaves this flattened: the slot-1 seal sorts shard by
+  /// shard (the shard blocks are already ascending-v1, so concatenating
+  /// the per-shard sorts IS the global order and the radix passes above
+  /// shard_shift_ never run); any other slot flattens first and sorts
+  /// globally.
+  ///
+  /// Sparse records keep the per-shard variable-stride seal when they
+  /// can: each shard sorts (sort key, record offset) pairs and
+  /// gather-decodes every record once into its segment of the flattened
+  /// buffer, the gather staying inside one cache-resident shard buffer.
+  /// Small tables, non-v1 slots and shard buffers too large for 32-bit
+  /// offsets decode in place first and take the dense route; either way
+  /// the sealed rows are exactly the rows the dense format produces.
   bool sort_by_slot(int slot, VertexId domain) {
     drop_combine();
-    if (sparse_) return sort_sparse_by_slot(slot, domain);
+    if (sparse_) {
+      bool offsets_fit = true;
+      for (const auto& b : shard_recs_) {
+        offsets_fit = offsets_fit &&
+                      b.size() <= std::numeric_limits<std::uint32_t>::max();
+      }
+      // 8x below the dense sharded cutover, matching the per-shard
+      // std::sort threshold.
+      if (offsets_fit && slot == 1 &&
+          shard_rows_ >= kShardCount * 4 * (kRadixMinRows / 8)) {
+        return sort_sparse_sharded_v1(domain);
+      }
+      unsparse();
+    }
     if (sharded_) {
       if (slot == 1) return sort_sharded_by_v1(domain);
       flatten_shards();
     }
     switch (mode_) {
-      case Mode::kU16: return sort_dispatch(n16_, slot, domain);
-      case Mode::kU32: return sort_dispatch(n32_, slot, domain);
+      case Mode::kU16: return sort_radix_impl(n16_, slot, domain);
+      case Mode::kU32: return sort_radix_impl(n32_, slot, domain);
       case Mode::kWide: break;
     }
     return false;
@@ -1064,20 +891,16 @@ class FlatRowsT {
     wide_.shrink_to_fit();
     shard16_.clear();
     shard16_.shrink_to_fit();
-    sp16_.clear();
-    sp16_.shrink_to_fit();
-    shard_sp16_.clear();
-    shard_sp16_.shrink_to_fit();
-    shard_sp_rows_.clear();
-    shard_sp_rows_.shrink_to_fit();
-    sp_rows_ = 0;
+    shard_recs_.clear();
+    shard_recs_.shrink_to_fit();
+    shard_rec_rows_.clear();
+    shard_rec_rows_.shrink_to_fit();
     sparse_ = false;
     sparse_flip_at_ = kNoSparseFlip;
     shard_rows_ = 0;
     sharded_ = false;
     shard_shift_ = 0;
     drop_combine();
-    engine_ = AccumEngine::kProbe;
     combine_folds_ = 0;
     run_emits_ = 0;
     frontier_folds_ = 0;
@@ -1085,7 +908,7 @@ class FlatRowsT {
   }
 
   /// Release the combining caches (sealed tables must not carry them).
-  /// Also un-prepares the sink: the next phase re-binds an engine.
+  /// Also un-prepares the sink: the next phase re-binds its path.
   void drop_combine() {
     combine_.clear();
     combine_.shrink_to_fit();
@@ -1106,7 +929,7 @@ class FlatRowsT {
     return (k * 0x9E3779B97F4A7C15ull) >> (64 - kCombineBits);
   }
 
-  // Sharded engine: 64 shards cut over the packed v1 field, each with
+  // Sharded emission: 64 shards cut over the packed v1 field, each with
   // its own 512-slot combining-cache slice (6 KiB — L1-resident for
   // the duration of a same-v1 burst; 64 x 6 KiB = the same 384 KiB
   // footprint as the global cache, but only one slice is hot at a
@@ -1354,37 +1177,32 @@ class FlatRowsT {
       r.c[l] = static_cast<std::uint16_t>(
           ((m >> l) & 1) != 0 ? LaneOps<B>::lane(src, l) : Count{0});
     }
-    if (sharded_) {
-      const std::size_t s = shard_of(k);
-      if (sparse_fold_or_push(shard_sp16_[s], shard_slot(s, k), k, r,
-                              ~LaneMask{0})) {
-        ++shard_sp_rows_[s];
-        ++shard_rows_;
-      }
-      return;
-    }
-    if (sparse_fold_or_push(sp16_, combine_[combine_hash(k)], k, r,
+    const std::size_t s = shard_of(k);
+    if (sparse_fold_or_push(shard_recs_[s], shard_slot(s, k), k, r,
                             ~LaneMask{0})) {
-      ++sp_rows_;
+      ++shard_rec_rows_[s];
+      ++shard_rows_;
     }
   }
 
-  /// Decode sparse records into fixed-stride u16 storage in place
-  /// (storage order, rows stay unsealed) and leave the sparse format.
-  /// Shard structure is preserved: a sparse shard decodes into its
-  /// dense shard, so escalation and mixed absorbs continue on exactly
-  /// the paths the dense format uses. Cache slots held byte offsets, so
-  /// they are cleared (a stale hint is checked before any fold, but a
-  /// cold restart is cheaper to reason about).
-  /// Mid-phase kAuto flip: the phase has outgrown the regime where
+  /// Flip a dense sharded phase to sparse records once it reaches the
+  /// armed row count (at prepare time when the threshold is 0).
+  void maybe_flip_to_sparse() {
+    if (sharded_ && !sparse_ && shard_rows_ >= sparse_flip_at_)
+      [[unlikely]] {
+      flip_shards_to_sparse();
+    }
+  }
+
+  /// Mid-phase flip: the phase has outgrown the regime where
   /// fixed-stride rows are cheaper, so re-encode the dense shard rows
   /// as sparse records — per shard, in row order, which keeps the
   /// decoded row sequence (and therefore the sealed table) bit-identical
   /// to an all-dense run — and emit sparse records from here on.
   void flip_shards_to_sparse() {
     sparse_flip_at_ = kNoSparseFlip;
-    shard_sp16_.resize(kShardCount);
-    shard_sp_rows_.assign(kShardCount, 0);
+    shard_recs_.resize(kShardCount);
+    shard_rec_rows_.assign(kShardCount, 0);
     // Dense combine slots hold row indices, sparse ones byte offsets:
     // reset rather than translate — sparse_push below re-seeds the slot
     // of every re-encoded row, so the cache stays warm across the flip.
@@ -1397,12 +1215,12 @@ class FlatRowsT {
     }
     for (std::size_t s = 0; s < kShardCount; ++s) {
       auto& rows = shard16_[s];
-      auto& buf = shard_sp16_[s];
+      auto& buf = shard_recs_[s];
       buf.reserve(rows.size() * kSparseRowGuess);
       for (const Row16& r : rows) {
         sparse_push(buf, shard_slot(s, r.k), r.k, r, ~LaneMask{0});
       }
-      shard_sp_rows_[s] = static_cast<std::uint32_t>(rows.size());
+      shard_rec_rows_[s] = static_cast<std::uint32_t>(rows.size());
       rows.clear();
       rows.shrink_to_fit();
     }
@@ -1411,39 +1229,32 @@ class FlatRowsT {
     sparse_ = true;
   }
 
+  /// Decode sparse records into fixed-stride u16 storage in place
+  /// (storage order, rows stay unsealed) and leave the sparse format.
+  /// Shard structure is preserved: a sparse shard decodes into its
+  /// dense shard, so escalation and mixed absorbs continue on exactly
+  /// the paths the dense format uses. Cache slots held byte offsets, so
+  /// they are cleared (a stale hint is checked before any fold, but a
+  /// cold restart is cheaper to reason about).
   void unsparse() {
     if (!sparse_) return;
     sparse_flip_at_ = kNoSparseFlip;
-    if (sharded_) {
-      shard16_.resize(kShardCount);
-      for (std::size_t s = 0; s < kShardCount; ++s) {
-        auto& rows = shard16_[s];
-        rows.reserve(rows.size() + shard_sp_rows_[s]);
-        sparse_scan(shard_sp16_[s], [&](std::uint64_t, const Row16& r) {
-          rows.push_back(r);
-        });
-        shard_sp16_[s].clear();
-        shard_sp16_[s].shrink_to_fit();
-      }
-      shard_sp16_.clear();
-      shard_sp16_.shrink_to_fit();
-      shard_sp_rows_.clear();
-      shard_sp_rows_.shrink_to_fit();
-      if (!shard_combine_.empty()) {
-        std::fill(shard_combine_.begin(), shard_combine_.end(),
-                  CombineSlot{});
-      }
-    } else {
-      n16_.reserve(n16_.size() + sp_rows_);
-      sparse_scan(sp16_, [&](std::uint64_t, const Row16& r) {
-        n16_.push_back(r);
+    shard16_.resize(kShardCount);
+    for (std::size_t s = 0; s < kShardCount; ++s) {
+      auto& rows = shard16_[s];
+      rows.reserve(rows.size() + shard_rec_rows_[s]);
+      sparse_scan(shard_recs_[s], [&](std::uint64_t, const Row16& r) {
+        rows.push_back(r);
       });
-      sp16_.clear();
-      sp16_.shrink_to_fit();
-      sp_rows_ = 0;
-      if (!combine_.empty()) {
-        std::fill(combine_.begin(), combine_.end(), CombineSlot{});
-      }
+      shard_recs_[s].clear();
+      shard_recs_[s].shrink_to_fit();
+    }
+    shard_recs_.clear();
+    shard_recs_.shrink_to_fit();
+    shard_rec_rows_.clear();
+    shard_rec_rows_.shrink_to_fit();
+    if (!shard_combine_.empty()) {
+      std::fill(shard_combine_.begin(), shard_combine_.end(), CombineSlot{});
     }
     sparse_ = false;
   }
@@ -1459,10 +1270,12 @@ class FlatRowsT {
     std::uint32_t off;
   };
 
+  /// Per-shard pair sort: the same early-radix threshold the dense
+  /// per-shard sort uses — passes above shard_shift_ are constant inside
+  /// a shard and the varying-bit skip drops them automatically.
   static void sort_keyoff(std::vector<KeyOff>& keys,
-                          std::vector<KeyOff>& buf, std::uint64_t varying,
-                          std::size_t comparison_below) {
-    if (keys.size() < comparison_below) {
+                          std::vector<KeyOff>& buf, std::uint64_t varying) {
+    if (keys.size() < kRadixMinRows / 8) {
       std::sort(keys.begin(), keys.end(),
                 [](const KeyOff& a, const KeyOff& b) { return a.sk < b.sk; });
       return;
@@ -1476,125 +1289,8 @@ class FlatRowsT {
     }
   }
 
-  /// The sparse seal. The winning shape is the per-shard one: each
-  /// shard sorts (sort key, offset) pairs and gather-decodes every
-  /// record once into its segment of the flattened buffer, the gather
-  /// staying inside one shard's cache-resident record buffer. A
-  /// table-wide pair sort loses that locality — its gather strides the
-  /// whole record buffer — and measures slower than decoding up front
-  /// and running the dense radix seal, so everything that can't take
-  /// the per-shard path (small tables, non-v1 slots, the probe engine)
-  /// decodes in place and reuses the dense sort dispatch. The global
-  /// pair sort is kept for the one case the decode is the problem: a
-  /// record buffer too large to want a second flat copy. Either way
-  /// the sealed rows are exactly the rows the dense format would have
-  /// produced; validation failure leaves the table decoded, in storage
-  /// order, for the caller's dense fallback.
-  bool sort_sparse_by_slot(int slot, VertexId domain) {
-    // Offsets ride in 32 bits through the passes; a >4 GiB record
-    // buffer decodes first and sorts dense.
-    constexpr std::size_t kMaxOff = std::numeric_limits<std::uint32_t>::max();
-    bool overflow = sp16_.size() > kMaxOff;
-    for (const auto& b : shard_sp16_) overflow = overflow || b.size() > kMaxOff;
-    // Sharded tables above the cutover (8× below the dense seal's,
-    // matching the per-shard comparison-sort threshold) keep the
-    // per-shard variable-stride seal, in parallel.
-    if (!overflow && sharded_ && slot == 1 &&
-        shard_rows_ >= kShardCount * 4 * (kRadixMinRows / 8)) {
-      return sort_sparse_sharded_v1(domain);
-    }
-    // Memory-constrained middle ground: a non-sharded record buffer too
-    // big to casually double (but with offsets still in range) pays the
-    // strided gather to avoid the flat copy.
-    if (!overflow && !sharded_ &&
-        sp16_.size() > (std::size_t{1} << 28)) {
-      return sort_sparse_global(slot, domain);
-    }
-    unsparse();
-    if (sharded_) {
-      if (slot == 1) return sort_sharded_by_v1(domain);
-      flatten_shards();
-    }
-    return sort_dispatch(n16_, slot, domain);
-  }
-
-  /// Concatenate sparse shard buffers into the global record buffer in
-  /// shard order (ascending-v1 blocks) and leave sharded mode.
-  void concat_sparse_shards() {
-    std::size_t total = 0;
-    for (const auto& b : shard_sp16_) total += b.size();
-    sp16_.reserve(sp16_.size() + total);
-    for (auto& b : shard_sp16_) {
-      sp16_.insert(sp16_.end(), b.begin(), b.end());
-      b.clear();
-      b.shrink_to_fit();
-    }
-    shard_sp16_.clear();
-    shard_sp16_.shrink_to_fit();
-    shard_sp_rows_.clear();
-    shard_sp_rows_.shrink_to_fit();
-    shard_combine_.clear();
-    shard_combine_.shrink_to_fit();
-    sp_rows_ += shard_rows_;
-    shard_rows_ = 0;
-    sharded_ = false;
-  }
-
-  bool sort_sparse_global(int slot, VertexId domain) {
-    const std::size_t n = sp_rows_;
-    thread_local std::vector<KeyOff> keys, keys_buf;
-    if (keys.capacity() > 2 * n + 1024) {
-      keys.clear();
-      keys.shrink_to_fit();
-      keys_buf.clear();
-      keys_buf.shrink_to_fit();
-    }
-    keys.clear();
-    keys.reserve(n);
-    std::uint64_t ormask = 0;
-    std::uint64_t andmask = ~std::uint64_t{0};
-    bool sorted = true;
-    std::uint64_t prev = 0;
-    bool ok = true;
-    const std::uint8_t* const base = sp16_.data();
-    const std::uint8_t* p = base;
-    const std::uint8_t* const end = base + sp16_.size();
-    while (p < end) {
-      const std::uint64_t k = load_u64(p);
-      if (slot_bits(k, slot) >= domain) {
-        ok = false;
-        break;
-      }
-      const std::uint64_t sk = sort_key(k, slot);
-      keys.push_back({sk, static_cast<std::uint32_t>(p - base)});
-      ormask |= sk;
-      andmask &= sk;
-      sorted = sorted && sk >= prev;
-      prev = sk;
-      p += 9 + 2 * std::popcount(std::uint32_t{p[8]});
-    }
-    if (!ok) {
-      unsparse();  // decoded, storage order — the dense fallback's input
-      return false;
-    }
-    if (!sorted) {
-      sort_keyoff(keys, keys_buf, ormask ^ andmask, kRadixMinRows);
-    }
-    n16_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sparse_decode_at(base, keys[i].off, n16_[i]);
-    }
-    sp16_.clear();
-    sp16_.shrink_to_fit();
-    sp_rows_ = 0;
-    sparse_ = false;
-    keys.clear();
-    keys_buf.clear();
-    return true;
-  }
-
-  /// Per-shard variant of sort_sparse_global: sort one shard's pairs
-  /// and decode into its segment of the flattened buffer. On a failed
+  /// The per-shard sparse seal: sort one shard's (sort key, offset)
+  /// pairs and decode into its segment of the flattened buffer. On a failed
   /// validation the shard still decodes (storage order) so the whole
   /// table ends up flat for the caller's dense fallback.
   static bool sort_sparse_shard_v1(const std::vector<std::uint8_t>& buf,
@@ -1622,12 +1318,7 @@ class FlatRowsT {
       prev = sk;
       p += 9 + 2 * std::popcount(std::uint32_t{p[8]});
     }
-    if (ok && !sorted) {
-      // The same early-radix threshold the dense per-shard sort uses:
-      // passes above shard_shift_ are constant inside a shard and the
-      // varying-bit skip drops them automatically.
-      sort_keyoff(keys, keys_buf, ormask ^ andmask, kRadixMinRows / 8);
-    }
+    if (ok && !sorted) sort_keyoff(keys, keys_buf, ormask ^ andmask);
     for (std::size_t i = 0; i < keys.size(); ++i) {
       sparse_decode_at(base, keys[i].off, out[i]);
     }
@@ -1637,7 +1328,7 @@ class FlatRowsT {
   bool sort_sparse_sharded_v1(VertexId domain) {
     std::array<std::size_t, kShardCount + 1> off{};
     for (std::size_t s = 0; s < kShardCount; ++s) {
-      off[s + 1] = off[s] + shard_sp_rows_[s];
+      off[s + 1] = off[s] + shard_rec_rows_[s];
     }
     n16_.resize(off[kShardCount]);
     bool ok = true;
@@ -1646,15 +1337,15 @@ class FlatRowsT {
     if (off[kShardCount] > (1u << 15))
 #endif
     for (int s = 0; s < static_cast<int>(kShardCount); ++s) {
-      if (shard_sp16_[s].empty()) continue;
-      ok = sort_sparse_shard_v1(shard_sp16_[s], shard_sp_rows_[s], domain,
+      if (shard_recs_[s].empty()) continue;
+      ok = sort_sparse_shard_v1(shard_recs_[s], shard_rec_rows_[s], domain,
                                 n16_.data() + off[s]) &&
            ok;
     }
-    shard_sp16_.clear();
-    shard_sp16_.shrink_to_fit();
-    shard_sp_rows_.clear();
-    shard_sp_rows_.shrink_to_fit();
+    shard_recs_.clear();
+    shard_recs_.shrink_to_fit();
+    shard_rec_rows_.clear();
+    shard_rec_rows_.shrink_to_fit();
     shard_rows_ = 0;
     sharded_ = false;
     sparse_ = false;
@@ -1699,12 +1390,12 @@ class FlatRowsT {
     // Small and mid-size tables: the per-shard sorts cannot amortize
     // their fixed costs (a histogram + prefix scan per radix pass per
     // shard), so the pre-satisfied leading passes are a net loss —
-    // flatten and sort globally, exactly like the probe engine's seal.
+    // flatten and sort globally, exactly like the probe path's seal.
     // Measured crossover (bench_accumulate, 1 pinned core) is around
     // 16k rows per shard; below it the global radix wins or ties.
     if (shard_rows_ < kShardCount * 4 * kRadixMinRows) {
       flatten_shards();
-      return sort_dispatch(n16_, 1, domain);
+      return sort_radix_impl(n16_, 1, domain);
     }
     std::array<std::size_t, kShardCount + 1> off{};
     for (std::size_t s = 0; s < kShardCount; ++s) {
@@ -1731,10 +1422,9 @@ class FlatRowsT {
   }
 
   static bool sort_shard_v1(std::vector<Row16>& rows, VertexId domain) {
-    // A shard is ~1/64 of the table, so the global radix threshold would
-    // send nearly every shard to the comparison sort; per-shard radix
-    // pays off much earlier because the passes above shard_shift_ are
-    // pre-satisfied by the shard cut and skipped outright.
+    // Per-shard radix pays off at 1/8 of kRadixMinRows because the
+    // passes above shard_shift_ are pre-satisfied by the shard cut and
+    // skipped outright; below that a plain in-cache std::sort wins.
     if (rows.size() >= kRadixMinRows / 8) {
       return sort_radix_impl(rows, 1, domain);
     }
@@ -1888,22 +1578,10 @@ class FlatRowsT {
            (k & 0xFFu);
   }
 
-  template <typename W>
-  static bool sort_dispatch(std::vector<PackedFlatRowT<B, W>>& rows,
-                            int slot, VertexId domain) {
-    switch (seal_sort_algo()) {
-      case SealSortAlgo::kComparison:
-        return sort_comparison_impl(rows, slot, domain);
-      case SealSortAlgo::kRadix: return sort_radix_impl(rows, slot, domain);
-      case SealSortAlgo::kAuto: break;
-    }
-    // Tiny tables: the per-bucket comparison sort has no per-pass setup
-    // and its buckets fit in cache; everything else goes radix.
-    return rows.size() >= kRadixMinRows
-               ? sort_radix_impl(rows, slot, domain)
-               : sort_comparison_impl(rows, slot, domain);
-  }
-
+  // Row count at which a radix pass's fixed histogram + prefix-scan
+  // cost stops dominating; the sharded seals scale their cutovers from
+  // it. The global seal is radix at every size (table/README.md "Seal
+  // sort" has the small-table measurement).
   static constexpr std::size_t kRadixMinRows = 4096;
   static constexpr int kRadixBits = 11;
   static constexpr std::uint32_t kRadixBuckets = 1u << kRadixBits;
@@ -2059,49 +1737,6 @@ class FlatRowsT {
   }
 
   template <typename W>
-  static bool sort_comparison_impl(std::vector<PackedFlatRowT<B, W>>& rows,
-                                   int slot, VertexId domain) {
-    using Row = PackedFlatRowT<B, W>;
-    const std::size_t n = rows.size();
-    std::vector<std::uint32_t> off(static_cast<std::size_t>(domain) + 1, 0);
-    for (const Row& r : rows) {
-      const std::uint32_t v = slot_bits(r.k, slot);
-      if (v >= domain) return false;
-      ++off[v + 1];
-    }
-    for (std::size_t v = 1; v <= domain; ++v) off[v] += off[v - 1];
-    // Scatter buffer reused across seals (swapped, not stolen, so both
-    // buffers keep cycling); rows are only ever fully overwritten, so
-    // the growth zero-fill is the one init cost it ever pays.
-    thread_local std::vector<Row> sorted;
-    if (sorted.capacity() > 2 * n + 1024) {
-      sorted.clear();
-      sorted.shrink_to_fit();
-    }
-    sorted.resize(n);
-    {
-      std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
-      for (const Row& r : rows) sorted[cursor[slot_bits(r.k, slot)]++] = r;
-    }
-    rows.swap(sorted);
-    // With the slot's field fixed inside a bucket, raw-k order is the
-    // dense seal's tail comparator (narrow keys never use slots 2-3).
-    // Equal keys are about to be merged, so an unstable sort suffices.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1024) if (n > (1u << 15))
-#endif
-    for (std::size_t v = 0; v < domain; ++v) {
-      const std::uint32_t lo = off[v];
-      const std::uint32_t hi = off[v + 1];
-      if (hi - lo > 1) {
-        std::sort(rows.begin() + lo, rows.begin() + hi,
-                  [](const Row& a, const Row& b) { return a.k < b.k; });
-      }
-    }
-    return true;
-  }
-
-  template <typename W>
   static FlatStats scan_impl(const std::vector<PackedFlatRowT<B, W>>& rows) {
     FlatStats st;
     const std::size_t n = rows.size();
@@ -2188,10 +1823,9 @@ class FlatRowsT {
   std::vector<Entry> wide_;
   std::vector<CombineSlot> combine_;
 
-  // Accumulation-phase state (engine binding + sharded storage).
+  // Accumulation-phase state (path binding + sharded storage).
   bool prepared_ = false;
   bool sharded_ = false;
-  AccumEngine engine_ = AccumEngine::kProbe;
   int shard_shift_ = 0;
   std::size_t shard_rows_ = 0;
   std::uint64_t combine_folds_ = 0;
@@ -2200,19 +1834,17 @@ class FlatRowsT {
   std::vector<std::vector<Row16>> shard16_;
   std::vector<CombineSlot> shard_combine_;
 
-  // Sparse emission state (CCBT_EMIT; u16 mode only). Probe keeps one
-  // record buffer; the sharded engine keeps one per shard plus its row
-  // count (the seal's per-shard prefix offsets). sparse_flip_at_ is the
-  // kAuto policy's armed row count: a dense sharded phase crossing it
-  // re-encodes and continues sparse (kNoSparseFlip = disarmed).
+  // Sparse emission state (sharded u16 sinks only): one record buffer
+  // per shard plus its row count (the seal's per-shard prefix offsets).
+  // sparse_flip_at_ is the armed row count: a dense sharded phase
+  // crossing it re-encodes and continues sparse (kNoSparseFlip =
+  // disarmed).
   static constexpr std::size_t kNoSparseFlip =
       std::numeric_limits<std::size_t>::max();
   bool sparse_ = false;
   std::size_t sparse_flip_at_ = kNoSparseFlip;
-  std::size_t sp_rows_ = 0;
-  std::vector<std::uint8_t> sp16_;
-  std::vector<std::vector<std::uint8_t>> shard_sp16_;
-  std::vector<std::uint32_t> shard_sp_rows_;
+  std::vector<std::vector<std::uint8_t>> shard_recs_;
+  std::vector<std::uint32_t> shard_rec_rows_;
 };
 
 }  // namespace ccbt

@@ -1,19 +1,19 @@
-// The two accumulation engines — the probe engine's global
-// combining-cache appends and the sharded engine's v1-cut bulk emission
-// (table/flat_rows.hpp) — must be interchangeable: identical sealed
-// rows bit for bit across every batch width and payload width, through
-// mid-phase u16 -> u32 -> wide escalation, through the run-bulk API and
-// its post-escalation fallback, and lane for lane over whole counting
-// runs. The probe engine is the oracle; these tests are what lets the
-// sharded engine stay the default.
+// The two emission paths of a B > 1 sink (table/flat_rows.hpp) — the
+// probe path's global combining-cache appends, taken when prepare_emit
+// gets no vertex domain, and the v1-cut sharded bulk emission a domain
+// selects — must be interchangeable: identical sealed rows bit for bit
+// across every batch width and payload width, through mid-phase
+// u16 -> u32 -> wide escalation, and through the run-bulk API and its
+// post-escalation fallback. So must the sharded path's two row formats,
+// dense rows and the sparse records a phase flips to at
+// sparse_flip_rows(), lane for lane over whole counting runs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -29,22 +29,26 @@
 namespace ccbt {
 namespace {
 
-/// Restore the process-wide engine pin however a test exits.
-struct AccumEngineGuard {
-  ~AccumEngineGuard() { set_accum_engine(AccumEngine::kAuto); }
+/// Restore the process-wide dense-to-sparse flip threshold however a
+/// test exits.
+struct FlipGuard {
+  std::size_t saved = sparse_flip_rows();
+  ~FlipGuard() { set_sparse_flip_rows(saved); }
 };
+
+constexpr std::size_t kNeverFlip = std::numeric_limits<std::size_t>::max();
 
 template <int B>
 using RowSpec = std::pair<TableKey, typename LaneOps<B>::Vec>;
 
-/// Append `rows` round-robin across `parts` sinks prepared on `eng`,
-/// then absorb into one — the per-thread reduction shape. On the
-/// sharded engine the absorb takes the shard-wise concatenation path.
+/// Append `rows` round-robin across `parts` sinks prepared with
+/// `prep_domain` (0 = the probe path), then absorb into one — the
+/// per-thread reduction shape. Sharded sinks absorb shard-wise.
 template <int B>
 FlatRowsT<B> build_sink(const std::vector<RowSpec<B>>& rows, int parts,
-                        AccumEngine eng, VertexId domain) {
+                        VertexId prep_domain) {
   std::vector<FlatRowsT<B>> sinks(parts);
-  for (auto& s : sinks) s.prepare_emit(eng, domain);
+  for (auto& s : sinks) s.prepare_emit(prep_domain);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     sinks[i % parts].append(rows[i].first, rows[i].second);
   }
@@ -85,7 +89,7 @@ void expect_same_sink(FlatRowsT<B>& a, FlatRowsT<B>& b) {
   }
 }
 
-/// The core property: both engines, fed the same emission stream and
+/// The core property: both paths, fed the same emission stream and
 /// sealed the same way, hold the same deduped rows, escalation mode and
 /// scan stats bit for bit. Pre-sort row order may differ (shard blocks
 /// vs first-emission order) — the seal's sort + dedup erases exactly
@@ -93,10 +97,9 @@ void expect_same_sink(FlatRowsT<B>& a, FlatRowsT<B>& b) {
 template <int B>
 void expect_engine_parity(const std::vector<RowSpec<B>>& rows, int slot,
                           VertexId domain, int parts = 4) {
-  FlatRowsT<B> probe =
-      build_sink<B>(rows, parts, AccumEngine::kProbe, domain);
-  FlatRowsT<B> shard =
-      build_sink<B>(rows, parts, AccumEngine::kSharded, domain);
+  FlatRowsT<B> probe = build_sink<B>(rows, parts, 0);
+  FlatRowsT<B> shard = build_sink<B>(rows, parts, domain);
+  ASSERT_FALSE(probe.sharded());
   const bool p_ok = probe.sort_by_slot(slot, domain);
   const bool s_ok = shard.sort_by_slot(slot, domain);
   ASSERT_EQ(p_ok, s_ok);
@@ -158,7 +161,7 @@ TEST(AccumSharded, ParityU16B2) { run_parity_suite<2>(9); }
 TEST(AccumSharded, ParityU16B4) { run_parity_suite<4>(9); }
 TEST(AccumSharded, ParityU16B8) { run_parity_suite<8>(9); }
 // Counts near the u16 folding edge: cache sums overflow into duplicate
-// pushes on the probe engine and per-shard pushes on the sharded one.
+// pushes on the probe path and per-shard pushes on the sharded one.
 TEST(AccumSharded, ParityFoldOverflowB8) { run_parity_suite<8>(60'000); }
 
 template <int B>
@@ -166,7 +169,7 @@ void run_escalation_suite(Count big) {
   // A u16 burst stream with occasional oversized counts spliced in:
   // the sharded sink must unshard mid-phase, carry every shard row
   // into the escalated buffer, and keep folding — ending bit-identical
-  // to the probe engine which escalated at the same emission.
+  // to the probe path which escalated at the same emission.
   const VertexId domain = 50'000;
   Rng rng(4242);
   std::vector<RowSpec<B>> rows =
@@ -196,7 +199,7 @@ TEST(AccumSharded, EscalationUnshards) {
   constexpr int B = 8;
   const VertexId domain = 10'000;
   FlatRowsT<B> t;
-  t.prepare_emit(AccumEngine::kSharded, domain);
+  t.prepare_emit(domain);
   ASSERT_TRUE(t.sharded());
   TableKey k;
   k.v[0] = 7;
@@ -250,8 +253,8 @@ TEST(AccumSharded, RunBulkMatchesPerRow) {
   const VertexId domain = 50'000;
   FlatRowsT<B> probe;
   FlatRowsT<B> shard;
-  probe.prepare_emit(AccumEngine::kProbe, domain);
-  shard.prepare_emit(AccumEngine::kSharded, domain);
+  probe.prepare_emit(0);
+  shard.prepare_emit(domain);
   ASSERT_FALSE(probe.run_u16(1, 8).valid());
   for (FlatRowsT<B>* t : {&probe, &shard}) {
     Rng rng(777);  // same stream into both sinks
@@ -275,8 +278,8 @@ TEST(AccumSharded, RunHandleInvalidAfterEscalation) {
   const VertexId domain = 50'000;
   FlatRowsT<B> probe;
   FlatRowsT<B> shard;
-  probe.prepare_emit(AccumEngine::kProbe, domain);
-  shard.prepare_emit(AccumEngine::kSharded, domain);
+  probe.prepare_emit(0);
+  shard.prepare_emit(domain);
   for (FlatRowsT<B>* t : {&probe, &shard}) {
     Rng rng(778);
     for (int b = 0; b < 200; ++b) {
@@ -310,7 +313,7 @@ TEST(AccumSharded, EnsureFlatPreservesRowsUnsealed) {
   constexpr int B = 8;
   const VertexId domain = 50'000;
   FlatRowsT<B> t;
-  t.prepare_emit(AccumEngine::kSharded, domain);
+  t.prepare_emit(domain);
   Rng rng(55);
   const auto rows = burst_stream<B>(rng, 200, 16, domain, 9);
   for (const auto& r : rows) t.append(r.first, r.second);
@@ -321,10 +324,10 @@ TEST(AccumSharded, EnsureFlatPreservesRowsUnsealed) {
   EXPECT_EQ(t.size(), n);
   ASSERT_EQ(t.mode(), FlatRowsT<B>::Mode::kU16);
   EXPECT_EQ(t.rows_u16().size(), n);
-  // Still sealable afterwards, to the same table the probe engine ends
+  // Still sealable afterwards, to the same table the probe path ends
   // at (ensure_flat dropped the caches; seal re-sorts from scratch).
   FlatRowsT<B> probe;
-  probe.prepare_emit(AccumEngine::kProbe, domain);
+  probe.prepare_emit(0);
   for (const auto& r : rows) probe.append(r.first, r.second);
   ASSERT_TRUE(t.sort_by_slot(1, domain));
   ASSERT_TRUE(probe.sort_by_slot(1, domain));
@@ -333,43 +336,49 @@ TEST(AccumSharded, EnsureFlatPreservesRowsUnsealed) {
   expect_same_sink(probe, t);
 }
 
-TEST(AccumSharded, EnginePinning) {
-  AccumEngineGuard guard;
+TEST(AccumSharded, PrepareEmitPicksPathFromSink) {
+  FlipGuard guard;
   const VertexId domain = 10'000;
-  // kAuto defers to the process pin; the pin's own default is sharded.
-  // A CCBT_ACCUM env pin seeds the process state before any test runs
-  // (CI sweeps the suite under each pin), so resolve through it.
-  {
-    const char* env = std::getenv("CCBT_ACCUM");
-    const AccumEngine want = (env != nullptr && std::strcmp(env, "probe") == 0)
-                                 ? AccumEngine::kProbe
-                                 : AccumEngine::kSharded;
+  // A usable vertex domain shards; none (0, or one the 28-bit packed
+  // field cannot hold) takes the probe path.
+  for (const VertexId d : {VertexId{0}, kPacked28NoVertex}) {
     FlatRowsT<8> t;
-    t.prepare_emit(AccumEngine::kAuto, domain);
-    EXPECT_EQ(t.engine(), want);
-    EXPECT_EQ(t.sharded(), want == AccumEngine::kSharded);
+    t.prepare_emit(d);
+    EXPECT_FALSE(t.sharded()) << d;
+    EXPECT_FALSE(t.run_u16(1, 8).valid()) << d;
   }
-  set_accum_engine(AccumEngine::kProbe);
   {
     FlatRowsT<8> t;
-    t.prepare_emit(AccumEngine::kAuto, domain);
-    EXPECT_EQ(t.engine(), AccumEngine::kProbe);
+    t.prepare_emit(domain);
+    EXPECT_TRUE(t.sharded());
+    EXPECT_FALSE(t.sparse());  // default threshold: starts dense
+  }
+  // Threshold 0: a fresh sharded sink is sparse before it emits; the
+  // probe path never is.
+  set_sparse_flip_rows(0);
+  {
+    FlatRowsT<8> t;
+    t.prepare_emit(domain);
+    EXPECT_TRUE(t.sharded());
+    EXPECT_TRUE(t.sparse());
+    FlatRowsT<8> p;
+    p.prepare_emit(0);
+    EXPECT_FALSE(p.sparse());
+  }
+  // A sink already holding escalated rows stays on the probe path.
+  {
+    FlatRowsT<8> t;
+    TableKey k;
+    k.v[0] = 1;
+    k.v[1] = 2;
+    k.sig = 1;
+    auto c = LaneOps<8>::zero();
+    LaneOps<8>::set_lane(c, 0, Count{1} << 20);
+    t.append(k, c);
+    ASSERT_EQ(t.mode(), FlatRowsT<8>::Mode::kU32);
+    t.prepare_emit(domain);
     EXPECT_FALSE(t.sharded());
-  }
-  // An explicit want overrides the pin.
-  {
-    FlatRowsT<8> t;
-    t.prepare_emit(AccumEngine::kSharded, domain);
-    EXPECT_EQ(t.engine(), AccumEngine::kSharded);
-  }
-  set_accum_engine(AccumEngine::kAuto);
-  // No usable domain: the sharded engine has nowhere to cut, degrade
-  // to probe rather than guessing a shard shift.
-  {
-    FlatRowsT<8> t;
-    t.prepare_emit(AccumEngine::kSharded, 0);
-    EXPECT_EQ(t.engine(), AccumEngine::kProbe);
-    EXPECT_FALSE(t.sharded());
+    EXPECT_FALSE(t.sparse());
   }
 }
 
@@ -377,7 +386,7 @@ TEST(AccumSharded, TelemetryCountsShardedPhase) {
   constexpr int B = 8;
   const VertexId domain = 50'000;
   FlatRowsT<B> t;
-  t.prepare_emit(AccumEngine::kSharded, domain);
+  t.prepare_emit(domain);
   Rng rng(99);
   for (int b = 0; b < 100; ++b) {
     emit_burst(t, static_cast<VertexId>(rng.below(domain)), rng, 32,
@@ -396,31 +405,24 @@ TEST(AccumSharded, TelemetryCountsShardedPhase) {
 }
 
 // ---------------------------------------------------------------------
-// Sparse emission format (CCBT_EMIT): variable-length records — packed
-// key + occupancy byte + occupied u16 counts only — must seal to tables
-// bit-identical to the dense fixed-stride format, on both accumulation
-// engines, across batch widths, through escalation, absorb, run-bulk,
-// and the unsealed-access routes node_join takes. The dense format is
-// the oracle.
+// Sparse emission records: variable-length records — packed key +
+// occupancy byte + occupied u16 counts only — must seal to tables
+// bit-identical to dense fixed-stride rows, across batch widths,
+// through escalation, absorb, run-bulk, and the unsealed-access routes
+// node_join takes. A flip threshold of 0 makes a sharded sink sparse
+// from its first emission, SIZE_MAX keeps it dense (the oracle).
 // ---------------------------------------------------------------------
 
-/// Restore the process-wide emission-format pin however a test exits.
-struct EmitFormatGuard {
-  EmitFormat saved = emit_format();
-  ~EmitFormatGuard() { set_emit_format(saved); }
-};
-
-/// Dense-vs-sparse twin sinks fed the same stream on the same engine,
-/// sealed the same way, must agree bit for bit — mode, stats and rows.
+/// Dense-vs-sparse twin sharded sinks fed the same stream, sealed the
+/// same way, must agree bit for bit — mode, stats and rows.
 template <int B>
 void expect_format_parity(const std::vector<RowSpec<B>>& rows, int slot,
-                          VertexId domain, AccumEngine eng,
-                          int parts = 4) {
-  EmitFormatGuard guard;
-  set_emit_format(EmitFormat::kDense);
-  FlatRowsT<B> dense = build_sink<B>(rows, parts, eng, domain);
-  set_emit_format(EmitFormat::kSparse);
-  FlatRowsT<B> sparse = build_sink<B>(rows, parts, eng, domain);
+                          VertexId domain, int parts = 4) {
+  FlipGuard guard;
+  set_sparse_flip_rows(kNeverFlip);
+  FlatRowsT<B> dense = build_sink<B>(rows, parts, domain);
+  set_sparse_flip_rows(0);
+  FlatRowsT<B> sparse = build_sink<B>(rows, parts, domain);
   const bool d_ok = dense.sort_by_slot(slot, domain);
   const bool s_ok = sparse.sort_by_slot(slot, domain);
   ASSERT_EQ(d_ok, s_ok);
@@ -436,23 +438,24 @@ void expect_format_parity(const std::vector<RowSpec<B>>& rows, int slot,
 template <int B>
 void run_format_parity_suite(Count max_count) {
   const VertexId domain = 50'000;
-  for (const auto eng : {AccumEngine::kProbe, AccumEngine::kSharded}) {
-    for (const int slot : {0, 1}) {
-      Rng rng(1700 + slot);
-      expect_format_parity<B>(
-          burst_stream<B>(rng, 400, 24, domain, max_count), slot, domain,
-          eng);
-      // Tiny table: the sparse seal stays on the comparison sort below
-      // the radix threshold; parity must not depend on that choice.
-      expect_format_parity<B>(
-          burst_stream<B>(rng, 8, 6, domain, max_count), slot, domain,
-          eng);
-      // Dup-heavy 24-key universe: nearly every emission folds in a
-      // combining cache, sparse record reuse at its hottest.
-      expect_format_parity<B>(
-          burst_stream<B>(rng, 300, 20, 24, max_count), slot, 24, eng);
-    }
+  for (const int slot : {0, 1}) {
+    Rng rng(1700 + slot);
+    expect_format_parity<B>(
+        burst_stream<B>(rng, 400, 24, domain, max_count), slot, domain);
+    // Tiny table: the sparse seal decodes and takes the dense route
+    // below its per-shard cutover; parity must not depend on that.
+    expect_format_parity<B>(burst_stream<B>(rng, 8, 6, domain, max_count),
+                            slot, domain);
+    // Dup-heavy 24-key universe: nearly every emission folds in a
+    // combining cache, sparse record reuse at its hottest.
+    expect_format_parity<B>(burst_stream<B>(rng, 300, 20, 24, max_count),
+                            slot, 24);
   }
+  // Above the per-shard sparse seal cutover (64 x 4 x 512 rows), so the
+  // slot-1 seal sorts (key, offset) pairs shard by shard.
+  Rng rng(1800);
+  expect_format_parity<B>(
+      burst_stream<B>(rng, 4000, 48, domain, max_count), 1, domain);
 }
 
 TEST(AccumSharded, SparseFormatParityU16B2) {
@@ -485,10 +488,8 @@ void run_sparse_escalation_suite(Count big) {
     LaneOps<B>::set_lane(c, static_cast<int>(i % B), big);
     rows[i].second = c;
   }
-  for (const auto eng : {AccumEngine::kProbe, AccumEngine::kSharded}) {
-    for (const int slot : {0, 1}) {
-      expect_format_parity<B>(rows, slot, domain, eng);
-    }
+  for (const int slot : {0, 1}) {
+    expect_format_parity<B>(rows, slot, domain);
   }
 }
 
@@ -504,176 +505,118 @@ TEST(AccumSharded, SparseEscalateToU32B2) {
 
 TEST(AccumSharded, SparseRunBulkMatchesDense) {
   // The extend loop's emission switch over run handles, sparse vs
-  // dense: same records after the seal on both engines.
+  // dense: same records after the seal.
   constexpr int B = 8;
   const VertexId domain = 50'000;
-  EmitFormatGuard guard;
-  for (const auto eng : {AccumEngine::kProbe, AccumEngine::kSharded}) {
-    FlatRowsT<B> dense;
-    FlatRowsT<B> sparse;
-    set_emit_format(EmitFormat::kDense);
-    dense.prepare_emit(eng, domain);
-    set_emit_format(EmitFormat::kSparse);
-    sparse.prepare_emit(eng, domain);
-    EXPECT_FALSE(dense.sparse());
-    EXPECT_TRUE(sparse.sparse());
-    for (FlatRowsT<B>* t : {&dense, &sparse}) {
-      Rng rng(787);  // same stream into both sinks
-      for (int b = 0; b < 500; ++b) {
-        emit_burst(*t, static_cast<VertexId>(rng.below(domain)), rng, 32,
-                   domain);
-      }
+  FlipGuard guard;
+  FlatRowsT<B> dense;
+  FlatRowsT<B> sparse;
+  set_sparse_flip_rows(kNeverFlip);
+  dense.prepare_emit(domain);
+  set_sparse_flip_rows(0);
+  sparse.prepare_emit(domain);
+  EXPECT_FALSE(dense.sparse());
+  EXPECT_TRUE(sparse.sparse());
+  for (FlatRowsT<B>* t : {&dense, &sparse}) {
+    Rng rng(787);  // same stream into both sinks
+    for (int b = 0; b < 500; ++b) {
+      emit_burst(*t, static_cast<VertexId>(rng.below(domain)), rng, 32,
+                 domain);
     }
-    ASSERT_TRUE(dense.sort_by_slot(1, domain));
-    ASSERT_TRUE(sparse.sort_by_slot(1, domain));
-    dense.merge_duplicates();
-    sparse.merge_duplicates();
-    expect_same_sink(dense, sparse);
   }
+  ASSERT_TRUE(dense.sort_by_slot(1, domain));
+  ASSERT_TRUE(sparse.sort_by_slot(1, domain));
+  dense.merge_duplicates();
+  sparse.merge_duplicates();
+  expect_same_sink(dense, sparse);
 }
 
 TEST(AccumSharded, SparseAbsorbMixedFormats) {
-  // Per-thread sinks may disagree on format (a re-prepared non-empty
-  // sink stays dense): absorb must reconcile and seal to the all-dense
-  // result, in every pairing, on both engines.
+  // Per-thread sinks may disagree on format (one crossed the flip, one
+  // did not): absorb must reconcile and seal to the all-dense result,
+  // in every pairing.
   constexpr int B = 8;
   const VertexId domain = 50'000;
-  EmitFormatGuard guard;
+  FlipGuard guard;
   Rng rng0(321);
   const auto rows = burst_stream<B>(rng0, 300, 16, domain, 9);
-  auto build_pair = [&](EmitFormat fa, EmitFormat fb, AccumEngine eng) {
+  auto build_pair = [&](std::size_t flip_a, std::size_t flip_b) {
     std::array<FlatRowsT<B>, 2> s;
-    set_emit_format(fa);
-    s[0].prepare_emit(eng, domain);
-    set_emit_format(fb);
-    s[1].prepare_emit(eng, domain);
+    set_sparse_flip_rows(flip_a);
+    s[0].prepare_emit(domain);
+    set_sparse_flip_rows(flip_b);
+    s[1].prepare_emit(domain);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       s[i % 2].append(rows[i].first, rows[i].second);
     }
     s[0].absorb(std::move(s[1]));
     return std::move(s[0]);
   };
-  for (const auto eng : {AccumEngine::kProbe, AccumEngine::kSharded}) {
-    FlatRowsT<B> oracle =
-        build_pair(EmitFormat::kDense, EmitFormat::kDense, eng);
-    ASSERT_TRUE(oracle.sort_by_slot(1, domain));
-    oracle.merge_duplicates();
-    for (const auto [fa, fb] :
-         {std::pair{EmitFormat::kSparse, EmitFormat::kSparse},
-          std::pair{EmitFormat::kSparse, EmitFormat::kDense},
-          std::pair{EmitFormat::kDense, EmitFormat::kSparse}}) {
-      FlatRowsT<B> t = build_pair(fa, fb, eng);
-      ASSERT_TRUE(t.sort_by_slot(1, domain));
-      t.merge_duplicates();
-      expect_same_sink(oracle, t);
-    }
+  FlatRowsT<B> oracle = build_pair(kNeverFlip, kNeverFlip);
+  ASSERT_TRUE(oracle.sort_by_slot(1, domain));
+  oracle.merge_duplicates();
+  for (const auto& [fa, fb] : {std::pair{std::size_t{0}, std::size_t{0}},
+                               std::pair{std::size_t{0}, kNeverFlip},
+                               std::pair{kNeverFlip, std::size_t{0}}}) {
+    FlatRowsT<B> t = build_pair(fa, fb);
+    ASSERT_TRUE(t.sort_by_slot(1, domain));
+    t.merge_duplicates();
+    expect_same_sink(oracle, t);
   }
 }
 
 TEST(AccumSharded, SparseEnsureFlatRoutes) {
-  // Regression for the four unsealed-access SEGFAULT routes PR 9 fixed
-  // via ensure_flat/ensure_row_access: node_join consumes unsealed
-  // tables by index, so a sparse sink must decode to flat rows on
-  // demand — size preserved, counts untouched, still sealable — on
-  // both engines and after absorb.
+  // Regression for the four unsealed-access SEGFAULT routes fixed via
+  // ensure_flat/ensure_row_access: node_join consumes unsealed tables by
+  // index, so a sparse sink must decode to flat rows on demand — size
+  // preserved, counts untouched, still sealable.
   constexpr int B = 8;
   const VertexId domain = 50'000;
-  EmitFormatGuard guard;
-  for (const auto eng : {AccumEngine::kProbe, AccumEngine::kSharded}) {
-    set_emit_format(EmitFormat::kSparse);
-    FlatRowsT<B> t;
-    t.prepare_emit(eng, domain);
-    Rng rng(56);
-    const auto rows = burst_stream<B>(rng, 200, 16, domain, 9);
-    for (const auto& r : rows) t.append(r.first, r.second);
-    const std::size_t n = t.size();
-    ASSERT_TRUE(t.sparse());
-    t.ensure_flat();
-    EXPECT_FALSE(t.sparse());
-    EXPECT_FALSE(t.sharded());
-    EXPECT_EQ(t.size(), n);
-    ASSERT_EQ(t.mode(), FlatRowsT<B>::Mode::kU16);
-    // The route that crashed: indexed row access while unsealed.
-    ASSERT_EQ(t.rows_u16().size(), n);
-    std::uint64_t sum = 0;
-    for (const auto& r : t.rows_u16()) sum += r.c[0];
-    (void)sum;
-    // Still sealable afterwards, to the same table a dense sink ends
-    // at (ensure_flat dropped the caches; seal re-sorts from scratch).
-    set_emit_format(EmitFormat::kDense);
-    FlatRowsT<B> dense;
-    dense.prepare_emit(eng, domain);
-    for (const auto& r : rows) dense.append(r.first, r.second);
-    ASSERT_TRUE(t.sort_by_slot(1, domain));
-    ASSERT_TRUE(dense.sort_by_slot(1, domain));
-    t.merge_duplicates();
-    dense.merge_duplicates();
-    expect_same_sink(dense, t);
-  }
-}
-
-TEST(AccumSharded, EmitFormatPinning) {
-  EmitFormatGuard guard;
-  const VertexId domain = 10'000;
-  // kAuto defers to the process pin; the pin's own default is the
-  // adaptive policy — start dense, flip to sparse records only once the
-  // phase outgrows sparse_flip_rows(). A CCBT_EMIT env pin seeds the
-  // process state before any test runs (CI sweeps the suite under each
-  // pin), so resolve through it.
-  {
-    const char* env = std::getenv("CCBT_EMIT");
-    const bool want_sparse =
-        env != nullptr && std::strcmp(env, "sparse") == 0;
-    FlatRowsT<8> t;
-    t.prepare_emit(AccumEngine::kSharded, domain);
-    EXPECT_EQ(t.sparse(), want_sparse);
-  }
-  set_emit_format(EmitFormat::kDense);
-  {
-    FlatRowsT<8> t;
-    t.prepare_emit(AccumEngine::kSharded, domain);
-    EXPECT_FALSE(t.sparse());
-  }
-  set_emit_format(EmitFormat::kSparse);
-  {
-    FlatRowsT<8> t;
-    t.prepare_emit(AccumEngine::kProbe, domain);
-    EXPECT_TRUE(t.sparse());
-  }
-  // A sink already holding non-u16 rows can't take sparse records.
-  {
-    FlatRowsT<8> t;
-    TableKey k;
-    k.v[0] = 1;
-    k.v[1] = 2;
-    k.sig = 1;
-    auto c = LaneOps<8>::zero();
-    LaneOps<8>::set_lane(c, 0, Count{1} << 20);
-    t.append(k, c);
-    ASSERT_EQ(t.mode(), FlatRowsT<8>::Mode::kU32);
-    t.prepare_emit(AccumEngine::kProbe, domain);
-    EXPECT_FALSE(t.sparse());
-  }
+  FlipGuard guard;
+  set_sparse_flip_rows(0);
+  FlatRowsT<B> t;
+  t.prepare_emit(domain);
+  Rng rng(56);
+  const auto rows = burst_stream<B>(rng, 200, 16, domain, 9);
+  for (const auto& r : rows) t.append(r.first, r.second);
+  const std::size_t n = t.size();
+  ASSERT_TRUE(t.sparse());
+  t.ensure_flat();
+  EXPECT_FALSE(t.sparse());
+  EXPECT_FALSE(t.sharded());
+  EXPECT_EQ(t.size(), n);
+  ASSERT_EQ(t.mode(), FlatRowsT<B>::Mode::kU16);
+  // The route that crashed: indexed row access while unsealed.
+  ASSERT_EQ(t.rows_u16().size(), n);
+  std::uint64_t sum = 0;
+  for (const auto& r : t.rows_u16()) sum += r.c[0];
+  (void)sum;
+  // Still sealable afterwards, to the same table a dense sink ends at
+  // (ensure_flat dropped the caches; seal re-sorts from scratch).
+  set_sparse_flip_rows(kNeverFlip);
+  FlatRowsT<B> dense;
+  dense.prepare_emit(domain);
+  for (const auto& r : rows) dense.append(r.first, r.second);
+  ASSERT_TRUE(t.sort_by_slot(1, domain));
+  ASSERT_TRUE(dense.sort_by_slot(1, domain));
+  t.merge_duplicates();
+  dense.merge_duplicates();
+  expect_same_sink(dense, t);
 }
 
 TEST(AccumSharded, AdaptiveFlipMatchesDense) {
-  // kAuto's mid-phase dense-to-sparse flip: arm a tiny threshold, feed
-  // a sharded sink past it, and the table — rows re-encoded at the flip
+  // The mid-phase dense-to-sparse flip: arm a tiny threshold, feed a
+  // sharded sink past it, and the table — rows re-encoded at the flip
   // plus records emitted after it — must seal bit-identical to a
-  // dense-pinned twin (and the sink must actually have flipped).
-  EmitFormatGuard guard;
-  const std::size_t saved = sparse_flip_rows();
+  // never-flipping twin (and the sink must actually have flipped).
+  FlipGuard guard;
   const VertexId domain = 50'000;
   Rng rng(4242);
   const auto rows = burst_stream<8>(rng, 400, 24, domain, 9);
-  set_emit_format(EmitFormat::kDense);
-  FlatRowsT<8> dense =
-      build_sink<8>(rows, 1, AccumEngine::kSharded, domain);
-  set_emit_format(EmitFormat::kAuto);
+  set_sparse_flip_rows(kNeverFlip);
+  FlatRowsT<8> dense = build_sink<8>(rows, 1, domain);
   set_sparse_flip_rows(512);
-  FlatRowsT<8> flipped =
-      build_sink<8>(rows, 1, AccumEngine::kSharded, domain);
-  set_sparse_flip_rows(saved);
+  FlatRowsT<8> flipped = build_sink<8>(rows, 1, domain);
   EXPECT_TRUE(flipped.sparse());
   ASSERT_TRUE(dense.sort_by_slot(1, domain));
   ASSERT_TRUE(flipped.sort_by_slot(1, domain));
@@ -683,30 +626,28 @@ TEST(AccumSharded, AdaptiveFlipMatchesDense) {
 
   // Below the threshold the phase must stay dense end to end.
   set_sparse_flip_rows(std::size_t{1} << 30);
-  FlatRowsT<8> small =
-      build_sink<8>(rows, 1, AccumEngine::kSharded, domain);
-  set_sparse_flip_rows(saved);
+  FlatRowsT<8> small = build_sink<8>(rows, 1, domain);
   EXPECT_FALSE(small.sparse());
   ASSERT_TRUE(small.sort_by_slot(1, domain));
   small.merge_duplicates();
   expect_same_sink(dense, small);
 }
 
-TEST(AccumSharded, EmitFormatRunsAgreeLaneForLane) {
+TEST(AccumSharded, SparseFlipRunsAgreeLaneForLane) {
   // Whole-pipeline cross-check: per-lane colorful counts can't depend
-  // on the emission format, and the sparse run must actually exercise
-  // the sparse path (sparse phases + frontier folds in telemetry).
-  EmitFormatGuard guard;
+  // on the row format, and the sparse run must actually exercise the
+  // sparse path (sparse phases in telemetry).
+  FlipGuard guard;
   const CsrGraph g = erdos_renyi(60, 260, 22);
   std::vector<std::uint64_t> seeds{8400, 8401, 8402, 8403,
                                    8404, 8405, 8406, 8407};
   for (const QueryGraph& q : {q_glet2(), q_youtube(), q_cycle(5)}) {
     const Plan plan = make_plan(q);
-    set_emit_format(EmitFormat::kDense);
+    set_sparse_flip_rows(kNeverFlip);
     CountingSession sd(g, q, plan, ExecOptions{});
     const ExecStats a = sd.count_colorful_seeded(
         std::span<const std::uint64_t>(seeds.data(), 8));
-    set_emit_format(EmitFormat::kSparse);
+    set_sparse_flip_rows(0);
     CountingSession ss(g, q, plan, ExecOptions{});
     const ExecStats b = ss.count_colorful_seeded(
         std::span<const std::uint64_t>(seeds.data(), 8));
@@ -716,30 +657,6 @@ TEST(AccumSharded, EmitFormatRunsAgreeLaneForLane) {
     }
     EXPECT_EQ(a.accum.sparse_phases, 0u) << q.name();
     EXPECT_GT(b.accum.sparse_phases, 0u) << q.name();
-  }
-}
-
-TEST(AccumSharded, EnginePinnedRunsAgreeLaneForLane) {
-  // Whole-pipeline cross-check on a real workload: per-lane colorful
-  // counts can't depend on which accumulation engine the run used.
-  AccumEngineGuard guard;
-  const CsrGraph g = erdos_renyi(60, 260, 21);
-  std::vector<std::uint64_t> seeds{8300, 8301, 8302, 8303,
-                                   8304, 8305, 8306, 8307};
-  for (const QueryGraph& q : {q_glet2(), q_youtube(), q_cycle(5)}) {
-    const Plan plan = make_plan(q);
-    set_accum_engine(AccumEngine::kProbe);
-    CountingSession sp(g, q, plan, ExecOptions{});
-    const ExecStats a = sp.count_colorful_seeded(
-        std::span<const std::uint64_t>(seeds.data(), 8));
-    set_accum_engine(AccumEngine::kSharded);
-    CountingSession ss(g, q, plan, ExecOptions{});
-    const ExecStats b = ss.count_colorful_seeded(
-        std::span<const std::uint64_t>(seeds.data(), 8));
-    for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(a.colorful_lane[l], b.colorful_lane[l])
-          << q.name() << " lane " << l;
-    }
   }
 }
 

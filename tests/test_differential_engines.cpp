@@ -1,10 +1,11 @@
 // Differential fuzz across the whole engine matrix: random (graph,
-// query, batch width, layout/merge options, fault schedule) configs run
-// through the shared-memory engine batched and lane-by-lane, and through
-// the distributed engine — every route must report identical per-lane
-// colorful counts. A divergence localizes to whichever leg disagrees
-// with the B = 1 shared baseline, which exercises none of the batched
-// layouts, packed merges, radix seals or transport code.
+// query, batch width, layout options, sparse-flip threshold, fault
+// schedule) configs run through the shared-memory engine batched and
+// lane-by-lane, and through the distributed engine — every route must
+// report identical per-lane colorful counts. A divergence localizes to
+// whichever leg disagrees with the B = 1 shared baseline, which
+// exercises none of the batched layouts, sparse records, packed merges,
+// radix seals or transport code.
 //
 // The sweep is seeded: CCBT_DIFF_SEED offsets the whole configuration
 // stream and CCBT_DIFF_ITERS scales the number of configs, so CI can run
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,24 +34,6 @@ namespace {
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* env = std::getenv(name);
   return env != nullptr ? std::strtoull(env, nullptr, 10) : fallback;
-}
-
-const char* accum_name(AccumEngine e) {
-  switch (e) {
-    case AccumEngine::kProbe: return "probe";
-    case AccumEngine::kSharded: return "sharded";
-    case AccumEngine::kAuto: break;
-  }
-  return "auto";
-}
-
-const char* emit_name(EmitFormat f) {
-  switch (f) {
-    case EmitFormat::kDense: return "dense";
-    case EmitFormat::kSparse: return "sparse";
-    case EmitFormat::kAuto: break;
-  }
-  return "auto";
 }
 
 QueryGraph pick_query(std::uint64_t die) {
@@ -72,8 +56,7 @@ struct DiffConfig {
   int width = 0;
   std::uint32_t ranks = 0;
   bool faulty = false;
-  AccumEngine accum = AccumEngine::kAuto;
-  EmitFormat emit = EmitFormat::kAuto;
+  std::size_t flip_rows = 0;  // sparse_flip_rows() for this config
   ExecOptions opts;
 
   std::string describe() const {
@@ -82,12 +65,12 @@ struct DiffConfig {
            " ranks=" + std::to_string(ranks) +
            " compact=" + std::to_string(opts.compact_accum) +
            " lane_compress=" + std::to_string(opts.lane_compress) +
-           " packed_merge=" + std::to_string(opts.packed_merge) +
-           " accum=" + accum_name(accum) +
-           " emit=" + emit_name(emit) +
+           " flip_rows=" + std::to_string(flip_rows) +
            " faulty=" + std::to_string(faulty);
   }
 };
+
+const std::size_t kDefaultFlipRows = sparse_flip_rows();
 
 DiffConfig draw_config(std::uint64_t seed) {
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
@@ -100,21 +83,11 @@ DiffConfig draw_config(std::uint64_t seed) {
   c.ranks = static_cast<std::uint32_t>(2 + rng.below(4));
   c.opts.compact_accum = rng.below(2) == 0;
   c.opts.lane_compress = rng.below(4) != 0;  // mostly on (the default)
-  c.opts.packed_merge = rng.below(4) != 0;
-  // Accumulation-engine axis: draw one per config unless CCBT_ACCUM
-  // pins the whole process (the sanitizer job sweeps each pin in turn).
-  if (std::getenv("CCBT_ACCUM") == nullptr) {
-    const AccumEngine engines[] = {AccumEngine::kAuto, AccumEngine::kProbe,
-                                   AccumEngine::kSharded};
-    c.accum = engines[rng.below(3)];
-  }
-  // Emission-format axis, same pattern: sparse records vs the dense
-  // fixed-stride oracle, crossed with everything above.
-  if (std::getenv("CCBT_EMIT") == nullptr) {
-    const EmitFormat formats[] = {EmitFormat::kAuto, EmitFormat::kDense,
-                                  EmitFormat::kSparse};
-    c.emit = formats[rng.below(3)];
-  }
+  // Row-format axis: sparse records from the first emission (0), the
+  // default adaptive flip, or dense rows throughout (SIZE_MAX).
+  const std::size_t flips[] = {0, kDefaultFlipRows,
+                               std::numeric_limits<std::size_t>::max()};
+  c.flip_rows = flips[rng.below(3)];
   c.faulty = rng.below(2) == 0;
   if (c.faulty) {
     c.opts.dist.faults.seed = seed * 31 + 7;
@@ -129,28 +102,19 @@ DiffConfig draw_config(std::uint64_t seed) {
   return c;
 }
 
-/// Restore the process-wide accumulation pin however the sweep exits
-/// (configs that drew an explicit engine leave it set otherwise).
-struct AccumPinGuard {
-  ~AccumPinGuard() {
-    if (std::getenv("CCBT_ACCUM") == nullptr) {
-      set_accum_engine(AccumEngine::kAuto);
-    }
-    if (std::getenv("CCBT_EMIT") == nullptr) {
-      set_emit_format(EmitFormat::kAuto);
-    }
-  }
+/// Restore the process-wide flip threshold however the sweep exits.
+struct FlipGuard {
+  ~FlipGuard() { set_sparse_flip_rows(kDefaultFlipRows); }
 };
 
 TEST(DifferentialEngines, RandomConfigsAgreeAcrossEnginesAndWidths) {
   const std::uint64_t base = env_u64("CCBT_DIFF_SEED", 0);
   const std::uint64_t iters = env_u64("CCBT_DIFF_ITERS", 6);
-  AccumPinGuard pin_guard;
+  FlipGuard flip_guard;
   for (std::uint64_t it = 0; it < iters; ++it) {
     const DiffConfig c = draw_config(base * 1000 + it);
     SCOPED_TRACE(c.describe());
-    if (std::getenv("CCBT_ACCUM") == nullptr) set_accum_engine(c.accum);
-    if (std::getenv("CCBT_EMIT") == nullptr) set_emit_format(c.emit);
+    set_sparse_flip_rows(c.flip_rows);
     const CsrGraph g = erdos_renyi(c.n, c.m, c.seed * 13 + 5);
     Rng qrng(c.seed * 17 + 3);
     const QueryGraph q = pick_query(qrng.below(24));

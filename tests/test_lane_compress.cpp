@@ -603,9 +603,9 @@ merge_bucket_rows(const ColoringBatch& chi, VertexId u, Count mag,
 /// identical emission sequence (keys, counts, order) for the given width
 /// pairing and live-lane shapes.
 template <int B, typename WP, typename WM>
-void run_packed_merge_parity(std::uint64_t seed, Count pmag, Count mmag,
-                             LaneMask plus_lanes, LaneMask minus_lanes,
-                             bool expect_emissions) {
+void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag,
+                              LaneMask plus_lanes, LaneMask minus_lanes,
+                              bool expect_emissions) {
   MergeCx<B> f(seed);
   Rng rng(seed);
   const VertexId u = 5;
@@ -641,22 +641,22 @@ void run_packed_merge_parity(std::uint64_t seed, Count pmag, Count mmag,
 }
 
 TEST(PackedMerge, KernelMatchesDenseU16xU16) {
-  run_packed_merge_parity<8, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<8, std::uint16_t, std::uint16_t>(
       301, 900, 900, 0xFF, 0xFF, true);
-  run_packed_merge_parity<4, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<4, std::uint16_t, std::uint16_t>(
       302, 900, 900, 0xF, 0xF, true);
-  run_packed_merge_parity<2, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<2, std::uint16_t, std::uint16_t>(
       303, 900, 900, 0x3, 0x3, true);
 }
 
 TEST(PackedMerge, KernelMatchesDenseMixedWidths) {
   // u16 x u32 both ways, and u32 x u32 with near-boundary counts whose
   // products stress the no-wrap claim (0xFFFFFFFF^2 < 2^64).
-  run_packed_merge_parity<8, std::uint16_t, std::uint32_t>(
+  run_packed_kernel_parity<8, std::uint16_t, std::uint32_t>(
       311, 0xFFFF, 0xFFFFFFFFull, 0xFF, 0xFF, true);
-  run_packed_merge_parity<8, std::uint32_t, std::uint16_t>(
+  run_packed_kernel_parity<8, std::uint32_t, std::uint16_t>(
       312, 0xFFFFFFFFull, 0xFFFF, 0xFF, 0xFF, true);
-  run_packed_merge_parity<8, std::uint32_t, std::uint32_t>(
+  run_packed_kernel_parity<8, std::uint32_t, std::uint32_t>(
       313, 0xFFFFFFFFull, 0xFFFFFFFFull, 0xFF, 0xFF, true);
 }
 
@@ -664,15 +664,16 @@ TEST(PackedMerge, DisjointLiveLanesEmitNothingOnBothPaths) {
   // Plus rows live only in the low half-lanes, minus rows only in the
   // high half: every pair fails the live-lane intersection, so both
   // kernels must emit nothing (and agree on that).
-  run_packed_merge_parity<8, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<8, std::uint16_t, std::uint16_t>(
       321, 900, 900, 0x0F, 0xF0, false);
-  run_packed_merge_parity<4, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<4, std::uint16_t, std::uint16_t>(
       322, 900, 900, 0x3, 0xC, false);
 }
 
-/// merge_halves with packed_merge toggled must reach the same sink —
-/// `wide_escape` poisons the plus half with an unpackable key first, so
-/// the packed run exercises the dense-fallback dispatch instead.
+/// merge_halves over narrow flat halves (the packed merge) and over the
+/// same rows as dense tables (the dense merge_bucket) must reach the same
+/// sink — `wide_escape` poisons the plus half with an unpackable key
+/// first, so the flat run exercises the dense-fallback dispatch instead.
 template <int B>
 void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
   using Vec = typename LaneOps<B>::Vec;
@@ -709,12 +710,22 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
       results;
   for (const bool packed : {false, true}) {
     MergeCx<B> f(seed);
-    f.cx.opts.packed_merge = packed;
-    FlatRowsT<B> pf, mf;
-    for (const auto& [k, c] : prows) pf.append(k, c);
-    for (const auto& [k, c] : mrows) mf.append(k, c);
-    ProjTableT<B> plus = ProjTableT<B>::from_packed(2, std::move(pf));
-    ProjTableT<B> minus = ProjTableT<B>::from_packed(2, std::move(mf));
+    auto table = [&](const std::vector<std::pair<TableKey, Vec>>& rows) {
+      if (!packed) {
+        std::vector<TableEntryT<B>> dense;
+        for (const auto& [k, c] : rows) dense.push_back({k, c});
+        return ProjTableT<B>::from_flat(2, std::move(dense));
+      }
+      FlatRowsT<B> flat;
+      for (const auto& [k, c] : rows) flat.append(k, c);
+      return ProjTableT<B>::from_packed(2, std::move(flat));
+    };
+    ProjTableT<B> plus = table(prows);
+    ProjTableT<B> minus = table(mrows);
+    if (packed && !wide_escape) {
+      ASSERT_NE(plus.flat_storage(), nullptr);
+      ASSERT_NE(minus.flat_storage(), nullptr);
+    }
     AccumMapT<B> sink(16, true);
     merge_halves<B>(f.cx, plus, minus, spec, sink);
     auto& out = results[packed ? 1 : 0];
@@ -742,25 +753,20 @@ TEST(PackedMerge, MergeHalvesWideEscapeFallsBackIdentically) {
   run_merge_halves_parity<8>(333, /*wide_escape=*/true);
 }
 
-TEST(PackedMergeEngine, SessionAgreesWithDenseMergeLaneForLane) {
-  // Whole-pipeline cross-check on merge-heavy (cycle) queries: per-lane
-  // colorful counts cannot depend on the merge path taken.
+TEST(PackedMergeEngine, SessionAgreesWithScalarLaneForLane) {
+  // Whole-pipeline cross-check on merge-heavy (cycle) queries: the B = 8
+  // run merges on packed flat rows, and each lane must match the same
+  // coloring counted alone at B = 1 (dense tables, dense merge).
   const CsrGraph g = erdos_renyi(60, 260, 35);
   std::vector<std::uint64_t> seeds{7300, 7301, 7302, 7303,
                                    7304, 7305, 7306, 7307};
   for (const QueryGraph& q : {q_cycle(5), q_cycle(6), q_dros()}) {
-    ExecOptions on;
-    on.packed_merge = true;
-    ExecOptions off;
-    off.packed_merge = false;
-    CountingSession son(g, q, make_plan(q), on);
-    CountingSession soff(g, q, make_plan(q), off);
-    const ExecStats a = son.count_colorful_seeded(
-        std::span<const std::uint64_t>(seeds.data(), 8));
-    const ExecStats b = soff.count_colorful_seeded(
+    CountingSession session(g, q, make_plan(q), ExecOptions{});
+    const ExecStats batched = session.count_colorful_seeded(
         std::span<const std::uint64_t>(seeds.data(), 8));
     for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(a.colorful_lane[l], b.colorful_lane[l])
+      EXPECT_EQ(batched.colorful_lane[l],
+                session.count_colorful_seeded(seeds[l]).colorful)
           << q.name() << " lane " << l;
     }
   }
