@@ -63,12 +63,11 @@ struct Cell {
   std::array<std::uint64_t, 3> width_hist{};  // packed rows per u16/u32/u64
   // Per-stage wall breakdown summed over the cell's plan executions.
   StageWall stage;
-  // Accumulate-stage wall vs the B = 1 cell of the same (graph, query) —
-  // the stage sharded emission targets (B > 1 only).
+  // Accumulate-stage wall vs the B = 1 cell of the same (graph, query):
+  // at B > 1 the stage includes the per-bucket sorts (B > 1 only).
   double accum_ratio = 0.0;
-  // Accumulation telemetry sampled from the same batched execution as
-  // the lane-layout fields: sharded/sparse phases, combining-cache folds,
-  // run-bulk usage, shard occupancy (B > 1).
+  // Accumulation telemetry sampled from the same execution as the
+  // lane-layout fields: phases and the rows and bytes they emitted.
   AccumTelemetry accum;
 };
 
@@ -240,23 +239,14 @@ int main() {
   // accumulation phases materialize before sealing (telemetry sampled
   // one execution per cell; an execution carries `width` trials).
   double emit_b1 = 0.0, emit_b8 = 0.0;
-  std::uint64_t folds_b8 = 0, sparse_phases_b8 = 0;
   for (const Cell& c : cells) {
     const double per_trial = static_cast<double>(c.accum.emit_bytes) /
                              static_cast<double>(c.width);
     if (c.width == 1) emit_b1 += per_trial;
-    if (c.width == 8) {
-      emit_b8 += per_trial;
-      folds_b8 += c.accum.frontier_folds;
-      sparse_phases_b8 += c.accum.sparse_phases;
-    }
+    if (c.width == 8) emit_b8 += per_trial;
   }
   const double emit_ratio = emit_b1 > 0.0 ? emit_b8 / emit_b1 : 0.0;
-  std::printf(
-      "  emission bytes/trial B=8 over B=1: %.2fx (sparse phases %llu, "
-      "frontier folds %llu)\n",
-      emit_ratio, static_cast<unsigned long long>(sparse_phases_b8),
-      static_cast<unsigned long long>(folds_b8));
+  std::printf("  emission bytes/trial B=8 over B=1: %.2fx\n", emit_ratio);
 
   // ------------------------------------------------------------- wire
   // The virtual-MPI engine, same trials: every signature-blocked row
@@ -433,11 +423,8 @@ int main() {
         "\"stage\": {\"accumulate\": %.6f, \"seal\": %.6f, "
         "\"merge\": %.6f}, "
         "\"accumulate_wall_over_b1\": %.3f, "
-        "\"accum\": {\"phases\": %llu, \"sharded_phases\": %llu, "
-        "\"sparse_phases\": %llu, \"rows\": %llu, \"emit_bytes\": %llu, "
-        "\"bytes_per_row\": %.2f, \"combine_folds\": %llu, "
-        "\"frontier_folds\": %llu, \"run_emits\": %llu, "
-        "\"shard_occupancy\": %.3f}}%s\n",
+        "\"accum\": {\"phases\": %llu, \"rows\": %llu, "
+        "\"emit_bytes\": %llu, \"bytes_per_row\": %.2f}}%s\n",
         c.graph.c_str(), c.query.c_str(), c.width, c.wall, c.per_trial_ms,
         c.speedup, c.lanes_match ? "true" : "false", c.lane_density,
         c.packed_share,
@@ -446,16 +433,9 @@ int main() {
         static_cast<unsigned long long>(c.width_hist[2]),
         c.stage.accumulate, c.stage.seal, c.stage.merge, c.accum_ratio,
         static_cast<unsigned long long>(c.accum.phases),
-        static_cast<unsigned long long>(c.accum.sharded_phases),
-        static_cast<unsigned long long>(c.accum.sparse_phases),
         static_cast<unsigned long long>(c.accum.rows),
         static_cast<unsigned long long>(c.accum.emit_bytes),
-        c.accum.bytes_per_row(),
-        static_cast<unsigned long long>(c.accum.combine_folds),
-        static_cast<unsigned long long>(c.accum.frontier_folds),
-        static_cast<unsigned long long>(c.accum.run_emits),
-        c.accum.shard_occupancy(),
-        i + 1 < cells.size() ? "," : "");
+        c.accum.bytes_per_row(), i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"wire_cells\": [\n");
   for (std::size_t i = 0; i < wire.size(); ++i) {

@@ -13,11 +13,11 @@
 // Restore rebuilds each table from its decoded row multiset and re-seals
 // with the storage convention (kByV0 + the pool's layout hint). Because
 // serialization iterates the sealed row order, the decoded rows are
-// already sorted: the radix seal's validation pass detects that and
-// leaves them untouched, the comparison seal is a stable sort, and the
-// layout chooser is deterministic either way — so a restored table is
-// bit-identical to the one checkpointed under both seal engines, the
-// property behind the "replayed run equals fault-free run" guarantee.
+// already sorted with unique keys: the seal's counting partition is
+// stable, each bucket's sort orders unique keys totally, and the layout
+// chooser is deterministic — so a restored table is bit-identical to the
+// one checkpointed, the property behind the "replayed run equals
+// fault-free run" guarantee.
 //
 // Integrity: every shard image carries a magic word and its row count;
 // truncated, oversized, or misparsed images throw CheckpointCorrupt

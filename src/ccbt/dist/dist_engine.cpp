@@ -166,9 +166,16 @@ DistTableT<B> d_extend_with_child(Dx<B>& dx, DistTableT<B>& path,
 }
 
 template <int B>
-DistTableT<B> d_node_join(Dx<B>& dx, const DistTableT<B>& path,
+DistTableT<B> d_node_join(Dx<B>& dx, DistTableT<B>& path,
                           const DistTableT<B>& child, int slot) {
   const ExecContext& cx = dx.cx;
+  // The shared engine's batched node join walks a born-sorted, hence
+  // deduplicated, path; sealing the shards keeps the iterated row
+  // multiset — and every load-model charge — in exact parity.
+  if constexpr (B > 1) {
+    ScopedStage timed(cx.stage_slot(&StageWall::seal));
+    path.seal_shards(SortOrder::kByV1, dx.domain, LaneSealHint::kStream);
+  }
   // The unary child lives with owner(x) (home slot 0). Probing by the
   // anchor slot needs the path rehomed there first — a transport-only
   // superstep a real implementation pays, invisible to the load model.
@@ -241,8 +248,8 @@ void d_merge_halves(Dx<B>& dx, DistTableT<B>& plus, DistTableT<B>& minus,
         std::size_t pj = pi, mj = mi;
         while (pj < pe.size() && pe[pj].key.v[0] == u) ++pj;
         while (mj < me.size() && me[mj].key.v[0] == u) ++mj;
-        merge_bucket<B>(cx, pe.subspan(pi, pj - pi),
-                        me.subspan(mi, mj - mi), spec, route);
+        merge_bucket<B, /*Outer=*/0>(cx, pe.subspan(pi, pj - pi),
+                                     me.subspan(mi, mj - mi), spec, route);
         pi = pj;
         mi = mj;
       }
@@ -266,8 +273,14 @@ void d_merge_halves(Dx<B>& dx, DistTableT<B>& plus, DistTableT<B>& minus,
 }
 
 template <int B>
-DistTableT<B> d_aggregate(Dx<B>& dx, const DistTableT<B>& t, int new_arity) {
+DistTableT<B> d_aggregate(Dx<B>& dx, DistTableT<B>& t, int new_arity) {
   const ExecContext& cx = dx.cx;
+  // Same parity argument as d_node_join: the shared engine aggregates a
+  // deduplicated table.
+  if constexpr (B > 1) {
+    ScopedStage timed(cx.stage_slot(&StageWall::seal));
+    t.seal_shards(SortOrder::kByV1, dx.domain, LaneSealHint::kStream);
+  }
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
@@ -359,10 +372,9 @@ class DistPool {
 
   /// Rebuild the stored tables from `img`, dropping everything newer.
   /// Decoded rows arrive in sealed order with unique keys, so re-sealing
-  /// reproduces the checkpointed shards bit for bit whichever seal sort
-  /// is active: the radix engine's validation pass detects the sorted
-  /// input and leaves it in place, the comparison engine is stable, and
-  /// the layout chooser is deterministic either way.
+  /// reproduces the checkpointed shards bit for bit: the counting
+  /// partition is stable, unique keys sort totally inside each bucket,
+  /// and the layout chooser is deterministic.
   void restore(const CheckpointImageT<B>& img, std::uint32_t ranks) {
     std::fill(stored_.begin(), stored_.end(), false);
     std::fill(has_transposed_.begin(), has_transposed_.end(), false);

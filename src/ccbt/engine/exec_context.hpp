@@ -152,10 +152,9 @@ struct ExecContext {
   /// ExecStats::stage / DistStats::stage.
   StageWall* stage = nullptr;
 
-  /// Optional collector of B > 1 accumulation telemetry (engine used,
-  /// combining-cache folds, shard occupancy); accumulate_flat folds each
-  /// phase's reduced sink into it and the engines surface it through
-  /// ExecStats::accum / DistStats::accum.
+  /// Optional collector of accumulation telemetry (phases, rows and
+  /// bytes emitted); every row-producing primitive adds its phase and the
+  /// engines surface it through ExecStats::accum / DistStats::accum.
   AccumTelemetry* accum = nullptr;
 
   double* stage_slot(double StageWall::* member) const {

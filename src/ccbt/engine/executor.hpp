@@ -40,11 +40,8 @@ struct ExecStats {
   /// below wall_seconds — planning glue and root totals are untimed.
   StageWall stage;
 
-  /// B > 1 accumulation telemetry (all-zero at B = 1): how many phases
-  /// ran on v1-cut shards (vs the domain-less probe path) and how many
-  /// flipped to sparse records, how many emissions the combining caches
-  /// folded away before the seal, run-bulk API usage, and how evenly the
-  /// shard cut spread the key space.
+  /// Accumulation telemetry: phases, and the rows and bytes they emitted
+  /// (hashed rows at B = 1, rows fed to the bucket sorts at B > 1).
   AccumTelemetry accum;
 
   /// Fault-tolerance scoreboard (injected faults, retries, replays,

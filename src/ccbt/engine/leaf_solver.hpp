@@ -24,10 +24,12 @@ ProjTableT<B> solve_leaf_edge(const ExecContext& cx, const Block& blk,
   if (edge_child < 0) {
     table = init_path_from_graph<B>(cx, no_opts);
   } else {
-    // The child's first boundary must be the block's boundary node a.
+    // The child's first boundary must be the block's boundary node a; at
+    // B > 1 the primitive reads it the other way round (see build_path).
+    constexpr bool kFlip = B > 1;
     table = init_path_from_child<B>(
-        cx, pool.oriented(edge_child, blk.edge_child_flip[0]),
-        /*flip=*/false, no_opts);
+        cx, pool.oriented(edge_child, blk.edge_child_flip[0] != kFlip),
+        kFlip, no_opts);
   }
   // ...joined with the leaf node b's annotation...
   if (blk.node_child[1] >= 0) {

@@ -13,10 +13,9 @@ namespace ccbt {
       const ExecContext&, ProjTableT<B>&, const ExtendOpts&);                \
   template ProjTableT<B> extend_with_graph<B>(                               \
       const ExecContext&, const ProjTableT<B>&, const ExtendOpts&);          \
-  template ProjTableT<B> extend_with_child<B>(const ExecContext&,            \
-                                              ProjTableT<B>&,               \
-                                              const ProjTableT<B>&,          \
-                                              const ExtendOpts&);            \
+  template ProjTableT<B> extend_with_child<B>(                              \
+      const ExecContext&, ProjTableT<B>&, const ProjTableT<B>&,              \
+      const ExtendOpts&, bool);                                              \
   template ProjTableT<B> node_join<B>(const ExecContext&, ProjTableT<B>&,    \
                                       const ProjTableT<B>&, int);            \
   template void merge_halves<B>(const ExecContext&, ProjTableT<B>&,          \

@@ -22,10 +22,20 @@
 //     joint vertex's lane colors (ColoringBatch::mask_bit_eq/mask_pair_eq).
 // B = 1 takes the original scalar code paths via if constexpr.
 //
-// The per-entry loop bodies are exposed as kernels (emit-callback form):
-// the shared-memory primitives here and the virtual-MPI engine in
-// ccbt/dist run the same kernels, which is what guarantees their exact
-// load-model parity at every batch width.
+// Two accumulation strategies, one per width:
+//   * B = 1 pushes rows from each input entry and hashes them through
+//     per-thread AccumMaps (the per-entry kernels below).
+//   * B > 1 builds every path table born sorted: one frontier vertex w at
+//     a time, in ascending w, it pulls the rows that land on w — from the
+//     input's bucket of each neighbour x of w, or from the child rows
+//     ending at w — then sorts and deduplicates that bucket locally
+//     (build_buckets). The table arrives sealed kByV1, the home-slot-1
+//     layout of Section 7, with no global sort.
+//
+// The per-entry kernels (emit-callback form) are also what the
+// virtual-MPI engine in ccbt/dist runs. The pull loops charge the load
+// model per (bucket, neighbour) instead of per entry; the per-rank sums
+// per phase are the same, which tests/test_dist_engine.cpp checks.
 
 #include <algorithm>
 #include <array>
@@ -166,108 +176,95 @@ AccumMapT<B> accumulate_over(const ExecContext& cx, std::size_t n,
   return map;
 }
 
-/// Flat variant of accumulate_over for the batched (B > 1) graph-driven
-/// primitives: rows are appended without hashing — duplicate keys are
-/// summed later by the table's sorting seal (sort-merge consolidation),
-/// which is far cheaper than a hash probe per emitted lane-vector row.
-/// The sink keeps rows in the narrow packed layout (flat_rows.hpp), so
-/// both the append traffic and the seal's sort move 24-byte rows rather
-/// than dense entries. The budget bounds pre-merge rows at B > 1.
-template <int B, typename Emit>
-FlatRowsT<B> accumulate_flat(const ExecContext& cx, std::size_t n,
-                             Emit&& emit) {
-  ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-  // Every sink is bound to its emission path up front: the per-row
-  // appends then never test or allocate their caches, and the run-bulk
-  // extend path can be entered for the whole phase. The graph's vertex
-  // count is the shard-cut domain — emitted v1 values are vertices or
-  // kNoVertex — so every fresh sink here shards.
-  const VertexId shard_domain = cx.g.num_vertices();
-#ifdef _OPENMP
-  if (cx.opts.use_threads && pool_threads() > 1 && n > 4096) {
-    const int threads = pool_threads();
-    std::vector<FlatRowsT<B>> rows(threads);
-    std::atomic<bool> budget_hit{false};
-#pragma omp parallel num_threads(threads)
-    {
-      FlatRowsT<B>& local = rows[omp_get_thread_num()];
-      local.prepare_emit(shard_domain);
-#pragma omp for schedule(dynamic, 512)
-      for (std::size_t i = 0; i < n; ++i) {
-        if (budget_hit.load(std::memory_order_relaxed)) continue;
-        emit(i, local);
-        if (local.size() > cx.opts.max_table_entries) {
-          budget_hit.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (budget_hit.load()) check_budget(cx, cx.opts.max_table_entries + 1);
-    std::size_t total = 0;
-    for (const auto& r : rows) total += r.size();
-    check_budget(cx, total);
-    FlatRowsT<B>* biggest = &rows[0];
-    for (auto& r : rows) {
-      if (r.size() > biggest->size()) biggest = &r;
-    }
-    FlatRowsT<B> out = std::move(*biggest);
-    for (auto& r : rows) {
-      if (&r == biggest) continue;
-      out.absorb(std::move(r));
-    }
-    if (cx.accum != nullptr) out.collect_telemetry(*cx.accum);
-    return out;
+/// The B = 1 accumulation: `body(i, emit)` emits the rows of input item i
+/// through `emit(key, count)`, hashed through per-thread AccumMaps (exact
+/// pre-merge); the merged map becomes the table.
+template <typename Body>
+ProjTableT<1> accumulate_map(const ExecContext& cx, int arity, std::size_t n,
+                             Body&& body) {
+  AccumMapT<1> map =
+      accumulate_over<1>(cx, n, [&](std::size_t i, AccumMapT<1>& sink) {
+        body(i, [&](const TableKey& k, Count c) { sink.add(k, c); });
+      });
+  // emit_bytes is what the accumulation phase materialized: the deduped
+  // hash rows here, the rows fed to the bucket sorts at B > 1.
+  if (cx.accum != nullptr) {
+    ++cx.accum->phases;
+    cx.accum->rows += map.size();
+    cx.accum->emit_bytes += map.byte_size();
   }
-#endif
-  FlatRowsT<B> out;
-  out.prepare_emit(shard_domain);
-  for (std::size_t i = 0; i < n; ++i) {
-    emit(i, out);
-    if ((i & 0xFFF) == 0) check_budget(cx, out.size());
-  }
-  check_budget(cx, out.size());
-  if (cx.accum != nullptr) out.collect_telemetry(*cx.accum);
-  return out;
+  cx.end_phase();
+  return ProjTableT<1>::from_map(arity, std::move(map));
 }
 
-/// The one dispatch point for the per-width accumulation strategy every
-/// row-producing primitive shares: `body(i, emit)` emits the rows of
-/// item i through `emit(key, lane-counts)`. B = 1 hashes rows through
-/// per-thread AccumMaps (exact pre-merge, the original scalar path);
-/// B > 1 appends narrow packed rows that the table's sorting seal
-/// consolidates.
+/// The push kernels' `emit(key, counts)`, appending to a bucket scratch.
+template <int B>
+auto append_to(FlatRowsT<B>& sink) {
+  return [&sink](const TableKey& k, const typename LaneOps<B>::Vec& c) {
+    sink.append(k, c);
+  };
+}
+
+/// The born-sorted build every B > 1 path primitive shares. The output is
+/// built one frontier vertex w at a time, in ascending w: `body(w, sink)`
+/// emits the rows whose frontier is w into a thread-local scratch, which
+/// is then sorted and deduplicated locally (exact u64 run sums) and
+/// appended with its bucket offset. The table arrives sealed kByV1 with
+/// no global sort. Threads build contiguous vertex ranges that
+/// concatenate in order, so the table is the same at every thread count;
+/// `work` (the input rows the phase reads) decides whether threads pay.
+/// The budget bounds the deduplicated rows.
 template <int B, typename Body>
-ProjTableT<B> accumulate_rows(const ExecContext& cx, int arity,
-                              std::size_t n, Body&& body) {
-  if constexpr (B == 1) {
-    AccumMapT<1> map =
-        accumulate_over<1>(cx, n, [&](std::size_t i, AccumMapT<1>& sink) {
-          body(i, [&](const TableKey& k, Count c) { sink.add(k, c); });
-        });
-    // emit_bytes is what the accumulation phase materialized before the
-    // seal: the deduped hash rows here, the (cache-folded) flat rows at
-    // B > 1 — the per-trial byte-traffic comparison the bench reports.
-    if (cx.accum != nullptr) {
-      ++cx.accum->phases;
-      cx.accum->rows += map.size();
-      cx.accum->emit_bytes += map.byte_size();
-    }
-    cx.end_phase();
-    return ProjTableT<1>::from_map(arity, std::move(map));
-  } else {
-    FlatRowsT<B> rows =
-        accumulate_flat<B>(cx, n, [&](std::size_t i, FlatRowsT<B>& sink) {
-          body(i, [&](const TableKey& k, const typename LaneOps<B>::Vec& c) {
-            sink.append(k, c);
-          });
-        });
-    cx.end_phase();
-    if (!cx.opts.lane_compress) {
-      // Ablation: lane_compress off forces the dense u64[B] layout
-      // through the whole pipeline, narrow accumulation included.
-      return ProjTableT<B>::from_flat(arity, rows.take_wide());
-    }
-    return ProjTableT<B>::from_packed(arity, std::move(rows));
+ProjTableT<B> build_buckets(const ExecContext& cx, int arity,
+                            std::size_t work, Body&& body) {
+  using Mode = typename FlatRowsT<B>::Mode;
+  ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
+  const VertexId n = cx.g.num_vertices();
+  // Lane compression off keeps every row in the dense u64[B] layout.
+  const bool wide = !cx.opts.lane_compress;
+  int parts = 1;
+#ifdef _OPENMP
+  if (cx.opts.use_threads && pool_threads() > 1 && work > 4096 && n > 1) {
+    parts = static_cast<int>(
+        std::min<VertexId>(n, static_cast<VertexId>(8 * pool_threads())));
   }
+#else
+  (void)work;
+#endif
+  std::vector<SortedBucketsT<B>> built;
+  built.reserve(parts);
+  // Output tables run at about twice their input's rows.
+  for (int p = 0; p < parts; ++p) built.emplace_back(wide, 2 * work / parts);
+  std::atomic<bool> budget_hit{false};
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic, 1) if (parts > 1)
+#endif
+  for (int p = 0; p < parts; ++p) {
+    thread_local FlatRowsT<B> scratch;
+    SortedBucketsT<B>& part = built[p];
+    const auto lo = static_cast<VertexId>(std::uint64_t{n} * p / parts);
+    const auto hi = static_cast<VertexId>(std::uint64_t{n} * (p + 1) / parts);
+    for (VertexId w = lo; w < hi; ++w) {
+      if (budget_hit.load(std::memory_order_relaxed)) break;
+      scratch.reset(wide ? Mode::kWide : Mode::kU16);
+      body(w, scratch);
+      part.close(scratch);
+      if (part.size() > cx.opts.max_table_entries) {
+        budget_hit.store(true, std::memory_order_relaxed);
+      }
+    }
+  }
+  if (budget_hit.load()) check_budget(cx, cx.opts.max_table_entries + 1);
+  SortedBucketsT<B> out = std::move(built[0]);
+  for (int p = 1; p < parts; ++p) out.absorb(std::move(built[p]));
+  check_budget(cx, out.size());
+  if (cx.accum != nullptr) {
+    ++cx.accum->phases;
+    cx.accum->rows += out.emitted_rows();
+    cx.accum->emit_bytes += out.emitted_bytes();
+  }
+  cx.end_phase();
+  return ProjTableT<B>::from_buckets(arity, std::move(out));
 }
 
 /// Probe-side view of a stored child table. Joins probe the child once
@@ -295,11 +292,94 @@ class ChildProbe {
   std::span<const TableEntryT<B>> rows_;
 };
 
+/// The same rows with key slots 0 and 1 swapped, sealed kByV0: a child
+/// table grouped by its other endpoint (tables are stored kByV0).
+template <int B>
+ProjTableT<B> transposed_by_v0(const ExecContext& cx, const ProjTableT<B>& t) {
+  ScopedStage timed(cx.stage_slot(&StageWall::seal));
+  ProjTableT<B> out = t.transposed();
+  out.seal(SortOrder::kByV0, cx.g.num_vertices(), LaneSealHint::kStream);
+  return out;
+}
+
+/// Seal a B > 1 path input in its born order (a relabel for a born-sorted
+/// table) so its frontier buckets can be pulled.
+template <int B>
+void seal_by_frontier(const ExecContext& cx, ProjTableT<B>& path) {
+  ScopedStage timed(cx.stage_slot(&StageWall::seal));
+  path.seal(SortOrder::kByV1, cx.g.num_vertices(), LaneSealHint::kStream);
+}
+
+/// The `alive` lanes of a row with signature `sig` grouped by the
+/// signature the row gets when it adds a vertex whose lane colors are
+/// `cw` (ColoringBatch::colors_word); lanes already using that color drop
+/// out.
+template <int B>
+SigGroups<B> extend_groups(Signature sig, LaneMask alive, std::uint64_t cw) {
+  SigGroups<B> groups;
+  for (LaneMask a = alive; a != 0; a &= (a - 1)) {
+    const int l = std::countr_zero(static_cast<unsigned>(a));
+    const Signature w_bit = Signature{1} << ((cw >> (8 * l)) & 0xFF);
+    if ((sig & w_bit) != 0) continue;
+    groups.add(sig | w_bit, l);
+  }
+  return groups;
+}
+
+/// Emit the initial path rows of edge (u, w) at B > 1: one row per
+/// distinct two-color signature, lanes coloring u and w alike dropped.
+template <int B, typename Emit>
+void emit_edge(const ExecContext& cx, VertexId u, VertexId w,
+               const ExtendOpts& o, Emit&& emit) {
+  SigGroups<B> groups;
+  std::uint64_t cu = cx.chi.colors_word(u);
+  std::uint64_t cw = cx.chi.colors_word(w);
+  for (int l = 0; l < B; ++l, cu >>= 8, cw >>= 8) {
+    if ((cu & 0xFF) == (cw & 0xFF)) continue;
+    groups.add((Signature{1} << (cu & 0xFF)) | (Signature{1} << (cw & 0xFF)),
+               l);
+  }
+  if (groups.n == 0) return;
+  TableKey key;
+  key.v[0] = u;
+  key.v[1] = w;
+  if (o.track_slot >= 0) key.v[o.track_slot] = w;
+  for (int i = 0; i < groups.n; ++i) {
+    key.sig = groups.sig[i];
+    emit(key, LaneOps<B>::ones(groups.mask[i]));
+  }
+  cx.send(u, w, 1);
+}
+
+/// EdgeJoin of one path row `e`, whose frontier is `joint`, with one
+/// child row `ce` running from `joint` to `w` (B > 1): the matches may
+/// share exactly one color, and it must be the joint's color in a lane.
+template <int B, typename Emit>
+void join_edge(const ExecContext& cx, const TableEntryT<B>& e,
+               const TableEntryT<B>& ce, VertexId joint, VertexId w,
+               const ExtendOpts& o, Emit&& emit) {
+  // Lane-independent half of the compatibility test.
+  const Signature inter = e.key.sig & ce.key.sig;
+  if (std::popcount(inter) != 1) return;
+  if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) return;
+  // Per-lane half.
+  const LaneMask m = cx.chi.mask_bit_eq(joint, inter);
+  if (m == 0) return;
+  const auto cnt = LaneSimdT<B>::mul_masked(e.cnt, ce.cnt, m);
+  if (LaneSimdT<B>::is_zero(cnt)) return;
+  TableKey key = e.key;
+  key.v[1] = w;
+  if (o.track_slot >= 0) key.v[o.track_slot] = w;
+  key.sig = e.key.sig | ce.key.sig;
+  emit(key, cnt);
+  cx.send(joint, w, 1);
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------- kernels
-// Per-item loop bodies shared verbatim by the shared-memory primitives and
-// the distributed engine. Each kernel performs the load-model charges
+// Per-item loop bodies of the push form: the B = 1 primitives and the
+// distributed engine run them. Each kernel performs the load-model charges
 // itself and hands finished rows to `emit(key, lane-counts)`; the caller
 // only chooses where rows go (a hash-map sink or a transport).
 
@@ -321,25 +401,7 @@ void kernel_init_from_graph(const ExecContext& cx, VertexId u,
       emit(key, Count{1});
       cx.send(u, w, 1);
     } else {
-      detail::SigGroups<B> groups;
-      std::uint64_t cu = cx.chi.colors_word(u);
-      std::uint64_t cw = cx.chi.colors_word(w);
-      for (int l = 0; l < B; ++l, cu >>= 8, cw >>= 8) {
-        if ((cu & 0xFF) == (cw & 0xFF)) continue;
-        groups.add((Signature{1} << (cu & 0xFF)) |
-                       (Signature{1} << (cw & 0xFF)),
-                   l);
-      }
-      if (groups.n == 0) continue;
-      TableKey key;
-      key.v[0] = u;
-      key.v[1] = w;
-      if (o.track_slot >= 0) key.v[o.track_slot] = w;
-      for (int i = 0; i < groups.n; ++i) {
-        key.sig = groups.sig[i];
-        emit(key, LaneOps<B>::ones(groups.mask[i]));
-      }
-      cx.send(u, w, 1);
+      detail::emit_edge<B>(cx, u, w, o, emit);
     }
   }
 }
@@ -385,14 +447,8 @@ void kernel_extend_with_graph(const ExecContext& cx, const TableEntryT<B>& e,
       emit(key, e.cnt);
       cx.send(v, w, 1);
     } else {
-      detail::SigGroups<B> groups;
-      const std::uint64_t cw = cx.chi.colors_word(w);
-      for (LaneMask a = alive; a != 0; a &= (a - 1)) {
-        const int l = std::countr_zero(static_cast<unsigned>(a));
-        const Signature w_bit = Signature{1} << ((cw >> (8 * l)) & 0xFF);
-        if ((e.key.sig & w_bit) != 0) continue;
-        groups.add(e.key.sig | w_bit, l);
-      }
+      const detail::SigGroups<B> groups =
+          detail::extend_groups<B>(e.key.sig, alive, cx.chi.colors_word(w));
       if (groups.n == 0) continue;
       TableKey key = e.key;
       key.v[1] = w;
@@ -429,23 +485,7 @@ void kernel_extend_with_child(const ExecContext& cx, const TableEntryT<B>& e,
     }
   } else {
     for (const TableEntryT<B>& ce : group) {
-      // Lane-independent half of the compatibility test: the matches may
-      // share exactly one color (the joint vertex's).
-      const Signature inter = e.key.sig & ce.key.sig;
-      if (std::popcount(inter) != 1) continue;
-      const VertexId w = ce.key.v[1];
-      if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) continue;
-      // Per-lane half: that color must be the joint vertex's lane color.
-      const LaneMask m = cx.chi.mask_bit_eq(v, inter);
-      if (m == 0) continue;
-      const auto cnt = LaneSimdT<B>::mul_masked(e.cnt, ce.cnt, m);
-      if (LaneSimdT<B>::is_zero(cnt)) continue;
-      TableKey key = e.key;
-      key.v[1] = w;
-      if (o.track_slot >= 0) key.v[o.track_slot] = w;
-      key.sig = e.key.sig | ce.key.sig;
-      emit(key, cnt);
-      cx.send(v, w, 1);
+      detail::join_edge<B>(cx, e, ce, v, ce.key.v[1], o, emit);
     }
   }
 }
@@ -500,25 +540,59 @@ void kernel_aggregate(const ExecContext& cx, const TableEntryT<B>& e,
 template <int B = 1>
 ProjTableT<B> init_path_from_graph(const ExecContext& cx,
                                    const ExtendOpts& o) {
-  return detail::accumulate_rows<B>(
-      cx, 2, cx.g.num_vertices(), [&](std::size_t ui, auto&& emit) {
-        kernel_init_from_graph<B>(cx, static_cast<VertexId>(ui), o, emit);
-      });
+  if constexpr (B == 1) {
+    return detail::accumulate_map(
+        cx, 2, cx.g.num_vertices(), [&](std::size_t ui, auto&& emit) {
+          kernel_init_from_graph<1>(cx, static_cast<VertexId>(ui), o, emit);
+        });
+  } else {
+    // Bucket w pulls the edges (u, w) over u ∈ N(w); charging 1 per
+    // adjacency sums to the push kernel's deg(u) per u.
+    return detail::build_buckets<B>(
+        cx, 2, cx.g.num_edges(),
+        [&](VertexId w, FlatRowsT<B>& sink) {
+          for (VertexId u : cx.g.neighbors(w)) {
+            cx.charge(u, 1);
+            if (o.anchor_higher && !cx.order.higher(u, w)) continue;
+            detail::emit_edge<B>(cx, u, w, o, detail::append_to(sink));
+          }
+        });
+  }
 }
 
-/// Initial path table from a child block's binary table. `flip` swaps the
-/// child's boundary orientation so slot 0 is the walk's starting node.
+/// Initial path table from a child block's binary table, sealed kByV0.
+/// Slot 0 of the result is the walk's starting node: the child's slot 0,
+/// or its slot 1 when `flip`. B > 1 builds bucket w from the child rows
+/// whose walk end is w, which is the child's kByV0 group when `flip` —
+/// build_path hands it the pool's opposite orientation for exactly that;
+/// an unflipped child is transposed first.
 template <int B>
 ProjTableT<B> init_path_from_child(const ExecContext& cx,
                                    const ProjTableT<B>& child, bool flip,
                                    const ExtendOpts& o) {
-  // Stored child tables may be compressed or narrow: row_at expands each
-  // row into a dense entry on the stack (a plain reference when dense).
-  return detail::accumulate_rows<B>(
-      cx, 2, child.size(), [&](std::size_t i, auto&& emit) {
-        TableEntryT<B> tmp;
-        kernel_init_from_child<B>(cx, child.row_at(i, tmp), flip, o, emit);
-      });
+  if constexpr (B == 1) {
+    // Stored child tables may be compressed: row_at expands each row into
+    // a dense entry on the stack (a plain reference when dense).
+    return detail::accumulate_map(
+        cx, 2, child.size(), [&](std::size_t i, auto&& emit) {
+          TableEntryT<1> tmp;
+          kernel_init_from_child<1>(cx, child.row_at(i, tmp), flip, o, emit);
+        });
+  } else {
+    if (!flip) {
+      return init_path_from_child<B>(
+          cx, detail::transposed_by_v0(cx, child), /*flip=*/true, o);
+    }
+    return detail::build_buckets<B>(
+        cx, 2, child.size(), [&](VertexId w, FlatRowsT<B>& sink) {
+          const auto [lo, hi] = child.group_span(0, w);
+          TableEntryT<B> tmp;
+          for (std::size_t i = lo; i < hi; ++i) {
+            kernel_init_from_child<B>(cx, child.row_at(i, tmp), /*flip=*/true,
+                                      o, detail::append_to(sink));
+          }
+        });
+  }
 }
 
 namespace detail {
@@ -528,358 +602,145 @@ template <int B>
 ProjTableT<B> extend_with_graph_scan(const ExecContext& cx,
                                      const ProjTableT<B>& path,
                                      const ExtendOpts& o) {
-  return detail::accumulate_rows<B>(
+  return accumulate_map(
       cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
         TableEntryT<B> tmp;
         kernel_extend_with_graph<B>(cx, path.row_at(i, tmp), o, emit);
       });
 }
 
-/// Frontier-grouped extension (B > 1): seal the path by frontier, then
-/// walk each frontier vertex's adjacency list ONCE for its whole bucket
-/// of entries, iterating only the set bits of each entry's live-lane
-/// mask (at batch densities most rows carry one or two live lanes, so
-/// this replaces a B-wide loop per (entry, neighbor) with ~popcount
-/// iterations). Emits exactly the entry-scan kernel's rows and
-/// load-model charges — only the loop nesting (and therefore the
-/// constant factor) differs.
+/// Pull extension (B > 1): bucket w gathers, for every neighbour x of w,
+/// the live lanes of path bucket x whose color at w is new, and charges
+/// |bucket x| once per (w, x) adjacency — deg(x)·|bucket x| in all, the
+/// push kernel's charge. Only the set bits of each entry's live-lane mask
+/// are visited (at batch densities most rows carry one or two live lanes).
 template <int B>
-ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
-                                        ProjTableT<B>& path,
-                                        const ExtendOpts& o) {
+ProjTableT<B> extend_with_graph_pull(const ExecContext& cx,
+                                     ProjTableT<B>& path,
+                                     const ExtendOpts& o) {
   const CsrGraph& g = cx.g;
-  const VertexId n = g.num_vertices();
-  // The sealed path is consumed once right below: stay dense (kStream).
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
-    // DB probes only accept anchors strictly above the new vertex:
-    // rank-partition each frontier bucket (anchor rank descending) so
-    // every neighbor scan below stops at a partition point instead of
-    // testing the whole bucket. Emission sets, charges and sends are
-    // unchanged — only the scan order and its cutoff differ, and the
-    // sink's sorting seal restores a canonical order.
-    if (o.anchor_higher) path.rank_partition_buckets(cx.order.ranks());
-  }
+  seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
-  if (!path.has_bucket_index()) {
-    return extend_with_graph_scan<B>(cx, path, o);
-  }
-  const bool rank_cut = path.rank_partitioned();
-  // All-16-bit streaming path: when the sealed path kept u16 narrow rows
-  // and the output key stays packable, each emission is a masked u16 row
-  // copy with the packed key rewritten in registers — no dense expansion
-  // on either side. (A signature outgrowing the packed key's 8-bit field
-  // falls back per emission; a tracked slot >= 2 disables the path.)
   const FlatRowsT<B>* const flat = path.flat_storage();
   const bool fast16 = flat != nullptr &&
                       flat->mode() == FlatRowsT<B>::Mode::kU16 &&
                       (o.track_slot == -1 || o.track_slot == 1);
-
-  const std::size_t hint = path.size();
-  auto rows = detail::accumulate_flat<B>(
-      cx, n, [&](std::size_t vi, FlatRowsT<B>& sink) {
-        const auto v = static_cast<VertexId>(vi);
-        if (sink.empty()) sink.reserve_hint(hint);
-        if (fast16) {
-          const auto& rows16 = flat->rows_u16();
-          const auto [lo, hi] = path.group_span(1, v);
-          if (lo == hi) return;
-          cx.charge(v, std::uint64_t{g.degree(v)} * (hi - lo));
-
-          // One fused side-word per row: anchor rank in the high bits,
-          // live-lane mask in the low byte — a single sequential load in
-          // the neighbor loop instead of two.
-          thread_local std::vector<std::uint64_t> side16;
-          side16.clear();
-          side16.reserve(hi - lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const auto& r = rows16[i];
-            LaneMask a = 0;
-            CCBT_SIMD
-            for (int l = 0; l < B; ++l) {
-              a |= static_cast<LaneMask>(r.c[l] != 0) << l;
-            }
-            const std::uint64_t rank =
-                cx.order.rank(static_cast<VertexId>(r.k >> 36));
-            side16.push_back((rank << 8) | a);
-          }
-
-          // Probe path: pipeline the combining-cache probes a tile
-          // ahead — prefetch each slot at enqueue, append on flush, so
-          // the dependent slot load is in flight across a tile of
-          // emissions instead of stalling every append. (Emission
-          // order within a sink never changes sealed counts: every
-          // fold is an exact u64 sum.) Idle when the sink is sharded.
-          constexpr int kTile = 16;
-          struct Pending {
-            std::uint64_t k;
-            std::uint32_t row;
-            LaneMask m;
-          };
-          std::array<Pending, kTile> tile;
-          int tn = 0;
-          auto flush_tile = [&] {
-            for (int t = 0; t < tn; ++t) {
-              sink.append_masked_u16(tile[t].k, rows16[tile[t].row],
-                                     tile[t].m);
-            }
-            tn = 0;
-          };
-          auto emit_probe = [&](std::uint64_t k, std::size_t row,
-                                LaneMask m) {
-            sink.prefetch_combine(k);
-            tile[tn++] = {k, static_cast<std::uint32_t>(row), m};
-            if (tn == kTile) flush_tile();
-          };
-
-          // Frontier-side dedup (sparse emission records only, so a
-          // dense phase emits exactly the rows it always did): the
-          // bucket is sorted by (v0, sig), so emissions for one (v, w)
-          // burst repeat keys back to back — sibling rows whose
-          // signatures close over the same color set. A one-row pending
-          // register folds those bursts before they reach a shard or
-          // probe slot: fewer records pushed, fewer cache probes. Every
-          // fold is an exact u16-checked sum, flushed on key change,
-          // overflow, or burst end, so sealed counts are unchanged.
-          const bool dedup = sink.sparse();
-          using Row16 = PackedFlatRowT<B, std::uint16_t>;
-          std::uint64_t pend_k = ~std::uint64_t{0};
-          Row16 pend;
-          LaneMask pend_m = 0;
-          std::uint64_t folds = 0;
-
-          for (VertexId w : g.neighbors(v)) {
-            const std::uint64_t cw = cx.chi.colors_word(w);
-            const std::uint64_t wrank = cx.order.rank(w);
-            // Rank-partitioned bucket: the compatible anchors (rank >
-            // rank(w)) are exactly the leading prefix — cut the scan
-            // there and drop the per-row order test.
-            std::size_t end = hi;
-            if (rank_cut) {
-              end = lo + static_cast<std::size_t>(
-                            std::partition_point(
-                                side16.begin(), side16.end(),
-                                [wrank](std::uint64_t s) {
-                                  return (s >> 8) > wrank;
-                                }) -
-                            side16.begin());
-            }
-            // Sharded sink: the whole (v, w) burst shares v1 == w,
-            // so it lands in one shard — resolve the shard and its
-            // cache slice once and emit through the run handle (one
-            // L1 probe + push per row). Invalid on the probe path,
-            // and re-acquired after any generic fallback, which can
-            // escalate the sink and tear the shards down.
-            auto run = sink.run_u16(w, end - lo);
-            auto flush_pend = [&] {
-              if (pend_k == ~std::uint64_t{0}) return;
-              if (run.valid()) {
-                sink.run_append_u16(run, pend_k, pend, pend_m);
-              } else {
-                sink.append_masked_u16(pend_k, pend, pend_m);
-              }
-              pend_k = ~std::uint64_t{0};
-            };
-            auto emit_fold = [&](std::uint64_t k, const Row16& r2,
-                                 LaneMask m) {
-              if (k == pend_k) {
-                std::array<std::uint32_t, B> sum;
-                std::uint32_t hi = 0;
-                CCBT_SIMD
-                for (int l = 0; l < B; ++l) {
-                  sum[l] = static_cast<std::uint32_t>(pend.c[l]) +
-                           (((m >> l) & 1) != 0 ? r2.c[l]
-                                                : std::uint16_t{0});
-                  hi |= sum[l];
-                }
-                if (hi <= 0xFFFFu) {
-                  CCBT_SIMD
-                  for (int l = 0; l < B; ++l) {
-                    pend.c[l] = static_cast<std::uint16_t>(sum[l]);
-                  }
-                  pend_m |= m;
-                  ++folds;
-                  return;
-                }
-              }
-              flush_pend();
-              pend_k = k;
-              pend.k = k;
-              pend_m = m;
-              CCBT_SIMD
-              for (int l = 0; l < B; ++l) {
-                pend.c[l] = ((m >> l) & 1) != 0 ? r2.c[l]
-                                                : std::uint16_t{0};
-              }
-              // Probe path: the slot load is in flight while the
-              // burst keeps folding into the register.
-              sink.prefetch_combine(k);
-            };
-            for (std::size_t i = lo; i < end; ++i) {
-              const std::uint64_t side = side16[i - lo];
-              const auto a0 = static_cast<LaneMask>(side & 0xFF);
-              if (a0 == 0) continue;
-              if (o.anchor_higher && !rank_cut && (side >> 8) <= wrank) {
-                continue;
-              }
-              const auto& r = rows16[i];
-              const auto esig = static_cast<Signature>(r.k & 0xFF);
-              const std::uint64_t kbase =
-                  (r.k & (std::uint64_t{kPacked28NoVertex} << 36)) |
-                  (std::uint64_t{w} << 8);
-              if ((a0 & (a0 - 1)) == 0) {
-                // One live lane (the common case at batch densities):
-                // one signature, one mask — skip the grouping pass.
-                const int l = std::countr_zero(static_cast<unsigned>(a0));
-                const Signature w_bit = Signature{1}
-                                        << ((cw >> (8 * l)) & 0xFF);
-                if ((esig & w_bit) != 0) continue;
-                const Signature sig = esig | w_bit;
-                if (sig <= 0xFF) [[likely]] {
-                  if (dedup) {
-                    emit_fold(kbase | sig, r, a0);
-                  } else if (run.valid()) {
-                    sink.run_append_u16(run, kbase | sig, r, a0);
-                  } else {
-                    emit_probe(kbase | sig, i, a0);
-                  }
-                } else {
-                  flush_pend();
-                  TableKey key;
-                  key.v[0] = static_cast<VertexId>(r.k >> 36);
-                  key.v[1] = w;
-                  key.sig = sig;
-                  sink.append_masked(key, flat->expand(i), a0,
-                                     std::uint64_t{0xFFFF});
-                  run = sink.run_u16(w, 0);
-                }
-                cx.send(v, w, 1);
-                continue;
-              }
-              detail::SigGroups<B> groups;
-              for (LaneMask a = a0; a != 0; a &= (a - 1)) {
-                const int l = std::countr_zero(static_cast<unsigned>(a));
-                const Signature w_bit = Signature{1}
-                                        << ((cw >> (8 * l)) & 0xFF);
-                if ((esig & w_bit) != 0) continue;
-                groups.add(esig | w_bit, l);
-              }
-              if (groups.n == 0) continue;
-              for (int gi = 0; gi < groups.n; ++gi) {
-                if (groups.sig[gi] <= 0xFF) [[likely]] {
-                  if (dedup) {
-                    emit_fold(kbase | groups.sig[gi], r, groups.mask[gi]);
-                  } else if (run.valid()) {
-                    sink.run_append_u16(run, kbase | groups.sig[gi], r,
-                                        groups.mask[gi]);
-                  } else {
-                    emit_probe(kbase | groups.sig[gi], i, groups.mask[gi]);
-                  }
-                } else {
-                  // Color >= 8: the signature no longer fits the packed
-                  // key's 8-bit field.
-                  flush_pend();
-                  TableKey key;
-                  key.v[0] = static_cast<VertexId>(r.k >> 36);
-                  key.v[1] = w;
-                  key.sig = groups.sig[gi];
-                  sink.append_masked(key, flat->expand(i), groups.mask[gi],
-                                     std::uint64_t{0xFFFF});
-                  run = sink.run_u16(w, 0);
-                }
-              }
-              cx.send(v, w, 1);
-            }
-            flush_pend();
-          }
-          flush_tile();
-          if (folds != 0) sink.note_frontier_folds(folds);
-          return;
-        }
-        thread_local std::vector<TableEntryT<B>> bscratch;
-        const auto bucket = path.group_expanded(1, v, bscratch);
-        if (bucket.empty()) return;
-        cx.charge(v, std::uint64_t{g.degree(v)} * bucket.size());
-
-        // Live-lane masks, count OR-bounds, and anchor ranks, one pass
-        // per bucket; neighbors then reuse them. Neighbors are the
-        // outer loop so each neighbor's packed color word and rank are
-        // fetched once per bucket, not once per entry.
-        thread_local std::vector<LaneMask> alive;
-        thread_local std::vector<Count> ehi;
-        thread_local std::vector<std::uint32_t> erank;
-        alive.clear();
-        ehi.clear();
-        erank.clear();
-        alive.reserve(bucket.size());
-        ehi.reserve(bucket.size());
-        erank.reserve(bucket.size());
-        for (const TableEntryT<B>& e : bucket) {
-          alive.push_back(LaneSimdT<B>::nonzero_mask(e.cnt));
-          Count h = 0;
-          CCBT_SIMD
-          for (int l = 0; l < B; ++l) h |= LaneOps<B>::lane(e.cnt, l);
-          ehi.push_back(h);
-          erank.push_back(cx.order.rank(e.key.v[0]));
-        }
-
-        for (VertexId w : g.neighbors(v)) {
+  if (!fast16) {
+    return build_buckets<B>(
+        cx, path.arity(), path.size(),
+        [&](VertexId w, FlatRowsT<B>& sink) {
+          thread_local std::vector<TableEntryT<B>> scratch;
           const std::uint64_t cw = cx.chi.colors_word(w);
-          const std::uint32_t wrank = cx.order.rank(w);
-          // Same partition-point cut as the fast16 path: erank is
-          // descending when the bucket is rank-partitioned.
-          std::size_t end = bucket.size();
-          if (rank_cut) {
-            end = static_cast<std::size_t>(
-                std::partition_point(
-                    erank.begin(), erank.end(),
-                    [wrank](std::uint32_t r) { return r > wrank; }) -
-                erank.begin());
+          for (VertexId x : g.neighbors(w)) {
+            const auto bucket = path.group_expanded(1, x, scratch);
+            if (bucket.empty()) continue;
+            cx.charge(x, bucket.size());
+            for (const TableEntryT<B>& e : bucket) {
+              if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) {
+                continue;
+              }
+              const SigGroups<B> groups = extend_groups<B>(
+                  e.key.sig, LaneSimdT<B>::nonzero_mask(e.cnt), cw);
+              if (groups.n == 0) continue;
+              Count ehi = 0;
+              for (int l = 0; l < B; ++l) ehi |= LaneOps<B>::lane(e.cnt, l);
+              TableKey key = e.key;
+              key.v[1] = w;
+              if (o.track_slot >= 0) key.v[o.track_slot] = w;
+              for (int gi = 0; gi < groups.n; ++gi) {
+                key.sig = groups.sig[gi];
+                sink.append_masked(key, e.cnt, groups.mask[gi], ehi);
+              }
+              cx.send(x, w, 1);
+            }
           }
-          for (std::size_t i = 0; i < end; ++i) {
-            if (alive[i] == 0) continue;
-            const TableEntryT<B>& e = bucket[i];
-            if (o.anchor_higher && !rank_cut && erank[i] <= wrank) continue;
-            detail::SigGroups<B> groups;
-            for (LaneMask a = alive[i]; a != 0; a &= (a - 1)) {
-              const int l = std::countr_zero(static_cast<unsigned>(a));
+        });
+  }
+
+  // All-16-bit path: each emission is a masked u16 row copy with the
+  // packed key rewritten in registers. Every bucket is read once per
+  // neighbour of its vertex, so the per-row side word — anchor rank
+  // above the live-lane mask — is computed once up front.
+  using Row16 = typename FlatRowsT<B>::Row16;
+  const std::vector<Row16>& rows = flat->rows_u16();
+  std::vector<std::uint64_t> side(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    LaneMask a = 0;
+    CCBT_SIMD
+    for (int l = 0; l < B; ++l) {
+      a |= static_cast<LaneMask>(rows[i].c[l] != 0) << l;
+    }
+    const std::uint64_t rank =
+        cx.order.rank(static_cast<VertexId>(rows[i].k >> 36));
+    side[i] = (rank << 8) | a;
+  }
+  constexpr std::uint64_t kV0Bits = std::uint64_t{kPacked28NoVertex} << 36;
+  return build_buckets<B>(
+      cx, path.arity(), path.size(),
+      [&](VertexId w, FlatRowsT<B>& sink) {
+        const std::uint64_t cw = cx.chi.colors_word(w);
+        const std::uint64_t wrank = cx.order.rank(w);
+        const std::uint64_t wfield = std::uint64_t{w} << 8;
+        for (VertexId x : g.neighbors(w)) {
+          const auto [lo, hi] = path.group_span(1, x);
+          if (lo == hi) continue;
+          cx.charge(x, hi - lo);
+          for (std::size_t i = lo; i < hi; ++i) {
+            const std::uint64_t s = side[i];
+            const auto a0 = static_cast<LaneMask>(s & 0xFF);
+            if (a0 == 0) continue;
+            if (o.anchor_higher && (s >> 8) <= wrank) continue;
+            const Row16& r = rows[i];
+            const auto esig = static_cast<Signature>(r.k & 0xFF);
+            const std::uint64_t kbase = (r.k & kV0Bits) | wfield;
+            auto emit = [&](Signature sig, LaneMask m) {
+              if (sig <= 0xFF) [[likely]] {
+                sink.append_masked_u16(kbase | sig, r, m);
+                return;
+              }
+              // Color >= 8: the signature no longer fits the packed
+              // key's 8-bit field.
+              TableKey key;
+              key.v[0] = static_cast<VertexId>(r.k >> 36);
+              key.v[1] = w;
+              key.sig = sig;
+              sink.append_masked(key, FlatRowsT<B>::expand_counts(r), m,
+                                 std::uint64_t{0xFFFF});
+            };
+            if ((a0 & (a0 - 1)) == 0) {
+              // One live lane (the common case at batch densities): one
+              // signature, one mask — skip the grouping pass.
+              const int l = std::countr_zero(static_cast<unsigned>(a0));
               const Signature w_bit = Signature{1}
                                       << ((cw >> (8 * l)) & 0xFF);
-              if ((e.key.sig & w_bit) != 0) continue;
-              groups.add(e.key.sig | w_bit, l);
+              if ((esig & w_bit) != 0) continue;
+              emit(esig | w_bit, a0);
+              cx.send(x, w, 1);
+              continue;
             }
+            const SigGroups<B> groups = extend_groups<B>(esig, a0, cw);
             if (groups.n == 0) continue;
-            TableKey key = e.key;
-            key.v[1] = w;
-            if (o.track_slot >= 0) key.v[o.track_slot] = w;
             for (int gi = 0; gi < groups.n; ++gi) {
-              key.sig = groups.sig[gi];
-              sink.append_masked(key, e.cnt, groups.mask[gi], ehi[i]);
+              emit(groups.sig[gi], groups.mask[gi]);
             }
-            cx.send(v, w, 1);
+            cx.send(x, w, 1);
           }
         }
       });
-  cx.end_phase();
-  if (!cx.opts.lane_compress) {
-    return ProjTableT<B>::from_flat(path.arity(), rows.take_wide());
-  }
-  return ProjTableT<B>::from_packed(path.arity(), std::move(rows));
 }
 
 }  // namespace detail
 
 /// Extend every path entry by one data-graph edge out of the frontier.
-/// The mutable overload may reseal the path (frontier-grouped traversal
-/// at B > 1); results are identical either way.
+/// At B > 1 the mutable overload seals the path by frontier first (a
+/// relabel for the born-sorted tables the primitives produce).
 template <int B>
 ProjTableT<B> extend_with_graph(const ExecContext& cx, ProjTableT<B>& path,
                                 const ExtendOpts& o) {
   if constexpr (B == 1) {
     return detail::extend_with_graph_scan<B>(cx, path, o);
   } else {
-    return detail::extend_with_graph_grouped<B>(cx, path, o);
+    return detail::extend_with_graph_pull<B>(cx, path, o);
   }
 }
 
@@ -887,50 +748,94 @@ template <int B>
 ProjTableT<B> extend_with_graph(const ExecContext& cx,
                                 const ProjTableT<B>& path,
                                 const ExtendOpts& o) {
-  return detail::extend_with_graph_scan<B>(cx, path, o);
+  if constexpr (B == 1) {
+    return detail::extend_with_graph_scan<B>(cx, path, o);
+  } else {
+    ProjTableT<B> copy = path;
+    return detail::extend_with_graph_pull<B>(cx, copy, o);
+  }
 }
 
 /// Extend through a child block's binary table (EdgeJoin): path frontier v
 /// joins child entries (v, w, sig2). `child` must be sealed kByV0 and
-/// already oriented (use TablePool::oriented).
+/// oriented (use TablePool::oriented); `flip` says it is stored the other
+/// way round, (w, v, sig2). B > 1 builds bucket w from the child rows
+/// (w, x) and path bucket x — the flipped orientation, which build_path
+/// hands it; an unflipped child is transposed first. The pull charges
+/// |bucket x| per child row (x, w): |group(x)|·|bucket x| in all, the
+/// push kernel's charge.
 template <int B>
 ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
                                 const ProjTableT<B>& child,
-                                const ExtendOpts& o) {
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal(SortOrder::kByV1, cx.g.num_vertices(), LaneSealHint::kStream);
+                                const ExtendOpts& o, bool flip = false) {
+  if (flip != (B > 1)) {
+    return extend_with_child<B>(cx, path, detail::transposed_by_v0(cx, child),
+                                o, !flip);
   }
-  cx.note_lanes(path.layout());
-  // The sealed path at B > 1 may be narrow: row_at decodes on read
-  // (no-op when dense). The stored child is probed once per path row, so
-  // a compressed child is expanded once up front instead.
-  const detail::ChildProbe<B> probe(child);
-  return detail::accumulate_rows<B>(
-      cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
-        TableEntryT<B> tmp;
-        const TableEntryT<B>& e = path.row_at(i, tmp);
-        kernel_extend_with_child<B>(cx, e, probe.group(0, e.key.v[1]), o,
-                                    emit);
-      });
+  if constexpr (B == 1) {
+    // The stored child is probed once per path row, so a compressed child
+    // is expanded once up front.
+    const detail::ChildProbe<1> probe(child);
+    return detail::accumulate_map(
+        cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
+          TableEntryT<1> tmp;
+          const TableEntryT<1>& e = path.row_at(i, tmp);
+          kernel_extend_with_child<1>(cx, e, probe.group(0, e.key.v[1]), o,
+                                      emit);
+        });
+  } else {
+    detail::seal_by_frontier(cx, path);
+    cx.note_lanes(path.layout());
+    return detail::build_buckets<B>(
+        cx, path.arity(), path.size(),
+        [&](VertexId w, FlatRowsT<B>& sink) {
+          thread_local std::vector<TableEntryT<B>> scratch;
+          const auto [clo, chi] = child.group_span(0, w);
+          TableEntryT<B> ctmp;
+          for (std::size_t c = clo; c < chi; ++c) {
+            const TableEntryT<B>& ce = child.row_at(c, ctmp);
+            const VertexId x = ce.key.v[1];
+            const auto bucket = path.group_expanded(1, x, scratch);
+            cx.charge(x, bucket.size());
+            for (const TableEntryT<B>& e : bucket) {
+              detail::join_edge<B>(cx, e, ce, x, w, o,
+                                   detail::append_to(sink));
+            }
+          }
+        });
+  }
 }
 
 /// NodeJoin: multiply in a unary child at key slot `slot` (0 = anchor,
-/// 1 = frontier). `child` must be sealed kByV0. `path` may be unsealed;
-/// it is consumed row by row (flattened first when its accumulation
-/// left it sharded — the one primitive that indexes an unsealed table).
+/// 1 = frontier). `child` must be sealed kByV0. A join keeps every key's
+/// frontier, so at B > 1 bucket w of the result comes from bucket w of
+/// the (born-sorted) path alone.
 template <int B>
 ProjTableT<B> node_join(const ExecContext& cx, ProjTableT<B>& path,
                         const ProjTableT<B>& child, int slot) {
-  path.ensure_row_access();
   const detail::ChildProbe<B> probe(child);
-  return detail::accumulate_rows<B>(
-      cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
-        TableEntryT<B> tmp;
-        const TableEntryT<B>& e = path.row_at(i, tmp);
-        kernel_node_join<B>(cx, e, probe.group(0, e.key.v[slot]), slot,
-                            emit);
-      });
+  if constexpr (B == 1) {
+    return detail::accumulate_map(
+        cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
+          TableEntryT<1> tmp;
+          const TableEntryT<1>& e = path.row_at(i, tmp);
+          kernel_node_join<1>(cx, e, probe.group(0, e.key.v[slot]), slot,
+                              emit);
+        });
+  } else {
+    detail::seal_by_frontier(cx, path);
+    return detail::build_buckets<B>(
+        cx, path.arity(), path.size(),
+        [&](VertexId w, FlatRowsT<B>& sink) {
+          const auto [lo, hi] = path.group_span(1, w);
+          TableEntryT<B> tmp;
+          for (std::size_t i = lo; i < hi; ++i) {
+            const TableEntryT<B>& e = path.row_at(i, tmp);
+            kernel_node_join<B>(cx, e, probe.group(0, e.key.v[slot]), slot,
+                                detail::append_to(sink));
+          }
+        });
+  }
 }
 
 /// Where each output key slot of a merge comes from.
@@ -945,20 +850,23 @@ struct MergeSpec {
 };
 
 /// The merge-join kernel shared by merge_halves and the distributed
-/// engine: join the matching (u, v) subgroups of one slot-0 bucket pair
-/// (both ranges sorted kByV0V1) with a two-pointer sweep over the
-/// v-sorted subranges, charging the load model per group and calling
-/// `emit(key, counts)` for every compatible pair. Keeping the shared and
-/// distributed engines on one kernel is what guarantees their exact
-/// load-model parity.
-template <int B, typename Sink>
+/// engine: join the matching (u, v) subgroups of one bucket pair — both
+/// ranges hold one value of key slot `Outer` and are sorted by the other
+/// endpoint slot — with a two-pointer sweep over that inner slot,
+/// charging the load model per group at v and calling `emit(key,
+/// counts)` for every compatible pair. The shared engine joins its
+/// born-sorted halves end bucket by end bucket (outer 1), the distributed
+/// engine its kByV0V1 shards anchor bucket by anchor bucket (outer 0);
+/// either way the (u, v) groups, charges and sends are the same.
+template <int B, int Outer, typename Sink>
 void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
                   std::span<const TableEntryT<B>> mu, const MergeSpec& spec,
                   Sink&& emit) {
+  constexpr int inner = 1 - Outer;
   std::size_t pi = 0, mi = 0;
   while (pi < pu.size() && mi < mu.size()) {
-    const VertexId pv = pu[pi].key.v[1];
-    const VertexId mv = mu[mi].key.v[1];
+    const VertexId pv = pu[pi].key.v[inner];
+    const VertexId mv = mu[mi].key.v[inner];
     if (pv < mv) {
       ++pi;
       continue;
@@ -969,10 +877,10 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
     }
     // Same (u, v) group in both tables.
     const VertexId u = pu[pi].key.v[0];
-    const VertexId v = pv;
+    const VertexId v = pu[pi].key.v[1];
     std::size_t pj = pi, mj = mi;
-    while (pj < pu.size() && pu[pj].key.v[1] == v) ++pj;
-    while (mj < mu.size() && mu[mj].key.v[1] == v) ++mj;
+    while (pj < pu.size() && pu[pj].key.v[inner] == pv) ++pj;
+    while (mj < mu.size() && mu[mj].key.v[inner] == pv) ++mj;
     cx.charge(v, (pj - pi) * (mj - mi));
     if constexpr (B == 1) {
       const Signature uv_bits = cx.chi.bit(u) | cx.chi.bit(v);
@@ -1068,20 +976,22 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
 /// dense kernel. Narrow lane products always fit u64 exactly (even
 /// u32 x u32 < 2^64), so the emitted counts are bit-identical to
 /// mul_masked over the expanded rows; charges and sends match the dense
-/// kernel row for row.
-template <int B, typename WP, typename WM, typename Sink>
+/// kernel row for row. Inside a bucket the raw packed key orders rows by
+/// (v0, v1, sig), i.e. by the inner slot, for either outer slot.
+template <int B, int Outer, typename WP, typename WM, typename Sink>
 void merge_bucket_packed(const ExecContext& cx,
                          std::span<const PackedFlatRowT<B, WP>> pu,
                          std::span<const PackedFlatRowT<B, WM>> mu,
                          const MergeSpec& spec, Sink&& emit) {
   static_assert(B > 1, "packed rows exist only in batched executions");
-  const auto v1_of = [](std::uint64_t k) {
-    return static_cast<VertexId>((k >> 8) & kPacked28NoVertex);
+  constexpr int shift = Outer == 0 ? 8 : 36;  // the inner slot's bit field
+  const auto inner_of = [](std::uint64_t k) {
+    return static_cast<VertexId>((k >> shift) & kPacked28NoVertex);
   };
   std::size_t pi = 0, mi = 0;
   while (pi < pu.size() && mi < mu.size()) {
-    const VertexId pv = v1_of(pu[pi].k);
-    const VertexId mv = v1_of(mu[mi].k);
+    const VertexId pv = inner_of(pu[pi].k);
+    const VertexId mv = inner_of(mu[mi].k);
     if (pv < mv) {
       ++pi;
       continue;
@@ -1090,13 +1000,12 @@ void merge_bucket_packed(const ExecContext& cx,
       ++mi;
       continue;
     }
-    // Same (u, v) group in both tables (the ranges are slot-0 buckets,
-    // sorted by raw packed key = (v1, sig) within the bucket).
+    // Same (u, v) group in both tables.
     const auto u = static_cast<VertexId>(pu[pi].k >> 36);
-    const VertexId v = pv;
+    const auto v = static_cast<VertexId>((pu[pi].k >> 8) & kPacked28NoVertex);
     std::size_t pj = pi, mj = mi;
-    while (pj < pu.size() && v1_of(pu[pj].k) == v) ++pj;
-    while (mj < mu.size() && v1_of(mu[mj].k) == v) ++mj;
+    while (pj < pu.size() && inner_of(pu[pj].k) == pv) ++pj;
+    while (mj < mu.size() && inner_of(mu[mj].k) == pv) ++mj;
     cx.charge(v, (pj - pi) * (mj - mi));
     thread_local std::vector<std::uint8_t> compat;
     thread_local std::vector<LaneMask> malive;
@@ -1169,17 +1078,22 @@ void merge_bucket_packed(const ExecContext& cx,
 /// Join the two half-cycle tables on their shared (anchor, end) pair with
 /// the signature-compatibility test of Fig 6 Procedure 2, accumulating
 /// into `sink` (so the DB solver can sum over all anchor choices, Eq. 1).
+/// B = 1 seals the hashed halves kByV0V1 and joins anchor bucket by
+/// anchor bucket; B > 1 halves are born sorted by their end vertex, so
+/// they join end bucket by end bucket with no seal at all.
 template <int B>
 void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
                   ProjTableT<B>& minus, const MergeSpec& spec,
                   AccumMapT<B>& sink) {
   using Vec = typename LaneOps<B>::Vec;
+  constexpr SortOrder kOrder = B == 1 ? SortOrder::kByV0V1 : SortOrder::kByV1;
+  constexpr int kOuter = group_slot(kOrder);
   const VertexId n = cx.g.num_vertices();
   // Both halves are consumed by this one merge: stay dense (kStream).
   {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    plus.seal(SortOrder::kByV0V1, n, LaneSealHint::kStream);
-    minus.seal(SortOrder::kByV0V1, n, LaneSealHint::kStream);
+    plus.seal(kOrder, n, LaneSealHint::kStream);
+    minus.seal(kOrder, n, LaneSealHint::kStream);
   }
   cx.note_lanes(plus.layout());
   cx.note_lanes(minus.layout());
@@ -1187,30 +1101,30 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
 
   if (plus.has_bucket_index() && minus.has_bucket_index()) {
     // Bucket router shared by the parallel and serial sweeps: when both
-    // sealed halves kept their narrow flat rows, the bucket pair joins
-    // through merge_bucket_packed with no dense expansion (dispatching
-    // on each side's payload width); otherwise each slot-0 bucket is
-    // decoded through group_expanded into a scratch (a raw subspan when
-    // dense, so B = 1 and dense tables pay nothing).
+    // halves kept their narrow flat rows, the bucket pair joins through
+    // merge_bucket_packed with no dense expansion (dispatching on each
+    // side's payload width); otherwise each bucket is decoded through
+    // group_expanded into a scratch (a raw subspan when dense, so B = 1
+    // and dense tables pay nothing).
     const FlatRowsT<B>* const pflat = plus.flat_storage();
     const FlatRowsT<B>* const mflat = minus.flat_storage();
-    auto merge_u = [&](VertexId u, auto&& add,
-                       std::vector<TableEntryT<B>>& pscratch,
-                       std::vector<TableEntryT<B>>& mscratch) {
+    auto merge_at = [&](VertexId x, auto&& add,
+                        std::vector<TableEntryT<B>>& pscratch,
+                        std::vector<TableEntryT<B>>& mscratch) {
       if constexpr (B > 1) {
         if (pflat != nullptr && mflat != nullptr) {
-          const auto [plo, phi] = plus.group_span(0, u);
+          const auto [plo, phi] = plus.group_span(kOuter, x);
           if (plo == phi) return;
-          const auto [mlo, mhi] = minus.group_span(0, u);
+          const auto [mlo, mhi] = minus.group_span(kOuter, x);
           if (mlo == mhi) return;
           const auto with_plus = [&](auto pspan) {
             if (mflat->mode() == FlatRowsT<B>::Mode::kU16) {
-              merge_bucket_packed<B>(
+              merge_bucket_packed<B, kOuter>(
                   cx, pspan,
                   std::span(mflat->rows_u16()).subspan(mlo, mhi - mlo),
                   spec, add);
             } else {
-              merge_bucket_packed<B>(
+              merge_bucket_packed<B, kOuter>(
                   cx, pspan,
                   std::span(mflat->rows_u32()).subspan(mlo, mhi - mlo),
                   spec, add);
@@ -1224,17 +1138,17 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
           return;
         }
       }
-      const auto pu = plus.group_expanded(0, u, pscratch);
+      const auto pu = plus.group_expanded(kOuter, x, pscratch);
       if (pu.empty()) return;
-      const auto mu = minus.group_expanded(0, u, mscratch);
+      const auto mu = minus.group_expanded(kOuter, x, mscratch);
       if (mu.empty()) return;
-      merge_bucket<B>(cx, pu, mu, spec, add);
+      merge_bucket<B, kOuter>(cx, pu, mu, spec, add);
     };
 #ifdef _OPENMP
     if (cx.opts.use_threads && detail::pool_threads() > 1 &&
         plus.size() + minus.size() > 4096) {
-      // Slot-0 buckets are independent: each thread merges whole buckets
-      // into a private sink; the sinks reduce into `sink` afterwards.
+      // Buckets are independent: each thread merges whole buckets into a
+      // private sink; the sinks reduce into `sink` afterwards.
       const int threads = detail::pool_threads();
       std::vector<AccumMapT<B>> maps;
       maps.reserve(threads);
@@ -1246,11 +1160,11 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
       {
         AccumMapT<B>& local = maps[omp_get_thread_num()];
 #pragma omp for schedule(dynamic, 256)
-        for (VertexId u = 0; u < n; ++u) {
+        for (VertexId x = 0; x < n; ++x) {
           if (budget_hit.load(std::memory_order_relaxed)) continue;
           thread_local std::vector<TableEntryT<B>> pscratch, mscratch;
-          merge_u(
-              u, [&](const TableKey& k, const Vec& c) { local.add(k, c); },
+          merge_at(
+              x, [&](const TableKey& k, const Vec& c) { local.add(k, c); },
               pscratch, mscratch);
           if (local.size() > cx.opts.max_table_entries) {
             budget_hit.store(true, std::memory_order_relaxed);
@@ -1273,9 +1187,9 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
     }
 #endif
     std::vector<TableEntryT<B>> pscratch, mscratch;
-    for (VertexId u = 0; u < n; ++u) {
-      merge_u(
-          u, [&](const TableKey& k, const Vec& c) { sink.add(k, c); },
+    for (VertexId x = 0; x < n; ++x) {
+      merge_at(
+          x, [&](const TableKey& k, const Vec& c) { sink.add(k, c); },
           pscratch, mscratch);
       detail::check_budget(cx, sink.size());
     }
@@ -1283,32 +1197,30 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
     return;
   }
 
-  // No bucket index (out-of-domain keys): whole-table two-pointer merge.
-  // An index-less seal always leaves the rows dense (the narrow seal
-  // falls back), so the raw spans are valid here.
+  // No bucket index (out-of-domain keys): whole-table two-pointer merge
+  // over the outer slot's groups. An index-less seal always leaves the
+  // rows dense (the narrow layout keeps its index), so the raw spans are
+  // valid here.
   const auto pe = plus.entries();
   const auto me = minus.entries();
-  auto uv_less = [](const TableEntryT<B>& a, const TableEntryT<B>& b) {
-    return a.key.v[0] != b.key.v[0] ? a.key.v[0] < b.key.v[0]
-                                    : a.key.v[1] < b.key.v[1];
-  };
   std::size_t pi = 0, mi = 0;
   while (pi < pe.size() && mi < me.size()) {
-    if (uv_less(pe[pi], me[mi])) {
+    const VertexId px = pe[pi].key.v[kOuter];
+    const VertexId mx = me[mi].key.v[kOuter];
+    if (px < mx) {
       ++pi;
       continue;
     }
-    if (uv_less(me[mi], pe[pi])) {
+    if (mx < px) {
       ++mi;
       continue;
     }
-    const VertexId u = pe[pi].key.v[0];
     std::size_t pj = pi, mj = mi;
-    while (pj < pe.size() && pe[pj].key.v[0] == u) ++pj;
-    while (mj < me.size() && me[mj].key.v[0] == u) ++mj;
-    merge_bucket<B>(cx, pe.subspan(pi, pj - pi), me.subspan(mi, mj - mi),
-                    spec,
-                    [&](const TableKey& k, const Vec& c) { sink.add(k, c); });
+    while (pj < pe.size() && pe[pj].key.v[kOuter] == px) ++pj;
+    while (mj < me.size() && me[mj].key.v[kOuter] == px) ++mj;
+    merge_bucket<B, kOuter>(
+        cx, pe.subspan(pi, pj - pi), me.subspan(mi, mj - mi), spec,
+        [&](const TableKey& k, const Vec& c) { sink.add(k, c); });
     detail::check_budget(cx, sink.size());
     pi = pj;
     mi = mj;

@@ -26,15 +26,13 @@
 // which expand compressed rows on the fly. B = 1 never re-packs: the
 // scalar table keeps the pre-batching layout bit for bit.
 //
-// Tables built from the batched engine's narrow flat sink (from_packed,
-// flat_rows.hpp) add a third layout: rows stay as (packed u64 key,
-// narrow count vector) straight through the sorting seal — the counting
-// partition, per-bucket sorts and dedup merge all move 24-byte rows
-// instead of 88-byte dense entries — and, for kStream consumers, remain
-// in that layout afterwards, read through the same layout-independent
-// accessors. The dense fallback (unpackable keys, u64-range counts, or
-// no usable bucket-index domain) is automatic and changes no observable
-// counts.
+// The batched path primitives build their tables born sorted
+// (from_buckets, flat_rows.hpp): already sealed kByV1 with a bucket index
+// over the frontier slot, rows kept as (packed u64 key, narrow count
+// vector) and read through the same layout-independent accessors. Keys
+// that do not pack and u64-range counts make the rows dense; that
+// fallback is automatic and changes no observable counts. Sealing such a
+// table in another order re-sorts it in the dense layout.
 
 #include <algorithm>
 #include <cstdint>
@@ -138,9 +136,9 @@ class ProjTableT {
     return t;
   }
 
-  /// Adopt rows that may contain duplicate keys (the batched engine's
-  /// graph-driven primitives emit without hashing): counts of equal keys
-  /// are summed by the next seal(). Until then the table behaves like a
+  /// Adopt rows that may contain duplicate keys (the distributed engine's
+  /// shards, filled from transport inboxes): counts of equal keys are
+  /// summed by the next seal(). Until then the table behaves like a
   /// multiset — joins and totals are bilinear, so duplicate rows are
   /// semantically identical to their merged sum.
   static ProjTableT from_flat(int arity, std::vector<Entry>&& rows) {
@@ -150,20 +148,25 @@ class ProjTableT {
     return t;
   }
 
-  /// Adopt the batched engine's narrow flat sink (see from_flat for the
-  /// duplicate-key semantics): narrow rows stay packed through the
-  /// sorting seal instead of widening to dense entries first. A sink
-  /// that migrated to wide rows (unpackable keys / u64-range counts)
-  /// degrades to the from_flat dense path.
-  static ProjTableT from_packed(int arity, FlatRowsT<B>&& rows) {
+  /// Adopt a born-sorted table: one deduplicated bucket per vertex of
+  /// [0, buckets.buckets()), already in kByV1 order, so the table is
+  /// sealed kByV1 with its bucket index on arrival. Narrow rows stay
+  /// narrow (the kStream layout; a later kStore seal may re-pack them).
+  static ProjTableT from_buckets(int arity, SortedBucketsT<B>&& buckets) {
     ProjTableT t(arity);
-    if (rows.empty()) return t;
-    t.dedup_pending_ = true;
+    t.bucket_off_ = buckets.offsets();
+    t.index_slot_ = 1;
+    t.domain_ = static_cast<VertexId>(buckets.buckets());
+    t.order_ = SortOrder::kByV1;
+    const FlatStats st = buckets.stats();
+    FlatRowsT<B> rows = buckets.take_rows();
     if (rows.narrow()) {
       t.pflat_ = std::move(rows);
       t.packed_flat_ = true;
+      t.finish_flat_layout(LaneSealHint::kStream, st);
     } else {
       t.entries_ = rows.take_wide();
+      t.choose_layout(LaneSealHint::kStream);
     }
     return t;
   }
@@ -197,13 +200,12 @@ class ProjTableT {
   /// Whether rows live in the lane-compressed layout.
   bool lane_compressed() const { return lane_compressed_; }
 
-  /// Whether rows live in the narrow flat layout (from_packed tables,
-  /// before and — for kStream seals — after sealing).
+  /// Whether rows live in the narrow flat layout (born-sorted tables).
   bool packed_flat() const { return packed_flat_; }
 
   /// The narrow flat storage itself, or nullptr in the other layouts.
-  /// The extend fast path streams a sealed u16 table's raw rows into a
-  /// u16 sink without expanding them to dense entries.
+  /// The extend fast path reads a u16 table's raw rows without expanding
+  /// them to dense entries.
   const FlatRowsT<B>* flat_storage() const {
     return packed_flat_ ? &pflat_ : nullptr;
   }
@@ -215,13 +217,6 @@ class ProjTableT {
   TableKey key_at(std::size_t i) const {
     if (packed_flat_) return pflat_.key_at(i);
     return lane_compressed_ ? ckeys_[i] : entries_[i].key;
-  }
-
-  /// Make the indexed row accessors usable on an unsealed table:
-  /// mid-accumulation sharded rows (see FlatRowsT::prepare_emit) carry
-  /// no row index until flattened. No-op on sealed or dense tables.
-  void ensure_row_access() {
-    if (packed_flat_) pflat_.ensure_flat();
   }
 
   /// Row i as a dense entry: a reference into the table when dense, a
@@ -243,9 +238,7 @@ class ProjTableT {
     return payload_.view(i, ckeys_[i]);
   }
 
-  /// Visit every row as a dense entry, in table order. Works on an
-  /// unsealed from_packed table too, even while its rows still sit in
-  /// accumulation shards (the root table's lane totals read it there).
+  /// Visit every row as a dense entry, in table order.
   template <typename F>
   void for_each_entry(F&& f) const {
     if (packed_flat_) {
@@ -340,47 +333,6 @@ class ProjTableT {
   /// Whether group() resolves through the O(1) bucket index.
   bool has_bucket_index() const { return !bucket_off_.empty(); }
 
-  /// Reorder the rows INSIDE every bucket of the slot-1 index by
-  /// descending rank of the slot-0 (anchor) vertex. With the anchor rank
-  /// monotone across a bucket, a DB probe that requires anchor ≻ w scans
-  /// only the prefix with rank > rank(w) (a partition-point cut) instead
-  /// of testing every row. Buckets themselves do not move, so the index
-  /// stays valid; the full-key order inside buckets is given up, which is
-  /// only legal on a deduped table — the next order-changing seal
-  /// re-sorts from scratch (rank_partitioned() gates the relabel
-  /// shortcut). No-op (flag stays false) unless the table is sealed
-  /// kByV1 with a bucket index and all rows are mergeable-duplicate free.
-  void rank_partition_buckets(std::span<const std::uint32_t> ranks) {
-    rank_partitioned_ = false;
-    if (!has_bucket_index() || index_slot_ != 1 || dedup_pending_ ||
-        lane_compressed_) {
-      return;
-    }
-    const std::size_t nb = bucket_off_.size() - 1;
-    [[maybe_unused]] const std::size_t n = size();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1024) if (n > (1u << 15))
-#endif
-    for (std::size_t v = 0; v < nb; ++v) {
-      const std::uint32_t lo = bucket_off_[v];
-      const std::uint32_t hi = bucket_off_[v + 1];
-      if (hi - lo < 2) continue;
-      if (packed_flat_) {
-        pflat_.sort_range_by_rank_desc(lo, hi, ranks);
-      } else {
-        std::sort(entries_.begin() + lo, entries_.begin() + hi,
-                  [ranks](const Entry& a, const Entry& b) {
-                    return ranks[a.key.v[0]] > ranks[b.key.v[0]];
-                  });
-      }
-    }
-    rank_partitioned_ = true;
-  }
-
-  /// Whether the buckets are currently rank-partitioned (anchor-rank
-  /// descending inside each bucket rather than full-key sorted).
-  bool rank_partitioned() const { return rank_partitioned_; }
-
   /// Contiguous range of entries whose slot `slot` equals v; requires the
   /// matching seal order (kByV0 for slot 0, kByV1 for slot 1). O(1) when
   /// the bucket index covers `slot`, two binary searches otherwise.
@@ -428,7 +380,6 @@ class ProjTableT {
     if (packed_flat_) unpack_flat();
     entries_.push_back(e);
     drop_index();
-    rank_partitioned_ = false;
   }
 
  private:
@@ -465,14 +416,8 @@ class ProjTableT {
   VertexId detect_domain(int slot) const {
     VertexId max_v = 0;
     const std::size_t n = size();
-    if (packed_flat_) {
-      // Shard-aware (and skips the per-row key unpack): indexed key
-      // access is unavailable while the rows sit in shards.
-      max_v = pflat_.max_slot_value(slot);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        max_v = std::max(max_v, key_at(i).v[slot]);
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      max_v = std::max(max_v, key_at(i).v[slot]);
     }
     if (max_v == std::numeric_limits<VertexId>::max()) return 0;  // kNoVertex
     const std::uint64_t domain = std::uint64_t{max_v} + 1;
@@ -489,10 +434,9 @@ class ProjTableT {
   /// Entries already sorted for `order_`; (re)build the offset index only.
   void build_index(int slot, VertexId domain);
 
-  /// seal() for the narrow flat layout: partition + sort + dedup on the
-  /// packed 24/40-byte rows, falling back to the dense path when the
-  /// rows resist (no usable domain, out-of-domain keys, or a merged
-  /// count outgrowing u32).
+  /// seal() for the narrow flat layout: a born-sorted table is already
+  /// in kByV1 order, so only the layout decision may change; any other
+  /// order re-sorts in the dense layout.
   void seal_packed_flat(SortOrder order, VertexId domain, LaneSealHint hint);
 
   /// Layout decision for a sorted, deduped narrow table: stay narrow
@@ -505,7 +449,7 @@ class ProjTableT {
   /// Narrow flat rows -> masked columnar layout (ckeys_ + payload_).
   void pack_lanes_from_flat();
 
-  /// Narrow flat rows -> dense entries (order preserved; shard-aware).
+  /// Narrow flat rows -> dense entries (order preserved).
   void unpack_flat() {
     entries_.clear();
     entries_.reserve(pflat_.size());
@@ -627,9 +571,6 @@ class ProjTableT {
   int arity_ = 0;
   SortOrder order_ = SortOrder::kUnsorted;
   bool dedup_pending_ = false;
-  // Buckets reordered by anchor rank (see rank_partition_buckets): the
-  // intra-bucket key order is gone, so sorted_already shortcuts are off.
-  bool rank_partitioned_ = false;
   std::vector<Entry> entries_;
 
   // Lane-compressed layout (B > 1, after a kStore seal that packed):
@@ -640,8 +581,8 @@ class ProjTableT {
   LanePayloadT<B> payload_;
   LaneLayoutInfo layout_;
 
-  // Narrow flat layout (B > 1, from_packed tables): packed-key rows with
-  // width-adapted count vectors, kept through the sorting seal.
+  // Narrow flat layout (B > 1 born-sorted tables): packed-key rows with
+  // width-adapted count vectors.
   bool packed_flat_ = false;
   FlatRowsT<B> pflat_;
 
@@ -667,12 +608,8 @@ void ProjTableT<B>::seal(SortOrder order, VertexId domain,
   const int slot = group_slot(order);
   // kByV0 sorting is a refinement that also groups by (v0, v1): both
   // orders share one comparator, so converting between them (and staying
-  // put) never re-sorts — at most the index is (re)built. A
-  // rank-partitioned table gave up its intra-bucket key order, so the
-  // relabel shortcut is off until a real re-sort restores it.
-  const bool sorted_already =
-      !rank_partitioned_ &&
-      (order_ == order || group_slot(order_) == slot);
+  // put) never re-sorts — at most the index is (re)built.
+  const bool sorted_already = order_ == order || group_slot(order_) == slot;
   if (!detail::domain_worthwhile(size(), domain)) {
     domain = detect_domain(slot);
   }
@@ -689,7 +626,6 @@ void ProjTableT<B>::seal(SortOrder order, VertexId domain,
   // Re-sorting moves whole rows: work in the dense layout.
   if (lane_compressed_) unpack_lanes();
   drop_index();
-  rank_partitioned_ = false;
   if (domain > 0 &&
       entries_.size() < std::numeric_limits<std::uint32_t>::max()) {
     bucket_sort(slot, domain);
@@ -717,62 +653,20 @@ void ProjTableT<B>::seal(SortOrder order, VertexId domain,
 template <int B>
 void ProjTableT<B>::seal_packed_flat(SortOrder order, VertexId domain,
                                      LaneSealHint hint) {
-  const int slot = group_slot(order);
-  const bool sorted_already =
-      !rank_partitioned_ &&
-      (order_ == order || group_slot(order_) == slot);
-  if (!detail::domain_worthwhile(size(), domain)) {
-    domain = detect_domain(slot);
-  }
-  if (sorted_already && !dedup_pending_) {
+  if (group_slot(order_) == group_slot(order)) {
     // Relabel / repeated seal: rows and index are already right; only
-    // the layout decision may change (e.g. a kStore reseal). The last
-    // seal's density scan still describes these rows — rescan only if
-    // the table was never scanned.
+    // the layout decision may change (e.g. a kStore reseal). The table's
+    // stats were taken when its buckets were deduplicated.
     order_ = order;
     FlatStats st;
-    if (layout_.rows == pflat_.size() && layout_.rows != 0) {
-      st.rows = layout_.rows;
-      st.lanes_occupied = layout_.lanes_occupied;
-      st.max_count = layout_.max_count;
-    } else {
-      st = pflat_.scan();
-    }
+    st.rows = layout_.rows;
+    st.lanes_occupied = layout_.lanes_occupied;
+    st.max_count = layout_.max_count;
     finish_flat_layout(hint, st);
     return;
   }
-  if (domain == 0 ||
-      size() >= std::numeric_limits<std::uint32_t>::max() ||
-      !pflat_.sort_by_slot(slot, domain)) {
-    // No usable counting-partition domain (or out-of-domain keys): the
-    // dense path also serves the index-less consumers, which need
-    // entries().
-    unpack_flat();
-    seal(order, domain, hint);
-    return;
-  }
-  rank_partitioned_ = false;
-  FlatStats st;
-  if (dedup_pending_) {
-    st = pflat_.merge_duplicates();
-    dedup_pending_ = false;
-  } else {
-    st = pflat_.scan();
-  }
-  order_ = order;
-  if (!pflat_.narrow()) {
-    // A merged count outgrew u32: the rows widened. They are already in
-    // full-key order — adopt them dense and let the dense chooser finish.
-    entries_ = pflat_.take_wide();
-    packed_flat_ = false;
-    drop_index();
-    build_index(slot, domain);
-    choose_layout(hint);
-    return;
-  }
-  drop_index();
-  build_index(slot, domain);
-  finish_flat_layout(hint, st);
+  unpack_flat();
+  seal(order, domain, hint);
 }
 
 template <int B>

@@ -1,11 +1,10 @@
 // Differential fuzz across the whole engine matrix: random (graph,
-// query, batch width, layout options, sparse-flip threshold, fault
-// schedule) configs run through the shared-memory engine batched and
-// lane-by-lane, and through the distributed engine — every route must
-// report identical per-lane colorful counts. A divergence localizes to
-// whichever leg disagrees with the B = 1 shared baseline, which
-// exercises none of the batched layouts, sparse records, packed merges,
-// radix seals or transport code.
+// query, batch width, layout options, fault schedule) configs run through
+// the shared-memory engine batched and lane-by-lane, and through the
+// distributed engine — every route must report identical per-lane
+// colorful counts. A divergence localizes to whichever leg disagrees with
+// the B = 1 shared baseline, which exercises none of the batched layouts,
+// born-sorted bucket builds, packed merges or transport code.
 //
 // The sweep is seeded: CCBT_DIFF_SEED offsets the whole configuration
 // stream and CCBT_DIFF_ITERS scales the number of configs, so CI can run
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,7 +23,6 @@
 #include "ccbt/dist/dist_engine.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
-#include "ccbt/table/flat_rows.hpp"
 #include "ccbt/util/rng.hpp"
 
 namespace ccbt {
@@ -56,7 +53,6 @@ struct DiffConfig {
   int width = 0;
   std::uint32_t ranks = 0;
   bool faulty = false;
-  std::size_t flip_rows = 0;  // sparse_flip_rows() for this config
   ExecOptions opts;
 
   std::string describe() const {
@@ -65,12 +61,9 @@ struct DiffConfig {
            " ranks=" + std::to_string(ranks) +
            " compact=" + std::to_string(opts.compact_accum) +
            " lane_compress=" + std::to_string(opts.lane_compress) +
-           " flip_rows=" + std::to_string(flip_rows) +
            " faulty=" + std::to_string(faulty);
   }
 };
-
-const std::size_t kDefaultFlipRows = sparse_flip_rows();
 
 DiffConfig draw_config(std::uint64_t seed) {
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
@@ -83,11 +76,6 @@ DiffConfig draw_config(std::uint64_t seed) {
   c.ranks = static_cast<std::uint32_t>(2 + rng.below(4));
   c.opts.compact_accum = rng.below(2) == 0;
   c.opts.lane_compress = rng.below(4) != 0;  // mostly on (the default)
-  // Row-format axis: sparse records from the first emission (0), the
-  // default adaptive flip, or dense rows throughout (SIZE_MAX).
-  const std::size_t flips[] = {0, kDefaultFlipRows,
-                               std::numeric_limits<std::size_t>::max()};
-  c.flip_rows = flips[rng.below(3)];
   c.faulty = rng.below(2) == 0;
   if (c.faulty) {
     c.opts.dist.faults.seed = seed * 31 + 7;
@@ -102,19 +90,12 @@ DiffConfig draw_config(std::uint64_t seed) {
   return c;
 }
 
-/// Restore the process-wide flip threshold however the sweep exits.
-struct FlipGuard {
-  ~FlipGuard() { set_sparse_flip_rows(kDefaultFlipRows); }
-};
-
 TEST(DifferentialEngines, RandomConfigsAgreeAcrossEnginesAndWidths) {
   const std::uint64_t base = env_u64("CCBT_DIFF_SEED", 0);
   const std::uint64_t iters = env_u64("CCBT_DIFF_ITERS", 6);
-  FlipGuard flip_guard;
   for (std::uint64_t it = 0; it < iters; ++it) {
     const DiffConfig c = draw_config(base * 1000 + it);
     SCOPED_TRACE(c.describe());
-    set_sparse_flip_rows(c.flip_rows);
     const CsrGraph g = erdos_renyi(c.n, c.m, c.seed * 13 + 5);
     Rng qrng(c.seed * 17 + 3);
     const QueryGraph q = pick_query(qrng.below(24));

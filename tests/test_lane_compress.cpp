@@ -454,10 +454,10 @@ TEST(LaneCompressFlat, MaskedU16StreamMatchesGenericAppend) {
             flat_totals(std::move(generic_sink)));
 }
 
-TEST(LaneCompressFlat, CombiningCacheU16OverflowFallsThroughToSeal) {
-  // Repeated same-key u16 appends whose running sum outgrows u16: the
-  // combining cache must fall through to duplicate rows (not wrap), and
-  // the sealing merge must escalate the buffer and sum exactly.
+TEST(LaneCompressFlat, U16RunSumOverflowEscalatesAtBucketClose) {
+  // Repeated same-key u16 appends whose sum outgrows u16 stay duplicate
+  // rows (no wrap); closing the bucket must sum them exactly and escalate
+  // the sealed rows to u32.
   FlatRowsT<2> f;
   TableKey k;
   k.v[0] = 6;
@@ -468,10 +468,15 @@ TEST(LaneCompressFlat, CombiningCacheU16OverflowFallsThroughToSeal) {
   src.c = {0x7000, 0};
   const int reps = 40;  // 40 * 0x7000 = 0x118000 > u16
   for (int i = 0; i < reps; ++i) f.append_masked_u16(src.k, src, 0b01);
-  ASSERT_TRUE(f.sort_by_slot(1, 16));
-  f.merge_duplicates();
-  EXPECT_FALSE(f.mode() == FlatRowsT<2>::Mode::kU16);
-  const auto totals = flat_totals(std::move(f));
+  EXPECT_EQ(f.mode(), FlatRowsT<2>::Mode::kU16);
+  EXPECT_EQ(f.size(), static_cast<std::size_t>(reps));
+  FlatRowsT<2> sealed;
+  FlatStats st;
+  f.drain_bucket_into(sealed, st);
+  EXPECT_EQ(sealed.mode(), FlatRowsT<2>::Mode::kU32);
+  EXPECT_EQ(sealed.size(), 1u);
+  EXPECT_EQ(st.max_count, static_cast<Count>(reps) * 0x7000ull);
+  const auto totals = flat_totals(std::move(sealed));
   const std::array<std::uint64_t, 5> key{6, 9, kNoVertex, kNoVertex, 2};
   ASSERT_EQ(totals.count(key), 1u);
   EXPECT_EQ(totals.at(key)[0], static_cast<Count>(reps) * 0x7000ull);
@@ -619,16 +624,18 @@ void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag,
     spec.out[0] = {0, 0};
     spec.out[1] = {1, 1};
     std::vector<Emit> dense_out, packed_out;
-    merge_bucket<B>(f.cx, std::span<const TableEntryT<B>>(pd),
-                    std::span<const TableEntryT<B>>(md), spec,
-                    [&](const TableKey& k, const auto& c) {
-                      dense_out.emplace_back(k, c);
-                    });
-    merge_bucket_packed<B>(f.cx, std::span<const PackedFlatRowT<B, WP>>(pp),
-                           std::span<const PackedFlatRowT<B, WM>>(mp), spec,
-                           [&](const TableKey& k, const auto& c) {
-                             packed_out.emplace_back(k, c);
-                           });
+    merge_bucket<B, /*Outer=*/0>(
+        f.cx, std::span<const TableEntryT<B>>(pd),
+        std::span<const TableEntryT<B>>(md), spec,
+        [&](const TableKey& k, const auto& c) {
+          dense_out.emplace_back(k, c);
+        });
+    merge_bucket_packed<B, /*Outer=*/0>(
+        f.cx, std::span<const PackedFlatRowT<B, WP>>(pp),
+        std::span<const PackedFlatRowT<B, WM>>(mp), spec,
+        [&](const TableKey& k, const auto& c) {
+          packed_out.emplace_back(k, c);
+        });
     ASSERT_EQ(dense_out.size(), packed_out.size()) << "arity " << arity;
     for (std::size_t i = 0; i < dense_out.size(); ++i) {
       EXPECT_EQ(dense_out[i].first, packed_out[i].first) << "row " << i;
@@ -716,9 +723,17 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
         for (const auto& [k, c] : rows) dense.push_back({k, c});
         return ProjTableT<B>::from_flat(2, std::move(dense));
       }
-      FlatRowsT<B> flat;
-      for (const auto& [k, c] : rows) flat.append(k, c);
-      return ProjTableT<B>::from_packed(2, std::move(flat));
+      // Born sorted: bucket w holds the rows ending at w.
+      SortedBucketsT<B> buckets;
+      FlatRowsT<B> scratch;
+      for (VertexId w = 0; w < f.g.num_vertices(); ++w) {
+        scratch.reset();
+        for (const auto& [k, c] : rows) {
+          if (k.v[1] == w) scratch.append(k, c);
+        }
+        buckets.close(scratch);
+      }
+      return ProjTableT<B>::from_buckets(2, std::move(buckets));
     };
     ProjTableT<B> plus = table(prows);
     ProjTableT<B> minus = table(mrows);
