@@ -145,9 +145,9 @@ int main() {
             // first cell at each width pays the process's cold start),
             // and it samples the layout chooser's observations and the
             // accumulation telemetry (the estimator API reports counts,
-            // not telemetry). B = 1 too: its hash-map accumulation
-            // reports emit_bytes, the denominator of the emission
-            // byte-traffic headline.
+            // not telemetry). B = 1 too: its bucket builds report
+            // emit_bytes, the denominator of the emission byte-traffic
+            // headline.
             std::vector<std::uint64_t> seeds;
             for (int l = 0; l < width; ++l) seeds.push_back(1000 + l);
             const ExecStats sample = session.count_colorful_seeded(

@@ -117,16 +117,18 @@ struct ExecOptions {
   /// Use OpenMP in the join primitives.
   bool use_threads = true;
 
-  /// Accumulate joins through the compact AccumMap layouts when keys and
+  /// Let the hashed sinks — merge sinks, aggregate and the distributed
+  /// engine's supersteps — use the compact AccumMap layouts when keys and
   /// counts permit: packed 16-byte rows at B = 1, narrow u32 lane rows at
-  /// B > 1 (see table/accum_map.hpp).
+  /// B > 1 (see table/accum_map.hpp). Path tables are built born sorted
+  /// and never go through an AccumMap.
   bool compact_accum = true;
 
-  /// Let tables use the compressed row layouts (B > 1): the narrow flat
-  /// accumulation rows the hot path sorts and streams (table/
-  /// flat_rows.hpp) and the masked columnar layout stored tables re-pack
-  /// into when the observed lane density makes it smaller (table/
-  /// lane_payload.hpp). Off forces the dense u64[B] layout everywhere.
+  /// Let tables use the compressed row layouts: the narrow flat rows the
+  /// path primitives build at every width (table/flat_rows.hpp) and, at
+  /// B > 1, the masked columnar layout stored tables re-pack into when
+  /// the observed lane density makes it smaller (table/lane_payload.hpp).
+  /// Off forces the dense u64[B] layout everywhere.
   bool lane_compress = true;
 
   /// Fault injection and recovery (distributed engine only; the shared

@@ -29,10 +29,11 @@ struct ExecStats {
   double avg_rank_ops = 0.0;
   std::uint64_t total_comm = 0;
 
-  /// Lane-layout telemetry aggregated over every sorting seal of the run
-  /// (B > 1; all-zero at B = 1): observed lane density, how many rows the
-  /// seal-time chooser re-packed, and at which payload widths. Makes the
-  /// layout decisions auditable (surfaced into BENCH_batch.json).
+  /// Lane-layout telemetry aggregated over every table the path
+  /// primitives read and every sorting seal of the run: observed lane
+  /// density, how many rows stayed narrow or were re-packed, and at which
+  /// payload widths. Makes the layout decisions auditable (surfaced into
+  /// BENCH_batch.json).
   LaneTelemetry lanes;
 
   /// Per-stage wall breakdown of the run (accumulate / seal / merge;
@@ -40,8 +41,8 @@ struct ExecStats {
   /// below wall_seconds — planning glue and root totals are untimed.
   StageWall stage;
 
-  /// Accumulation telemetry: phases, and the rows and bytes they emitted
-  /// (hashed rows at B = 1, rows fed to the bucket sorts at B > 1).
+  /// Accumulation telemetry: one phase per path primitive, and the rows
+  /// and bytes it fed to its bucket sorts (at every batch width).
   AccumTelemetry accum;
 
   /// Fault-tolerance scoreboard (injected faults, retries, replays,

@@ -116,10 +116,9 @@ ProjTableT<B> build_path(const ExecContext& cx, const Block& blk,
   const std::size_t steps = spec.positions.size();
   if (steps < 2) throw Error("build_path: path needs at least one edge");
 
-  // B > 1 builds each table bucket by bucket from the child rows that end
-  // in the bucket, so it reads edge children through the opposite
-  // orientation (both are cached by the pool) and says so with `flip`.
-  constexpr bool kFlip = B > 1;
+  // Each table is built bucket by bucket from the child rows that end in
+  // the bucket, so edge children are read through the opposite
+  // orientation (both are cached by the pool), which `flip` says.
 
   // --- Initial table: the first edge of the walk.
   ExtendOpts init_opts{spec.track_slot_at[1], spec.anchor_higher};
@@ -131,8 +130,8 @@ ProjTableT<B> build_path(const ExecContext& cx, const Block& blk,
       table = init_path_from_graph<B>(cx, init_opts);
     } else {
       const ProjTableT<B>& oriented = pool.oriented(
-          child, needs_transpose(blk, e0, spec.edge_forward[0]) != kFlip);
-      table = init_path_from_child<B>(cx, oriented, kFlip, init_opts);
+          child, !needs_transpose(blk, e0, spec.edge_forward[0]));
+      table = init_path_from_child<B>(cx, oriented, /*flip=*/true, init_opts);
     }
   }
   if (spec.include_start_annot) {
@@ -159,8 +158,8 @@ ProjTableT<B> build_path(const ExecContext& cx, const Block& blk,
       table = extend_with_graph<B>(cx, table, opts);
     } else {
       const ProjTableT<B>& oriented = pool.oriented(
-          child, needs_transpose(blk, e, spec.edge_forward[s]) != kFlip);
-      table = extend_with_child<B>(cx, table, oriented, opts, kFlip);
+          child, !needs_transpose(blk, e, spec.edge_forward[s]));
+      table = extend_with_child<B>(cx, table, oriented, opts, /*flip=*/true);
     }
   }
   return table;

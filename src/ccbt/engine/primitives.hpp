@@ -20,22 +20,21 @@
 //     a lane-independent half — the signature intersection must be the
 //     right size — and a per-lane half — the intersection must equal the
 //     joint vertex's lane colors (ColoringBatch::mask_bit_eq/mask_pair_eq).
-// B = 1 takes the original scalar code paths via if constexpr.
 //
-// Two accumulation strategies, one per width:
-//   * B = 1 pushes rows from each input entry and hashes them through
-//     per-thread AccumMaps (the per-entry kernels below).
-//   * B > 1 builds every path table born sorted: one frontier vertex w at
-//     a time, in ascending w, it pulls the rows that land on w — from the
-//     input's bucket of each neighbour x of w, or from the child rows
-//     ending at w — then sorts and deduplicates that bucket locally
-//     (build_buckets). The table arrives sealed kByV1, the home-slot-1
-//     layout of Section 7, with no global sort.
+// One build path at every width, B = 1 included: each path table is built
+// born sorted. One frontier vertex w at a time, in ascending w, a
+// primitive pulls the rows that land on w — from the input's bucket of
+// each neighbour x of w, or from the child rows ending at w — then sorts
+// and deduplicates that bucket locally (build_buckets). The table arrives
+// sealed kByV1, the home-slot-1 layout of Section 7, in narrow flat rows
+// and with no global sort; merge_halves joins two such halves end bucket
+// by end bucket.
 //
-// The per-entry kernels (emit-callback form) are also what the
-// virtual-MPI engine in ccbt/dist runs. The pull loops charge the load
-// model per (bucket, neighbour) instead of per entry; the per-rank sums
-// per phase are the same, which tests/test_dist_engine.cpp checks.
+// The per-entry push kernels (emit-callback form) are what the
+// virtual-MPI engine in ccbt/dist runs, and the tests' reference for the
+// pull loops. The pull loops charge the load model per (bucket,
+// neighbour) instead of per entry; the per-rank sums per phase are the
+// same, which tests/test_dist_engine.cpp checks.
 
 #include <algorithm>
 #include <array>
@@ -105,98 +104,6 @@ struct SigGroups {
   }
 };
 
-/// Reduce per-thread accumulation maps into one, pre-sized so the merge
-/// runs without intermediate rehashes. Single-producer case moves instead.
-template <int B>
-AccumMapT<B> reduce_maps(const ExecContext& cx,
-                         std::vector<AccumMapT<B>>& maps) {
-  std::size_t total = 0;
-  AccumMapT<B>* only = nullptr;
-  int producers = 0;
-  for (AccumMapT<B>& m : maps) {
-    if (m.empty()) continue;
-    total += m.size();
-    only = &m;
-    ++producers;
-  }
-  if (producers == 1) {
-    check_budget(cx, only->size());
-    return std::move(*only);
-  }
-  AccumMapT<B> merged(16, cx.opts.compact_accum);
-  merged.reserve(total);
-  for (AccumMapT<B>& m : maps) {
-    m.for_each([&](const TableKey& k, const typename LaneOps<B>::Vec& c) {
-      merged.add(k, c);
-    });
-    check_budget(cx, merged.size());
-  }
-  return merged;
-}
-
-/// Run `emit(index, map)` for every index in [0, n), accumulating into
-/// per-thread maps that are merged afterwards by a pre-sized two-pass
-/// reduction. Load accounting is thread-affine (LoadModel buffers charges
-/// per OpenMP thread), so simulated runs parallelize like real ones.
-template <int B, typename Emit>
-AccumMapT<B> accumulate_over(const ExecContext& cx, std::size_t n,
-                             Emit&& emit) {
-  ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-#ifdef _OPENMP
-  if (cx.opts.use_threads && pool_threads() > 1 && n > 4096) {
-    const int threads = pool_threads();
-    std::vector<AccumMapT<B>> maps;
-    maps.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      maps.emplace_back(16, cx.opts.compact_accum);
-    }
-    std::atomic<bool> budget_hit{false};
-#pragma omp parallel num_threads(threads)
-    {
-      AccumMapT<B>& local = maps[omp_get_thread_num()];
-#pragma omp for schedule(dynamic, 512)
-      for (std::size_t i = 0; i < n; ++i) {
-        if (budget_hit.load(std::memory_order_relaxed)) continue;
-        emit(i, local);
-        if (local.size() > cx.opts.max_table_entries) {
-          budget_hit.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (budget_hit.load()) check_budget(cx, cx.opts.max_table_entries + 1);
-    return reduce_maps(cx, maps);
-  }
-#endif
-  AccumMapT<B> map(16, cx.opts.compact_accum);
-  for (std::size_t i = 0; i < n; ++i) {
-    emit(i, map);
-    if ((i & 0xFFF) == 0) check_budget(cx, map.size());
-  }
-  check_budget(cx, map.size());
-  return map;
-}
-
-/// The B = 1 accumulation: `body(i, emit)` emits the rows of input item i
-/// through `emit(key, count)`, hashed through per-thread AccumMaps (exact
-/// pre-merge); the merged map becomes the table.
-template <typename Body>
-ProjTableT<1> accumulate_map(const ExecContext& cx, int arity, std::size_t n,
-                             Body&& body) {
-  AccumMapT<1> map =
-      accumulate_over<1>(cx, n, [&](std::size_t i, AccumMapT<1>& sink) {
-        body(i, [&](const TableKey& k, Count c) { sink.add(k, c); });
-      });
-  // emit_bytes is what the accumulation phase materialized: the deduped
-  // hash rows here, the rows fed to the bucket sorts at B > 1.
-  if (cx.accum != nullptr) {
-    ++cx.accum->phases;
-    cx.accum->rows += map.size();
-    cx.accum->emit_bytes += map.byte_size();
-  }
-  cx.end_phase();
-  return ProjTableT<1>::from_map(arity, std::move(map));
-}
-
 /// The push kernels' `emit(key, counts)`, appending to a bucket scratch.
 template <int B>
 auto append_to(FlatRowsT<B>& sink) {
@@ -205,7 +112,7 @@ auto append_to(FlatRowsT<B>& sink) {
   };
 }
 
-/// The born-sorted build every B > 1 path primitive shares. The output is
+/// The born-sorted build every path primitive shares. The output is
 /// built one frontier vertex w at a time, in ascending w: `body(w, sink)`
 /// emits the rows whose frontier is w into a thread-local scratch, which
 /// is then sorted and deduplicated locally (exact u64 run sums) and
@@ -302,7 +209,7 @@ ProjTableT<B> transposed_by_v0(const ExecContext& cx, const ProjTableT<B>& t) {
   return out;
 }
 
-/// Seal a B > 1 path input in its born order (a relabel for a born-sorted
+/// Seal a path input in its born order (a relabel for a born-sorted
 /// table) so its frontier buckets can be pulled.
 template <int B>
 void seal_by_frontier(const ExecContext& cx, ProjTableT<B>& path) {
@@ -326,7 +233,7 @@ SigGroups<B> extend_groups(Signature sig, LaneMask alive, std::uint64_t cw) {
   return groups;
 }
 
-/// Emit the initial path rows of edge (u, w) at B > 1: one row per
+/// Emit the initial path rows of edge (u, w): one row per
 /// distinct two-color signature, lanes coloring u and w alike dropped.
 template <int B, typename Emit>
 void emit_edge(const ExecContext& cx, VertexId u, VertexId w,
@@ -352,15 +259,15 @@ void emit_edge(const ExecContext& cx, VertexId u, VertexId w,
 }
 
 /// EdgeJoin of one path row `e`, whose frontier is `joint`, with one
-/// child row `ce` running from `joint` to `w` (B > 1): the matches may
-/// share exactly one color, and it must be the joint's color in a lane.
+/// child row `ce` running from `joint` to `w`: the matches may share
+/// exactly one color, and it must be the joint's color in a lane.
 template <int B, typename Emit>
 void join_edge(const ExecContext& cx, const TableEntryT<B>& e,
                const TableEntryT<B>& ce, VertexId joint, VertexId w,
                const ExtendOpts& o, Emit&& emit) {
   // Lane-independent half of the compatibility test.
   const Signature inter = e.key.sig & ce.key.sig;
-  if (std::popcount(inter) != 1) return;
+  if (!one_color(inter)) return;
   if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) return;
   // Per-lane half.
   const LaneMask m = cx.chi.mask_bit_eq(joint, inter);
@@ -378,10 +285,11 @@ void join_edge(const ExecContext& cx, const TableEntryT<B>& e,
 }  // namespace detail
 
 // ---------------------------------------------------------------- kernels
-// Per-item loop bodies of the push form: the B = 1 primitives and the
-// distributed engine run them. Each kernel performs the load-model charges
-// itself and hands finished rows to `emit(key, lane-counts)`; the caller
-// only chooses where rows go (a hash-map sink or a transport).
+// Per-item loop bodies of the push form: the distributed engine runs them
+// (B = 1 on the original scalar code), and the tests replay them as the
+// reference for the pull loops. Each kernel performs the load-model
+// charges itself and hands finished rows to `emit(key, lane-counts)`; the
+// caller only chooses where rows go (a transport or a test's row list).
 
 /// Initial path entries out of one data vertex u (Procedure 1 init).
 template <int B, typename Emit>
@@ -509,7 +417,7 @@ void kernel_node_join(const ExecContext& cx, const TableEntryT<B>& e,
   } else {
     for (const TableEntryT<B>& ce : group) {
       const Signature inter = e.key.sig & ce.key.sig;
-      if (std::popcount(inter) != 1) continue;
+      if (!one_color(inter)) continue;
       const LaneMask m = cx.chi.mask_bit_eq(x, inter);
       if (m == 0) continue;
       const auto cnt = LaneSimdT<B>::mul_masked(e.cnt, ce.cnt, m);
@@ -540,93 +448,63 @@ void kernel_aggregate(const ExecContext& cx, const TableEntryT<B>& e,
 template <int B = 1>
 ProjTableT<B> init_path_from_graph(const ExecContext& cx,
                                    const ExtendOpts& o) {
-  if constexpr (B == 1) {
-    return detail::accumulate_map(
-        cx, 2, cx.g.num_vertices(), [&](std::size_t ui, auto&& emit) {
-          kernel_init_from_graph<1>(cx, static_cast<VertexId>(ui), o, emit);
-        });
-  } else {
-    // Bucket w pulls the edges (u, w) over u ∈ N(w); charging 1 per
-    // adjacency sums to the push kernel's deg(u) per u.
-    return detail::build_buckets<B>(
-        cx, 2, cx.g.num_edges(),
-        [&](VertexId w, FlatRowsT<B>& sink) {
-          for (VertexId u : cx.g.neighbors(w)) {
-            cx.charge(u, 1);
-            if (o.anchor_higher && !cx.order.higher(u, w)) continue;
-            detail::emit_edge<B>(cx, u, w, o, detail::append_to(sink));
-          }
-        });
-  }
+  // Bucket w pulls the edges (u, w) over u ∈ N(w); charging 1 per
+  // adjacency sums to the push kernel's deg(u) per u.
+  return detail::build_buckets<B>(
+      cx, 2, cx.g.num_edges(), [&](VertexId w, FlatRowsT<B>& sink) {
+        for (VertexId u : cx.g.neighbors(w)) {
+          cx.charge(u, 1);
+          if (o.anchor_higher && !cx.order.higher(u, w)) continue;
+          detail::emit_edge<B>(cx, u, w, o, detail::append_to(sink));
+        }
+      });
 }
 
 /// Initial path table from a child block's binary table, sealed kByV0.
 /// Slot 0 of the result is the walk's starting node: the child's slot 0,
-/// or its slot 1 when `flip`. B > 1 builds bucket w from the child rows
-/// whose walk end is w, which is the child's kByV0 group when `flip` —
+/// or its slot 1 when `flip`. Bucket w is built from the child rows whose
+/// walk end is w, which is the child's kByV0 group when `flip` —
 /// build_path hands it the pool's opposite orientation for exactly that;
 /// an unflipped child is transposed first.
 template <int B>
 ProjTableT<B> init_path_from_child(const ExecContext& cx,
                                    const ProjTableT<B>& child, bool flip,
                                    const ExtendOpts& o) {
-  if constexpr (B == 1) {
-    // Stored child tables may be compressed: row_at expands each row into
-    // a dense entry on the stack (a plain reference when dense).
-    return detail::accumulate_map(
-        cx, 2, child.size(), [&](std::size_t i, auto&& emit) {
-          TableEntryT<1> tmp;
-          kernel_init_from_child<1>(cx, child.row_at(i, tmp), flip, o, emit);
-        });
-  } else {
-    if (!flip) {
-      return init_path_from_child<B>(
-          cx, detail::transposed_by_v0(cx, child), /*flip=*/true, o);
-    }
-    return detail::build_buckets<B>(
-        cx, 2, child.size(), [&](VertexId w, FlatRowsT<B>& sink) {
-          const auto [lo, hi] = child.group_span(0, w);
-          TableEntryT<B> tmp;
-          for (std::size_t i = lo; i < hi; ++i) {
-            kernel_init_from_child<B>(cx, child.row_at(i, tmp), /*flip=*/true,
-                                      o, detail::append_to(sink));
-          }
-        });
+  if (!flip) {
+    return init_path_from_child<B>(cx, detail::transposed_by_v0(cx, child),
+                                   /*flip=*/true, o);
   }
-}
-
-namespace detail {
-
-/// Entry-scan extension: one kernel call per path entry.
-template <int B>
-ProjTableT<B> extend_with_graph_scan(const ExecContext& cx,
-                                     const ProjTableT<B>& path,
-                                     const ExtendOpts& o) {
-  return accumulate_map(
-      cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
+  return detail::build_buckets<B>(
+      cx, 2, child.size(), [&](VertexId w, FlatRowsT<B>& sink) {
+        const auto [lo, hi] = child.group_span(0, w);
         TableEntryT<B> tmp;
-        kernel_extend_with_graph<B>(cx, path.row_at(i, tmp), o, emit);
+        for (std::size_t i = lo; i < hi; ++i) {
+          kernel_init_from_child<B>(cx, child.row_at(i, tmp), /*flip=*/true,
+                                    o, detail::append_to(sink));
+        }
       });
 }
 
-/// Pull extension (B > 1): bucket w gathers, for every neighbour x of w,
-/// the live lanes of path bucket x whose color at w is new, and charges
-/// |bucket x| once per (w, x) adjacency — deg(x)·|bucket x| in all, the
-/// push kernel's charge. Only the set bits of each entry's live-lane mask
-/// are visited (at batch densities most rows carry one or two live lanes).
+/// Extend every path entry by one data-graph edge out of the frontier.
+/// Bucket w gathers, for every neighbour x of w, the live lanes of path
+/// bucket x whose color at w is new, and charges |bucket x| once per
+/// (w, x) adjacency — deg(x)·|bucket x| in all, the push kernel's charge.
+/// Only the set bits of each entry's live-lane mask are visited (at batch
+/// densities most rows carry one or two live lanes). The mutable overload
+/// seals the path by frontier first (a relabel for the born-sorted tables
+/// the primitives produce).
 template <int B>
-ProjTableT<B> extend_with_graph_pull(const ExecContext& cx,
-                                     ProjTableT<B>& path,
-                                     const ExtendOpts& o) {
+ProjTableT<B> extend_with_graph(const ExecContext& cx, ProjTableT<B>& path,
+                                const ExtendOpts& o) {
   const CsrGraph& g = cx.g;
-  seal_by_frontier(cx, path);
+  detail::seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
   const FlatRowsT<B>* const flat = path.flat_storage();
   const bool fast16 = flat != nullptr &&
                       flat->mode() == FlatRowsT<B>::Mode::kU16 &&
                       (o.track_slot == -1 || o.track_slot == 1);
   if (!fast16) {
-    return build_buckets<B>(
+    return detail::build_buckets<B>(
         cx, path.arity(), path.size(),
         [&](VertexId w, FlatRowsT<B>& sink) {
           thread_local std::vector<TableEntryT<B>> scratch;
@@ -639,7 +517,7 @@ ProjTableT<B> extend_with_graph_pull(const ExecContext& cx,
               if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) {
                 continue;
               }
-              const SigGroups<B> groups = extend_groups<B>(
+              const detail::SigGroups<B> groups = detail::extend_groups<B>(
                   e.key.sig, LaneSimdT<B>::nonzero_mask(e.cnt), cw);
               if (groups.n == 0) continue;
               Count ehi = 0;
@@ -675,7 +553,7 @@ ProjTableT<B> extend_with_graph_pull(const ExecContext& cx,
     side[i] = (rank << 8) | a;
   }
   constexpr std::uint64_t kV0Bits = std::uint64_t{kPacked28NoVertex} << 36;
-  return build_buckets<B>(
+  return detail::build_buckets<B>(
       cx, path.arity(), path.size(),
       [&](VertexId w, FlatRowsT<B>& sink) {
         const std::uint64_t cw = cx.chi.colors_word(w);
@@ -718,7 +596,8 @@ ProjTableT<B> extend_with_graph_pull(const ExecContext& cx,
               cx.send(x, w, 1);
               continue;
             }
-            const SigGroups<B> groups = extend_groups<B>(esig, a0, cw);
+            const detail::SigGroups<B> groups =
+                detail::extend_groups<B>(esig, a0, cw);
             if (groups.n == 0) continue;
             for (int gi = 0; gi < groups.n; ++gi) {
               emit(groups.sig[gi], groups.mask[gi]);
@@ -729,113 +608,68 @@ ProjTableT<B> extend_with_graph_pull(const ExecContext& cx,
       });
 }
 
-}  // namespace detail
-
-/// Extend every path entry by one data-graph edge out of the frontier.
-/// At B > 1 the mutable overload seals the path by frontier first (a
-/// relabel for the born-sorted tables the primitives produce).
-template <int B>
-ProjTableT<B> extend_with_graph(const ExecContext& cx, ProjTableT<B>& path,
-                                const ExtendOpts& o) {
-  if constexpr (B == 1) {
-    return detail::extend_with_graph_scan<B>(cx, path, o);
-  } else {
-    return detail::extend_with_graph_pull<B>(cx, path, o);
-  }
-}
-
 template <int B>
 ProjTableT<B> extend_with_graph(const ExecContext& cx,
                                 const ProjTableT<B>& path,
                                 const ExtendOpts& o) {
-  if constexpr (B == 1) {
-    return detail::extend_with_graph_scan<B>(cx, path, o);
-  } else {
-    ProjTableT<B> copy = path;
-    return detail::extend_with_graph_pull<B>(cx, copy, o);
-  }
+  ProjTableT<B> copy = path;
+  return extend_with_graph<B>(cx, copy, o);
 }
 
 /// Extend through a child block's binary table (EdgeJoin): path frontier v
 /// joins child entries (v, w, sig2). `child` must be sealed kByV0 and
 /// oriented (use TablePool::oriented); `flip` says it is stored the other
-/// way round, (w, v, sig2). B > 1 builds bucket w from the child rows
-/// (w, x) and path bucket x — the flipped orientation, which build_path
-/// hands it; an unflipped child is transposed first. The pull charges
+/// way round, (w, v, sig2). Bucket w is built from the child rows (w, x)
+/// and path bucket x — the flipped orientation, which build_path hands
+/// it; an unflipped child is transposed first. The pull charges
 /// |bucket x| per child row (x, w): |group(x)|·|bucket x| in all, the
 /// push kernel's charge.
 template <int B>
 ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
                                 const ProjTableT<B>& child,
                                 const ExtendOpts& o, bool flip = false) {
-  if (flip != (B > 1)) {
+  if (!flip) {
     return extend_with_child<B>(cx, path, detail::transposed_by_v0(cx, child),
-                                o, !flip);
+                                o, /*flip=*/true);
   }
-  if constexpr (B == 1) {
-    // The stored child is probed once per path row, so a compressed child
-    // is expanded once up front.
-    const detail::ChildProbe<1> probe(child);
-    return detail::accumulate_map(
-        cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
-          TableEntryT<1> tmp;
-          const TableEntryT<1>& e = path.row_at(i, tmp);
-          kernel_extend_with_child<1>(cx, e, probe.group(0, e.key.v[1]), o,
-                                      emit);
-        });
-  } else {
-    detail::seal_by_frontier(cx, path);
-    cx.note_lanes(path.layout());
-    return detail::build_buckets<B>(
-        cx, path.arity(), path.size(),
-        [&](VertexId w, FlatRowsT<B>& sink) {
-          thread_local std::vector<TableEntryT<B>> scratch;
-          const auto [clo, chi] = child.group_span(0, w);
-          TableEntryT<B> ctmp;
-          for (std::size_t c = clo; c < chi; ++c) {
-            const TableEntryT<B>& ce = child.row_at(c, ctmp);
-            const VertexId x = ce.key.v[1];
-            const auto bucket = path.group_expanded(1, x, scratch);
-            cx.charge(x, bucket.size());
-            for (const TableEntryT<B>& e : bucket) {
-              detail::join_edge<B>(cx, e, ce, x, w, o,
-                                   detail::append_to(sink));
-            }
+  detail::seal_by_frontier(cx, path);
+  cx.note_lanes(path.layout());
+  return detail::build_buckets<B>(
+      cx, path.arity(), path.size(), [&](VertexId w, FlatRowsT<B>& sink) {
+        thread_local std::vector<TableEntryT<B>> scratch;
+        const auto [clo, chi] = child.group_span(0, w);
+        TableEntryT<B> ctmp;
+        for (std::size_t c = clo; c < chi; ++c) {
+          const TableEntryT<B>& ce = child.row_at(c, ctmp);
+          const VertexId x = ce.key.v[1];
+          const auto bucket = path.group_expanded(1, x, scratch);
+          cx.charge(x, bucket.size());
+          for (const TableEntryT<B>& e : bucket) {
+            detail::join_edge<B>(cx, e, ce, x, w, o, detail::append_to(sink));
           }
-        });
-  }
+        }
+      });
 }
 
 /// NodeJoin: multiply in a unary child at key slot `slot` (0 = anchor,
 /// 1 = frontier). `child` must be sealed kByV0. A join keeps every key's
-/// frontier, so at B > 1 bucket w of the result comes from bucket w of
-/// the (born-sorted) path alone.
+/// frontier, so bucket w of the result comes from bucket w of the
+/// (born-sorted) path alone.
 template <int B>
 ProjTableT<B> node_join(const ExecContext& cx, ProjTableT<B>& path,
                         const ProjTableT<B>& child, int slot) {
   const detail::ChildProbe<B> probe(child);
-  if constexpr (B == 1) {
-    return detail::accumulate_map(
-        cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
-          TableEntryT<1> tmp;
-          const TableEntryT<1>& e = path.row_at(i, tmp);
-          kernel_node_join<1>(cx, e, probe.group(0, e.key.v[slot]), slot,
-                              emit);
-        });
-  } else {
-    detail::seal_by_frontier(cx, path);
-    return detail::build_buckets<B>(
-        cx, path.arity(), path.size(),
-        [&](VertexId w, FlatRowsT<B>& sink) {
-          const auto [lo, hi] = path.group_span(1, w);
-          TableEntryT<B> tmp;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const TableEntryT<B>& e = path.row_at(i, tmp);
-            kernel_node_join<B>(cx, e, probe.group(0, e.key.v[slot]), slot,
-                                detail::append_to(sink));
-          }
-        });
-  }
+  detail::seal_by_frontier(cx, path);
+  return detail::build_buckets<B>(
+      cx, path.arity(), path.size(), [&](VertexId w, FlatRowsT<B>& sink) {
+        const auto [lo, hi] = path.group_span(1, w);
+        TableEntryT<B> tmp;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const TableEntryT<B>& e = path.row_at(i, tmp);
+          kernel_node_join<B>(cx, e, probe.group(0, e.key.v[slot]), slot,
+                              detail::append_to(sink));
+        }
+      });
 }
 
 /// Where each output key slot of a merge comes from.
@@ -938,8 +772,7 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
         CCBT_SIMD
         for (std::size_t t = 0; t < mcount; ++t) {
           ok[t] = static_cast<std::uint8_t>(
-              (std::popcount(asig & mb[t].key.sig) == 2) &
-              ((ma[t] & palive) != 0));
+              two_colors(asig & mb[t].key.sig) & ((ma[t] & palive) != 0));
         }
         for (std::size_t t = 0; t < mcount; ++t) {
           if (!ok[t]) continue;
@@ -967,8 +800,8 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
   }
 }
 
-/// Packed-row variant of the B > 1 merge_bucket: both bucket ranges stay
-/// in their narrow flat rows (packed u64 key + u16/u32 counts) — the
+/// Packed-row variant of merge_bucket: both bucket ranges stay in their
+/// narrow flat rows (packed u64 key + u16/u32 counts) — the
 /// live-lane prefilter, the pair-compatibility test and the multiply-add
 /// all run on the packed payloads, with no dense expansion of either
 /// bucket. Mixed widths join through the two width template parameters;
@@ -983,7 +816,6 @@ void merge_bucket_packed(const ExecContext& cx,
                          std::span<const PackedFlatRowT<B, WP>> pu,
                          std::span<const PackedFlatRowT<B, WM>> mu,
                          const MergeSpec& spec, Sink&& emit) {
-  static_assert(B > 1, "packed rows exist only in batched executions");
   constexpr int shift = Outer == 0 ? 8 : 36;  // the inner slot's bit field
   const auto inner_of = [](std::uint64_t k) {
     return static_cast<VertexId>((k >> shift) & kPacked28NoVertex);
@@ -1035,8 +867,7 @@ void merge_bucket_packed(const ExecContext& cx,
       CCBT_SIMD
       for (std::size_t t = 0; t < mcount; ++t) {
         ok[t] = static_cast<std::uint8_t>(
-            (std::popcount(static_cast<Signature>(
-                 asig & static_cast<Signature>(mb[t].k & 0xFF))) == 2) &
+            two_colors(asig & static_cast<Signature>(mb[t].k & 0xFF)) &
             ((ma[t] & palive) != 0));
       }
       const TableKey pk = unpack_key(pa.k);
@@ -1078,22 +909,20 @@ void merge_bucket_packed(const ExecContext& cx,
 /// Join the two half-cycle tables on their shared (anchor, end) pair with
 /// the signature-compatibility test of Fig 6 Procedure 2, accumulating
 /// into `sink` (so the DB solver can sum over all anchor choices, Eq. 1).
-/// B = 1 seals the hashed halves kByV0V1 and joins anchor bucket by
-/// anchor bucket; B > 1 halves are born sorted by their end vertex, so
-/// they join end bucket by end bucket with no seal at all.
+/// The halves are born sorted by their end vertex, so they join end
+/// bucket by end bucket; their seal is a relabel.
 template <int B>
 void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
                   ProjTableT<B>& minus, const MergeSpec& spec,
                   AccumMapT<B>& sink) {
   using Vec = typename LaneOps<B>::Vec;
-  constexpr SortOrder kOrder = B == 1 ? SortOrder::kByV0V1 : SortOrder::kByV1;
-  constexpr int kOuter = group_slot(kOrder);
+  constexpr int kOuter = 1;
   const VertexId n = cx.g.num_vertices();
   // Both halves are consumed by this one merge: stay dense (kStream).
   {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    plus.seal(kOrder, n, LaneSealHint::kStream);
-    minus.seal(kOrder, n, LaneSealHint::kStream);
+    plus.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
+    minus.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
   }
   cx.note_lanes(plus.layout());
   cx.note_lanes(minus.layout());
@@ -1104,39 +933,37 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
     // halves kept their narrow flat rows, the bucket pair joins through
     // merge_bucket_packed with no dense expansion (dispatching on each
     // side's payload width); otherwise each bucket is decoded through
-    // group_expanded into a scratch (a raw subspan when dense, so B = 1
-    // and dense tables pay nothing).
+    // group_expanded into a scratch (a raw subspan when dense, so dense
+    // tables pay nothing).
     const FlatRowsT<B>* const pflat = plus.flat_storage();
     const FlatRowsT<B>* const mflat = minus.flat_storage();
     auto merge_at = [&](VertexId x, auto&& add,
                         std::vector<TableEntryT<B>>& pscratch,
                         std::vector<TableEntryT<B>>& mscratch) {
-      if constexpr (B > 1) {
-        if (pflat != nullptr && mflat != nullptr) {
-          const auto [plo, phi] = plus.group_span(kOuter, x);
-          if (plo == phi) return;
-          const auto [mlo, mhi] = minus.group_span(kOuter, x);
-          if (mlo == mhi) return;
-          const auto with_plus = [&](auto pspan) {
-            if (mflat->mode() == FlatRowsT<B>::Mode::kU16) {
-              merge_bucket_packed<B, kOuter>(
-                  cx, pspan,
-                  std::span(mflat->rows_u16()).subspan(mlo, mhi - mlo),
-                  spec, add);
-            } else {
-              merge_bucket_packed<B, kOuter>(
-                  cx, pspan,
-                  std::span(mflat->rows_u32()).subspan(mlo, mhi - mlo),
-                  spec, add);
-            }
-          };
-          if (pflat->mode() == FlatRowsT<B>::Mode::kU16) {
-            with_plus(std::span(pflat->rows_u16()).subspan(plo, phi - plo));
+      if (pflat != nullptr && mflat != nullptr) {
+        const auto [plo, phi] = plus.group_span(kOuter, x);
+        if (plo == phi) return;
+        const auto [mlo, mhi] = minus.group_span(kOuter, x);
+        if (mlo == mhi) return;
+        const auto with_plus = [&](auto pspan) {
+          if (mflat->mode() == FlatRowsT<B>::Mode::kU16) {
+            merge_bucket_packed<B, kOuter>(
+                cx, pspan,
+                std::span(mflat->rows_u16()).subspan(mlo, mhi - mlo), spec,
+                add);
           } else {
-            with_plus(std::span(pflat->rows_u32()).subspan(plo, phi - plo));
+            merge_bucket_packed<B, kOuter>(
+                cx, pspan,
+                std::span(mflat->rows_u32()).subspan(mlo, mhi - mlo), spec,
+                add);
           }
-          return;
+        };
+        if (pflat->mode() == FlatRowsT<B>::Mode::kU16) {
+          with_plus(std::span(pflat->rows_u16()).subspan(plo, phi - plo));
+        } else {
+          with_plus(std::span(pflat->rows_u32()).subspan(plo, phi - plo));
         }
+        return;
       }
       const auto pu = plus.group_expanded(kOuter, x, pscratch);
       if (pu.empty()) return;

@@ -59,6 +59,7 @@ class ColoringBatch {
 
   ColoringBatch(const Coloring& single) : n_(1) {  // NOLINT(runtime/explicit)
     lanes_[0] = &single;
+    pack();
   }
 
   explicit ColoringBatch(std::span<const Coloring> lanes) {
@@ -73,21 +74,7 @@ class ColoringBatch {
       }
       lanes_[l] = &lanes[l];
     }
-    if (n_ > 1) {
-      // Interleave the lane colors: byte l of packed_[v] is lane l's
-      // color of v, so the hot per-lane loops read ONE word per vertex
-      // instead of chasing n_ separate color arrays. Unused lane bytes
-      // hold 0xFF (never a valid color).
-      packed_.resize(lanes[0].size());
-      for (VertexId v = 0; v < lanes[0].size(); ++v) {
-        std::uint64_t word = ~std::uint64_t{0};
-        for (int l = 0; l < n_; ++l) {
-          word &= ~(std::uint64_t{0xFF} << (8 * l));
-          word |= std::uint64_t{lanes[l].color(v)} << (8 * l);
-        }
-        packed_[v] = word;
-      }
-    }
+    pack();
   }
 
   int lanes() const { return n_; }
@@ -101,22 +88,19 @@ class ColoringBatch {
 
   // Per-lane view.
   std::uint8_t color(VertexId v, int l) const {
-    return packed_.empty()
-               ? lanes_[l]->color(v)
-               : static_cast<std::uint8_t>(packed_[v] >> (8 * l));
+    return static_cast<std::uint8_t>(packed_[v] >> (8 * l));
   }
   Signature bit(VertexId v, int l) const {
     return Signature{1} << color(v, l);
   }
 
   /// All lane colors of v in one word (byte l = lane l's color; 0xFF in
-  /// unused lanes). Only valid with more than one lane.
+  /// unused lanes), at every lane count.
   std::uint64_t colors_word(VertexId v) const { return packed_[v]; }
 
   /// Lanes whose coloring gives v exactly the (single-bit) signature
   /// `want` — the per-lane half of the NodeJoin compatibility test.
   LaneMask mask_bit_eq(VertexId v, Signature want) const {
-    if (packed_.empty()) return lanes_[0]->bit(v) == want ? 1u : 0u;
     const auto c =
         static_cast<std::uint64_t>(std::countr_zero(want));
     std::uint64_t w = packed_[v];
@@ -131,9 +115,6 @@ class ColoringBatch {
   /// Lanes where {color(u), color(v)} covers exactly the bits of `want` —
   /// the per-lane half of the path-merge compatibility test.
   LaneMask mask_pair_eq(VertexId u, VertexId v, Signature want) const {
-    if (packed_.empty()) {
-      return (lanes_[0]->bit(u) | lanes_[0]->bit(v)) == want ? 1u : 0u;
-    }
     std::uint64_t wu = packed_[u];
     std::uint64_t wv = packed_[v];
     LaneMask m = 0;
@@ -148,8 +129,24 @@ class ColoringBatch {
   }
 
  private:
+  /// Interleave the lane colors: byte l of packed_[v] is lane l's color
+  /// of v, so the hot per-lane loops read ONE word per vertex instead of
+  /// chasing n_ separate color arrays. Unused lane bytes hold 0xFF (never
+  /// a valid color).
+  void pack() {
+    packed_.resize(lanes_[0]->size());
+    for (VertexId v = 0; v < lanes_[0]->size(); ++v) {
+      std::uint64_t word = ~std::uint64_t{0};
+      for (int l = 0; l < n_; ++l) {
+        word &= ~(std::uint64_t{0xFF} << (8 * l));
+        word |= std::uint64_t{lanes_[l]->color(v)} << (8 * l);
+      }
+      packed_[v] = word;
+    }
+  }
+
   std::array<const Coloring*, kMaxBatchLanes> lanes_{};
-  std::vector<std::uint64_t> packed_;  // built when n_ > 1
+  std::vector<std::uint64_t> packed_;
   int n_ = 0;
 };
 

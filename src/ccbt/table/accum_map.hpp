@@ -85,18 +85,6 @@ class AccumMapT {
   }
   bool empty() const { return size() == 0; }
 
-  /// Bytes the accumulated rows occupy in the current layout (the
-  /// accumulate-stage emit-traffic telemetry B > 1 sinks report via
-  /// FlatRowsT::byte_size — this is the B = 1 / hash-sink analogue).
-  std::uint64_t byte_size() const {
-    if constexpr (B == 1) {
-      if (packed_mode_) return packed_.size() * sizeof(PackedEntry);
-    } else {
-      if (narrow_mode_) return narrow_.size() * sizeof(NarrowEntry);
-    }
-    return entries_.size() * sizeof(Entry);
-  }
-
   /// Whether the map currently holds packed 16-byte rows (B = 1).
   bool packed() const { return packed_mode_; }
 

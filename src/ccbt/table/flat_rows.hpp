@@ -1,12 +1,12 @@
 #pragma once
-// Narrow flat rows — the batched (B > 1) path tables' storage.
+// Narrow flat rows — the path tables' storage at every batch width.
 //
-// A dense TableEntryT<B> is 88 bytes at B = 8; a narrow flat row is the
-// packed 64-bit key (table_key.hpp: v0:28 | v1:28 | sig:8) plus all B
-// lane counts at the narrowest width that holds them:
+// A dense TableEntryT<B> is 88 bytes at B = 8 and 32 at B = 1; a narrow
+// flat row is the packed 64-bit key (table_key.hpp: v0:28 | v1:28 |
+// sig:8) plus all B lane counts at the narrowest width that holds them:
 //
-//   u16: 8 + 2B bytes   (24 at B = 8)
-//   u32: 8 + 4B bytes   (40 at B = 8)
+//   u16: 8 + 2B bytes   (24 at B = 8; 16 with padding at B = 1)
+//   u32: 8 + 4B bytes   (40 at B = 8; 16 at B = 1)
 //
 // The width escalates for the whole buffer the first time a count
 // outgrows it (u16 -> u32), and the buffer migrates to dense wide rows on
@@ -21,7 +21,7 @@
 // scratch FlatRowsT, sorted and deduplicated locally with exact u64 run
 // sums (drain_bucket_into), and appended to a SortedBucketsT together
 // with their bucket offset. The result is already sealed kByV1 — there is
-// no global sort anywhere on the B > 1 path.
+// no global sort anywhere on the path-table build.
 
 #include <algorithm>
 #include <array>
@@ -36,7 +36,7 @@
 
 namespace ccbt {
 
-/// Accumulation-stage telemetry, one phase per B > 1 primitive
+/// Accumulation-stage telemetry, one phase per path primitive
 /// (ExecStats::accum): the rows the per-bucket sorts consumed and the
 /// bytes they occupied. The sharded, sparse and fold counters described
 /// emission mechanisms this engine no longer has and always read 0;

@@ -73,8 +73,8 @@ inline constexpr PayloadWidth choose_payload_width(Count max_count) {
 }
 
 /// What one density scan of a table's rows observed, plus the layout the
-/// chooser picked from it. `rows == 0` means "never scanned" (unsorted or
-/// B = 1 tables).
+/// chooser picked from it. `rows == 0` means "never scanned" (unsorted
+/// tables, dense B = 1 tables).
 struct LaneLayoutInfo {
   std::uint64_t rows = 0;
   std::uint64_t lane_slots = 0;      // rows * B

@@ -239,6 +239,8 @@ struct LaneSimdT {
 
 /// B = 1 stays on the scalar ops verbatim.
 template <>
-struct LaneSimdT<1> : LaneOps<1> {};
+struct LaneSimdT<1> : LaneOps<1> {
+  static LaneMask nonzero_mask(Count v) { return v != 0 ? 1u : 0u; }
+};
 
 }  // namespace ccbt

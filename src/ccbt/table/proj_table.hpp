@@ -3,12 +3,21 @@
 // subquery, keyed by the images of its boundary nodes (plus tracked
 // vertices during DB path construction) and the color signature.
 //
-// Lifecycle: entries are accumulated through an AccumMap during a join,
-// then sealed into a sorted dense vector. Sealing with a known key domain
-// (the data graph's vertex count) additionally builds a CSR-style bucket
-// index over the grouping slot, so group(slot, v) is a single offset
-// lookup instead of two binary searches. See README.md in this directory
-// for the memory layout, the lane dimension, and the threading model.
+// Lifecycle: the engine's path primitives build their tables born sorted
+// (from_buckets, flat_rows.hpp) at every batch width: already sealed kByV1
+// with a bucket index over the frontier slot, rows kept as (packed u64
+// key, narrow count vector) and read through the layout-independent
+// accessors below. Keys that do not pack and u64-range counts make the
+// rows dense; that fallback is automatic and changes no observable
+// counts. Hashed sinks (merge sinks, aggregate, the distributed engine)
+// adopt their rows from an AccumMap (from_map) or a transport inbox
+// (from_flat) and are sealed into a sorted dense vector. Sealing with a
+// known key domain (the data graph's vertex count) builds a CSR-style
+// bucket index over the grouping slot, so group(slot, v) is a single
+// offset lookup instead of two binary searches. Sealing a table in
+// another order than it holds re-sorts it in the dense layout. See
+// README.md in this directory for the memory layout, the lane dimension,
+// and the threading model.
 //
 // The table is parameterized on the batch width B: entry counts are
 // per-lane vectors (see table_key.hpp). Sorting, grouping and the bucket
@@ -23,16 +32,8 @@
 // (lane_payload.hpp). Readers either take the dense span fast path
 // (entries()/group(), valid while the table is dense) or go through the
 // layout-independent accessors (row_at, for_each_entry, group_expanded),
-// which expand compressed rows on the fly. B = 1 never re-packs: the
-// scalar table keeps the pre-batching layout bit for bit.
-//
-// The batched path primitives build their tables born sorted
-// (from_buckets, flat_rows.hpp): already sealed kByV1 with a bucket index
-// over the frontier slot, rows kept as (packed u64 key, narrow count
-// vector) and read through the same layout-independent accessors. Keys
-// that do not pack and u64-range counts make the rows dense; that
-// fallback is automatic and changes no observable counts. Sealing such a
-// table in another order re-sorts it in the dense layout.
+// which expand compressed or narrow rows on the fly. A dense B = 1 table
+// never re-packs.
 
 #include <algorithm>
 #include <cstdint>
@@ -182,9 +183,8 @@ class ProjTableT {
   }
   bool empty() const { return size() == 0; }
 
-  /// Dense row span — the fast path every B = 1 consumer uses. Throws
-  /// when the rows live in a compressed layout (use the
-  /// layout-independent accessors below).
+  /// Dense row span. Throws when the rows live in a compressed or narrow
+  /// layout (use the layout-independent accessors below).
   std::span<const Entry> entries() const {
     if (lane_compressed_) {
       throw Error("ProjTable::entries(): table is lane-compressed");
@@ -210,8 +210,9 @@ class ProjTableT {
     return packed_flat_ ? &pflat_ : nullptr;
   }
 
-  /// What the last sorting seal's density scan observed (rows == 0 when
-  /// never scanned; B = 1 tables are never scanned).
+  /// What the last sorting seal's density scan, or the bucket build of a
+  /// born-sorted table, observed (rows == 0 when never scanned: a dense
+  /// B = 1 table is never scanned).
   const LaneLayoutInfo& layout() const { return layout_; }
 
   TableKey key_at(std::size_t i) const {
@@ -300,7 +301,7 @@ class ProjTableT {
 
   // ---------------------------------------------------------------------
 
-  /// Total lane-0 count over all entries (used at the root for B = 1).
+  /// Total lane-0 count over all entries (the root's count at B = 1).
   Count total() const {
     Count sum = 0;
     for_each_entry([&](const Entry& e) { sum += LaneOps<B>::lane(e.cnt, 0); });
@@ -581,7 +582,7 @@ class ProjTableT {
   LanePayloadT<B> payload_;
   LaneLayoutInfo layout_;
 
-  // Narrow flat layout (B > 1 born-sorted tables): packed-key rows with
+  // Narrow flat layout (born-sorted tables): packed-key rows with
   // width-adapted count vectors.
   bool packed_flat_ = false;
   FlatRowsT<B> pflat_;

@@ -1,14 +1,14 @@
-// Born-sorted B > 1 path tables (table/flat_rows.hpp, engine/
-// primitives.hpp): every frontier bucket a table is built from must hold
-// exactly the rows that land on its vertex, sorted in kByV1 order with
-// equal keys summed in 64 bits. The reference here shares no code with
-// the bucket builder — a std::sort and a run-sum over the raw rows:
+// Born-sorted path tables (table/flat_rows.hpp, engine/primitives.hpp),
+// at B = 1 and at B > 1: every frontier bucket a table is built from must
+// hold exactly the rows that land on its vertex, sorted in kByV1 order
+// with equal keys summed in 64 bits. The reference here shares no code
+// with the bucket builder — a std::sort and a run-sum over the raw rows:
 //   * SortedBucketsT fed random rows per bucket, through u16 -> u32 ->
 //     wide escalation inside one bucket, wide keys, empty buckets, dense
 //     (lane compression off) scratch, and split vertex ranges;
-//   * each B > 1 path primitive against the rows and load-model charges
-//     of its per-entry push kernel, with anchor_higher on and off, a
-//     tracked slot, more than eight colors and lane compression off;
+//   * each path primitive against the rows and load-model charges of its
+//     per-entry push kernel, with anchor_higher on and off, a tracked
+//     slot, more than eight colors and lane compression off;
 //   * sealed tables and load totals at one and at four OpenMP threads.
 
 #include <gtest/gtest.h>
@@ -194,6 +194,7 @@ void run_bucket_suite() {
   }
 }
 
+TEST(BornSorted, BucketsMatchSortReferenceB1) { run_bucket_suite<1>(); }
 TEST(BornSorted, BucketsMatchSortReferenceB2) { run_bucket_suite<2>(); }
 TEST(BornSorted, BucketsMatchSortReferenceB4) { run_bucket_suite<4>(); }
 TEST(BornSorted, BucketsMatchSortReferenceB8) { run_bucket_suite<8>(); }
@@ -221,38 +222,56 @@ RawRows<B> repeated_row(VertexId v1, Count count, int reps) {
   return RawRows<B>(static_cast<std::size_t>(reps), {k, c});
 }
 
-TEST(BornSorted, RunSumEscalatesU16ToU32InsideOneBucket) {
+template <int B>
+void expect_u16_to_u32_inside_one_bucket() {
   // Every row fits u16; the sum of bucket 2's run does not.
-  std::vector<RawRows<4>> buckets(4);
-  buckets[1] = repeated_row<4>(1, 7, 3);
-  buckets[2] = repeated_row<4>(2, 0xF000, 40);
-  buckets[3] = repeated_row<4>(3, 1, 2);
-  const ProjTableT<4> t = expect_buckets_match<4>(buckets);
+  std::vector<RawRows<B>> buckets(4);
+  buckets[1] = repeated_row<B>(1, 7, 3);
+  buckets[2] = repeated_row<B>(2, 0xF000, 40);
+  buckets[3] = repeated_row<B>(3, 1, 2);
+  const ProjTableT<B> t = expect_buckets_match<B>(buckets);
   ASSERT_NE(t.flat_storage(), nullptr);
-  EXPECT_EQ(t.flat_storage()->mode(), FlatRowsT<4>::Mode::kU32);
+  EXPECT_EQ(t.flat_storage()->mode(), FlatRowsT<B>::Mode::kU32);
   EXPECT_EQ(t.layout().max_count, Count{0xF000} * 40);
 }
 
-TEST(BornSorted, RunSumEscalatesU32ToWideInsideOneBucket) {
+template <int B>
+void expect_u32_to_wide_inside_one_bucket() {
   // Every row fits u32; the sum of bucket 1's run does not.
-  std::vector<RawRows<8>> buckets(3);
-  buckets[0] = repeated_row<8>(0, 2, 2);
-  buckets[1] = repeated_row<8>(1, 0xF0000000ull, 20);
-  buckets[2] = repeated_row<8>(2, 0xFFFF, 3);
-  const ProjTableT<8> t = expect_buckets_match<8>(buckets);
+  std::vector<RawRows<B>> buckets(3);
+  buckets[0] = repeated_row<B>(0, 2, 2);
+  buckets[1] = repeated_row<B>(1, 0xF0000000ull, 20);
+  buckets[2] = repeated_row<B>(2, 0xFFFF, 3);
+  const ProjTableT<B> t = expect_buckets_match<B>(buckets);
   EXPECT_FALSE(t.packed_flat());
   EXPECT_EQ(t.size(), 3u);
 }
 
-TEST(BornSorted, TrackedSlotGivesWideKeys) {
+TEST(BornSorted, RunSumEscalatesU16ToU32InsideOneBucket) {
+  expect_u16_to_u32_inside_one_bucket<1>();
+  expect_u16_to_u32_inside_one_bucket<4>();
+}
+
+TEST(BornSorted, RunSumEscalatesU32ToWideInsideOneBucket) {
+  expect_u32_to_wide_inside_one_bucket<1>();
+  expect_u32_to_wide_inside_one_bucket<8>();
+}
+
+template <int B>
+void expect_tracked_slot_gives_wide_keys() {
   // A tracked slot >= 2 does not pack: the rows go dense and each bucket
   // orders by (v0, v2, v3, sig).
   BucketSpec s;
   s.tracked = true;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const ProjTableT<8> t = expect_buckets_match<8>(draw_buckets<8>(s, seed));
+    const ProjTableT<B> t = expect_buckets_match<B>(draw_buckets<B>(s, seed));
     EXPECT_FALSE(t.packed_flat());
   }
+}
+
+TEST(BornSorted, TrackedSlotGivesWideKeys) {
+  expect_tracked_slot_gives_wide_keys<1>();
+  expect_tracked_slot_gives_wide_keys<8>();
 }
 
 TEST(BornSorted, AllBucketsEmpty) {
@@ -327,8 +346,8 @@ void expect_primitive_matches(const Fixture<B>& f, const ProjTableT<B>& got,
   EXPECT_EQ(f.load.total_comm() - comm0, want.comm);
 }
 
-/// Every B > 1 path primitive, chained the way build_path chains them,
-/// each checked against its push kernel.
+/// Every path primitive, chained the way build_path chains them, each
+/// checked against its push kernel.
 template <int B>
 void run_primitive_suite(const ExtendOpts& o, int colors, bool compress,
                          std::uint64_t seed) {
@@ -454,6 +473,7 @@ void run_primitive_axes() {
   run_primitive_suite<B>(ExtendOpts{-1, true}, 5, false, ++seed);
 }
 
+TEST(BornSorted, PrimitivesMatchPushKernelsB1) { run_primitive_axes<1>(); }
 TEST(BornSorted, PrimitivesMatchPushKernelsB2) { run_primitive_axes<2>(); }
 TEST(BornSorted, PrimitivesMatchPushKernelsB4) { run_primitive_axes<4>(); }
 TEST(BornSorted, PrimitivesMatchPushKernelsB8) { run_primitive_axes<8>(); }
@@ -467,28 +487,30 @@ struct ThreadsGuard {
   ~ThreadsGuard() { omp_set_num_threads(saved); }
 };
 
-TEST(BornSorted, TablesAndLoadIdenticalAtOneAndFourThreads) {
+template <int B>
+void expect_same_at_one_and_four_threads() {
   ThreadsGuard guard;
+  SCOPED_TRACE("B=" + std::to_string(B));
   // Large enough that every phase splits its vertex range across threads.
   struct Run {
-    RefRows<8> table;
+    RefRows<B> table;
     std::vector<std::uint64_t> ops;
     std::uint64_t comm = 0;
   };
   auto run = [](int threads) {
     omp_set_num_threads(threads);
-    Fixture<8> f(3000, 15000, 5, 91);
+    Fixture<B> f(3000, 15000, 5, 91);
     const ExtendOpts o{-1, true};
-    ProjTableT<8> path = init_path_from_graph<8>(f.cx, o);
-    path = extend_with_graph<8>(f.cx, path, o);
-    path = extend_with_graph<8>(f.cx, path, o);
-    return Run{table_rows<8>(path, f.g.num_vertices()), f.load.rank_ops(),
+    ProjTableT<B> path = init_path_from_graph<B>(f.cx, o);
+    path = extend_with_graph<B>(f.cx, path, o);
+    path = extend_with_graph<B>(f.cx, path, o);
+    return Run{table_rows<B>(path, f.g.num_vertices()), f.load.rank_ops(),
                f.load.total_comm()};
   };
   const Run one = run(1);
   const Run four = run(4);
   ASSERT_GT(one.table.size(), 4096u);
-  expect_rows_eq<8>(four.table, one.table);
+  expect_rows_eq<B>(four.table, one.table);
   EXPECT_EQ(four.ops, one.ops);
   EXPECT_EQ(four.comm, one.comm);
 
@@ -498,8 +520,8 @@ TEST(BornSorted, TablesAndLoadIdenticalAtOneAndFourThreads) {
   ExecOptions opts;
   opts.sim_ranks = 8;
   const CountingSession session(g, q, make_plan(q), opts);
-  std::vector<std::uint64_t> seeds(8);
-  for (int l = 0; l < 8; ++l) seeds[l] = 500 + l;
+  std::vector<std::uint64_t> seeds(B);
+  for (int l = 0; l < B; ++l) seeds[l] = 500 + l;
   omp_set_num_threads(1);
   const ExecStats s1 = session.count_colorful_seeded(seeds);
   omp_set_num_threads(4);
@@ -509,6 +531,11 @@ TEST(BornSorted, TablesAndLoadIdenticalAtOneAndFourThreads) {
   EXPECT_EQ(s4.max_rank_ops, s1.max_rank_ops);
   EXPECT_EQ(s4.total_comm, s1.total_comm);
   EXPECT_EQ(s4.sim_time, s1.sim_time);
+}
+
+TEST(BornSorted, TablesAndLoadIdenticalAtOneAndFourThreads) {
+  expect_same_at_one_and_four_threads<1>();
+  expect_same_at_one_and_four_threads<8>();
 }
 #endif
 

@@ -1,10 +1,11 @@
 // Differential fuzz across the whole engine matrix: random (graph,
 // query, batch width, layout options, fault schedule) configs run through
-// the shared-memory engine batched and lane-by-lane, and through the
-// distributed engine — every route must report identical per-lane
-// colorful counts. A divergence localizes to whichever leg disagrees with
-// the B = 1 shared baseline, which exercises none of the batched layouts,
-// born-sorted bucket builds, packed merges or transport code.
+// the shared-memory engine batched and lane by lane, and through the
+// distributed engine — every route must report each lane's colorful
+// count. The baseline is count_colorful_exact (core/exact.cpp), a
+// backtracking enumerator that shares no code with either engine: no
+// plan, decomposition, signature join or table. A divergence localizes
+// to whichever route disagrees with it.
 //
 // The sweep is seeded: CCBT_DIFF_SEED offsets the whole configuration
 // stream and CCBT_DIFF_ITERS scales the number of configs, so CI can run
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "ccbt/core/color_coding.hpp"
+#include "ccbt/core/exact.hpp"
 #include "ccbt/dist/dist_engine.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
@@ -109,16 +111,19 @@ TEST(DifferentialEngines, RandomConfigsAgreeAcrossEnginesAndWidths) {
     }
     const ColoringBatch batch{std::span<const Coloring>(lanes)};
 
-    // Baseline: each lane alone through the scalar shared engine with
-    // default options (no batched layout or packed-merge code runs).
-    CountingSession baseline(g, q, plan, ExecOptions{});
+    // Baseline: each lane's colorful matches, enumerated exactly.
     std::vector<Count> expect;
     for (int l = 0; l < c.width; ++l) {
-      expect.push_back(baseline.count_colorful(lanes[l]).colorful);
+      expect.push_back(count_colorful_exact(g, q, lanes[l]));
     }
 
-    // Batched shared-memory engine under the drawn options.
+    // Shared-memory engine under the drawn options: each lane alone at
+    // B = 1, then all lanes batched.
     CountingSession session(g, q, plan, c.opts);
+    for (int l = 0; l < c.width; ++l) {
+      EXPECT_EQ(session.count_colorful(lanes[l]).colorful, expect[l])
+          << "B=1 lane " << l;
+    }
     const ExecStats shared = session.count_colorful(batch);
     for (int l = 0; l < c.width; ++l) {
       EXPECT_EQ(shared.colorful_lane[l], expect[l]) << "shared lane " << l;

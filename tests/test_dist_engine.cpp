@@ -154,13 +154,14 @@ TEST(DistEngine, ParityOnRmat) {
   expect_parity(g, named_query("youtube"), Algo::kDB, 16, 32);
 }
 
-/// B = 8: the shared engine's born-sorted tables and the distributed
-/// engine's sealed shards must report the same per-lane counts and charge
-/// the same load, rank for rank.
+/// `width` lanes: the shared engine's born-sorted tables and the
+/// distributed engine's shards must report the same per-lane counts and
+/// charge the same load, rank for rank.
 void expect_batched_parity(const CsrGraph& g, const QueryGraph& q,
-                           std::uint32_t ranks, std::uint64_t color_seed) {
+                           std::uint32_t ranks, std::uint64_t color_seed,
+                           int width) {
   std::vector<Coloring> lanes;
-  for (int l = 0; l < 8; ++l) {
+  for (int l = 0; l < width; ++l) {
     lanes.emplace_back(g.num_vertices(), q.num_nodes(), color_seed + l);
   }
   const ColoringBatch batch{std::span<const Coloring>(lanes)};
@@ -172,7 +173,8 @@ void expect_batched_parity(const CsrGraph& g, const QueryGraph& q,
   opts.sim_ranks = 0;
   const DistStats dist =
       run_plan_distributed(g, make_plan(q).tree, batch, ranks, opts);
-  const std::string label = q.name() + " R=" + std::to_string(ranks);
+  const std::string label = q.name() + " R=" + std::to_string(ranks) +
+                            " B=" + std::to_string(width);
   EXPECT_EQ(dist.colorful_lane, shared.colorful_lane) << label;
   EXPECT_EQ(dist.total_ops, shared.total_ops) << label;
   EXPECT_EQ(dist.max_rank_ops, shared.max_rank_ops) << label;
@@ -189,8 +191,10 @@ TEST(DistEngine, BatchedLoadParityOnPendantAndCycleQueries) {
   for (const char* name : {"dros", "ecoli2", "brain1", "wiki"}) {
     const QueryGraph q = named_query(name);
     for (const std::uint32_t ranks : {2u, 4u, 7u}) {
-      expect_batched_parity(er, q, ranks, 900);
-      expect_batched_parity(cl, q, ranks, 910);
+      for (const int width : {1, 8}) {
+        expect_batched_parity(er, q, ranks, 900, width);
+        expect_batched_parity(cl, q, ranks, 910, width);
+      }
     }
   }
 }

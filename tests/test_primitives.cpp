@@ -32,11 +32,11 @@ TEST_F(PrimitivesTest, InitFromGraphEnumeratesOrderedEdges) {
   // 3 undirected edges -> 6 ordered pairs, all distinctly colored.
   EXPECT_EQ(t.size(), 6u);
   EXPECT_EQ(t.total(), 6u);
-  for (const TableEntry& e : t.entries()) {
+  t.for_each_entry([&](const TableEntry& e) {
     EXPECT_TRUE(g_.has_edge(e.key.v[0], e.key.v[1]));
     EXPECT_EQ(signature_size(e.key.sig), 2);
     EXPECT_EQ(e.cnt, 1u);
-  }
+  });
 }
 
 TEST_F(PrimitivesTest, InitFromGraphAnchorFilterHalves) {
@@ -45,9 +45,9 @@ TEST_F(PrimitivesTest, InitFromGraphAnchorFilterHalves) {
   const ProjTable t = init_path_from_graph(cx_, o);
   // Exactly one orientation per edge survives u ≻ w.
   EXPECT_EQ(t.size(), 3u);
-  for (const TableEntry& e : t.entries()) {
+  t.for_each_entry([&](const TableEntry& e) {
     EXPECT_TRUE(order_.higher(e.key.v[0], e.key.v[1]));
-  }
+  });
 }
 
 TEST_F(PrimitivesTest, ExtendWithGraphWalksPaths) {
@@ -68,9 +68,9 @@ TEST_F(PrimitivesTest, ExtendTracksFrontierIntoSlot) {
   ExtendOpts o;
   o.track_slot = 2;
   const ProjTable t = extend_with_graph(cx_, edges, o);
-  for (const TableEntry& e : t.entries()) {
+  t.for_each_entry([&](const TableEntry& e) {
     EXPECT_EQ(e.key.v[2], e.key.v[1]);  // tracked slot mirrors frontier
-  }
+  });
 }
 
 TEST_F(PrimitivesTest, NodeJoinMultipliesCompatibleCounts) {
@@ -93,12 +93,12 @@ TEST_F(PrimitivesTest, NodeJoinMultipliesCompatibleCounts) {
   // entries with a compatible child row, since the child constrains the
   // subquery. Entries at other vertices vanish.
   Count total = 0;
-  for (const TableEntry& e : joined.entries()) {
+  joined.for_each_entry([&](const TableEntry& e) {
     EXPECT_EQ(e.key.v[1], 1u);
     EXPECT_EQ(e.cnt, 5u);
     EXPECT_TRUE(signature_contains(e.key.sig, 3));
     total += e.cnt;
-  }
+  });
   EXPECT_EQ(total, 10u);
 }
 
@@ -114,7 +114,8 @@ TEST_F(PrimitivesTest, NodeJoinRejectsOverlappingColors) {
   const ProjTable joined = node_join(cx_, edges, child, 1);
   // Only (2,1) qualifies: sig {2,1} ∩ {0,1} == {1}. (0,1) overlaps on 0.
   ASSERT_EQ(joined.size(), 1u);
-  EXPECT_EQ(joined.entries()[0].key.v[0], 2u);
+  TableEntry tmp;
+  EXPECT_EQ(joined.row_at(0, tmp).key.v[0], 2u);
 }
 
 TEST_F(PrimitivesTest, ExtendWithChildJoinsOnFrontier) {
@@ -134,10 +135,10 @@ TEST_F(PrimitivesTest, ExtendWithChildJoinsOnFrontier) {
   // Path entries ending at 1: (0,1) sig{0,1} -> extend to 3, sig{0,1,3},
   // cnt 4; (2,1) sig{2,1} -> extend to 3, cnt 4.
   EXPECT_EQ(out.total(), 8u);
-  for (const TableEntry& e : out.entries()) {
+  out.for_each_entry([&](const TableEntry& e) {
     EXPECT_EQ(e.key.v[1], 3u);
     EXPECT_EQ(signature_size(e.key.sig), 3);
-  }
+  });
 }
 
 TEST_F(PrimitivesTest, MergeHalvesRequiresEndpointOnlyOverlap) {
@@ -227,15 +228,15 @@ TEST(PrimitivesStarTest, AnchorFilterPrunesHubExtensions) {
   ExtendOpts o;
   o.anchor_higher = true;
   const ProjTable t = init_path_from_graph(cx, o);
-  for (const TableEntry& e : t.entries()) {
+  t.for_each_entry([&](const TableEntry& e) {
     EXPECT_EQ(e.key.v[0], 0u);  // all anchored at the hub
-  }
+  });
   // Extending from a leaf only reaches the hub, which is never ≻-lower:
   // second extension dies out entirely (no 2-paths anchored above both).
   const ProjTable t2 = extend_with_graph(cx, t, o);
-  for (const TableEntry& e : t2.entries()) {
+  t2.for_each_entry([&](const TableEntry& e) {
     EXPECT_EQ(e.key.v[0], 0u);
-  }
+  });
 }
 
 }  // namespace
