@@ -337,6 +337,18 @@ int main() {
   }
   wt.print(std::cout);
 
+  // Distributed B = 8 seal share: seal wall over the summed stage wall of
+  // the B = 8 wire cells. Path shards are built born sorted, so only the
+  // stored tables' seals are left in it.
+  StageWall dist_b8;
+  for (const WireCell& c : wire) {
+    if (c.width == 8) dist_b8.add(c.stage);
+  }
+  const double dist_seal_share_b8 =
+      dist_b8.total() > 0.0 ? dist_b8.seal / dist_b8.total() : 0.0;
+  std::printf("distributed B=8 seal share of stage wall: %.3f\n",
+              dist_seal_share_b8);
+
   double gm_wire8 = 0.0;
   double gm_steps8 = 0.0;
   for (const int width : widths) {
@@ -391,6 +403,7 @@ int main() {
                "  \"geomean_steps_ratio_b8\": %.3f,\n"
                "  \"seal_wall_b8_over_b1\": %.3f,\n"
                "  \"accumulate_wall_b8_over_b1\": %.3f,\n"
+               "  \"dist_seal_share_b8\": %.4f,\n"
                "  \"emit_bytes_per_trial_b8_over_b1\": %.3f,\n"
                "  \"wire_b8_beats_b1\": %s,\n"
                "  \"lanes_match\": %s,\n"
@@ -404,7 +417,7 @@ int main() {
                stage_b1.accumulate > 0.0
                    ? stage_b8.accumulate / stage_b1.accumulate
                    : 0.0,
-               emit_ratio,
+               dist_seal_share_b8, emit_ratio,
                gm_wire8 > 1.0 ? "true" : "false",
                all_match ? "true" : "false", stage_b1.accumulate,
                stage_b1.seal, stage_b1.merge, stage_b1.transport,

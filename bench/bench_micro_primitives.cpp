@@ -119,7 +119,7 @@ SealNumbers measure_seal() {
   for (int r = 0; r < reps; ++r) {
     ProjTable a = pristine;
     Timer ta;
-    a.seal(SortOrder::kByV0V1, kDomain);
+    a.seal(SortOrder::kByV0, kDomain);
     bucket_s += ta.seconds();
     benchmark::DoNotOptimize(a.entries().data());
 
@@ -339,7 +339,7 @@ void BM_TableSeal(benchmark::State& state) {
     state.PauseTiming();
     ProjTable t = pristine;
     state.ResumeTiming();
-    t.seal(SortOrder::kByV0V1, kDomain);
+    t.seal(SortOrder::kByV0, kDomain);
     benchmark::DoNotOptimize(t.entries().data());
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -20,9 +20,13 @@ namespace ccbt {
 namespace {
 
 // The per-entry join logic lives in the kernels of engine/primitives.hpp,
-// shared verbatim with the shared-memory engine — that sharing is what
-// guarantees exact load-model parity at every batch width. This file only
-// routes kernel emissions through the transport.
+// shared verbatim with the shared-memory engine, and every path shard is
+// built born sorted the way the shared engine builds its path tables
+// (DistTableT::collect_by_frontier): shard r holds exactly the shared
+// table's frontier buckets of rank r's vertices. The same rows through
+// the same kernels is what guarantees exact load-model parity at every
+// batch width. This file only routes kernel emissions through the
+// transport.
 
 /// Distributed execution state threaded through every primitive: the
 /// shared-memory ExecContext (whose LoadModel the primitives charge
@@ -32,7 +36,6 @@ struct Dx {
   const ExecContext& cx;
   VirtualCommT<B>& comm;
   std::size_t budget;
-  VertexId domain;  // data-graph vertex count (bucket-index domain)
   FaultPlan* faults = nullptr;  // nullptr = no injection
 
   const BlockPartition& part() const { return cx.part; }
@@ -60,15 +63,24 @@ void maybe_alloc_fail(Dx<B>& dx, const char* where) {
   }
 }
 
-/// Deliver the queued emissions and collect them into a path table:
-/// entry (.., v, ..) lives with owner(v) (home slot 1, Section 7).
+/// Deliver the queued emissions and close the phase on a born-sorted path
+/// table: entry (.., v, ..) lives with owner(v) (home slot 1, Section 7),
+/// and each rank builds its shard bucket by bucket like the shared
+/// engine's build_buckets — timed and counted as accumulation.
 template <int B>
 DistTableT<B> collect_path(Dx<B>& dx, int arity) {
-  ScopedStage timed(dx.cx.stage_slot(&StageWall::transport));
-  dx.comm.exchange();
+  const ExecContext& cx = dx.cx;
+  {
+    ScopedStage timed(cx.stage_slot(&StageWall::transport));
+    dx.comm.exchange();
+  }
   maybe_alloc_fail(dx, "collect_path");
-  return DistTableT<B>::collect(arity, /*home_slot=*/1, dx.comm,
-                                SortOrder::kUnsorted, dx.budget, dx.domain);
+  ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
+  DistTableT<B> t = DistTableT<B>::collect_by_frontier(
+      arity, dx.comm, dx.part(), dx.budget, !cx.opts.lane_compress,
+      cx.accum);
+  cx.end_phase();
+  return t;
 }
 
 template <int B>
@@ -83,9 +95,7 @@ DistTableT<B> d_init_path_from_graph(Dx<B>& dx, const ExtendOpts& o) {
       }
     }
   }
-  DistTableT<B> t = collect_path(dx, 2);
-  cx.end_phase();
-  return t;
+  return collect_path(dx, 2);
 }
 
 template <int B>
@@ -103,23 +113,13 @@ DistTableT<B> d_init_path_from_child(Dx<B>& dx, const DistTableT<B>& child,
       });
     }
   }
-  DistTableT<B> t = collect_path(dx, 2);
-  cx.end_phase();
-  return t;
+  return collect_path(dx, 2);
 }
 
 template <int B>
-DistTableT<B> d_extend_with_graph(Dx<B>& dx, DistTableT<B>& path,
+DistTableT<B> d_extend_with_graph(Dx<B>& dx, const DistTableT<B>& path,
                                   const ExtendOpts& o) {
   const ExecContext& cx = dx.cx;
-  // The shared engine's batched extension seals (and thereby merges) the
-  // path before iterating; sealing the shards keeps the iterated row
-  // multiset — and hence every load-model charge — in exact parity. The
-  // sealed shards are consumed once right below: stay dense (kStream).
-  if constexpr (B > 1) {
-    ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal_shards(SortOrder::kByV1, dx.domain, LaneSealHint::kStream);
-  }
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
@@ -130,20 +130,14 @@ DistTableT<B> d_extend_with_graph(Dx<B>& dx, DistTableT<B>& path,
       });
     }
   }
-  DistTableT<B> t = collect_path(dx, path.arity());
-  cx.end_phase();
-  return t;
+  return collect_path(dx, path.arity());
 }
 
 template <int B>
-DistTableT<B> d_extend_with_child(Dx<B>& dx, DistTableT<B>& path,
+DistTableT<B> d_extend_with_child(Dx<B>& dx, const DistTableT<B>& path,
                                   const DistTableT<B>& child,
                                   const ExtendOpts& o) {
   const ExecContext& cx = dx.cx;
-  if constexpr (B > 1) {
-    ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal_shards(SortOrder::kByV1, dx.domain, LaneSealHint::kStream);
-  }
   // Path entries with frontier v and child entries (v, w, ..) are
   // co-located at owner(v): the EdgeJoin probe is rank-local. The child
   // shard may be lane-compressed (stored tables): it is probed once per
@@ -160,22 +154,13 @@ DistTableT<B> d_extend_with_child(Dx<B>& dx, DistTableT<B>& path,
       });
     }
   }
-  DistTableT<B> t = collect_path(dx, path.arity());
-  cx.end_phase();
-  return t;
+  return collect_path(dx, path.arity());
 }
 
 template <int B>
-DistTableT<B> d_node_join(Dx<B>& dx, DistTableT<B>& path,
+DistTableT<B> d_node_join(Dx<B>& dx, const DistTableT<B>& path,
                           const DistTableT<B>& child, int slot) {
   const ExecContext& cx = dx.cx;
-  // The shared engine's batched node join walks a born-sorted, hence
-  // deduplicated, path; sealing the shards keeps the iterated row
-  // multiset — and every load-model charge — in exact parity.
-  if constexpr (B > 1) {
-    ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal_shards(SortOrder::kByV1, dx.domain, LaneSealHint::kStream);
-  }
   // The unary child lives with owner(x) (home slot 0). Probing by the
   // anchor slot needs the path rehomed there first — a transport-only
   // superstep a real implementation pays, invisible to the load model.
@@ -184,7 +169,7 @@ DistTableT<B> d_node_join(Dx<B>& dx, DistTableT<B>& path,
   if (slot == 0 && dx.ranks() > 1) {
     ScopedStage timed(cx.stage_slot(&StageWall::transport));
     rehomed = path.resharded(0, dx.comm, dx.part(), SortOrder::kUnsorted,
-                             dx.budget, dx.domain);
+                             dx.budget);
     src = &rehomed;
   }
   {
@@ -198,60 +183,36 @@ DistTableT<B> d_node_join(Dx<B>& dx, DistTableT<B>& path,
       });
     }
   }
-  DistTableT<B> t = collect_path(dx, path.arity());
-  cx.end_phase();
-  return t;
+  return collect_path(dx, path.arity());
 }
 
-/// Merge the co-located (u, v) groups of the two half-cycle tables with
-/// the same merge_bucket kernel as the shared engine, routing every
-/// output to the owner of its slot-0 boundary image (the storage home of
-/// block tables); outputs of a root merge (out_arity 0) collapse to rank
-/// 0. Accumulates into the per-rank cycle sinks.
+/// Merge the co-located (u, v) groups of the two half-cycle tables end
+/// bucket by end bucket, through the same bucket router as the shared
+/// engine's merge_halves (both halves are born sorted kByV1, so rank r
+/// holds every group whose end v it owns), routing every output to the
+/// owner of its slot-0 boundary image (the storage home of block tables);
+/// outputs of a root merge (out_arity 0) collapse to rank 0. Accumulates
+/// into the per-rank cycle sinks.
 template <int B>
-void d_merge_halves(Dx<B>& dx, DistTableT<B>& plus, DistTableT<B>& minus,
-                    const MergeSpec& spec,
+void d_merge_halves(Dx<B>& dx, const DistTableT<B>& plus,
+                    const DistTableT<B>& minus, const MergeSpec& spec,
                     std::vector<AccumMapT<B>>& sinks) {
   const ExecContext& cx = dx.cx;
-  // Both halves are consumed by this one merge: stay dense (kStream).
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    plus.seal_shards(SortOrder::kByV0V1, dx.domain, LaneSealHint::kStream);
-    minus.seal_shards(SortOrder::kByV0V1, dx.domain, LaneSealHint::kStream);
-  }
   {
     ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
+    std::vector<TableEntryT<B>> pscratch, mscratch;
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
       cx.note_lanes(plus.shard(r).layout());
       cx.note_lanes(minus.shard(r).layout());
-      const auto pe = plus.shard(r).entries();
-      const auto me = minus.shard(r).entries();
       auto route = [&](const TableKey& key,
                        const typename LaneOps<B>::Vec& cnt) {
         const std::uint32_t dest =
             spec.out_arity >= 1 ? dx.owner(key.v[0]) : 0;
         dx.comm.send(r, dest, {key, cnt});
       };
-      // Two-pointer over the shard's slot-0 groups; merge_bucket handles
-      // the (u, v) subgroup join and the load charges within each.
-      std::size_t pi = 0, mi = 0;
-      while (pi < pe.size() && mi < me.size()) {
-        if (pe[pi].key.v[0] < me[mi].key.v[0]) {
-          ++pi;
-          continue;
-        }
-        if (me[mi].key.v[0] < pe[pi].key.v[0]) {
-          ++mi;
-          continue;
-        }
-        const VertexId u = pe[pi].key.v[0];
-        std::size_t pj = pi, mj = mi;
-        while (pj < pe.size() && pe[pj].key.v[0] == u) ++pj;
-        while (mj < me.size() && me[mj].key.v[0] == u) ++mj;
-        merge_bucket<B, /*Outer=*/0>(cx, pe.subspan(pi, pj - pi),
-                                     me.subspan(mi, mj - mi), spec, route);
-        pi = pj;
-        mi = mj;
+      for (VertexId x = dx.part().begin(r); x < dx.part().end(r); ++x) {
+        detail::merge_end_bucket<B>(cx, plus.shard(r), minus.shard(r), x,
+                                    spec, route, pscratch, mscratch);
       }
     }
   }
@@ -273,14 +234,9 @@ void d_merge_halves(Dx<B>& dx, DistTableT<B>& plus, DistTableT<B>& minus,
 }
 
 template <int B>
-DistTableT<B> d_aggregate(Dx<B>& dx, DistTableT<B>& t, int new_arity) {
+DistTableT<B> d_aggregate(Dx<B>& dx, const DistTableT<B>& t,
+                          int new_arity) {
   const ExecContext& cx = dx.cx;
-  // Same parity argument as d_node_join: the shared engine aggregates a
-  // deduplicated table.
-  if constexpr (B > 1) {
-    ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    t.seal_shards(SortOrder::kByV1, dx.domain, LaneSealHint::kStream);
-  }
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
@@ -299,7 +255,7 @@ DistTableT<B> d_aggregate(Dx<B>& dx, DistTableT<B>& t, int new_arity) {
   maybe_alloc_fail(dx, "aggregate");
   DistTableT<B> out =
       DistTableT<B>::collect(new_arity, /*home_slot=*/0, dx.comm,
-                             SortOrder::kUnsorted, dx.budget, dx.domain);
+                             SortOrder::kUnsorted, dx.budget);
   cx.end_phase();
   return out;
 }
@@ -525,7 +481,7 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
     comm.set_fault_plan(fp, opts.dist.max_retries, opts.dist.backoff_base_ms,
                         opts.dist.deadline_ms);
   }
-  Dx<B> dx{cx, comm, opts.max_table_entries, g.num_vertices(), fp};
+  Dx<B> dx{cx, comm, opts.max_table_entries, fp};
   DistPool<B> pool(tree.blocks.size(), g.num_vertices(),
                    opts.lane_compress, &stats.stage);
 

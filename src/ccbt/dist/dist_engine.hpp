@@ -64,14 +64,15 @@ struct DistStats {
   LaneTelemetry lanes;
 
   /// Per-stage wall breakdown (see ExecStats::stage); here `transport`
-  /// covers the virtual-MPI exchanges, inbox collection, and resharding
-  /// supersteps.
+  /// covers the virtual-MPI exchanges, resharding and transposing
+  /// supersteps, and the merge-sink and aggregate collects. Path shards
+  /// are built bucket by bucket from the delivered rows and count as
+  /// `accumulate`, as the shared engine's bucket builds do.
   StageWall stage;
 
-  /// B > 1 accumulation telemetry (see ExecStats::accum). Stays zero as
-  /// long as the distributed supersteps accumulate through hashed
-  /// AccumMap sinks rather than flat rows; present so ExecStats and
-  /// DistStats expose one shape to estimator-level aggregation.
+  /// Accumulation telemetry (see ExecStats::accum): one phase per path
+  /// table, with the delivered rows its frontier buckets took in and the
+  /// bytes they occupied — the same totals the shared engine reports.
   AccumTelemetry accum;
 
   /// Fault-tolerance scoreboard: faults injected by the configured

@@ -34,15 +34,88 @@ class DistTableT {
 
   DistTableT() = default;
 
+  /// Drain every rank's inbox (as delivered by the last exchange) into a
+  /// born-sorted path shard, built like the shared engine's path tables:
+  /// rows are homed at their frontier (slot 1), so one counting partition
+  /// by v1 splits rank r's rows into the buckets of its vertices, and each
+  /// bucket is closed through SortedBucketsT (`wide` keeps rows dense, for
+  /// lane compression off). Shard r arrives sealed kByV1 with exactly the
+  /// shared table's rows of those buckets, the invariant behind the
+  /// engines' load-model parity. Each inbox is freed once its shard is
+  /// built; `accum` gains one phase. Throws BudgetExceeded when the
+  /// deduplicated rows exceed `budget`.
+  static DistTableT collect_by_frontier(int arity, VirtualCommT<B>& comm,
+                                        const BlockPartition& part,
+                                        std::size_t budget, bool wide,
+                                        AccumTelemetry* accum = nullptr) {
+    using Mode = typename FlatRowsT<B>::Mode;
+    DistTableT t;
+    t.arity_ = arity;
+    t.home_slot_ = 1;
+    t.shards_.resize(comm.num_ranks());
+    FlatRowsT<B> scratch;
+    std::size_t total = 0;
+    for (std::uint32_t r = 0; r < comm.num_ranks(); ++r) {
+      const std::vector<Entry> in = comm.take_inbox(r);
+      const VertexId lo = part.begin(r);
+      const VertexId hi = part.end(r);
+      std::vector<std::uint32_t> off(hi - lo + 1, 0);
+      bool packs = true;
+      for (const Entry& e : in) {
+        packs = packs && packable_key(e.key);
+        const VertexId v = e.key.v[1];
+        if (v < lo || v >= hi) {
+          throw Error("collect_by_frontier: row not homed on rank " +
+                      std::to_string(r));
+        }
+        ++off[v - lo + 1];
+      }
+      for (std::size_t v = 1; v < off.size(); ++v) off[v] += off[v - 1];
+      std::vector<std::uint32_t> order(in.size());
+      {
+        std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
+        for (std::uint32_t i = 0; i < in.size(); ++i) {
+          order[cursor[in[i].key.v[1] - lo]++] = i;
+        }
+      }
+      // A shard with an unpackable key ends dense anyway: start it dense,
+      // sized to the inbox, instead of growing dense rows by doubling.
+      SortedBucketsT<B> built(wide || !packs, in.size());
+      built.skip(lo);
+      for (VertexId v = 0; v < hi - lo; ++v) {
+        scratch.reset(wide ? Mode::kWide : Mode::kU16);
+        for (std::uint32_t i = off[v]; i < off[v + 1]; ++i) {
+          if (i + 8 < order.size()) {  // read out of arrival order
+            const char* ahead =
+                reinterpret_cast<const char*>(&in[order[i + 8]]);
+            __builtin_prefetch(ahead);
+            __builtin_prefetch(ahead + sizeof(Entry) - 1);
+          }
+          scratch.append(in[order[i]].key, in[order[i]].cnt);
+        }
+        built.close(scratch);
+        if (total + built.size() > budget) {
+          throw BudgetExceeded("distributed table exceeded " +
+                               std::to_string(budget) + " entries");
+        }
+      }
+      total += built.size();
+      if (accum != nullptr) {
+        accum->rows += built.emitted_rows();
+        accum->emit_bytes += built.emitted_bytes();
+      }
+      t.shards_[r] = ProjTableT<B>::from_buckets(arity, std::move(built));
+    }
+    if (accum != nullptr) ++accum->phases;
+    return t;
+  }
+
   /// Drain every rank's inbox (as delivered by the last exchange) into
   /// its shard, accumulating duplicate keys, and seal each shard in
   /// `order` (`domain` enables the shards' O(1) bucket index). Throws
-  /// BudgetExceeded when the total entry count exceeds `budget`.
-  ///
-  /// Batched widths adopt the inbox rows flat (duplicates merge at the
-  /// shard's first sorting seal), mirroring the shared engine's flat
-  /// accumulation so both engines iterate identical row multisets — the
-  /// invariant behind their exact load-model parity.
+  /// BudgetExceeded when the total entry count exceeds `budget`. The
+  /// inbox rows are adopted flat; duplicates merge at the shard's first
+  /// sorting seal.
   static DistTableT collect(int arity, int home_slot, VirtualCommT<B>& comm,
                             SortOrder order, std::size_t budget,
                             VertexId domain = 0,
@@ -53,15 +126,8 @@ class DistTableT {
     t.shards_.resize(comm.num_ranks());
     std::size_t total = 0;
     for (std::uint32_t r = 0; r < comm.num_ranks(); ++r) {
-      ProjTableT<B> shard;
-      if constexpr (B == 1) {
-        const std::vector<Entry>& in = comm.inbox(r);
-        AccumMapT<B> map(in.size());
-        for (const Entry& e : in) map.add(e.key, e.cnt);
-        shard = ProjTableT<B>::from_map(arity, std::move(map));
-      } else {
-        shard = ProjTableT<B>::from_flat(arity, comm.take_inbox(r));
-      }
+      ProjTableT<B> shard =
+          ProjTableT<B>::from_flat(arity, comm.take_inbox(r));
       total += shard.size();
       if (total > budget) {
         throw BudgetExceeded("distributed table exceeded " +
@@ -87,14 +153,8 @@ class DistTableT {
     t.home_slot_ = home_slot;
     t.shards_.resize(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      ProjTableT<B> shard;
-      if constexpr (B == 1) {
-        AccumMapT<B> map(rows[r].size());
-        for (const Entry& e : rows[r]) map.add(e.key, e.cnt);
-        shard = ProjTableT<B>::from_map(arity, std::move(map));
-      } else {
-        shard = ProjTableT<B>::from_flat(arity, std::move(rows[r]));
-      }
+      ProjTableT<B> shard =
+          ProjTableT<B>::from_flat(arity, std::move(rows[r]));
       shard.seal(order, domain, hint);
       t.shards_[r] = std::move(shard);
     }

@@ -684,23 +684,19 @@ struct MergeSpec {
 };
 
 /// The merge-join kernel shared by merge_halves and the distributed
-/// engine: join the matching (u, v) subgroups of one bucket pair — both
-/// ranges hold one value of key slot `Outer` and are sorted by the other
-/// endpoint slot — with a two-pointer sweep over that inner slot,
-/// charging the load model per group at v and calling `emit(key,
-/// counts)` for every compatible pair. The shared engine joins its
-/// born-sorted halves end bucket by end bucket (outer 1), the distributed
-/// engine its kByV0V1 shards anchor bucket by anchor bucket (outer 0);
-/// either way the (u, v) groups, charges and sends are the same.
-template <int B, int Outer, typename Sink>
+/// engine: join the matching (u, v) subgroups of one end bucket pair —
+/// both ranges hold one value of key slot 1 (the end v) and are sorted by
+/// the anchor slot 0 — with a two-pointer sweep over the anchor, charging
+/// the load model per group at v and calling `emit(key, counts)` for every
+/// compatible pair.
+template <int B, typename Sink>
 void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
                   std::span<const TableEntryT<B>> mu, const MergeSpec& spec,
                   Sink&& emit) {
-  constexpr int inner = 1 - Outer;
   std::size_t pi = 0, mi = 0;
   while (pi < pu.size() && mi < mu.size()) {
-    const VertexId pv = pu[pi].key.v[inner];
-    const VertexId mv = mu[mi].key.v[inner];
+    const VertexId pv = pu[pi].key.v[0];
+    const VertexId mv = mu[mi].key.v[0];
     if (pv < mv) {
       ++pi;
       continue;
@@ -710,11 +706,11 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
       continue;
     }
     // Same (u, v) group in both tables.
-    const VertexId u = pu[pi].key.v[0];
+    const VertexId u = pv;
     const VertexId v = pu[pi].key.v[1];
     std::size_t pj = pi, mj = mi;
-    while (pj < pu.size() && pu[pj].key.v[inner] == pv) ++pj;
-    while (mj < mu.size() && mu[mj].key.v[inner] == pv) ++mj;
+    while (pj < pu.size() && pu[pj].key.v[0] == pv) ++pj;
+    while (mj < mu.size() && mu[mj].key.v[0] == pv) ++mj;
     cx.charge(v, (pj - pi) * (mj - mi));
     if constexpr (B == 1) {
       const Signature uv_bits = cx.chi.bit(u) | cx.chi.bit(v);
@@ -809,21 +805,20 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
 /// dense kernel. Narrow lane products always fit u64 exactly (even
 /// u32 x u32 < 2^64), so the emitted counts are bit-identical to
 /// mul_masked over the expanded rows; charges and sends match the dense
-/// kernel row for row. Inside a bucket the raw packed key orders rows by
-/// (v0, v1, sig), i.e. by the inner slot, for either outer slot.
-template <int B, int Outer, typename WP, typename WM, typename Sink>
+/// kernel row for row. Inside an end bucket the raw packed key orders
+/// rows by (v0, sig), i.e. by the anchor first.
+template <int B, typename WP, typename WM, typename Sink>
 void merge_bucket_packed(const ExecContext& cx,
                          std::span<const PackedFlatRowT<B, WP>> pu,
                          std::span<const PackedFlatRowT<B, WM>> mu,
                          const MergeSpec& spec, Sink&& emit) {
-  constexpr int shift = Outer == 0 ? 8 : 36;  // the inner slot's bit field
-  const auto inner_of = [](std::uint64_t k) {
-    return static_cast<VertexId>((k >> shift) & kPacked28NoVertex);
+  const auto anchor_of = [](std::uint64_t k) {
+    return static_cast<VertexId>(k >> 36);
   };
   std::size_t pi = 0, mi = 0;
   while (pi < pu.size() && mi < mu.size()) {
-    const VertexId pv = inner_of(pu[pi].k);
-    const VertexId mv = inner_of(mu[mi].k);
+    const VertexId pv = anchor_of(pu[pi].k);
+    const VertexId mv = anchor_of(mu[mi].k);
     if (pv < mv) {
       ++pi;
       continue;
@@ -833,11 +828,11 @@ void merge_bucket_packed(const ExecContext& cx,
       continue;
     }
     // Same (u, v) group in both tables.
-    const auto u = static_cast<VertexId>(pu[pi].k >> 36);
+    const VertexId u = pv;
     const auto v = static_cast<VertexId>((pu[pi].k >> 8) & kPacked28NoVertex);
     std::size_t pj = pi, mj = mi;
-    while (pj < pu.size() && inner_of(pu[pj].k) == pv) ++pj;
-    while (mj < mu.size() && inner_of(mu[mj].k) == pv) ++mj;
+    while (pj < pu.size() && anchor_of(pu[pj].k) == pv) ++pj;
+    while (mj < mu.size() && anchor_of(mu[mj].k) == pv) ++mj;
     cx.charge(v, (pj - pi) * (mj - mi));
     thread_local std::vector<std::uint8_t> compat;
     thread_local std::vector<LaneMask> malive;
@@ -906,6 +901,56 @@ void merge_bucket_packed(const ExecContext& cx,
   }
 }
 
+namespace detail {
+
+/// Join end bucket x of two half-cycle tables sealed kByV1 (group_span
+/// finds it through the bucket index, or by binary search in a table
+/// sealed without one): through merge_bucket_packed when both kept their
+/// narrow flat rows (dispatching on each side's payload width), otherwise
+/// through merge_bucket over the buckets decoded into the scratches (raw
+/// subspans when dense, so dense tables pay nothing). The one bucket
+/// router of merge_halves and the distributed engine's per-rank merge.
+template <int B, typename Sink>
+void merge_end_bucket(const ExecContext& cx, const ProjTableT<B>& plus,
+                      const ProjTableT<B>& minus, VertexId x,
+                      const MergeSpec& spec, Sink&& emit,
+                      std::vector<TableEntryT<B>>& pscratch,
+                      std::vector<TableEntryT<B>>& mscratch) {
+  using Mode = typename FlatRowsT<B>::Mode;
+  const FlatRowsT<B>* const pflat = plus.flat_storage();
+  const FlatRowsT<B>* const mflat = minus.flat_storage();
+  if (pflat != nullptr && mflat != nullptr) {
+    const auto [plo, phi] = plus.group_span(1, x);
+    if (plo == phi) return;
+    const auto [mlo, mhi] = minus.group_span(1, x);
+    if (mlo == mhi) return;
+    const auto with_plus = [&](auto pspan) {
+      if (mflat->mode() == Mode::kU16) {
+        merge_bucket_packed<B>(
+            cx, pspan, std::span(mflat->rows_u16()).subspan(mlo, mhi - mlo),
+            spec, emit);
+      } else {
+        merge_bucket_packed<B>(
+            cx, pspan, std::span(mflat->rows_u32()).subspan(mlo, mhi - mlo),
+            spec, emit);
+      }
+    };
+    if (pflat->mode() == Mode::kU16) {
+      with_plus(std::span(pflat->rows_u16()).subspan(plo, phi - plo));
+    } else {
+      with_plus(std::span(pflat->rows_u32()).subspan(plo, phi - plo));
+    }
+    return;
+  }
+  const auto pu = plus.group_expanded(1, x, pscratch);
+  if (pu.empty()) return;
+  const auto mu = minus.group_expanded(1, x, mscratch);
+  if (mu.empty()) return;
+  merge_bucket<B>(cx, pu, mu, spec, emit);
+}
+
+}  // namespace detail
+
 /// Join the two half-cycle tables on their shared (anchor, end) pair with
 /// the signature-compatibility test of Fig 6 Procedure 2, accumulating
 /// into `sink` (so the DB solver can sum over all anchor choices, Eq. 1).
@@ -916,7 +961,6 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
                   ProjTableT<B>& minus, const MergeSpec& spec,
                   AccumMapT<B>& sink) {
   using Vec = typename LaneOps<B>::Vec;
-  constexpr int kOuter = 1;
   const VertexId n = cx.g.num_vertices();
   // Both halves are consumed by this one merge: stay dense (kStream).
   {
@@ -928,129 +972,56 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
   cx.note_lanes(minus.layout());
   ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
 
-  if (plus.has_bucket_index() && minus.has_bucket_index()) {
-    // Bucket router shared by the parallel and serial sweeps: when both
-    // halves kept their narrow flat rows, the bucket pair joins through
-    // merge_bucket_packed with no dense expansion (dispatching on each
-    // side's payload width); otherwise each bucket is decoded through
-    // group_expanded into a scratch (a raw subspan when dense, so dense
-    // tables pay nothing).
-    const FlatRowsT<B>* const pflat = plus.flat_storage();
-    const FlatRowsT<B>* const mflat = minus.flat_storage();
-    auto merge_at = [&](VertexId x, auto&& add,
-                        std::vector<TableEntryT<B>>& pscratch,
-                        std::vector<TableEntryT<B>>& mscratch) {
-      if (pflat != nullptr && mflat != nullptr) {
-        const auto [plo, phi] = plus.group_span(kOuter, x);
-        if (plo == phi) return;
-        const auto [mlo, mhi] = minus.group_span(kOuter, x);
-        if (mlo == mhi) return;
-        const auto with_plus = [&](auto pspan) {
-          if (mflat->mode() == FlatRowsT<B>::Mode::kU16) {
-            merge_bucket_packed<B, kOuter>(
-                cx, pspan,
-                std::span(mflat->rows_u16()).subspan(mlo, mhi - mlo), spec,
-                add);
-          } else {
-            merge_bucket_packed<B, kOuter>(
-                cx, pspan,
-                std::span(mflat->rows_u32()).subspan(mlo, mhi - mlo), spec,
-                add);
-          }
-        };
-        if (pflat->mode() == FlatRowsT<B>::Mode::kU16) {
-          with_plus(std::span(pflat->rows_u16()).subspan(plo, phi - plo));
-        } else {
-          with_plus(std::span(pflat->rows_u32()).subspan(plo, phi - plo));
-        }
-        return;
-      }
-      const auto pu = plus.group_expanded(kOuter, x, pscratch);
-      if (pu.empty()) return;
-      const auto mu = minus.group_expanded(kOuter, x, mscratch);
-      if (mu.empty()) return;
-      merge_bucket<B, kOuter>(cx, pu, mu, spec, add);
-    };
 #ifdef _OPENMP
-    if (cx.opts.use_threads && detail::pool_threads() > 1 &&
-        plus.size() + minus.size() > 4096) {
-      // Buckets are independent: each thread merges whole buckets into a
-      // private sink; the sinks reduce into `sink` afterwards.
-      const int threads = detail::pool_threads();
-      std::vector<AccumMapT<B>> maps;
-      maps.reserve(threads);
-      for (int t = 0; t < threads; ++t) {
-        maps.emplace_back(16, cx.opts.compact_accum);
-      }
-      std::atomic<bool> budget_hit{false};
+  if (cx.opts.use_threads && detail::pool_threads() > 1 &&
+      plus.size() + minus.size() > 4096) {
+    // Buckets are independent: each thread merges whole buckets into a
+    // private sink; the sinks reduce into `sink` afterwards.
+    const int threads = detail::pool_threads();
+    std::vector<AccumMapT<B>> maps;
+    maps.reserve(threads);
+    for (int t = 0; t < threads; ++t) {
+      maps.emplace_back(16, cx.opts.compact_accum);
+    }
+    std::atomic<bool> budget_hit{false};
 #pragma omp parallel num_threads(threads)
-      {
-        AccumMapT<B>& local = maps[omp_get_thread_num()];
+    {
+      AccumMapT<B>& local = maps[omp_get_thread_num()];
 #pragma omp for schedule(dynamic, 256)
-        for (VertexId x = 0; x < n; ++x) {
-          if (budget_hit.load(std::memory_order_relaxed)) continue;
-          thread_local std::vector<TableEntryT<B>> pscratch, mscratch;
-          merge_at(
-              x, [&](const TableKey& k, const Vec& c) { local.add(k, c); },
-              pscratch, mscratch);
-          if (local.size() > cx.opts.max_table_entries) {
-            budget_hit.store(true, std::memory_order_relaxed);
-          }
+      for (VertexId x = 0; x < n; ++x) {
+        if (budget_hit.load(std::memory_order_relaxed)) continue;
+        thread_local std::vector<TableEntryT<B>> pscratch, mscratch;
+        detail::merge_end_bucket<B>(
+            cx, plus, minus, x, spec,
+            [&](const TableKey& k, const Vec& c) { local.add(k, c); },
+            pscratch, mscratch);
+        if (local.size() > cx.opts.max_table_entries) {
+          budget_hit.store(true, std::memory_order_relaxed);
         }
       }
-      if (budget_hit.load()) {
-        detail::check_budget(cx, cx.opts.max_table_entries + 1);
-      }
-      std::size_t total = sink.size();
-      for (const AccumMapT<B>& m : maps) total += m.size();
-      sink.reserve(total);
-      for (AccumMapT<B>& m : maps) {
-        m.for_each(
-            [&](const TableKey& k, const Vec& c) { sink.add(k, c); });
-        detail::check_budget(cx, sink.size());
-      }
-      cx.end_phase();
-      return;
     }
-#endif
-    std::vector<TableEntryT<B>> pscratch, mscratch;
-    for (VertexId x = 0; x < n; ++x) {
-      merge_at(
-          x, [&](const TableKey& k, const Vec& c) { sink.add(k, c); },
-          pscratch, mscratch);
+    if (budget_hit.load()) {
+      detail::check_budget(cx, cx.opts.max_table_entries + 1);
+    }
+    std::size_t total = sink.size();
+    for (const AccumMapT<B>& m : maps) total += m.size();
+    sink.reserve(total);
+    for (AccumMapT<B>& m : maps) {
+      m.for_each(
+          [&](const TableKey& k, const Vec& c) { sink.add(k, c); });
       detail::check_budget(cx, sink.size());
     }
     cx.end_phase();
     return;
   }
-
-  // No bucket index (out-of-domain keys): whole-table two-pointer merge
-  // over the outer slot's groups. An index-less seal always leaves the
-  // rows dense (the narrow layout keeps its index), so the raw spans are
-  // valid here.
-  const auto pe = plus.entries();
-  const auto me = minus.entries();
-  std::size_t pi = 0, mi = 0;
-  while (pi < pe.size() && mi < me.size()) {
-    const VertexId px = pe[pi].key.v[kOuter];
-    const VertexId mx = me[mi].key.v[kOuter];
-    if (px < mx) {
-      ++pi;
-      continue;
-    }
-    if (mx < px) {
-      ++mi;
-      continue;
-    }
-    std::size_t pj = pi, mj = mi;
-    while (pj < pe.size() && pe[pj].key.v[kOuter] == px) ++pj;
-    while (mj < me.size() && me[mj].key.v[kOuter] == px) ++mj;
-    merge_bucket<B, kOuter>(
-        cx, pe.subspan(pi, pj - pi), me.subspan(mi, mj - mi), spec,
-        [&](const TableKey& k, const Vec& c) { sink.add(k, c); });
+#endif
+  std::vector<TableEntryT<B>> pscratch, mscratch;
+  for (VertexId x = 0; x < n; ++x) {
+    detail::merge_end_bucket<B>(
+        cx, plus, minus, x, spec,
+        [&](const TableKey& k, const Vec& c) { sink.add(k, c); },
+        pscratch, mscratch);
     detail::check_budget(cx, sink.size());
-    pi = pj;
-    mi = mj;
   }
   cx.end_phase();
 }

@@ -597,6 +597,9 @@ class SortedBucketsT {
     counts_.push_back(static_cast<std::uint32_t>(rows_.size() - before));
   }
 
+  /// Close the next `n` vertices' buckets empty.
+  void skip(std::size_t n) { counts_.resize(counts_.size() + n, 0); }
+
   /// Append the buckets of the part covering the next vertex range.
   void absorb(SortedBucketsT&& next) {
     rows_.absorb(std::move(next.rows_));

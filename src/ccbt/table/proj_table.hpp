@@ -9,10 +9,13 @@
 // key, narrow count vector) and read through the layout-independent
 // accessors below. Keys that do not pack and u64-range counts make the
 // rows dense; that fallback is automatic and changes no observable
-// counts. Hashed sinks (merge sinks, aggregate, the distributed engine)
-// adopt their rows from an AccumMap (from_map) or a transport inbox
-// (from_flat) and are sealed into a sorted dense vector. Sealing with a
-// known key domain (the data graph's vertex count) builds a CSR-style
+// counts. The distributed engine builds its path shards the same way,
+// bucket by bucket from each rank's delivered rows. Hashed sinks (merge
+// sinks, aggregate) adopt their rows from an AccumMap (from_map), and the
+// distributed engine's other shards (aggregates, re-homed and transposed
+// tables, checkpoint restores) from transport rows (from_flat); both are
+// sealed into a sorted dense vector. Sealing with a known key domain
+// (the data graph's vertex count) builds a CSR-style
 // bucket index over the grouping slot, so group(slot, v) is a single
 // offset lookup instead of two binary searches. Sealing a table in
 // another order than it holds re-sorts it in the dense layout. See
@@ -57,16 +60,14 @@ namespace ccbt {
 /// Sort orders used by the join procedures.
 enum class SortOrder : std::uint8_t {
   kUnsorted,
-  kByV0,    // group by slot 0 (child-table lookups by first boundary)
-  kByV0V1,  // group by (slot 0, slot 1) (half-cycle merge joins)
-  kByV1,    // group by slot 1 (frontier-grouped extensions)
+  kByV0,  // group by slot 0 (child-table lookups by first boundary)
+  kByV1,  // group by slot 1 (frontier-grouped extensions, merge joins)
 };
 
 /// The key slot a sort order groups by (-1 for kUnsorted).
 inline constexpr int group_slot(SortOrder order) {
   switch (order) {
-    case SortOrder::kByV0:
-    case SortOrder::kByV0V1: return 0;
+    case SortOrder::kByV0: return 0;
     case SortOrder::kByV1: return 1;
     case SortOrder::kUnsorted: break;
   }
@@ -138,8 +139,8 @@ class ProjTableT {
   }
 
   /// Adopt rows that may contain duplicate keys (the distributed engine's
-  /// shards, filled from transport inboxes): counts of equal keys are
-  /// summed by the next seal(). Until then the table behaves like a
+  /// non-path shards, filled from transport inboxes): counts of equal
+  /// keys are summed by the next seal(). Until then the table behaves like a
   /// multiset — joins and totals are bilinear, so duplicate rows are
   /// semantically identical to their merged sum.
   static ProjTableT from_flat(int arity, std::vector<Entry>&& rows) {
@@ -315,9 +316,8 @@ class ProjTableT {
     return sum;
   }
 
-  /// Sort entries for merge joins; remembers the order (no-op if sorted;
-  /// kByV0 and kByV0V1 share one comparator, so converting between them is
-  /// a relabel). `domain` is the exclusive upper bound on the grouping
+  /// Sort entries for joins; remembers the order (no-op if sorted).
+  /// `domain` is the exclusive upper bound on the grouping
   /// slot's values (the data graph's vertex count): when positive — or
   /// when a small bound can be detected from the data — sealing runs a
   /// stable counting partition on the grouping slot (O(n + domain) plus
@@ -607,10 +607,8 @@ void ProjTableT<B>::seal(SortOrder order, VertexId domain,
     return;
   }
   const int slot = group_slot(order);
-  // kByV0 sorting is a refinement that also groups by (v0, v1): both
-  // orders share one comparator, so converting between them (and staying
-  // put) never re-sorts — at most the index is (re)built.
-  const bool sorted_already = order_ == order || group_slot(order_) == slot;
+  // Staying put never re-sorts — at most the index is (re)built.
+  const bool sorted_already = order_ == order;
   if (!detail::domain_worthwhile(size(), domain)) {
     domain = detect_domain(slot);
   }
@@ -654,8 +652,8 @@ void ProjTableT<B>::seal(SortOrder order, VertexId domain,
 template <int B>
 void ProjTableT<B>::seal_packed_flat(SortOrder order, VertexId domain,
                                      LaneSealHint hint) {
-  if (group_slot(order_) == group_slot(order)) {
-    // Relabel / repeated seal: rows and index are already right; only
+  if (order_ == order) {
+    // Repeated seal: rows and index are already right; only
     // the layout decision may change (e.g. a kStore reseal). The table's
     // stats were taken when its buckets were deduplicated.
     order_ = order;

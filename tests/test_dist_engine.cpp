@@ -13,6 +13,10 @@
 #include "ccbt/core/color_coding.hpp"
 #include "ccbt/core/exact.hpp"
 #include "ccbt/dist/dist_engine.hpp"
+#include "ccbt/engine/cycle_solver.hpp"
+#include "ccbt/engine/leaf_solver.hpp"
+#include "ccbt/engine/split_plan.hpp"
+#include "ccbt/graph/degree_order.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/query/random_tw2.hpp"
@@ -181,6 +185,10 @@ void expect_batched_parity(const CsrGraph& g, const QueryGraph& q,
   EXPECT_DOUBLE_EQ(dist.avg_rank_ops, shared.avg_rank_ops) << label;
   EXPECT_EQ(dist.total_comm, shared.total_comm) << label;
   EXPECT_DOUBLE_EQ(dist.sim_time, shared.sim_time) << label;
+  // Both engines close the same frontier buckets from the same rows.
+  EXPECT_EQ(dist.accum.phases, shared.accum.phases) << label;
+  EXPECT_EQ(dist.accum.rows, shared.accum.rows) << label;
+  EXPECT_EQ(dist.accum.emit_bytes, shared.accum.emit_bytes) << label;
 }
 
 TEST(DistEngine, BatchedLoadParityOnPendantAndCycleQueries) {
@@ -195,6 +203,282 @@ TEST(DistEngine, BatchedLoadParityOnPendantAndCycleQueries) {
         expect_batched_parity(er, q, ranks, 900, width);
         expect_batched_parity(cl, q, ranks, 910, width);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Per-phase table parity: every path phase of the plan runs both ways —
+// the shared primitive's born-sorted table, and the distributed route of
+// dist_engine.cpp (the push kernel over each rank's shard of the previous
+// phase's distributed table, every emission sent to the owner of its
+// frontier, collected born sorted). Shard r must hold exactly the shared
+// table's buckets [begin(r), end(r)), row for row and in order. Child
+// tables come from the shared pool, stored home slot 0 like DistPool's.
+
+template <int B>
+class PhaseParity {
+ public:
+  PhaseParity(const ExecContext& cx, std::uint32_t ranks)
+      : cx_(cx), comm_(ranks) {}
+
+  int phases() const { return phases_; }
+
+  /// A stored shared table sharded by its slot-0 owner.
+  DistTableT<B> stored(const ProjTableT<B>& t) {
+    t.for_each_entry([&](const TableEntryT<B>& e) {
+      comm_.send(0, cx_.owner(e.key.v[0]), e);
+    });
+    comm_.exchange();
+    return DistTableT<B>::collect(t.arity(), 0, comm_, SortOrder::kByV0,
+                                  kBudget, cx_.g.num_vertices());
+  }
+
+  DistTableT<B> init_from_graph(const ExtendOpts& o) {
+    for (std::uint32_t r = 0; r < ranks(); ++r) {
+      for (VertexId u = cx_.part.begin(r); u < cx_.part.end(r); ++u) {
+        kernel_init_from_graph<B>(cx_, u, o, route(r));
+      }
+    }
+    return collect(2);
+  }
+
+  DistTableT<B> init_from_child(const DistTableT<B>& child,
+                                const ExtendOpts& o) {
+    for (std::uint32_t r = 0; r < ranks(); ++r) {
+      child.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
+        kernel_init_from_child<B>(cx_, e, /*flip=*/false, o, route(r));
+      });
+    }
+    return collect(2);
+  }
+
+  DistTableT<B> extend_with_graph(const DistTableT<B>& path,
+                                  const ExtendOpts& o) {
+    for (std::uint32_t r = 0; r < ranks(); ++r) {
+      path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
+        kernel_extend_with_graph<B>(cx_, e, o, route(r));
+      });
+    }
+    return collect(path.arity());
+  }
+
+  DistTableT<B> extend_with_child(const DistTableT<B>& path,
+                                  const DistTableT<B>& child,
+                                  const ExtendOpts& o) {
+    for (std::uint32_t r = 0; r < ranks(); ++r) {
+      const detail::ChildProbe<B> probe(child.shard(r));
+      path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
+        kernel_extend_with_child<B>(cx_, e, probe.group(0, e.key.v[1]), o,
+                                    route(r));
+      });
+    }
+    return collect(path.arity());
+  }
+
+  DistTableT<B> node_join(const DistTableT<B>& path,
+                          const DistTableT<B>& child, int slot) {
+    const DistTableT<B> src =
+        slot == 0 ? path.resharded(0, comm_, cx_.part, SortOrder::kUnsorted,
+                                   kBudget, cx_.g.num_vertices())
+                  : path;
+    for (std::uint32_t r = 0; r < ranks(); ++r) {
+      const detail::ChildProbe<B> probe(child.shard(r));
+      src.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
+        kernel_node_join<B>(cx_, e, probe.group(0, e.key.v[slot]), slot,
+                            route(r));
+      });
+    }
+    return collect(path.arity());
+  }
+
+  /// Shard r equals the shared table's buckets of rank r's vertices.
+  void expect_same(const ProjTableT<B>& shared, const DistTableT<B>& dist,
+                   const std::string& label) {
+    ++phases_;
+    ASSERT_EQ(dist.num_shards(), ranks()) << label;
+    EXPECT_EQ(dist.size(), shared.size()) << label;
+    TableEntryT<B> stmp, dtmp;
+    for (std::uint32_t r = 0; r < ranks(); ++r) {
+      const ProjTableT<B>& shard = dist.shard(r);
+      std::size_t i = 0;
+      for (VertexId v = cx_.part.begin(r); v < cx_.part.end(r); ++v) {
+        const auto [lo, hi] = shared.group_span(1, v);
+        const auto [dlo, dhi] = shard.group_span(1, v);
+        ASSERT_EQ(dhi - dlo, hi - lo) << label << " rank " << r << " v " << v;
+        for (std::size_t j = lo; j < hi; ++j, ++i) {
+          const TableEntryT<B>& want = shared.row_at(j, stmp);
+          const TableEntryT<B>& got = shard.row_at(i, dtmp);
+          ASSERT_EQ(got.key, want.key) << label << " rank " << r;
+          ASSERT_EQ(got.cnt, want.cnt) << label << " rank " << r;
+        }
+      }
+      EXPECT_EQ(i, shard.size()) << label << " rank " << r;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBudget = 80'000'000;
+
+  std::uint32_t ranks() const { return comm_.num_ranks(); }
+
+  auto route(std::uint32_t from) {
+    return [this, from](const TableKey& key,
+                        const typename LaneOps<B>::Vec& cnt) {
+      comm_.send(from, cx_.owner(key.v[1]), {key, cnt});
+    };
+  }
+
+  DistTableT<B> collect(int arity) {
+    comm_.exchange();
+    return DistTableT<B>::collect_by_frontier(arity, comm_, cx_.part,
+                                              kBudget,
+                                              !cx_.opts.lane_compress);
+  }
+
+  const ExecContext& cx_;
+  VirtualCommT<B> comm_;
+  int phases_ = 0;
+};
+
+/// The first phase of a walk over edge `e`'s child (or the graph when
+/// `child` < 0); `transposed` is the orientation the distributed engine
+/// reads, the shared engine reads the other one (see build_path).
+template <int B>
+void init_phase(const ExecContext& cx, PhaseParity<B>& pp,
+                TablePoolT<B>& pool, int child, bool transposed,
+                const ExtendOpts& o, ProjTableT<B>& shared,
+                DistTableT<B>& dist, const std::string& label) {
+  if (child < 0) {
+    shared = init_path_from_graph<B>(cx, o);
+    dist = pp.init_from_graph(o);
+  } else {
+    shared = init_path_from_child<B>(cx, pool.oriented(child, !transposed),
+                                     /*flip=*/true, o);
+    dist = pp.init_from_child(pp.stored(pool.oriented(child, transposed)), o);
+  }
+  pp.expect_same(shared, dist, label + " init");
+}
+
+template <int B>
+void join_phase(const ExecContext& cx, PhaseParity<B>& pp,
+                TablePoolT<B>& pool, int child, int slot,
+                ProjTableT<B>& shared, DistTableT<B>& dist,
+                const std::string& label) {
+  if (child < 0) return;
+  shared = node_join<B>(cx, shared, pool.get(child), slot);
+  dist = pp.node_join(dist, pp.stored(pool.get(child)), slot);
+  pp.expect_same(shared, dist, label + " node_join");
+}
+
+/// One half-cycle walk in build_path's phase order, checking each phase.
+template <int B>
+void check_path_phases(const ExecContext& cx, PhaseParity<B>& pp,
+                       const Block& blk, TablePoolT<B>& pool,
+                       const PathSpec& spec, const std::string& label) {
+  ProjTableT<B> shared;
+  DistTableT<B> dist;
+  const int e0 = spec.edge_index[0];
+  init_phase<B>(cx, pp, pool, blk.edge_child[e0],
+                needs_transpose(blk, e0, spec.edge_forward[0]),
+                ExtendOpts{spec.track_slot_at[1], spec.anchor_higher}, shared,
+                dist, label);
+  if (spec.include_start_annot) {
+    join_phase<B>(cx, pp, pool, blk.node_child[spec.positions[0]], 0, shared,
+                  dist, label);
+  }
+  const std::size_t steps = spec.positions.size();
+  for (std::size_t s = 1; s < steps; ++s) {
+    const bool is_end = s + 1 == steps;
+    if (!is_end || spec.include_end_annot) {
+      join_phase<B>(cx, pp, pool, blk.node_child[spec.positions[s]], 1,
+                    shared, dist, label);
+    }
+    if (is_end) break;
+    ExtendOpts o{spec.track_slot_at[s + 1], spec.anchor_higher};
+    const int e = spec.edge_index[s];
+    const int child = blk.edge_child[e];
+    if (child < 0) {
+      shared = extend_with_graph<B>(cx, shared, o);
+      dist = pp.extend_with_graph(dist, o);
+    } else {
+      const bool t = needs_transpose(blk, e, spec.edge_forward[s]);
+      shared = extend_with_child<B>(cx, shared, pool.oriented(child, !t), o,
+                                    /*flip=*/true);
+      dist = pp.extend_with_child(dist, pp.stored(pool.oriented(child, t)), o);
+    }
+    pp.expect_same(shared, dist, label + " extend");
+  }
+}
+
+/// A leaf-edge block's phases in solve_leaf_edge's order.
+template <int B>
+void check_leaf_phases(const ExecContext& cx, PhaseParity<B>& pp,
+                       const Block& blk, TablePoolT<B>& pool,
+                       const std::string& label) {
+  ProjTableT<B> shared;
+  DistTableT<B> dist;
+  init_phase<B>(cx, pp, pool, blk.edge_child[0], blk.edge_child_flip[0],
+                ExtendOpts{}, shared, dist, label);
+  join_phase<B>(cx, pp, pool, blk.node_child[1], 1, shared, dist, label);
+  join_phase<B>(cx, pp, pool, blk.node_child[0], 0, shared, dist, label);
+}
+
+/// Walk the plan block by block as run_plan does, checking every path
+/// phase of every leaf-edge block and every split of every cycle block.
+template <int B>
+void expect_phase_parity(const CsrGraph& g, const QueryGraph& q,
+                         std::uint32_t ranks, std::uint64_t color_seed) {
+  std::vector<Coloring> lanes;
+  for (int l = 0; l < B; ++l) {
+    lanes.emplace_back(g.num_vertices(), q.num_nodes(), color_seed + l);
+  }
+  ExecOptions opts;
+  opts.algo = Algo::kDB;
+  const DegreeOrder order(g);
+  const ExecContext cx{g,
+                       ColoringBatch(std::span<const Coloring>(lanes)),
+                       order,
+                       BlockPartition(g.num_vertices(), ranks),
+                       nullptr,
+                       opts};
+  const DecompTree tree = make_plan(q).tree;
+  TablePoolT<B> pool(tree.blocks.size(), g.num_vertices());
+  PhaseParity<B> pp(cx, ranks);
+  const std::string label = q.name() + " R=" + std::to_string(ranks) +
+                            " B=" + std::to_string(B);
+  for (std::size_t i = 0; i < tree.blocks.size(); ++i) {
+    const Block& blk = tree.blocks[i];
+    if (blk.kind == BlockKind::kSingleton) continue;
+    ProjTableT<B> table;
+    if (blk.kind == BlockKind::kLeafEdge) {
+      check_leaf_phases<B>(cx, pp, blk, pool, label + " leaf");
+      table = solve_leaf_edge<B>(cx, blk, pool);
+    } else {
+      for (const SplitPlan& plan : splits_for(blk, opts.algo)) {
+        check_path_phases<B>(cx, pp, blk, pool, plan.plus, label + " plus");
+        check_path_phases<B>(cx, pp, blk, pool, plan.minus,
+                             label + " minus");
+      }
+      table = solve_cycle<B>(cx, blk, pool);
+    }
+    if (static_cast<int>(i) != tree.root) {
+      pool.store(static_cast<int>(i), std::move(table));
+    }
+  }
+  EXPECT_GT(pp.phases(), 0) << label;
+}
+
+TEST(DistEngine, PathShardsEqualSharedBucketsPhaseByPhase) {
+  const CsrGraph er = erdos_renyi(300, 1500, 5);
+  const CsrGraph cl = chung_lu_power_law(300, 1.5, 6.0, 23);
+  for (const char* name : {"dros", "ecoli2", "brain1", "wiki"}) {
+    const QueryGraph q = named_query(name);
+    for (const std::uint32_t ranks : {2u, 7u}) {
+      expect_phase_parity<1>(er, q, ranks, 900);
+      expect_phase_parity<8>(er, q, ranks, 900);
+      expect_phase_parity<1>(cl, q, ranks, 910);
+      expect_phase_parity<8>(cl, q, ranks, 910);
     }
   }
 }

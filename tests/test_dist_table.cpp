@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "ccbt/dist/dist_table.hpp"
 #include "ccbt/util/error.hpp"
+#include "ccbt/util/rng.hpp"
 
 namespace ccbt {
 namespace {
@@ -144,6 +146,181 @@ TEST(DistTable, SingleRankDegeneratesToSharedTable) {
   EXPECT_TRUE(t.well_placed(part));
   EXPECT_EQ(t.shard(0).size(), 2u);
   EXPECT_EQ(comm.stats().off_rank_entries, 0u);
+}
+
+// ------------------------------------------------- born-sorted collect
+
+template <int B>
+TableEntryT<B> lane_entry(VertexId a, VertexId b, Signature sig, int lane,
+                          Count cnt) {
+  TableEntryT<B> e;
+  e.key.v[0] = a;
+  e.key.v[1] = b;
+  e.key.sig = sig;
+  LaneOps<B>::set_lane(e.cnt, lane, cnt);
+  return e;
+}
+
+/// Deliver `rows` to the owners of their frontiers, each row from a
+/// different sender, and collect them born sorted. Every shard must equal
+/// from_flat + seal(kByV1) over the same delivered rows: rows, order and
+/// bucket index, with the narrowest layout that holds its merged counts
+/// (dense when a key does not pack or `wide`).
+template <int B>
+void expect_born_sorted_collect(const std::vector<TableEntryT<B>>& rows,
+                                VertexId n, std::uint32_t ranks, bool wide,
+                                int arity = 2) {
+  VirtualCommT<B> comm(ranks);
+  const BlockPartition part(n, ranks);
+  std::vector<std::vector<TableEntryT<B>>> delivered(ranks);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::uint32_t to = part.owner(rows[i].key.v[1]);
+    comm.send(static_cast<std::uint32_t>(i % ranks), to, rows[i]);
+    delivered[to].push_back(rows[i]);
+  }
+  comm.exchange();
+  AccumTelemetry accum;
+  const DistTableT<B> t = DistTableT<B>::collect_by_frontier(
+      arity, comm, part, 1'000'000, wide, &accum);
+  EXPECT_EQ(accum.phases, 1u);
+  EXPECT_EQ(accum.rows, rows.size());
+  EXPECT_EQ(t.home_slot(), 1);
+  EXPECT_EQ(t.arity(), arity);
+  ASSERT_EQ(t.num_shards(), ranks);
+  EXPECT_TRUE(t.well_placed(part));
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " kept";
+    ProjTableT<B> ref =
+        ProjTableT<B>::from_flat(arity, std::vector(delivered[r]));
+    ref.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
+    const ProjTableT<B>& got = t.shard(r);
+    EXPECT_EQ(got.order(), SortOrder::kByV1);
+    EXPECT_FALSE(got.dedup_pending());
+    ASSERT_EQ(got.size(), ref.size()) << "rank " << r;
+    TableEntryT<B> gtmp, rtmp;
+    bool packable = true;
+    Count max_count = 0;
+    std::uint64_t occupied = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const TableEntryT<B>& g = got.row_at(i, gtmp);
+      const TableEntryT<B>& e = ref.row_at(i, rtmp);
+      EXPECT_EQ(g.key, e.key) << "rank " << r << " row " << i;
+      EXPECT_EQ(g.cnt, e.cnt) << "rank " << r << " row " << i;
+      packable = packable && packable_key(e.key);
+      for (int l = 0; l < B; ++l) {
+        max_count = std::max(max_count, LaneOps<B>::lane(e.cnt, l));
+        occupied += LaneOps<B>::lane(e.cnt, l) != 0;
+      }
+    }
+    for (VertexId v = 0; v < n + 2; ++v) {
+      const auto [glo, ghi] = got.group_span(1, v);
+      const auto [rlo, rhi] = ref.group_span(1, v);
+      EXPECT_EQ(ghi - glo, rhi - rlo) << "rank " << r << " bucket " << v;
+      if (rhi > rlo) EXPECT_EQ(glo, rlo) << "rank " << r << " bucket " << v;
+    }
+    EXPECT_FALSE(got.lane_compressed());
+    if (ref.size() > 0 && !wide && packable && max_count <= 0xFFFFFFFFull) {
+      EXPECT_TRUE(got.packed_flat()) << "rank " << r;
+      EXPECT_EQ(got.layout().width, choose_payload_width(max_count));
+      EXPECT_EQ(got.layout().rows, ref.size());
+      EXPECT_EQ(got.layout().lanes_occupied, occupied);
+      EXPECT_EQ(got.layout().max_count, max_count);
+    } else {
+      EXPECT_FALSE(got.packed_flat()) << "rank " << r;
+      EXPECT_NO_THROW((void)got.entries());
+    }
+  }
+}
+
+/// Heavy duplication: few anchors and signatures per frontier, so equal
+/// keys arrive from several senders.
+template <int B>
+std::vector<TableEntryT<B>> duplicate_heavy_rows(VertexId n, std::size_t m,
+                                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TableEntryT<B>> rows;
+  for (std::size_t i = 0; i < m; ++i) {
+    rows.push_back(lane_entry<B>(
+        static_cast<VertexId>(rng.below(6)),
+        static_cast<VertexId>(rng.below(n)),
+        static_cast<Signature>(1u << rng.below(4)),
+        static_cast<int>(rng.below(B)), 1 + rng.below(300)));
+  }
+  return rows;
+}
+
+template <int B>
+void run_born_sorted_collect_suite() {
+  // Duplicate keys from several senders, lanes narrow, and the same rows
+  // with lane compression off.
+  const auto dup = duplicate_heavy_rows<B>(50, 2000, 7 + B);
+  expect_born_sorted_collect<B>(dup, 50, 4, /*wide=*/false);
+  expect_born_sorted_collect<B>(dup, 50, 4, /*wide=*/true);
+  // One rank; more ranks than vertices (most ranks own nothing).
+  expect_born_sorted_collect<B>(dup, 50, 1, /*wide=*/false);
+  expect_born_sorted_collect<B>(duplicate_heavy_rows<B>(5, 200, 11), 5, 8,
+                                /*wide=*/false);
+  // An empty rank: every frontier below 12 lives on rank 0.
+  expect_born_sorted_collect<B>(duplicate_heavy_rows<B>(12, 300, 13), 50, 4,
+                                /*wide=*/false);
+  // u16 -> u32 -> wide inside one bucket: run sums past 0xFFFF, then past
+  // 2^32 - 1, all on frontier 7 next to ordinary rows.
+  std::vector<TableEntryT<B>> esc = duplicate_heavy_rows<B>(50, 300, 17);
+  esc.push_back(lane_entry<B>(3, 7, 2, 0, 0x9000));
+  esc.push_back(lane_entry<B>(3, 7, 2, 0, 0x9000));
+  expect_born_sorted_collect<B>(esc, 50, 4, /*wide=*/false);
+  esc.push_back(lane_entry<B>(4, 7, 1, B - 1, 0x80000000ull));
+  esc.push_back(lane_entry<B>(4, 7, 1, B - 1, 0x80000000ull));
+  expect_born_sorted_collect<B>(esc, 50, 4, /*wide=*/false);
+  // A tracked slot >= 2: those keys do not pack, so their shard is dense.
+  std::vector<TableEntryT<B>> tracked = duplicate_heavy_rows<B>(50, 300, 19);
+  for (std::size_t i = 0; i < tracked.size(); i += 3) {
+    tracked[i].key.v[2] = tracked[i].key.v[0] + 1;
+  }
+  expect_born_sorted_collect<B>(tracked, 50, 4, /*wide=*/false, /*arity=*/3);
+}
+
+TEST(DistTableBornSorted, CollectMatchesFlatSealB1) {
+  run_born_sorted_collect_suite<1>();
+}
+TEST(DistTableBornSorted, CollectMatchesFlatSealB2) {
+  run_born_sorted_collect_suite<2>();
+}
+TEST(DistTableBornSorted, CollectMatchesFlatSealB8) {
+  run_born_sorted_collect_suite<8>();
+}
+
+TEST(DistTableBornSorted, BudgetBoundsDeduplicatedRows) {
+  // 40 delivered rows collapse to 10 keys: a budget of 10 holds, 9 throws.
+  const BlockPartition part(10, 2);
+  for (const std::size_t budget : {std::size_t{10}, std::size_t{9}}) {
+    VirtualCommT<8> comm(2);
+    for (int rep = 0; rep < 4; ++rep) {
+      for (VertexId v = 0; v < 10; ++v) {
+        comm.send(rep % 2, part.owner(v), lane_entry<8>(1, v, 1, rep, 1));
+      }
+    }
+    comm.exchange();
+    if (budget == 10) {
+      const DistTableT<8> t = DistTableT<8>::collect_by_frontier(
+          2, comm, part, budget, /*wide=*/false);
+      EXPECT_EQ(t.size(), 10u);
+    } else {
+      EXPECT_THROW((void)DistTableT<8>::collect_by_frontier(
+                       2, comm, part, budget, /*wide=*/false),
+                   BudgetExceeded);
+    }
+  }
+}
+
+TEST(DistTableBornSorted, RowOffItsFrontierOwnerThrows) {
+  VirtualCommT<1> comm(2);
+  const BlockPartition part(10, 2);
+  comm.send(0, 0, entry(0, 9, 1, 1));  // owner(9) is rank 1
+  comm.exchange();
+  EXPECT_THROW((void)DistTable::collect_by_frontier(2, comm, part, 100,
+                                                    /*wide=*/false),
+               Error);
 }
 
 }  // namespace

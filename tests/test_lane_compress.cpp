@@ -118,7 +118,7 @@ void run_parity_suite() {
   expect_layout_parity<B>(random_rows<B>(4000, 2, 60000, 19),
                           SortOrder::kByV1);
   expect_layout_parity<B>(random_rows<B>(2500, B, 3, 23),
-                          SortOrder::kByV0V1);
+                          SortOrder::kByV0);
 }
 
 TEST(LaneCompress, PackedTableMatchesDenseB2) { run_parity_suite<2>(); }
@@ -190,13 +190,13 @@ TEST(LaneCompress, StreamHintNeverPacks) {
 TEST(LaneCompress, StreamResealUnpacksStoredTable) {
   // kStream promises the dense span fast path to the consumer that
   // follows the seal — even when re-sealing an already packed table
-  // (kByV0 -> kByV0V1 is an order relabel, no re-sort).
+  // in the order it holds (no re-sort).
   auto rows = random_rows<8>(3000, 1, 100, 31);
   ProjTableT<8> t = ProjTableT<8>::from_flat(2, std::move(rows));
   t.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStore);
   ASSERT_TRUE(t.lane_compressed());
   const auto before = t.lane_totals();
-  t.seal(SortOrder::kByV0V1, kDomain, LaneSealHint::kStream);
+  t.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStream);
   EXPECT_FALSE(t.lane_compressed());
   EXPECT_EQ(t.lane_totals(), before);
   EXPECT_NO_THROW((void)t.entries());
@@ -560,20 +560,20 @@ struct MergeCx {
   }
 };
 
-/// One slot-0 bucket of coherent half-path rows keyed (u, v, sig),
-/// sorted in the sealed kByV0V1 order, as both the dense entries and the
-/// equivalent packed narrow rows. Signatures mix lane-consistent pairs
-/// (so emissions actually happen) with random bytes (so the prefilter
-/// rejects), counts live only on `allowed` lanes at `mag` magnitude, and
-/// a few rows are all-zero (the dead-row skip).
+/// One end bucket of coherent half-path rows keyed (u, v, sig), all
+/// ending at `v` and sorted in the born kByV1 order, as both the dense
+/// entries and the equivalent packed narrow rows. Signatures mix
+/// lane-consistent pairs (so emissions actually happen) with random
+/// bytes (so the prefilter rejects), counts live only on `allowed` lanes
+/// at `mag` magnitude, and a few rows are all-zero (the dead-row skip).
 template <int B, typename W>
 std::pair<std::vector<TableEntryT<B>>, std::vector<PackedFlatRowT<B, W>>>
-merge_bucket_rows(const ColoringBatch& chi, VertexId u, Count mag,
+merge_bucket_rows(const ColoringBatch& chi, VertexId v, Count mag,
                   LaneMask allowed, Rng& rng) {
   std::vector<TableEntryT<B>> dense(300);
   for (auto& e : dense) {
-    e.key.v[0] = u;
-    e.key.v[1] = static_cast<VertexId>(rng.below(20));
+    e.key.v[0] = static_cast<VertexId>(rng.below(20));
+    e.key.v[1] = v;
     const int cl = static_cast<int>(rng.below(B));
     e.key.sig = rng.below(3) == 0
                     ? static_cast<Signature>(rng.below(256))
@@ -613,9 +613,9 @@ void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag,
                               bool expect_emissions) {
   MergeCx<B> f(seed);
   Rng rng(seed);
-  const VertexId u = 5;
-  auto [pd, pp] = merge_bucket_rows<B, WP>(f.chi, u, pmag, plus_lanes, rng);
-  auto [md, mp] = merge_bucket_rows<B, WM>(f.chi, u, mmag, minus_lanes, rng);
+  const VertexId v = 5;
+  auto [pd, pp] = merge_bucket_rows<B, WP>(f.chi, v, pmag, plus_lanes, rng);
+  auto [md, mp] = merge_bucket_rows<B, WM>(f.chi, v, mmag, minus_lanes, rng);
 
   using Emit = std::pair<TableKey, typename LaneOps<B>::Vec>;
   for (const int arity : {2, 1, 0}) {
@@ -624,13 +624,13 @@ void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag,
     spec.out[0] = {0, 0};
     spec.out[1] = {1, 1};
     std::vector<Emit> dense_out, packed_out;
-    merge_bucket<B, /*Outer=*/0>(
+    merge_bucket<B>(
         f.cx, std::span<const TableEntryT<B>>(pd),
         std::span<const TableEntryT<B>>(md), spec,
         [&](const TableKey& k, const auto& c) {
           dense_out.emplace_back(k, c);
         });
-    merge_bucket_packed<B, /*Outer=*/0>(
+    merge_bucket_packed<B>(
         f.cx, std::span<const PackedFlatRowT<B, WP>>(pp),
         std::span<const PackedFlatRowT<B, WM>>(mp), spec,
         [&](const TableKey& k, const auto& c) {
@@ -688,11 +688,11 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
   {
     MergeCx<B> f(seed);
     Rng rng(seed + 1);
-    for (const VertexId u : {3u, 5u, 9u, 11u, 20u}) {
+    for (const VertexId v : {3u, 5u, 9u, 11u, 20u}) {
       auto [pd, pp] =
-          merge_bucket_rows<B, std::uint16_t>(f.chi, u, 900, 0xFF, rng);
+          merge_bucket_rows<B, std::uint16_t>(f.chi, v, 900, 0xFF, rng);
       auto [md, mp] =
-          merge_bucket_rows<B, std::uint16_t>(f.chi, u, 900, 0xFF, rng);
+          merge_bucket_rows<B, std::uint16_t>(f.chi, v, 900, 0xFF, rng);
       for (const auto& e : pd) prows.emplace_back(e.key, e.cnt);
       for (const auto& e : md) mrows.emplace_back(e.key, e.cnt);
     }

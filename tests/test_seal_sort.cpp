@@ -125,8 +125,7 @@ Row<B> make_row(Rng& rng, VertexId domain, Count max_count) {
 
 template <int B>
 void run_distribution_suite() {
-  const SortOrder orders[] = {SortOrder::kByV0, SortOrder::kByV0V1,
-                              SortOrder::kByV1};
+  const SortOrder orders[] = {SortOrder::kByV0, SortOrder::kByV1};
   // A small domain (few, crowded buckets) and a large one (mostly empty
   // buckets), each at sizes on both sides of the threaded-partition cutoff.
   for (const VertexId domain : {VertexId{64}, VertexId{100'000}}) {
