@@ -7,6 +7,9 @@
 //     virtual-MPI engine — the batching headline: lanes share one key per
 //     signature-blocked row and one superstep per phase, so wire bytes
 //     and round trips per trial drop by multiples of B.
+// Both also report minor page faults per plan execution (getrusage
+// ru_minflt over the timed calls): reported only, since the cost of a
+// fault depends on the machine.
 // Every width's per-lane colorful counts are verified against the B = 1
 // baseline. Writes BENCH_batch.json so successive PRs can track both
 // trajectories mechanically.
@@ -22,6 +25,8 @@
 #include <span>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "ccbt/dist/dist_engine.hpp"
 #include "common.hpp"
@@ -47,6 +52,38 @@ int bench_max_batch() {
   return 8;
 }
 
+/// Minor page faults the process has taken so far.
+std::uint64_t minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
+
+/// Plan executions estimate_matches runs for `trials` trials at batch cap
+/// `width` (1, 2, 4 or 8): the largest supported width that fits, each
+/// time.
+int estimator_executions(int trials, int width) {
+  int n = 0;
+  for (int left = trials; left > 0; ++n) {
+    int w = 8;
+    while (w > std::min(left, width)) w /= 2;
+    left -= w;
+  }
+  return n;
+}
+
+/// Minor page faults over a cell's timed plan executions.
+struct Faults {
+  std::uint64_t faults = 0;
+  std::uint64_t execs = 0;
+
+  double per_exec() const {
+    return execs == 0 ? 0.0
+                      : static_cast<double>(faults) /
+                            static_cast<double>(execs);
+  }
+};
+
 struct Cell {
   std::string graph;
   std::string query;
@@ -69,6 +106,7 @@ struct Cell {
   // Accumulation telemetry sampled from the same execution as the
   // lane-layout fields: phases and the rows and bytes they emitted.
   AccumTelemetry accum;
+  Faults faults;
 };
 
 struct WireCell {
@@ -84,7 +122,20 @@ struct WireCell {
   std::array<std::uint64_t, 3> width_hist{};  // serialized rows per width
   // Per-stage wall breakdown summed over the cell's distributed runs.
   StageWall stage;
+  Faults faults;
 };
+
+/// Minor page faults per plan execution over the cells of `width`.
+template <typename C>
+double faults_per_exec(const std::vector<C>& cells, int width) {
+  Faults sum;
+  for (const C& c : cells) {
+    if (c.width != width) continue;
+    sum.faults += c.faults.faults;
+    sum.execs += c.faults.execs;
+  }
+  return sum.per_exec();
+}
 
 double geomean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
@@ -163,9 +214,13 @@ int main() {
               cell.width_hist = sample.lanes.width_rows;
             }
           }
+          const std::uint64_t faults_before = minor_faults();
           Timer timer;
           const EstimatorResult r = estimate_matches(session, opts);
           cell.wall = timer.seconds();
+          cell.faults = {minor_faults() - faults_before,
+                         static_cast<std::uint64_t>(
+                             estimator_executions(trials, width))};
           cell.per_trial_ms = 1e3 * cell.wall / trials;
           cell.stage = r.stage;
           if (width == 1) {
@@ -280,6 +335,7 @@ int main() {
       StageWall stage_sum;
       std::vector<Count> counts;
       bool ok = true;
+      const std::uint64_t faults_before = minor_faults();
       try {
         for (int i = 0; i < trials; i += width) {
           const ColoringBatch batch(
@@ -307,6 +363,8 @@ int main() {
         continue;
       }
       WireCell c;
+      c.faults = {minor_faults() - faults_before,
+                  static_cast<std::uint64_t>(trials / width)};
       c.graph = wire_graph;
       c.query = q.name();
       c.width = width;
@@ -404,6 +462,9 @@ int main() {
                "  \"seal_wall_b8_over_b1\": %.3f,\n"
                "  \"accumulate_wall_b8_over_b1\": %.3f,\n"
                "  \"dist_seal_share_b8\": %.4f,\n"
+               "  \"minor_faults_per_exec\": {\"shared_b1\": %.1f, "
+               "\"shared_b8\": %.1f, \"dist_b1\": %.1f, "
+               "\"dist_b8\": %.1f},\n"
                "  \"emit_bytes_per_trial_b8_over_b1\": %.3f,\n"
                "  \"wire_b8_beats_b1\": %s,\n"
                "  \"lanes_match\": %s,\n"
@@ -417,7 +478,9 @@ int main() {
                stage_b1.accumulate > 0.0
                    ? stage_b8.accumulate / stage_b1.accumulate
                    : 0.0,
-               dist_seal_share_b8, emit_ratio,
+               dist_seal_share_b8, faults_per_exec(cells, 1),
+               faults_per_exec(cells, 8), faults_per_exec(wire, 1),
+               faults_per_exec(wire, 8), emit_ratio,
                gm_wire8 > 1.0 ? "true" : "false",
                all_match ? "true" : "false", stage_b1.accumulate,
                stage_b1.seal, stage_b1.merge, stage_b1.transport,
@@ -437,7 +500,8 @@ int main() {
         "\"merge\": %.6f}, "
         "\"accumulate_wall_over_b1\": %.3f, "
         "\"accum\": {\"phases\": %llu, \"rows\": %llu, "
-        "\"emit_bytes\": %llu, \"bytes_per_row\": %.2f}}%s\n",
+        "\"emit_bytes\": %llu, \"bytes_per_row\": %.2f}, "
+        "\"minor_faults_per_exec\": %.1f}%s\n",
         c.graph.c_str(), c.query.c_str(), c.width, c.wall, c.per_trial_ms,
         c.speedup, c.lanes_match ? "true" : "false", c.lane_density,
         c.packed_share,
@@ -448,7 +512,9 @@ int main() {
         static_cast<unsigned long long>(c.accum.phases),
         static_cast<unsigned long long>(c.accum.rows),
         static_cast<unsigned long long>(c.accum.emit_bytes),
-        c.accum.bytes_per_row(), i + 1 < cells.size() ? "," : "");
+        c.accum.bytes_per_row(),
+        c.faults.per_exec(),
+        i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"wire_cells\": [\n");
   for (std::size_t i = 0; i < wire.size(); ++i) {
@@ -462,7 +528,8 @@ int main() {
         "\"wire_width_hist\": {\"u16\": %llu, \"u32\": %llu, "
         "\"u64\": %llu}, "
         "\"stage\": {\"accumulate\": %.6f, \"seal\": %.6f, "
-        "\"merge\": %.6f, \"transport\": %.6f}}%s\n",
+        "\"merge\": %.6f, \"transport\": %.6f}, "
+        "\"minor_faults_per_exec\": %.1f}%s\n",
         c.graph.c_str(), c.query.c_str(), c.width, c.bytes_per_trial,
         c.steps_per_trial, c.bytes_ratio, c.lanes_match ? "true" : "false",
         c.wire_density,
@@ -470,6 +537,7 @@ int main() {
         static_cast<unsigned long long>(c.width_hist[1]),
         static_cast<unsigned long long>(c.width_hist[2]),
         c.stage.accumulate, c.stage.seal, c.stage.merge, c.stage.transport,
+        c.faults.per_exec(),
         i + 1 < wire.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -15,6 +15,7 @@ CountingSession::CountingSession(const CsrGraph& g, const QueryGraph& q,
       opts_(opts),
       degree_order_(g),
       id_order_(DegreeOrder::by_id(g.num_vertices())) {
+  check_table_budget(opts_, "CountingSession");
   validate_query(q);
   if (plan_.tree.k != q.num_nodes()) {
     throw Error("CountingSession: plan does not match query size");

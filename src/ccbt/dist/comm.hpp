@@ -7,6 +7,12 @@
 // rank order, preserving each sender's send order — so a virtual run is
 // exactly reproducible.
 //
+// Buffer lifetime: outboxes and inboxes live as long as the transport (one
+// run_plan_distributed call). exchange() empties each inbox without
+// freeing it and reserves it to the exact row count send() tallied for
+// that rank, so a delivery never regrows a buffer and later supersteps
+// reuse the pages earlier ones faulted in.
+//
 // The transport keeps its own traffic accounting (CommStats), independent
 // of the engine's modeled LoadModel communication: the model sees only the
 // routing a real implementation must pay per join emission, while the
@@ -94,6 +100,7 @@ class VirtualCommT {
   /// Throws Error when ranks == 0.
   explicit VirtualCommT(std::uint32_t ranks) {
     if (ranks == 0) throw Error("VirtualComm: need at least one rank");
+    queued_to_.resize(ranks, 0);
     if constexpr (B == 1) {
       outbox_.resize(ranks);
     } else {
@@ -111,6 +118,7 @@ class VirtualCommT {
   /// Queue `e` from rank `from` to rank `to`; visible after exchange().
   void send(std::uint32_t from, std::uint32_t to, const Entry& e) {
     ++stats_.entries_sent;
+    ++queued_to_[to];
     if constexpr (B == 1) {
       outbox_[from].push_back({to, e});
       if (from != to) {
@@ -163,19 +171,26 @@ class VirtualCommT {
     for (auto& out : outbox_) out.clear();
     for (auto& out : wire_outbox_) out.clear();
     for (auto& in : inbox_) in.clear();
+    std::fill(queued_to_.begin(), queued_to_.end(), 0);
   }
 
   /// Deliver all queued entries (replacing previous inboxes) and close
   /// the superstep. With a fault plan installed, runs the
   /// selective-retransmit protocol described in the file comment; throws
   /// CommTimeout / RankFailed when the retry budget cannot complete the
-  /// delivery.
+  /// delivery (the inboxes are left empty).
   void exchange() {
+    // Empty each inbox, keeping its memory, and reserve it to the rows
+    // queued for it: capacity only grows, so later supersteps reuse it.
+    for (std::uint32_t r = 0; r < num_ranks(); ++r) {
+      inbox_[r].clear();
+      inbox_[r].reserve(queued_to_[r]);
+      queued_to_[r] = 0;
+    }
     if (faults_ != nullptr && faults_->spec().transport_faults()) {
       exchange_faulty();
       return;
     }
-    for (auto& in : inbox_) in.clear();
     // Senders drain in rank order, each in send order: deterministic
     // delivery independent of any real interleaving.
     if constexpr (B == 1) {
@@ -206,8 +221,13 @@ class VirtualCommT {
     return inbox_[rank];
   }
 
-  /// Move `rank`'s delivered entries out (the next exchange() resets the
-  /// inbox anyway); lets collectors adopt the buffer without a copy.
+  /// Empty `rank`'s inbox once its rows are consumed, keeping the buffer
+  /// for the next exchange().
+  void clear_inbox(std::uint32_t rank) { inbox_[rank].clear(); }
+
+  /// Move `rank`'s delivered entries out, buffer included: lets a
+  /// collector adopt the rows without a copy, and the next exchange()
+  /// reserves that inbox afresh.
   std::vector<Entry> take_inbox(std::uint32_t rank) {
     return std::move(inbox_[rank]);
   }
@@ -368,7 +388,6 @@ class VirtualCommT {
 
     // Reassemble in canonical order — bit-identical to a fault-free
     // exchange regardless of which attempt delivered each message.
-    for (auto& in : inbox_) in.clear();
     for (const Pending& m : pending) inbox_[m.to].push_back(m.entry);
     finish_superstep();
   }
@@ -376,6 +395,7 @@ class VirtualCommT {
   std::vector<std::vector<Queued>> outbox_;  // B = 1: per sender, in order
   std::vector<std::vector<std::uint8_t>> wire_outbox_;  // B > 1 byte streams
   std::vector<std::vector<Entry>> inbox_;
+  std::vector<std::size_t> queued_to_;  // rows queued per destination
   CommStats stats_;
 
   // Fault-injection hooks (null / inert by default: the fault-free path

@@ -30,13 +30,15 @@ namespace {
 
 /// Distributed execution state threaded through every primitive: the
 /// shared-memory ExecContext (whose LoadModel the primitives charge
-/// exactly as the shared engine does) plus the transport.
+/// exactly as the shared engine does) plus the transport, and the path
+/// collects' working buffers, which like the transport's live for the run.
 template <int B>
 struct Dx {
   const ExecContext& cx;
   VirtualCommT<B>& comm;
   std::size_t budget;
   FaultPlan* faults = nullptr;  // nullptr = no injection
+  typename DistTableT<B>::FrontierScratch scratch;
 
   const BlockPartition& part() const { return cx.part; }
   std::uint32_t ranks() const { return comm.num_ranks(); }
@@ -78,7 +80,7 @@ DistTableT<B> collect_path(Dx<B>& dx, int arity) {
   ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
   DistTableT<B> t = DistTableT<B>::collect_by_frontier(
       arity, dx.comm, dx.part(), dx.budget, !cx.opts.lane_compress,
-      cx.accum);
+      dx.scratch, cx.accum);
   cx.end_phase();
   return t;
 }
@@ -481,7 +483,7 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
     comm.set_fault_plan(fp, opts.dist.max_retries, opts.dist.backoff_base_ms,
                         opts.dist.deadline_ms);
   }
-  Dx<B> dx{cx, comm, opts.max_table_entries, fp};
+  Dx<B> dx{cx, comm, opts.max_table_entries, fp, {}};
   DistPool<B> pool(tree.blocks.size(), g.num_vertices(),
                    opts.lane_compress, &stats.stage);
 
@@ -590,6 +592,7 @@ DistStats run_plan_distributed(const CsrGraph& g, const DecompTree& tree,
 DistStats run_plan_distributed(const CsrGraph& g, const DecompTree& tree,
                                const ColoringBatch& batch,
                                std::uint32_t ranks, ExecOptions opts) {
+  check_table_budget(opts, "run_plan_distributed");
   if (tree.root < 0) {
     throw Error(ErrorCode::kUnsupportedQuery,
                 "run_plan_distributed: tree has no root");

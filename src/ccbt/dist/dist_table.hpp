@@ -34,32 +34,47 @@ class DistTableT {
 
   DistTableT() = default;
 
-  /// Drain every rank's inbox (as delivered by the last exchange) into a
-  /// born-sorted path shard, built like the shared engine's path tables:
-  /// rows are homed at their frontier (slot 1), so one counting partition
-  /// by v1 splits rank r's rows into the buckets of its vertices, and each
-  /// bucket is closed through SortedBucketsT (`wide` keeps rows dense, for
-  /// lane compression off). Shard r arrives sealed kByV1 with exactly the
-  /// shared table's rows of those buckets, the invariant behind the
-  /// engines' load-model parity. Each inbox is freed once its shard is
-  /// built; `accum` gains one phase. Throws BudgetExceeded when the
-  /// deduplicated rows exceed `budget`.
+  /// collect_by_frontier's working buffers: the counting partition of one
+  /// inbox by frontier and the gather of one bucket. The caller keeps one
+  /// for a whole run, so every phase reuses their memory.
+  struct FrontierScratch {
+    std::vector<std::uint32_t> off;     // bucket offsets of one rank
+    std::vector<std::uint32_t> cursor;  // fill position per bucket
+    std::vector<std::uint32_t> order;   // inbox indices, bucket by bucket
+    FlatRowsT<B> bucket;
+  };
+
+  /// Build every rank's born-sorted path shard from its inbox (as
+  /// delivered by the last exchange), like the shared engine's path
+  /// tables: rows are homed at their frontier (slot 1), so one counting
+  /// partition by v1 splits rank r's rows into the buckets of its
+  /// vertices, and each bucket is closed through SortedBucketsT (`wide`
+  /// keeps rows dense, for lane compression off). Shard r arrives sealed
+  /// kByV1 with exactly the shared table's rows of those buckets, the
+  /// invariant behind the engines' load-model parity. Each inbox is read
+  /// in place and then emptied but not freed: the transport reuses it for
+  /// the next superstep, as the partition reuses `scratch`. `accum` gains
+  /// one phase. Throws BudgetExceeded when the deduplicated rows exceed
+  /// `budget`.
   static DistTableT collect_by_frontier(int arity, VirtualCommT<B>& comm,
                                         const BlockPartition& part,
                                         std::size_t budget, bool wide,
+                                        FrontierScratch& scratch,
                                         AccumTelemetry* accum = nullptr) {
     using Mode = typename FlatRowsT<B>::Mode;
     DistTableT t;
     t.arity_ = arity;
     t.home_slot_ = 1;
     t.shards_.resize(comm.num_ranks());
-    FlatRowsT<B> scratch;
+    std::vector<std::uint32_t>& off = scratch.off;
+    std::vector<std::uint32_t>& cursor = scratch.cursor;
+    std::vector<std::uint32_t>& order = scratch.order;
     std::size_t total = 0;
     for (std::uint32_t r = 0; r < comm.num_ranks(); ++r) {
-      const std::vector<Entry> in = comm.take_inbox(r);
+      const std::vector<Entry>& in = comm.inbox(r);
       const VertexId lo = part.begin(r);
       const VertexId hi = part.end(r);
-      std::vector<std::uint32_t> off(hi - lo + 1, 0);
+      off.assign(hi - lo + 1, 0);
       bool packs = true;
       for (const Entry& e : in) {
         packs = packs && packable_key(e.key);
@@ -71,29 +86,27 @@ class DistTableT {
         ++off[v - lo + 1];
       }
       for (std::size_t v = 1; v < off.size(); ++v) off[v] += off[v - 1];
-      std::vector<std::uint32_t> order(in.size());
-      {
-        std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
-        for (std::uint32_t i = 0; i < in.size(); ++i) {
-          order[cursor[in[i].key.v[1] - lo]++] = i;
-        }
+      order.resize(in.size());
+      cursor.assign(off.begin(), off.end() - 1);
+      for (std::uint32_t i = 0; i < in.size(); ++i) {
+        order[cursor[in[i].key.v[1] - lo]++] = i;
       }
       // A shard with an unpackable key ends dense anyway: start it dense,
       // sized to the inbox, instead of growing dense rows by doubling.
       SortedBucketsT<B> built(wide || !packs, in.size());
       built.skip(lo);
       for (VertexId v = 0; v < hi - lo; ++v) {
-        scratch.reset(wide ? Mode::kWide : Mode::kU16);
+        scratch.bucket.reset(wide ? Mode::kWide : Mode::kU16);
         for (std::uint32_t i = off[v]; i < off[v + 1]; ++i) {
-          if (i + 8 < order.size()) {  // read out of arrival order
+          if (i + 8 < in.size()) {  // read out of arrival order
             const char* ahead =
                 reinterpret_cast<const char*>(&in[order[i + 8]]);
             __builtin_prefetch(ahead);
             __builtin_prefetch(ahead + sizeof(Entry) - 1);
           }
-          scratch.append(in[order[i]].key, in[order[i]].cnt);
+          scratch.bucket.append(in[order[i]].key, in[order[i]].cnt);
         }
-        built.close(scratch);
+        built.close(scratch.bucket);
         if (total + built.size() > budget) {
           throw BudgetExceeded("distributed table exceeded " +
                                std::to_string(budget) + " entries");
@@ -105,6 +118,7 @@ class DistTableT {
         accum->emit_bytes += built.emitted_bytes();
       }
       t.shards_[r] = ProjTableT<B>::from_buckets(arity, std::move(built));
+      comm.clear_inbox(r);
     }
     if (accum != nullptr) ++accum->phases;
     return t;

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <string>
 
 #include "ccbt/engine/load_model.hpp"
 #include "ccbt/graph/coloring.hpp"
@@ -11,6 +13,7 @@
 #include "ccbt/graph/partition.hpp"
 #include "ccbt/table/flat_rows.hpp"
 #include "ccbt/table/lane_payload.hpp"
+#include "ccbt/util/error.hpp"
 #include "ccbt/util/fault.hpp"
 #include "ccbt/util/timer.hpp"
 
@@ -107,7 +110,8 @@ struct ExecOptions {
   std::uint32_t sim_ranks = 0;
 
   /// Abort with BudgetExceeded when any table grows beyond this (the
-  /// paper's PS runs hit exactly this wall — blank cells in Fig 10).
+  /// paper's PS runs hit exactly this wall — blank cells in Fig 10). At
+  /// most UINT32_MAX: the engines reject a larger budget at entry.
   std::size_t max_table_entries = 80'000'000;
 
   /// Ablation: anchor DB at the id order instead of the degree order
@@ -135,6 +139,18 @@ struct ExecOptions {
   /// engine ignores it).
   DistOptions dist;
 };
+
+/// Born-sorted tables count bucket rows and CSR offsets in u32, and the
+/// distributed collect indexes inboxes in u32: a table budget past
+/// UINT32_MAX would let them wrap silently instead of throwing. Every
+/// engine entry point rejects such a budget up front with BudgetExceeded.
+inline void check_table_budget(const ExecOptions& opts, const char* who) {
+  if (opts.max_table_entries > std::numeric_limits<std::uint32_t>::max()) {
+    throw BudgetExceeded(std::string(who) + ": max_table_entries " +
+                         std::to_string(opts.max_table_entries) +
+                         " exceeds the u32 table offset limit");
+  }
+}
 
 struct ExecContext {
   const CsrGraph& g;

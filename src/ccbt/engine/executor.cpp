@@ -79,6 +79,7 @@ ExecStats run_plan_impl(const ExecContext& outer_cx, const DecompTree& tree) {
 }  // namespace
 
 ExecStats run_plan(const ExecContext& cx, const DecompTree& tree) {
+  check_table_budget(cx.opts, "run_plan");
   if (tree.root < 0) throw Error("run_plan: tree has no root");
   switch (cx.chi.lanes()) {
     case 1: return run_plan_impl<1>(cx, tree);

@@ -333,11 +333,13 @@ class PhaseParity {
     comm_.exchange();
     return DistTableT<B>::collect_by_frontier(arity, comm_, cx_.part,
                                               kBudget,
-                                              !cx_.opts.lane_compress);
+                                              !cx_.opts.lane_compress,
+                                              scratch_);
   }
 
   const ExecContext& cx_;
   VirtualCommT<B> comm_;
+  typename DistTableT<B>::FrontierScratch scratch_;
   int phases_ = 0;
 };
 
@@ -558,6 +560,19 @@ TEST(DistEngine, BudgetExceededThrows) {
   opts.max_table_entries = 10;
   EXPECT_THROW(run_plan_distributed(g, make_plan(q).tree, chi, 4, opts),
                BudgetExceeded);
+}
+
+TEST(DistEngine, BudgetPastU32OffsetLimitRejected) {
+  const CsrGraph g = erdos_renyi(30, 60, 18);
+  const QueryGraph q = q_cycle(4);
+  const Coloring chi(g.num_vertices(), 4, 57);
+  ExecOptions opts;
+  opts.max_table_entries = std::size_t{0xFFFFFFFFu} + 1;
+  EXPECT_THROW(run_plan_distributed(g, make_plan(q).tree, chi, 2, opts),
+               BudgetExceeded);
+  opts.max_table_entries = 0xFFFFFFFFu;
+  EXPECT_EQ(run_plan_distributed(g, make_plan(q).tree, chi, 2, opts).colorful,
+            count_colorful_exact(g, q, chi));
 }
 
 TEST(DistEngine, MissingRootRejected) {

@@ -180,8 +180,9 @@ void expect_born_sorted_collect(const std::vector<TableEntryT<B>>& rows,
   }
   comm.exchange();
   AccumTelemetry accum;
+  typename DistTableT<B>::FrontierScratch scratch;
   const DistTableT<B> t = DistTableT<B>::collect_by_frontier(
-      arity, comm, part, 1'000'000, wide, &accum);
+      arity, comm, part, 1'000'000, wide, scratch, &accum);
   EXPECT_EQ(accum.phases, 1u);
   EXPECT_EQ(accum.rows, rows.size());
   EXPECT_EQ(t.home_slot(), 1);
@@ -189,7 +190,7 @@ void expect_born_sorted_collect(const std::vector<TableEntryT<B>>& rows,
   ASSERT_EQ(t.num_shards(), ranks);
   EXPECT_TRUE(t.well_placed(part));
   for (std::uint32_t r = 0; r < ranks; ++r) {
-    EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " kept";
+    EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " not emptied";
     ProjTableT<B> ref =
         ProjTableT<B>::from_flat(arity, std::vector(delivered[r]));
     ref.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
@@ -301,13 +302,14 @@ TEST(DistTableBornSorted, BudgetBoundsDeduplicatedRows) {
       }
     }
     comm.exchange();
+    DistTableT<8>::FrontierScratch scratch;
     if (budget == 10) {
       const DistTableT<8> t = DistTableT<8>::collect_by_frontier(
-          2, comm, part, budget, /*wide=*/false);
+          2, comm, part, budget, /*wide=*/false, scratch);
       EXPECT_EQ(t.size(), 10u);
     } else {
       EXPECT_THROW((void)DistTableT<8>::collect_by_frontier(
-                       2, comm, part, budget, /*wide=*/false),
+                       2, comm, part, budget, /*wide=*/false, scratch),
                    BudgetExceeded);
     }
   }
@@ -318,9 +320,80 @@ TEST(DistTableBornSorted, RowOffItsFrontierOwnerThrows) {
   const BlockPartition part(10, 2);
   comm.send(0, 0, entry(0, 9, 1, 1));  // owner(9) is rank 1
   comm.exchange();
+  DistTable::FrontierScratch scratch;
   EXPECT_THROW((void)DistTable::collect_by_frontier(2, comm, part, 100,
-                                                    /*wide=*/false),
+                                                    /*wide=*/false, scratch),
                Error);
+}
+
+/// Deliver `rows` to the owners of their frontiers, round-robin over the
+/// senders.
+template <int B>
+void deliver_to_frontiers(VirtualCommT<B>& comm, const BlockPartition& part,
+                          const std::vector<TableEntryT<B>>& rows) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    comm.send(static_cast<std::uint32_t>(i % comm.num_ranks()),
+              part.owner(rows[i].key.v[1]), rows[i]);
+  }
+  comm.exchange();
+}
+
+/// Collects on one comm with one scratch reuse the inboxes and the
+/// partition buffers: a second phase with smaller inboxes, and a rank
+/// that receives nothing, builds exactly the shards a fresh comm and
+/// scratch build from the same rows.
+template <int B>
+void expect_collect_reuse_matches_fresh() {
+  constexpr VertexId kN = 60;
+  constexpr std::uint32_t kRanks = 4;
+  constexpr std::size_t kBudget = 1'000'000;
+  const BlockPartition part(kN, kRanks);
+  std::vector<TableEntryT<B>> small = duplicate_heavy_rows<B>(kN, 400, 29);
+  std::erase_if(small, [&](const TableEntryT<B>& e) {
+    return part.owner(e.key.v[1]) == 2;
+  });
+
+  VirtualCommT<B> comm(kRanks);
+  typename DistTableT<B>::FrontierScratch scratch;
+  deliver_to_frontiers(comm, part, duplicate_heavy_rows<B>(kN, 3000, 23));
+  (void)DistTableT<B>::collect_by_frontier(2, comm, part, kBudget,
+                                           /*wide=*/false, scratch);
+  deliver_to_frontiers(comm, part, small);
+  const DistTableT<B> reused = DistTableT<B>::collect_by_frontier(
+      2, comm, part, kBudget, /*wide=*/false, scratch);
+
+  VirtualCommT<B> fresh_comm(kRanks);
+  typename DistTableT<B>::FrontierScratch fresh_scratch;
+  deliver_to_frontiers(fresh_comm, part, small);
+  const DistTableT<B> fresh = DistTableT<B>::collect_by_frontier(
+      2, fresh_comm, part, kBudget, /*wide=*/false, fresh_scratch);
+
+  EXPECT_EQ(reused.shard(2).size(), 0u);
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    const ProjTableT<B>& got = reused.shard(r);
+    const ProjTableT<B>& want = fresh.shard(r);
+    ASSERT_EQ(got.size(), want.size()) << "rank " << r;
+    EXPECT_EQ(got.packed_flat(), want.packed_flat()) << "rank " << r;
+    EXPECT_EQ(got.layout().width, want.layout().width) << "rank " << r;
+    TableEntryT<B> gtmp, wtmp;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const TableEntryT<B>& g = got.row_at(i, gtmp);
+      const TableEntryT<B>& w = want.row_at(i, wtmp);
+      EXPECT_EQ(g.key, w.key) << "rank " << r << " row " << i;
+      EXPECT_EQ(g.cnt, w.cnt) << "rank " << r << " row " << i;
+    }
+    for (VertexId v = 0; v < kN; ++v) {
+      EXPECT_EQ(got.group_span(1, v), want.group_span(1, v))
+          << "rank " << r << " bucket " << v;
+    }
+  }
+}
+
+TEST(DistTableBornSorted, ReusedCommAndScratchMatchFreshB1) {
+  expect_collect_reuse_matches_fresh<1>();
+}
+TEST(DistTableBornSorted, ReusedCommAndScratchMatchFreshB8) {
+  expect_collect_reuse_matches_fresh<8>();
 }
 
 }  // namespace

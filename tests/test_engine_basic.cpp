@@ -166,6 +166,37 @@ TEST(EngineBasic, BudgetExceededThrows) {
   EXPECT_THROW(session.count_colorful(chi), BudgetExceeded);
 }
 
+TEST(EngineBasic, SessionRejectsBudgetPastU32OffsetLimit) {
+  const CsrGraph g = erdos_renyi(30, 60, 25);
+  const QueryGraph q = q_cycle(4);
+  ExecOptions opts;
+  opts.max_table_entries = std::size_t{0xFFFFFFFFu} + 1;
+  EXPECT_THROW(CountingSession(g, q, make_plan(q), opts), BudgetExceeded);
+  opts.max_table_entries = 0xFFFFFFFFu;
+  const CountingSession session(g, q, make_plan(q), opts);
+  const Coloring chi(g.num_vertices(), q.num_nodes(), 10);
+  EXPECT_EQ(session.count_colorful(chi).colorful,
+            count_colorful_exact(g, q, chi));
+}
+
+TEST(EngineBasic, RunPlanRejectsBudgetPastU32OffsetLimit) {
+  const CsrGraph g = erdos_renyi(30, 60, 26);
+  const QueryGraph q = q_cycle(4);
+  const Plan plan = make_plan(q);
+  const DegreeOrder order(g);
+  const Coloring chi(g.num_vertices(), q.num_nodes(), 11);
+  ExecOptions opts;
+  opts.max_table_entries = std::size_t{0xFFFFFFFFu} + 1;
+  const ExecContext over{g, ColoringBatch(chi), order,
+                         BlockPartition(g.num_vertices(), 0), nullptr, opts};
+  EXPECT_THROW(run_plan(over, plan.tree), BudgetExceeded);
+  opts.max_table_entries = 0xFFFFFFFFu;
+  const ExecContext at{g, ColoringBatch(chi), order,
+                       BlockPartition(g.num_vertices(), 0), nullptr, opts};
+  EXPECT_EQ(run_plan(at, plan.tree).colorful,
+            count_colorful_exact(g, q, chi));
+}
+
 TEST(EngineBasic, IdOrderAblationMatchesOracle) {
   const CsrGraph g = erdos_renyi(26, 70, 24);
   const QueryGraph q = q_cycle(5);
