@@ -93,11 +93,10 @@ struct Cell {
   double per_trial_ms = 0.0;  // amortized
   double speedup = 1.0;       // vs the B = 1 baseline on the same cell
   bool lanes_match = true;    // per-trial counts identical to baseline
-  // Lane-layout telemetry sampled from one batched execution: what the
-  // seal-time chooser observed and decided (B > 1).
+  // Lane-layout telemetry sampled from one batched execution (B > 1).
   double lane_density = 0.0;
-  double packed_share = 0.0;  // rows re-packed / rows sealed
-  std::array<std::uint64_t, 3> width_hist{};  // packed rows per u16/u32/u64
+  double packed_share = 0.0;  // narrow rows / rows observed
+  std::array<std::uint64_t, 3> width_hist{};  // narrow rows per u16/u32/u64
   // Per-stage wall breakdown summed over the cell's plan executions.
   StageWall stage;
   // Accumulate-stage wall vs the B = 1 cell of the same (graph, query):
@@ -194,7 +193,7 @@ int main() {
             // One untimed execution before the timed run: it warms this
             // width's code paths and allocator state (without it the
             // first cell at each width pays the process's cold start),
-            // and it samples the layout chooser's observations and the
+            // and it samples the lane-layout telemetry and the
             // accumulation telemetry (the estimator API reports counts,
             // not telemetry). B = 1 too: its bucket builds report
             // emit_bytes, the denominator of the emission byte-traffic

@@ -11,12 +11,11 @@
 // is the one already exercised by every superstep.
 //
 // Restore rebuilds each table from its decoded row multiset and re-seals
-// with the storage convention (kByV0 + the pool's layout hint). Because
-// serialization iterates the sealed row order, the decoded rows are
-// already sorted with unique keys: the seal's counting partition is
-// stable, each bucket's sort orders unique keys totally, and the layout
-// chooser is deterministic — so a restored table is bit-identical to the
-// one checkpointed, the property behind the "replayed run equals
+// with the storage convention (kByV0, dense). Because serialization
+// iterates the sealed row order, the decoded rows are already sorted with
+// unique keys: the seal's counting partition is stable and each bucket's
+// sort orders unique keys totally — so a restored table is bit-identical
+// to the one checkpointed, the property behind the "replayed run equals
 // fault-free run" guarantee.
 //
 // Integrity: every shard image carries a magic word and its row count;

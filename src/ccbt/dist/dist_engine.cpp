@@ -104,8 +104,6 @@ template <int B>
 DistTableT<B> d_init_path_from_child(Dx<B>& dx, const DistTableT<B>& child,
                                      const ExtendOpts& o) {
   const ExecContext& cx = dx.cx;
-  // Stored child shards may be lane-compressed: for_each_entry expands
-  // each masked payload row on the fly.
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
@@ -142,16 +140,15 @@ DistTableT<B> d_extend_with_child(Dx<B>& dx, const DistTableT<B>& path,
   const ExecContext& cx = dx.cx;
   // Path entries with frontier v and child entries (v, w, ..) are
   // co-located at owner(v): the EdgeJoin probe is rank-local. The child
-  // shard may be lane-compressed (stored tables): it is probed once per
-  // path row, so ChildProbe expands it once up front.
+  // shard is stored, so it is dense and probed through group().
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
       cx.note_lanes(path.shard(r).layout());
-      const detail::ChildProbe<B> probe(child.shard(r));
+      const ProjTableT<B>& shard = child.shard(r);
       auto emit = dx.route_to_slot(r, 1);
       path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_extend_with_child<B>(cx, e, probe.group(0, e.key.v[1]), o,
+        kernel_extend_with_child<B>(cx, e, shard.group(0, e.key.v[1]), o,
                                     emit);
       });
     }
@@ -177,10 +174,10 @@ DistTableT<B> d_node_join(Dx<B>& dx, const DistTableT<B>& path,
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      const detail::ChildProbe<B> probe(child.shard(r));
+      const ProjTableT<B>& shard = child.shard(r);
       auto emit = dx.route_to_slot(r, 1);
       src->shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_node_join<B>(cx, e, probe.group(0, e.key.v[slot]), slot,
+        kernel_node_join<B>(cx, e, shard.group(0, e.key.v[slot]), slot,
                             emit);
       });
     }
@@ -263,27 +260,25 @@ DistTableT<B> d_aggregate(Dx<B>& dx, const DistTableT<B>& t,
 }
 
 /// Solved child-block tables: stored home slot 0, shards sealed kByV0
-/// (the same convention as the shared TablePool), with lazily cached
-/// transposes produced by a transport superstep. Stored shards seal with
-/// the kStore hint, so at B > 1 they re-pack into the lane-compressed
-/// layout when the observed density makes that smaller.
+/// (the same convention as the shared TablePool, so every shard is
+/// dense), with lazily cached transposes produced by a transport
+/// superstep.
 template <int B>
 class DistPool {
  public:
-  DistPool(std::size_t num_blocks, VertexId domain, bool compress,
+  DistPool(std::size_t num_blocks, VertexId domain,
            StageWall* stage = nullptr)
       : tables_(num_blocks),
         transposed_(num_blocks),
         has_transposed_(num_blocks, false),
         stored_(num_blocks, false),
         domain_(domain),
-        hint_(compress ? LaneSealHint::kStore : LaneSealHint::kStream),
         stage_(stage) {}
 
   void store(int block, DistTableT<B> table) {
     {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
-      table.seal_shards(SortOrder::kByV0, domain_, hint_);
+      table.seal_shards(SortOrder::kByV0, domain_);
     }
     tables_[block] = std::move(table);
     stored_[block] = true;
@@ -298,7 +293,7 @@ class DistPool {
       // charge it to transport (the seal inside is not separable here).
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->transport);
       transposed_[block] = tables_[block].transposed(
-          dx.comm, dx.part(), dx.budget, domain_, hint_);
+          dx.comm, dx.part(), dx.budget, domain_);
       has_transposed_[block] = true;
     }
     return transposed_[block];
@@ -331,8 +326,7 @@ class DistPool {
   /// Rebuild the stored tables from `img`, dropping everything newer.
   /// Decoded rows arrive in sealed order with unique keys, so re-sealing
   /// reproduces the checkpointed shards bit for bit: the counting
-  /// partition is stable, unique keys sort totally inside each bucket,
-  /// and the layout chooser is deterministic.
+  /// partition is stable and unique keys sort totally inside each bucket.
   void restore(const CheckpointImageT<B>& img, std::uint32_t ranks) {
     std::fill(stored_.begin(), stored_.end(), false);
     std::fill(has_transposed_.begin(), has_transposed_.end(), false);
@@ -353,7 +347,7 @@ class DistPool {
       }
       tables_[ti.block] = DistTableT<B>::from_shard_rows(
           ti.arity, ti.home_slot, std::move(rows), SortOrder::kByV0,
-          domain_, hint_);
+          domain_);
       stored_[ti.block] = true;
     }
   }
@@ -364,7 +358,6 @@ class DistPool {
   std::vector<bool> has_transposed_;
   std::vector<bool> stored_;
   VertexId domain_;
-  LaneSealHint hint_;
   StageWall* stage_ = nullptr;
 };
 
@@ -484,8 +477,7 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
                         opts.dist.deadline_ms);
   }
   Dx<B> dx{cx, comm, opts.max_table_entries, fp, {}};
-  DistPool<B> pool(tree.blocks.size(), g.num_vertices(),
-                   opts.lane_compress, &stats.stage);
+  DistPool<B> pool(tree.blocks.size(), g.num_vertices(), &stats.stage);
 
   stats.lanes_used = batch.lanes();
   auto record_root = [&](const typename LaneOps<B>::Vec& totals) {

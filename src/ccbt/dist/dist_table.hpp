@@ -132,8 +132,7 @@ class DistTableT {
   /// sorting seal.
   static DistTableT collect(int arity, int home_slot, VirtualCommT<B>& comm,
                             SortOrder order, std::size_t budget,
-                            VertexId domain = 0,
-                            LaneSealHint hint = LaneSealHint::kStore) {
+                            VertexId domain = 0) {
     DistTableT t;
     t.arity_ = arity;
     t.home_slot_ = home_slot;
@@ -147,21 +146,19 @@ class DistTableT {
         throw BudgetExceeded("distributed table exceeded " +
                              std::to_string(budget) + " entries");
       }
-      shard.seal(order, domain, hint);
+      shard.seal(order, domain);
       t.shards_[r] = std::move(shard);
     }
     return t;
   }
 
   /// Materialize from per-rank row sequences (checkpoint restore), one
-  /// shard per rank, sealed in `order` with `hint`. Rows decoded from a
-  /// checkpoint arrive in sealed order with unique keys, so re-sealing
-  /// (a stable sort + deterministic layout choice) reproduces the
-  /// checkpointed table bit for bit.
+  /// shard per rank, sealed in `order`. Rows decoded from a checkpoint
+  /// arrive in sealed order with unique keys, so re-sealing (a
+  /// deterministic sort) reproduces the checkpointed table bit for bit.
   static DistTableT from_shard_rows(int arity, int home_slot,
                                     std::vector<std::vector<Entry>> rows,
-                                    SortOrder order, VertexId domain,
-                                    LaneSealHint hint) {
+                                    SortOrder order, VertexId domain) {
     DistTableT t;
     t.arity_ = arity;
     t.home_slot_ = home_slot;
@@ -169,7 +166,7 @@ class DistTableT {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       ProjTableT<B> shard =
           ProjTableT<B>::from_flat(arity, std::move(rows[r]));
-      shard.seal(order, domain, hint);
+      shard.seal(order, domain);
       t.shards_[r] = std::move(shard);
     }
     return t;
@@ -257,22 +254,20 @@ class DistTableT {
   /// superstep), sealing shards in `order`.
   DistTableT resharded(int new_home, VirtualCommT<B>& comm,
                        const BlockPartition& part, SortOrder order,
-                       std::size_t budget, VertexId domain = 0,
-                       LaneSealHint hint = LaneSealHint::kStore) const {
+                       std::size_t budget, VertexId domain = 0) const {
     for (std::uint32_t r = 0; r < num_shards(); ++r) {
       shards_[r].for_each_entry([&](const Entry& e) {
         comm.send(r, part.owner(e.key.v[new_home]), e);
       });
     }
     comm.exchange();
-    return collect(arity_, new_home, comm, order, budget, domain, hint);
+    return collect(arity_, new_home, comm, order, budget, domain);
   }
 
   /// Swap key slots 0 and 1 and re-home (one superstep); shards sealed
   /// kByV0 — the storage convention for child-block tables.
   DistTableT transposed(VirtualCommT<B>& comm, const BlockPartition& part,
-                        std::size_t budget, VertexId domain = 0,
-                        LaneSealHint hint = LaneSealHint::kStore) const {
+                        std::size_t budget, VertexId domain = 0) const {
     for (std::uint32_t r = 0; r < num_shards(); ++r) {
       shards_[r].for_each_entry([&](const Entry& e) {
         Entry t = e;
@@ -282,14 +277,12 @@ class DistTableT {
     }
     comm.exchange();
     return collect(arity_, home_slot_, comm, SortOrder::kByV0, budget,
-                   domain, hint);
+                   domain);
   }
 
-  /// Seal every shard (used before per-shard merge joins and when a
-  /// table is stored; `hint` drives the per-shard layout choice).
-  void seal_shards(SortOrder order, VertexId domain = 0,
-                   LaneSealHint hint = LaneSealHint::kStore) {
-    for (auto& s : shards_) s.seal(order, domain, hint);
+  /// Seal every shard (used when a table is stored).
+  void seal_shards(SortOrder order, VertexId domain = 0) {
+    for (auto& s : shards_) s.seal(order, domain);
   }
 
  private:

@@ -25,7 +25,7 @@ namespace ccbt {
 /// — distributed engine only — the transport exchanges.
 struct StageWall {
   double accumulate = 0.0;  // join kernels emitting rows (incl. hash adds)
-  double seal = 0.0;        // sort + dedup + layout choice / (re)packing
+  double seal = 0.0;        // sort + dedup + lane-density scan
   double merge = 0.0;       // merge_halves / merge_bucket sweeps
   double transport = 0.0;   // virtual-MPI encode/exchange/decode
 
@@ -128,11 +128,10 @@ struct ExecOptions {
   /// and never go through an AccumMap.
   bool compact_accum = true;
 
-  /// Let tables use the compressed row layouts: the narrow flat rows the
-  /// path primitives build at every width (table/flat_rows.hpp) and, at
-  /// B > 1, the masked columnar layout stored tables re-pack into when
-  /// the observed lane density makes it smaller (table/lane_payload.hpp).
-  /// Off forces the dense u64[B] layout everywhere.
+  /// Let the path primitives build their tables, and the distributed
+  /// engine its path shards, in narrow flat rows (table/flat_rows.hpp);
+  /// off builds them in the dense u64[B] layout. Every other table is
+  /// dense either way.
   bool lane_compress = true;
 
   /// Fault injection and recovery (distributed engine only; the shared
@@ -160,8 +159,8 @@ struct ExecContext {
   LoadModel* load = nullptr;  // optional
   ExecOptions opts;
 
-  /// Optional collector of seal-time lane-layout observations (density,
-  /// chosen payload widths); the engines attach one and surface it
+  /// Optional collector of the tables' lane-occupancy observations
+  /// (density, narrow row widths); the engines attach one and surface it
   /// through ExecStats / DistStats.
   LaneTelemetry* lane_telemetry = nullptr;
 
@@ -180,11 +179,6 @@ struct ExecContext {
   }
 
   std::uint32_t owner(VertexId v) const { return part.owner(v); }
-
-  /// Seal hint for tables this run stores for repeated probes.
-  LaneSealHint store_hint() const {
-    return opts.lane_compress ? LaneSealHint::kStore : LaneSealHint::kStream;
-  }
 
   void note_lanes(const LaneLayoutInfo& info) const {
     if (lane_telemetry != nullptr) lane_telemetry->note(info);

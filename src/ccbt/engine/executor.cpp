@@ -16,15 +16,15 @@ template <int B>
 ExecStats run_plan_impl(const ExecContext& outer_cx, const DecompTree& tree) {
   Timer timer;
   ExecStats stats;
-  // Collect seal-time lane-layout observations through a context copy so
+  // Collect lane-occupancy observations through a context copy so
   // callers need no wiring (ExecContext is a bundle of references).
   ExecContext cx = outer_cx;
   cx.lane_telemetry = &stats.lanes;
   cx.stage = &stats.stage;
   cx.accum = &stats.accum;
   stats.lanes_used = cx.chi.lanes();
-  TablePoolT<B> pool(tree.blocks.size(), cx.g.num_vertices(),
-                     cx.opts.lane_compress, &stats.stage);
+  TablePoolT<B> pool(tree.blocks.size(), cx.g.num_vertices(), /*unused=*/true,
+                     &stats.stage);
 
   auto record_root = [&](const typename LaneOps<B>::Vec& totals) {
     for (int l = 0; l < B; ++l) {

@@ -30,10 +30,9 @@ struct ExecStats {
   std::uint64_t total_comm = 0;
 
   /// Lane-layout telemetry aggregated over every table the path
-  /// primitives read and every sorting seal of the run: observed lane
-  /// density, how many rows stayed narrow or were re-packed, and at which
-  /// payload widths. Makes the layout decisions auditable (surfaced into
-  /// BENCH_batch.json).
+  /// primitives read and every table the pool stores: observed lane
+  /// density, how many rows were narrow, and at which widths (surfaced
+  /// into BENCH_batch.json).
   LaneTelemetry lanes;
 
   /// Per-stage wall breakdown of the run (accumulate / seal / merge;

@@ -22,26 +22,22 @@
 
 namespace ccbt {
 
-/// Solved child tables, sealed kByV0, with cached transposes. `domain`
-/// (the data graph's vertex count) lets stored tables build their O(1)
-/// bucket index at seal time. Stored tables are probed repeatedly, so
-/// they seal with the kStore hint: at B > 1 the seal re-packs them into
-/// the lane-compressed layout when that is smaller (`compress` off pins
-/// the dense layout, ExecOptions::lane_compress).
+/// Solved child tables, sealed kByV0, with cached transposes; both are
+/// dense, so joins probe them through group() directly. `domain` (the
+/// data graph's vertex count) lets stored tables build their O(1) bucket
+/// index at seal time. The unnamed bool is accepted and ignored:
+/// bench_suite still passes ExecOptions::lane_compress there.
 template <int B>
 class TablePoolT {
  public:
   explicit TablePoolT(std::size_t num_blocks, VertexId domain = 0,
-                      bool compress = true, StageWall* stage = nullptr)
-      : tables_(num_blocks),
-        domain_(domain),
-        compress_(compress),
-        stage_(stage) {}
+                      bool /*unused*/ = true, StageWall* stage = nullptr)
+      : tables_(num_blocks), domain_(domain), stage_(stage) {}
 
   void store(int block, ProjTableT<B> table) {
     {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
-      table.seal(SortOrder::kByV0, domain_, store_hint());
+      table.seal(SortOrder::kByV0, domain_);
     }
     if (transposed_.empty()) {
       transposed_.resize(tables_.size());
@@ -58,15 +54,11 @@ class TablePoolT {
     if (!has_transposed_[block]) {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
       ProjTableT<B> t = tables_[block].transposed();
-      t.seal(SortOrder::kByV0, domain_, store_hint());
+      t.seal(SortOrder::kByV0, domain_);
       transposed_[block] = std::move(t);
       has_transposed_[block] = true;
     }
     return transposed_[block];
-  }
-
-  LaneSealHint store_hint() const {
-    return compress_ ? LaneSealHint::kStore : LaneSealHint::kStream;
   }
 
   std::size_t total_entries() const {
@@ -80,7 +72,6 @@ class TablePoolT {
   std::vector<ProjTableT<B>> transposed_;  // lazily filled
   std::vector<bool> has_transposed_;
   VertexId domain_ = 0;
-  bool compress_ = true;
   StageWall* stage_ = nullptr;
 };
 

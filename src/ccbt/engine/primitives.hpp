@@ -174,38 +174,13 @@ ProjTableT<B> build_buckets(const ExecContext& cx, int arity,
   return ProjTableT<B>::from_buckets(arity, std::move(out));
 }
 
-/// Probe-side view of a stored child table. Joins probe the child once
-/// per path row, so a compressed or narrow child must not be decoded per
-/// probe — this expands it to dense rows ONCE up front and serves every
-/// group probe as a raw subspan through the bucket index. Dense children
-/// pay nothing (the view aliases their rows).
-template <int B>
-class ChildProbe {
- public:
-  explicit ChildProbe(const ProjTableT<B>& t) : t_(t) {
-    rows_ = t.expand_rows(0, t.size(), scratch_);
-  }
-  ChildProbe(const ChildProbe&) = delete;
-  ChildProbe& operator=(const ChildProbe&) = delete;
-
-  std::span<const TableEntryT<B>> group(int slot, VertexId v) const {
-    const auto [lo, hi] = t_.group_span(slot, v);
-    return rows_.subspan(lo, hi - lo);
-  }
-
- private:
-  const ProjTableT<B>& t_;
-  std::vector<TableEntryT<B>> scratch_;
-  std::span<const TableEntryT<B>> rows_;
-};
-
 /// The same rows with key slots 0 and 1 swapped, sealed kByV0: a child
 /// table grouped by its other endpoint (tables are stored kByV0).
 template <int B>
 ProjTableT<B> transposed_by_v0(const ExecContext& cx, const ProjTableT<B>& t) {
   ScopedStage timed(cx.stage_slot(&StageWall::seal));
   ProjTableT<B> out = t.transposed();
-  out.seal(SortOrder::kByV0, cx.g.num_vertices(), LaneSealHint::kStream);
+  out.seal(SortOrder::kByV0, cx.g.num_vertices());
   return out;
 }
 
@@ -214,7 +189,7 @@ ProjTableT<B> transposed_by_v0(const ExecContext& cx, const ProjTableT<B>& t) {
 template <int B>
 void seal_by_frontier(const ExecContext& cx, ProjTableT<B>& path) {
   ScopedStage timed(cx.stage_slot(&StageWall::seal));
-  path.seal(SortOrder::kByV1, cx.g.num_vertices(), LaneSealHint::kStream);
+  path.seal(SortOrder::kByV1, cx.g.num_vertices());
 }
 
 /// The `alive` lanes of a row with signature `sig` grouped by the
@@ -476,11 +451,9 @@ ProjTableT<B> init_path_from_child(const ExecContext& cx,
   }
   return detail::build_buckets<B>(
       cx, 2, child.size(), [&](VertexId w, FlatRowsT<B>& sink) {
-        const auto [lo, hi] = child.group_span(0, w);
-        TableEntryT<B> tmp;
-        for (std::size_t i = lo; i < hi; ++i) {
-          kernel_init_from_child<B>(cx, child.row_at(i, tmp), /*flip=*/true,
-                                    o, detail::append_to(sink));
+        for (const TableEntryT<B>& ce : child.group(0, w)) {
+          kernel_init_from_child<B>(cx, ce, /*flip=*/true, o,
+                                    detail::append_to(sink));
         }
       });
 }
@@ -637,10 +610,7 @@ ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
   return detail::build_buckets<B>(
       cx, path.arity(), path.size(), [&](VertexId w, FlatRowsT<B>& sink) {
         thread_local std::vector<TableEntryT<B>> scratch;
-        const auto [clo, chi] = child.group_span(0, w);
-        TableEntryT<B> ctmp;
-        for (std::size_t c = clo; c < chi; ++c) {
-          const TableEntryT<B>& ce = child.row_at(c, ctmp);
+        for (const TableEntryT<B>& ce : child.group(0, w)) {
           const VertexId x = ce.key.v[1];
           const auto bucket = path.group_expanded(1, x, scratch);
           cx.charge(x, bucket.size());
@@ -658,7 +628,6 @@ ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
 template <int B>
 ProjTableT<B> node_join(const ExecContext& cx, ProjTableT<B>& path,
                         const ProjTableT<B>& child, int slot) {
-  const detail::ChildProbe<B> probe(child);
   detail::seal_by_frontier(cx, path);
   return detail::build_buckets<B>(
       cx, path.arity(), path.size(), [&](VertexId w, FlatRowsT<B>& sink) {
@@ -666,7 +635,7 @@ ProjTableT<B> node_join(const ExecContext& cx, ProjTableT<B>& path,
         TableEntryT<B> tmp;
         for (std::size_t i = lo; i < hi; ++i) {
           const TableEntryT<B>& e = path.row_at(i, tmp);
-          kernel_node_join<B>(cx, e, probe.group(0, e.key.v[slot]), slot,
+          kernel_node_join<B>(cx, e, child.group(0, e.key.v[slot]), slot,
                               detail::append_to(sink));
         }
       });
@@ -962,11 +931,10 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
                   AccumMapT<B>& sink) {
   using Vec = typename LaneOps<B>::Vec;
   const VertexId n = cx.g.num_vertices();
-  // Both halves are consumed by this one merge: stay dense (kStream).
   {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    plus.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
-    minus.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
+    plus.seal(SortOrder::kByV1, n);
+    minus.seal(SortOrder::kByV1, n);
   }
   cx.note_lanes(plus.layout());
   cx.note_lanes(minus.layout());

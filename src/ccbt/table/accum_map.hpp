@@ -17,8 +17,7 @@
 //     bandwidth against the 32-byte wide row. The first unpackable key
 //     migrates the map to the wide layout transparently.
 //
-//   * B > 1 (the accumulation-side half of the lane-compressed layout,
-//     see lane_payload.hpp): counts are held as narrow u32 lanes —
+//   * B > 1: counts are held as narrow u32 lanes —
 //     (key, u32[B]) rows, 56 instead of 88 bytes at B = 8 — with a u64
 //     overflow escape: the first add that would push any lane past
 //     2^32 - 1 migrates every row to the wide u64 layout. Keys hash the

@@ -70,8 +70,8 @@ struct PackedFlatRowT {
   std::array<W, B> c{};
 };
 
-/// What the run-merged rows of a table look like (the layout chooser's
-/// inputs), gathered while the buckets are deduplicated.
+/// What the run-merged rows of a table look like (its layout()
+/// telemetry), gathered while the buckets are deduplicated.
 struct FlatStats {
   std::uint64_t rows = 0;            // distinct keys
   std::uint64_t lanes_occupied = 0;  // nonzero lanes over merged rows

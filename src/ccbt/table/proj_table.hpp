@@ -5,38 +5,35 @@
 //
 // Lifecycle: the engine's path primitives build their tables born sorted
 // (from_buckets, flat_rows.hpp) at every batch width: already sealed kByV1
-// with a bucket index over the frontier slot, rows kept as (packed u64
-// key, narrow count vector) and read through the layout-independent
-// accessors below. Keys that do not pack and u64-range counts make the
-// rows dense; that fallback is automatic and changes no observable
-// counts. The distributed engine builds its path shards the same way,
-// bucket by bucket from each rank's delivered rows. Hashed sinks (merge
-// sinks, aggregate) adopt their rows from an AccumMap (from_map), and the
-// distributed engine's other shards (aggregates, re-homed and transposed
-// tables, checkpoint restores) from transport rows (from_flat); both are
-// sealed into a sorted dense vector. Sealing with a known key domain
-// (the data graph's vertex count) builds a CSR-style
-// bucket index over the grouping slot, so group(slot, v) is a single
-// offset lookup instead of two binary searches. Sealing a table in
-// another order than it holds re-sorts it in the dense layout. See
-// README.md in this directory for the memory layout, the lane dimension,
-// and the threading model.
+// with a bucket index over the frontier slot. The distributed engine
+// builds its path shards the same way, bucket by bucket from each rank's
+// delivered rows. Hashed sinks (merge sinks, aggregate) adopt their rows
+// from an AccumMap (from_map), and the distributed engine's other shards
+// (aggregates, re-homed and transposed tables, checkpoint restores) from
+// transport rows (from_flat). Sealing with a known key domain (the data
+// graph's vertex count) builds a CSR-style bucket index over the grouping
+// slot, so group(slot, v) is a single offset lookup instead of two binary
+// searches. See README.md in this directory for the memory layout, the
+// lane dimension, and the threading model.
 //
 // The table is parameterized on the batch width B: entry counts are
 // per-lane vectors (see table_key.hpp). Sorting, grouping and the bucket
 // index depend only on keys, so all widths share one implementation;
 // `ProjTable` aliases the scalar B = 1 instantiation.
 //
-// At B > 1 a sorting seal() additionally *picks the row layout*: it scans
-// the sorted rows' lane density and maximum count and — when the caller
-// stores the table for reuse (LaneSealHint::kStore) and the compressed
-// form is smaller — re-packs the dense `u64[B]` count vectors into a
-// per-row occupancy bitmask plus width-adapted packed payload
-// (lane_payload.hpp). Readers either take the dense span fast path
-// (entries()/group(), valid while the table is dense) or go through the
-// layout-independent accessors (row_at, for_each_entry, group_expanded),
-// which expand compressed or narrow rows on the fly. A dense B = 1 table
-// never re-packs.
+// A table holds its rows in one of two layouts:
+//   * narrow flat rows (FlatRowsT: packed u64 key, u16 or u32 count
+//     vector). Only a non-empty born-sorted table is narrow, and only
+//     while it keeps its kByV1 order; keys that do not pack and u64-range
+//     counts make the build dense instead;
+//   * dense entries (full key, u64[B] counts). Every other table is
+//     dense. A seal into another order re-sorts in the dense layout, so
+//     every table sealed kByV0 — every stored table and transpose — is
+//     dense.
+// Readers either take the dense span fast path (entries()/group(), valid
+// while the table is dense) or go through the layout-independent
+// accessors (row_at, for_each_entry, group_expanded), which expand narrow
+// rows on the fly.
 
 #include <algorithm>
 #include <cstdint>
@@ -152,23 +149,31 @@ class ProjTableT {
 
   /// Adopt a born-sorted table: one deduplicated bucket per vertex of
   /// [0, buckets.buckets()), already in kByV1 order, so the table is
-  /// sealed kByV1 with its bucket index on arrival. Narrow rows stay
-  /// narrow (the kStream layout; a later kStore seal may re-pack them).
+  /// sealed kByV1 with its bucket index on arrival. Non-empty narrow rows
+  /// stay narrow; layout() is the bucket build's exact stats.
   static ProjTableT from_buckets(int arity, SortedBucketsT<B>&& buckets) {
     ProjTableT t(arity);
     t.bucket_off_ = buckets.offsets();
     t.index_slot_ = 1;
     t.domain_ = static_cast<VertexId>(buckets.buckets());
     t.order_ = SortOrder::kByV1;
-    const FlatStats st = buckets.stats();
+    const FlatStats& st = buckets.stats();
     FlatRowsT<B> rows = buckets.take_rows();
-    if (rows.narrow()) {
+    const bool narrow = rows.narrow() && !rows.empty();
+    if (narrow || B > 1) {
+      t.layout_.rows = st.rows;
+      t.layout_.lane_slots = st.rows * static_cast<std::uint64_t>(B);
+      t.layout_.lanes_occupied = st.lanes_occupied;
+      t.layout_.max_count = st.max_count;
+      t.layout_.width = narrow ? rows.width()
+                               : choose_payload_width(st.max_count);
+      t.layout_.packed = narrow;
+    }
+    if (narrow) {
       t.pflat_ = std::move(rows);
       t.packed_flat_ = true;
-      t.finish_flat_layout(LaneSealHint::kStream, st);
     } else {
       t.entries_ = rows.take_wide();
-      t.choose_layout(LaneSealHint::kStream);
     }
     return t;
   }
@@ -179,17 +184,13 @@ class ProjTableT {
 
   int arity() const { return arity_; }
   std::size_t size() const {
-    if (packed_flat_) return pflat_.size();
-    return lane_compressed_ ? ckeys_.size() : entries_.size();
+    return packed_flat_ ? pflat_.size() : entries_.size();
   }
   bool empty() const { return size() == 0; }
 
-  /// Dense row span. Throws when the rows live in a compressed or narrow
-  /// layout (use the layout-independent accessors below).
+  /// Dense row span. Throws when the rows are narrow (use the
+  /// layout-independent accessors below).
   std::span<const Entry> entries() const {
-    if (lane_compressed_) {
-      throw Error("ProjTable::entries(): table is lane-compressed");
-    }
     if (packed_flat_) {
       throw Error("ProjTable::entries(): table is in the narrow flat layout");
     }
@@ -198,46 +199,37 @@ class ProjTableT {
 
   // ---------------------------------------------- layout-independent API
 
-  /// Whether rows live in the lane-compressed layout.
-  bool lane_compressed() const { return lane_compressed_; }
-
   /// Whether rows live in the narrow flat layout (born-sorted tables).
   bool packed_flat() const { return packed_flat_; }
 
-  /// The narrow flat storage itself, or nullptr in the other layouts.
-  /// The extend fast path reads a u16 table's raw rows without expanding
-  /// them to dense entries.
+  /// The narrow flat storage itself, or nullptr when dense. The extend
+  /// fast path reads a u16 table's raw rows without expanding them to
+  /// dense entries.
   const FlatRowsT<B>* flat_storage() const {
     return packed_flat_ ? &pflat_ : nullptr;
   }
 
-  /// What the last sorting seal's density scan, or the bucket build of a
-  /// born-sorted table, observed (rows == 0 when never scanned: a dense
-  /// B = 1 table is never scanned).
+  /// The lane occupancy of the table's rows, telemetry only (no layout
+  /// decision reads it). One rule sets it: a born-sorted table takes its
+  /// bucket build's stats; at B > 1 a seal that sorts scans every row
+  /// once they are deduplicated; a seal that finds the table already in
+  /// its order scans nothing and keeps what the table has. Rows change
+  /// in place only through push_unchecked, which clears layout() and
+  /// makes the next seal sort, so layout() is exact for every sealed
+  /// B > 1 table. A dense B = 1 table built without narrow rows is never
+  /// scanned (rows == 0).
   const LaneLayoutInfo& layout() const { return layout_; }
 
   TableKey key_at(std::size_t i) const {
-    if (packed_flat_) return pflat_.key_at(i);
-    return lane_compressed_ ? ckeys_[i] : entries_[i].key;
+    return packed_flat_ ? pflat_.key_at(i) : entries_[i].key;
   }
 
   /// Row i as a dense entry: a reference into the table when dense, a
-  /// reference to `tmp` (filled by expanding the packed row) when
-  /// compressed or narrow.
+  /// reference to `tmp` (filled by expanding the narrow row) otherwise.
   const Entry& row_at(std::size_t i, Entry& tmp) const {
-    if (packed_flat_) {
-      pflat_.row(i, tmp);
-      return tmp;
-    }
-    if (!lane_compressed_) return entries_[i];
-    tmp.key = ckeys_[i];
-    tmp.cnt = payload_.expand(i);
+    if (!packed_flat_) return entries_[i];
+    pflat_.row(i, tmp);
     return tmp;
-  }
-
-  /// Masked-payload view of row i (compressed tables only).
-  LaneRowViewT<B> row_view(std::size_t i) const {
-    return payload_.view(i, ckeys_[i]);
   }
 
   /// Visit every row as a dense entry, in table order.
@@ -247,16 +239,7 @@ class ProjTableT {
       pflat_.for_each_dense(f);
       return;
     }
-    if (!lane_compressed_) {
-      for (const Entry& e : entries_) f(e);
-      return;
-    }
-    Entry tmp;
-    for (std::size_t i = 0; i < ckeys_.size(); ++i) {
-      tmp.key = ckeys_[i];
-      tmp.cnt = payload_.expand(i);
-      f(tmp);
-    }
+    for (const Entry& e : entries_) f(e);
   }
 
   /// Index range of the group with slot `slot` equal to v (same contract
@@ -269,35 +252,16 @@ class ProjTableT {
     return group_span_by_search(slot, v);
   }
 
-  /// Dense view of rows [lo, hi): the raw subspan when dense, rows
-  /// expanded into `scratch` when compressed. The returned span aliases
+  /// group() for either layout: the raw span when dense, the bucket
+  /// expanded into `scratch` when narrow. The returned span aliases
   /// `scratch` in the latter case — one live expansion per scratch.
-  std::span<const Entry> expand_rows(std::size_t lo, std::size_t hi,
-                                     std::vector<Entry>& scratch) const {
-    if (packed_flat_) {
-      scratch.resize(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        pflat_.row(i, scratch[i - lo]);
-      }
-      return {scratch.data(), scratch.size()};
-    }
-    if (!lane_compressed_) {
-      return {entries_.data() + lo, hi - lo};
-    }
-    scratch.resize(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      scratch[i - lo].key = ckeys_[i];
-      scratch[i - lo].cnt = payload_.expand(i);
-    }
-    return {scratch.data(), scratch.size()};
-  }
-
-  /// group() for either layout: expands the bucket through `scratch`
-  /// when compressed, returns the raw span when dense.
   std::span<const Entry> group_expanded(int slot, VertexId v,
                                         std::vector<Entry>& scratch) const {
     const auto [lo, hi] = group_span(slot, v);
-    return expand_rows(lo, hi, scratch);
+    if (!packed_flat_) return {entries_.data() + lo, hi - lo};
+    scratch.resize(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i) pflat_.row(i, scratch[i - lo]);
+    return {scratch.data(), scratch.size()};
   }
 
   // ---------------------------------------------------------------------
@@ -323,12 +287,9 @@ class ProjTableT {
   /// stable counting partition on the grouping slot (O(n + domain) plus
   /// tiny per-bucket sorts) and keeps the bucket offsets as an O(1) group
   /// index. With domain 0 and no detectable bound it falls back to a
-  /// comparison sort and group() uses binary search.
-  ///
-  /// At B > 1 the seal ends with the layout choice described in the file
-  /// comment; `hint` says whether the caller will store the table.
-  void seal(SortOrder order, VertexId domain = 0,
-            LaneSealHint hint = LaneSealHint::kStore);
+  /// comparison sort and group() uses binary search. Any order other than
+  /// a narrow table's own kByV1 leaves the rows dense.
+  void seal(SortOrder order, VertexId domain = 0);
   SortOrder order() const { return order_; }
 
   /// Whether group() resolves through the O(1) bucket index.
@@ -337,10 +298,10 @@ class ProjTableT {
   /// Contiguous range of entries whose slot `slot` equals v; requires the
   /// matching seal order (kByV0 for slot 0, kByV1 for slot 1). O(1) when
   /// the bucket index covers `slot`, two binary searches otherwise.
-  /// Dense layout only — compressed tables use group_expanded().
+  /// Dense layout only — narrow tables use group_expanded().
   std::span<const Entry> group(int slot, VertexId v) const {
-    if (lane_compressed_ || packed_flat_) {
-      throw Error("ProjTable::group(): rows are in a compressed layout");
+    if (packed_flat_) {
+      throw Error("ProjTable::group(): table is in the narrow flat layout");
     }
     const auto [lo, hi] = group_span(slot, v);
     return {entries_.data() + lo, hi - lo};
@@ -348,8 +309,7 @@ class ProjTableT {
 
   /// Swap slots 0 and 1 in every key — the transpose of Section 5.2
   /// ("the boundary tables are transpose of each other"). Invalidates the
-  /// seal order; the result is dense (the caller reseals, which re-picks
-  /// the layout).
+  /// seal order; the result is dense and unsealed.
   ProjTableT transposed() const {
     ProjTableT out(arity_);
     out.dedup_pending_ = dedup_pending_;
@@ -376,11 +336,15 @@ class ProjTableT {
     return ProjTableT::from_map(new_arity, std::move(map));
   }
 
+  /// Append one row. The table becomes an unsorted multiset: the next
+  /// sorting seal re-sorts it and sums rows with equal keys.
   void push_unchecked(const Entry& e) {
-    if (lane_compressed_) unpack_lanes();
     if (packed_flat_) unpack_flat();
     entries_.push_back(e);
     drop_index();
+    order_ = SortOrder::kUnsorted;
+    dedup_pending_ = true;
+    layout_ = LaneLayoutInfo{};
   }
 
  private:
@@ -434,21 +398,6 @@ class ProjTableT {
 
   /// Entries already sorted for `order_`; (re)build the offset index only.
   void build_index(int slot, VertexId domain);
-
-  /// seal() for the narrow flat layout: a born-sorted table is already
-  /// in kByV1 order, so only the layout decision may change; any other
-  /// order re-sorts in the dense layout.
-  void seal_packed_flat(SortOrder order, VertexId domain, LaneSealHint hint);
-
-  /// Layout decision for a sorted, deduped narrow table: stay narrow
-  /// (the hot-path default — consumers read through the
-  /// layout-independent accessors), re-pack to the masked columnar
-  /// layout when storing and it is smaller, or widen to dense when
-  /// neither compressed form pays.
-  void finish_flat_layout(LaneSealHint hint, const FlatStats& st);
-
-  /// Narrow flat rows -> masked columnar layout (ckeys_ + payload_).
-  void pack_lanes_from_flat();
 
   /// Narrow flat rows -> dense entries (order preserved).
   void unpack_flat() {
@@ -512,78 +461,15 @@ class ProjTableT {
     entries_.resize(w);
   }
 
-  /// The seal-time layout choice (B > 1): scan density / max count, then
-  /// re-pack when the caller stores the table and packing shrinks it.
-  void choose_layout(LaneSealHint hint) {
-    if constexpr (B > 1) {
-      if (dedup_pending_) return;
-      if (lane_compressed_) {
-        // kStream promises the dense span fast path to the consumer that
-        // follows this seal: honor it even when re-sealing an already
-        // packed (stored) table.
-        if (hint == LaneSealHint::kStream) unpack_lanes();
-        return;
-      }
-      if (hint == LaneSealHint::kStore) {
-        layout_ = scan_lane_layout<B>(
-            std::span<const Entry>(entries_.data(), entries_.size()));
-        if (lane_layout_profitable(layout_)) pack_lanes();
-        return;
-      }
-      // kStream tables never pack, so the scan is telemetry only: bound
-      // it to a prefix sample so hot-path reseals of large intermediate
-      // tables don't pay a second full pass over the rows.
-      constexpr std::size_t kStreamScanSample = 1u << 16;
-      layout_ = scan_lane_layout<B>(std::span<const Entry>(
-          entries_.data(), std::min(entries_.size(), kStreamScanSample)));
-    } else {
-      (void)hint;
-    }
-  }
-
-  void pack_lanes() {
-    const std::size_t n = entries_.size();
-    ckeys_.resize(n);
-    payload_.reset(layout_.width, n, layout_.lanes_occupied);
-    for (std::size_t i = 0; i < n; ++i) {
-      ckeys_[i] = entries_[i].key;
-      payload_.append(entries_[i].cnt);
-    }
-    entries_.clear();
-    entries_.shrink_to_fit();
-    lane_compressed_ = true;
-    layout_.packed = true;
-  }
-
-  void unpack_lanes() {
-    const std::size_t n = ckeys_.size();
-    entries_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      entries_[i].key = ckeys_[i];
-      entries_[i].cnt = payload_.expand(i);
-    }
-    ckeys_.clear();
-    ckeys_.shrink_to_fit();
-    payload_.clear();
-    lane_compressed_ = false;
-    layout_.packed = false;
-  }
-
   int arity_ = 0;
   SortOrder order_ = SortOrder::kUnsorted;
   bool dedup_pending_ = false;
   std::vector<Entry> entries_;
-
-  // Lane-compressed layout (B > 1, after a kStore seal that packed):
-  // unpadded keys in table order plus the columnar packed payload.
-  // Exactly one of entries_ / (ckeys_, payload_) / pflat_ holds the rows.
-  bool lane_compressed_ = false;
-  std::vector<TableKey> ckeys_;
-  LanePayloadT<B> payload_;
   LaneLayoutInfo layout_;
 
   // Narrow flat layout (born-sorted tables): packed-key rows with
-  // width-adapted count vectors.
+  // width-adapted count vectors. Exactly one of entries_ / pflat_ holds
+  // the rows.
   bool packed_flat_ = false;
   FlatRowsT<B> pflat_;
 
@@ -595,36 +481,32 @@ class ProjTableT {
 };
 
 template <int B>
-void ProjTableT<B>::seal(SortOrder order, VertexId domain,
-                         LaneSealHint hint) {
+void ProjTableT<B>::seal(SortOrder order, VertexId domain) {
   if (order == SortOrder::kUnsorted) {
     order_ = order;
     drop_index();
     return;
   }
-  if (packed_flat_) {
-    seal_packed_flat(order, domain, hint);
-    return;
-  }
   const int slot = group_slot(order);
-  // Staying put never re-sorts — at most the index is (re)built.
-  const bool sorted_already = order_ == order;
-  if (!detail::domain_worthwhile(size(), domain)) {
-    domain = detect_domain(slot);
-  }
-  if (sorted_already) {
-    order_ = order;
+  if (order_ == order) {
+    // Staying put never re-sorts and scans nothing: at most the index is
+    // (re)built.
     if (!has_bucket_index() || index_slot_ != slot) {
+      if (!detail::domain_worthwhile(size(), domain)) {
+        domain = detect_domain(slot);
+      }
       if (domain > 0 && size() < std::numeric_limits<std::uint32_t>::max()) {
         build_index(slot, domain);
       }
     }
-    choose_layout(hint);
     return;
   }
   // Re-sorting moves whole rows: work in the dense layout.
-  if (lane_compressed_) unpack_lanes();
+  if (packed_flat_) unpack_flat();
   drop_index();
+  if (!detail::domain_worthwhile(size(), domain)) {
+    domain = detect_domain(slot);
+  }
   if (domain > 0 &&
       entries_.size() < std::numeric_limits<std::uint32_t>::max()) {
     bucket_sort(slot, domain);
@@ -646,75 +528,7 @@ void ProjTableT<B>::seal(SortOrder order, VertexId domain,
     }
   }
   order_ = order;
-  choose_layout(hint);
-}
-
-template <int B>
-void ProjTableT<B>::seal_packed_flat(SortOrder order, VertexId domain,
-                                     LaneSealHint hint) {
-  if (order_ == order) {
-    // Repeated seal: rows and index are already right; only
-    // the layout decision may change (e.g. a kStore reseal). The table's
-    // stats were taken when its buckets were deduplicated.
-    order_ = order;
-    FlatStats st;
-    st.rows = layout_.rows;
-    st.lanes_occupied = layout_.lanes_occupied;
-    st.max_count = layout_.max_count;
-    finish_flat_layout(hint, st);
-    return;
-  }
-  unpack_flat();
-  seal(order, domain, hint);
-}
-
-template <int B>
-void ProjTableT<B>::finish_flat_layout(LaneSealHint hint,
-                                       const FlatStats& st) {
-  layout_ = LaneLayoutInfo{};
-  layout_.rows = st.rows;
-  layout_.lane_slots = st.rows * static_cast<std::uint64_t>(B);
-  layout_.lanes_occupied = st.lanes_occupied;
-  layout_.max_count = st.max_count;
-  layout_.width = pflat_.width();
-  layout_.dense_bytes = st.rows * sizeof(Entry);
-  layout_.packed_bytes = pflat_.byte_size();
-  layout_.packed = true;
-  if (hint == LaneSealHint::kStore) {
-    // Stored tables are probed repeatedly: take the masked columnar
-    // layout when it beats the narrow rows (sparse lanes), else stay
-    // narrow, else dense.
-    LaneLayoutInfo masked = layout_;
-    masked.width = choose_payload_width(st.max_count);
-    masked.packed_bytes =
-        st.rows * (sizeof(TableKey) + 1 + 4) +
-        st.lanes_occupied *
-            static_cast<std::uint64_t>(payload_width_bytes(masked.width));
-    if (lane_layout_profitable(masked) &&
-        masked.packed_bytes < layout_.packed_bytes) {
-      layout_ = masked;
-      pack_lanes_from_flat();
-      return;
-    }
-  }
-  if (!lane_layout_profitable(layout_)) unpack_flat();
-}
-
-template <int B>
-void ProjTableT<B>::pack_lanes_from_flat() {
-  const std::size_t n = pflat_.size();
-  ckeys_.resize(n);
-  payload_.reset(layout_.width, n, layout_.lanes_occupied);
-  Entry tmp;
-  for (std::size_t i = 0; i < n; ++i) {
-    pflat_.row(i, tmp);
-    ckeys_[i] = tmp.key;
-    payload_.append(tmp.cnt);
-  }
-  pflat_.clear();
-  packed_flat_ = false;
-  lane_compressed_ = true;
-  layout_.packed = true;
+  if constexpr (B > 1) layout_ = scan_lane_layout<B>(entries_);
 }
 
 template <int B>

@@ -79,10 +79,10 @@ TEST(BatchEngine, UnsupportedWidthThrows) {
 }
 
 TEST(BatchEngine, LaneCompressedLayoutMatchesDenseEveryWidth) {
-  // The lane-compressed row layout (stored child tables re-packed at
-  // seal time, narrow accumulation rows, compressed wire format) is an
-  // execution detail: per-lane counts must equal the dense layout's and
-  // the independent scalar runs', at every width and in both engines.
+  // The lane-compressed rows (narrow path tables and accumulation rows,
+  // compressed wire format) are an execution detail: per-lane counts
+  // must equal the dense layout's and the independent scalar runs', at
+  // every width and in both engines.
   const CsrGraph g = barabasi_albert(70, 4, 31);
   const QueryGraph q = q_wiki();
   const Plan plan = make_plan(q);

@@ -267,9 +267,9 @@ class PhaseParity {
                                   const DistTableT<B>& child,
                                   const ExtendOpts& o) {
     for (std::uint32_t r = 0; r < ranks(); ++r) {
-      const detail::ChildProbe<B> probe(child.shard(r));
+      const ProjTableT<B>& shard = child.shard(r);
       path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_extend_with_child<B>(cx_, e, probe.group(0, e.key.v[1]), o,
+        kernel_extend_with_child<B>(cx_, e, shard.group(0, e.key.v[1]), o,
                                     route(r));
       });
     }
@@ -283,9 +283,9 @@ class PhaseParity {
                                    kBudget, cx_.g.num_vertices())
                   : path;
     for (std::uint32_t r = 0; r < ranks(); ++r) {
-      const detail::ChildProbe<B> probe(child.shard(r));
+      const ProjTableT<B>& shard = child.shard(r);
       src.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_node_join<B>(cx_, e, probe.group(0, e.key.v[slot]), slot,
+        kernel_node_join<B>(cx_, e, shard.group(0, e.key.v[slot]), slot,
                             route(r));
       });
     }

@@ -193,7 +193,7 @@ void expect_born_sorted_collect(const std::vector<TableEntryT<B>>& rows,
     EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " not emptied";
     ProjTableT<B> ref =
         ProjTableT<B>::from_flat(arity, std::vector(delivered[r]));
-    ref.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
+    ref.seal(SortOrder::kByV1, n);
     const ProjTableT<B>& got = t.shard(r);
     EXPECT_EQ(got.order(), SortOrder::kByV1);
     EXPECT_FALSE(got.dedup_pending());
@@ -219,7 +219,6 @@ void expect_born_sorted_collect(const std::vector<TableEntryT<B>>& rows,
       EXPECT_EQ(ghi - glo, rhi - rlo) << "rank " << r << " bucket " << v;
       if (rhi > rlo) EXPECT_EQ(glo, rlo) << "rank " << r << " bucket " << v;
     }
-    EXPECT_FALSE(got.lane_compressed());
     if (ref.size() > 0 && !wide && packable && max_count <= 0xFFFFFFFFull) {
       EXPECT_TRUE(got.packed_flat()) << "rank " << r;
       EXPECT_EQ(got.layout().width, choose_payload_width(max_count));

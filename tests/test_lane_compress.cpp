@@ -1,8 +1,8 @@
-// Lane-compressed count rows: the packed (occupancy mask + variable-width
-// payload) table layout, the narrow accumulation rows, and the compressed
-// wire format must reproduce the dense layout's results exactly — across
-// B in {2, 4, 8}, forced u16 -> u32 -> u64 overflow escalation, and the
-// all-lanes-dense worst case (which must *stay* dense).
+// Lane-compressed count rows: stored tables are dense and their lane
+// telemetry exact whichever way they were built, the narrow accumulation
+// rows and the compressed wire format reproduce the dense rows exactly —
+// across B in {2, 4, 8}, counts past the u16 and u32 limits, and the
+// all-lanes-dense worst case.
 
 #include <gtest/gtest.h>
 
@@ -54,113 +54,119 @@ std::vector<TableEntryT<B>> random_rows(std::size_t n, int live_lanes,
   return rows;
 }
 
-/// Seal two copies of the same rows — one kStore (may re-pack), one
-/// kStream (dense) — and require row-for-row equality through every
-/// layout-independent accessor.
+/// The layout() a sealed table of `rows` must report: one row per key,
+/// counts summed, computed without the table code.
 template <int B>
-void expect_layout_parity(std::vector<TableEntryT<B>> rows,
-                          SortOrder order) {
-  auto copy = rows;
-  ProjTableT<B> packed = ProjTableT<B>::from_flat(2, std::move(rows));
-  ProjTableT<B> dense = ProjTableT<B>::from_flat(2, std::move(copy));
-  packed.seal(order, kDomain, LaneSealHint::kStore);
-  dense.seal(order, kDomain, LaneSealHint::kStream);
-  ASSERT_FALSE(dense.lane_compressed());
-  ASSERT_EQ(packed.size(), dense.size());
-
-  // Whole-table scans agree.
-  EXPECT_EQ(packed.total(), dense.total());
-  EXPECT_EQ(packed.lane_totals(), dense.lane_totals());
-
-  // Row-for-row equality (row_at expands the packed payload).
-  TableEntryT<B> tmp;
-  const auto de = dense.entries();
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    const TableEntryT<B>& e = packed.row_at(i, tmp);
-    EXPECT_EQ(e.key, de[i].key) << "row " << i;
-    EXPECT_EQ(e.cnt, de[i].cnt) << "row " << i;
+LaneLayoutInfo expected_layout(const std::vector<TableEntryT<B>>& rows) {
+  std::map<std::array<std::uint64_t, 3>, std::array<Count, B>> sums;
+  for (const TableEntryT<B>& e : rows) {
+    auto& sum = sums[{e.key.v[0], e.key.v[1], e.key.sig}];
+    for (int l = 0; l < B; ++l) sum[l] += LaneOps<B>::lane(e.cnt, l);
   }
-
-  // Group probes agree for every key in the domain (and out of it).
-  const int slot = group_slot(order);
-  std::vector<TableEntryT<B>> scratch;
-  for (VertexId v = 0; v < kDomain + 3; ++v) {
-    const auto pg = packed.group_expanded(slot, v, scratch);
-    const auto dg = dense.group(slot, v);
-    ASSERT_EQ(pg.size(), dg.size()) << "group " << v;
-    for (std::size_t i = 0; i < pg.size(); ++i) {
-      EXPECT_EQ(pg[i].key, dg[i].key);
-      EXPECT_EQ(pg[i].cnt, dg[i].cnt);
+  LaneLayoutInfo info;
+  info.rows = sums.size();
+  info.lane_slots = info.rows * B;
+  for (const auto& [key, sum] : sums) {
+    for (const Count c : sum) {
+      info.lanes_occupied += c != 0;
+      info.max_count = std::max(info.max_count, c);
     }
   }
+  return info;
+}
 
-  // Derived tables agree too (transpose reads through the packed layout).
-  ProjTableT<B> pt = packed.transposed();
-  ProjTableT<B> dt = dense.transposed();
-  pt.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStore);
-  dt.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStream);
-  EXPECT_EQ(pt.lane_totals(), dt.lane_totals());
-  EXPECT_EQ(pt.size(), dt.size());
+void expect_counts(const LaneLayoutInfo& got, const LaneLayoutInfo& want,
+                   const char* what) {
+  EXPECT_EQ(got.rows, want.rows) << what;
+  EXPECT_EQ(got.lane_slots, want.lane_slots) << what;
+  EXPECT_EQ(got.lanes_occupied, want.lanes_occupied) << what;
+  EXPECT_EQ(got.max_count, want.max_count) << what;
+}
+
+/// Build the same rows twice — born sorted (one bucket per frontier
+/// vertex, then resealed kByV0 as a stored table is) and adopted flat
+/// (sealed kByV0) — and require both to be dense, equal row for row and
+/// probe for probe, with exact layout() counts.
+template <int B>
+void expect_layout_parity(const std::vector<TableEntryT<B>>& rows) {
+  const LaneLayoutInfo want = expected_layout<B>(rows);
+  SortedBucketsT<B> buckets;
+  FlatRowsT<B> scratch;
+  for (VertexId w = 0; w < kDomain; ++w) {
+    scratch.reset();
+    for (const TableEntryT<B>& e : rows) {
+      if (e.key.v[1] == w) scratch.append(e.key, e.cnt);
+    }
+    buckets.close(scratch);
+  }
+  ProjTableT<B> born = ProjTableT<B>::from_buckets(2, std::move(buckets));
+  // Narrow while its counts fit u32, at the width they need.
+  const PayloadWidth width = choose_payload_width(want.max_count);
+  EXPECT_EQ(born.packed_flat(), width != PayloadWidth::kU64);
+  EXPECT_EQ(born.layout().width, width);
+  expect_counts(born.layout(), want, "born sorted");
+
+  ProjTableT<B> flat =
+      ProjTableT<B>::from_flat(2, std::vector<TableEntryT<B>>(rows));
+  born.seal(SortOrder::kByV0, kDomain);
+  flat.seal(SortOrder::kByV0, kDomain);
+  for (const ProjTableT<B>* t : {&born, &flat}) {
+    EXPECT_FALSE(t->packed_flat());
+    EXPECT_FALSE(t->layout().packed);
+    EXPECT_EQ(t->layout().width, width);
+    expect_counts(t->layout(), want, t == &born ? "born" : "flat");
+  }
+
+  ASSERT_EQ(born.size(), want.rows);
+  ASSERT_EQ(flat.size(), want.rows);
+  const auto be = born.entries();
+  const auto fe = flat.entries();
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    EXPECT_EQ(be[i].key, fe[i].key) << "row " << i;
+    EXPECT_EQ(be[i].cnt, fe[i].cnt) << "row " << i;
+  }
+  for (VertexId v = 0; v < kDomain + 3; ++v) {
+    const auto bg = born.group(0, v);
+    const auto fg = flat.group(0, v);
+    ASSERT_EQ(bg.size(), fg.size()) << "group " << v;
+    ASSERT_EQ(bg.data() - be.data(), fg.data() - fe.data()) << "group " << v;
+  }
 }
 
 template <int B>
 void run_parity_suite() {
-  // Sparse lanes, small counts: the chooser must pack (u16 payload).
-  {
-    auto rows = random_rows<B>(4000, 1, 1000, 11);
-    ProjTableT<B> t = ProjTableT<B>::from_flat(2, std::move(rows));
-    t.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStore);
-    EXPECT_TRUE(t.lane_compressed());
-    EXPECT_EQ(t.layout().width, PayloadWidth::kU16);
-  }
-  expect_layout_parity<B>(random_rows<B>(4000, 1, 1000, 17),
-                          SortOrder::kByV0);
-  expect_layout_parity<B>(random_rows<B>(4000, 2, 60000, 19),
-                          SortOrder::kByV1);
-  expect_layout_parity<B>(random_rows<B>(2500, B, 3, 23),
-                          SortOrder::kByV0);
+  expect_layout_parity<B>(random_rows<B>(4000, 1, 1000, 17));
+  // Run sums pass the u16 limit, single counts the u32 limit.
+  expect_layout_parity<B>(random_rows<B>(4000, 2, 60000, 19));
+  expect_layout_parity<B>(random_rows<B>(2000, 1, Count{1} << 40, 21));
+  expect_layout_parity<B>(random_rows<B>(2500, B, 3, 23));
 }
 
-TEST(LaneCompress, PackedTableMatchesDenseB2) { run_parity_suite<2>(); }
-TEST(LaneCompress, PackedTableMatchesDenseB4) { run_parity_suite<4>(); }
-TEST(LaneCompress, PackedTableMatchesDenseB8) { run_parity_suite<8>(); }
+TEST(LaneCompress, BornSortedAndFlatStoreAlikeB2) { run_parity_suite<2>(); }
+TEST(LaneCompress, BornSortedAndFlatStoreAlikeB4) { run_parity_suite<4>(); }
+TEST(LaneCompress, BornSortedAndFlatStoreAlikeB8) { run_parity_suite<8>(); }
 
-TEST(LaneCompress, WidthEscalatesU16ToU32ToU64) {
-  // Counts just past each boundary force the next wider payload; the
-  // packed rows must survive the round trip exactly.
-  const Count boundary[] = {0xFFFFull, 0x10000ull, 0xFFFFFFFFull,
-                            0x100000000ull};
-  const PayloadWidth expect_width[] = {
-      PayloadWidth::kU16, PayloadWidth::kU32, PayloadWidth::kU32,
-      PayloadWidth::kU64};
-  for (int c = 0; c < 4; ++c) {
+TEST(LaneCompress, CountsAtWidthBoundariesStoreExactly) {
+  // Counts at and just past each width limit: the born-sorted build
+  // escalates u16 -> u32 -> wide, and both stored forms keep every count.
+  for (const Count big : {Count{0xFFFF}, Count{0x10000}, Count{0xFFFFFFFF},
+                          Count{0x100000000}}) {
     std::vector<TableEntryT<4>> rows(64);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       rows[i].key.v[0] = static_cast<VertexId>(i % 16);
       rows[i].key.v[1] = static_cast<VertexId>(i);
       rows[i].key.sig = 1;
       LaneOps<4>::set_lane(rows[i].cnt, static_cast<int>(i % 4),
-                           i == 0 ? boundary[c] : 7);
+                           i == 0 ? big : 7);
     }
-    auto copy = rows;
-    ProjTableT<4> t = ProjTableT<4>::from_flat(2, std::move(rows));
-    t.seal(SortOrder::kByV0, 16, LaneSealHint::kStore);
-    ASSERT_TRUE(t.lane_compressed()) << "case " << c;
-    EXPECT_EQ(t.layout().width, expect_width[c]) << "case " << c;
-
-    ProjTableT<4> d = ProjTableT<4>::from_flat(2, std::move(copy));
-    d.seal(SortOrder::kByV0, 16, LaneSealHint::kStream);
-    EXPECT_EQ(t.lane_totals(), d.lane_totals()) << "case " << c;
-    TableEntryT<4> tmp;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      EXPECT_EQ(t.row_at(i, tmp).cnt, d.entries()[i].cnt);
-    }
+    SCOPED_TRACE(big);
+    expect_layout_parity<4>(rows);
   }
 }
 
 TEST(LaneCompress, AllLanesDenseWorstCaseStaysDense) {
-  // Every lane occupied with u64-scale counts: the packed form would be
-  // larger, so the chooser must keep the SIMD-friendly dense layout.
+  // Every lane occupied with u64-scale counts: the table is dense and its
+  // scan sees every lane.
   std::vector<TableEntryT<8>> rows(512);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     rows[i].key.v[0] = static_cast<VertexId>(i);
@@ -171,35 +177,27 @@ TEST(LaneCompress, AllLanesDenseWorstCaseStaysDense) {
     }
   }
   ProjTableT<8> t = ProjTableT<8>::from_flat(2, std::move(rows));
-  t.seal(SortOrder::kByV0, 600, LaneSealHint::kStore);
-  EXPECT_FALSE(t.lane_compressed());
+  t.seal(SortOrder::kByV0, 600);
+  EXPECT_FALSE(t.packed_flat());
+  EXPECT_FALSE(t.layout().packed);
+  EXPECT_EQ(t.layout().rows, 512u);
   EXPECT_EQ(t.layout().width, PayloadWidth::kU64);
   EXPECT_DOUBLE_EQ(t.layout().density(), 1.0);
-  EXPECT_FALSE(lane_layout_profitable(t.layout()));
 }
 
-TEST(LaneCompress, StreamHintNeverPacks) {
-  auto rows = random_rows<8>(2000, 1, 100, 29);
-  ProjTableT<8> t = ProjTableT<8>::from_flat(2, std::move(rows));
-  t.seal(SortOrder::kByV1, kDomain, LaneSealHint::kStream);
-  EXPECT_FALSE(t.lane_compressed());
-  EXPECT_GT(t.layout().rows, 0u);  // density still observed (telemetry)
+TEST(LaneCompress, SortingSealScansEveryRowAndRelabelKeepsIt) {
+  // More than 2^16 rows: a sorting seal's density scan covers every row,
+  // and a seal in the order the table holds keeps what it found.
+  const auto rows = random_rows<8>((1u << 16) + 5000, 1, 100, 29);
+  const LaneLayoutInfo want = expected_layout<8>(rows);
+  ProjTableT<8> t =
+      ProjTableT<8>::from_flat(2, std::vector<TableEntryT<8>>(rows));
+  t.seal(SortOrder::kByV1, kDomain);
+  EXPECT_FALSE(t.packed_flat());
+  expect_counts(t.layout(), want, "sorting seal");
   EXPECT_LT(t.layout().density(), 0.5);
-}
-
-TEST(LaneCompress, StreamResealUnpacksStoredTable) {
-  // kStream promises the dense span fast path to the consumer that
-  // follows the seal — even when re-sealing an already packed table
-  // in the order it holds (no re-sort).
-  auto rows = random_rows<8>(3000, 1, 100, 31);
-  ProjTableT<8> t = ProjTableT<8>::from_flat(2, std::move(rows));
-  t.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStore);
-  ASSERT_TRUE(t.lane_compressed());
-  const auto before = t.lane_totals();
-  t.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStream);
-  EXPECT_FALSE(t.lane_compressed());
-  EXPECT_EQ(t.lane_totals(), before);
-  EXPECT_NO_THROW((void)t.entries());
+  t.seal(SortOrder::kByV1, kDomain);
+  expect_counts(t.layout(), want, "relabel");
 }
 
 // ---------------------------------------------------------------- wire
@@ -286,8 +284,8 @@ TEST(LaneCompressAccum, NarrowMatchesWideIncludingOverflowEscape) {
   // take_entries yields wide rows either way; compare via a sealed table.
   ProjTableT<4> tn = ProjTableT<4>::from_map(2, std::move(narrow));
   ProjTableT<4> tw = ProjTableT<4>::from_map(2, std::move(wide));
-  tn.seal(SortOrder::kByV0, 64, LaneSealHint::kStream);
-  tw.seal(SortOrder::kByV0, 64, LaneSealHint::kStream);
+  tn.seal(SortOrder::kByV0, 64);
+  tw.seal(SortOrder::kByV0, 64);
   ASSERT_EQ(tn.size(), tw.size());
   for (std::size_t i = 0; i < tn.size(); ++i) {
     EXPECT_EQ(tn.entries()[i].key, tw.entries()[i].key);

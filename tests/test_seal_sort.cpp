@@ -92,7 +92,7 @@ void expect_seal_matches(const std::vector<Row<B>>& rows, SortOrder order,
   std::vector<TableEntryT<B>> flat;
   for (const Row<B>& r : rows) flat.push_back(entry_of<B>(r));
   ProjTableT<B> t = ProjTableT<B>::from_flat(2, std::move(flat));
-  t.seal(order, domain, LaneSealHint::kStream);
+  t.seal(order, domain);
   EXPECT_EQ(t.order(), order);
   EXPECT_FALSE(t.dedup_pending());
   const std::vector<Row<B>> got = rows_of<B>(t);
@@ -204,7 +204,7 @@ TEST(SealSort, BornSortedTableResealsByV0) {
   ProjTableT<B> t = ProjTableT<B>::from_buckets(2, std::move(buckets));
   ASSERT_EQ(t.order(), SortOrder::kByV1);
   for (const SortOrder order : {SortOrder::kByV0, SortOrder::kByV1}) {
-    t.seal(order, domain, LaneSealHint::kStream);
+    t.seal(order, domain);
     EXPECT_EQ(t.order(), order);
     expect_rows_eq<B>(rows_of<B>(t), reference<B>(rows, order));
   }

@@ -1,7 +1,8 @@
 // Property tests for the bucket-indexed table layer: seal() with a
 // counting partition plus per-bucket sorts must produce entry-identical
-// arrays to a naive stable comparison sort (every key field and count, in
-// the same positions), and group() through the O(1) bucket index must
+// arrays to a naive stable comparison sort that then sums equal keys
+// (every key field and count, in the same positions), and group() through
+// the O(1) bucket index must
 // return exactly the ranges a binary search finds — across randomized
 // arities, sort orders, domains and duplicate-heavy inputs.
 
@@ -29,12 +30,22 @@ bool less_full_v1(const TableEntry& a, const TableEntry& b) {
   return less_full_v0(a, b);
 }
 
-/// Reference seal: a stable comparison sort of the whole entry vector.
+/// Reference seal: a stable comparison sort of the whole entry vector,
+/// then one row per key with its counts summed (rows pushed with
+/// push_unchecked are a multiset that the next seal merges).
 std::vector<TableEntry> reference_sorted(std::vector<TableEntry> entries,
                                          SortOrder order) {
   std::stable_sort(entries.begin(), entries.end(),
                    group_slot(order) == 0 ? less_full_v0 : less_full_v1);
-  return entries;
+  std::vector<TableEntry> merged;
+  for (const TableEntry& e : entries) {
+    if (!merged.empty() && merged.back().key == e.key) {
+      merged.back().cnt += e.cnt;
+    } else {
+      merged.push_back(e);
+    }
+  }
+  return merged;
 }
 
 /// Reference group: linear scan over the reference-sorted entries.
@@ -223,6 +234,39 @@ TEST(BucketSeal, EmptyAndSingleton) {
   EXPECT_TRUE(one.group(0, 41).empty());
   EXPECT_TRUE(one.group(0, 99).empty());
   EXPECT_TRUE(one.group(0, 1000).empty());
+}
+
+TEST(BucketSeal, PushIntoSealedTableResortsAndMerges) {
+  // A row pushed into a sealed table must make the next seal sort and
+  // merge again, even a seal in the order the table already held.
+  auto row = [](VertexId v0, Count cnt) {
+    TableEntry e{};
+    e.key.v[0] = v0;
+    e.key.v[1] = 2;
+    e.key.sig = 1;
+    e.cnt = cnt;
+    return e;
+  };
+  ProjTable t(2);
+  t.push_unchecked(row(1, 1));
+  t.push_unchecked(row(5, 1));
+  t.seal(SortOrder::kByV0, 8);
+  t.push_unchecked(row(3, 1));
+  EXPECT_EQ(t.order(), SortOrder::kUnsorted);
+  t.seal(SortOrder::kByV0, 8);
+  for (const VertexId v : {VertexId{1}, VertexId{3}, VertexId{5}}) {
+    const auto g = t.group(0, v);
+    ASSERT_EQ(g.size(), 1u) << "v=" << v;
+    EXPECT_EQ(g[0].key.v[0], v);
+  }
+
+  // Pushing a key the table holds leaves one row with the summed count.
+  t.push_unchecked(row(5, 2));
+  t.seal(SortOrder::kByV0, 8);
+  EXPECT_EQ(t.size(), 3u);
+  const auto g = t.group(0, 5);
+  ASSERT_EQ(g.size(), 1u);
+  EXPECT_EQ(g[0].cnt, 3u);
 }
 
 }  // namespace
