@@ -72,6 +72,12 @@ std::vector<TableEntryT<B>> checkpoint_decode_shard(
   std::uint64_t rows = 0;
   std::memcpy(&rows, p, sizeof(std::uint64_t));
   p += sizeof(std::uint64_t);
+  // Every row takes at least its key and mask/width frame: a count the
+  // image cannot hold is corrupt, and must not size the reservation.
+  if (rows > static_cast<std::uint64_t>(end - p) / (kWireKeyBytes + 2)) {
+    throw CheckpointCorrupt("shard image claims " + std::to_string(rows) +
+                            " rows, more than its bytes can hold");
+  }
 
   std::vector<TableEntryT<B>> out;
   out.reserve(rows);

@@ -14,9 +14,11 @@
 // reuse the pages earlier ones faulted in.
 //
 // The transport keeps its own traffic accounting (CommStats), independent
-// of the engine's modeled LoadModel communication: the model sees only the
-// routing a real implementation must pay per join emission, while the
-// transport also pays for resharding and orientation supersteps.
+// of the engine's modeled LoadModel communication: the model charges one
+// entry per join emission that crosses ranks (Section 7), while the
+// transport counts what the engine actually moves — each input bucket an
+// extend reads, shipped once per reading rank, plus the transposes,
+// replicas and routed merge and aggregate outputs.
 //
 // Fault tolerance: with a FaultPlan installed (set_fault_plan), each
 // off-rank message's delivery attempt can deterministically drop,

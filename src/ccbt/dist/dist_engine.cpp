@@ -1,17 +1,16 @@
 #include "ccbt/dist/dist_engine.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ccbt/dist/checkpoint.hpp"
+#include "ccbt/dist/dist_primitives.hpp"
 #include "ccbt/engine/load_model.hpp"
 #include "ccbt/engine/path_builder.hpp"
 #include "ccbt/engine/primitives.hpp"
 #include "ccbt/engine/split_plan.hpp"
 #include "ccbt/graph/degree_order.hpp"
-#include "ccbt/table/signature.hpp"
 #include "ccbt/util/error.hpp"
 #include "ccbt/util/timer.hpp"
 
@@ -19,171 +18,13 @@ namespace ccbt {
 
 namespace {
 
-// The per-entry join logic lives in the kernels of engine/primitives.hpp,
-// shared verbatim with the shared-memory engine, and every path shard is
-// built born sorted the way the shared engine builds its path tables
-// (DistTableT::collect_by_frontier): shard r holds exactly the shared
-// table's frontier buckets of rank r's vertices. The same rows through
-// the same kernels is what guarantees exact load-model parity at every
-// batch width. This file only routes kernel emissions through the
-// transport.
+// Path tables are built by dist/dist_primitives.hpp. Merges and
+// aggregates route their outputs through the transport to the owners of
+// their slot-0 images.
 
-/// Distributed execution state threaded through every primitive: the
-/// shared-memory ExecContext (whose LoadModel the primitives charge
-/// exactly as the shared engine does) plus the transport, and the path
-/// collects' working buffers, which like the transport's live for the run.
-template <int B>
-struct Dx {
-  const ExecContext& cx;
-  VirtualCommT<B>& comm;
-  std::size_t budget;
-  FaultPlan* faults = nullptr;  // nullptr = no injection
-  typename DistTableT<B>::FrontierScratch scratch;
-
-  const BlockPartition& part() const { return cx.part; }
-  std::uint32_t ranks() const { return comm.num_ranks(); }
-  std::uint32_t owner(VertexId v) const { return cx.part.owner(v); }
-
-  /// Kernel emission routed to the owner of the key's `home` slot vertex.
-  auto route_to_slot(std::uint32_t from, int home) {
-    return [this, from, home](const TableKey& key,
-                              const typename LaneOps<B>::Vec& cnt) {
-      comm.send(from, owner(key.v[home]), {key, cnt});
-    };
-  }
-};
-
-/// Deterministically injected allocation failure at a table-materialize
-/// point. Retryable: the replay layer rolls back to the last checkpoint
-/// (the fault stream has advanced, so the replayed attempt rolls fresh
-/// decisions and can succeed).
-template <int B>
-void maybe_alloc_fail(Dx<B>& dx, const char* where) {
-  if (dx.faults != nullptr && dx.faults->alloc_fails()) {
-    throw Error(ErrorCode::kAllocFailed,
-                std::string(where) + ": injected allocation failure");
-  }
-}
-
-/// Deliver the queued emissions and close the phase on a born-sorted path
-/// table: entry (.., v, ..) lives with owner(v) (home slot 1, Section 7),
-/// and each rank builds its shard bucket by bucket like the shared
-/// engine's build_buckets — timed and counted as accumulation.
-template <int B>
-DistTableT<B> collect_path(Dx<B>& dx, int arity) {
-  const ExecContext& cx = dx.cx;
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::transport));
-    dx.comm.exchange();
-  }
-  maybe_alloc_fail(dx, "collect_path");
-  ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-  DistTableT<B> t = DistTableT<B>::collect_by_frontier(
-      arity, dx.comm, dx.part(), dx.budget, !cx.opts.lane_compress,
-      dx.scratch, cx.accum);
-  cx.end_phase();
-  return t;
-}
-
-template <int B>
-DistTableT<B> d_init_path_from_graph(Dx<B>& dx, const ExtendOpts& o) {
-  const ExecContext& cx = dx.cx;
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-    for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      auto emit = dx.route_to_slot(r, 1);
-      for (VertexId u = dx.part().begin(r); u < dx.part().end(r); ++u) {
-        kernel_init_from_graph<B>(cx, u, o, emit);
-      }
-    }
-  }
-  return collect_path(dx, 2);
-}
-
-template <int B>
-DistTableT<B> d_init_path_from_child(Dx<B>& dx, const DistTableT<B>& child,
-                                     const ExtendOpts& o) {
-  const ExecContext& cx = dx.cx;
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-    for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      auto emit = dx.route_to_slot(r, 1);
-      child.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_init_from_child<B>(cx, e, /*flip=*/false, o, emit);
-      });
-    }
-  }
-  return collect_path(dx, 2);
-}
-
-template <int B>
-DistTableT<B> d_extend_with_graph(Dx<B>& dx, const DistTableT<B>& path,
-                                  const ExtendOpts& o) {
-  const ExecContext& cx = dx.cx;
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-    for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      cx.note_lanes(path.shard(r).layout());
-      auto emit = dx.route_to_slot(r, 1);
-      path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_extend_with_graph<B>(cx, e, o, emit);
-      });
-    }
-  }
-  return collect_path(dx, path.arity());
-}
-
-template <int B>
-DistTableT<B> d_extend_with_child(Dx<B>& dx, const DistTableT<B>& path,
-                                  const DistTableT<B>& child,
-                                  const ExtendOpts& o) {
-  const ExecContext& cx = dx.cx;
-  // Path entries with frontier v and child entries (v, w, ..) are
-  // co-located at owner(v): the EdgeJoin probe is rank-local. The child
-  // shard is stored, so it is dense and probed through group().
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-    for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      cx.note_lanes(path.shard(r).layout());
-      const ProjTableT<B>& shard = child.shard(r);
-      auto emit = dx.route_to_slot(r, 1);
-      path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_extend_with_child<B>(cx, e, shard.group(0, e.key.v[1]), o,
-                                    emit);
-      });
-    }
-  }
-  return collect_path(dx, path.arity());
-}
-
-template <int B>
-DistTableT<B> d_node_join(Dx<B>& dx, const DistTableT<B>& path,
-                          const DistTableT<B>& child, int slot) {
-  const ExecContext& cx = dx.cx;
-  // The unary child lives with owner(x) (home slot 0). Probing by the
-  // anchor slot needs the path rehomed there first — a transport-only
-  // superstep a real implementation pays, invisible to the load model.
-  const DistTableT<B>* src = &path;
-  DistTableT<B> rehomed;
-  if (slot == 0 && dx.ranks() > 1) {
-    ScopedStage timed(cx.stage_slot(&StageWall::transport));
-    rehomed = path.resharded(0, dx.comm, dx.part(), SortOrder::kUnsorted,
-                             dx.budget);
-    src = &rehomed;
-  }
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-    for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      const ProjTableT<B>& shard = child.shard(r);
-      auto emit = dx.route_to_slot(r, 1);
-      src->shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_node_join<B>(cx, e, shard.group(0, e.key.v[slot]), slot,
-                            emit);
-      });
-    }
-  }
-  return collect_path(dx, path.arity());
-}
+using dist::DistPool;
+using dist::Dx;
+using dist::maybe_alloc_fail;
 
 /// Merge the co-located (u, v) groups of the two half-cycle tables end
 /// bucket by end bucket, through the same bucket router as the shared
@@ -259,195 +100,29 @@ DistTableT<B> d_aggregate(Dx<B>& dx, const DistTableT<B>& t,
   return out;
 }
 
-/// Solved child-block tables: stored home slot 0, shards sealed kByV0
-/// (the same convention as the shared TablePool, so every shard is
-/// dense), with lazily cached transposes produced by a transport
-/// superstep.
-template <int B>
-class DistPool {
- public:
-  DistPool(std::size_t num_blocks, VertexId domain,
-           StageWall* stage = nullptr)
-      : tables_(num_blocks),
-        transposed_(num_blocks),
-        has_transposed_(num_blocks, false),
-        stored_(num_blocks, false),
-        domain_(domain),
-        stage_(stage) {}
-
-  void store(int block, DistTableT<B> table) {
-    {
-      ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
-      table.seal_shards(SortOrder::kByV0, domain_);
-    }
-    tables_[block] = std::move(table);
-    stored_[block] = true;
-  }
-
-  const DistTableT<B>& get(int block) const { return tables_[block]; }
-
-  const DistTableT<B>& oriented(Dx<B>& dx, int block, bool transposed) {
-    if (!transposed) return tables_[block];
-    if (!has_transposed_[block]) {
-      // A transpose is a transport superstep plus a sealing collect;
-      // charge it to transport (the seal inside is not separable here).
-      ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->transport);
-      transposed_[block] = tables_[block].transposed(
-          dx.comm, dx.part(), dx.budget, domain_);
-      has_transposed_[block] = true;
-    }
-    return transposed_[block];
-  }
-
-  /// Serialize every stored table shard-by-shard through the
-  /// lane-compressed wire encoding. Cached transposes are deliberately
-  /// not captured: they regenerate on demand after a restore.
-  CheckpointImageT<B> checkpoint(std::size_t next_block,
-                                 std::uint64_t supersteps) const {
-    CheckpointImageT<B> img;
-    img.next_block = next_block;
-    img.supersteps = supersteps;
-    for (std::size_t b = 0; b < tables_.size(); ++b) {
-      if (!stored_[b]) continue;
-      const DistTableT<B>& t = tables_[b];
-      typename CheckpointImageT<B>::TableImage ti;
-      ti.block = static_cast<int>(b);
-      ti.arity = t.arity();
-      ti.home_slot = t.home_slot();
-      ti.shards.reserve(t.num_shards());
-      for (std::uint32_t r = 0; r < t.num_shards(); ++r) {
-        ti.shards.push_back(checkpoint_encode_shard<B>(t.shard(r)));
-      }
-      img.tables.push_back(std::move(ti));
-    }
-    return img;
-  }
-
-  /// Rebuild the stored tables from `img`, dropping everything newer.
-  /// Decoded rows arrive in sealed order with unique keys, so re-sealing
-  /// reproduces the checkpointed shards bit for bit: the counting
-  /// partition is stable and unique keys sort totally inside each bucket.
-  void restore(const CheckpointImageT<B>& img, std::uint32_t ranks) {
-    std::fill(stored_.begin(), stored_.end(), false);
-    std::fill(has_transposed_.begin(), has_transposed_.end(), false);
-    for (auto& t : tables_) t = DistTableT<B>();
-    for (auto& t : transposed_) t = DistTableT<B>();
-    for (const auto& ti : img.tables) {
-      if (ti.block < 0 ||
-          static_cast<std::size_t>(ti.block) >= tables_.size() ||
-          ti.shards.size() != ranks) {
-        throw CheckpointCorrupt("checkpoint table image for block " +
-                                std::to_string(ti.block) +
-                                " does not match the run shape");
-      }
-      std::vector<std::vector<TableEntryT<B>>> rows;
-      rows.reserve(ti.shards.size());
-      for (const std::vector<std::uint8_t>& bytes : ti.shards) {
-        rows.push_back(checkpoint_decode_shard<B>(bytes));
-      }
-      tables_[ti.block] = DistTableT<B>::from_shard_rows(
-          ti.arity, ti.home_slot, std::move(rows), SortOrder::kByV0,
-          domain_);
-      stored_[ti.block] = true;
-    }
-  }
-
- private:
-  std::vector<DistTableT<B>> tables_;
-  std::vector<DistTableT<B>> transposed_;
-  std::vector<bool> has_transposed_;
-  std::vector<bool> stored_;
-  VertexId domain_;
-  StageWall* stage_ = nullptr;
-};
-
-template <int B>
-DistTableT<B> d_build_path(Dx<B>& dx, const Block& blk, DistPool<B>& pool,
-                           const PathSpec& spec) {
-  const std::size_t steps = spec.positions.size();
-  if (steps < 2) {
-    throw Error(ErrorCode::kUnsupportedQuery,
-                "build_path: path needs at least one edge");
-  }
-
-  ExtendOpts init_opts{spec.track_slot_at[1], spec.anchor_higher};
-  DistTableT<B> table;
-  {
-    const int e0 = spec.edge_index[0];
-    const int child = blk.edge_child[e0];
-    if (child < 0) {
-      table = d_init_path_from_graph(dx, init_opts);
-    } else {
-      const DistTableT<B>& oriented = pool.oriented(
-          dx, child, needs_transpose(blk, e0, spec.edge_forward[0]));
-      table = d_init_path_from_child(dx, oriented, init_opts);
-    }
-  }
-  if (spec.include_start_annot) {
-    const int child = blk.node_child[spec.positions[0]];
-    if (child >= 0) {
-      table = d_node_join(dx, table, pool.get(child), /*slot=*/0);
-    }
-  }
-
-  for (std::size_t s = 1; s < steps; ++s) {
-    const bool is_end = (s + 1 == steps);
-    if (!is_end || spec.include_end_annot) {
-      const int child = blk.node_child[spec.positions[s]];
-      if (child >= 0) {
-        table = d_node_join(dx, table, pool.get(child), /*slot=*/1);
-      }
-    }
-    if (is_end) break;
-    ExtendOpts opts{spec.track_slot_at[s + 1], spec.anchor_higher};
-    const int e = spec.edge_index[s];
-    const int child = blk.edge_child[e];
-    if (child < 0) {
-      table = d_extend_with_graph(dx, table, opts);
-    } else {
-      const DistTableT<B>& oriented = pool.oriented(
-          dx, child, needs_transpose(blk, e, spec.edge_forward[s]));
-      table = d_extend_with_child(dx, table, oriented, opts);
-    }
-  }
-  return table;
-}
-
 template <int B>
 DistTableT<B> d_solve_cycle(Dx<B>& dx, const Block& blk, DistPool<B>& pool) {
+  dist::DistPath<B> ops{dx, pool};
   std::vector<AccumMapT<B>> sinks(dx.ranks());
   for (const SplitPlan& plan : splits_for(blk, dx.cx.opts.algo)) {
-    DistTableT<B> plus = d_build_path(dx, blk, pool, plan.plus);
-    DistTableT<B> minus = d_build_path(dx, blk, pool, plan.minus);
+    DistTableT<B> plus = walk_path(ops, blk, plan.plus);
+    DistTableT<B> minus = walk_path(ops, blk, plan.minus);
     d_merge_halves(dx, plus, minus, plan.merge, sinks);
   }
-  return DistTableT<B>::from_maps(blk.boundary_count(), /*home_slot=*/0,
-                                  std::move(sinks));
+  std::vector<ProjTableT<B>> shards;
+  for (AccumMapT<B>& m : sinks) {
+    shards.push_back(
+        ProjTableT<B>::from_map(blk.boundary_count(), std::move(m)));
+  }
+  return DistTableT<B>::from_shards(blk.boundary_count(), /*home_slot=*/0,
+                                    std::move(shards));
 }
 
 template <int B>
 DistTableT<B> d_solve_leaf_edge(Dx<B>& dx, const Block& blk,
                                 DistPool<B>& pool) {
-  if (blk.kind != BlockKind::kLeafEdge) {
-    throw Error(ErrorCode::kUnsupportedQuery,
-                "solve_leaf_edge: not a leaf-edge block");
-  }
-  ExtendOpts no_opts;
-  DistTableT<B> table;
-  const int edge_child = blk.edge_child[0];
-  if (edge_child < 0) {
-    table = d_init_path_from_graph(dx, no_opts);
-  } else {
-    table = d_init_path_from_child(
-        dx, pool.oriented(dx, edge_child, blk.edge_child_flip[0]), no_opts);
-  }
-  if (blk.node_child[1] >= 0) {
-    table = d_node_join(dx, table, pool.get(blk.node_child[1]), /*slot=*/1);
-  }
-  if (blk.node_child[0] >= 0) {
-    table = d_node_join(dx, table, pool.get(blk.node_child[0]), /*slot=*/0);
-  }
-  return d_aggregate(dx, table, /*new_arity=*/1);
+  dist::DistPath<B> ops{dx, pool};
+  return d_aggregate(dx, walk_leaf_edge(ops, blk), /*new_arity=*/1);
 }
 
 template <int B>
@@ -476,7 +151,7 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
     comm.set_fault_plan(fp, opts.dist.max_retries, opts.dist.backoff_base_ms,
                         opts.dist.deadline_ms);
   }
-  Dx<B> dx{cx, comm, opts.max_table_entries, fp, {}};
+  Dx<B> dx{cx, comm, opts.max_table_entries, fp};
   DistPool<B> pool(tree.blocks.size(), g.num_vertices(), &stats.stage);
 
   stats.lanes_used = batch.lanes();

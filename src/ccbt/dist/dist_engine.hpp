@@ -3,14 +3,15 @@
 //
 // run_plan_distributed executes the same decomposition-tree plan as the
 // shared-memory run_plan, but with every projection table physically
-// sharded across `ranks` virtual ranks (DistTable) and every join
-// emission routed through VirtualComm supersteps. The engine charges the
-// BSP load model exactly as the shared engine does — same phases, same
-// per-entry operation counts — so a distributed run reproduces the
-// shared run's colorful count AND its modeled load (total/max/avg ops,
-// sim_time, modeled comm) bit for bit, while additionally reporting what
-// the model cannot see: the actual transport volume, including the
-// resharding and orientation supersteps a real MPI implementation pays.
+// sharded across `ranks` virtual ranks (DistTable). Each rank builds its
+// path shards with the shared pull primitives over its own vertices
+// (dist/dist_primitives.hpp) and sees other ranks' rows only through
+// VirtualComm supersteps. The engine charges the BSP load model exactly
+// as the shared engine does — same phases, same per-entry operation
+// counts — so a distributed run reproduces the shared run's colorful
+// count AND its modeled load (total/max/avg ops, sim_time, modeled comm)
+// bit for bit, while additionally reporting what the model cannot see:
+// the actual transport volume.
 //
 // Fault tolerance (ExecOptions::dist): a seeded FaultPlan can drop,
 // duplicate, or delay superstep messages, stall ranks, and fail table
@@ -54,8 +55,8 @@ struct DistStats {
   std::uint64_t total_comm = 0;
 
   // Physical transport accounting (supersteps, entries moved, off-rank
-  // volume) — a superset of the modeled communication. At B > 1 the
-  // transport serializes the lane-compressed wire format, so
+  // volume). The model charges one entry per cross-rank join emission; an
+  // extend ships each input bucket once per reading rank instead. At B > 1
   // transport.off_rank_bytes() tracks true lane density.
   CommStats transport;
 
@@ -64,15 +65,14 @@ struct DistStats {
   LaneTelemetry lanes;
 
   /// Per-stage wall breakdown (see ExecStats::stage); here `transport`
-  /// covers the virtual-MPI exchanges, resharding and transposing
-  /// supersteps, and the merge-sink and aggregate collects. Path shards
-  /// are built bucket by bucket from the delivered rows and count as
-  /// `accumulate`, as the shared engine's bucket builds do.
+  /// covers the virtual-MPI exchanges, the halo views, transposes and
+  /// replicas, and the merge-sink and aggregate collects. Path shards are
+  /// built by the shared bucket builds and count as `accumulate`.
   StageWall stage;
 
   /// Accumulation telemetry (see ExecStats::accum): one phase per path
-  /// table, with the delivered rows its frontier buckets took in and the
-  /// bytes they occupied — the same totals the shared engine reports.
+  /// table, with the rows its frontier buckets took in and the bytes they
+  /// occupied — the same totals the shared engine reports.
   AccumTelemetry accum;
 
   /// Fault-tolerance scoreboard: faults injected by the configured

@@ -7,8 +7,10 @@
 // DistTable is the union of per-rank ProjTable shards; a table is "well
 // placed" when every entry sits on the owner of its home-slot vertex.
 //
-// Movement between placements (resharding, transposition) happens through
-// VirtualComm supersteps, so the transport statistics account for it.
+// Every movement between ranks — a transposition, the halo buckets an
+// extend reads (halo_view), the replica of a unary table (allgathered) —
+// happens through VirtualComm supersteps, so the transport statistics
+// account for it.
 //
 // Parameterized on the batch width B: shards hold lane-indexed entries
 // and every superstep serializes whole lane-count vectors, so a batched
@@ -33,96 +35,6 @@ class DistTableT {
   using Vec = typename LaneOps<B>::Vec;
 
   DistTableT() = default;
-
-  /// collect_by_frontier's working buffers: the counting partition of one
-  /// inbox by frontier and the gather of one bucket. The caller keeps one
-  /// for a whole run, so every phase reuses their memory.
-  struct FrontierScratch {
-    std::vector<std::uint32_t> off;     // bucket offsets of one rank
-    std::vector<std::uint32_t> cursor;  // fill position per bucket
-    std::vector<std::uint32_t> order;   // inbox indices, bucket by bucket
-    FlatRowsT<B> bucket;
-  };
-
-  /// Build every rank's born-sorted path shard from its inbox (as
-  /// delivered by the last exchange), like the shared engine's path
-  /// tables: rows are homed at their frontier (slot 1), so one counting
-  /// partition by v1 splits rank r's rows into the buckets of its
-  /// vertices, and each bucket is closed through SortedBucketsT (`wide`
-  /// keeps rows dense, for lane compression off). Shard r arrives sealed
-  /// kByV1 with exactly the shared table's rows of those buckets, the
-  /// invariant behind the engines' load-model parity. Each inbox is read
-  /// in place and then emptied but not freed: the transport reuses it for
-  /// the next superstep, as the partition reuses `scratch`. `accum` gains
-  /// one phase. Throws BudgetExceeded when the deduplicated rows exceed
-  /// `budget`.
-  static DistTableT collect_by_frontier(int arity, VirtualCommT<B>& comm,
-                                        const BlockPartition& part,
-                                        std::size_t budget, bool wide,
-                                        FrontierScratch& scratch,
-                                        AccumTelemetry* accum = nullptr) {
-    using Mode = typename FlatRowsT<B>::Mode;
-    DistTableT t;
-    t.arity_ = arity;
-    t.home_slot_ = 1;
-    t.shards_.resize(comm.num_ranks());
-    std::vector<std::uint32_t>& off = scratch.off;
-    std::vector<std::uint32_t>& cursor = scratch.cursor;
-    std::vector<std::uint32_t>& order = scratch.order;
-    std::size_t total = 0;
-    for (std::uint32_t r = 0; r < comm.num_ranks(); ++r) {
-      const std::vector<Entry>& in = comm.inbox(r);
-      const VertexId lo = part.begin(r);
-      const VertexId hi = part.end(r);
-      off.assign(hi - lo + 1, 0);
-      bool packs = true;
-      for (const Entry& e : in) {
-        packs = packs && packable_key(e.key);
-        const VertexId v = e.key.v[1];
-        if (v < lo || v >= hi) {
-          throw Error("collect_by_frontier: row not homed on rank " +
-                      std::to_string(r));
-        }
-        ++off[v - lo + 1];
-      }
-      for (std::size_t v = 1; v < off.size(); ++v) off[v] += off[v - 1];
-      order.resize(in.size());
-      cursor.assign(off.begin(), off.end() - 1);
-      for (std::uint32_t i = 0; i < in.size(); ++i) {
-        order[cursor[in[i].key.v[1] - lo]++] = i;
-      }
-      // A shard with an unpackable key ends dense anyway: start it dense,
-      // sized to the inbox, instead of growing dense rows by doubling.
-      SortedBucketsT<B> built(wide || !packs, in.size());
-      built.skip(lo);
-      for (VertexId v = 0; v < hi - lo; ++v) {
-        scratch.bucket.reset(wide ? Mode::kWide : Mode::kU16);
-        for (std::uint32_t i = off[v]; i < off[v + 1]; ++i) {
-          if (i + 8 < in.size()) {  // read out of arrival order
-            const char* ahead =
-                reinterpret_cast<const char*>(&in[order[i + 8]]);
-            __builtin_prefetch(ahead);
-            __builtin_prefetch(ahead + sizeof(Entry) - 1);
-          }
-          scratch.bucket.append(in[order[i]].key, in[order[i]].cnt);
-        }
-        built.close(scratch.bucket);
-        if (total + built.size() > budget) {
-          throw BudgetExceeded("distributed table exceeded " +
-                               std::to_string(budget) + " entries");
-        }
-      }
-      total += built.size();
-      if (accum != nullptr) {
-        accum->rows += built.emitted_rows();
-        accum->emit_bytes += built.emitted_bytes();
-      }
-      t.shards_[r] = ProjTableT<B>::from_buckets(arity, std::move(built));
-      comm.clear_inbox(r);
-    }
-    if (accum != nullptr) ++accum->phases;
-    return t;
-  }
 
   /// Drain every rank's inbox (as delivered by the last exchange) into
   /// its shard, accumulating duplicate keys, and seal each shard in
@@ -172,17 +84,13 @@ class DistTableT {
     return t;
   }
 
-  /// Materialize from per-rank accumulation maps (the cycle solver's
-  /// merge sinks), one shard per map; shards stay unsealed.
-  static DistTableT from_maps(int arity, int home_slot,
-                              std::vector<AccumMapT<B>> maps) {
+  /// Adopt one shard per rank (each built in place on its rank).
+  static DistTableT from_shards(int arity, int home_slot,
+                                std::vector<ProjTableT<B>> shards) {
     DistTableT t;
     t.arity_ = arity;
     t.home_slot_ = home_slot;
-    t.shards_.reserve(maps.size());
-    for (AccumMapT<B>& m : maps) {
-      t.shards_.push_back(ProjTableT<B>::from_map(arity, std::move(m)));
-    }
+    t.shards_ = std::move(shards);
     return t;
   }
 
@@ -210,15 +118,7 @@ class DistTableT {
   const ProjTableT<B>& shard(std::uint32_t rank) const {
     return shards_[rank];
   }
-
-  /// Per-shard lane-0 totals, one slot per rank (allreduce input).
-  std::vector<Count> shard_totals() const {
-    std::vector<Count> parts(shards_.size(), 0);
-    for (std::size_t r = 0; r < shards_.size(); ++r) {
-      parts[r] = shards_[r].total();
-    }
-    return parts;
-  }
+  ProjTableT<B>& shard(std::uint32_t rank) { return shards_[rank]; }
 
   /// Per-shard per-lane totals (lane-wise allreduce input).
   std::vector<Vec> shard_lane_totals() const {
@@ -250,20 +150,6 @@ class DistTableT {
     return ProjTableT<B>::from_map(arity_, std::move(map));
   }
 
-  /// Move every entry to the owner of its `new_home` slot vertex (one
-  /// superstep), sealing shards in `order`.
-  DistTableT resharded(int new_home, VirtualCommT<B>& comm,
-                       const BlockPartition& part, SortOrder order,
-                       std::size_t budget, VertexId domain = 0) const {
-    for (std::uint32_t r = 0; r < num_shards(); ++r) {
-      shards_[r].for_each_entry([&](const Entry& e) {
-        comm.send(r, part.owner(e.key.v[new_home]), e);
-      });
-    }
-    comm.exchange();
-    return collect(arity_, new_home, comm, order, budget, domain);
-  }
-
   /// Swap key slots 0 and 1 and re-home (one superstep); shards sealed
   /// kByV0 — the storage convention for child-block tables.
   DistTableT transposed(VirtualCommT<B>& comm, const BlockPartition& part,
@@ -278,6 +164,63 @@ class DistTableT {
     comm.exchange();
     return collect(arity_, home_slot_, comm, SortOrder::kByV0, budget,
                    domain);
+  }
+
+  /// Rank r's view of this born-sorted path table (home slot 1) for a
+  /// pull over r's vertices: its own shard's buckets plus the halo
+  /// buckets the last exchange delivered to r. Senders drain in rank
+  /// order, each its buckets in vertex order, and every bucket arrives
+  /// whole and already sorted, so the view is assembled in bucket order
+  /// with no sort, sealed kByV1 with a bucket index; `wide` keeps the rows
+  /// dense. The view carries no layout stats: its rows are noted by the
+  /// shards that own them. Empties r's inbox. Throws Error when a halo row
+  /// belongs to r's own vertices or arrives out of bucket order.
+  ProjTableT<B> halo_view(std::uint32_t r, VirtualCommT<B>& comm,
+                          const BlockPartition& part, bool wide) const {
+    const std::vector<Entry>& in = comm.inbox(r);
+    const ProjTableT<B>& own = shards_[r];
+    SortedBucketsT<B> rows(wide, own.size() + in.size());
+    VertexId last = 0;
+    for (const Entry& e : in) {
+      const VertexId v = e.key.v[1];
+      if ((v >= part.begin(r) && v < part.end(r)) || v < last) {
+        throw Error("halo_view: row of bucket " + std::to_string(v) +
+                    " out of place on rank " + std::to_string(r));
+      }
+      last = v;
+    }
+    std::size_t i = 0;
+    for (; i < in.size() && in[i].key.v[1] < part.begin(r); ++i) {
+      rows.append_sorted(in[i].key, in[i].cnt);
+    }
+    own.for_each_entry(
+        [&](const Entry& e) { rows.append_sorted(e.key, e.cnt); });
+    for (; i < in.size(); ++i) rows.append_sorted(in[i].key, in[i].cnt);
+    comm.clear_inbox(r);
+    return ProjTableT<B>::from_buckets(arity_, std::move(rows));
+  }
+
+  /// Every rank's copy of the whole table after one allgather superstep:
+  /// each shard goes to every other rank. All copies hold the same rows,
+  /// so one stands for them all: rank 0's, sealed kByV0 (`domain`
+  /// enables its bucket index). Empties every inbox.
+  ProjTableT<B> allgathered(VirtualCommT<B>& comm, VertexId domain) const {
+    for (std::uint32_t s = 0; s < num_shards(); ++s) {
+      shards_[s].for_each_entry([&](const Entry& e) {
+        for (std::uint32_t d = 0; d < num_shards(); ++d) {
+          if (d != s) comm.send(s, d, e);
+        }
+      });
+    }
+    comm.exchange();
+    std::vector<Entry> rows;
+    rows.reserve(shards_[0].size() + comm.inbox(0).size());
+    shards_[0].for_each_entry([&](const Entry& e) { rows.push_back(e); });
+    rows.insert(rows.end(), comm.inbox(0).begin(), comm.inbox(0).end());
+    for (std::uint32_t r = 0; r < num_shards(); ++r) comm.clear_inbox(r);
+    ProjTableT<B> copy = ProjTableT<B>::from_flat(arity_, std::move(rows));
+    copy.seal(SortOrder::kByV0, domain);
+    return copy;
   }
 
   /// Seal every shard (used when a table is stored).

@@ -139,9 +139,9 @@ struct ExecOptions {
   DistOptions dist;
 };
 
-/// Born-sorted tables count bucket rows and CSR offsets in u32, and the
-/// distributed collect indexes inboxes in u32: a table budget past
-/// UINT32_MAX would let them wrap silently instead of throwing. Every
+/// Born-sorted tables count bucket rows and CSR offsets in u32: a table
+/// budget past UINT32_MAX would let them wrap silently instead of
+/// throwing. Every
 /// engine entry point rejects such a budget up front with BudgetExceeded.
 inline void check_table_budget(const ExecOptions& opts, const char* who) {
   if (opts.max_table_entries > std::numeric_limits<std::uint32_t>::max()) {

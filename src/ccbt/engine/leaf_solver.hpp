@@ -5,7 +5,6 @@
 
 #include "ccbt/decomp/block.hpp"
 #include "ccbt/engine/path_builder.hpp"
-#include "ccbt/util/error.hpp"
 
 namespace ccbt {
 
@@ -14,32 +13,8 @@ namespace ccbt {
 template <int B>
 ProjTableT<B> solve_leaf_edge(const ExecContext& cx, const Block& blk,
                               TablePoolT<B>& pool) {
-  if (blk.kind != BlockKind::kLeafEdge) {
-    throw Error("solve_leaf_edge: not a leaf-edge block");
-  }
-  // Table keyed (π(a)=slot0, π(b)=slot1): the edge itself...
-  ExtendOpts no_opts;
-  ProjTableT<B> table;
-  const int edge_child = blk.edge_child[0];
-  if (edge_child < 0) {
-    table = init_path_from_graph<B>(cx, no_opts);
-  } else {
-    // The child's first boundary must be the block's boundary node a; the
-    // primitive reads it the other way round (see build_path).
-    table = init_path_from_child<B>(
-        cx, pool.oriented(edge_child, !blk.edge_child_flip[0]),
-        /*flip=*/true, no_opts);
-  }
-  // ...joined with the leaf node b's annotation...
-  if (blk.node_child[1] >= 0) {
-    table = node_join<B>(cx, table, pool.get(blk.node_child[1]), /*slot=*/1);
-  }
-  // ...and the boundary node a's annotation...
-  if (blk.node_child[0] >= 0) {
-    table = node_join<B>(cx, table, pool.get(blk.node_child[0]), /*slot=*/0);
-  }
-  // ...then projected onto a.
-  return aggregate<B>(cx, table, /*new_arity=*/1);
+  SharedPath<B> ops{cx, pool};
+  return aggregate<B>(cx, walk_leaf_edge(ops, blk), /*new_arity=*/1);
 }
 
 extern template ProjTableT<1> solve_leaf_edge<1>(const ExecContext&,

@@ -100,60 +100,111 @@ struct PathSpec {
 /// leaves from. Shared with the distributed engine.
 bool needs_transpose(const Block& blk, int edge, bool forward);
 
+/// One half-cycle walk in phase order (Fig 7), for either engine: `ops`
+/// runs each primitive on the engine's table type —
+///   init_graph(o), init_child(child, transposed, o),
+///   node_join(table, child, slot), extend_graph(table, o),
+///   extend_child(table, child, transposed, o)
+/// — where `transposed` says the walk runs along the child's transposed
+/// table (needs_transpose).
+template <typename Ops>
+auto walk_path(Ops& ops, const Block& blk, const PathSpec& spec) {
+  const std::size_t steps = spec.positions.size();
+  if (steps < 2) {
+    throw Error(ErrorCode::kUnsupportedQuery,
+                "build_path: path needs at least one edge");
+  }
+  // --- Initial table: the first edge of the walk.
+  const ExtendOpts init_opts{spec.track_slot_at[1], spec.anchor_higher};
+  const int e0 = spec.edge_index[0];
+  const int c0 = blk.edge_child[e0];
+  auto table = c0 < 0 ? ops.init_graph(init_opts)
+                      : ops.init_child(
+                            c0, needs_transpose(blk, e0, spec.edge_forward[0]),
+                            init_opts);
+  const int start = blk.node_child[spec.positions[0]];
+  if (spec.include_start_annot && start >= 0) {
+    table = ops.node_join(table, start, /*slot=*/0);
+  }
+
+  // --- Walk: NodeJoin at each reached position, then extend.
+  for (std::size_t s = 1; s < steps; ++s) {
+    const bool is_end = (s + 1 == steps);
+    const int node = blk.node_child[spec.positions[s]];
+    if ((!is_end || spec.include_end_annot) && node >= 0) {
+      table = ops.node_join(table, node, /*slot=*/1);
+    }
+    if (is_end) break;
+    const ExtendOpts opts{spec.track_slot_at[s + 1], spec.anchor_higher};
+    const int e = spec.edge_index[s];
+    const int child = blk.edge_child[e];
+    table = child < 0
+                ? ops.extend_graph(table, opts)
+                : ops.extend_child(
+                      table, child,
+                      needs_transpose(blk, e, spec.edge_forward[s]), opts);
+  }
+  return table;
+}
+
+/// A leaf-edge block's table before its projection onto the boundary
+/// node a (Section 5.2, last paragraph): the edge keyed (π(a), π(b)),
+/// joined with the leaf node b's annotation and then with a's.
+template <typename Ops>
+auto walk_leaf_edge(Ops& ops, const Block& blk) {
+  if (blk.kind != BlockKind::kLeafEdge) {
+    throw Error(ErrorCode::kUnsupportedQuery,
+                "solve_leaf_edge: not a leaf-edge block");
+  }
+  const int edge_child = blk.edge_child[0];
+  auto table = edge_child < 0 ? ops.init_graph(ExtendOpts{})
+                              : ops.init_child(edge_child,
+                                               blk.edge_child_flip[0],
+                                               ExtendOpts{});
+  if (blk.node_child[1] >= 0) {
+    table = ops.node_join(table, blk.node_child[1], /*slot=*/1);
+  }
+  if (blk.node_child[0] >= 0) {
+    table = ops.node_join(table, blk.node_child[0], /*slot=*/0);
+  }
+  return table;
+}
+
+/// The shared engine's primitives over a TablePool, for the walks. Each
+/// table is built bucket by bucket from the child rows that end in the
+/// bucket, so edge children are read through the orientation opposite to
+/// the walk (both are cached by the pool), which `flip` says.
+template <int B>
+struct SharedPath {
+  const ExecContext& cx;
+  TablePoolT<B>& pool;
+
+  ProjTableT<B> init_graph(const ExtendOpts& o) {
+    return init_path_from_graph<B>(cx, o);
+  }
+  ProjTableT<B> init_child(int child, bool transposed, const ExtendOpts& o) {
+    return init_path_from_child<B>(cx, pool.oriented(child, !transposed),
+                                   /*flip=*/true, o);
+  }
+  ProjTableT<B> node_join(ProjTableT<B>& t, int child, int slot) {
+    return ccbt::node_join<B>(cx, t, pool.get(child), slot);
+  }
+  ProjTableT<B> extend_graph(ProjTableT<B>& t, const ExtendOpts& o) {
+    return extend_with_graph<B>(cx, t, o);
+  }
+  ProjTableT<B> extend_child(ProjTableT<B>& t, int child, bool transposed,
+                             const ExtendOpts& o) {
+    return extend_with_child<B>(cx, t, pool.oriented(child, !transposed), o,
+                                /*flip=*/true);
+  }
+};
+
 /// Build the projection table of one half-cycle path.
 template <int B>
 ProjTableT<B> build_path(const ExecContext& cx, const Block& blk,
                          TablePoolT<B>& pool, const PathSpec& spec) {
-  const std::size_t steps = spec.positions.size();
-  if (steps < 2) throw Error("build_path: path needs at least one edge");
-
-  // Each table is built bucket by bucket from the child rows that end in
-  // the bucket, so edge children are read through the opposite
-  // orientation (both are cached by the pool), which `flip` says.
-
-  // --- Initial table: the first edge of the walk.
-  ExtendOpts init_opts{spec.track_slot_at[1], spec.anchor_higher};
-  ProjTableT<B> table;
-  {
-    const int e0 = spec.edge_index[0];
-    const int child = blk.edge_child[e0];
-    if (child < 0) {
-      table = init_path_from_graph<B>(cx, init_opts);
-    } else {
-      const ProjTableT<B>& oriented = pool.oriented(
-          child, !needs_transpose(blk, e0, spec.edge_forward[0]));
-      table = init_path_from_child<B>(cx, oriented, /*flip=*/true, init_opts);
-    }
-  }
-  if (spec.include_start_annot) {
-    const int child = blk.node_child[spec.positions[0]];
-    if (child >= 0) {
-      table = node_join<B>(cx, table, pool.get(child), /*slot=*/0);
-    }
-  }
-
-  // --- Walk: NodeJoin at each reached position, then extend (Fig 7).
-  for (std::size_t s = 1; s < steps; ++s) {
-    const bool is_end = (s + 1 == steps);
-    if (!is_end || spec.include_end_annot) {
-      const int child = blk.node_child[spec.positions[s]];
-      if (child >= 0) {
-        table = node_join<B>(cx, table, pool.get(child), /*slot=*/1);
-      }
-    }
-    if (is_end) break;
-    ExtendOpts opts{spec.track_slot_at[s + 1], spec.anchor_higher};
-    const int e = spec.edge_index[s];
-    const int child = blk.edge_child[e];
-    if (child < 0) {
-      table = extend_with_graph<B>(cx, table, opts);
-    } else {
-      const ProjTableT<B>& oriented = pool.oriented(
-          child, !needs_transpose(blk, e, spec.edge_forward[s]));
-      table = extend_with_child<B>(cx, table, oriented, opts, /*flip=*/true);
-    }
-  }
-  return table;
+  SharedPath<B> ops{cx, pool};
+  return walk_path(ops, blk, spec);
 }
 
 extern template ProjTableT<1> build_path<1>(const ExecContext&, const Block&,

@@ -21,20 +21,21 @@
 //     right size — and a per-lane half — the intersection must equal the
 //     joint vertex's lane colors (ColoringBatch::mask_bit_eq/mask_pair_eq).
 //
-// One build path at every width, B = 1 included: each path table is built
-// born sorted. One frontier vertex w at a time, in ascending w, a
-// primitive pulls the rows that land on w — from the input's bucket of
-// each neighbour x of w, or from the child rows ending at w — then sorts
-// and deduplicates that bucket locally (build_buckets). The table arrives
-// sealed kByV1, the home-slot-1 layout of Section 7, in narrow flat rows
-// and with no global sort; merge_halves joins two such halves end bucket
-// by end bucket.
+// One build path at every width, B = 1 included, and for both engines:
+// each path table is built born sorted. One frontier vertex w at a time,
+// in ascending w, a primitive pulls the rows that land on w — from the
+// input's bucket of each neighbour x of w, or from the child rows ending
+// at w — then sorts and deduplicates that bucket locally (build_buckets).
+// The table arrives sealed kByV1, the home-slot-1 layout of Section 7, in
+// narrow flat rows and with no global sort; merge_halves joins two such
+// halves end bucket by end bucket. Every primitive takes the frontier
+// vertices it builds as a VertexRange: all of them in the shared engine,
+// one rank's block when the virtual-MPI engine in ccbt/dist runs it over
+// the rank's shard and halo.
 //
-// The per-entry push kernels (emit-callback form) are what the
-// virtual-MPI engine in ccbt/dist runs, and the tests' reference for the
-// pull loops. The pull loops charge the load model per (bucket,
-// neighbour) instead of per entry; the per-rank sums per phase are the
-// same, which tests/test_dist_engine.cpp checks.
+// The pull loops charge the load model per (bucket, neighbour) instead of
+// per entry; the per-rank sums per phase are the Section 7 model's, which
+// tests/test_born_sorted.cpp checks against per-entry push kernels.
 
 #include <algorithm>
 #include <array>
@@ -68,7 +69,28 @@ struct ExtendOpts {
   bool anchor_higher = false;
 };
 
+/// The frontier vertices [begin, end) one path build covers. The default
+/// is every vertex, and the build closes its load-model phase itself. A
+/// virtual-MPI rank builds only its own block (rank()); the engine closes
+/// the phase once, after every rank has built.
+struct VertexRange {
+  VertexId begin = 0;
+  VertexId end = kNoVertex;  // clamped to the vertex count
+  bool closes_phase = true;
+
+  static VertexRange rank(const BlockPartition& part, std::uint32_t r) {
+    return {part.begin(r), part.end(r), false};
+  }
+};
+
 namespace detail {
+
+/// End one path primitive's phase: one load-model phase and one
+/// accumulation phase.
+inline void close_build_phase(const ExecContext& cx) {
+  if (cx.accum != nullptr) ++cx.accum->phases;
+  cx.end_phase();
+}
 
 inline void check_budget(const ExecContext& cx, std::size_t size) {
   if (size > cx.opts.max_table_entries) {
@@ -104,7 +126,7 @@ struct SigGroups {
   }
 };
 
-/// The push kernels' `emit(key, counts)`, appending to a bucket scratch.
+/// A row helper's `emit(key, counts)`, appending to a bucket scratch.
 template <int B>
 auto append_to(FlatRowsT<B>& sink) {
   return [&sink](const TableKey& k, const typename LaneOps<B>::Vec& c) {
@@ -113,20 +135,24 @@ auto append_to(FlatRowsT<B>& sink) {
 }
 
 /// The born-sorted build every path primitive shares. The output is
-/// built one frontier vertex w at a time, in ascending w: `body(w, sink)`
-/// emits the rows whose frontier is w into a thread-local scratch, which
-/// is then sorted and deduplicated locally (exact u64 run sums) and
-/// appended with its bucket offset. The table arrives sealed kByV1 with
-/// no global sort. Threads build contiguous vertex ranges that
-/// concatenate in order, so the table is the same at every thread count;
-/// `work` (the input rows the phase reads) decides whether threads pay.
-/// The budget bounds the deduplicated rows.
+/// built one frontier vertex w of `range` at a time, in ascending w:
+/// `body(w, sink)` emits the rows whose frontier is w into a thread-local
+/// scratch, which is then sorted and deduplicated locally (exact u64 run
+/// sums) and appended with its bucket offset. The table arrives sealed
+/// kByV1 with no global sort; vertices below the range get empty buckets.
+/// Threads build contiguous vertex ranges that concatenate in order, so
+/// the table is the same at every thread count; `work` (the input rows
+/// the phase reads) decides whether threads pay. The budget bounds the
+/// deduplicated rows.
 template <int B, typename Body>
 ProjTableT<B> build_buckets(const ExecContext& cx, int arity,
-                            std::size_t work, Body&& body) {
+                            std::size_t work, Body&& body,
+                            VertexRange range = {}) {
   using Mode = typename FlatRowsT<B>::Mode;
   ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-  const VertexId n = cx.g.num_vertices();
+  const VertexId lo = range.begin;
+  const VertexId hi = std::min(range.end, cx.g.num_vertices());
+  const VertexId n = hi > lo ? hi - lo : 0;
   // Lane compression off keeps every row in the dense u64[B] layout.
   const bool wide = !cx.opts.lane_compress;
   int parts = 1;
@@ -142,6 +168,7 @@ ProjTableT<B> build_buckets(const ExecContext& cx, int arity,
   built.reserve(parts);
   // Output tables run at about twice their input's rows.
   for (int p = 0; p < parts; ++p) built.emplace_back(wide, 2 * work / parts);
+  built[0].skip(lo);
   std::atomic<bool> budget_hit{false};
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 1) if (parts > 1)
@@ -149,9 +176,10 @@ ProjTableT<B> build_buckets(const ExecContext& cx, int arity,
   for (int p = 0; p < parts; ++p) {
     thread_local FlatRowsT<B> scratch;
     SortedBucketsT<B>& part = built[p];
-    const auto lo = static_cast<VertexId>(std::uint64_t{n} * p / parts);
-    const auto hi = static_cast<VertexId>(std::uint64_t{n} * (p + 1) / parts);
-    for (VertexId w = lo; w < hi; ++w) {
+    const auto plo = lo + static_cast<VertexId>(std::uint64_t{n} * p / parts);
+    const auto phi =
+        lo + static_cast<VertexId>(std::uint64_t{n} * (p + 1) / parts);
+    for (VertexId w = plo; w < phi; ++w) {
       if (budget_hit.load(std::memory_order_relaxed)) break;
       scratch.reset(wide ? Mode::kWide : Mode::kU16);
       body(w, scratch);
@@ -166,11 +194,10 @@ ProjTableT<B> build_buckets(const ExecContext& cx, int arity,
   for (int p = 1; p < parts; ++p) out.absorb(std::move(built[p]));
   check_budget(cx, out.size());
   if (cx.accum != nullptr) {
-    ++cx.accum->phases;
     cx.accum->rows += out.emitted_rows();
     cx.accum->emit_bytes += out.emitted_bytes();
   }
-  cx.end_phase();
+  if (range.closes_phase) close_build_phase(cx);
   return ProjTableT<B>::from_buckets(arity, std::move(out));
 }
 
@@ -260,34 +287,9 @@ void join_edge(const ExecContext& cx, const TableEntryT<B>& e,
 }  // namespace detail
 
 // ---------------------------------------------------------------- kernels
-// Per-item loop bodies of the push form: the distributed engine runs them
-// (B = 1 on the original scalar code), and the tests replay them as the
-// reference for the pull loops. Each kernel performs the load-model
-// charges itself and hands finished rows to `emit(key, lane-counts)`; the
-// caller only chooses where rows go (a transport or a test's row list).
-
-/// Initial path entries out of one data vertex u (Procedure 1 init).
-template <int B, typename Emit>
-void kernel_init_from_graph(const ExecContext& cx, VertexId u,
-                            const ExtendOpts& o, Emit&& emit) {
-  const CsrGraph& g = cx.g;
-  cx.charge(u, g.degree(u));
-  for (VertexId w : g.neighbors(u)) {
-    if (o.anchor_higher && !cx.order.higher(u, w)) continue;
-    if constexpr (B == 1) {
-      if (cx.chi.color(u) == cx.chi.color(w)) continue;
-      TableKey key;
-      key.v[0] = u;
-      key.v[1] = w;
-      if (o.track_slot >= 0) key.v[o.track_slot] = w;
-      key.sig = cx.chi.bit(u) | cx.chi.bit(w);
-      emit(key, Count{1});
-      cx.send(u, w, 1);
-    } else {
-      detail::emit_edge<B>(cx, u, w, o, emit);
-    }
-  }
-}
+// Per-entry row helpers the pull bodies run (B = 1 on the original scalar
+// code). Each performs its load-model charges itself and hands finished
+// rows to `emit(key, lane-counts)`.
 
 /// Re-key one child-table entry as an initial path entry. Signatures are
 /// per-entry at every width, so no lane logic is needed.
@@ -304,73 +306,6 @@ void kernel_init_from_child(const ExecContext& cx, const TableEntryT<B>& e,
   if (o.track_slot >= 0) key.v[o.track_slot] = b;
   key.sig = e.key.sig;
   emit(key, e.cnt);
-}
-
-/// Extend one path entry by every data-graph edge out of its frontier.
-template <int B, typename Emit>
-void kernel_extend_with_graph(const ExecContext& cx, const TableEntryT<B>& e,
-                              const ExtendOpts& o, Emit&& emit) {
-  const CsrGraph& g = cx.g;
-  const VertexId v = e.key.v[1];
-  cx.charge(v, g.degree(v));
-  [[maybe_unused]] LaneMask alive = 0;
-  if constexpr (B > 1) {
-    alive = LaneSimdT<B>::nonzero_mask(e.cnt);
-    if (alive == 0) return;
-  }
-  for (VertexId w : g.neighbors(v)) {
-    if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) continue;
-    if constexpr (B == 1) {
-      const Signature w_bit = cx.chi.bit(w);
-      if ((e.key.sig & w_bit) != 0) continue;
-      TableKey key = e.key;
-      key.v[1] = w;
-      if (o.track_slot >= 0) key.v[o.track_slot] = w;
-      key.sig = e.key.sig | w_bit;
-      emit(key, e.cnt);
-      cx.send(v, w, 1);
-    } else {
-      const detail::SigGroups<B> groups =
-          detail::extend_groups<B>(e.key.sig, alive, cx.chi.colors_word(w));
-      if (groups.n == 0) continue;
-      TableKey key = e.key;
-      key.v[1] = w;
-      if (o.track_slot >= 0) key.v[o.track_slot] = w;
-      for (int i = 0; i < groups.n; ++i) {
-        key.sig = groups.sig[i];
-        emit(key, LaneSimdT<B>::masked(e.cnt, groups.mask[i]));
-      }
-      cx.send(v, w, 1);
-    }
-  }
-}
-
-/// EdgeJoin: extend one path entry through its frontier's group of a
-/// child block's binary table.
-template <int B, typename Emit>
-void kernel_extend_with_child(const ExecContext& cx, const TableEntryT<B>& e,
-                              std::span<const TableEntryT<B>> group,
-                              const ExtendOpts& o, Emit&& emit) {
-  const VertexId v = e.key.v[1];
-  cx.charge(v, group.size());
-  if constexpr (B == 1) {
-    const Signature v_bit = cx.chi.bit(v);
-    for (const TableEntryT<B>& ce : group) {
-      if (!node_join_compatible(e.key.sig, ce.key.sig, v_bit)) continue;
-      const VertexId w = ce.key.v[1];
-      if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) continue;
-      TableKey key = e.key;
-      key.v[1] = w;
-      if (o.track_slot >= 0) key.v[o.track_slot] = w;
-      key.sig = e.key.sig | ce.key.sig;
-      emit(key, e.cnt * ce.cnt);
-      cx.send(v, w, 1);
-    }
-  } else {
-    for (const TableEntryT<B>& ce : group) {
-      detail::join_edge<B>(cx, e, ce, v, ce.key.v[1], o, emit);
-    }
-  }
 }
 
 /// NodeJoin: multiply one path entry against the unary child group of its
@@ -421,18 +356,20 @@ void kernel_aggregate(const ExecContext& cx, const TableEntryT<B>& e,
 /// pair (u, w) of adjacent vertices, per distinct lane signature (u ≻ w
 /// when anchor_higher; lanes coloring u and w alike contribute nothing).
 template <int B = 1>
-ProjTableT<B> init_path_from_graph(const ExecContext& cx,
-                                   const ExtendOpts& o) {
+ProjTableT<B> init_path_from_graph(const ExecContext& cx, const ExtendOpts& o,
+                                   VertexRange range = {}) {
   // Bucket w pulls the edges (u, w) over u ∈ N(w); charging 1 per
-  // adjacency sums to the push kernel's deg(u) per u.
+  // adjacency sums to deg(u) per u.
   return detail::build_buckets<B>(
-      cx, 2, cx.g.num_edges(), [&](VertexId w, FlatRowsT<B>& sink) {
+      cx, 2, cx.g.num_edges(),
+      [&](VertexId w, FlatRowsT<B>& sink) {
         for (VertexId u : cx.g.neighbors(w)) {
           cx.charge(u, 1);
           if (o.anchor_higher && !cx.order.higher(u, w)) continue;
           detail::emit_edge<B>(cx, u, w, o, detail::append_to(sink));
         }
-      });
+      },
+      range);
 }
 
 /// Initial path table from a child block's binary table, sealed kByV0.
@@ -444,31 +381,34 @@ ProjTableT<B> init_path_from_graph(const ExecContext& cx,
 template <int B>
 ProjTableT<B> init_path_from_child(const ExecContext& cx,
                                    const ProjTableT<B>& child, bool flip,
-                                   const ExtendOpts& o) {
+                                   const ExtendOpts& o,
+                                   VertexRange range = {}) {
   if (!flip) {
     return init_path_from_child<B>(cx, detail::transposed_by_v0(cx, child),
-                                   /*flip=*/true, o);
+                                   /*flip=*/true, o, range);
   }
   return detail::build_buckets<B>(
-      cx, 2, child.size(), [&](VertexId w, FlatRowsT<B>& sink) {
+      cx, 2, child.size(),
+      [&](VertexId w, FlatRowsT<B>& sink) {
         for (const TableEntryT<B>& ce : child.group(0, w)) {
           kernel_init_from_child<B>(cx, ce, /*flip=*/true, o,
                                     detail::append_to(sink));
         }
-      });
+      },
+      range);
 }
 
 /// Extend every path entry by one data-graph edge out of the frontier.
 /// Bucket w gathers, for every neighbour x of w, the live lanes of path
 /// bucket x whose color at w is new, and charges |bucket x| once per
-/// (w, x) adjacency — deg(x)·|bucket x| in all, the push kernel's charge.
+/// (w, x) adjacency — deg(x)·|bucket x| in all.
 /// Only the set bits of each entry's live-lane mask are visited (at batch
 /// densities most rows carry one or two live lanes). The mutable overload
 /// seals the path by frontier first (a relabel for the born-sorted tables
 /// the primitives produce).
 template <int B>
 ProjTableT<B> extend_with_graph(const ExecContext& cx, ProjTableT<B>& path,
-                                const ExtendOpts& o) {
+                                const ExtendOpts& o, VertexRange range = {}) {
   const CsrGraph& g = cx.g;
   detail::seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
@@ -505,7 +445,8 @@ ProjTableT<B> extend_with_graph(const ExecContext& cx, ProjTableT<B>& path,
               cx.send(x, w, 1);
             }
           }
-        });
+        },
+        range);
   }
 
   // All-16-bit path: each emission is a masked u16 row copy with the
@@ -578,15 +519,16 @@ ProjTableT<B> extend_with_graph(const ExecContext& cx, ProjTableT<B>& path,
             cx.send(x, w, 1);
           }
         }
-      });
+      },
+      range);
 }
 
 template <int B>
 ProjTableT<B> extend_with_graph(const ExecContext& cx,
                                 const ProjTableT<B>& path,
-                                const ExtendOpts& o) {
+                                const ExtendOpts& o, VertexRange range = {}) {
   ProjTableT<B> copy = path;
-  return extend_with_graph<B>(cx, copy, o);
+  return extend_with_graph<B>(cx, copy, o, range);
 }
 
 /// Extend through a child block's binary table (EdgeJoin): path frontier v
@@ -595,20 +537,21 @@ ProjTableT<B> extend_with_graph(const ExecContext& cx,
 /// way round, (w, v, sig2). Bucket w is built from the child rows (w, x)
 /// and path bucket x — the flipped orientation, which build_path hands
 /// it; an unflipped child is transposed first. The pull charges
-/// |bucket x| per child row (x, w): |group(x)|·|bucket x| in all, the
-/// push kernel's charge.
+/// |bucket x| per child row (x, w): |group(x)|·|bucket x| in all.
 template <int B>
 ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
                                 const ProjTableT<B>& child,
-                                const ExtendOpts& o, bool flip = false) {
+                                const ExtendOpts& o, bool flip = false,
+                                VertexRange range = {}) {
   if (!flip) {
     return extend_with_child<B>(cx, path, detail::transposed_by_v0(cx, child),
-                                o, /*flip=*/true);
+                                o, /*flip=*/true, range);
   }
   detail::seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
   return detail::build_buckets<B>(
-      cx, path.arity(), path.size(), [&](VertexId w, FlatRowsT<B>& sink) {
+      cx, path.arity(), path.size(),
+      [&](VertexId w, FlatRowsT<B>& sink) {
         thread_local std::vector<TableEntryT<B>> scratch;
         for (const TableEntryT<B>& ce : child.group(0, w)) {
           const VertexId x = ce.key.v[1];
@@ -618,7 +561,8 @@ ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
             detail::join_edge<B>(cx, e, ce, x, w, o, detail::append_to(sink));
           }
         }
-      });
+      },
+      range);
 }
 
 /// NodeJoin: multiply in a unary child at key slot `slot` (0 = anchor,
@@ -627,10 +571,12 @@ ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
 /// (born-sorted) path alone.
 template <int B>
 ProjTableT<B> node_join(const ExecContext& cx, ProjTableT<B>& path,
-                        const ProjTableT<B>& child, int slot) {
+                        const ProjTableT<B>& child, int slot,
+                        VertexRange range = {}) {
   detail::seal_by_frontier(cx, path);
   return detail::build_buckets<B>(
-      cx, path.arity(), path.size(), [&](VertexId w, FlatRowsT<B>& sink) {
+      cx, path.arity(), path.size(),
+      [&](VertexId w, FlatRowsT<B>& sink) {
         const auto [lo, hi] = path.group_span(1, w);
         TableEntryT<B> tmp;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -638,7 +584,8 @@ ProjTableT<B> node_join(const ExecContext& cx, ProjTableT<B>& path,
           kernel_node_join<B>(cx, e, child.group(0, e.key.v[slot]), slot,
                               detail::append_to(sink));
         }
-      });
+      },
+      range);
 }
 
 /// Where each output key slot of a merge comes from.

@@ -600,6 +600,19 @@ class SortedBucketsT {
   /// Close the next `n` vertices' buckets empty.
   void skip(std::size_t n) { counts_.resize(counts_.size() + n, 0); }
 
+  /// Append one row of a bucket some build already closed (sorted and
+  /// deduplicated) as is: no sort, no run sums, no stats. The row's v1
+  /// is its bucket; rows must come in kByV1 order, and the buckets they
+  /// pass over stay empty.
+  void append_sorted(const TableKey& key,
+                     const typename LaneOps<B>::Vec& cnt) {
+    const VertexId v = key.v[1];
+    counts_.resize(std::max<std::size_t>(counts_.size(), v + std::size_t{1}),
+                   0);
+    rows_.append(key, cnt);
+    ++counts_[v];
+  }
+
   /// Append the buckets of the part covering the next vertex range.
   void absorb(SortedBucketsT&& next) {
     rows_.absorb(std::move(next.rows_));

@@ -284,6 +284,103 @@ TEST(BornSorted, AllBucketsEmpty) {
 
 // ---------------------------------------------------------- primitives
 
+// Per-entry push kernels, the primitives' reference: each performs the
+// load-model charges itself and hands finished rows to
+// `emit(key, lane-counts)`. With kernel_init_from_child and
+// kernel_node_join, the row helpers the pull bodies run, they cover every
+// path primitive.
+
+/// Initial path entries out of one data vertex u (Procedure 1 init).
+template <int B, typename Emit>
+void kernel_init_from_graph(const ExecContext& cx, VertexId u,
+                            const ExtendOpts& o, Emit&& emit) {
+  const CsrGraph& g = cx.g;
+  cx.charge(u, g.degree(u));
+  for (VertexId w : g.neighbors(u)) {
+    if (o.anchor_higher && !cx.order.higher(u, w)) continue;
+    if constexpr (B == 1) {
+      if (cx.chi.color(u) == cx.chi.color(w)) continue;
+      TableKey key;
+      key.v[0] = u;
+      key.v[1] = w;
+      if (o.track_slot >= 0) key.v[o.track_slot] = w;
+      key.sig = cx.chi.bit(u) | cx.chi.bit(w);
+      emit(key, Count{1});
+      cx.send(u, w, 1);
+    } else {
+      detail::emit_edge<B>(cx, u, w, o, emit);
+    }
+  }
+}
+
+/// Extend one path entry by every data-graph edge out of its frontier.
+template <int B, typename Emit>
+void kernel_extend_with_graph(const ExecContext& cx, const TableEntryT<B>& e,
+                              const ExtendOpts& o, Emit&& emit) {
+  const CsrGraph& g = cx.g;
+  const VertexId v = e.key.v[1];
+  cx.charge(v, g.degree(v));
+  [[maybe_unused]] LaneMask alive = 0;
+  if constexpr (B > 1) {
+    alive = LaneSimdT<B>::nonzero_mask(e.cnt);
+    if (alive == 0) return;
+  }
+  for (VertexId w : g.neighbors(v)) {
+    if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) continue;
+    if constexpr (B == 1) {
+      const Signature w_bit = cx.chi.bit(w);
+      if ((e.key.sig & w_bit) != 0) continue;
+      TableKey key = e.key;
+      key.v[1] = w;
+      if (o.track_slot >= 0) key.v[o.track_slot] = w;
+      key.sig = e.key.sig | w_bit;
+      emit(key, e.cnt);
+      cx.send(v, w, 1);
+    } else {
+      const detail::SigGroups<B> groups =
+          detail::extend_groups<B>(e.key.sig, alive, cx.chi.colors_word(w));
+      if (groups.n == 0) continue;
+      TableKey key = e.key;
+      key.v[1] = w;
+      if (o.track_slot >= 0) key.v[o.track_slot] = w;
+      for (int i = 0; i < groups.n; ++i) {
+        key.sig = groups.sig[i];
+        emit(key, LaneSimdT<B>::masked(e.cnt, groups.mask[i]));
+      }
+      cx.send(v, w, 1);
+    }
+  }
+}
+
+/// EdgeJoin: extend one path entry through its frontier's group of a
+/// child block's binary table.
+template <int B, typename Emit>
+void kernel_extend_with_child(const ExecContext& cx, const TableEntryT<B>& e,
+                              std::span<const TableEntryT<B>> group,
+                              const ExtendOpts& o, Emit&& emit) {
+  const VertexId v = e.key.v[1];
+  cx.charge(v, group.size());
+  if constexpr (B == 1) {
+    const Signature v_bit = cx.chi.bit(v);
+    for (const TableEntryT<B>& ce : group) {
+      if (!node_join_compatible(e.key.sig, ce.key.sig, v_bit)) continue;
+      const VertexId w = ce.key.v[1];
+      if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) continue;
+      TableKey key = e.key;
+      key.v[1] = w;
+      if (o.track_slot >= 0) key.v[o.track_slot] = w;
+      key.sig = e.key.sig | ce.key.sig;
+      emit(key, e.cnt * ce.cnt);
+      cx.send(v, w, 1);
+    }
+  } else {
+    for (const TableEntryT<B>& ce : group) {
+      detail::join_edge<B>(cx, e, ce, v, ce.key.v[1], o, emit);
+    }
+  }
+}
+
+
 /// A B-lane execution context with its own load model.
 template <int B>
 struct Fixture {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <tuple>
@@ -13,6 +14,7 @@
 #include "ccbt/core/color_coding.hpp"
 #include "ccbt/core/exact.hpp"
 #include "ccbt/dist/dist_engine.hpp"
+#include "ccbt/dist/dist_primitives.hpp"
 #include "ccbt/engine/cycle_solver.hpp"
 #include "ccbt/engine/leaf_solver.hpp"
 #include "ccbt/engine/split_plan.hpp"
@@ -208,113 +210,73 @@ TEST(DistEngine, BatchedLoadParityOnPendantAndCycleQueries) {
 }
 
 // ---------------------------------------------------------------------
-// Per-phase table parity: every path phase of the plan runs both ways —
-// the shared primitive's born-sorted table, and the distributed route of
-// dist_engine.cpp (the push kernel over each rank's shard of the previous
-// phase's distributed table, every emission sent to the owner of its
-// frontier, collected born sorted). Shard r must hold exactly the shared
-// table's buckets [begin(r), end(r)), row for row and in order. Child
-// tables come from the shared pool, stored home slot 0 like DistPool's.
+// Per-phase table parity: the plan's walks run through both engines'
+// primitives at once — SharedPath over the shared pool, and the
+// production DistPath (halo supersteps, replicas and rank builds) over a
+// DistPool holding the same child tables, sharded home slot 0. After
+// every phase, shard r must hold exactly the shared table's buckets
+// [begin(r), end(r)), row for row and in order.
 
+/// One phase's table in both engines.
+template <int B>
+struct Both {
+  ProjTableT<B> shared;
+  DistTableT<B> dist;
+};
+
+/// The walks' primitives (see walk_path), each run by both engines and
+/// checked.
 template <int B>
 class PhaseParity {
  public:
-  PhaseParity(const ExecContext& cx, std::uint32_t ranks)
-      : cx_(cx), comm_(ranks) {}
+  PhaseParity(const ExecContext& cx, std::uint32_t ranks,
+              TablePoolT<B>& pool, std::size_t blocks)
+      : cx_(cx),
+        comm_(ranks),
+        dx_{cx, comm_, kBudget},
+        dpool_(blocks, cx.g.num_vertices()),
+        shared_{cx, pool},
+        dist_{dx_, dpool_} {}
 
+  std::string label;
   int phases() const { return phases_; }
 
-  /// A stored shared table sharded by its slot-0 owner.
-  DistTableT<B> stored(const ProjTableT<B>& t) {
+  Both<B> init_graph(const ExtendOpts& o) {
+    return checked({shared_.init_graph(o), dist_.init_graph(o)}, "init");
+  }
+  Both<B> init_child(int child, bool transposed, const ExtendOpts& o) {
+    return checked({shared_.init_child(child, transposed, o),
+                    dist_.init_child(child, transposed, o)},
+                   "init");
+  }
+  Both<B> node_join(Both<B>& t, int child, int slot) {
+    return checked({shared_.node_join(t.shared, child, slot),
+                    dist_.node_join(t.dist, child, slot)},
+                   "node_join");
+  }
+  Both<B> extend_graph(Both<B>& t, const ExtendOpts& o) {
+    return checked(
+        {shared_.extend_graph(t.shared, o), dist_.extend_graph(t.dist, o)},
+        "extend");
+  }
+  Both<B> extend_child(Both<B>& t, int child, bool transposed,
+                       const ExtendOpts& o) {
+    return checked({shared_.extend_child(t.shared, child, transposed, o),
+                    dist_.extend_child(t.dist, child, transposed, o)},
+                   "extend");
+  }
+
+  /// Store a solved shared table in the DistPool too, sharded by its
+  /// slot-0 owner.
+  void store(int block, const ProjTableT<B>& t) {
     t.for_each_entry([&](const TableEntryT<B>& e) {
       comm_.send(0, cx_.owner(e.key.v[0]), e);
     });
     comm_.exchange();
-    return DistTableT<B>::collect(t.arity(), 0, comm_, SortOrder::kByV0,
-                                  kBudget, cx_.g.num_vertices());
-  }
-
-  DistTableT<B> init_from_graph(const ExtendOpts& o) {
-    for (std::uint32_t r = 0; r < ranks(); ++r) {
-      for (VertexId u = cx_.part.begin(r); u < cx_.part.end(r); ++u) {
-        kernel_init_from_graph<B>(cx_, u, o, route(r));
-      }
-    }
-    return collect(2);
-  }
-
-  DistTableT<B> init_from_child(const DistTableT<B>& child,
-                                const ExtendOpts& o) {
-    for (std::uint32_t r = 0; r < ranks(); ++r) {
-      child.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_init_from_child<B>(cx_, e, /*flip=*/false, o, route(r));
-      });
-    }
-    return collect(2);
-  }
-
-  DistTableT<B> extend_with_graph(const DistTableT<B>& path,
-                                  const ExtendOpts& o) {
-    for (std::uint32_t r = 0; r < ranks(); ++r) {
-      path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_extend_with_graph<B>(cx_, e, o, route(r));
-      });
-    }
-    return collect(path.arity());
-  }
-
-  DistTableT<B> extend_with_child(const DistTableT<B>& path,
-                                  const DistTableT<B>& child,
-                                  const ExtendOpts& o) {
-    for (std::uint32_t r = 0; r < ranks(); ++r) {
-      const ProjTableT<B>& shard = child.shard(r);
-      path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_extend_with_child<B>(cx_, e, shard.group(0, e.key.v[1]), o,
-                                    route(r));
-      });
-    }
-    return collect(path.arity());
-  }
-
-  DistTableT<B> node_join(const DistTableT<B>& path,
-                          const DistTableT<B>& child, int slot) {
-    const DistTableT<B> src =
-        slot == 0 ? path.resharded(0, comm_, cx_.part, SortOrder::kUnsorted,
-                                   kBudget, cx_.g.num_vertices())
-                  : path;
-    for (std::uint32_t r = 0; r < ranks(); ++r) {
-      const ProjTableT<B>& shard = child.shard(r);
-      src.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_node_join<B>(cx_, e, shard.group(0, e.key.v[slot]), slot,
-                            route(r));
-      });
-    }
-    return collect(path.arity());
-  }
-
-  /// Shard r equals the shared table's buckets of rank r's vertices.
-  void expect_same(const ProjTableT<B>& shared, const DistTableT<B>& dist,
-                   const std::string& label) {
-    ++phases_;
-    ASSERT_EQ(dist.num_shards(), ranks()) << label;
-    EXPECT_EQ(dist.size(), shared.size()) << label;
-    TableEntryT<B> stmp, dtmp;
-    for (std::uint32_t r = 0; r < ranks(); ++r) {
-      const ProjTableT<B>& shard = dist.shard(r);
-      std::size_t i = 0;
-      for (VertexId v = cx_.part.begin(r); v < cx_.part.end(r); ++v) {
-        const auto [lo, hi] = shared.group_span(1, v);
-        const auto [dlo, dhi] = shard.group_span(1, v);
-        ASSERT_EQ(dhi - dlo, hi - lo) << label << " rank " << r << " v " << v;
-        for (std::size_t j = lo; j < hi; ++j, ++i) {
-          const TableEntryT<B>& want = shared.row_at(j, stmp);
-          const TableEntryT<B>& got = shard.row_at(i, dtmp);
-          ASSERT_EQ(got.key, want.key) << label << " rank " << r;
-          ASSERT_EQ(got.cnt, want.cnt) << label << " rank " << r;
-        }
-      }
-      EXPECT_EQ(i, shard.size()) << label << " rank " << r;
-    }
+    dpool_.store(block,
+                 DistTableT<B>::collect(t.arity(), 0, comm_,
+                                        SortOrder::kByV0, kBudget,
+                                        cx_.g.num_vertices()));
   }
 
  private:
@@ -322,109 +284,44 @@ class PhaseParity {
 
   std::uint32_t ranks() const { return comm_.num_ranks(); }
 
-  auto route(std::uint32_t from) {
-    return [this, from](const TableKey& key,
-                        const typename LaneOps<B>::Vec& cnt) {
-      comm_.send(from, cx_.owner(key.v[1]), {key, cnt});
-    };
+  Both<B> checked(Both<B> t, const char* phase) {
+    expect_same(t.shared, t.dist, label + " " + phase);
+    return t;
   }
 
-  DistTableT<B> collect(int arity) {
-    comm_.exchange();
-    return DistTableT<B>::collect_by_frontier(arity, comm_, cx_.part,
-                                              kBudget,
-                                              !cx_.opts.lane_compress,
-                                              scratch_);
+  /// Shard r equals the shared table's buckets of rank r's vertices.
+  void expect_same(const ProjTableT<B>& shared, const DistTableT<B>& dist,
+                   const std::string& what) {
+    ++phases_;
+    ASSERT_EQ(dist.num_shards(), ranks()) << what;
+    EXPECT_EQ(dist.size(), shared.size()) << what;
+    TableEntryT<B> stmp, dtmp;
+    for (std::uint32_t r = 0; r < ranks(); ++r) {
+      const ProjTableT<B>& shard = dist.shard(r);
+      std::size_t i = 0;
+      for (VertexId v = cx_.part.begin(r); v < cx_.part.end(r); ++v) {
+        const auto [lo, hi] = shared.group_span(1, v);
+        const auto [dlo, dhi] = shard.group_span(1, v);
+        ASSERT_EQ(dhi - dlo, hi - lo) << what << " rank " << r << " v " << v;
+        for (std::size_t j = lo; j < hi; ++j, ++i) {
+          const TableEntryT<B>& want = shared.row_at(j, stmp);
+          const TableEntryT<B>& got = shard.row_at(i, dtmp);
+          ASSERT_EQ(got.key, want.key) << what << " rank " << r;
+          ASSERT_EQ(got.cnt, want.cnt) << what << " rank " << r;
+        }
+      }
+      EXPECT_EQ(i, shard.size()) << what << " rank " << r;
+    }
   }
 
   const ExecContext& cx_;
   VirtualCommT<B> comm_;
-  typename DistTableT<B>::FrontierScratch scratch_;
+  dist::Dx<B> dx_;
+  dist::DistPool<B> dpool_;
+  SharedPath<B> shared_;
+  dist::DistPath<B> dist_;
   int phases_ = 0;
 };
-
-/// The first phase of a walk over edge `e`'s child (or the graph when
-/// `child` < 0); `transposed` is the orientation the distributed engine
-/// reads, the shared engine reads the other one (see build_path).
-template <int B>
-void init_phase(const ExecContext& cx, PhaseParity<B>& pp,
-                TablePoolT<B>& pool, int child, bool transposed,
-                const ExtendOpts& o, ProjTableT<B>& shared,
-                DistTableT<B>& dist, const std::string& label) {
-  if (child < 0) {
-    shared = init_path_from_graph<B>(cx, o);
-    dist = pp.init_from_graph(o);
-  } else {
-    shared = init_path_from_child<B>(cx, pool.oriented(child, !transposed),
-                                     /*flip=*/true, o);
-    dist = pp.init_from_child(pp.stored(pool.oriented(child, transposed)), o);
-  }
-  pp.expect_same(shared, dist, label + " init");
-}
-
-template <int B>
-void join_phase(const ExecContext& cx, PhaseParity<B>& pp,
-                TablePoolT<B>& pool, int child, int slot,
-                ProjTableT<B>& shared, DistTableT<B>& dist,
-                const std::string& label) {
-  if (child < 0) return;
-  shared = node_join<B>(cx, shared, pool.get(child), slot);
-  dist = pp.node_join(dist, pp.stored(pool.get(child)), slot);
-  pp.expect_same(shared, dist, label + " node_join");
-}
-
-/// One half-cycle walk in build_path's phase order, checking each phase.
-template <int B>
-void check_path_phases(const ExecContext& cx, PhaseParity<B>& pp,
-                       const Block& blk, TablePoolT<B>& pool,
-                       const PathSpec& spec, const std::string& label) {
-  ProjTableT<B> shared;
-  DistTableT<B> dist;
-  const int e0 = spec.edge_index[0];
-  init_phase<B>(cx, pp, pool, blk.edge_child[e0],
-                needs_transpose(blk, e0, spec.edge_forward[0]),
-                ExtendOpts{spec.track_slot_at[1], spec.anchor_higher}, shared,
-                dist, label);
-  if (spec.include_start_annot) {
-    join_phase<B>(cx, pp, pool, blk.node_child[spec.positions[0]], 0, shared,
-                  dist, label);
-  }
-  const std::size_t steps = spec.positions.size();
-  for (std::size_t s = 1; s < steps; ++s) {
-    const bool is_end = s + 1 == steps;
-    if (!is_end || spec.include_end_annot) {
-      join_phase<B>(cx, pp, pool, blk.node_child[spec.positions[s]], 1,
-                    shared, dist, label);
-    }
-    if (is_end) break;
-    ExtendOpts o{spec.track_slot_at[s + 1], spec.anchor_higher};
-    const int e = spec.edge_index[s];
-    const int child = blk.edge_child[e];
-    if (child < 0) {
-      shared = extend_with_graph<B>(cx, shared, o);
-      dist = pp.extend_with_graph(dist, o);
-    } else {
-      const bool t = needs_transpose(blk, e, spec.edge_forward[s]);
-      shared = extend_with_child<B>(cx, shared, pool.oriented(child, !t), o,
-                                    /*flip=*/true);
-      dist = pp.extend_with_child(dist, pp.stored(pool.oriented(child, t)), o);
-    }
-    pp.expect_same(shared, dist, label + " extend");
-  }
-}
-
-/// A leaf-edge block's phases in solve_leaf_edge's order.
-template <int B>
-void check_leaf_phases(const ExecContext& cx, PhaseParity<B>& pp,
-                       const Block& blk, TablePoolT<B>& pool,
-                       const std::string& label) {
-  ProjTableT<B> shared;
-  DistTableT<B> dist;
-  init_phase<B>(cx, pp, pool, blk.edge_child[0], blk.edge_child_flip[0],
-                ExtendOpts{}, shared, dist, label);
-  join_phase<B>(cx, pp, pool, blk.node_child[1], 1, shared, dist, label);
-  join_phase<B>(cx, pp, pool, blk.node_child[0], 0, shared, dist, label);
-}
 
 /// Walk the plan block by block as run_plan does, checking every path
 /// phase of every leaf-edge block and every split of every cycle block.
@@ -446,7 +343,7 @@ void expect_phase_parity(const CsrGraph& g, const QueryGraph& q,
                        opts};
   const DecompTree tree = make_plan(q).tree;
   TablePoolT<B> pool(tree.blocks.size(), g.num_vertices());
-  PhaseParity<B> pp(cx, ranks);
+  PhaseParity<B> pp(cx, ranks, pool, tree.blocks.size());
   const std::string label = q.name() + " R=" + std::to_string(ranks) +
                             " B=" + std::to_string(B);
   for (std::size_t i = 0; i < tree.blocks.size(); ++i) {
@@ -454,18 +351,21 @@ void expect_phase_parity(const CsrGraph& g, const QueryGraph& q,
     if (blk.kind == BlockKind::kSingleton) continue;
     ProjTableT<B> table;
     if (blk.kind == BlockKind::kLeafEdge) {
-      check_leaf_phases<B>(cx, pp, blk, pool, label + " leaf");
+      pp.label = label + " leaf";
+      (void)walk_leaf_edge(pp, blk);
       table = solve_leaf_edge<B>(cx, blk, pool);
     } else {
       for (const SplitPlan& plan : splits_for(blk, opts.algo)) {
-        check_path_phases<B>(cx, pp, blk, pool, plan.plus, label + " plus");
-        check_path_phases<B>(cx, pp, blk, pool, plan.minus,
-                             label + " minus");
+        pp.label = label + " plus";
+        (void)walk_path(pp, blk, plan.plus);
+        pp.label = label + " minus";
+        (void)walk_path(pp, blk, plan.minus);
       }
       table = solve_cycle<B>(cx, blk, pool);
     }
     if (static_cast<int>(i) != tree.root) {
       pool.store(static_cast<int>(i), std::move(table));
+      pp.store(static_cast<int>(i), pool.get(static_cast<int>(i)));
     }
   }
   EXPECT_GT(pp.phases(), 0) << label;
@@ -517,16 +417,94 @@ TEST(DistEngine, OffRankTrafficGrowsWithRanks) {
   EXPECT_GT(s16.transport.off_rank_entries, s2.transport.off_rank_entries);
 }
 
-TEST(DistEngine, ActualTrafficAtLeastModeledTraffic) {
-  // The model sees extension and merge routing only; the transport also
-  // pays for resharding and orientation, so actual >= modeled off-rank
-  // cannot be asserted entry-for-entry, but total sends must dominate the
-  // modeled communication volume.
-  const CsrGraph g = chung_lu_power_law(200, 1.6, 5.0, 13);
-  const QueryGraph q = named_query("ecoli1");
-  const Coloring chi(g.num_vertices(), q.num_nodes(), 52);
-  const DistStats s = dist_run(g, q, chi, Algo::kDB, 8);
-  EXPECT_GE(s.transport.entries_sent, s.total_comm);
+/// A B-lane context over `ranks` virtual ranks of `g`, without a load
+/// model.
+template <int B>
+struct DistFixture {
+  std::vector<Coloring> lanes;
+  DegreeOrder order;
+  ExecContext cx;
+  VirtualCommT<B> comm;
+  dist::Dx<B> dx;
+  dist::DistPool<B> pool;
+
+  DistFixture(const CsrGraph& g, std::uint32_t ranks, std::size_t budget)
+      : lanes(make_lanes(g)),
+        order(g),
+        cx{g,
+           ColoringBatch(std::span<const Coloring>(lanes)),
+           order,
+           BlockPartition(g.num_vertices(), ranks),
+           nullptr,
+           {}},
+        comm(ranks),
+        dx{cx, comm, budget},
+        pool(0, g.num_vertices()) {}
+
+  dist::DistPath<B> path() { return {dx, pool}; }
+
+  static std::vector<Coloring> make_lanes(const CsrGraph& g) {
+    std::vector<Coloring> ls;
+    for (int l = 0; l < B; ++l) ls.emplace_back(g.num_vertices(), 5, 60 + l);
+    return ls;
+  }
+};
+
+/// One extend's halo: bucket x leaves owner(x) once for every other rank
+/// owning a neighbour of x, and nothing else crosses the transport.
+template <int B>
+void expect_extend_halo(const CsrGraph& g, std::uint32_t ranks) {
+  DistFixture<B> f(g, ranks, 80'000'000);
+  dist::DistPath<B> ops = f.path();
+  DistTableT<B> path = ops.init_graph(ExtendOpts{});
+  const BlockPartition& part = f.cx.part;
+  std::uint64_t want = 0;
+  for (VertexId x = 0; x < g.num_vertices(); ++x) {
+    const auto [lo, hi] = path.shard(part.owner(x)).group_span(1, x);
+    std::vector<std::uint32_t> readers;
+    for (VertexId w : g.neighbors(x)) {
+      if (part.owner(w) != part.owner(x)) readers.push_back(part.owner(w));
+    }
+    std::sort(readers.begin(), readers.end());
+    readers.erase(std::unique(readers.begin(), readers.end()), readers.end());
+    want += (hi - lo) * readers.size();
+  }
+  const CommStats before = f.comm.stats();
+  (void)ops.extend_graph(path, ExtendOpts{});
+  const CommStats after = f.comm.stats();
+  const std::string label =
+      "R=" + std::to_string(ranks) + " B=" + std::to_string(B);
+  EXPECT_GT(want, 0u) << label;
+  EXPECT_EQ(after.off_rank_entries - before.off_rank_entries, want) << label;
+  EXPECT_EQ(after.entries_sent - before.entries_sent, want) << label;
+  EXPECT_EQ(after.supersteps - before.supersteps, 1u) << label;
+}
+
+TEST(DistEngine, ExtendSendsEachBucketOncePerReadingRank) {
+  const CsrGraph g = chung_lu_power_law(400, 1.6, 6.0, 13);
+  for (const std::uint32_t ranks : {4u, 7u}) {
+    expect_extend_halo<1>(g, ranks);
+    expect_extend_halo<8>(g, ranks);
+  }
+}
+
+TEST(DistEngine, PathBudgetBoundsRowsAcrossRanks) {
+  // Every shard fits the budget; their total does not.
+  const CsrGraph g = erdos_renyi(120, 400, 19);
+  std::size_t total = 0, largest = 0;
+  {
+    DistFixture<8> f(g, 4, 80'000'000);
+    const DistTableT<8> t = f.path().init_graph(ExtendOpts{});
+    total = t.size();
+    for (std::uint32_t r = 0; r < 4; ++r) {
+      largest = std::max(largest, t.shard(r).size());
+    }
+  }
+  ASSERT_LT(largest, total - 1);
+  DistFixture<8> fits(g, 4, total);
+  EXPECT_EQ(fits.path().init_graph(ExtendOpts{}).size(), total);
+  DistFixture<8> over(g, 4, total - 1);
+  EXPECT_THROW((void)over.path().init_graph(ExtendOpts{}), BudgetExceeded);
 }
 
 TEST(DistEngine, CountInvariantAcrossRankCounts) {

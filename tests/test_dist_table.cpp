@@ -1,4 +1,5 @@
-// DistTable: sharding, collection, resharding and transposition.
+// DistTable: sharding, collection, transposition, replicas and the halo
+// views the distributed path builds read.
 
 #include <gtest/gtest.h>
 
@@ -63,41 +64,12 @@ TEST(DistTable, TotalSumsAcrossShards) {
   EXPECT_EQ(t.total(), 60u);
 }
 
-TEST(DistTable, ReshardMovesEntriesToNewHome) {
-  VirtualComm comm(4);
-  const BlockPartition part(100, 4);
-  DistTable by_v = build({entry(90, 2, 1, 1), entry(30, 3, 2, 1)},
-                         /*home_slot=*/1, comm, part);
-  ASSERT_TRUE(by_v.well_placed(part));
-  const DistTable by_u =
-      by_v.resharded(0, comm, part, SortOrder::kByV0, 1'000'000);
-  EXPECT_EQ(by_u.home_slot(), 0);
-  EXPECT_TRUE(by_u.well_placed(part));
-  EXPECT_EQ(by_u.size(), 2u);
-  // Entries now live with their slot-0 vertex (ranks 3 and 1).
-  EXPECT_EQ(by_u.shard(part.owner(90)).size(), 1u);
-  EXPECT_EQ(by_u.shard(part.owner(30)).size(), 1u);
-}
-
-TEST(DistTable, ReshardPreservesContent) {
-  VirtualComm comm(4);
-  const BlockPartition part(64, 4);
-  const std::vector<TableEntry> entries{
-      entry(1, 40, 1, 3), entry(2, 50, 2, 4), entry(63, 0, 8, 5)};
-  DistTable t = build(entries, 1, comm, part);
-  const ProjTable before = t.gather();
-  const DistTable r = t.resharded(0, comm, part, SortOrder::kByV0, 1'000'000);
-  const ProjTable after = r.gather();
-  EXPECT_EQ(before.size(), after.size());
-  EXPECT_EQ(before.total(), after.total());
-}
-
 TEST(DistTable, TransposeSwapsSlotsAndRehomes) {
   VirtualComm comm(4);
   const BlockPartition part(100, 4);
-  DistTable t = build({entry(90, 2, 1, 7)}, /*home_slot=*/1, comm, part);
-  // Reshard to home 0 first (the pool's storage convention).
-  DistTable stored = t.resharded(0, comm, part, SortOrder::kByV0, 1'000'000);
+  // Homed at slot 0 (the pool's storage convention).
+  const DistTable stored =
+      build({entry(90, 2, 1, 7)}, /*home_slot=*/0, comm, part);
   const DistTable flipped = stored.transposed(comm, part, 1'000'000);
   EXPECT_TRUE(flipped.well_placed(part));
   ASSERT_EQ(flipped.size(), 1u);
@@ -106,6 +78,27 @@ TEST(DistTable, TransposeSwapsSlotsAndRehomes) {
   EXPECT_EQ(shard.entries()[0].key.v[0], 2u);
   EXPECT_EQ(shard.entries()[0].key.v[1], 90u);
   EXPECT_EQ(shard.entries()[0].cnt, 7u);
+}
+
+TEST(DistTable, AllgatheredReplicaHoldsEveryShard) {
+  VirtualComm comm(4);
+  const BlockPartition part(40, 4);
+  const DistTable t =
+      build({entry(3, 0, 1, 2), entry(3, 0, 2, 5), entry(17, 0, 4, 1),
+             entry(39, 0, 8, 9)},
+            /*home_slot=*/0, comm, part);
+  const CommStats before = comm.stats();
+  const ProjTable replica = t.allgathered(comm, 40);
+  // One superstep; every row goes to each of the three other ranks.
+  EXPECT_EQ(comm.stats().supersteps - before.supersteps, 1u);
+  EXPECT_EQ(comm.stats().off_rank_entries - before.off_rank_entries, 12u);
+  for (std::uint32_t r = 0; r < 4; ++r) EXPECT_TRUE(comm.inbox(r).empty());
+  EXPECT_EQ(replica.order(), SortOrder::kByV0);
+  ASSERT_EQ(replica.size(), 4u);
+  EXPECT_EQ(replica.group(0, 3).size(), 2u);
+  EXPECT_EQ(replica.group(0, 17).size(), 1u);
+  EXPECT_EQ(replica.group(0, 39)[0].cnt, 9u);
+  EXPECT_EQ(replica.total(), 17u);
 }
 
 TEST(DistTable, GatherAccumulatesAcrossShards) {
@@ -148,7 +141,7 @@ TEST(DistTable, SingleRankDegeneratesToSharedTable) {
   EXPECT_EQ(comm.stats().off_rank_entries, 0u);
 }
 
-// ------------------------------------------------- born-sorted collect
+// ------------------------------------------------------- halo views
 
 template <int B>
 TableEntryT<B> lane_entry(VertexId a, VertexId b, Signature sig, int lane,
@@ -161,79 +154,7 @@ TableEntryT<B> lane_entry(VertexId a, VertexId b, Signature sig, int lane,
   return e;
 }
 
-/// Deliver `rows` to the owners of their frontiers, each row from a
-/// different sender, and collect them born sorted. Every shard must equal
-/// from_flat + seal(kByV1) over the same delivered rows: rows, order and
-/// bucket index, with the narrowest layout that holds its merged counts
-/// (dense when a key does not pack or `wide`).
-template <int B>
-void expect_born_sorted_collect(const std::vector<TableEntryT<B>>& rows,
-                                VertexId n, std::uint32_t ranks, bool wide,
-                                int arity = 2) {
-  VirtualCommT<B> comm(ranks);
-  const BlockPartition part(n, ranks);
-  std::vector<std::vector<TableEntryT<B>>> delivered(ranks);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::uint32_t to = part.owner(rows[i].key.v[1]);
-    comm.send(static_cast<std::uint32_t>(i % ranks), to, rows[i]);
-    delivered[to].push_back(rows[i]);
-  }
-  comm.exchange();
-  AccumTelemetry accum;
-  typename DistTableT<B>::FrontierScratch scratch;
-  const DistTableT<B> t = DistTableT<B>::collect_by_frontier(
-      arity, comm, part, 1'000'000, wide, scratch, &accum);
-  EXPECT_EQ(accum.phases, 1u);
-  EXPECT_EQ(accum.rows, rows.size());
-  EXPECT_EQ(t.home_slot(), 1);
-  EXPECT_EQ(t.arity(), arity);
-  ASSERT_EQ(t.num_shards(), ranks);
-  EXPECT_TRUE(t.well_placed(part));
-  for (std::uint32_t r = 0; r < ranks; ++r) {
-    EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " not emptied";
-    ProjTableT<B> ref =
-        ProjTableT<B>::from_flat(arity, std::vector(delivered[r]));
-    ref.seal(SortOrder::kByV1, n);
-    const ProjTableT<B>& got = t.shard(r);
-    EXPECT_EQ(got.order(), SortOrder::kByV1);
-    EXPECT_FALSE(got.dedup_pending());
-    ASSERT_EQ(got.size(), ref.size()) << "rank " << r;
-    TableEntryT<B> gtmp, rtmp;
-    bool packable = true;
-    Count max_count = 0;
-    std::uint64_t occupied = 0;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      const TableEntryT<B>& g = got.row_at(i, gtmp);
-      const TableEntryT<B>& e = ref.row_at(i, rtmp);
-      EXPECT_EQ(g.key, e.key) << "rank " << r << " row " << i;
-      EXPECT_EQ(g.cnt, e.cnt) << "rank " << r << " row " << i;
-      packable = packable && packable_key(e.key);
-      for (int l = 0; l < B; ++l) {
-        max_count = std::max(max_count, LaneOps<B>::lane(e.cnt, l));
-        occupied += LaneOps<B>::lane(e.cnt, l) != 0;
-      }
-    }
-    for (VertexId v = 0; v < n + 2; ++v) {
-      const auto [glo, ghi] = got.group_span(1, v);
-      const auto [rlo, rhi] = ref.group_span(1, v);
-      EXPECT_EQ(ghi - glo, rhi - rlo) << "rank " << r << " bucket " << v;
-      if (rhi > rlo) EXPECT_EQ(glo, rlo) << "rank " << r << " bucket " << v;
-    }
-    if (ref.size() > 0 && !wide && packable && max_count <= 0xFFFFFFFFull) {
-      EXPECT_TRUE(got.packed_flat()) << "rank " << r;
-      EXPECT_EQ(got.layout().width, choose_payload_width(max_count));
-      EXPECT_EQ(got.layout().rows, ref.size());
-      EXPECT_EQ(got.layout().lanes_occupied, occupied);
-      EXPECT_EQ(got.layout().max_count, max_count);
-    } else {
-      EXPECT_FALSE(got.packed_flat()) << "rank " << r;
-      EXPECT_NO_THROW((void)got.entries());
-    }
-  }
-}
-
-/// Heavy duplication: few anchors and signatures per frontier, so equal
-/// keys arrive from several senders.
+/// Heavy duplication: few anchors and signatures per frontier.
 template <int B>
 std::vector<TableEntryT<B>> duplicate_heavy_rows(VertexId n, std::size_t m,
                                                  std::uint64_t seed) {
@@ -249,131 +170,192 @@ std::vector<TableEntryT<B>> duplicate_heavy_rows(VertexId n, std::size_t m,
   return rows;
 }
 
+/// A path table homed at its frontiers: rank r's shard holds the rows
+/// of r's vertices, sealed kByV1 with a bucket index.
 template <int B>
-void run_born_sorted_collect_suite() {
-  // Duplicate keys from several senders, lanes narrow, and the same rows
+DistTableT<B> frontier_table(const std::vector<TableEntryT<B>>& rows,
+                             const BlockPartition& part, int arity = 2) {
+  std::vector<std::vector<TableEntryT<B>>> by_rank(part.num_ranks());
+  for (const TableEntryT<B>& e : rows) {
+    by_rank[part.owner(e.key.v[1])].push_back(e);
+  }
+  std::vector<ProjTableT<B>> shards;
+  for (auto& r : by_rank) {
+    shards.push_back(ProjTableT<B>::from_flat(arity, std::move(r)));
+    shards.back().seal(SortOrder::kByV1, part.num_vertices());
+  }
+  return DistTableT<B>::from_shards(arity, 1, std::move(shards));
+}
+
+/// One halo superstep the way an extend sends it: every sender walks its
+/// buckets in vertex order and sends bucket x to each rank in
+/// `readers(x)` other than itself. Returns the rows each rank received.
+template <int B, typename Readers>
+std::vector<std::vector<TableEntryT<B>>> send_halo(
+    const DistTableT<B>& t, VirtualCommT<B>& comm, const BlockPartition& part,
+    Readers&& readers) {
+  std::vector<std::vector<TableEntryT<B>>> got(part.num_ranks());
+  TableEntryT<B> tmp;
+  for (std::uint32_t s = 0; s < part.num_ranks(); ++s) {
+    for (VertexId x = part.begin(s); x < part.end(s); ++x) {
+      const auto [lo, hi] = t.shard(s).group_span(1, x);
+      for (const std::uint32_t d : readers(x)) {
+        if (d == s) continue;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const TableEntryT<B>& e = t.shard(s).row_at(i, tmp);
+          comm.send(s, d, e);
+          got[d].push_back(e);
+        }
+      }
+    }
+  }
+  comm.exchange();
+  return got;
+}
+
+/// Every rank reads the buckets of a pseudo-random subset of vertices.
+std::vector<std::uint32_t> some_readers(VertexId x, std::uint32_t ranks) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t d = 0; d < ranks; ++d) {
+    if ((x * 7 + d * 3) % 4 != 0) out.push_back(d);
+  }
+  return out;
+}
+
+/// Rank r's halo view must equal from_flat + seal(kByV1) over its own
+/// rows plus the halo rows it received: rows, order and bucket index,
+/// in the narrowest layout that holds them (dense when a key does not
+/// pack or `wide`), with no layout stats of its own.
+template <int B>
+void expect_halo_views(const std::vector<TableEntryT<B>>& rows, VertexId n,
+                       std::uint32_t ranks, bool wide, int arity = 2) {
+  const BlockPartition part(n, ranks);
+  const DistTableT<B> t = frontier_table<B>(rows, part, arity);
+  VirtualCommT<B> comm(ranks);
+  const auto got_halo = send_halo<B>(t, comm, part, [&](VertexId x) {
+    return some_readers(x, ranks);
+  });
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    std::vector<TableEntryT<B>> mine = got_halo[r];
+    t.shard(r).for_each_entry(
+        [&](const TableEntryT<B>& e) { mine.push_back(e); });
+    ProjTableT<B> ref = ProjTableT<B>::from_flat(arity, std::move(mine));
+    ref.seal(SortOrder::kByV1, n);
+    const ProjTableT<B> got = t.halo_view(r, comm, part, wide);
+    EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " not emptied";
+    EXPECT_EQ(got.order(), SortOrder::kByV1);
+    EXPECT_TRUE(got.has_bucket_index());
+    EXPECT_EQ(got.layout().rows, 0u);
+    ASSERT_EQ(got.size(), ref.size()) << "rank " << r;
+    TableEntryT<B> gtmp, rtmp;
+    bool packable = true;
+    Count max_count = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const TableEntryT<B>& g = got.row_at(i, gtmp);
+      const TableEntryT<B>& e = ref.row_at(i, rtmp);
+      EXPECT_EQ(g.key, e.key) << "rank " << r << " row " << i;
+      EXPECT_EQ(g.cnt, e.cnt) << "rank " << r << " row " << i;
+      packable = packable && packable_key(e.key);
+      for (int l = 0; l < B; ++l) {
+        max_count = std::max(max_count, LaneOps<B>::lane(e.cnt, l));
+      }
+    }
+    for (VertexId v = 0; v < n + 2; ++v) {
+      const auto [glo, ghi] = got.group_span(1, v);
+      const auto [rlo, rhi] = ref.group_span(1, v);
+      EXPECT_EQ(ghi - glo, rhi - rlo) << "rank " << r << " bucket " << v;
+      if (rhi > rlo) EXPECT_EQ(glo, rlo) << "rank " << r << " bucket " << v;
+    }
+    const bool narrow =
+        ref.size() > 0 && !wide && packable && max_count <= 0xFFFFFFFFull;
+    EXPECT_EQ(got.packed_flat(), narrow) << "rank " << r;
+    if (narrow) {
+      EXPECT_EQ(got.flat_storage()->width(), choose_payload_width(max_count));
+    }
+  }
+}
+
+template <int B>
+void run_halo_view_suite() {
+  // Duplicate keys merged in the shards, lanes narrow, and the same rows
   // with lane compression off.
   const auto dup = duplicate_heavy_rows<B>(50, 2000, 7 + B);
-  expect_born_sorted_collect<B>(dup, 50, 4, /*wide=*/false);
-  expect_born_sorted_collect<B>(dup, 50, 4, /*wide=*/true);
+  expect_halo_views<B>(dup, 50, 4, /*wide=*/false);
+  expect_halo_views<B>(dup, 50, 4, /*wide=*/true);
   // One rank; more ranks than vertices (most ranks own nothing).
-  expect_born_sorted_collect<B>(dup, 50, 1, /*wide=*/false);
-  expect_born_sorted_collect<B>(duplicate_heavy_rows<B>(5, 200, 11), 5, 8,
-                                /*wide=*/false);
+  expect_halo_views<B>(dup, 50, 1, /*wide=*/false);
+  expect_halo_views<B>(duplicate_heavy_rows<B>(5, 200, 11), 5, 8,
+                       /*wide=*/false);
   // An empty rank: every frontier below 12 lives on rank 0.
-  expect_born_sorted_collect<B>(duplicate_heavy_rows<B>(12, 300, 13), 50, 4,
-                                /*wide=*/false);
-  // u16 -> u32 -> wide inside one bucket: run sums past 0xFFFF, then past
-  // 2^32 - 1, all on frontier 7 next to ordinary rows.
+  expect_halo_views<B>(duplicate_heavy_rows<B>(12, 300, 13), 50, 4,
+                       /*wide=*/false);
+  // u16 -> u32 -> wide: counts past 0xFFFF, then past 2^32 - 1, on
+  // frontier 7 next to ordinary rows.
   std::vector<TableEntryT<B>> esc = duplicate_heavy_rows<B>(50, 300, 17);
-  esc.push_back(lane_entry<B>(3, 7, 2, 0, 0x9000));
-  esc.push_back(lane_entry<B>(3, 7, 2, 0, 0x9000));
-  expect_born_sorted_collect<B>(esc, 50, 4, /*wide=*/false);
-  esc.push_back(lane_entry<B>(4, 7, 1, B - 1, 0x80000000ull));
-  esc.push_back(lane_entry<B>(4, 7, 1, B - 1, 0x80000000ull));
-  expect_born_sorted_collect<B>(esc, 50, 4, /*wide=*/false);
-  // A tracked slot >= 2: those keys do not pack, so their shard is dense.
+  esc.push_back(lane_entry<B>(3, 7, 2, 0, 0x12000));
+  expect_halo_views<B>(esc, 50, 4, /*wide=*/false);
+  esc.push_back(lane_entry<B>(4, 7, 1, B - 1, 0x100000000ull));
+  expect_halo_views<B>(esc, 50, 4, /*wide=*/false);
+  // A tracked slot >= 2: those keys do not pack, so the views are dense.
   std::vector<TableEntryT<B>> tracked = duplicate_heavy_rows<B>(50, 300, 19);
   for (std::size_t i = 0; i < tracked.size(); i += 3) {
     tracked[i].key.v[2] = tracked[i].key.v[0] + 1;
   }
-  expect_born_sorted_collect<B>(tracked, 50, 4, /*wide=*/false, /*arity=*/3);
+  expect_halo_views<B>(tracked, 50, 4, /*wide=*/false, /*arity=*/3);
 }
 
-TEST(DistTableBornSorted, CollectMatchesFlatSealB1) {
-  run_born_sorted_collect_suite<1>();
-}
-TEST(DistTableBornSorted, CollectMatchesFlatSealB2) {
-  run_born_sorted_collect_suite<2>();
-}
-TEST(DistTableBornSorted, CollectMatchesFlatSealB8) {
-  run_born_sorted_collect_suite<8>();
-}
+TEST(DistTableHaloView, MatchesFlatSealB1) { run_halo_view_suite<1>(); }
+TEST(DistTableHaloView, MatchesFlatSealB2) { run_halo_view_suite<2>(); }
+TEST(DistTableHaloView, MatchesFlatSealB8) { run_halo_view_suite<8>(); }
 
-TEST(DistTableBornSorted, BudgetBoundsDeduplicatedRows) {
-  // 40 delivered rows collapse to 10 keys: a budget of 10 holds, 9 throws.
+TEST(DistTableHaloView, RowOutOfPlaceThrows) {
   const BlockPartition part(10, 2);
-  for (const std::size_t budget : {std::size_t{10}, std::size_t{9}}) {
-    VirtualCommT<8> comm(2);
-    for (int rep = 0; rep < 4; ++rep) {
-      for (VertexId v = 0; v < 10; ++v) {
-        comm.send(rep % 2, part.owner(v), lane_entry<8>(1, v, 1, rep, 1));
-      }
-    }
-    comm.exchange();
-    DistTableT<8>::FrontierScratch scratch;
-    if (budget == 10) {
-      const DistTableT<8> t = DistTableT<8>::collect_by_frontier(
-          2, comm, part, budget, /*wide=*/false, scratch);
-      EXPECT_EQ(t.size(), 10u);
-    } else {
-      EXPECT_THROW((void)DistTableT<8>::collect_by_frontier(
-                       2, comm, part, budget, /*wide=*/false, scratch),
-                   BudgetExceeded);
-    }
-  }
-}
-
-TEST(DistTableBornSorted, RowOffItsFrontierOwnerThrows) {
-  VirtualCommT<1> comm(2);
-  const BlockPartition part(10, 2);
-  comm.send(0, 0, entry(0, 9, 1, 1));  // owner(9) is rank 1
+  const DistTable t = frontier_table<1>({entry(0, 2, 1, 1)}, part);
+  // A halo row of a bucket rank 0 owns itself.
+  VirtualComm comm(2);
+  comm.send(1, 0, entry(0, 3, 1, 1));
   comm.exchange();
-  DistTable::FrontierScratch scratch;
-  EXPECT_THROW((void)DistTable::collect_by_frontier(2, comm, part, 100,
-                                                    /*wide=*/false, scratch),
-               Error);
-}
-
-/// Deliver `rows` to the owners of their frontiers, round-robin over the
-/// senders.
-template <int B>
-void deliver_to_frontiers(VirtualCommT<B>& comm, const BlockPartition& part,
-                          const std::vector<TableEntryT<B>>& rows) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    comm.send(static_cast<std::uint32_t>(i % comm.num_ranks()),
-              part.owner(rows[i].key.v[1]), rows[i]);
-  }
+  EXPECT_THROW((void)t.halo_view(0, comm, part, /*wide=*/false), Error);
+  // Halo rows going back to an earlier bucket.
+  comm.send(0, 1, entry(0, 4, 1, 1));
+  comm.send(0, 1, entry(0, 2, 1, 1));
   comm.exchange();
+  EXPECT_THROW((void)t.halo_view(1, comm, part, /*wide=*/false), Error);
 }
 
-/// Collects on one comm with one scratch reuse the inboxes and the
-/// partition buffers: a second phase with smaller inboxes, and a rank
-/// that receives nothing, builds exactly the shards a fresh comm and
-/// scratch build from the same rows.
+/// Views on one comm reuse its inboxes: a second halo with smaller
+/// inboxes, and a rank that receives nothing, gives exactly the views a
+/// fresh comm gives from the same table.
 template <int B>
-void expect_collect_reuse_matches_fresh() {
+void expect_reused_comm_matches_fresh() {
   constexpr VertexId kN = 60;
   constexpr std::uint32_t kRanks = 4;
-  constexpr std::size_t kBudget = 1'000'000;
   const BlockPartition part(kN, kRanks);
-  std::vector<TableEntryT<B>> small = duplicate_heavy_rows<B>(kN, 400, 29);
-  std::erase_if(small, [&](const TableEntryT<B>& e) {
-    return part.owner(e.key.v[1]) == 2;
-  });
+  const DistTableT<B> big =
+      frontier_table<B>(duplicate_heavy_rows<B>(kN, 3000, 23), part);
+  const DistTableT<B> small =
+      frontier_table<B>(duplicate_heavy_rows<B>(kN, 400, 29), part);
+  const auto all = [&](VertexId) {
+    return std::vector<std::uint32_t>{0, 1, 2, 3};
+  };
+  const auto not_two = [&](VertexId) {
+    return std::vector<std::uint32_t>{0, 1, 3};
+  };
 
   VirtualCommT<B> comm(kRanks);
-  typename DistTableT<B>::FrontierScratch scratch;
-  deliver_to_frontiers(comm, part, duplicate_heavy_rows<B>(kN, 3000, 23));
-  (void)DistTableT<B>::collect_by_frontier(2, comm, part, kBudget,
-                                           /*wide=*/false, scratch);
-  deliver_to_frontiers(comm, part, small);
-  const DistTableT<B> reused = DistTableT<B>::collect_by_frontier(
-      2, comm, part, kBudget, /*wide=*/false, scratch);
-
-  VirtualCommT<B> fresh_comm(kRanks);
-  typename DistTableT<B>::FrontierScratch fresh_scratch;
-  deliver_to_frontiers(fresh_comm, part, small);
-  const DistTableT<B> fresh = DistTableT<B>::collect_by_frontier(
-      2, fresh_comm, part, kBudget, /*wide=*/false, fresh_scratch);
-
-  EXPECT_EQ(reused.shard(2).size(), 0u);
+  send_halo<B>(big, comm, part, all);
   for (std::uint32_t r = 0; r < kRanks; ++r) {
-    const ProjTableT<B>& got = reused.shard(r);
-    const ProjTableT<B>& want = fresh.shard(r);
+    (void)big.halo_view(r, comm, part, /*wide=*/false);
+  }
+  send_halo<B>(small, comm, part, not_two);
+  VirtualCommT<B> fresh_comm(kRanks);
+  send_halo<B>(small, fresh_comm, part, not_two);
+  EXPECT_TRUE(comm.inbox(2).empty());
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    const ProjTableT<B> got = small.halo_view(r, comm, part, false);
+    const ProjTableT<B> want = small.halo_view(r, fresh_comm, part, false);
     ASSERT_EQ(got.size(), want.size()) << "rank " << r;
     EXPECT_EQ(got.packed_flat(), want.packed_flat()) << "rank " << r;
-    EXPECT_EQ(got.layout().width, want.layout().width) << "rank " << r;
     TableEntryT<B> gtmp, wtmp;
     for (std::size_t i = 0; i < want.size(); ++i) {
       const TableEntryT<B>& g = got.row_at(i, gtmp);
@@ -388,11 +370,11 @@ void expect_collect_reuse_matches_fresh() {
   }
 }
 
-TEST(DistTableBornSorted, ReusedCommAndScratchMatchFreshB1) {
-  expect_collect_reuse_matches_fresh<1>();
+TEST(DistTableHaloView, ReusedCommMatchesFreshB1) {
+  expect_reused_comm_matches_fresh<1>();
 }
-TEST(DistTableBornSorted, ReusedCommAndScratchMatchFreshB8) {
-  expect_collect_reuse_matches_fresh<8>();
+TEST(DistTableHaloView, ReusedCommMatchesFreshB8) {
+  expect_reused_comm_matches_fresh<8>();
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "ccbt/core/estimator.hpp"
@@ -206,6 +208,18 @@ TEST(Checkpoint, CorruptionIsDetected) {
 
   EXPECT_THROW(checkpoint_decode_shard<4>(std::vector<std::uint8_t>(5)),
                CheckpointCorrupt);
+
+  // A row count far past what the bytes hold fails typed, before any
+  // reservation sized by it (2^62 rows would be a length_error, 2^40 a
+  // bad_alloc).
+  for (const std::uint64_t rows : {std::uint64_t{1} << 62,
+                                   std::uint64_t{1} << 40}) {
+    std::vector<std::uint8_t> huge = checkpoint_encode_shard<4>(
+        make_sealed_shard<4>(3));
+    std::memcpy(huge.data() + sizeof(std::uint32_t), &rows, sizeof(rows));
+    EXPECT_THROW(checkpoint_decode_shard<4>(huge), CheckpointCorrupt)
+        << rows << " rows";
+  }
 
   // Oversized lane mask for the claimed width.
   std::vector<std::uint8_t> bad_mask = image;
