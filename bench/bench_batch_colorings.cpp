@@ -1,12 +1,12 @@
 // Batched multi-coloring execution vs. one-coloring-at-a-time: the Fig 15
 // estimator workload (repeated independent colorings of the same plan),
-// re-run at batch widths 1, 2, 4 and 8. Reports, per cell,
+// re-run at batch widths 1, 2, 4 and 8. A plan execution runs its
+// colorings one after another through the single-coloring code, so every
+// width does the same work per trial. Reports, per cell,
 //   * the amortized per-trial wall time and its speedup over B = 1
-//     (shared-memory engine), and
+//     (shared-memory engine), which should stay near 1, and
 //   * the amortized per-trial transport volume and supersteps of the
-//     virtual-MPI engine — the batching headline: lanes share one key per
-//     signature-blocked row and one superstep per phase, so wire bytes
-//     and round trips per trial drop by multiples of B.
+//     virtual-MPI engine, which equal B = 1's.
 // Both also report minor page faults per plan execution (getrusage
 // ru_minflt over the timed calls): reported only, since the cost of a
 // fault depends on the machine.
@@ -60,16 +60,10 @@ std::uint64_t minor_faults() {
 }
 
 /// Plan executions estimate_matches runs for `trials` trials at batch cap
-/// `width` (1, 2, 4 or 8): the largest supported width that fits, each
-/// time.
+/// `width`: batches of min(width, kMaxBatchLanes), the last one short.
 int estimator_executions(int trials, int width) {
-  int n = 0;
-  for (int left = trials; left > 0; ++n) {
-    int w = 8;
-    while (w > std::min(left, width)) w /= 2;
-    left -= w;
-  }
-  return n;
+  const int w = std::min(width, kMaxBatchLanes);
+  return (trials + w - 1) / w;
 }
 
 /// Minor page faults over a cell's timed plan executions.
@@ -116,9 +110,6 @@ struct WireCell {
   double steps_per_trial = 0.0;
   double bytes_ratio = 1.0;  // B = 1 bytes / this width's bytes
   bool lanes_match = true;
-  // Wire-format telemetry accumulated over the cell's transports.
-  double wire_density = 0.0;
-  std::array<std::uint64_t, 3> width_hist{};  // serialized rows per width
   // Per-stage wall breakdown summed over the cell's distributed runs.
   StageWall stage;
   Faults faults;
@@ -147,8 +138,8 @@ double geomean(const std::vector<double>& xs) {
 
 int main() {
   print_header("Batched colorings — amortized estimator cost vs B = 1",
-               "one plan execution carries B colorings (vectorized count "
-               "lanes)");
+               "one plan execution carries B colorings, run one after "
+               "another");
   const int trials = bench_trials();
   const int max_batch = bench_max_batch();
   std::vector<int> widths{1};
@@ -264,8 +255,7 @@ int main() {
     }
     const double gm = geomean(xs);
     if (width == 8) gm_wall8 = gm;
-    std::printf("  B=%d: %.2fx lower amortized per-trial wall time\n", width,
-                gm);
+    std::printf("  B=%d: %.2fx per-trial wall speedup over B=1\n", width, gm);
   }
 
   // Per-stage totals over all cells (same trial count per width): which
@@ -303,14 +293,13 @@ int main() {
   std::printf("  emission bytes/trial B=8 over B=1: %.2fx\n", emit_ratio);
 
   // ------------------------------------------------------------- wire
-  // The virtual-MPI engine, same trials: every signature-blocked row
-  // moves once per superstep regardless of how many lanes it carries, so
-  // the per-trial wire volume and superstep count fall with B. This is
-  // the amortization a real MPI deployment banks (Section 7's transport).
+  // The virtual-MPI engine, same trials: each coloring of a batch runs
+  // its own supersteps (Section 7's transport), so the per-trial wire
+  // volume and superstep count match B = 1's.
   std::printf("\nVirtual-MPI transport per trial (ranks=4, %d trials):\n",
               trials);
   TextTable wt({"graph", "query", "B", "KB/trial", "steps/trial",
-                "bytes ratio", "density", "lanes"});
+                "bytes ratio", "lanes"});
   std::vector<WireCell> wire;
   const std::string wire_graph = "condMat";
   const CsrGraph gw = make_workload(wire_graph, bench_scale());
@@ -329,8 +318,6 @@ int main() {
     for (const int width : widths) {
       if (trials % width != 0) continue;
       double bytes = 0.0, steps = 0.0;
-      std::uint64_t lane_slots = 0, lanes_occupied = 0;
-      std::array<std::uint64_t, 3> width_hist{};
       StageWall stage_sum;
       std::vector<Count> counts;
       bool ok = true;
@@ -344,11 +331,6 @@ int main() {
           bytes += static_cast<double>(s.transport.off_rank_bytes());
           steps += static_cast<double>(s.transport.supersteps);
           stage_sum.add(s.stage);
-          lane_slots += s.transport.lane_slots_sent;
-          lanes_occupied += s.transport.lanes_occupied_sent;
-          for (int w = 0; w < 3; ++w) {
-            width_hist[w] += s.transport.width_rows[w];
-          }
           for (int l = 0; l < width; ++l) {
             counts.push_back(s.colorful_lane[l]);
           }
@@ -358,7 +340,7 @@ int main() {
       }
       if (!ok) {
         wt.add_row({wire_graph, q.name(), TextTable::num(std::uint64_t(width)),
-                    "DNF", "-", "-", "-", "-"});
+                    "DNF", "-", "-", "-"});
         continue;
       }
       WireCell c;
@@ -369,11 +351,6 @@ int main() {
       c.width = width;
       c.bytes_per_trial = bytes / trials;
       c.steps_per_trial = steps / trials;
-      c.wire_density = lane_slots == 0
-                           ? 0.0
-                           : static_cast<double>(lanes_occupied) /
-                                 static_cast<double>(lane_slots);
-      c.width_hist = width_hist;
       c.stage = stage_sum;
       if (width == 1) {
         base_counts = counts;
@@ -388,7 +365,6 @@ int main() {
                   TextTable::num(c.steps_per_trial, 1),
                   c.width == 1 ? "1.00x"
                                : TextTable::num(c.bytes_ratio, 2) + "x",
-                  c.width == 1 ? "-" : TextTable::num(c.wire_density, 3),
                   c.lanes_match ? "exact" : "MISMATCH"});
     }
   }
@@ -433,15 +409,12 @@ int main() {
       gm_steps8 = gs;
     }
     std::printf(
-        "  B=%d: %.1fx fewer supersteps per trial, %.2fx wire bytes ratio\n",
+        "  B=%d: supersteps ratio %.2fx, wire bytes ratio %.2fx per trial\n",
         width, gs, gm);
   }
   std::printf(
-      "(supersteps fall by exactly B; the lane-compressed wire format —\n"
-      " occupancy mask + width-adapted packed counts — makes wire bytes\n"
-      " track true lane density, see table/README.md \"When to batch\";\n"
-      " bytes ratio > 1 means B > 1 moves fewer bytes per trial than\n"
-      " B = 1)\n");
+      "(ratios are B = 1 over B; a batch runs its colorings one after\n"
+      " another, so both read 1.00: B > 1 moves what B = 1 moves)\n");
   std::printf("per-lane counts vs baseline: %s\n",
               all_match ? "exact" : "MISMATCH");
 
@@ -523,18 +496,11 @@ int main() {
         "    {\"graph\": \"%s\", \"query\": \"%s\", \"B\": %d, "
         "\"bytes_per_trial\": %.1f, \"steps_per_trial\": %.2f, "
         "\"bytes_ratio\": %.3f, \"lanes_match\": %s, "
-        "\"wire_lane_density\": %.4f, "
-        "\"wire_width_hist\": {\"u16\": %llu, \"u32\": %llu, "
-        "\"u64\": %llu}, "
         "\"stage\": {\"accumulate\": %.6f, \"seal\": %.6f, "
         "\"merge\": %.6f, \"transport\": %.6f}, "
         "\"minor_faults_per_exec\": %.1f}%s\n",
         c.graph.c_str(), c.query.c_str(), c.width, c.bytes_per_trial,
         c.steps_per_trial, c.bytes_ratio, c.lanes_match ? "true" : "false",
-        c.wire_density,
-        static_cast<unsigned long long>(c.width_hist[0]),
-        static_cast<unsigned long long>(c.width_hist[1]),
-        static_cast<unsigned long long>(c.width_hist[2]),
         c.stage.accumulate, c.stage.seal, c.stage.merge, c.stage.transport,
         c.faults.per_exec(),
         i + 1 < wire.size() ? "," : "");

@@ -13,9 +13,9 @@
 //   --query NAME   catalog query (default cycle5); see --list
 //   --algo         db (default) or ps
 //   --trials N     estimator trials (default 5)
-//   --batch B      colorings per plan execution (1, 2, 4 or 8; default 1):
-//                  trials are processed B at a time through the batched
-//                  engine, with identical per-trial counts
+//   --batch B      colorings per plan execution (1 to 8; default 1):
+//                  trials are processed B at a time, one after another,
+//                  with identical per-trial counts
 //   --ranks R      attach the virtual-rank load model and report loads
 //   --exact        also run the brute-force counter (small graphs only!)
 //   --dist R       run one coloring through the virtual-MPI engine on R

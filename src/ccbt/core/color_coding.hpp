@@ -32,16 +32,17 @@ class CountingSession {
   /// q.num_nodes() colors over g.num_vertices() vertices.
   ExecStats count_colorful(const Coloring& chi) const;
 
-  /// Colorful matches under every lane of a batch in ONE plan execution
-  /// (1, 2, 4 or 8 lanes): stats.colorful_lane[l] is lane l's count,
-  /// exactly what count_colorful(batch.lane(l)) would report.
+  /// Colorful matches under every lane of a batch in one plan execution,
+  /// which runs the lanes one after another: stats.colorful_lane[l] is
+  /// lane l's count, exactly what count_colorful(batch.lane(l)) would
+  /// report, and the other stats are the lanes' sums.
   ExecStats count_colorful(const ColoringBatch& batch) const;
 
   /// Convenience: fresh random coloring from `seed`.
   ExecStats count_colorful_seeded(std::uint64_t seed) const;
 
   /// Convenience: one batched execution over fresh random colorings, one
-  /// per seed (seeds.size() must be a supported batch width).
+  /// per seed (1 to kMaxBatchLanes seeds).
   ExecStats count_colorful_seeded(std::span<const std::uint64_t> seeds) const;
 
   const Plan& plan() const { return plan_; }

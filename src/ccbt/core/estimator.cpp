@@ -15,14 +15,10 @@ namespace ccbt {
 
 namespace {
 
-/// Largest supported batch width that fits under both the user's cap and
+/// The next batch's width: the user's cap, bounded by the lane limit and
 /// the remaining trial count.
 int next_batch_width(int remaining, int cap) {
-  const int want = std::min(remaining, std::max(cap, 1));
-  for (int w : {8, 4, 2, 1}) {
-    if (w <= want) return w;
-  }
-  return 1;
+  return std::min({remaining, std::max(cap, 1), kMaxBatchLanes});
 }
 
 /// Run `width` trials in one batched plan execution, drawing lane seeds

@@ -16,11 +16,12 @@ struct EstimatorOptions {
   int trials = 10;
   std::uint64_t seed = 1;
 
-  /// Colorings per plan execution (the engine's batch width B, capped at
-  /// kMaxBatchLanes): trials are submitted in batches of the largest
-  /// supported width (8, 4, 2, 1) that fits under both this cap and the
-  /// remaining trial count. Per-trial colorful counts are identical to a
-  /// batch of 1 — batching only amortizes the execution cost.
+  /// Colorings per plan execution (the batch width B, capped at
+  /// kMaxBatchLanes): trials are submitted in batches of min(batch,
+  /// kMaxBatchLanes, remaining trials). An execution runs its colorings
+  /// one after another, so per-trial colorful counts are identical to a
+  /// batch of 1; the width only sets how many trials one execution
+  /// carries, and with it how many a failed execution drops.
   int batch = 1;
 
   /// Deterministic estimator-level fault schedule: trial_fail_rate drops

@@ -4,11 +4,10 @@
 // A checkpoint is a byte-level snapshot of the sealed-shard state that
 // persists across supersteps: every child-block table the DistPool has
 // stored so far, plus the position (next block, transport superstep) the
-// engine replays from. Shard images reuse the PR 3 lane-compressed wire
-// encoding (table/lane_payload.hpp) — the same per-row
-// [key | mask | width | packed counts] bytes the transport sends — so
-// checkpoint size tracks true lane density and the encoder/decoder pair
-// is the one already exercised by every superstep.
+// engine replays from. Shard images use the row encoding of
+// table/lane_payload.hpp — [key | mask | width | count], the count in the
+// narrowest of u16/u32/u64 that holds it and left out when it is zero —
+// so an image costs what its counts need.
 //
 // Restore rebuilds each table from its decoded row multiset and re-seals
 // with the storage convention (kByV0, dense). Because serialization
@@ -37,9 +36,8 @@ namespace ccbt {
 inline constexpr std::uint32_t kCheckpointMagic = 0x54504B43u;  // "CKPT" LE
 
 /// Serialize one sealed shard: [magic u32][rows u64][wire-encoded rows].
-template <int B>
-std::vector<std::uint8_t> checkpoint_encode_shard(
-    const ProjTableT<B>& shard) {
+inline std::vector<std::uint8_t> checkpoint_encode_shard(
+    const ProjTable& shard) {
   std::vector<std::uint8_t> out;
   out.reserve(sizeof(std::uint32_t) + sizeof(std::uint64_t) +
               shard.size() * (kWireKeyBytes + 2 + sizeof(Count)));
@@ -48,15 +46,13 @@ std::vector<std::uint8_t> checkpoint_encode_shard(
   const std::uint64_t rows = shard.size();
   std::memcpy(out.data() + sizeof(std::uint32_t), &rows,
               sizeof(std::uint64_t));
-  shard.for_each_entry(
-      [&](const TableEntryT<B>& e) { wire_encode<B>(e, out); });
+  shard.for_each_entry([&](const TableEntry& e) { wire_encode<1>(e, out); });
   return out;
 }
 
 /// Decode a shard image back into its row sequence (sealed order).
 /// Throws CheckpointCorrupt on any framing violation.
-template <int B>
-std::vector<TableEntryT<B>> checkpoint_decode_shard(
+inline std::vector<TableEntry> checkpoint_decode_shard(
     const std::vector<std::uint8_t>& bytes) {
   const std::uint8_t* p = bytes.data();
   const std::uint8_t* const end = p + bytes.size();
@@ -79,7 +75,7 @@ std::vector<TableEntryT<B>> checkpoint_decode_shard(
                             " rows, more than its bytes can hold");
   }
 
-  std::vector<TableEntryT<B>> out;
+  std::vector<TableEntry> out;
   out.reserve(rows);
   for (std::uint64_t i = 0; i < rows; ++i) {
     // Frame check before handing the cursor to wire_decode (which trusts
@@ -90,7 +86,7 @@ std::vector<TableEntryT<B>> checkpoint_decode_shard(
     }
     const LaneMask mask = p[kWireKeyBytes];
     const int width_code = p[kWireKeyBytes + 1];
-    if (width_code > 2 || mask >= (1u << B)) {
+    if (width_code > 2 || mask > 1) {
       throw CheckpointCorrupt("shard image row " + std::to_string(i) +
                               " has a bad mask/width frame");
     }
@@ -101,8 +97,8 @@ std::vector<TableEntryT<B>> checkpoint_decode_shard(
       throw CheckpointCorrupt("shard image truncated at row " +
                               std::to_string(i));
     }
-    TableEntryT<B> e;
-    p = wire_decode<B>(p, e);
+    TableEntry e;
+    p = wire_decode<1>(p, e);
     out.push_back(e);
   }
   if (p != end) {
@@ -112,8 +108,7 @@ std::vector<TableEntryT<B>> checkpoint_decode_shard(
 }
 
 /// One stored table's snapshot plus the replay position.
-template <int B>
-struct CheckpointImageT {
+struct CheckpointImage {
   struct TableImage {
     int block = 0;
     int arity = 0;

@@ -35,25 +35,15 @@
 // missing traffic) — both retryable, so the engine can replay from its
 // last checkpoint.
 //
-// Wire format per batch width:
-//   * B = 1 keeps the PR 2 layout bit for bit: fixed-size rows of
-//     sizeof(TableKey) + sizeof(Count) wire bytes.
-//   * B > 1 serializes every row through the lane-compressed encoding of
-//     table/lane_payload.hpp — unpadded key, occupancy mask, per-row
-//     width code, then only the occupied lanes' counts at that width.
-//     Outboxes hold the actual byte streams and exchange() decodes them,
-//     so CommStats' wire volume tracks true lane density instead of the
-//     dense u64[B] vector's worst case.
+// Wire format: fixed-size rows of sizeof(TableKey) + sizeof(Count) bytes,
+// one count per row. A coloring batch runs its lanes one after another,
+// so the transport never carries more than one count per row.
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "ccbt/table/lane_payload.hpp"
 #include "ccbt/table/table_key.hpp"
 #include "ccbt/util/error.hpp"
 #include "ccbt/util/fault.hpp"
@@ -68,49 +58,27 @@ struct CommStats {
   std::uint64_t max_step_recv = 0;     // max entries one rank received
                                        // in one superstep
 
-  /// Wire size of a *dense* row (the fixed B = 1 encoding; the dense
-  /// reference point for the B > 1 compression ratio).
+  /// Wire size of one row.
   std::uint64_t entry_bytes = sizeof(TableKey) + sizeof(Count);
 
-  /// Actual serialized bytes of the off-rank traffic (equals
-  /// off_rank_entries * entry_bytes at B = 1; tracks the per-row
-  /// compressed encoding at B > 1).
-  std::uint64_t off_rank_payload = 0;
-
-  // Lane-compression wire telemetry (B > 1; zero at B = 1): occupancy
-  // and per-row payload-width histogram over every serialized row.
-  std::uint64_t lane_slots_sent = 0;       // rows sent * B
-  std::uint64_t lanes_occupied_sent = 0;   // mask-set lanes sent
-  std::array<std::uint64_t, 3> width_rows{};  // rows per u16/u32/u64
-
   /// Wire volume of the off-rank traffic.
-  std::uint64_t off_rank_bytes() const { return off_rank_payload; }
-
-  double wire_lane_density() const {
-    return lane_slots_sent == 0
-               ? 0.0
-               : static_cast<double>(lanes_occupied_sent) /
-                     static_cast<double>(lane_slots_sent);
+  std::uint64_t off_rank_bytes() const {
+    return off_rank_entries * entry_bytes;
   }
+
+  /// Occupied share of the count lanes sent. Rows carry a single count,
+  /// so there is no lane occupancy to report: always 0.
+  double wire_lane_density() const { return 0.0; }
 };
 
-template <int B>
-class VirtualCommT {
+class VirtualComm {
  public:
-  using Entry = TableEntryT<B>;
-
   /// Throws Error when ranks == 0.
-  explicit VirtualCommT(std::uint32_t ranks) {
+  explicit VirtualComm(std::uint32_t ranks) {
     if (ranks == 0) throw Error("VirtualComm: need at least one rank");
     queued_to_.resize(ranks, 0);
-    if constexpr (B == 1) {
-      outbox_.resize(ranks);
-    } else {
-      wire_outbox_.resize(ranks);
-    }
+    outbox_.resize(ranks);
     inbox_.resize(ranks);
-    stats_.entry_bytes =
-        sizeof(TableKey) + sizeof(typename LaneOps<B>::Vec);
   }
 
   std::uint32_t num_ranks() const {
@@ -118,38 +86,11 @@ class VirtualCommT {
   }
 
   /// Queue `e` from rank `from` to rank `to`; visible after exchange().
-  void send(std::uint32_t from, std::uint32_t to, const Entry& e) {
+  void send(std::uint32_t from, std::uint32_t to, const TableEntry& e) {
     ++stats_.entries_sent;
     ++queued_to_[to];
-    if constexpr (B == 1) {
-      outbox_[from].push_back({to, e});
-      if (from != to) {
-        ++stats_.off_rank_entries;
-        stats_.off_rank_payload += stats_.entry_bytes;
-      }
-      return;
-    } else {
-      // Serialize immediately: [dest u32][lane-compressed row]. The dest
-      // word is outbox bookkeeping, not wire payload — a real transport
-      // carries the destination in its envelope.
-      std::vector<std::uint8_t>& out = wire_outbox_[from];
-      const std::size_t at = out.size();
-      out.resize(at + sizeof(std::uint32_t));
-      std::memcpy(out.data() + at, &to, sizeof(std::uint32_t));
-      const std::size_t row_at = out.size();
-      const PayloadWidth width = wire_encode<B>(e, out);
-      LaneMask mask = 0;
-      for (int l = 0; l < B; ++l) {
-        mask |= static_cast<LaneMask>(LaneOps<B>::lane(e.cnt, l) != 0) << l;
-      }
-      stats_.lane_slots_sent += B;
-      stats_.lanes_occupied_sent += std::popcount(mask);
-      ++stats_.width_rows[payload_width_code(width)];
-      if (from != to) {
-        ++stats_.off_rank_entries;
-        stats_.off_rank_payload += out.size() - row_at;
-      }
-    }
+    outbox_[from].push_back({to, e});
+    if (from != to) ++stats_.off_rank_entries;
   }
 
   /// Install (or clear, with nullptr) a deterministic fault plan plus the
@@ -171,7 +112,6 @@ class VirtualCommT {
   /// half-queued outboxes behind.
   void reset_in_flight() {
     for (auto& out : outbox_) out.clear();
-    for (auto& out : wire_outbox_) out.clear();
     for (auto& in : inbox_) in.clear();
     std::fill(queued_to_.begin(), queued_to_.end(), 0);
   }
@@ -195,31 +135,15 @@ class VirtualCommT {
     }
     // Senders drain in rank order, each in send order: deterministic
     // delivery independent of any real interleaving.
-    if constexpr (B == 1) {
-      for (auto& out : outbox_) {
-        for (const Queued& q : out) inbox_[q.to].push_back(q.entry);
-        out.clear();
-      }
-    } else {
-      for (auto& out : wire_outbox_) {
-        const std::uint8_t* p = out.data();
-        const std::uint8_t* const end = p + out.size();
-        while (p < end) {
-          std::uint32_t to = 0;
-          std::memcpy(&to, p, sizeof(std::uint32_t));
-          p += sizeof(std::uint32_t);
-          Entry e;
-          p = wire_decode<B>(p, e);
-          inbox_[to].push_back(e);
-        }
-        out.clear();
-      }
+    for (auto& out : outbox_) {
+      for (const Queued& q : out) inbox_[q.to].push_back(q.entry);
+      out.clear();
     }
     finish_superstep();
   }
 
   /// Entries delivered to `rank` by the last exchange.
-  const std::vector<Entry>& inbox(std::uint32_t rank) const {
+  const std::vector<TableEntry>& inbox(std::uint32_t rank) const {
     return inbox_[rank];
   }
 
@@ -230,7 +154,7 @@ class VirtualCommT {
   /// Move `rank`'s delivered entries out, buffer included: lets a
   /// collector adopt the rows without a copy, and the next exchange()
   /// reserves that inbox afresh.
-  std::vector<Entry> take_inbox(std::uint32_t rank) {
+  std::vector<TableEntry> take_inbox(std::uint32_t rank) {
     return std::move(inbox_[rank]);
   }
 
@@ -241,20 +165,12 @@ class VirtualCommT {
     return sum;
   }
 
-  /// Lane-wise allreduce over per-rank lane-total vectors.
-  typename LaneOps<B>::Vec allreduce_sum_lanes(
-      const std::vector<typename LaneOps<B>::Vec>& parts) const {
-    auto sum = LaneOps<B>::zero();
-    for (const auto& p : parts) LaneOps<B>::add(sum, p);
-    return sum;
-  }
-
   const CommStats& stats() const { return stats_; }
 
  private:
   struct Queued {
     std::uint32_t to;
-    Entry entry;
+    TableEntry entry;
   };
 
   /// One queued message in canonical (sender rank, send order) sequence —
@@ -262,8 +178,7 @@ class VirtualCommT {
   struct Pending {
     std::uint32_t from = 0;
     std::uint32_t to = 0;
-    Entry entry;
-    std::uint32_t wire_bytes = 0;  // off-rank retransmission cost
+    TableEntry entry;
     bool off_rank = false;
     bool delivered = false;
     bool tried = false;  // an attempt already paid its wire cost once
@@ -277,45 +192,22 @@ class VirtualCommT {
     ++stats_.supersteps;
   }
 
-  /// Drain the outboxes into the canonical pending list (decoding the
-  /// B > 1 wire streams once; retransmission re-pays their byte cost via
-  /// Pending::wire_bytes without re-encoding).
+  /// Drain the outboxes into the canonical pending list.
   std::vector<Pending> drain_pending() {
     std::vector<Pending> pending;
-    if constexpr (B == 1) {
-      std::size_t total = 0;
-      for (const auto& out : outbox_) total += out.size();
-      pending.reserve(total);
-      for (std::uint32_t r = 0; r < num_ranks(); ++r) {
-        for (const Queued& q : outbox_[r]) {
-          Pending m;
-          m.from = r;
-          m.to = q.to;
-          m.entry = q.entry;
-          m.off_rank = (q.to != r);
-          m.wire_bytes = static_cast<std::uint32_t>(stats_.entry_bytes);
-          pending.push_back(m);
-        }
-        outbox_[r].clear();
+    std::size_t total = 0;
+    for (const auto& out : outbox_) total += out.size();
+    pending.reserve(total);
+    for (std::uint32_t r = 0; r < num_ranks(); ++r) {
+      for (const Queued& q : outbox_[r]) {
+        Pending m;
+        m.from = r;
+        m.to = q.to;
+        m.entry = q.entry;
+        m.off_rank = (q.to != r);
+        pending.push_back(m);
       }
-    } else {
-      for (std::uint32_t r = 0; r < num_ranks(); ++r) {
-        const auto& out = wire_outbox_[r];
-        const std::uint8_t* p = out.data();
-        const std::uint8_t* const end = p + out.size();
-        while (p < end) {
-          Pending m;
-          m.from = r;
-          std::memcpy(&m.to, p, sizeof(std::uint32_t));
-          p += sizeof(std::uint32_t);
-          const std::uint8_t* row = p;
-          p = wire_decode<B>(p, m.entry);
-          m.wire_bytes = static_cast<std::uint32_t>(p - row);
-          m.off_rank = (m.to != r);
-          pending.push_back(m);
-        }
-        wire_outbox_[r].clear();
-      }
+      outbox_[r].clear();
     }
     return pending;
   }
@@ -354,7 +246,7 @@ class VirtualCommT {
           continue;
         }
         if (stalled[m.from] != 0) continue;
-        if (m.tried) fs.retransmit_bytes += m.wire_bytes;
+        if (m.tried) fs.retransmit_bytes += stats_.entry_bytes;
         m.tried = true;
         switch (faults_->message_fate()) {
           case FaultPlan::Fate::kDrop:
@@ -364,7 +256,7 @@ class VirtualCommT {
             // number, indistinguishable from the retransmission).
             break;
           case FaultPlan::Fate::kDuplicate:
-            fs.retransmit_bytes += m.wire_bytes;
+            fs.retransmit_bytes += stats_.entry_bytes;
             [[fallthrough]];
           case FaultPlan::Fate::kDeliver:
             m.delivered = true;
@@ -394,9 +286,8 @@ class VirtualCommT {
     finish_superstep();
   }
 
-  std::vector<std::vector<Queued>> outbox_;  // B = 1: per sender, in order
-  std::vector<std::vector<std::uint8_t>> wire_outbox_;  // B > 1 byte streams
-  std::vector<std::vector<Entry>> inbox_;
+  std::vector<std::vector<Queued>> outbox_;  // per sender, in send order
+  std::vector<std::vector<TableEntry>> inbox_;
   std::vector<std::size_t> queued_to_;  // rows queued per destination
   CommStats stats_;
 
@@ -408,12 +299,5 @@ class VirtualCommT {
   double deadline_ms_ = 0.0;
   Rng jitter_;
 };
-
-using VirtualComm = VirtualCommT<1>;
-
-extern template class VirtualCommT<1>;
-extern template class VirtualCommT<2>;
-extern template class VirtualCommT<4>;
-extern template class VirtualCommT<8>;
 
 }  // namespace ccbt

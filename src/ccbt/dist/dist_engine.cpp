@@ -33,25 +33,22 @@ using dist::maybe_alloc_fail;
 /// owner of its slot-0 boundary image (the storage home of block tables);
 /// outputs of a root merge (out_arity 0) collapse to rank 0. Accumulates
 /// into the per-rank cycle sinks.
-template <int B>
-void d_merge_halves(Dx<B>& dx, const DistTableT<B>& plus,
-                    const DistTableT<B>& minus, const MergeSpec& spec,
-                    std::vector<AccumMapT<B>>& sinks) {
+void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
+                    const MergeSpec& spec, std::vector<AccumMap>& sinks) {
   const ExecContext& cx = dx.cx;
   {
     ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
-    std::vector<TableEntryT<B>> pscratch, mscratch;
+    std::vector<TableEntry> pscratch, mscratch;
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
       cx.note_lanes(plus.shard(r).layout());
       cx.note_lanes(minus.shard(r).layout());
-      auto route = [&](const TableKey& key,
-                       const typename LaneOps<B>::Vec& cnt) {
+      auto route = [&](const TableKey& key, Count cnt) {
         const std::uint32_t dest =
             spec.out_arity >= 1 ? dx.owner(key.v[0]) : 0;
         dx.comm.send(r, dest, {key, cnt});
       };
       for (VertexId x = dx.part().begin(r); x < dx.part().end(r); ++x) {
-        detail::merge_end_bucket<B>(cx, plus.shard(r), minus.shard(r), x,
+        detail::merge_end_bucket<1>(cx, plus.shard(r), minus.shard(r), x,
                                     spec, route, pscratch, mscratch);
       }
     }
@@ -61,7 +58,7 @@ void d_merge_halves(Dx<B>& dx, const DistTableT<B>& plus,
   maybe_alloc_fail(dx, "merge_halves");
   std::size_t total = 0;
   for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-    for (const TableEntryT<B>& e : dx.comm.inbox(r)) {
+    for (const TableEntry& e : dx.comm.inbox(r)) {
       sinks[r].add(e.key, e.cnt);
     }
     total += sinks[r].size();
@@ -73,107 +70,70 @@ void d_merge_halves(Dx<B>& dx, const DistTableT<B>& plus,
   cx.end_phase();
 }
 
-template <int B>
-DistTableT<B> d_aggregate(Dx<B>& dx, const DistTableT<B>& t,
-                          int new_arity) {
+DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
   const ExecContext& cx = dx.cx;
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      auto emit = [&](const TableKey& key,
-                      const typename LaneOps<B>::Vec& cnt) {
+      auto emit = [&](const TableKey& key, Count cnt) {
         const std::uint32_t dest = new_arity >= 1 ? dx.owner(key.v[0]) : 0;
         dx.comm.send(r, dest, {key, cnt});
       };
-      t.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_aggregate<B>(cx, e, new_arity, emit);
+      t.shard(r).for_each_entry([&](const TableEntry& e) {
+        kernel_aggregate<1>(cx, e, new_arity, emit);
       });
     }
   }
   ScopedStage timed(cx.stage_slot(&StageWall::transport));
   dx.comm.exchange();
   maybe_alloc_fail(dx, "aggregate");
-  DistTableT<B> out =
-      DistTableT<B>::collect(new_arity, /*home_slot=*/0, dx.comm,
-                             SortOrder::kUnsorted, dx.budget);
+  DistTable out = DistTable::collect(new_arity, /*home_slot=*/0, dx.comm,
+                                    SortOrder::kUnsorted, dx.budget);
   cx.end_phase();
   return out;
 }
 
-template <int B>
-DistTableT<B> d_solve_cycle(Dx<B>& dx, const Block& blk, DistPool<B>& pool) {
-  dist::DistPath<B> ops{dx, pool};
-  std::vector<AccumMapT<B>> sinks(dx.ranks());
+DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool) {
+  dist::DistPath ops{dx, pool};
+  std::vector<AccumMap> sinks(dx.ranks());
   for (const SplitPlan& plan : splits_for(blk, dx.cx.opts.algo)) {
-    DistTableT<B> plus = walk_path(ops, blk, plan.plus);
-    DistTableT<B> minus = walk_path(ops, blk, plan.minus);
+    DistTable plus = walk_path(ops, blk, plan.plus);
+    DistTable minus = walk_path(ops, blk, plan.minus);
     d_merge_halves(dx, plus, minus, plan.merge, sinks);
   }
-  std::vector<ProjTableT<B>> shards;
-  for (AccumMapT<B>& m : sinks) {
-    shards.push_back(
-        ProjTableT<B>::from_map(blk.boundary_count(), std::move(m)));
+  std::vector<ProjTable> shards;
+  for (AccumMap& m : sinks) {
+    shards.push_back(ProjTable::from_map(blk.boundary_count(), std::move(m)));
   }
-  return DistTableT<B>::from_shards(blk.boundary_count(), /*home_slot=*/0,
-                                    std::move(shards));
+  return DistTable::from_shards(blk.boundary_count(), /*home_slot=*/0,
+                                std::move(shards));
 }
 
-template <int B>
-DistTableT<B> d_solve_leaf_edge(Dx<B>& dx, const Block& blk,
-                                DistPool<B>& pool) {
-  dist::DistPath<B> ops{dx, pool};
+DistTable d_solve_leaf_edge(Dx& dx, const Block& blk, DistPool& pool) {
+  dist::DistPath ops{dx, pool};
   return d_aggregate(dx, walk_leaf_edge(ops, blk), /*new_arity=*/1);
 }
 
-template <int B>
-DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
-                                    const ColoringBatch& batch,
-                                    std::uint32_t ranks, ExecOptions opts) {
-  Timer timer;
-  const DegreeOrder order = opts.order_by_id
-                                ? DegreeOrder::by_id(g.num_vertices())
-                                : DegreeOrder(g);
-  LoadModel load(ranks);
-  DistStats stats;
-  const ExecContext cx{g,
-                       batch,
-                       order,
-                       BlockPartition(g.num_vertices(), ranks),
-                       &load,
-                       opts,
-                       &stats.lanes,
-                       &stats.stage,
-                       &stats.accum};
-  VirtualCommT<B> comm(ranks);
-  FaultPlan faults(opts.dist.faults);
-  FaultPlan* fp = faults.enabled() ? &faults : nullptr;
-  if (fp != nullptr) {
-    comm.set_fault_plan(fp, opts.dist.max_retries, opts.dist.backoff_base_ms,
-                        opts.dist.deadline_ms);
-  }
-  Dx<B> dx{cx, comm, opts.max_table_entries, fp};
-  DistPool<B> pool(tree.blocks.size(), g.num_vertices(), &stats.stage);
-
-  stats.lanes_used = batch.lanes();
-  auto record_root = [&](const typename LaneOps<B>::Vec& totals) {
-    for (int l = 0; l < B; ++l) {
-      stats.colorful_lane[l] = LaneOps<B>::lane(totals, l);
-    }
-    stats.colorful = stats.colorful_lane[0];
-  };
-
-  // Block loop with rollback replay. `ckpt` starts as the implicit empty
-  // checkpoint (next_block 0): with checkpointing disabled, a replay
-  // restarts the whole run. A retryable failure inside block i (the
-  // transport exhausted its retries, or an injected allocation failure)
-  // rolls the pool back to `ckpt` and resumes from ckpt.next_block; the
-  // replayed blocks recompute against fresh fault rolls. Non-retryable
-  // errors (BudgetExceeded, malformed plans) propagate unchanged.
-  CheckpointImageT<B> ckpt;
-  std::uint32_t replays_left = opts.dist.max_replays;
+/// One coloring through the plan: the block loop with rollback replay,
+/// returning the colorful count. `ckpt` starts as the implicit empty
+/// checkpoint (next_block 0, taken at the transport's current superstep):
+/// with checkpointing disabled, a replay restarts the coloring. A
+/// retryable failure inside block i (the transport exhausted its retries,
+/// or an injected allocation failure) rolls the pool back to `ckpt` and
+/// resumes from ckpt.next_block; the replayed blocks recompute against
+/// fresh fault rolls, and each replay spends one of `replays_left`.
+/// Non-retryable errors (BudgetExceeded, malformed plans) propagate
+/// unchanged.
+Count run_coloring(Dx& dx, const DecompTree& tree, FaultStats& fs,
+                   std::uint32_t& replays_left) {
+  const ExecContext& cx = dx.cx;
+  const DistOptions& opts = cx.opts.dist;
+  VirtualComm& comm = dx.comm;
+  DistPool pool(tree.blocks.size(), cx.g.num_vertices(), cx.stage);
+  CheckpointImage ckpt;
+  ckpt.supersteps = comm.stats().supersteps;
   std::size_t i = 0;
-  bool done = false;
-  while (!done && i < tree.blocks.size()) {
+  while (i < tree.blocks.size()) {
     try {
       const Block& blk = tree.blocks[i];
       const bool is_root = (static_cast<int>(i) == tree.root);
@@ -183,40 +143,25 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
           throw Error(ErrorCode::kUnsupportedQuery,
                       "run_plan_distributed: singleton below the root");
         }
-        if (blk.node_child[0] >= 0) {
-          record_root(comm.allreduce_sum_lanes(
-              pool.get(blk.node_child[0]).shard_lane_totals()));
-        } else {
-          // Single-node query: every data vertex is a colorful match
-          // under every coloring.
-          for (int l = 0; l < B; ++l) {
-            stats.colorful_lane[l] = g.num_vertices();
-          }
-          stats.colorful = g.num_vertices();
-        }
-        done = true;
-        continue;
+        // Single-node query: every data vertex is a colorful match.
+        if (blk.node_child[0] < 0) return cx.g.num_vertices();
+        return comm.allreduce_sum(pool.get(blk.node_child[0]).shard_totals());
       }
 
-      DistTableT<B> table = (blk.kind == BlockKind::kLeafEdge)
-                                ? d_solve_leaf_edge(dx, blk, pool)
-                                : d_solve_cycle(dx, blk, pool);
-      if (is_root) {
-        record_root(comm.allreduce_sum_lanes(table.shard_lane_totals()));
-        done = true;
-        continue;
-      }
+      DistTable table = (blk.kind == BlockKind::kLeafEdge)
+                            ? d_solve_leaf_edge(dx, blk, pool)
+                            : d_solve_cycle(dx, blk, pool);
+      if (is_root) return comm.allreduce_sum(table.shard_totals());
       pool.store(static_cast<int>(i), std::move(table));
-      const DistTableT<B>& stored = pool.get(static_cast<int>(i));
+      const DistTable& stored = pool.get(static_cast<int>(i));
       for (std::uint32_t r = 0; r < stored.num_shards(); ++r) {
         cx.note_lanes(stored.shard(r).layout());
       }
       ++i;
-      if (opts.dist.checkpoint_interval > 0 &&
+      if (opts.checkpoint_interval > 0 &&
           comm.stats().supersteps - ckpt.supersteps >=
-              opts.dist.checkpoint_interval) {
+              opts.checkpoint_interval) {
         ckpt = pool.checkpoint(i, comm.stats().supersteps);
-        FaultStats& fs = faults.stats();
         ++fs.checkpoints_taken;
         fs.checkpoint_bytes += ckpt.bytes();
       }
@@ -228,24 +173,14 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
                     e);
       }
       --replays_left;
-      FaultStats& fs = faults.stats();
       ++fs.replays;
       fs.replayed_supersteps += comm.stats().supersteps - ckpt.supersteps;
       comm.reset_in_flight();
-      pool.restore(ckpt, ranks);
+      pool.restore(ckpt, comm.num_ranks());
       i = ckpt.next_block;
     }
   }
-
-  stats.wall_seconds = timer.seconds();
-  stats.sim_time = load.sim_time();
-  stats.total_ops = load.total_ops();
-  stats.max_rank_ops = load.max_rank_ops();
-  stats.avg_rank_ops = load.avg_rank_ops();
-  stats.total_comm = load.total_comm();
-  stats.transport = comm.stats();
-  stats.faults = faults.stats();
-  return stats;
+  return 0;
 }
 
 }  // namespace
@@ -264,15 +199,48 @@ DistStats run_plan_distributed(const CsrGraph& g, const DecompTree& tree,
     throw Error(ErrorCode::kUnsupportedQuery,
                 "run_plan_distributed: tree has no root");
   }
-  switch (batch.lanes()) {
-    case 1: return run_plan_distributed_impl<1>(g, tree, batch, ranks, opts);
-    case 2: return run_plan_distributed_impl<2>(g, tree, batch, ranks, opts);
-    case 4: return run_plan_distributed_impl<4>(g, tree, batch, ranks, opts);
-    case 8: return run_plan_distributed_impl<8>(g, tree, batch, ranks, opts);
-    default: break;
+  Timer timer;
+  const DegreeOrder order = opts.order_by_id
+                                ? DegreeOrder::by_id(g.num_vertices())
+                                : DegreeOrder(g);
+  LoadModel load(ranks);
+  DistStats stats;
+  VirtualComm comm(ranks);
+  FaultPlan faults(opts.dist.faults);
+  FaultPlan* fp = faults.enabled() ? &faults : nullptr;
+  if (fp != nullptr) {
+    comm.set_fault_plan(fp, opts.dist.max_retries, opts.dist.backoff_base_ms,
+                        opts.dist.deadline_ms);
   }
-  throw Error(ErrorCode::kUnsupportedQuery,
-              "run_plan_distributed: batch width must be 1, 2, 4 or 8");
+  // The lanes run one after another through one transport, load model,
+  // fault stream and replay budget, so the stats add up over the lanes.
+  std::uint32_t replays_left = opts.dist.max_replays;
+  stats.lanes_used = batch.lanes();
+  for (int l = 0; l < batch.lanes(); ++l) {
+    const ExecContext cx{g,
+                         batch.lane(l),
+                         order,
+                         BlockPartition(g.num_vertices(), ranks),
+                         &load,
+                         opts,
+                         &stats.lanes,
+                         &stats.stage,
+                         &stats.accum};
+    Dx dx{cx, comm, opts.max_table_entries, fp};
+    stats.colorful_lane[l] =
+        run_coloring(dx, tree, faults.stats(), replays_left);
+  }
+  stats.colorful = stats.colorful_lane[0];
+
+  stats.wall_seconds = timer.seconds();
+  stats.sim_time = load.sim_time();
+  stats.total_ops = load.total_ops();
+  stats.max_rank_ops = load.max_rank_ops();
+  stats.avg_rank_ops = load.avg_rank_ops();
+  stats.total_comm = load.total_comm();
+  stats.transport = comm.stats();
+  stats.faults = faults.stats();
+  return stats;
 }
 
 }  // namespace ccbt

@@ -56,12 +56,10 @@ struct DistStats {
 
   // Physical transport accounting (supersteps, entries moved, off-rank
   // volume). The model charges one entry per cross-rank join emission; an
-  // extend ships each input bucket once per reading rank instead. At B > 1
-  // transport.off_rank_bytes() tracks true lane density.
+  // extend ships each input bucket once per reading rank instead.
   CommStats transport;
 
-  /// Lane-layout telemetry over the run's sorting seals (B > 1; see
-  /// ExecStats::lanes).
+  /// Lane-layout telemetry over the run's tables (see ExecStats::lanes).
   LaneTelemetry lanes;
 
   /// Per-stage wall breakdown (see ExecStats::stage); here `transport`
@@ -95,10 +93,12 @@ DistStats run_plan_distributed(const CsrGraph& g, const DecompTree& tree,
                                const Coloring& chi, std::uint32_t ranks,
                                ExecOptions opts = {});
 
-/// Batched variant: one distributed execution over every lane of `batch`
-/// (1, 2, 4 or 8 lanes — other widths throw Error). Lane l of
-/// stats.colorful_lane matches a single-coloring distributed run under
-/// batch.lane(l); supersteps serialize whole lane-count vectors.
+/// Batched variant: the lanes of `batch` run one after another, each as a
+/// single-coloring run, through one transport, load model, fault plan,
+/// replay budget and degree order. Lane l of stats.colorful_lane is the
+/// count of a single-coloring run under batch.lane(l); the other stats
+/// are the lanes' sums (peaks: their maxima), and the load model sees the
+/// colorings as consecutive phases.
 DistStats run_plan_distributed(const CsrGraph& g, const DecompTree& tree,
                                const ColoringBatch& batch,
                                std::uint32_t ranks, ExecOptions opts = {});

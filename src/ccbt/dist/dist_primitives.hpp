@@ -26,10 +26,9 @@ namespace ccbt::dist {
 /// Distributed execution state threaded through every primitive: the
 /// shared-memory ExecContext (whose LoadModel the primitives charge
 /// exactly as the shared engine does) plus the transport.
-template <int B>
 struct Dx {
   const ExecContext& cx;
-  VirtualCommT<B>& comm;
+  VirtualComm& comm;
   std::size_t budget;
   FaultPlan* faults = nullptr;  // nullptr = no injection
 
@@ -42,8 +41,7 @@ struct Dx {
 /// point. Retryable: the replay layer rolls back to the last checkpoint
 /// (the fault stream has advanced, so the replayed attempt rolls fresh
 /// decisions and can succeed).
-template <int B>
-void maybe_alloc_fail(Dx<B>& dx, const char* where) {
+inline void maybe_alloc_fail(Dx& dx, const char* where) {
   if (dx.faults != nullptr && dx.faults->alloc_fails()) {
     throw Error(ErrorCode::kAllocFailed,
                 std::string(where) + ": injected allocation failure");
@@ -54,7 +52,6 @@ void maybe_alloc_fail(Dx<B>& dx, const char* where) {
 /// (the same convention as the shared TablePool, so every shard is
 /// dense), with two caches each built by one transport superstep on first
 /// use: the transpose, and the replica of a unary table.
-template <int B>
 class DistPool {
  public:
   DistPool(std::size_t num_blocks, VertexId domain,
@@ -65,7 +62,7 @@ class DistPool {
         domain_(domain),
         stage_(stage) {}
 
-  void store(int block, DistTableT<B> table) {
+  void store(int block, DistTable table) {
     {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
       table.seal_shards(SortOrder::kByV0, domain_);
@@ -73,9 +70,9 @@ class DistPool {
     tables_[block] = std::move(table);
   }
 
-  const DistTableT<B>& get(int block) const { return *tables_[block]; }
+  const DistTable& get(int block) const { return *tables_[block]; }
 
-  const DistTableT<B>& oriented(Dx<B>& dx, int block, bool transposed) {
+  const DistTable& oriented(Dx& dx, int block, bool transposed) {
     if (!transposed) return get(block);
     if (!transposed_[block]) {
       // A transpose is a transport superstep plus a sealing collect;
@@ -89,7 +86,7 @@ class DistPool {
 
   /// The whole unary table of `block` as every rank holds it after one
   /// allgather superstep, sealed kByV0.
-  const ProjTableT<B>& replica(Dx<B>& dx, int block) {
+  const ProjTable& replica(Dx& dx, int block) {
     if (!replicas_[block]) {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->transport);
       replicas_[block] = get(block).allgathered(dx.comm, domain_);
@@ -97,25 +94,24 @@ class DistPool {
     return *replicas_[block];
   }
 
-  /// Serialize every stored table shard-by-shard through the
-  /// lane-compressed wire encoding. Cached transposes and replicas are
-  /// deliberately not captured: they regenerate on demand after a
-  /// restore.
-  CheckpointImageT<B> checkpoint(std::size_t next_block,
-                                 std::uint64_t supersteps) const {
-    CheckpointImageT<B> img;
+  /// Serialize every stored table shard by shard (checkpoint.hpp).
+  /// Cached transposes and replicas are deliberately not captured: they
+  /// regenerate on demand after a restore.
+  CheckpointImage checkpoint(std::size_t next_block,
+                             std::uint64_t supersteps) const {
+    CheckpointImage img;
     img.next_block = next_block;
     img.supersteps = supersteps;
     for (std::size_t b = 0; b < tables_.size(); ++b) {
       if (!tables_[b]) continue;
-      const DistTableT<B>& t = *tables_[b];
-      typename CheckpointImageT<B>::TableImage ti;
+      const DistTable& t = *tables_[b];
+      CheckpointImage::TableImage ti;
       ti.block = static_cast<int>(b);
       ti.arity = t.arity();
       ti.home_slot = t.home_slot();
       ti.shards.reserve(t.num_shards());
       for (std::uint32_t r = 0; r < t.num_shards(); ++r) {
-        ti.shards.push_back(checkpoint_encode_shard<B>(t.shard(r)));
+        ti.shards.push_back(checkpoint_encode_shard(t.shard(r)));
       }
       img.tables.push_back(std::move(ti));
     }
@@ -126,7 +122,7 @@ class DistPool {
   /// Decoded rows arrive in sealed order with unique keys, so re-sealing
   /// reproduces the checkpointed shards bit for bit: the counting
   /// partition is stable and unique keys sort totally inside each bucket.
-  void restore(const CheckpointImageT<B>& img, std::uint32_t ranks) {
+  void restore(const CheckpointImage& img, std::uint32_t ranks) {
     for (auto& t : tables_) t.reset();
     for (auto& t : transposed_) t.reset();
     for (auto& t : replicas_) t.reset();
@@ -138,21 +134,21 @@ class DistPool {
                                 std::to_string(ti.block) +
                                 " does not match the run shape");
       }
-      std::vector<std::vector<TableEntryT<B>>> rows;
+      std::vector<std::vector<TableEntry>> rows;
       rows.reserve(ti.shards.size());
       for (const std::vector<std::uint8_t>& bytes : ti.shards) {
-        rows.push_back(checkpoint_decode_shard<B>(bytes));
+        rows.push_back(checkpoint_decode_shard(bytes));
       }
-      tables_[ti.block] = DistTableT<B>::from_shard_rows(
+      tables_[ti.block] = DistTable::from_shard_rows(
           ti.arity, ti.home_slot, std::move(rows), SortOrder::kByV0,
           domain_);
     }
   }
 
  private:
-  std::vector<std::optional<DistTableT<B>>> tables_;
-  std::vector<std::optional<DistTableT<B>>> transposed_;
-  std::vector<std::optional<ProjTableT<B>>> replicas_;
+  std::vector<std::optional<DistTable>> tables_;
+  std::vector<std::optional<DistTable>> transposed_;
+  std::vector<std::optional<ProjTable>> replicas_;
   VertexId domain_;
   StageWall* stage_ = nullptr;
 };
@@ -160,10 +156,10 @@ class DistPool {
 /// One path phase: rank r builds its shard with `build(r, range)`, a
 /// shared pull primitive over its vertices; the phase closes once all
 /// ranks have built. The budget bounds the rows of all shards together.
-template <int B, typename Build>
-DistTableT<B> build_shards(Dx<B>& dx, int arity, Build&& build) {
+template <typename Build>
+DistTable build_shards(Dx& dx, int arity, Build&& build) {
   maybe_alloc_fail(dx, "build_shards");
-  std::vector<ProjTableT<B>> shards(dx.ranks());
+  std::vector<ProjTable> shards(dx.ranks());
   std::size_t total = 0;
   for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
     shards[r] = build(r, VertexRange::rank(dx.part(), r));
@@ -174,21 +170,20 @@ DistTableT<B> build_shards(Dx<B>& dx, int arity, Build&& build) {
     }
   }
   detail::close_build_phase(dx.cx);
-  return DistTableT<B>::from_shards(arity, /*home_slot=*/1,
-                                    std::move(shards));
+  return DistTable::from_shards(arity, /*home_slot=*/1, std::move(shards));
 }
 
 /// The halo superstep of an extend: owner(x) sends bucket x of `path`
 /// once to every other rank that reads it, the owners of the vertices
 /// `readers(x, add)` passes to `add`.
-template <int B, typename Readers>
-void send_halo(Dx<B>& dx, const DistTableT<B>& path, Readers&& readers) {
+template <typename Readers>
+void send_halo(Dx& dx, const DistTable& path, Readers&& readers) {
   ScopedStage timed(dx.cx.stage_slot(&StageWall::transport));
   std::vector<VertexId> sent(dx.ranks(), kNoVertex);  // last bucket per rank
   std::vector<std::uint32_t> dests;
-  TableEntryT<B> tmp;
+  TableEntry tmp;
   for (std::uint32_t s = 0; s < dx.ranks(); ++s) {
-    const ProjTableT<B>& shard = path.shard(s);
+    const ProjTable& shard = path.shard(s);
     dx.cx.note_lanes(shard.layout());  // the views carry no layout stats
     for (VertexId x = dx.part().begin(s); x < dx.part().end(s); ++x) {
       const auto [lo, hi] = shard.group_span(1, x);
@@ -202,7 +197,7 @@ void send_halo(Dx<B>& dx, const DistTableT<B>& path, Readers&& readers) {
         }
       });
       for (std::size_t i = lo; i < hi; ++i) {
-        const TableEntryT<B>& e = shard.row_at(i, tmp);
+        const TableEntry& e = shard.row_at(i, tmp);
         for (const std::uint32_t d : dests) dx.comm.send(s, d, e);
       }
     }
@@ -212,75 +207,73 @@ void send_halo(Dx<B>& dx, const DistTableT<B>& path, Readers&& readers) {
 
 /// The distributed engine's path primitives over a DistPool, for the
 /// walks of engine/path_builder.hpp.
-template <int B>
 struct DistPath {
-  Dx<B>& dx;
-  DistPool<B>& pool;
+  Dx& dx;
+  DistPool& pool;
 
-  DistTableT<B> init_graph(const ExtendOpts& o) {
+  DistTable init_graph(const ExtendOpts& o) {
     return build_shards(dx, 2, [&](std::uint32_t, VertexRange range) {
-      return init_path_from_graph<B>(dx.cx, o, range);
+      return init_path_from_graph<1>(dx.cx, o, range);
     });
   }
 
   /// Bucket w reads the child rows (w, a): rank r's shard of the
   /// orientation opposite to the walk, so nothing is sent.
-  DistTableT<B> init_child(int child, bool transposed, const ExtendOpts& o) {
-    const DistTableT<B>& pull = pool.oriented(dx, child, !transposed);
+  DistTable init_child(int child, bool transposed, const ExtendOpts& o) {
+    const DistTable& pull = pool.oriented(dx, child, !transposed);
     return build_shards(dx, 2, [&](std::uint32_t r, VertexRange range) {
-      return init_path_from_child<B>(dx.cx, pull.shard(r), /*flip=*/true, o,
+      return init_path_from_child<1>(dx.cx, pull.shard(r), /*flip=*/true, o,
                                      range);
     });
   }
 
   /// NodeJoin at slot 1 joins rank r's shard with its own child shard
   /// (both homed at the frontier r owns); at slot 0 with the replica.
-  DistTableT<B> node_join(DistTableT<B>& path, int child, int slot) {
-    const ProjTableT<B>* replica =
-        slot == 0 ? &pool.replica(dx, child) : nullptr;
+  DistTable node_join(DistTable& path, int child, int slot) {
+    const ProjTable* replica = slot == 0 ? &pool.replica(dx, child) : nullptr;
     return build_shards(dx, path.arity(), [&](std::uint32_t r,
                                               VertexRange range) {
-      const ProjTableT<B>& unary =
+      const ProjTable& unary =
           replica != nullptr ? *replica : pool.get(child).shard(r);
-      return ccbt::node_join<B>(dx.cx, path.shard(r), unary, slot, range);
+      return ccbt::node_join<1>(dx.cx, path.shard(r), unary, slot, range);
     });
   }
 
-  DistTableT<B> extend_graph(DistTableT<B>& path, const ExtendOpts& o) {
+  DistTable extend_graph(DistTable& path, const ExtendOpts& o) {
     const CsrGraph& g = dx.cx.g;
     send_halo(dx, path, [&](VertexId x, auto&& add) {
       for (VertexId w : g.neighbors(x)) add(w);
     });
     return build_shards(dx, path.arity(), [&](std::uint32_t r,
                                               VertexRange range) {
-      ProjTableT<B> view = halo_view(path, r);
-      return extend_with_graph<B>(dx.cx, view, o, range);
+      ProjTable view = halo_view(path, r);
+      return extend_with_graph<1>(dx.cx, view, o, range);
     });
   }
 
   /// EdgeJoin: bucket x goes to the owners of the w in the child rows
   /// (x, w) along the walk, and rank r joins its view with its shard of
   /// the opposite orientation, the rows (w, x) of the w it owns.
-  DistTableT<B> extend_child(DistTableT<B>& path, int child, bool transposed,
-                             const ExtendOpts& o) {
-    const DistTableT<B>& along = pool.oriented(dx, child, transposed);
-    const DistTableT<B>& pull = pool.oriented(dx, child, !transposed);
+  DistTable extend_child(DistTable& path, int child, bool transposed,
+                         const ExtendOpts& o) {
+    const DistTable& along = pool.oriented(dx, child, transposed);
+    const DistTable& pull = pool.oriented(dx, child, !transposed);
     send_halo(dx, path, [&](VertexId x, auto&& add) {
-      for (const TableEntryT<B>& ce : along.shard(dx.owner(x)).group(0, x)) {
+      for (const TableEntry& ce : along.shard(dx.owner(x)).group(0, x)) {
         add(ce.key.v[1]);
       }
     });
     return build_shards(dx, path.arity(), [&](std::uint32_t r,
                                               VertexRange range) {
-      ProjTableT<B> view = halo_view(path, r);
-      return extend_with_child<B>(dx.cx, view, pull.shard(r), o,
+      ProjTable view = halo_view(path, r);
+      return extend_with_child<1>(dx.cx, view, pull.shard(r), o,
                                   /*flip=*/true, range);
     });
   }
 
  private:
   /// Rank r's input for an extend over its vertices: its shard plus halo.
-  ProjTableT<B> halo_view(const DistTableT<B>& path, std::uint32_t r) {
+  ProjTable halo_view(const DistTable& path, std::uint32_t r) {
     ScopedStage timed(dx.cx.stage_slot(&StageWall::transport));
     return path.halo_view(r, dx.comm, dx.part(), !dx.cx.opts.lane_compress);
   }

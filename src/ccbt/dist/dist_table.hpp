@@ -11,10 +11,6 @@
 // extend reads (halo_view), the replica of a unary table (allgathered) —
 // happens through VirtualComm supersteps, so the transport statistics
 // account for it.
-//
-// Parameterized on the batch width B: shards hold lane-indexed entries
-// and every superstep serializes whole lane-count vectors, so a batched
-// distributed run moves one message per signature-blocked row.
 
 #include <cstdint>
 #include <string>
@@ -28,13 +24,9 @@
 
 namespace ccbt {
 
-template <int B>
-class DistTableT {
+class DistTable {
  public:
-  using Entry = TableEntryT<B>;
-  using Vec = typename LaneOps<B>::Vec;
-
-  DistTableT() = default;
+  DistTable() = default;
 
   /// Drain every rank's inbox (as delivered by the last exchange) into
   /// its shard, accumulating duplicate keys, and seal each shard in
@@ -42,17 +34,16 @@ class DistTableT {
   /// BudgetExceeded when the total entry count exceeds `budget`. The
   /// inbox rows are adopted flat; duplicates merge at the shard's first
   /// sorting seal.
-  static DistTableT collect(int arity, int home_slot, VirtualCommT<B>& comm,
-                            SortOrder order, std::size_t budget,
-                            VertexId domain = 0) {
-    DistTableT t;
+  static DistTable collect(int arity, int home_slot, VirtualComm& comm,
+                           SortOrder order, std::size_t budget,
+                           VertexId domain = 0) {
+    DistTable t;
     t.arity_ = arity;
     t.home_slot_ = home_slot;
     t.shards_.resize(comm.num_ranks());
     std::size_t total = 0;
     for (std::uint32_t r = 0; r < comm.num_ranks(); ++r) {
-      ProjTableT<B> shard =
-          ProjTableT<B>::from_flat(arity, comm.take_inbox(r));
+      ProjTable shard = ProjTable::from_flat(arity, comm.take_inbox(r));
       total += shard.size();
       if (total > budget) {
         throw BudgetExceeded("distributed table exceeded " +
@@ -68,16 +59,15 @@ class DistTableT {
   /// shard per rank, sealed in `order`. Rows decoded from a checkpoint
   /// arrive in sealed order with unique keys, so re-sealing (a
   /// deterministic sort) reproduces the checkpointed table bit for bit.
-  static DistTableT from_shard_rows(int arity, int home_slot,
-                                    std::vector<std::vector<Entry>> rows,
-                                    SortOrder order, VertexId domain) {
-    DistTableT t;
+  static DistTable from_shard_rows(int arity, int home_slot,
+                                   std::vector<std::vector<TableEntry>> rows,
+                                   SortOrder order, VertexId domain) {
+    DistTable t;
     t.arity_ = arity;
     t.home_slot_ = home_slot;
     t.shards_.resize(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      ProjTableT<B> shard =
-          ProjTableT<B>::from_flat(arity, std::move(rows[r]));
+      ProjTable shard = ProjTable::from_flat(arity, std::move(rows[r]));
       shard.seal(order, domain);
       t.shards_[r] = std::move(shard);
     }
@@ -85,9 +75,9 @@ class DistTableT {
   }
 
   /// Adopt one shard per rank (each built in place on its rank).
-  static DistTableT from_shards(int arity, int home_slot,
-                                std::vector<ProjTableT<B>> shards) {
-    DistTableT t;
+  static DistTable from_shards(int arity, int home_slot,
+                               std::vector<ProjTable> shards) {
+    DistTable t;
     t.arity_ = arity;
     t.home_slot_ = home_slot;
     t.shards_ = std::move(shards);
@@ -108,23 +98,21 @@ class DistTableT {
     return sum;
   }
 
-  /// Total lane-0 count across all shards.
+  /// Total count across all shards.
   Count total() const {
     Count sum = 0;
     for (const auto& s : shards_) sum += s.total();
     return sum;
   }
 
-  const ProjTableT<B>& shard(std::uint32_t rank) const {
-    return shards_[rank];
-  }
-  ProjTableT<B>& shard(std::uint32_t rank) { return shards_[rank]; }
+  const ProjTable& shard(std::uint32_t rank) const { return shards_[rank]; }
+  ProjTable& shard(std::uint32_t rank) { return shards_[rank]; }
 
-  /// Per-shard per-lane totals (lane-wise allreduce input).
-  std::vector<Vec> shard_lane_totals() const {
-    std::vector<Vec> parts(shards_.size());
+  /// Per-shard totals (allreduce input).
+  std::vector<Count> shard_totals() const {
+    std::vector<Count> parts(shards_.size());
     for (std::size_t r = 0; r < shards_.size(); ++r) {
-      parts[r] = shards_[r].lane_totals();
+      parts[r] = shards_[r].total();
     }
     return parts;
   }
@@ -133,7 +121,7 @@ class DistTableT {
   bool well_placed(const BlockPartition& part) const {
     for (std::uint32_t r = 0; r < num_shards(); ++r) {
       bool ok = true;
-      shards_[r].for_each_entry([&](const Entry& e) {
+      shards_[r].for_each_entry([&](const TableEntry& e) {
         ok = ok && part.owner(e.key.v[home_slot_]) == r;
       });
       if (!ok) return false;
@@ -142,21 +130,21 @@ class DistTableT {
   }
 
   /// Flatten into one shared-memory table, accumulating duplicate keys.
-  ProjTableT<B> gather() const {
-    AccumMapT<B> map(size());
+  ProjTable gather() const {
+    AccumMap map(size());
     for (const auto& s : shards_) {
-      s.for_each_entry([&](const Entry& e) { map.add(e.key, e.cnt); });
+      s.for_each_entry([&](const TableEntry& e) { map.add(e.key, e.cnt); });
     }
-    return ProjTableT<B>::from_map(arity_, std::move(map));
+    return ProjTable::from_map(arity_, std::move(map));
   }
 
   /// Swap key slots 0 and 1 and re-home (one superstep); shards sealed
   /// kByV0 — the storage convention for child-block tables.
-  DistTableT transposed(VirtualCommT<B>& comm, const BlockPartition& part,
-                        std::size_t budget, VertexId domain = 0) const {
+  DistTable transposed(VirtualComm& comm, const BlockPartition& part,
+                       std::size_t budget, VertexId domain = 0) const {
     for (std::uint32_t r = 0; r < num_shards(); ++r) {
-      shards_[r].for_each_entry([&](const Entry& e) {
-        Entry t = e;
+      shards_[r].for_each_entry([&](const TableEntry& e) {
+        TableEntry t = e;
         std::swap(t.key.v[0], t.key.v[1]);
         comm.send(r, part.owner(t.key.v[home_slot_]), t);
       });
@@ -175,13 +163,13 @@ class DistTableT {
   /// dense. The view carries no layout stats: its rows are noted by the
   /// shards that own them. Empties r's inbox. Throws Error when a halo row
   /// belongs to r's own vertices or arrives out of bucket order.
-  ProjTableT<B> halo_view(std::uint32_t r, VirtualCommT<B>& comm,
-                          const BlockPartition& part, bool wide) const {
-    const std::vector<Entry>& in = comm.inbox(r);
-    const ProjTableT<B>& own = shards_[r];
-    SortedBucketsT<B> rows(wide, own.size() + in.size());
+  ProjTable halo_view(std::uint32_t r, VirtualComm& comm,
+                      const BlockPartition& part, bool wide) const {
+    const std::vector<TableEntry>& in = comm.inbox(r);
+    const ProjTable& own = shards_[r];
+    SortedBucketsT<1> rows(wide, own.size() + in.size());
     VertexId last = 0;
-    for (const Entry& e : in) {
+    for (const TableEntry& e : in) {
       const VertexId v = e.key.v[1];
       if ((v >= part.begin(r) && v < part.end(r)) || v < last) {
         throw Error("halo_view: row of bucket " + std::to_string(v) +
@@ -194,31 +182,31 @@ class DistTableT {
       rows.append_sorted(in[i].key, in[i].cnt);
     }
     own.for_each_entry(
-        [&](const Entry& e) { rows.append_sorted(e.key, e.cnt); });
+        [&](const TableEntry& e) { rows.append_sorted(e.key, e.cnt); });
     for (; i < in.size(); ++i) rows.append_sorted(in[i].key, in[i].cnt);
     comm.clear_inbox(r);
-    return ProjTableT<B>::from_buckets(arity_, std::move(rows));
+    return ProjTable::from_buckets(arity_, std::move(rows));
   }
 
   /// Every rank's copy of the whole table after one allgather superstep:
   /// each shard goes to every other rank. All copies hold the same rows,
   /// so one stands for them all: rank 0's, sealed kByV0 (`domain`
   /// enables its bucket index). Empties every inbox.
-  ProjTableT<B> allgathered(VirtualCommT<B>& comm, VertexId domain) const {
+  ProjTable allgathered(VirtualComm& comm, VertexId domain) const {
     for (std::uint32_t s = 0; s < num_shards(); ++s) {
-      shards_[s].for_each_entry([&](const Entry& e) {
+      shards_[s].for_each_entry([&](const TableEntry& e) {
         for (std::uint32_t d = 0; d < num_shards(); ++d) {
           if (d != s) comm.send(s, d, e);
         }
       });
     }
     comm.exchange();
-    std::vector<Entry> rows;
+    std::vector<TableEntry> rows;
     rows.reserve(shards_[0].size() + comm.inbox(0).size());
-    shards_[0].for_each_entry([&](const Entry& e) { rows.push_back(e); });
+    shards_[0].for_each_entry([&](const TableEntry& e) { rows.push_back(e); });
     rows.insert(rows.end(), comm.inbox(0).begin(), comm.inbox(0).end());
     for (std::uint32_t r = 0; r < num_shards(); ++r) comm.clear_inbox(r);
-    ProjTableT<B> copy = ProjTableT<B>::from_flat(arity_, std::move(rows));
+    ProjTable copy = ProjTable::from_flat(arity_, std::move(rows));
     copy.seal(SortOrder::kByV0, domain);
     return copy;
   }
@@ -231,14 +219,7 @@ class DistTableT {
  private:
   int arity_ = 0;
   int home_slot_ = 0;
-  std::vector<ProjTableT<B>> shards_;
+  std::vector<ProjTable> shards_;
 };
-
-using DistTable = DistTableT<1>;
-
-extern template class DistTableT<1>;
-extern template class DistTableT<2>;
-extern template class DistTableT<4>;
-extern template class DistTableT<8>;
 
 }  // namespace ccbt

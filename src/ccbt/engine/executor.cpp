@@ -12,58 +12,55 @@ namespace ccbt {
 
 namespace {
 
-template <int B>
-ExecStats run_plan_impl(const ExecContext& outer_cx, const DecompTree& tree) {
-  Timer timer;
-  ExecStats stats;
-  // Collect lane-occupancy observations through a context copy so
-  // callers need no wiring (ExecContext is a bundle of references).
-  ExecContext cx = outer_cx;
-  cx.lane_telemetry = &stats.lanes;
-  cx.stage = &stats.stage;
-  cx.accum = &stats.accum;
-  stats.lanes_used = cx.chi.lanes();
-  TablePoolT<B> pool(tree.blocks.size(), cx.g.num_vertices(), /*unused=*/true,
-                     &stats.stage);
-
-  auto record_root = [&](const typename LaneOps<B>::Vec& totals) {
-    for (int l = 0; l < B; ++l) {
-      stats.colorful_lane[l] = LaneOps<B>::lane(totals, l);
-    }
-    stats.colorful = stats.colorful_lane[0];
-  };
-
+/// One coloring (cx.chi holds one lane) through the plan's blocks,
+/// bottom up; returns its colorful count and raises `peak_entries` to
+/// the largest table solved.
+Count run_coloring(const ExecContext& cx, const DecompTree& tree,
+                   std::size_t& peak_entries) {
+  TablePool pool(tree.blocks.size(), cx.g.num_vertices(), /*unused=*/true,
+                 cx.stage);
   for (std::size_t i = 0; i < tree.blocks.size(); ++i) {
     const Block& blk = tree.blocks[i];
     const bool is_root = (static_cast<int>(i) == tree.root);
 
     if (blk.kind == BlockKind::kSingleton) {
       if (!is_root) throw Error("run_plan: singleton below the root");
-      if (blk.node_child[0] >= 0) {
-        record_root(pool.get(blk.node_child[0]).lane_totals());
-      } else {
-        // Single-node query: every data vertex is a colorful match under
-        // every coloring.
-        for (int l = 0; l < B; ++l) {
-          stats.colorful_lane[l] = cx.g.num_vertices();
-        }
-        stats.colorful = cx.g.num_vertices();
-      }
-      break;
+      // Single-node query: every data vertex is a colorful match.
+      if (blk.node_child[0] < 0) return cx.g.num_vertices();
+      return pool.get(blk.node_child[0]).total();
     }
 
-    ProjTableT<B> table = (blk.kind == BlockKind::kLeafEdge)
-                              ? solve_leaf_edge<B>(cx, blk, pool)
-                              : solve_cycle<B>(cx, blk, pool);
-    stats.peak_table_entries =
-        std::max(stats.peak_table_entries, table.size());
-    if (is_root) {
-      record_root(table.lane_totals());
-      break;
-    }
+    ProjTable table = (blk.kind == BlockKind::kLeafEdge)
+                          ? solve_leaf_edge<1>(cx, blk, pool)
+                          : solve_cycle<1>(cx, blk, pool);
+    peak_entries = std::max(peak_entries, table.size());
+    if (is_root) return table.total();
     pool.store(static_cast<int>(i), std::move(table));
     cx.note_lanes(pool.get(static_cast<int>(i)).layout());
   }
+  return 0;
+}
+
+}  // namespace
+
+ExecStats run_plan(const ExecContext& outer_cx, const DecompTree& tree) {
+  check_table_budget(outer_cx.opts, "run_plan");
+  if (tree.root < 0) throw Error("run_plan: tree has no root");
+  Timer timer;
+  ExecStats stats;
+  // Collect the telemetry through a context copy so callers need no
+  // wiring (ExecContext is a bundle of references). The lanes run one
+  // after another and share it, and the caller's load model.
+  ExecContext cx = outer_cx;
+  cx.lane_telemetry = &stats.lanes;
+  cx.stage = &stats.stage;
+  cx.accum = &stats.accum;
+  stats.lanes_used = outer_cx.chi.lanes();
+  for (int l = 0; l < stats.lanes_used; ++l) {
+    if (stats.lanes_used > 1) cx.chi = ColoringBatch(outer_cx.chi.lane(l));
+    stats.colorful_lane[l] = run_coloring(cx, tree, stats.peak_table_entries);
+  }
+  stats.colorful = stats.colorful_lane[0];
 
   stats.wall_seconds = timer.seconds();
   if (cx.load != nullptr) {
@@ -74,21 +71,6 @@ ExecStats run_plan_impl(const ExecContext& outer_cx, const DecompTree& tree) {
     stats.total_comm = cx.load->total_comm();
   }
   return stats;
-}
-
-}  // namespace
-
-ExecStats run_plan(const ExecContext& cx, const DecompTree& tree) {
-  check_table_budget(cx.opts, "run_plan");
-  if (tree.root < 0) throw Error("run_plan: tree has no root");
-  switch (cx.chi.lanes()) {
-    case 1: return run_plan_impl<1>(cx, tree);
-    case 2: return run_plan_impl<2>(cx, tree);
-    case 4: return run_plan_impl<4>(cx, tree);
-    case 8: return run_plan_impl<8>(cx, tree);
-    default: break;
-  }
-  throw Error("run_plan: batch width must be 1, 2, 4 or 8");
 }
 
 }  // namespace ccbt

@@ -52,7 +52,9 @@ struct ExecStats {
 };
 
 /// Count the colorful matches of the plan's query under every lane of
-/// cx.chi (1, 2, 4 or 8 lanes — other widths throw Error).
+/// cx.chi. The lanes run one after another, each as a single-coloring
+/// run charged to cx.load; the stats are the lanes' sums (peaks: their
+/// maxima).
 /// Throws BudgetExceeded when a table outgrows the configured budget.
 ExecStats run_plan(const ExecContext& cx, const DecompTree& tree);
 

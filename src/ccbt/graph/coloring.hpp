@@ -47,8 +47,9 @@ class Coloring {
 };
 
 /// A batch of up to kMaxBatchLanes independent colorings ("lanes") that
-/// one plan execution processes simultaneously. Non-owning: the referenced
-/// colorings must outlive the batch (and the ExecContext holding it).
+/// one plan execution processes; the engines run its lanes one after
+/// another. Non-owning: the referenced colorings must outlive the batch
+/// (and the ExecContext holding it).
 ///
 /// Lane 0 doubles as the scalar view — color(v) / bit(v) without a lane
 /// argument — so single-coloring code reads a batch exactly like a

@@ -1,8 +1,8 @@
 #pragma once
-// Lane-compressed count rows: the per-row occupancy encoding of the
-// virtual-MPI wire format (dist/comm.hpp at B > 1) and of distributed
-// checkpoints (dist/checkpoint.hpp), plus the lane-occupancy telemetry of
-// sealed tables. A batched entry's dense `Count cnt[B]` travels as
+// Lane-compressed count rows: the per-row occupancy encoding of
+// distributed checkpoints (dist/checkpoint.hpp), plus the lane-occupancy
+// telemetry of sealed tables. An entry's dense `Count cnt[B]` is stored
+// as
 //
 //   * a per-row lane-occupancy bitmask (which lanes carry a nonzero
 //     count), and
@@ -10,12 +10,10 @@
 //     words with a u64 overflow escape, the width chosen per row from its
 //     largest count.
 //
-// With k >= 4 colors random colorings rarely share signatures, so a
-// B = 8 row typically carries 1–2 live lanes: every serialized row pays
-// for exactly the lanes it carries, so transport volume tracks true lane
-// density instead of the dense vector's worst case (the compact rows of
-// Malík et al., extended to the lane dimension). Tables themselves store
-// narrow flat rows (flat_rows.hpp) or dense rows (proj_table.hpp).
+// Every serialized row pays for exactly the lanes it carries, at the
+// width its counts need (the compact rows of Malík et al., extended to
+// the lane dimension). Tables themselves store narrow flat rows
+// (flat_rows.hpp) or dense rows (proj_table.hpp).
 
 #include <array>
 #include <bit>
@@ -125,8 +123,7 @@ LaneLayoutInfo scan_lane_layout(std::span<const TableEntryT<B>> rows) {
 }
 
 // ------------------------------------------------------------------ wire
-// The transport encoding of one row (dist/comm.hpp at B > 1; B = 1 keeps
-// the fixed-size struct layout bit for bit):
+// The serialized encoding of one row (checkpoint shard images):
 //
 //   v0 v1 v2 v3 sig : 5 x u32 LE   (20 bytes, the unpadded key)
 //   mask            : u8           (lane occupancy)
@@ -139,7 +136,7 @@ LaneLayoutInfo scan_lane_layout(std::span<const TableEntryT<B>> rows) {
 inline constexpr std::size_t kWireKeyBytes = 5 * sizeof(std::uint32_t);
 
 /// Append the row's wire encoding to `out`; returns the row's payload
-/// width (for the sender's histogram).
+/// width.
 template <int B>
 PayloadWidth wire_encode(const TableEntryT<B>& e,
                          std::vector<std::uint8_t>& out) {

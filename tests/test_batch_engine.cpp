@@ -2,11 +2,13 @@
 // batch must report, lane for lane, exactly the colorful counts of B
 // independent single-coloring runs with the same seeds — across graph
 // models, query shapes, all three Algo variants, and both engines
-// (shared-memory and virtual-MPI). Estimator batching must likewise be
-// invisible in the per-trial results.
+// (shared-memory and virtual-MPI) — and its stats must be the sums of
+// those runs'. Estimator batching must likewise be invisible in the
+// per-trial results.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <span>
 #include <string>
@@ -64,18 +66,15 @@ TEST(BatchEngine, LanesMatchIndependentRunsOnBarabasiAlbert) {
 
 TEST(BatchEngine, AllSupportedWidths) {
   const CsrGraph g = erdos_renyi(50, 200, 21);
-  for (const int width : {1, 2, 4, 8}) {
+  for (int width = 1; width <= kMaxBatchLanes; ++width) {
     expect_lane_parity(g, q_glet2(), Algo::kDB, width, 600);
   }
 }
 
 TEST(BatchEngine, UnsupportedWidthThrows) {
-  const CsrGraph g = erdos_renyi(20, 40, 1);
-  const QueryGraph q = q_cycle(3);
-  CountingSession session(g, q, make_plan(q));
-  std::vector<Coloring> lanes;
-  for (int l = 0; l < 3; ++l) lanes.emplace_back(g.num_vertices(), 3, l + 1);
-  EXPECT_THROW(session.count_colorful(ColoringBatch(lanes)), Error);
+  // The lane limit is the batch's own: nine colorings do not form one.
+  const std::vector<Coloring> nine(9, Coloring(20, 3, 1));
+  EXPECT_THROW(ColoringBatch{std::span<const Coloring>(nine)}, Error);
 }
 
 TEST(BatchEngine, LaneCompressedLayoutMatchesDenseEveryWidth) {
@@ -147,22 +146,123 @@ TEST(BatchEngine, DistributedLanesMatchScalarRuns) {
   const QueryGraph q = q_glet2();
   const Plan plan = make_plan(q);
   std::vector<Coloring> lanes;
-  for (int l = 0; l < 4; ++l) {
+  for (int l = 0; l < 7; ++l) {
     lanes.emplace_back(g.num_vertices(), q.num_nodes(), 700 + l);
   }
-  for (const Algo algo : {Algo::kPS, Algo::kDB}) {
-    ExecOptions opts;
-    opts.algo = algo;
-    const DistStats batched = run_plan_distributed(
-        g, plan.tree, ColoringBatch(lanes), /*ranks=*/3, opts);
-    EXPECT_EQ(batched.lanes_used, 4);
-    for (int l = 0; l < 4; ++l) {
-      const DistStats solo =
-          run_plan_distributed(g, plan.tree, lanes[l], /*ranks=*/3, opts);
-      EXPECT_EQ(batched.colorful_lane[l], solo.colorful)
-          << algo_name(algo) << " lane " << l;
+  for (const int width : {3, 4, 7}) {
+    const ColoringBatch batch{std::span<const Coloring>(lanes.data(), width)};
+    for (const Algo algo : {Algo::kPS, Algo::kDB}) {
+      ExecOptions opts;
+      opts.algo = algo;
+      const DistStats batched =
+          run_plan_distributed(g, plan.tree, batch, /*ranks=*/3, opts);
+      EXPECT_EQ(batched.lanes_used, width);
+      for (int l = 0; l < width; ++l) {
+        const DistStats solo =
+            run_plan_distributed(g, plan.tree, lanes[l], /*ranks=*/3, opts);
+        EXPECT_EQ(batched.colorful_lane[l], solo.colorful)
+            << algo_name(algo) << " lane " << l << " of " << width;
+      }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Batch stats: a batch runs its lanes one after another, so what it
+// reports is the sum over one-lane runs of the same colorings (peaks:
+// the maximum).
+
+std::vector<Coloring> seeded_lanes(const CsrGraph& g, const QueryGraph& q,
+                                   int width, std::uint64_t seed) {
+  std::vector<Coloring> lanes;
+  for (int l = 0; l < width; ++l) {
+    lanes.emplace_back(g.num_vertices(), q.num_nodes(), seed + l);
+  }
+  return lanes;
+}
+
+/// Accumulation telemetry and modeled load: `batch` against the sum of
+/// `solos`.
+template <typename Stats>
+void expect_model_sums(const Stats& batch, const std::vector<Stats>& solos) {
+  AccumTelemetry accum;
+  std::uint64_t ops = 0, comm = 0;
+  double sim_time = 0.0;
+  for (const Stats& s : solos) {
+    accum.add(s.accum);
+    ops += s.total_ops;
+    comm += s.total_comm;
+    sim_time += s.sim_time;
+  }
+  EXPECT_EQ(batch.accum.phases, accum.phases);
+  EXPECT_EQ(batch.accum.rows, accum.rows);
+  EXPECT_EQ(batch.accum.emit_bytes, accum.emit_bytes);
+  EXPECT_EQ(batch.total_ops, ops);
+  EXPECT_EQ(batch.total_comm, comm);
+  EXPECT_DOUBLE_EQ(batch.sim_time, sim_time);
+  EXPECT_GT(ops, 0u);
+}
+
+TEST(BatchEngine, SharedBatchStatsAreLaneSums) {
+  const CsrGraph g = barabasi_albert(80, 4, 9);
+  const QueryGraph q = q_wiki();
+  ExecOptions opts;
+  opts.sim_ranks = 4;
+  CountingSession session(g, q, make_plan(q), opts);
+  const std::vector<Coloring> lanes = seeded_lanes(g, q, 4, 1300);
+  const ExecStats batch = session.count_colorful(ColoringBatch(lanes));
+  std::vector<ExecStats> solos;
+  std::size_t peak = 0;
+  for (const Coloring& chi : lanes) {
+    solos.push_back(session.count_colorful(chi));
+    peak = std::max(peak, solos.back().peak_table_entries);
+  }
+  expect_model_sums(batch, solos);
+  EXPECT_EQ(batch.peak_table_entries, peak);
+}
+
+TEST(BatchEngine, DistributedBatchStatsAreLaneSums) {
+  const CsrGraph g = barabasi_albert(80, 4, 9);
+  const QueryGraph q = q_wiki();
+  const Plan plan = make_plan(q);
+  ExecOptions opts;
+  // Every off-rank delivery is duplicated, so the fault counts do not
+  // depend on where in the shared fault stream a lane starts.
+  opts.dist.faults.seed = 5;
+  opts.dist.faults.dup_rate = 1.0;
+  opts.dist.checkpoint_interval = 2;
+  const std::vector<Coloring> lanes = seeded_lanes(g, q, 4, 1400);
+  const DistStats batch =
+      run_plan_distributed(g, plan.tree, ColoringBatch(lanes), 3, opts);
+  std::vector<DistStats> solos;
+  CommStats tr;
+  FaultStats fs;
+  for (const Coloring& chi : lanes) {
+    solos.push_back(run_plan_distributed(g, plan.tree, chi, 3, opts));
+    const DistStats& s = solos.back();
+    tr.supersteps += s.transport.supersteps;
+    tr.entries_sent += s.transport.entries_sent;
+    tr.off_rank_entries += s.transport.off_rank_entries;
+    tr.max_step_recv = std::max(tr.max_step_recv, s.transport.max_step_recv);
+    fs.faults_injected += s.faults.faults_injected;
+    fs.dups += s.faults.dups;
+    fs.retransmit_bytes += s.faults.retransmit_bytes;
+    fs.checkpoints_taken += s.faults.checkpoints_taken;
+    fs.checkpoint_bytes += s.faults.checkpoint_bytes;
+  }
+  expect_model_sums(batch, solos);
+  EXPECT_EQ(batch.transport.supersteps, tr.supersteps);
+  EXPECT_EQ(batch.transport.entries_sent, tr.entries_sent);
+  EXPECT_EQ(batch.transport.off_rank_entries, tr.off_rank_entries);
+  EXPECT_EQ(batch.transport.off_rank_bytes(), tr.off_rank_bytes());
+  EXPECT_EQ(batch.transport.max_step_recv, tr.max_step_recv);
+  EXPECT_EQ(batch.faults.faults_injected, fs.faults_injected);
+  EXPECT_EQ(batch.faults.dups, fs.dups);
+  EXPECT_EQ(batch.faults.retransmit_bytes, fs.retransmit_bytes);
+  EXPECT_EQ(batch.faults.checkpoints_taken, fs.checkpoints_taken);
+  EXPECT_EQ(batch.faults.checkpoint_bytes, fs.checkpoint_bytes);
+  EXPECT_GT(fs.dups, 0u);
+  EXPECT_GT(fs.checkpoints_taken, 0u);
 }
 
 // ---------------------------------------------------------------------

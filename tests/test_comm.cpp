@@ -123,39 +123,33 @@ constexpr std::uint32_t kNoSilentRank = kReuseRanks;
 
 /// Row `i` from `from` to `to` in superstep `step`: distinct per superstep,
 /// so a stale row left over from an earlier one cannot pass for it.
-template <int B>
-TableEntryT<B> step_row(std::uint32_t step, std::uint32_t from,
-                        std::uint32_t to, VertexId i) {
-  TableEntryT<B> e;
-  e.key.v[0] = from * 1000 + i;
-  e.key.v[1] = to;
-  e.key.sig = static_cast<Signature>(1u << step);
-  LaneOps<B>::set_lane(e.cnt, static_cast<int>(i % B), 1 + step * 1000 + i);
-  return e;
+TableEntry step_row(std::uint32_t step, std::uint32_t from, std::uint32_t to,
+                    VertexId i) {
+  return entry(from * 1000 + i, to, static_cast<Signature>(1u << step),
+               1 + step * 1000 + i);
 }
 
 /// Queue superstep `step`: every sender sends `rows` rows to every rank
 /// but `silent`, senders walked high to low and destinations interleaved,
 /// so send order is not canonical order. Returns each rank's expected
 /// inbox: senders in rank order, each in send order.
-template <int B>
-std::vector<std::vector<TableEntryT<B>>> queue_step(VirtualCommT<B>& comm,
-                                                    std::uint32_t step,
-                                                    VertexId rows,
-                                                    std::uint32_t silent) {
+std::vector<std::vector<TableEntry>> queue_step(VirtualComm& comm,
+                                                std::uint32_t step,
+                                                VertexId rows,
+                                                std::uint32_t silent) {
   for (VertexId i = 0; i < rows; ++i) {
     for (std::uint32_t from = kReuseRanks; from-- > 0;) {
       for (std::uint32_t to = 0; to < kReuseRanks; ++to) {
-        if (to != silent) comm.send(from, to, step_row<B>(step, from, to, i));
+        if (to != silent) comm.send(from, to, step_row(step, from, to, i));
       }
     }
   }
-  std::vector<std::vector<TableEntryT<B>>> want(kReuseRanks);
+  std::vector<std::vector<TableEntry>> want(kReuseRanks);
   for (std::uint32_t to = 0; to < kReuseRanks; ++to) {
     if (to == silent) continue;
     for (std::uint32_t from = 0; from < kReuseRanks; ++from) {
       for (VertexId i = 0; i < rows; ++i) {
-        want[to].push_back(step_row<B>(step, from, to, i));
+        want[to].push_back(step_row(step, from, to, i));
       }
     }
   }
@@ -166,19 +160,18 @@ std::vector<std::vector<TableEntryT<B>>> queue_step(VirtualCommT<B>& comm,
 /// 1: each inbox holds exactly its superstep's rows in canonical order.
 /// The first delivery reserves each inbox exactly; the later ones reuse
 /// that buffer.
-template <int B>
-void run_reuse_sequence(VirtualCommT<B>& comm) {
+void run_reuse_sequence(VirtualComm& comm) {
   struct Step {
     VertexId rows;
     std::uint32_t silent;
   };
   const Step steps[] = {{300, kNoSilentRank}, {40, kNoSilentRank}, {7, 1}};
-  std::vector<const TableEntryT<B>*> buffer(kReuseRanks);
+  std::vector<const TableEntry*> buffer(kReuseRanks);
   for (std::uint32_t s = 0; s < 3; ++s) {
-    const auto want = queue_step<B>(comm, s, steps[s].rows, steps[s].silent);
+    const auto want = queue_step(comm, s, steps[s].rows, steps[s].silent);
     comm.exchange();
     for (std::uint32_t r = 0; r < kReuseRanks; ++r) {
-      const std::vector<TableEntryT<B>>& in = comm.inbox(r);
+      const std::vector<TableEntry>& in = comm.inbox(r);
       ASSERT_EQ(in.size(), want[r].size()) << "step " << s << " rank " << r;
       for (std::size_t i = 0; i < in.size(); ++i) {
         EXPECT_EQ(in[i].key, want[r][i].key) << "step " << s << " row " << i;
@@ -194,21 +187,20 @@ void run_reuse_sequence(VirtualCommT<B>& comm) {
   }
 }
 
-template <int B>
-void expect_inbox_reuse() {
+TEST(Comm, InboxesReusedAcrossSupersteps) {
   {
-    VirtualCommT<B> comm(kReuseRanks);
+    VirtualComm comm(kReuseRanks);
     run_reuse_sequence(comm);
   }
   {
     // Lossy transport: recovered supersteps reassemble the same inboxes.
     FaultSpec spec;
-    spec.seed = 31 + B;
+    spec.seed = 32;
     spec.drop_rate = 0.2;
     spec.dup_rate = 0.1;
     spec.delay_rate = 0.1;
     FaultPlan plan(spec);
-    VirtualCommT<B> comm(kReuseRanks);
+    VirtualComm comm(kReuseRanks);
     comm.set_fault_plan(&plan, /*max_retries=*/40);
     run_reuse_sequence(comm);
     EXPECT_GT(plan.stats().retries, 0u);
@@ -216,9 +208,9 @@ void expect_inbox_reuse() {
   {
     // An aborted superstep discarded by reset_in_flight leaves nothing
     // behind: no queued rows, no inbox rows.
-    VirtualCommT<B> comm(kReuseRanks);
+    VirtualComm comm(kReuseRanks);
     run_reuse_sequence(comm);
-    (void)queue_step<B>(comm, 3, 50, kNoSilentRank);
+    (void)queue_step(comm, 3, 50, kNoSilentRank);
     comm.reset_in_flight();
     for (std::uint32_t r = 0; r < kReuseRanks; ++r) {
       EXPECT_TRUE(comm.inbox(r).empty()) << "rank " << r;
@@ -227,8 +219,6 @@ void expect_inbox_reuse() {
   }
 }
 
-TEST(Comm, InboxesReusedAcrossSuperstepsB1) { expect_inbox_reuse<1>(); }
-TEST(Comm, InboxesReusedAcrossSuperstepsB8) { expect_inbox_reuse<8>(); }
 
 }  // namespace
 }  // namespace ccbt

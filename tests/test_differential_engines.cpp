@@ -73,8 +73,7 @@ DiffConfig draw_config(std::uint64_t seed) {
   c.seed = seed;
   c.n = static_cast<VertexId>(24 + rng.below(36));
   c.m = c.n + rng.below(3 * c.n);
-  const int widths[] = {2, 4, 8};
-  c.width = widths[rng.below(3)];
+  c.width = static_cast<int>(2 + rng.below(kMaxBatchLanes - 1));
   c.ranks = static_cast<std::uint32_t>(2 + rng.below(4));
   c.opts.compact_accum = rng.below(2) == 0;
   c.opts.lane_compress = rng.below(4) != 0;  // mostly on (the default)

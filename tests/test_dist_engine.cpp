@@ -218,19 +218,17 @@ TEST(DistEngine, BatchedLoadParityOnPendantAndCycleQueries) {
 // [begin(r), end(r)), row for row and in order.
 
 /// One phase's table in both engines.
-template <int B>
 struct Both {
-  ProjTableT<B> shared;
-  DistTableT<B> dist;
+  ProjTable shared;
+  DistTable dist;
 };
 
 /// The walks' primitives (see walk_path), each run by both engines and
 /// checked.
-template <int B>
 class PhaseParity {
  public:
   PhaseParity(const ExecContext& cx, std::uint32_t ranks,
-              TablePoolT<B>& pool, std::size_t blocks)
+              TablePool& pool, std::size_t blocks)
       : cx_(cx),
         comm_(ranks),
         dx_{cx, comm_, kBudget},
@@ -241,25 +239,25 @@ class PhaseParity {
   std::string label;
   int phases() const { return phases_; }
 
-  Both<B> init_graph(const ExtendOpts& o) {
+  Both init_graph(const ExtendOpts& o) {
     return checked({shared_.init_graph(o), dist_.init_graph(o)}, "init");
   }
-  Both<B> init_child(int child, bool transposed, const ExtendOpts& o) {
+  Both init_child(int child, bool transposed, const ExtendOpts& o) {
     return checked({shared_.init_child(child, transposed, o),
                     dist_.init_child(child, transposed, o)},
                    "init");
   }
-  Both<B> node_join(Both<B>& t, int child, int slot) {
+  Both node_join(Both& t, int child, int slot) {
     return checked({shared_.node_join(t.shared, child, slot),
                     dist_.node_join(t.dist, child, slot)},
                    "node_join");
   }
-  Both<B> extend_graph(Both<B>& t, const ExtendOpts& o) {
+  Both extend_graph(Both& t, const ExtendOpts& o) {
     return checked(
         {shared_.extend_graph(t.shared, o), dist_.extend_graph(t.dist, o)},
         "extend");
   }
-  Both<B> extend_child(Both<B>& t, int child, bool transposed,
+  Both extend_child(Both& t, int child, bool transposed,
                        const ExtendOpts& o) {
     return checked({shared_.extend_child(t.shared, child, transposed, o),
                     dist_.extend_child(t.dist, child, transposed, o)},
@@ -268,15 +266,14 @@ class PhaseParity {
 
   /// Store a solved shared table in the DistPool too, sharded by its
   /// slot-0 owner.
-  void store(int block, const ProjTableT<B>& t) {
-    t.for_each_entry([&](const TableEntryT<B>& e) {
+  void store(int block, const ProjTable& t) {
+    t.for_each_entry([&](const TableEntry& e) {
       comm_.send(0, cx_.owner(e.key.v[0]), e);
     });
     comm_.exchange();
     dpool_.store(block,
-                 DistTableT<B>::collect(t.arity(), 0, comm_,
-                                        SortOrder::kByV0, kBudget,
-                                        cx_.g.num_vertices()));
+                 DistTable::collect(t.arity(), 0, comm_, SortOrder::kByV0,
+                                    kBudget, cx_.g.num_vertices()));
   }
 
  private:
@@ -284,28 +281,28 @@ class PhaseParity {
 
   std::uint32_t ranks() const { return comm_.num_ranks(); }
 
-  Both<B> checked(Both<B> t, const char* phase) {
+  Both checked(Both t, const char* phase) {
     expect_same(t.shared, t.dist, label + " " + phase);
     return t;
   }
 
   /// Shard r equals the shared table's buckets of rank r's vertices.
-  void expect_same(const ProjTableT<B>& shared, const DistTableT<B>& dist,
+  void expect_same(const ProjTable& shared, const DistTable& dist,
                    const std::string& what) {
     ++phases_;
     ASSERT_EQ(dist.num_shards(), ranks()) << what;
     EXPECT_EQ(dist.size(), shared.size()) << what;
-    TableEntryT<B> stmp, dtmp;
+    TableEntry stmp, dtmp;
     for (std::uint32_t r = 0; r < ranks(); ++r) {
-      const ProjTableT<B>& shard = dist.shard(r);
+      const ProjTable& shard = dist.shard(r);
       std::size_t i = 0;
       for (VertexId v = cx_.part.begin(r); v < cx_.part.end(r); ++v) {
         const auto [lo, hi] = shared.group_span(1, v);
         const auto [dlo, dhi] = shard.group_span(1, v);
         ASSERT_EQ(dhi - dlo, hi - lo) << what << " rank " << r << " v " << v;
         for (std::size_t j = lo; j < hi; ++j, ++i) {
-          const TableEntryT<B>& want = shared.row_at(j, stmp);
-          const TableEntryT<B>& got = shard.row_at(i, dtmp);
+          const TableEntry& want = shared.row_at(j, stmp);
+          const TableEntry& got = shard.row_at(i, dtmp);
           ASSERT_EQ(got.key, want.key) << what << " rank " << r;
           ASSERT_EQ(got.cnt, want.cnt) << what << " rank " << r;
         }
@@ -315,45 +312,40 @@ class PhaseParity {
   }
 
   const ExecContext& cx_;
-  VirtualCommT<B> comm_;
-  dist::Dx<B> dx_;
-  dist::DistPool<B> dpool_;
-  SharedPath<B> shared_;
-  dist::DistPath<B> dist_;
+  VirtualComm comm_;
+  dist::Dx dx_;
+  dist::DistPool dpool_;
+  SharedPath<1> shared_;
+  dist::DistPath dist_;
   int phases_ = 0;
 };
 
 /// Walk the plan block by block as run_plan does, checking every path
 /// phase of every leaf-edge block and every split of every cycle block.
-template <int B>
 void expect_phase_parity(const CsrGraph& g, const QueryGraph& q,
                          std::uint32_t ranks, std::uint64_t color_seed) {
-  std::vector<Coloring> lanes;
-  for (int l = 0; l < B; ++l) {
-    lanes.emplace_back(g.num_vertices(), q.num_nodes(), color_seed + l);
-  }
+  const Coloring chi(g.num_vertices(), q.num_nodes(), color_seed);
   ExecOptions opts;
   opts.algo = Algo::kDB;
   const DegreeOrder order(g);
   const ExecContext cx{g,
-                       ColoringBatch(std::span<const Coloring>(lanes)),
+                       chi,
                        order,
                        BlockPartition(g.num_vertices(), ranks),
                        nullptr,
                        opts};
   const DecompTree tree = make_plan(q).tree;
-  TablePoolT<B> pool(tree.blocks.size(), g.num_vertices());
-  PhaseParity<B> pp(cx, ranks, pool, tree.blocks.size());
-  const std::string label = q.name() + " R=" + std::to_string(ranks) +
-                            " B=" + std::to_string(B);
+  TablePool pool(tree.blocks.size(), g.num_vertices());
+  PhaseParity pp(cx, ranks, pool, tree.blocks.size());
+  const std::string label = q.name() + " R=" + std::to_string(ranks);
   for (std::size_t i = 0; i < tree.blocks.size(); ++i) {
     const Block& blk = tree.blocks[i];
     if (blk.kind == BlockKind::kSingleton) continue;
-    ProjTableT<B> table;
+    ProjTable table;
     if (blk.kind == BlockKind::kLeafEdge) {
       pp.label = label + " leaf";
       (void)walk_leaf_edge(pp, blk);
-      table = solve_leaf_edge<B>(cx, blk, pool);
+      table = solve_leaf_edge<1>(cx, blk, pool);
     } else {
       for (const SplitPlan& plan : splits_for(blk, opts.algo)) {
         pp.label = label + " plus";
@@ -361,7 +353,7 @@ void expect_phase_parity(const CsrGraph& g, const QueryGraph& q,
         pp.label = label + " minus";
         (void)walk_path(pp, blk, plan.minus);
       }
-      table = solve_cycle<B>(cx, blk, pool);
+      table = solve_cycle<1>(cx, blk, pool);
     }
     if (static_cast<int>(i) != tree.root) {
       pool.store(static_cast<int>(i), std::move(table));
@@ -377,10 +369,8 @@ TEST(DistEngine, PathShardsEqualSharedBucketsPhaseByPhase) {
   for (const char* name : {"dros", "ecoli2", "brain1", "wiki"}) {
     const QueryGraph q = named_query(name);
     for (const std::uint32_t ranks : {2u, 7u}) {
-      expect_phase_parity<1>(er, q, ranks, 900);
-      expect_phase_parity<8>(er, q, ranks, 900);
-      expect_phase_parity<1>(cl, q, ranks, 910);
-      expect_phase_parity<8>(cl, q, ranks, 910);
+      expect_phase_parity(er, q, ranks, 900);
+      expect_phase_parity(cl, q, ranks, 910);
     }
   }
 }
@@ -417,46 +407,34 @@ TEST(DistEngine, OffRankTrafficGrowsWithRanks) {
   EXPECT_GT(s16.transport.off_rank_entries, s2.transport.off_rank_entries);
 }
 
-/// A B-lane context over `ranks` virtual ranks of `g`, without a load
-/// model.
-template <int B>
+/// A one-coloring context over `ranks` virtual ranks of `g`, without a
+/// load model.
 struct DistFixture {
-  std::vector<Coloring> lanes;
+  Coloring chi;
   DegreeOrder order;
   ExecContext cx;
-  VirtualCommT<B> comm;
-  dist::Dx<B> dx;
-  dist::DistPool<B> pool;
+  VirtualComm comm;
+  dist::Dx dx;
+  dist::DistPool pool;
 
   DistFixture(const CsrGraph& g, std::uint32_t ranks, std::size_t budget)
-      : lanes(make_lanes(g)),
+      : chi(g.num_vertices(), 5, 60),
         order(g),
-        cx{g,
-           ColoringBatch(std::span<const Coloring>(lanes)),
-           order,
-           BlockPartition(g.num_vertices(), ranks),
-           nullptr,
+        cx{g, chi, order, BlockPartition(g.num_vertices(), ranks), nullptr,
            {}},
         comm(ranks),
         dx{cx, comm, budget},
         pool(0, g.num_vertices()) {}
 
-  dist::DistPath<B> path() { return {dx, pool}; }
-
-  static std::vector<Coloring> make_lanes(const CsrGraph& g) {
-    std::vector<Coloring> ls;
-    for (int l = 0; l < B; ++l) ls.emplace_back(g.num_vertices(), 5, 60 + l);
-    return ls;
-  }
+  dist::DistPath path() { return {dx, pool}; }
 };
 
 /// One extend's halo: bucket x leaves owner(x) once for every other rank
 /// owning a neighbour of x, and nothing else crosses the transport.
-template <int B>
 void expect_extend_halo(const CsrGraph& g, std::uint32_t ranks) {
-  DistFixture<B> f(g, ranks, 80'000'000);
-  dist::DistPath<B> ops = f.path();
-  DistTableT<B> path = ops.init_graph(ExtendOpts{});
+  DistFixture f(g, ranks, 80'000'000);
+  dist::DistPath ops = f.path();
+  DistTable path = ops.init_graph(ExtendOpts{});
   const BlockPartition& part = f.cx.part;
   std::uint64_t want = 0;
   for (VertexId x = 0; x < g.num_vertices(); ++x) {
@@ -472,8 +450,7 @@ void expect_extend_halo(const CsrGraph& g, std::uint32_t ranks) {
   const CommStats before = f.comm.stats();
   (void)ops.extend_graph(path, ExtendOpts{});
   const CommStats after = f.comm.stats();
-  const std::string label =
-      "R=" + std::to_string(ranks) + " B=" + std::to_string(B);
+  const std::string label = "R=" + std::to_string(ranks);
   EXPECT_GT(want, 0u) << label;
   EXPECT_EQ(after.off_rank_entries - before.off_rank_entries, want) << label;
   EXPECT_EQ(after.entries_sent - before.entries_sent, want) << label;
@@ -482,10 +459,7 @@ void expect_extend_halo(const CsrGraph& g, std::uint32_t ranks) {
 
 TEST(DistEngine, ExtendSendsEachBucketOncePerReadingRank) {
   const CsrGraph g = chung_lu_power_law(400, 1.6, 6.0, 13);
-  for (const std::uint32_t ranks : {4u, 7u}) {
-    expect_extend_halo<1>(g, ranks);
-    expect_extend_halo<8>(g, ranks);
-  }
+  for (const std::uint32_t ranks : {4u, 7u}) expect_extend_halo(g, ranks);
 }
 
 TEST(DistEngine, PathBudgetBoundsRowsAcrossRanks) {
@@ -493,17 +467,17 @@ TEST(DistEngine, PathBudgetBoundsRowsAcrossRanks) {
   const CsrGraph g = erdos_renyi(120, 400, 19);
   std::size_t total = 0, largest = 0;
   {
-    DistFixture<8> f(g, 4, 80'000'000);
-    const DistTableT<8> t = f.path().init_graph(ExtendOpts{});
+    DistFixture f(g, 4, 80'000'000);
+    const DistTable t = f.path().init_graph(ExtendOpts{});
     total = t.size();
     for (std::uint32_t r = 0; r < 4; ++r) {
       largest = std::max(largest, t.shard(r).size());
     }
   }
   ASSERT_LT(largest, total - 1);
-  DistFixture<8> fits(g, 4, total);
+  DistFixture fits(g, 4, total);
   EXPECT_EQ(fits.path().init_graph(ExtendOpts{}).size(), total);
-  DistFixture<8> over(g, 4, total - 1);
+  DistFixture over(g, 4, total - 1);
   EXPECT_THROW((void)over.path().init_graph(ExtendOpts{}), BudgetExceeded);
 }
 

@@ -143,66 +143,53 @@ TEST(DistTable, SingleRankDegeneratesToSharedTable) {
 
 // ------------------------------------------------------- halo views
 
-template <int B>
-TableEntryT<B> lane_entry(VertexId a, VertexId b, Signature sig, int lane,
-                          Count cnt) {
-  TableEntryT<B> e;
-  e.key.v[0] = a;
-  e.key.v[1] = b;
-  e.key.sig = sig;
-  LaneOps<B>::set_lane(e.cnt, lane, cnt);
-  return e;
-}
-
 /// Heavy duplication: few anchors and signatures per frontier.
-template <int B>
-std::vector<TableEntryT<B>> duplicate_heavy_rows(VertexId n, std::size_t m,
-                                                 std::uint64_t seed) {
+std::vector<TableEntry> duplicate_heavy_rows(VertexId n, std::size_t m,
+                                             std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<TableEntryT<B>> rows;
+  std::vector<TableEntry> rows;
   for (std::size_t i = 0; i < m; ++i) {
-    rows.push_back(lane_entry<B>(
-        static_cast<VertexId>(rng.below(6)),
-        static_cast<VertexId>(rng.below(n)),
-        static_cast<Signature>(1u << rng.below(4)),
-        static_cast<int>(rng.below(B)), 1 + rng.below(300)));
+    rows.push_back(entry(static_cast<VertexId>(rng.below(6)),
+                         static_cast<VertexId>(rng.below(n)),
+                         static_cast<Signature>(1u << rng.below(4)),
+                         1 + rng.below(300)));
   }
   return rows;
 }
 
 /// A path table homed at its frontiers: rank r's shard holds the rows
 /// of r's vertices, sealed kByV1 with a bucket index.
-template <int B>
-DistTableT<B> frontier_table(const std::vector<TableEntryT<B>>& rows,
-                             const BlockPartition& part, int arity = 2) {
-  std::vector<std::vector<TableEntryT<B>>> by_rank(part.num_ranks());
-  for (const TableEntryT<B>& e : rows) {
+DistTable frontier_table(const std::vector<TableEntry>& rows,
+                         const BlockPartition& part, int arity = 2) {
+  std::vector<std::vector<TableEntry>> by_rank(part.num_ranks());
+  for (const TableEntry& e : rows) {
     by_rank[part.owner(e.key.v[1])].push_back(e);
   }
-  std::vector<ProjTableT<B>> shards;
+  std::vector<ProjTable> shards;
   for (auto& r : by_rank) {
-    shards.push_back(ProjTableT<B>::from_flat(arity, std::move(r)));
+    shards.push_back(ProjTable::from_flat(arity, std::move(r)));
     shards.back().seal(SortOrder::kByV1, part.num_vertices());
   }
-  return DistTableT<B>::from_shards(arity, 1, std::move(shards));
+  return DistTable::from_shards(arity, 1, std::move(shards));
 }
 
 /// One halo superstep the way an extend sends it: every sender walks its
 /// buckets in vertex order and sends bucket x to each rank in
 /// `readers(x)` other than itself. Returns the rows each rank received.
-template <int B, typename Readers>
-std::vector<std::vector<TableEntryT<B>>> send_halo(
-    const DistTableT<B>& t, VirtualCommT<B>& comm, const BlockPartition& part,
-    Readers&& readers) {
-  std::vector<std::vector<TableEntryT<B>>> got(part.num_ranks());
-  TableEntryT<B> tmp;
+template <typename Readers>
+std::vector<std::vector<TableEntry>> send_halo(const DistTable& t,
+                                               VirtualComm& comm,
+                                               const BlockPartition& part,
+                                               Readers&& readers) {
+  std::vector<std::vector<TableEntry>> got(part.num_ranks());
+  TableEntry tmp;
   for (std::uint32_t s = 0; s < part.num_ranks(); ++s) {
     for (VertexId x = part.begin(s); x < part.end(s); ++x) {
       const auto [lo, hi] = t.shard(s).group_span(1, x);
       for (const std::uint32_t d : readers(x)) {
         if (d == s) continue;
         for (std::size_t i = lo; i < hi; ++i) {
-          const TableEntryT<B>& e = t.shard(s).row_at(i, tmp);
+          const TableEntry& e = t.shard(s).row_at(i, tmp);
           comm.send(s, d, e);
           got[d].push_back(e);
         }
@@ -226,39 +213,35 @@ std::vector<std::uint32_t> some_readers(VertexId x, std::uint32_t ranks) {
 /// rows plus the halo rows it received: rows, order and bucket index,
 /// in the narrowest layout that holds them (dense when a key does not
 /// pack or `wide`), with no layout stats of its own.
-template <int B>
-void expect_halo_views(const std::vector<TableEntryT<B>>& rows, VertexId n,
+void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
                        std::uint32_t ranks, bool wide, int arity = 2) {
   const BlockPartition part(n, ranks);
-  const DistTableT<B> t = frontier_table<B>(rows, part, arity);
-  VirtualCommT<B> comm(ranks);
-  const auto got_halo = send_halo<B>(t, comm, part, [&](VertexId x) {
+  const DistTable t = frontier_table(rows, part, arity);
+  VirtualComm comm(ranks);
+  const auto got_halo = send_halo(t, comm, part, [&](VertexId x) {
     return some_readers(x, ranks);
   });
   for (std::uint32_t r = 0; r < ranks; ++r) {
-    std::vector<TableEntryT<B>> mine = got_halo[r];
-    t.shard(r).for_each_entry(
-        [&](const TableEntryT<B>& e) { mine.push_back(e); });
-    ProjTableT<B> ref = ProjTableT<B>::from_flat(arity, std::move(mine));
+    std::vector<TableEntry> mine = got_halo[r];
+    t.shard(r).for_each_entry([&](const TableEntry& e) { mine.push_back(e); });
+    ProjTable ref = ProjTable::from_flat(arity, std::move(mine));
     ref.seal(SortOrder::kByV1, n);
-    const ProjTableT<B> got = t.halo_view(r, comm, part, wide);
+    const ProjTable got = t.halo_view(r, comm, part, wide);
     EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " not emptied";
     EXPECT_EQ(got.order(), SortOrder::kByV1);
     EXPECT_TRUE(got.has_bucket_index());
     EXPECT_EQ(got.layout().rows, 0u);
     ASSERT_EQ(got.size(), ref.size()) << "rank " << r;
-    TableEntryT<B> gtmp, rtmp;
+    TableEntry gtmp, rtmp;
     bool packable = true;
     Count max_count = 0;
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      const TableEntryT<B>& g = got.row_at(i, gtmp);
-      const TableEntryT<B>& e = ref.row_at(i, rtmp);
+      const TableEntry& g = got.row_at(i, gtmp);
+      const TableEntry& e = ref.row_at(i, rtmp);
       EXPECT_EQ(g.key, e.key) << "rank " << r << " row " << i;
       EXPECT_EQ(g.cnt, e.cnt) << "rank " << r << " row " << i;
       packable = packable && packable_key(e.key);
-      for (int l = 0; l < B; ++l) {
-        max_count = std::max(max_count, LaneOps<B>::lane(e.cnt, l));
-      }
+      max_count = std::max(max_count, e.cnt);
     }
     for (VertexId v = 0; v < n + 2; ++v) {
       const auto [glo, ghi] = got.group_span(1, v);
@@ -275,42 +258,37 @@ void expect_halo_views(const std::vector<TableEntryT<B>>& rows, VertexId n,
   }
 }
 
-template <int B>
-void run_halo_view_suite() {
+TEST(DistTableHaloView, MatchesFlatSeal) {
   // Duplicate keys merged in the shards, lanes narrow, and the same rows
   // with lane compression off.
-  const auto dup = duplicate_heavy_rows<B>(50, 2000, 7 + B);
-  expect_halo_views<B>(dup, 50, 4, /*wide=*/false);
-  expect_halo_views<B>(dup, 50, 4, /*wide=*/true);
+  const auto dup = duplicate_heavy_rows(50, 2000, 8);
+  expect_halo_views(dup, 50, 4, /*wide=*/false);
+  expect_halo_views(dup, 50, 4, /*wide=*/true);
   // One rank; more ranks than vertices (most ranks own nothing).
-  expect_halo_views<B>(dup, 50, 1, /*wide=*/false);
-  expect_halo_views<B>(duplicate_heavy_rows<B>(5, 200, 11), 5, 8,
+  expect_halo_views(dup, 50, 1, /*wide=*/false);
+  expect_halo_views(duplicate_heavy_rows(5, 200, 11), 5, 8,
                        /*wide=*/false);
   // An empty rank: every frontier below 12 lives on rank 0.
-  expect_halo_views<B>(duplicate_heavy_rows<B>(12, 300, 13), 50, 4,
+  expect_halo_views(duplicate_heavy_rows(12, 300, 13), 50, 4,
                        /*wide=*/false);
   // u16 -> u32 -> wide: counts past 0xFFFF, then past 2^32 - 1, on
   // frontier 7 next to ordinary rows.
-  std::vector<TableEntryT<B>> esc = duplicate_heavy_rows<B>(50, 300, 17);
-  esc.push_back(lane_entry<B>(3, 7, 2, 0, 0x12000));
-  expect_halo_views<B>(esc, 50, 4, /*wide=*/false);
-  esc.push_back(lane_entry<B>(4, 7, 1, B - 1, 0x100000000ull));
-  expect_halo_views<B>(esc, 50, 4, /*wide=*/false);
+  std::vector<TableEntry> esc = duplicate_heavy_rows(50, 300, 17);
+  esc.push_back(entry(3, 7, 2, 0x12000));
+  expect_halo_views(esc, 50, 4, /*wide=*/false);
+  esc.push_back(entry(4, 7, 1, 0x100000000ull));
+  expect_halo_views(esc, 50, 4, /*wide=*/false);
   // A tracked slot >= 2: those keys do not pack, so the views are dense.
-  std::vector<TableEntryT<B>> tracked = duplicate_heavy_rows<B>(50, 300, 19);
+  std::vector<TableEntry> tracked = duplicate_heavy_rows(50, 300, 19);
   for (std::size_t i = 0; i < tracked.size(); i += 3) {
     tracked[i].key.v[2] = tracked[i].key.v[0] + 1;
   }
-  expect_halo_views<B>(tracked, 50, 4, /*wide=*/false, /*arity=*/3);
+  expect_halo_views(tracked, 50, 4, /*wide=*/false, /*arity=*/3);
 }
-
-TEST(DistTableHaloView, MatchesFlatSealB1) { run_halo_view_suite<1>(); }
-TEST(DistTableHaloView, MatchesFlatSealB2) { run_halo_view_suite<2>(); }
-TEST(DistTableHaloView, MatchesFlatSealB8) { run_halo_view_suite<8>(); }
 
 TEST(DistTableHaloView, RowOutOfPlaceThrows) {
   const BlockPartition part(10, 2);
-  const DistTable t = frontier_table<1>({entry(0, 2, 1, 1)}, part);
+  const DistTable t = frontier_table({entry(0, 2, 1, 1)}, part);
   // A halo row of a bucket rank 0 owns itself.
   VirtualComm comm(2);
   comm.send(1, 0, entry(0, 3, 1, 1));
@@ -326,15 +304,14 @@ TEST(DistTableHaloView, RowOutOfPlaceThrows) {
 /// Views on one comm reuse its inboxes: a second halo with smaller
 /// inboxes, and a rank that receives nothing, gives exactly the views a
 /// fresh comm gives from the same table.
-template <int B>
-void expect_reused_comm_matches_fresh() {
+TEST(DistTableHaloView, ReusedCommMatchesFresh) {
   constexpr VertexId kN = 60;
   constexpr std::uint32_t kRanks = 4;
   const BlockPartition part(kN, kRanks);
-  const DistTableT<B> big =
-      frontier_table<B>(duplicate_heavy_rows<B>(kN, 3000, 23), part);
-  const DistTableT<B> small =
-      frontier_table<B>(duplicate_heavy_rows<B>(kN, 400, 29), part);
+  const DistTable big =
+      frontier_table(duplicate_heavy_rows(kN, 3000, 23), part);
+  const DistTable small =
+      frontier_table(duplicate_heavy_rows(kN, 400, 29), part);
   const auto all = [&](VertexId) {
     return std::vector<std::uint32_t>{0, 1, 2, 3};
   };
@@ -342,24 +319,24 @@ void expect_reused_comm_matches_fresh() {
     return std::vector<std::uint32_t>{0, 1, 3};
   };
 
-  VirtualCommT<B> comm(kRanks);
-  send_halo<B>(big, comm, part, all);
+  VirtualComm comm(kRanks);
+  send_halo(big, comm, part, all);
   for (std::uint32_t r = 0; r < kRanks; ++r) {
     (void)big.halo_view(r, comm, part, /*wide=*/false);
   }
-  send_halo<B>(small, comm, part, not_two);
-  VirtualCommT<B> fresh_comm(kRanks);
-  send_halo<B>(small, fresh_comm, part, not_two);
+  send_halo(small, comm, part, not_two);
+  VirtualComm fresh_comm(kRanks);
+  send_halo(small, fresh_comm, part, not_two);
   EXPECT_TRUE(comm.inbox(2).empty());
   for (std::uint32_t r = 0; r < kRanks; ++r) {
-    const ProjTableT<B> got = small.halo_view(r, comm, part, false);
-    const ProjTableT<B> want = small.halo_view(r, fresh_comm, part, false);
+    const ProjTable got = small.halo_view(r, comm, part, false);
+    const ProjTable want = small.halo_view(r, fresh_comm, part, false);
     ASSERT_EQ(got.size(), want.size()) << "rank " << r;
     EXPECT_EQ(got.packed_flat(), want.packed_flat()) << "rank " << r;
-    TableEntryT<B> gtmp, wtmp;
+    TableEntry gtmp, wtmp;
     for (std::size_t i = 0; i < want.size(); ++i) {
-      const TableEntryT<B>& g = got.row_at(i, gtmp);
-      const TableEntryT<B>& w = want.row_at(i, wtmp);
+      const TableEntry& g = got.row_at(i, gtmp);
+      const TableEntry& w = want.row_at(i, wtmp);
       EXPECT_EQ(g.key, w.key) << "rank " << r << " row " << i;
       EXPECT_EQ(g.cnt, w.cnt) << "rank " << r << " row " << i;
     }
@@ -368,13 +345,6 @@ void expect_reused_comm_matches_fresh() {
           << "rank " << r << " bucket " << v;
     }
   }
-}
-
-TEST(DistTableHaloView, ReusedCommMatchesFreshB1) {
-  expect_reused_comm_matches_fresh<1>();
-}
-TEST(DistTableHaloView, ReusedCommMatchesFreshB8) {
-  expect_reused_comm_matches_fresh<8>();
 }
 
 }  // namespace

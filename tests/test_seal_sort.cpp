@@ -226,7 +226,9 @@ TEST(SealSort, CheckpointReplayBitIdentical) {
   ExecOptions opts;
   opts.dist.faults.seed = 31;
   opts.dist.faults.alloc_fail_rate = 0.05;
-  opts.dist.max_replays = 16;
+  // The eight colorings run one after another on one replay budget:
+  // 16 replays for each.
+  opts.dist.max_replays = 16 * 8;
   opts.dist.checkpoint_interval = 2;
   const DistStats faulty = run_plan_distributed(g, plan.tree, batch, 4, opts);
   for (int l = 0; l < 8; ++l) {
