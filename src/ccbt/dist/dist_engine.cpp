@@ -18,41 +18,19 @@ namespace ccbt {
 
 namespace {
 
-// Path tables are built by dist/dist_primitives.hpp. Merges and
-// aggregates route their outputs through the transport to the owners of
-// their slot-0 images.
+// Path tables are built by dist/dist_primitives.hpp. Merges (fused with
+// the minus walk's last extend, or not) and aggregates route their
+// outputs through the transport to the owners of their slot-0 images.
 
 using dist::DistPool;
 using dist::Dx;
 using dist::maybe_alloc_fail;
 
-/// Merge the co-located (u, v) groups of the two half-cycle tables end
-/// bucket by end bucket, through the same bucket router as the shared
-/// engine's merge_halves (both halves are born sorted kByV1, so rank r
-/// holds every group whose end v it owns), routing every output to the
-/// owner of its slot-0 boundary image (the storage home of block tables);
-/// outputs of a root merge (out_arity 0) collapse to rank 0. Accumulates
-/// into the per-rank cycle sinks.
-void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
-                    const MergeSpec& spec, std::vector<AccumMap>& sinks) {
+/// Deliver every rank's merge outputs queued in the transport, add them
+/// into the per-rank cycle sinks and close the merge phase. Shared by the
+/// two ways a split ends.
+void collect_merged(Dx& dx, std::vector<AccumMap>& sinks) {
   const ExecContext& cx = dx.cx;
-  {
-    ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
-    std::vector<TableEntry> pscratch, mscratch;
-    for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      cx.note_lanes(plus.shard(r).layout());
-      cx.note_lanes(minus.shard(r).layout());
-      auto route = [&](const TableKey& key, Count cnt) {
-        const std::uint32_t dest =
-            spec.out_arity >= 1 ? dx.owner(key.v[0]) : 0;
-        dx.comm.send(r, dest, {key, cnt});
-      };
-      for (VertexId x = dx.part().begin(r); x < dx.part().end(r); ++x) {
-        detail::merge_end_bucket<1>(cx, plus.shard(r), minus.shard(r), x,
-                                    spec, route, pscratch, mscratch);
-      }
-    }
-  }
   ScopedStage timed(cx.stage_slot(&StageWall::transport));
   dx.comm.exchange();
   maybe_alloc_fail(dx, "merge_halves");
@@ -68,6 +46,74 @@ void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
                          std::to_string(dx.budget) + " entries");
   }
   cx.end_phase();
+}
+
+/// The owner of a merge output's slot-0 boundary image (the storage home
+/// of block tables); outputs of a root merge (out_arity 0) go to rank 0.
+std::uint32_t merge_dest(const Dx& dx, const MergeSpec& spec,
+                         const TableKey& key) {
+  return spec.out_arity >= 1 ? dx.owner(key.v[0]) : 0;
+}
+
+/// Merge the co-located (u, v) groups of the two half-cycle tables end
+/// bucket by end bucket, through the same bucket router as the shared
+/// engine's merge_halves (both halves are born sorted kByV1, so rank r
+/// holds every group whose end v it owns), routing every output to its
+/// merge_dest. Accumulates into the per-rank cycle sinks. Only a split
+/// whose minus half is a single edge ends here (d_extend_and_merge ends
+/// the others).
+void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
+                    const MergeSpec& spec, std::vector<AccumMap>& sinks) {
+  const ExecContext& cx = dx.cx;
+  {
+    ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
+    std::vector<TableEntry> pscratch, mscratch;
+    for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
+      cx.note_lanes(plus.shard(r).layout());
+      cx.note_lanes(minus.shard(r).layout());
+      auto route = [&](const TableKey& key, Count cnt) {
+        dx.comm.send(r, merge_dest(dx, spec, key), {key, cnt});
+      };
+      for (VertexId x = dx.part().begin(r); x < dx.part().end(r); ++x) {
+        detail::merge_end_bucket<1>(cx, plus.shard(r), minus.shard(r), x,
+                                    spec, route, pscratch, mscratch);
+      }
+    }
+  }
+  collect_merged(dx, sinks);
+}
+
+/// A split's last minus extend fused with its merge (extend_and_merge):
+/// the extend's halo superstep, then each rank runs the fused step over
+/// its own block against its plus shard, sums its outputs locally and
+/// routes the sums to their merge_dest. The extend's phase closes after
+/// every rank has run, then the held merge charges join the merge phase;
+/// the fault plan draws at the extend's and the merge's collection points
+/// in the unfused order.
+void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
+                        const PathStep& step, DistTable& plus,
+                        const MergeSpec& spec, std::vector<AccumMap>& sinks) {
+  Dx& dx = ops.dx;
+  const ExecContext& cx = dx.cx;
+  const DistTable* pull =
+      ops.send_extend_halo(prefix, step.child, step.transposed);
+  maybe_alloc_fail(dx, "build_shards");
+  LoadModel::Held held(cx.load == nullptr ? 0 : cx.load->num_ranks());
+  for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
+    ProjTable view = ops.halo_view(prefix, r);
+    AccumMap local(16, cx.opts.compact_accum);
+    held.add(extend_and_merge(cx, view,
+                              pull == nullptr ? nullptr : &pull->shard(r),
+                              step.opts, plus.shard(r), spec, local,
+                              VertexRange::rank(dx.part(), r)));
+    ScopedStage timed(cx.stage_slot(&StageWall::transport));
+    local.for_each([&](const TableKey& key, Count cnt) {
+      dx.comm.send(r, merge_dest(dx, spec, key), {key, cnt});
+    });
+  }
+  detail::close_build_phase(cx);
+  if (cx.load != nullptr) held.apply(*cx.load);
+  collect_merged(dx, sinks);
 }
 
 DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
@@ -98,8 +144,13 @@ DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool) {
   std::vector<AccumMap> sinks(dx.ranks());
   for (const SplitPlan& plan : splits_for(blk, dx.cx.opts.algo)) {
     DistTable plus = walk_path(ops, blk, plan.plus);
-    DistTable minus = walk_path(ops, blk, plan.minus);
-    d_merge_halves(dx, plus, minus, plan.merge, sinks);
+    PathStep last;
+    DistTable minus = walk_path(ops, blk, plan.minus, &last);
+    if (last.pending) {
+      d_extend_and_merge(ops, minus, last, plus, plan.merge, sinks);
+    } else {
+      d_merge_halves(dx, plus, minus, plan.merge, sinks);
+    }
   }
   std::vector<ProjTable> shards;
   for (AccumMap& m : sinks) {

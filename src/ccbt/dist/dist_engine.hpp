@@ -56,7 +56,8 @@ struct DistStats {
 
   // Physical transport accounting (supersteps, entries moved, off-rank
   // volume). The model charges one entry per cross-rank join emission; an
-  // extend ships each input bucket once per reading rank instead.
+  // extend ships each input bucket once per reading rank instead, and a
+  // fused split step ships each rank's summed merge outputs once.
   CommStats transport;
 
   /// Lane-layout telemetry over the run's tables (see ExecStats::lanes).
@@ -65,7 +66,8 @@ struct DistStats {
   /// Per-stage wall breakdown (see ExecStats::stage); here `transport`
   /// covers the virtual-MPI exchanges, the halo views, transposes and
   /// replicas, and the merge-sink and aggregate collects. Path shards are
-  /// built by the shared bucket builds and count as `accumulate`.
+  /// built by the shared bucket builds and count as `accumulate`; the
+  /// fused split steps count as `merge`.
   StageWall stage;
 
   /// Accumulation telemetry (see ExecStats::accum): one phase per path

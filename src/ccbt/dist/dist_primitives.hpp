@@ -240,10 +240,7 @@ struct DistPath {
   }
 
   DistTable extend_graph(DistTable& path, const ExtendOpts& o) {
-    const CsrGraph& g = dx.cx.g;
-    send_halo(dx, path, [&](VertexId x, auto&& add) {
-      for (VertexId w : g.neighbors(x)) add(w);
-    });
+    (void)send_extend_halo(path, -1, false);
     return build_shards(dx, path.arity(), [&](std::uint32_t r,
                                               VertexRange range) {
       ProjTable view = halo_view(path, r);
@@ -251,11 +248,32 @@ struct DistPath {
     });
   }
 
-  /// EdgeJoin: bucket x goes to the owners of the w in the child rows
-  /// (x, w) along the walk, and rank r joins its view with its shard of
-  /// the opposite orientation, the rows (w, x) of the w it owns.
   DistTable extend_child(DistTable& path, int child, bool transposed,
                          const ExtendOpts& o) {
+    const DistTable* pull = send_extend_halo(path, child, transposed);
+    return build_shards(dx, path.arity(), [&](std::uint32_t r,
+                                              VertexRange range) {
+      ProjTable view = halo_view(path, r);
+      return extend_with_child<1>(dx.cx, view, pull->shard(r), o,
+                                  /*flip=*/true, range);
+    });
+  }
+
+  /// The halo superstep of an extend of `path` across a graph edge
+  /// (child < 0) or the edge child `child`. For a graph edge bucket x goes
+  /// to the owners of x's neighbours. For EdgeJoin it goes to the owners
+  /// of the w in the child rows (x, w) along the walk, and the returned
+  /// orientation opposite to the walk is what rank r pulls from: its shard
+  /// holds the rows (w, x) of the w it owns. nullptr for a graph edge.
+  const DistTable* send_extend_halo(DistTable& path, int child,
+                                    bool transposed) {
+    if (child < 0) {
+      const CsrGraph& g = dx.cx.g;
+      send_halo(dx, path, [&](VertexId x, auto&& add) {
+        for (VertexId w : g.neighbors(x)) add(w);
+      });
+      return nullptr;
+    }
     const DistTable& along = pool.oriented(dx, child, transposed);
     const DistTable& pull = pool.oriented(dx, child, !transposed);
     send_halo(dx, path, [&](VertexId x, auto&& add) {
@@ -263,15 +281,9 @@ struct DistPath {
         add(ce.key.v[1]);
       }
     });
-    return build_shards(dx, path.arity(), [&](std::uint32_t r,
-                                              VertexRange range) {
-      ProjTable view = halo_view(path, r);
-      return extend_with_child<1>(dx.cx, view, pull.shard(r), o,
-                                  /*flip=*/true, range);
-    });
+    return &pull;
   }
 
- private:
   /// Rank r's input for an extend over its vertices: its shard plus halo.
   ProjTable halo_view(const DistTable& path, std::uint32_t r) {
     ScopedStage timed(dx.cx.stage_slot(&StageWall::transport));

@@ -9,28 +9,16 @@ namespace ccbt {
 
 /// Compute the projection table of a (possibly annotated) cycle block.
 /// Output arity equals the block's boundary count; keys are ordered
-/// (nodes[boundary_pos[0]], nodes[boundary_pos[1]]).
+/// (nodes[boundary_pos[0]], nodes[boundary_pos[1]]). Each split builds its
+/// plus half, walks its minus half one extend short and fuses that extend
+/// with the merge (extend_and_merge); a split whose minus half is a single
+/// edge merges the two tables (merge_halves). Defined for B = 1, the
+/// width the engine runs every coloring at.
 template <int B>
 ProjTableT<B> solve_cycle(const ExecContext& cx, const Block& blk,
-                          TablePoolT<B>& pool) {
-  AccumMapT<B> sink(16, cx.opts.compact_accum);
-  for (const SplitPlan& plan : splits_for(blk, cx.opts.algo)) {
-    ProjTableT<B> plus = build_path<B>(cx, blk, pool, plan.plus);
-    ProjTableT<B> minus = build_path<B>(cx, blk, pool, plan.minus);
-    merge_halves<B>(cx, plus, minus, plan.merge, sink);
-  }
-  // The merge spec emitted exactly the boundary slots, so the accumulated
-  // keys already project to the block's boundary images.
-  return ProjTableT<B>::from_map(blk.boundary_count(), std::move(sink));
-}
+                          TablePoolT<B>& pool);
 
 extern template ProjTableT<1> solve_cycle<1>(const ExecContext&, const Block&,
                                              TablePoolT<1>&);
-extern template ProjTableT<2> solve_cycle<2>(const ExecContext&, const Block&,
-                                             TablePoolT<2>&);
-extern template ProjTableT<4> solve_cycle<4>(const ExecContext&, const Block&,
-                                             TablePoolT<4>&);
-extern template ProjTableT<8> solve_cycle<8>(const ExecContext&, const Block&,
-                                             TablePoolT<8>&);
 
 }  // namespace ccbt

@@ -26,7 +26,7 @@ namespace ccbt {
 struct StageWall {
   double accumulate = 0.0;  // join kernels emitting rows (incl. hash adds)
   double seal = 0.0;        // sort + dedup + lane-density scan
-  double merge = 0.0;       // merge_halves / merge_bucket sweeps
+  double merge = 0.0;       // merge_halves / extend_and_merge sweeps
   double transport = 0.0;   // virtual-MPI encode/exchange/decode
 
   void add(const StageWall& o) {
@@ -111,7 +111,10 @@ struct ExecOptions {
 
   /// Abort with BudgetExceeded when any table grows beyond this (the
   /// paper's PS runs hit exactly this wall — blank cells in Fig 10). At
-  /// most UINT32_MAX: the engines reject a larger budget at entry.
+  /// most UINT32_MAX: the engines reject a larger budget at entry. The end
+  /// buckets a cycle split's fused last extend (extend_and_merge) streams
+  /// into its merge are not a table and are not counted; the cycle sink
+  /// they feed stays bounded.
   std::size_t max_table_entries = 80'000'000;
 
   /// Ablation: anchor DB at the id order instead of the degree order

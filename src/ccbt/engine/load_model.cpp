@@ -51,10 +51,27 @@ void LoadModel::add_ops(std::uint32_t rank, std::uint64_t n) {
 
 void LoadModel::add_comm(std::uint32_t from, std::uint32_t to,
                          std::uint64_t n) {
-  if (from != to) {
-    ThreadCharges& b = mine();
-    b.recv[to].fetch_add(n, std::memory_order_relaxed);
-    b.comm.fetch_add(n, std::memory_order_relaxed);
+  if (from != to) add_received(to, n);
+}
+
+void LoadModel::add_received(std::uint32_t to, std::uint64_t n) {
+  ThreadCharges& b = mine();
+  b.recv[to].fetch_add(n, std::memory_order_relaxed);
+  b.comm.fetch_add(n, std::memory_order_relaxed);
+}
+
+void LoadModel::Held::add(const Held& o) {
+  for (std::size_t r = 0; r < o.ops.size(); ++r) {
+    ops[r] += o.ops[r];
+    recv[r] += o.recv[r];
+  }
+}
+
+void LoadModel::Held::apply(LoadModel& model) const {
+  for (std::size_t r = 0; r < ops.size(); ++r) {
+    const auto rank = static_cast<std::uint32_t>(r);
+    if (ops[r] != 0) model.add_ops(rank, ops[r]);
+    if (recv[r] != 0) model.add_received(rank, recv[r]);
   }
 }
 

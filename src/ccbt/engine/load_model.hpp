@@ -46,6 +46,10 @@ class LoadModel {
   /// receiver (thread-safe).
   void add_comm(std::uint32_t from, std::uint32_t to, std::uint64_t n);
 
+  /// Model `n` entries that another rank sent to `to` (add_comm once the
+  /// sender is known to be off-rank; thread-safe).
+  void add_received(std::uint32_t to, std::uint64_t n);
+
   /// Close the current bulk-synchronous phase and charge its makespan.
   /// Must be called outside parallel regions.
   void end_phase();
@@ -61,6 +65,24 @@ class LoadModel {
   std::uint64_t total_comm() const { return total_comm_; }
 
   const std::vector<std::uint64_t>& rank_ops() const { return total_ops_; }
+
+  /// Charges made while one phase is open that belong to the phase after
+  /// it, summed per rank: the fused extend-and-merge primitive makes its
+  /// merge charges while the extend's rows stream. apply() hands them to
+  /// the model once the open phase has closed.
+  struct Held {
+    std::vector<std::uint64_t> ops;   // per rank
+    std::vector<std::uint64_t> recv;  // off-rank entries received, per rank
+
+    explicit Held(std::uint32_t ranks = 0) : ops(ranks, 0), recv(ranks, 0) {}
+
+    void add_ops(std::uint32_t rank, std::uint64_t n) { ops[rank] += n; }
+    void add_comm(std::uint32_t from, std::uint32_t to, std::uint64_t n) {
+      if (from != to) recv[to] += n;
+    }
+    void add(const Held& o);
+    void apply(LoadModel& model) const;
+  };
 
  private:
   /// One OpenMP thread's uncommitted charges for the open phase. The

@@ -100,20 +100,40 @@ struct PathSpec {
 /// leaves from. Shared with the distributed engine.
 bool needs_transpose(const Block& blk, int edge, bool forward);
 
+/// The last extend of a walk when walk_path leaves it pending: the edge
+/// child it crosses (-1 = a data-graph edge), whether the walk runs along
+/// that child's transposed table, and the extend's options.
+struct PathStep {
+  bool pending = false;
+  int child = -1;
+  bool transposed = false;
+  ExtendOpts opts;
+};
+
 /// One half-cycle walk in phase order (Fig 7), for either engine: `ops`
 /// runs each primitive on the engine's table type —
 ///   init_graph(o), init_child(child, transposed, o),
 ///   node_join(table, child, slot), extend_graph(table, o),
 ///   extend_child(table, child, transposed, o)
 /// — where `transposed` says the walk runs along the child's transposed
-/// table (needs_transpose).
+/// table (needs_transpose). With `last`, a walk of two or more edges that
+/// does not join an annotation at its end stops one extend early: it
+/// returns the table before that extend and describes the extend in
+/// *last (pending set), for the cycle solvers to fuse into the merge
+/// (extend_and_merge). Any other walk runs to its end and leaves *last
+/// not pending.
 template <typename Ops>
-auto walk_path(Ops& ops, const Block& blk, const PathSpec& spec) {
+auto walk_path(Ops& ops, const Block& blk, const PathSpec& spec,
+               PathStep* last = nullptr) {
   const std::size_t steps = spec.positions.size();
   if (steps < 2) {
     throw Error(ErrorCode::kUnsupportedQuery,
                 "build_path: path needs at least one edge");
   }
+  if (last != nullptr) *last = PathStep{};
+  const bool end_annot =
+      spec.include_end_annot && blk.node_child[spec.positions.back()] >= 0;
+  const bool stop_early = last != nullptr && steps > 2 && !end_annot;
   // --- Initial table: the first edge of the walk.
   const ExtendOpts init_opts{spec.track_slot_at[1], spec.anchor_higher};
   const int e0 = spec.edge_index[0];
@@ -138,11 +158,13 @@ auto walk_path(Ops& ops, const Block& blk, const PathSpec& spec) {
     const ExtendOpts opts{spec.track_slot_at[s + 1], spec.anchor_higher};
     const int e = spec.edge_index[s];
     const int child = blk.edge_child[e];
-    table = child < 0
-                ? ops.extend_graph(table, opts)
-                : ops.extend_child(
-                      table, child,
-                      needs_transpose(blk, e, spec.edge_forward[s]), opts);
+    const bool transposed = needs_transpose(blk, e, spec.edge_forward[s]);
+    if (stop_early && s + 2 == steps) {
+      *last = PathStep{true, child, transposed, opts};
+      break;
+    }
+    table = child < 0 ? ops.extend_graph(table, opts)
+                      : ops.extend_child(table, child, transposed, opts);
   }
   return table;
 }

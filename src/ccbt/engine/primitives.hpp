@@ -7,7 +7,9 @@
 //   * init/extend with graph edges      — Procedure 1 of Figs 4 and 6;
 //   * init/extend with a child table    — EdgeJoin of Fig 7;
 //   * node_join with a unary child      — NodeJoin of Fig 7;
-//   * merge_halves                      — Procedure 2 of Figs 4 and 6.
+//   * merge_halves                      — Procedure 2 of Figs 4 and 6;
+//   * extend_and_merge                  — a cycle split's last minus
+//     extend and its merge_halves in one pass (two phases).
 //
 // Everything is parameterized on the batch width B: one execution carries
 // B colorings ("lanes"), counts are per-lane vectors, and entries are
@@ -20,6 +22,8 @@
 //     a lane-independent half — the signature intersection must be the
 //     right size — and a per-lane half — the intersection must equal the
 //     joint vertex's lane colors (ColoringBatch::mask_bit_eq/mask_pair_eq).
+// The engines run a batch one lane at a time, so only B = 1 is on their
+// path; extend_and_merge exists at B = 1 alone.
 //
 // One build path at every width, B = 1 included, and for both engines:
 // each path table is built born sorted. One frontier vertex w at a time,
@@ -28,14 +32,19 @@
 // at w — then sorts and deduplicates that bucket locally (build_buckets).
 // The table arrives sealed kByV1, the home-slot-1 layout of Section 7, in
 // narrow flat rows and with no global sort; merge_halves joins two such
-// halves end bucket by end bucket. Every primitive takes the frontier
-// vertices it builds as a VertexRange: all of them in the shared engine,
-// one rank's block when the virtual-MPI engine in ccbt/dist runs it over
-// the rank's shard and halo.
+// halves end bucket by end bucket. The one table read only once — the
+// minus half of a cycle split, which the merge joins and drops — is not
+// built at all: extend_and_merge streams each end bucket's rows straight
+// into the merge against the plus bucket, with no sort. Every primitive
+// takes the frontier vertices it builds as a VertexRange: all of them in
+// the shared engine, one rank's block when the virtual-MPI engine in
+// ccbt/dist runs it over the rank's shard and halo.
 //
 // The pull loops charge the load model per (bucket, neighbour) instead of
 // per entry; the per-rank sums per phase are the Section 7 model's, which
-// tests/test_born_sorted.cpp checks against per-entry push kernels.
+// tests/test_born_sorted.cpp checks against per-entry push kernels and
+// tests/test_extend_and_merge.cpp checks for the fused step against
+// extend plus merge_halves.
 
 #include <algorithm>
 #include <array>
@@ -100,9 +109,13 @@ inline void check_budget(const ExecContext& cx, std::size_t size) {
   }
 }
 
+inline int pool_threads() {
 #ifdef _OPENMP
-inline int pool_threads() { return omp_get_max_threads(); }
+  return omp_get_max_threads();
+#else
+  return 1;
 #endif
+}
 
 /// Lanes of one (entry, new vertex) step grouped by the signature their
 /// coloring produces: at most B distinct signatures, found by linear scan
@@ -819,6 +832,58 @@ void merge_bucket_packed(const ExecContext& cx,
 
 namespace detail {
 
+/// Run `body(v, sink, t)` for every end vertex v of [lo, hi): the one
+/// end-bucket loop of merge_halves and extend_and_merge. End buckets are
+/// independent, so once the phase reads more than 4096 rows (`work`)
+/// threads own whole buckets and add into private sinks, `t` being the
+/// thread's index below pool_threads(); the sinks reduce into `sink`
+/// afterwards. Serially t is 0. The budget bounds every sink.
+template <int B, typename Body>
+void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
+                         std::size_t work, AccumMapT<B>& sink, Body&& body) {
+#ifdef _OPENMP
+  if (cx.opts.use_threads && pool_threads() > 1 && hi > lo + 1 &&
+      work > 4096) {
+    const int threads = pool_threads();
+    std::vector<AccumMapT<B>> maps;
+    maps.reserve(threads);
+    for (int t = 0; t < threads; ++t) {
+      maps.emplace_back(16, cx.opts.compact_accum);
+    }
+    std::atomic<bool> budget_hit{false};
+#pragma omp parallel num_threads(threads)
+    {
+      const int t = omp_get_thread_num();
+#pragma omp for schedule(dynamic, 256)
+      for (VertexId v = lo; v < hi; ++v) {
+        if (budget_hit.load(std::memory_order_relaxed)) continue;
+        body(v, maps[t], t);
+        if (maps[t].size() > cx.opts.max_table_entries) {
+          budget_hit.store(true, std::memory_order_relaxed);
+        }
+      }
+    }
+    if (budget_hit.load()) check_budget(cx, cx.opts.max_table_entries + 1);
+    std::size_t total = sink.size();
+    for (const AccumMapT<B>& m : maps) total += m.size();
+    sink.reserve(total);
+    for (AccumMapT<B>& m : maps) {
+      m.for_each([&](const TableKey& k, const typename LaneOps<B>::Vec& c) {
+        sink.add(k, c);
+      });
+      check_budget(cx, sink.size());
+    }
+    return;
+  }
+#else
+  (void)work;
+#endif
+  for (VertexId v = lo; v < hi; ++v) {
+    body(v, sink, 0);
+    check_budget(cx, sink.size());
+  }
+}
+
 /// Join end bucket x of two half-cycle tables sealed kByV1 (group_span
 /// finds it through the bucket index, or by binary search in a table
 /// sealed without one): through merge_bucket_packed when both kept their
@@ -871,7 +936,11 @@ void merge_end_bucket(const ExecContext& cx, const ProjTableT<B>& plus,
 /// the signature-compatibility test of Fig 6 Procedure 2, accumulating
 /// into `sink` (so the DB solver can sum over all anchor choices, Eq. 1).
 /// The halves are born sorted by their end vertex, so they join end
-/// bucket by end bucket; their seal is a relabel.
+/// bucket by end bucket; their seal is a relabel. The cycle solvers call
+/// it only for a split whose minus half is a single edge (PS); every
+/// other split ends in extend_and_merge, which never builds the minus
+/// table. The phase charges |P_uv| × |M_uv| per (anchor u, end v) group
+/// at v and, at out_arity >= 2, one send per compatible pair.
 template <int B>
 void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
                   ProjTableT<B>& minus, const MergeSpec& spec,
@@ -886,60 +955,48 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
   cx.note_lanes(plus.layout());
   cx.note_lanes(minus.layout());
   ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
-
-#ifdef _OPENMP
-  if (cx.opts.use_threads && detail::pool_threads() > 1 &&
-      plus.size() + minus.size() > 4096) {
-    // Buckets are independent: each thread merges whole buckets into a
-    // private sink; the sinks reduce into `sink` afterwards.
-    const int threads = detail::pool_threads();
-    std::vector<AccumMapT<B>> maps;
-    maps.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      maps.emplace_back(16, cx.opts.compact_accum);
-    }
-    std::atomic<bool> budget_hit{false};
-#pragma omp parallel num_threads(threads)
-    {
-      AccumMapT<B>& local = maps[omp_get_thread_num()];
-#pragma omp for schedule(dynamic, 256)
-      for (VertexId x = 0; x < n; ++x) {
-        if (budget_hit.load(std::memory_order_relaxed)) continue;
+  detail::for_each_end_bucket<B>(
+      cx, 0, n, plus.size() + minus.size(), sink,
+      [&](VertexId x, AccumMapT<B>& out, int) {
         thread_local std::vector<TableEntryT<B>> pscratch, mscratch;
         detail::merge_end_bucket<B>(
             cx, plus, minus, x, spec,
-            [&](const TableKey& k, const Vec& c) { local.add(k, c); },
+            [&](const TableKey& k, const Vec& c) { out.add(k, c); },
             pscratch, mscratch);
-        if (local.size() > cx.opts.max_table_entries) {
-          budget_hit.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (budget_hit.load()) {
-      detail::check_budget(cx, cx.opts.max_table_entries + 1);
-    }
-    std::size_t total = sink.size();
-    for (const AccumMapT<B>& m : maps) total += m.size();
-    sink.reserve(total);
-    for (AccumMapT<B>& m : maps) {
-      m.for_each(
-          [&](const TableKey& k, const Vec& c) { sink.add(k, c); });
-      detail::check_budget(cx, sink.size());
-    }
-    cx.end_phase();
-    return;
-  }
-#endif
-  std::vector<TableEntryT<B>> pscratch, mscratch;
-  for (VertexId x = 0; x < n; ++x) {
-    detail::merge_end_bucket<B>(
-        cx, plus, minus, x, spec,
-        [&](const TableKey& k, const Vec& c) { sink.add(k, c); },
-        pscratch, mscratch);
-    detail::check_budget(cx, sink.size());
-  }
+      });
   cx.end_phase();
 }
+
+/// The last extend of a cycle split's minus walk (a graph edge, or the
+/// edge child `child` in the pulling orientation extend_with_child takes
+/// with flip) fused with its merge_halves against `plus`. `prefix` is the
+/// minus walk one extend short of its end (walk_path's pending step).
+///
+/// For each end vertex v of `range`, plus bucket v is indexed by anchor in
+/// a per-thread, epoch-stamped u -> [lo, hi) array. The prefix rows of
+/// each neighbour bucket x (or of child row (v, x)) stream through the
+/// extend's anchor and colour filters, and each survivor multiplies into
+/// the plus rows of its anchor that pass the Fig 6 test, adding straight
+/// into `sink`. No minus table is built and no bucket is sorted; the
+/// counts equal extend plus merge_halves exactly, since the sink is
+/// bilinear in the minus rows. A u16 prefix is read in place, any other
+/// through expanded dense entries. `sink` is the only thing it bounds
+/// with max_table_entries.
+///
+/// Load model: the extend's phase is charged exactly as
+/// extend_with_graph/_with_child charge it, while the rows stream. The
+/// merge phase's charges — |P_uv| × (distinct minus keys of group
+/// (u, v)) at v, and at out_arity >= 2 one send per compatible pair of a
+/// plus row and a distinct minus key — are counted only when a load model
+/// is attached and are held until the extend's phase closes. With
+/// `range.closes_phase` the primitive closes both phases itself (one
+/// accumulation phase, no rows sorted) and returns nothing held; a rank's
+/// range returns the held merge charges, which the caller applies after
+/// it closes the extend's phase over all ranks.
+LoadModel::Held extend_and_merge(const ExecContext& cx, ProjTable& prefix,
+                                 const ProjTable* child, const ExtendOpts& o,
+                                 ProjTable& plus, const MergeSpec& spec,
+                                 AccumMap& sink, VertexRange range = {});
 
 /// Sum out all slots beyond the first new_arity (with phase accounting).
 template <int B>

@@ -38,7 +38,8 @@ namespace ccbt {
 
 /// Accumulation-stage telemetry, one phase per path primitive
 /// (ExecStats::accum): the rows the per-bucket sorts consumed and the
-/// bytes they occupied. The sharded, sparse and fold counters described
+/// bytes they occupied. A fused extend_and_merge counts its extend's
+/// phase but sorts no rows, so it adds to neither. The sharded, sparse and fold counters described
 /// emission mechanisms this engine no longer has and always read 0;
 /// bench_suite still reads them, so they leave with the next change to
 /// the benchmark.

@@ -1,11 +1,11 @@
 // Differential fuzz across the whole engine matrix: random (graph,
-// query, batch width, layout options, fault schedule) configs run through
-// the shared-memory engine batched and lane by lane, and through the
-// distributed engine — every route must report each lane's colorful
-// count. The baseline is count_colorful_exact (core/exact.cpp), a
-// backtracking enumerator that shares no code with either engine: no
-// plan, decomposition, signature join or table. A divergence localizes
-// to whichever route disagrees with it.
+// catalog query, algorithm, batch width, layout options, fault schedule)
+// configs run through the shared-memory engine batched and lane by lane,
+// and through the distributed engine — every route must report each
+// lane's colorful count. The baseline is count_colorful_exact
+// (core/exact.cpp), a backtracking enumerator that shares no code with
+// either engine: no plan, decomposition, signature join or table. A
+// divergence localizes to whichever route disagrees with it.
 //
 // The sweep is seeded: CCBT_DIFF_SEED offsets the whole configuration
 // stream and CCBT_DIFF_ITERS scales the number of configs, so CI can run
@@ -35,17 +35,12 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return env != nullptr ? std::strtoull(env, nullptr, 10) : fallback;
 }
 
+/// Any query of the catalog (catalog_names), so the fuzz reaches the
+/// edge-child final steps and tracked slots of brain1, brain2, ecoli1 and
+/// ecoli2 as well as the plain cycles, paths and trees.
 QueryGraph pick_query(std::uint64_t die) {
-  switch (die % 8) {
-    case 0: return q_glet1();
-    case 1: return q_glet2();
-    case 2: return q_wiki();
-    case 3: return q_youtube();
-    case 4: return q_dros();
-    case 5: return q_cycle(4 + static_cast<int>(die / 8 % 3));  // C4..C6
-    case 6: return q_path(3 + static_cast<int>(die / 8 % 3));
-    default: return q_cycle(5);
-  }
+  const std::vector<std::string> names = catalog_names();
+  return named_query(names[die % names.size()]);
 }
 
 struct DiffConfig {
@@ -58,7 +53,8 @@ struct DiffConfig {
   ExecOptions opts;
 
   std::string describe() const {
-    return "seed=" + std::to_string(seed) + " n=" + std::to_string(n) +
+    return "seed=" + std::to_string(seed) + " algo=" + algo_name(opts.algo) +
+           " n=" + std::to_string(n) +
            " m=" + std::to_string(m) + " B=" + std::to_string(width) +
            " ranks=" + std::to_string(ranks) +
            " compact=" + std::to_string(opts.compact_accum) +
@@ -75,6 +71,8 @@ DiffConfig draw_config(std::uint64_t seed) {
   c.m = c.n + rng.below(3 * c.n);
   c.width = static_cast<int>(2 + rng.below(kMaxBatchLanes - 1));
   c.ranks = static_cast<std::uint32_t>(2 + rng.below(4));
+  constexpr Algo kAlgos[] = {Algo::kPS, Algo::kPSEven, Algo::kDB};
+  c.opts.algo = kAlgos[rng.below(3)];
   c.opts.compact_accum = rng.below(2) == 0;
   c.opts.lane_compress = rng.below(4) != 0;  // mostly on (the default)
   c.faulty = rng.below(2) == 0;
@@ -85,7 +83,10 @@ DiffConfig draw_config(std::uint64_t seed) {
     c.opts.dist.faults.delay_rate = 0.005;
     c.opts.dist.faults.alloc_fail_rate = 0.01;
     c.opts.dist.max_retries = 8;
-    c.opts.dist.max_replays = 8;
+    // The lanes of a batch share one replay budget: 8 per coloring, as in
+    // test_fault_injection, since a large query (brain3 under DB) can
+    // draw more than 8 allocation failures over an 8-coloring batch.
+    c.opts.dist.max_replays = 8 * static_cast<std::uint32_t>(c.width);
     c.opts.dist.checkpoint_interval = 2 + rng.below(3);
   }
   return c;
@@ -99,7 +100,7 @@ TEST(DifferentialEngines, RandomConfigsAgreeAcrossEnginesAndWidths) {
     SCOPED_TRACE(c.describe());
     const CsrGraph g = erdos_renyi(c.n, c.m, c.seed * 13 + 5);
     Rng qrng(c.seed * 17 + 3);
-    const QueryGraph q = pick_query(qrng.below(24));
+    const QueryGraph q = pick_query(qrng.below(1000));
     SCOPED_TRACE(q.name());
     const Plan plan = make_plan(q);
 

@@ -1,0 +1,288 @@
+// The fused cycle-split step, extend_and_merge, against the sequence it
+// replaces: the minus walk's last extend (extend_with_graph or
+// extend_with_child) followed by merge_halves. Both must leave the same
+// rows in the cycle sink and charge the Section 7 load model identically
+// (total and per-rank ops, comm, simulated time, accumulation phases),
+// split by split, for every catalog query under PS, PS-EVEN and DB. The
+// epoch-stamped anchor index must never read what an earlier call left,
+// and the sink is the one thing the fused step bounds by the budget.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "ccbt/decomp/plan.hpp"
+#include "ccbt/engine/cycle_solver.hpp"
+#include "ccbt/engine/leaf_solver.hpp"
+#include "ccbt/graph/generators.hpp"
+#include "ccbt/query/catalog.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+namespace ccbt {
+namespace {
+
+std::vector<TableEntry> sink_rows(const AccumMap& m) {
+  std::vector<TableEntry> out;
+  m.for_each([&](const TableKey& k, Count c) { out.push_back({k, c}); });
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.key.v, a.key.sig) < std::tie(b.key.v, b.key.sig);
+  });
+  return out;
+}
+
+void expect_same_rows(const AccumMap& got, const AccumMap& want,
+                      const std::string& what) {
+  const std::vector<TableEntry> g = sink_rows(got);
+  const std::vector<TableEntry> w = sink_rows(want);
+  ASSERT_EQ(g.size(), w.size()) << what;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    ASSERT_EQ(g[i].key, w[i].key) << what << " row " << i;
+    ASSERT_EQ(g[i].cnt, w[i].cnt) << what << " row " << i;
+  }
+}
+
+/// One way of finishing the splits of a block: its own load model,
+/// accumulation telemetry and cycle sink.
+struct Side {
+  LoadModel load;
+  AccumTelemetry accum;
+  ExecContext cx;
+  AccumMap sink;
+
+  Side(const ExecContext& base, std::uint32_t ranks)
+      : load(ranks), cx(base), sink(16, base.opts.compact_accum) {
+    cx.load = &load;
+    cx.accum = &accum;
+  }
+};
+
+void expect_same_model(const Side& fused, const Side& ref,
+                       const std::string& what) {
+  EXPECT_EQ(fused.load.total_ops(), ref.load.total_ops()) << what;
+  EXPECT_EQ(fused.load.max_rank_ops(), ref.load.max_rank_ops()) << what;
+  EXPECT_EQ(fused.load.rank_ops(), ref.load.rank_ops()) << what;
+  EXPECT_EQ(fused.load.total_comm(), ref.load.total_comm()) << what;
+  EXPECT_EQ(fused.load.sim_time(), ref.load.sim_time()) << what;
+  EXPECT_EQ(fused.accum.phases, ref.accum.phases) << what;
+}
+
+/// Walk q's plan block by block as run_plan does. Every split of every
+/// cycle block ends both ways from the same plus table and minus prefix,
+/// and the two sides are compared after each split — so DB's L splits of
+/// one block are consecutive fused calls over the same end vertices. The
+/// fused side's table is what the pool stores. Returns the fused splits.
+int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
+                        std::uint64_t color_seed) {
+  constexpr std::uint32_t kRanks = 5;
+  const Coloring chi(g.num_vertices(), q.num_nodes(), color_seed);
+  const DegreeOrder order(g);
+  ExecOptions opts;
+  opts.algo = algo;
+  const ExecContext cx{g,
+                       chi,
+                       order,
+                       BlockPartition(g.num_vertices(), kRanks),
+                       nullptr,
+                       opts};
+  const DecompTree tree = make_plan(q).tree;
+  TablePool pool(tree.blocks.size(), g.num_vertices());
+  SharedPath<1> build{cx, pool};
+  const std::string label = q.name() + " " + algo_name(algo);
+  int fused_splits = 0;
+  for (std::size_t i = 0; i < tree.blocks.size(); ++i) {
+    const Block& blk = tree.blocks[i];
+    if (blk.kind == BlockKind::kSingleton) continue;
+    ProjTable table;
+    if (blk.kind == BlockKind::kLeafEdge) {
+      table = solve_leaf_edge<1>(cx, blk, pool);
+    } else {
+      Side fused(cx, kRanks), ref(cx, kRanks);
+      SharedPath<1> ref_ops{ref.cx, pool};
+      int split = 0;
+      for (const SplitPlan& plan : splits_for(blk, algo)) {
+        const std::string what = label + " block " + std::to_string(i) +
+                                 " split " + std::to_string(split++);
+        ProjTable plus = walk_path(build, blk, plan.plus);
+        PathStep last;
+        ProjTable prefix = walk_path(build, blk, plan.minus, &last);
+        ProjTable ref_plus = plus;
+        if (!last.pending) {
+          ProjTable minus = prefix;
+          merge_halves<1>(fused.cx, plus, prefix, plan.merge, fused.sink);
+          merge_halves<1>(ref.cx, ref_plus, minus, plan.merge, ref.sink);
+          continue;
+        }
+        ++fused_splits;
+        ProjTable ref_prefix = prefix;
+        ProjTable minus =
+            last.child < 0
+                ? ref_ops.extend_graph(ref_prefix, last.opts)
+                : ref_ops.extend_child(ref_prefix, last.child,
+                                       last.transposed, last.opts);
+        merge_halves<1>(ref.cx, ref_plus, minus, plan.merge, ref.sink);
+        const ProjTable* child =
+            last.child < 0 ? nullptr
+                           : &pool.oriented(last.child, !last.transposed);
+        (void)extend_and_merge(fused.cx, prefix, child, last.opts, plus,
+                               plan.merge, fused.sink);
+        expect_same_rows(fused.sink, ref.sink, what);
+        expect_same_model(fused, ref, what);
+      }
+      table =
+          ProjTable::from_map(blk.boundary_count(), std::move(fused.sink));
+    }
+    if (static_cast<int>(i) != tree.root) {
+      pool.store(static_cast<int>(i), std::move(table));
+    }
+  }
+  return fused_splits;
+}
+
+#ifdef _OPENMP
+/// Restore the OpenMP team size however a test exits.
+struct ThreadsGuard {
+  int saved = omp_get_max_threads();
+  ~ThreadsGuard() { omp_set_num_threads(saved); }
+};
+
+void set_threads(int t) { omp_set_num_threads(t); }
+#else
+struct ThreadsGuard {};
+void set_threads(int) {}
+#endif
+
+TEST(ExtendAndMerge, SplitsMatchExtendPlusMergeOverTheCatalog) {
+  ThreadsGuard guard;
+  const CsrGraph er = erdos_renyi(60, 150, 41);
+  const CsrGraph cl = chung_lu_power_law(60, 1.6, 5.0, 43);
+  int fused = 0;
+  for (const int threads : {1, 4}) {
+    set_threads(threads);
+    for (const std::string& name : catalog_names()) {
+      const QueryGraph q = named_query(name);
+      for (const Algo algo : {Algo::kPS, Algo::kPSEven, Algo::kDB}) {
+        SCOPED_TRACE(name + " " + algo_name(algo) + " threads " +
+                     std::to_string(threads));
+        fused += expect_fused_parity(er, q, algo, 700);
+        fused += expect_fused_parity(cl, q, algo, 710);
+      }
+    }
+  }
+  EXPECT_GT(fused, 0);
+}
+
+TEST(ExtendAndMerge, ThreadedSplitsMatchExtendPlusMerge) {
+  // Large enough that the fused step and the merge split their end
+  // vertices across threads.
+  ThreadsGuard guard;
+  const CsrGraph er = erdos_renyi(1500, 6000, 47);
+  const CsrGraph cl = chung_lu_power_law(1500, 1.6, 6.0, 49);
+  for (const int threads : {1, 4}) {
+    set_threads(threads);
+    for (const char* name : {"dros", "wiki", "brain1", "ecoli2"}) {
+      const QueryGraph q = named_query(name);
+      for (const Algo algo : {Algo::kPSEven, Algo::kDB}) {
+        SCOPED_TRACE(std::string(name) + " " + algo_name(algo) +
+                     " threads " + std::to_string(threads));
+        EXPECT_GT(expect_fused_parity(er, q, algo, 720), 0);
+        EXPECT_GT(expect_fused_parity(cl, q, algo, 730), 0);
+      }
+    }
+  }
+}
+
+/// A context over g without a load model.
+struct Fixture {
+  const CsrGraph& g;
+  Coloring chi;
+  DegreeOrder order;
+  ExecOptions opts;
+
+  Fixture(const CsrGraph& graph, int colors, std::uint64_t seed)
+      : g(graph), chi(graph.num_vertices(), colors, seed), order(graph) {}
+
+  ExecContext cx() const {
+    return {g, chi, order, BlockPartition(g.num_vertices(), 4), nullptr, opts};
+  }
+};
+
+TEST(ExtendAndMerge, ConsecutiveCallsReadNoStaleAnchorIndex) {
+  // Plus bucket v of `high` holds only the anchors u ≻ v of bucket v of
+  // `all`. A second call that read the anchor entries the first call
+  // left for bucket v would join anchors its plus bucket does not have.
+  // Such a minus row (u, v) needs the triangle u-x-v, so the graph is
+  // dense.
+  ThreadsGuard guard;
+  const CsrGraph g = erdos_renyi(300, 9000, 51);
+  const Fixture f(g, 5, 52);
+  const ExecContext cx = f.cx();
+  const ProjTable prefix = init_path_from_graph(cx, ExtendOpts{});
+  const ProjTable all = init_path_from_graph(cx, ExtendOpts{});
+  const ProjTable high = init_path_from_graph(cx, ExtendOpts{-1, true});
+  ASSERT_LT(high.size(), all.size());
+  MergeSpec spec;
+  spec.out_arity = 1;
+  spec.out[0] = {0, 0};
+  for (const int threads : {1, 4}) {
+    set_threads(threads);
+    for (const bool high_second : {true, false}) {
+      const ProjTable& first_plus = high_second ? all : high;
+      const ProjTable& second_plus = high_second ? high : all;
+      const std::string what = "threads " + std::to_string(threads) +
+                               (high_second ? " all then high"
+                                            : " high then all");
+      AccumMap first, second, want;
+      ProjTable p1 = prefix, q1 = first_plus;
+      (void)extend_and_merge(cx, p1, nullptr, ExtendOpts{}, q1, spec, first);
+      ProjTable p2 = prefix, q2 = second_plus;
+      (void)extend_and_merge(cx, p2, nullptr, ExtendOpts{}, q2, spec, second);
+      ProjTable minus = extend_with_graph(cx, prefix, ExtendOpts{});
+      ProjTable q3 = second_plus;
+      merge_halves(cx, q3, minus, spec, want);
+      ASSERT_GT(want.size(), 0u) << what;
+      expect_same_rows(second, want, what);
+    }
+  }
+}
+
+TEST(ExtendAndMerge, SinkAloneOverTheBudgetThrowsBudgetExceeded) {
+  // On a complete graph each ordered edge (u, v) closes a triangle through
+  // every other vertex, so keying the sink by (u, v, the triangle's
+  // colors) makes it several times larger than the edge tables it joins:
+  // a budget below the sink but above both inputs trips on the sink
+  // alone.
+  ThreadsGuard guard;
+  const CsrGraph g = complete_graph(80);
+  Fixture f(g, 6, 53);
+  const ProjTable edges = init_path_from_graph(f.cx(), ExtendOpts{});
+  MergeSpec spec;
+  spec.out_arity = 2;
+  spec.out[0] = {0, 0};
+  spec.out[1] = {0, 1};
+  const auto fused_rows = [&](std::size_t budget) {
+    f.opts.max_table_entries = budget;
+    const ExecContext cx = f.cx();
+    ProjTable prefix = edges, plus = edges;
+    AccumMap sink;
+    (void)extend_and_merge(cx, prefix, nullptr, ExtendOpts{}, plus, spec,
+                           sink);
+    return sink.size();
+  };
+  for (const int threads : {1, 4}) {
+    set_threads(threads);
+    const std::size_t rows = fused_rows(80'000'000);
+    ASSERT_GT(rows - 1, edges.size()) << "threads " << threads;
+    EXPECT_EQ(fused_rows(rows), rows) << "threads " << threads;
+    EXPECT_THROW((void)fused_rows(rows - 1), BudgetExceeded)
+        << "threads " << threads;
+  }
+}
+
+}  // namespace
+}  // namespace ccbt
