@@ -6,10 +6,10 @@
 
 #include "ccbt/dist/checkpoint.hpp"
 #include "ccbt/dist/dist_primitives.hpp"
+#include "ccbt/engine/cycle_solver.hpp"
 #include "ccbt/engine/load_model.hpp"
 #include "ccbt/engine/path_builder.hpp"
 #include "ccbt/engine/primitives.hpp"
-#include "ccbt/engine/split_plan.hpp"
 #include "ccbt/graph/degree_order.hpp"
 #include "ccbt/util/error.hpp"
 #include "ccbt/util/timer.hpp"
@@ -91,7 +91,7 @@ void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
 /// the fault plan draws at the extend's and the merge's collection points
 /// in the unfused order.
 void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
-                        const PathStep& step, DistTable& plus,
+                        const PathOp& step, DistTable& plus,
                         const MergeSpec& spec, std::vector<AccumMap>& sinks) {
   Dx& dx = ops.dx;
   const ExecContext& cx = dx.cx;
@@ -139,19 +139,20 @@ DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
   return out;
 }
 
+/// A cycle block through the shared engine's walk schedule
+/// (engine/cycle_solver.hpp), each split ending in the per-rank sinks.
 DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool) {
   dist::DistPath ops{dx, pool};
   std::vector<AccumMap> sinks(dx.ranks());
-  for (const SplitPlan& plan : splits_for(blk, dx.cx.opts.algo)) {
-    DistTable plus = walk_path(ops, blk, plan.plus);
-    PathStep last;
-    DistTable minus = walk_path(ops, blk, plan.minus, &last);
-    if (last.pending) {
-      d_extend_and_merge(ops, minus, last, plus, plan.merge, sinks);
-    } else {
-      d_merge_halves(dx, plus, minus, plan.merge, sinks);
-    }
-  }
+  run_walks(ops, schedule_walks(blk, dx.cx.opts.algo), dx.cx.load,
+            [&](const WalkSchedule::Split& s, DistTable& plus,
+                DistTable& minus) {
+              if (s.fused) {
+                d_extend_and_merge(ops, minus, *s.fused, plus, s.merge, sinks);
+              } else {
+                d_merge_halves(dx, plus, minus, s.merge, sinks);
+              }
+            });
   std::vector<ProjTable> shards;
   for (AccumMap& m : sinks) {
     shards.push_back(ProjTable::from_map(blk.boundary_count(), std::move(m)));

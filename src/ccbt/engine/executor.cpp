@@ -32,7 +32,7 @@ Count run_coloring(const ExecContext& cx, const DecompTree& tree,
 
     ProjTable table = (blk.kind == BlockKind::kLeafEdge)
                           ? solve_leaf_edge<1>(cx, blk, pool)
-                          : solve_cycle<1>(cx, blk, pool);
+                          : solve_cycle(cx, blk, pool);
     peak_entries = std::max(peak_entries, table.size());
     if (is_root) return table.total();
     pool.store(static_cast<int>(i), std::move(table));

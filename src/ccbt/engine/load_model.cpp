@@ -78,6 +78,7 @@ void LoadModel::Held::apply(LoadModel& model) const {
 void LoadModel::end_phase() {
   const std::size_t ranks = total_ops_.size();
   double makespan = 0.0;
+  last_ops_.assign(ranks, 0);
   for (std::size_t r = 0; r < ranks; ++r) {
     std::uint64_t ops = 0;
     std::uint64_t recv = 0;
@@ -86,14 +87,26 @@ void LoadModel::end_phase() {
       recv += b.recv[r].exchange(0, std::memory_order_relaxed);
     }
     total_ops_[r] += ops;
+    last_ops_[r] = ops;
     const double work = static_cast<double>(ops) +
                         comm_cost_ * static_cast<double>(recv);
     makespan = std::max(makespan, work);
   }
+  last_comm_ = 0;
   for (ThreadCharges& b : bufs_) {
-    total_comm_ += b.comm.exchange(0, std::memory_order_relaxed);
+    last_comm_ += b.comm.exchange(0, std::memory_order_relaxed);
   }
+  total_comm_ += last_comm_;
+  last_makespan_ = makespan;
   sim_time_ += makespan;
+}
+
+void LoadModel::repeat_last_phase(std::uint64_t times) {
+  for (std::size_t r = 0; r < total_ops_.size(); ++r) {
+    total_ops_[r] += times * last_ops_[r];
+  }
+  total_comm_ += times * last_comm_;
+  for (; times > 0; --times) sim_time_ += last_makespan_;  // as end_phase adds
 }
 
 std::uint64_t LoadModel::total_ops() const {

@@ -54,6 +54,11 @@ class LoadModel {
   /// Must be called outside parallel regions.
   void end_phase();
 
+  /// Charge the last closed phase `times` more times, as if it had run
+  /// again: the same per-rank ops, comm and makespan. The walk schedule
+  /// (cycle_solver.hpp) charges a table it shares this way.
+  void repeat_last_phase(std::uint64_t times);
+
   /// Unitless simulated makespan across all closed phases.
   double sim_time() const { return sim_time_; }
 
@@ -104,6 +109,9 @@ class LoadModel {
   std::uint64_t total_comm_ = 0;
   std::vector<ThreadCharges> bufs_;   // one per OpenMP thread
   std::vector<std::uint64_t> total_ops_;
+  std::vector<std::uint64_t> last_ops_;  // per rank, of the last phase
+  std::uint64_t last_comm_ = 0;
+  double last_makespan_ = 0.0;
 };
 
 }  // namespace ccbt

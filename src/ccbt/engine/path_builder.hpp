@@ -11,7 +11,11 @@
 // Pool and builder are parameterized on the batch width B (the aliases
 // keep the scalar names); the construction sequence itself is coloring
 // independent, so all widths share it.
+//
+// A walk is a list of ops (PathOp, from walk_path) that either engine runs
+// on its own table type through apply_op.
 
+#include <cstdint>
 #include <vector>
 
 #include "ccbt/decomp/block.hpp"
@@ -100,71 +104,60 @@ struct PathSpec {
 /// leaves from. Shared with the distributed engine.
 bool needs_transpose(const Block& blk, int edge, bool forward);
 
-/// The last extend of a walk when walk_path leaves it pending: the edge
-/// child it crosses (-1 = a data-graph edge), whether the walk runs along
-/// that child's transposed table, and the extend's options.
-struct PathStep {
-  bool pending = false;
-  int child = -1;
-  bool transposed = false;
-  ExtendOpts opts;
+/// One primitive of a walk. A table depends only on the ops that built
+/// it, not on the split or half that asked, so two walks with equal op
+/// prefixes build equal tables there: the cycle solvers' walk schedule
+/// (cycle_solver.hpp) builds each distinct prefix once.
+struct PathOp {
+  enum class Kind : std::uint8_t {
+    kInitGraph, kInitChild, kNodeJoin, kExtendGraph, kExtendChild
+  };
+  Kind kind = Kind::kInitGraph;
+  int child = -1;           // the child block read (-1 = data-graph edges)
+  bool transposed = false;  // the walk runs along the child's transpose
+  int slot = 0;             // node_join's key slot
+  ExtendOpts opts;          // init and extend options
+
+  bool extends() const {
+    return kind == Kind::kExtendGraph || kind == Kind::kExtendChild;
+  }
+  auto operator<=>(const PathOp&) const = default;
 };
 
-/// One half-cycle walk in phase order (Fig 7), for either engine: `ops`
-/// runs each primitive on the engine's table type —
-///   init_graph(o), init_child(child, transposed, o),
-///   node_join(table, child, slot), extend_graph(table, o),
-///   extend_child(table, child, transposed, o)
-/// — where `transposed` says the walk runs along the child's transposed
-/// table (needs_transpose). With `last`, a walk of two or more edges that
-/// does not join an annotation at its end stops one extend early: it
-/// returns the table before that extend and describes the extend in
-/// *last (pending set), for the cycle solvers to fuse into the merge
-/// (extend_and_merge). Any other walk runs to its end and leaves *last
-/// not pending.
-template <typename Ops>
-auto walk_path(Ops& ops, const Block& blk, const PathSpec& spec,
-               PathStep* last = nullptr) {
-  const std::size_t steps = spec.positions.size();
-  if (steps < 2) {
-    throw Error(ErrorCode::kUnsupportedQuery,
-                "build_path: path needs at least one edge");
-  }
-  if (last != nullptr) *last = PathStep{};
-  const bool end_annot =
-      spec.include_end_annot && blk.node_child[spec.positions.back()] >= 0;
-  const bool stop_early = last != nullptr && steps > 2 && !end_annot;
-  // --- Initial table: the first edge of the walk.
-  const ExtendOpts init_opts{spec.track_slot_at[1], spec.anchor_higher};
-  const int e0 = spec.edge_index[0];
-  const int c0 = blk.edge_child[e0];
-  auto table = c0 < 0 ? ops.init_graph(init_opts)
-                      : ops.init_child(
-                            c0, needs_transpose(blk, e0, spec.edge_forward[0]),
-                            init_opts);
-  const int start = blk.node_child[spec.positions[0]];
-  if (spec.include_start_annot && start >= 0) {
-    table = ops.node_join(table, start, /*slot=*/0);
-  }
+using PathOps = std::vector<PathOp>;
 
-  // --- Walk: NodeJoin at each reached position, then extend.
-  for (std::size_t s = 1; s < steps; ++s) {
-    const bool is_end = (s + 1 == steps);
-    const int node = blk.node_child[spec.positions[s]];
-    if ((!is_end || spec.include_end_annot) && node >= 0) {
-      table = ops.node_join(table, node, /*slot=*/1);
-    }
-    if (is_end) break;
-    const ExtendOpts opts{spec.track_slot_at[s + 1], spec.anchor_higher};
-    const int e = spec.edge_index[s];
-    const int child = blk.edge_child[e];
-    const bool transposed = needs_transpose(blk, e, spec.edge_forward[s]);
-    if (stop_early && s + 2 == steps) {
-      *last = PathStep{true, child, transposed, opts};
-      break;
-    }
-    table = child < 0 ? ops.extend_graph(table, opts)
-                      : ops.extend_child(table, child, transposed, opts);
+/// The ops of one half-cycle walk in phase order (Fig 7): an init along
+/// its first edge, then at each reached position a NodeJoin with the
+/// position's annotation (the end's only when the walk owns it) and an
+/// extend along the next edge. `transposed` says the walk runs along the
+/// child's transposed table (needs_transpose).
+PathOps walk_path(const Block& blk, const PathSpec& spec);
+
+/// Run one op on either engine's `ops`, whose init_graph(o),
+/// init_child(child, transposed, o), node_join(table, child, slot),
+/// extend_graph(table, o) and extend_child(table, child, transposed, o)
+/// build its table type. Every op but an init reads `in`.
+template <typename Ops, typename Table>
+Table apply_op(Ops& ops, Table* in, const PathOp& op) {
+  switch (op.kind) {
+    case PathOp::Kind::kInitGraph: return ops.init_graph(op.opts);
+    case PathOp::Kind::kInitChild:
+      return ops.init_child(op.child, op.transposed, op.opts);
+    case PathOp::Kind::kNodeJoin: return ops.node_join(*in, op.child, op.slot);
+    case PathOp::Kind::kExtendGraph: return ops.extend_graph(*in, op.opts);
+    case PathOp::Kind::kExtendChild:
+      return ops.extend_child(*in, op.child, op.transposed, op.opts);
+  }
+  throw Error("apply_op: unknown op");
+}
+
+/// The table of a whole walk: its ops run one after another.
+template <typename Ops>
+auto run_path(Ops& ops, const PathOps& path) {
+  using Table = decltype(ops.init_graph(ExtendOpts{}));
+  Table table = apply_op<Ops, Table>(ops, nullptr, path.front());
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    table = apply_op(ops, &table, path[i]);
   }
   return table;
 }
@@ -226,7 +219,7 @@ template <int B>
 ProjTableT<B> build_path(const ExecContext& cx, const Block& blk,
                          TablePoolT<B>& pool, const PathSpec& spec) {
   SharedPath<B> ops{cx, pool};
-  return walk_path(ops, blk, spec);
+  return run_path(ops, walk_path(blk, spec));
 }
 
 extern template ProjTableT<1> build_path<1>(const ExecContext&, const Block&,

@@ -35,7 +35,10 @@
 // halves end bucket by end bucket. The one table read only once — the
 // minus half of a cycle split, which the merge joins and drops — is not
 // built at all: extend_and_merge streams each end bucket's rows straight
-// into the merge against the plus bucket, with no sort. Every primitive
+// into the merge against the plus bucket, with no sort. A cycle block's
+// walk schedule (cycle_solver.hpp) may feed one table to several later
+// primitives: each only reads it (its seal in born order is a relabel).
+// Every primitive
 // takes the frontier vertices it builds as a VertexRange: all of them in
 // the shared engine, one rank's block when the virtual-MPI engine in
 // ccbt/dist runs it over the rank's shard and halo.
@@ -50,6 +53,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <compare>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -76,6 +80,8 @@ struct ExtendOpts {
   /// DB constraint: the anchor must be strictly higher (u ≻ w) than the
   /// newly matched cycle vertex.
   bool anchor_higher = false;
+
+  auto operator<=>(const ExtendOpts&) const = default;
 };
 
 /// The frontier vertices [begin, end) one path build covers. The default
@@ -426,9 +432,12 @@ ProjTableT<B> extend_with_graph(const ExecContext& cx, ProjTableT<B>& path,
   detail::seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
   const FlatRowsT<B>* const flat = path.flat_storage();
+  // The packed key holds the new frontier w in 28 bits, so a graph whose
+  // ids reach kPacked28NoVertex takes the generic loop.
   const bool fast16 = flat != nullptr &&
                       flat->mode() == FlatRowsT<B>::Mode::kU16 &&
-                      (o.track_slot == -1 || o.track_slot == 1);
+                      (o.track_slot == -1 || o.track_slot == 1) &&
+                      g.num_vertices() <= kPacked28NoVertex;
   if (!fast16) {
     return detail::build_buckets<B>(
         cx, path.arity(), path.size(),
@@ -970,7 +979,8 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
 /// The last extend of a cycle split's minus walk (a graph edge, or the
 /// edge child `child` in the pulling orientation extend_with_child takes
 /// with flip) fused with its merge_halves against `plus`. `prefix` is the
-/// minus walk one extend short of its end (walk_path's pending step).
+/// minus walk one extend short of its end (the walk schedule's fused op);
+/// it may be the very table `plus` is, which both only read.
 ///
 /// For each end vertex v of `range`, plus bucket v is indexed by anchor in
 /// a per-thread, epoch-stamped u -> [lo, hi) array. The prefix rows of

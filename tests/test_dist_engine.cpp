@@ -223,7 +223,7 @@ struct Both {
   DistTable dist;
 };
 
-/// The walks' primitives (see walk_path), each run by both engines and
+/// The walks' primitives (see apply_op), each run by both engines and
 /// checked.
 class PhaseParity {
  public:
@@ -349,11 +349,11 @@ void expect_phase_parity(const CsrGraph& g, const QueryGraph& q,
     } else {
       for (const SplitPlan& plan : splits_for(blk, opts.algo)) {
         pp.label = label + " plus";
-        (void)walk_path(pp, blk, plan.plus);
+        (void)run_path(pp, walk_path(blk, plan.plus));
         pp.label = label + " minus";
-        (void)walk_path(pp, blk, plan.minus);
+        (void)run_path(pp, walk_path(blk, plan.minus));
       }
-      table = solve_cycle<1>(cx, blk, pool);
+      table = solve_cycle(cx, blk, pool);
     }
     if (static_cast<int>(i) != tree.root) {
       pool.store(static_cast<int>(i), std::move(table));

@@ -72,10 +72,11 @@ void expect_same_model(const Side& fused, const Side& ref,
   EXPECT_EQ(fused.accum.phases, ref.accum.phases) << what;
 }
 
-/// Walk q's plan block by block as run_plan does. Every split of every
-/// cycle block ends both ways from the same plus table and minus prefix,
-/// and the two sides are compared after each split — so DB's L splits of
-/// one block are consecutive fused calls over the same end vertices. The
+/// Walk q's plan block by block as run_plan does, each cycle block through
+/// its walk schedule. Every split ends both ways from the same plus table
+/// and minus prefix, and the two sides are compared after each split — so
+/// DB's L splits of one block are consecutive fused calls over the same
+/// end vertices. The
 /// fused side's table is what the pool stores. Returns the fused splits.
 int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
                         std::uint64_t color_seed) {
@@ -104,36 +105,36 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
     } else {
       Side fused(cx, kRanks), ref(cx, kRanks);
       SharedPath<1> ref_ops{ref.cx, pool};
-      int split = 0;
-      for (const SplitPlan& plan : splits_for(blk, algo)) {
-        const std::string what = label + " block " + std::to_string(i) +
-                                 " split " + std::to_string(split++);
-        ProjTable plus = walk_path(build, blk, plan.plus);
-        PathStep last;
-        ProjTable prefix = walk_path(build, blk, plan.minus, &last);
-        ProjTable ref_plus = plus;
-        if (!last.pending) {
-          ProjTable minus = prefix;
-          merge_halves<1>(fused.cx, plus, prefix, plan.merge, fused.sink);
-          merge_halves<1>(ref.cx, ref_plus, minus, plan.merge, ref.sink);
-          continue;
-        }
-        ++fused_splits;
-        ProjTable ref_prefix = prefix;
-        ProjTable minus =
-            last.child < 0
-                ? ref_ops.extend_graph(ref_prefix, last.opts)
-                : ref_ops.extend_child(ref_prefix, last.child,
-                                       last.transposed, last.opts);
-        merge_halves<1>(ref.cx, ref_plus, minus, plan.merge, ref.sink);
-        const ProjTable* child =
-            last.child < 0 ? nullptr
-                           : &pool.oriented(last.child, !last.transposed);
-        (void)extend_and_merge(fused.cx, prefix, child, last.opts, plus,
-                               plan.merge, fused.sink);
-        expect_same_rows(fused.sink, ref.sink, what);
-        expect_same_model(fused, ref, what);
-      }
+      run_walks(
+          build, schedule_walks(blk, algo), nullptr,
+          [&](const WalkSchedule::Split& s, ProjTable& plus,
+              ProjTable& prefix) {
+            const std::string what = label + " block " + std::to_string(i) +
+                                     " split " + std::to_string(s.index);
+            ProjTable ref_plus = plus;
+            if (!s.fused) {
+              ProjTable minus = prefix;
+              merge_halves<1>(fused.cx, plus, prefix, s.merge, fused.sink);
+              merge_halves<1>(ref.cx, ref_plus, minus, s.merge, ref.sink);
+              return;
+            }
+            ++fused_splits;
+            const PathOp& last = *s.fused;
+            ProjTable ref_prefix = prefix;
+            ProjTable minus =
+                last.child < 0
+                    ? ref_ops.extend_graph(ref_prefix, last.opts)
+                    : ref_ops.extend_child(ref_prefix, last.child,
+                                           last.transposed, last.opts);
+            merge_halves<1>(ref.cx, ref_plus, minus, s.merge, ref.sink);
+            const ProjTable* child =
+                last.child < 0 ? nullptr
+                               : &pool.oriented(last.child, !last.transposed);
+            (void)extend_and_merge(fused.cx, prefix, child, last.opts, plus,
+                                   s.merge, fused.sink);
+            expect_same_rows(fused.sink, ref.sink, what);
+            expect_same_model(fused, ref, what);
+          });
       table =
           ProjTable::from_map(blk.boundary_count(), std::move(fused.sink));
     }

@@ -53,6 +53,25 @@ TEST(LoadModel, TotalsAggregateAcrossPhases) {
   EXPECT_DOUBLE_EQ(model.avg_rank_ops(), 7.0);
 }
 
+TEST(LoadModel, RepeatedPhaseChargesLikeRunningItAgain) {
+  const auto phase = [](LoadModel& m) {
+    m.add_ops(0, 9);
+    m.add_ops(2, 4);
+    m.add_comm(0, 1, 3);
+    m.add_comm(2, 2, 5);
+    m.end_phase();
+  };
+  LoadModel ran(3), repeated(3);
+  for (int i = 0; i < 3; ++i) phase(ran);
+  phase(repeated);
+  repeated.repeat_last_phase(2);
+  EXPECT_EQ(repeated.rank_ops(), ran.rank_ops());
+  EXPECT_EQ(repeated.total_comm(), ran.total_comm());
+  EXPECT_EQ(repeated.sim_time(), ran.sim_time());
+  repeated.repeat_last_phase(0);
+  EXPECT_EQ(repeated.sim_time(), ran.sim_time());
+}
+
 struct EngineLoad {
   std::uint64_t total_ops;
   std::uint64_t max_rank_ops;
