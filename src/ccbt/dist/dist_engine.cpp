@@ -152,6 +152,9 @@ DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool) {
               } else {
                 d_merge_halves(dx, plus, minus, s.merge, sinks);
               }
+              std::size_t rows = 0;
+              for (const AccumMap& m : sinks) rows += m.size();
+              return rows;
             });
   std::vector<ProjTable> shards;
   for (AccumMap& m : sinks) {

@@ -1,5 +1,6 @@
 #include "ccbt/engine/cycle_solver.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -73,24 +74,26 @@ WalkSchedule schedule_walks(const Block& blk, Algo algo) {
 }
 
 ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
-                      TablePool& pool) {
+                      TablePool& pool, std::size_t* peak_entries) {
   AccumMap sink(16, cx.opts.compact_accum);
   SharedPath<1> ops{cx, pool};
-  run_walks(ops, schedule_walks(blk, cx.opts.algo), cx.load,
-            [&](const WalkSchedule::Split& s, ProjTable& plus,
-                ProjTable& minus) {
-              if (!s.fused) {
-                merge_halves<1>(cx, plus, minus, s.merge, sink);
-                return;
-              }
-              // The pulling orientation (see SharedPath::extend_child).
-              const PathOp& last = *s.fused;
-              const ProjTable* child =
-                  last.child < 0 ? nullptr
-                                 : &pool.oriented(last.child, !last.transposed);
-              (void)extend_and_merge(cx, minus, child, last.opts, plus,
-                                     s.merge, sink);
-            });
+  const std::size_t peak = run_walks(
+      ops, schedule_walks(blk, cx.opts.algo), cx.load,
+      [&](const WalkSchedule::Split& s, ProjTable& plus, ProjTable& minus) {
+        if (!s.fused) {
+          merge_halves<1>(cx, plus, minus, s.merge, sink);
+          return sink.size();
+        }
+        // The pulling orientation (see SharedPath::extend_child).
+        const PathOp& last = *s.fused;
+        const ProjTable* child =
+            last.child < 0 ? nullptr
+                           : &pool.oriented(last.child, !last.transposed);
+        (void)extend_and_merge(cx, minus, child, last.opts, plus, s.merge,
+                               sink);
+        return sink.size();
+      });
+  if (peak_entries != nullptr) *peak_entries = std::max(*peak_entries, peak);
   // The merge spec emitted exactly the boundary slots, so the accumulated
   // keys already project to the block's boundary images.
   return ProjTable::from_map(blk.boundary_count(), std::move(sink));

@@ -3,6 +3,8 @@
 // engines run a block's splits (one for PS and PS-EVEN, L for DB, Eq. 1)
 // through one walk schedule, which builds each distinct walk table once.
 
+#include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -49,30 +51,44 @@ WalkSchedule schedule_walks(const Block& blk, Algo algo);
 /// Run a walk schedule on `ops` (SharedPath or dist::DistPath): build
 /// each node once, call `finish(split, plus, minus)` per split in run
 /// order (`minus` is the prefix of a fused split), release each table
-/// after its last use. The Section 7 model charges every walk as if it ran
-/// alone: `load` (nullable) repeats a node's build phase once per further
-/// walk through it. Telemetry and the transport see only real builds.
+/// after its last use. `finish` returns the entries the block's sink holds
+/// after the split; run_walks returns the most entries its live tables and
+/// that sink hold at once. The Section 7 model charges every walk as if it
+/// ran alone: `load` (nullable) repeats a node's build phase once per
+/// further walk through it. Telemetry and the transport see only real
+/// builds.
 template <typename Ops, typename Finish>
-void run_walks(Ops& ops, const WalkSchedule& ws, LoadModel* load,
-               Finish&& finish) {
+std::size_t run_walks(Ops& ops, const WalkSchedule& ws, LoadModel* load,
+                      Finish&& finish) {
   using Table = decltype(ops.init_graph(ExtendOpts{}));
   std::vector<std::optional<Table>> live(ws.nodes.size());
+  std::vector<std::size_t> rows(ws.nodes.size(), 0);  // entries, per node
   std::vector<int> left;  // uses not made yet, per node
   for (const WalkSchedule::Node& n : ws.nodes) left.push_back(n.uses);
-  const auto release = [&](int n) { if (--left[n] == 0) live[n].reset(); };
+  std::size_t held = 0, sink = 0, peak = 0;
+  const auto release = [&](int n) {
+    if (--left[n] > 0) return;
+    held -= rows[n];
+    live[n].reset();
+  };
   std::size_t next = 0;
   for (const WalkSchedule::Split& s : ws.splits) {
     for (; next < s.built; ++next) {
       const WalkSchedule::Node& node = ws.nodes[next];
       Table* in = node.parent < 0 ? nullptr : &*live[node.parent];
       live[next] = apply_op(ops, in, node.op);
+      rows[next] = live[next]->size();
+      held += rows[next];
+      peak = std::max(peak, held + sink);
       if (node.parent >= 0) release(node.parent);
       if (load != nullptr) load->repeat_last_phase(node.walks - 1);
     }
-    finish(s, *live[s.plus], *live[s.minus]);
+    sink = finish(s, *live[s.plus], *live[s.minus]);
+    peak = std::max(peak, held + sink);
     release(s.plus);
     release(s.minus);
   }
+  return peak;
 }
 
 /// Compute the projection table of a (possibly annotated) cycle block.
@@ -80,7 +96,9 @@ void run_walks(Ops& ops, const WalkSchedule& ws, LoadModel* load,
 /// (nodes[boundary_pos[0]], nodes[boundary_pos[1]]). The splits run
 /// through the block's walk schedule: a fused split ends in
 /// extend_and_merge, any other merges its two tables (merge_halves).
+/// Raises `*peak_entries`, when given, to the most entries the block's
+/// walk tables and cycle sink hold at once (run_walks).
 ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
-                      TablePool& pool);
+                      TablePool& pool, std::size_t* peak_entries = nullptr);
 
 }  // namespace ccbt

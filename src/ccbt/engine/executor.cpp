@@ -14,7 +14,7 @@ namespace {
 
 /// One coloring (cx.chi holds one lane) through the plan's blocks,
 /// bottom up; returns its colorful count and raises `peak_entries` to
-/// the largest table solved.
+/// the most entries one block's solve held at once.
 Count run_coloring(const ExecContext& cx, const DecompTree& tree,
                    std::size_t& peak_entries) {
   TablePool pool(tree.blocks.size(), cx.g.num_vertices(), /*unused=*/true,
@@ -32,7 +32,7 @@ Count run_coloring(const ExecContext& cx, const DecompTree& tree,
 
     ProjTable table = (blk.kind == BlockKind::kLeafEdge)
                           ? solve_leaf_edge<1>(cx, blk, pool)
-                          : solve_cycle(cx, blk, pool);
+                          : solve_cycle(cx, blk, pool, &peak_entries);
     peak_entries = std::max(peak_entries, table.size());
     if (is_root) return table.total();
     pool.store(static_cast<int>(i), std::move(table));

@@ -20,6 +20,9 @@ struct ExecStats {
   int lanes_used = 1;
 
   double wall_seconds = 0.0;
+
+  /// Most entries held at once by one block's solve: a leaf table, or a
+  /// cycle block's live walk tables plus its sink.
   std::size_t peak_table_entries = 0;
 
   // Filled when a LoadModel was attached.

@@ -111,10 +111,9 @@ class FusedSplit {
     }
     const Signature vbit = cx_.chi.bit(v);
 
-    // One surviving minus row (mk, mcnt) against its anchor's plus group.
-    const auto absorb = [&](const TableKey& mk, Count mcnt) {
-      const FuseScratch::Anchor& a = ts.anchors[mk.v[0]];
-      if (a.stamp != ep) return;
+    // One surviving minus row (mk, mcnt) against its anchor's plus group a.
+    const auto absorb = [&](const FuseScratch::Anchor& a, const TableKey& mk,
+                            Count mcnt) {
       const Signature uv = cx_.chi.bit(mk.v[0]) | vbit;
       for (std::uint32_t p = a.lo; p < a.hi; ++p) {
         const TableEntry& pe = pu[p];
@@ -141,13 +140,21 @@ class FusedSplit {
       k.sig = sig;
       return k;
     };
+    // A row whose anchor has no plus group in this bucket adds nothing to
+    // the sink: without a load model it is dropped before the extend's
+    // filters. With one, every row still runs them, so the sends the
+    // extend charges per (x, v) stay exact.
     if (child_ == nullptr) {
       // extend_with_graph: bucket x of every neighbour x of v.
       for (const VertexId x : cx_.g.neighbors(v)) {
         const auto rows = prefix_.bucket(x, ts.prefix_rows);
         if (rows.empty()) continue;
         cx_.charge(x, rows.size());
+        std::uint64_t sent = 0;
         for (const auto& r : rows) {
+          const FuseScratch::Anchor& a = ts.anchors[Prefix::anchor(r)];
+          const bool hit = a.stamp == ep;
+          if (!hit && cx_.load == nullptr) continue;
           const Count c = Prefix::count(r);
           if (c == 0) continue;
           if (o_.anchor_higher && !cx_.order.higher(Prefix::anchor(r), v)) {
@@ -155,9 +162,10 @@ class FusedSplit {
           }
           const Signature sig = Prefix::sig(r);
           if ((sig & vbit) != 0) continue;
-          absorb(minus_key(r, sig | vbit), c);
-          cx_.send(x, v, 1);
+          ++sent;
+          if (hit) absorb(a, minus_key(r, sig | vbit), c);
         }
+        if (sent != 0) cx_.send(x, v, sent);
       }
     } else {
       // extend_with_child: bucket x of every child row (v, x).
@@ -166,19 +174,23 @@ class FusedSplit {
         const auto rows = prefix_.bucket(x, ts.prefix_rows);
         cx_.charge(x, rows.size());
         const Signature xbit = cx_.chi.bit(x);
+        std::uint64_t sent = 0;
         for (const auto& r : rows) {
+          const FuseScratch::Anchor& a = ts.anchors[Prefix::anchor(r)];
+          const bool hit = a.stamp == ep;
+          if (!hit && cx_.load == nullptr) continue;
           const Signature sig = Prefix::sig(r);
-          const Signature inter = sig & ce.key.sig;
-          if (!one_color(inter)) continue;
+          // xbit is one bit: the halves share exactly the colour of x.
+          if ((sig & ce.key.sig) != xbit) continue;
           if (o_.anchor_higher && !cx_.order.higher(Prefix::anchor(r), v)) {
             continue;
           }
-          if (inter != xbit) continue;
           const Count c = Prefix::count(r) * ce.cnt;
           if (c == 0) continue;
-          absorb(minus_key(r, sig | ce.key.sig), c);
-          cx_.send(x, v, 1);
+          ++sent;
+          if (hit) absorb(a, minus_key(r, sig | ce.key.sig), c);
         }
+        if (sent != 0) cx_.send(x, v, sent);
       }
     }
 

@@ -984,21 +984,25 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
 ///
 /// For each end vertex v of `range`, plus bucket v is indexed by anchor in
 /// a per-thread, epoch-stamped u -> [lo, hi) array. The prefix rows of
-/// each neighbour bucket x (or of child row (v, x)) stream through the
-/// extend's anchor and colour filters, and each survivor multiplies into
-/// the plus rows of its anchor that pass the Fig 6 test, adding straight
-/// into `sink`. No minus table is built and no bucket is sorted; the
-/// counts equal extend plus merge_halves exactly, since the sink is
-/// bilinear in the minus rows. A u16 prefix is read in place, any other
-/// through expanded dense entries. `sink` is the only thing it bounds
-/// with max_table_entries.
+/// each neighbour bucket x (or of child row (v, x)) stream through that
+/// index first, then the extend's count, anchor and colour filters, and
+/// each survivor multiplies into the plus rows of its anchor that pass
+/// the Fig 6 test, adding straight into `sink`. A row whose anchor has no
+/// plus group adds nothing, so without a load model it is dropped before
+/// the filters and before its minus key is built. No minus table is built
+/// and no bucket is sorted; the counts equal extend plus merge_halves
+/// exactly, since the sink is bilinear in the minus rows. A u16 prefix is
+/// read in place, any other through expanded dense entries. `sink` is the
+/// only thing it bounds with max_table_entries.
 ///
 /// Load model: the extend's phase is charged exactly as
-/// extend_with_graph/_with_child charge it, while the rows stream. The
-/// merge phase's charges — |P_uv| × (distinct minus keys of group
-/// (u, v)) at v, and at out_arity >= 2 one send per compatible pair of a
-/// plus row and a distinct minus key — are counted only when a load model
-/// is attached and are held until the extend's phase closes. With
+/// extend_with_graph/_with_child charge it, while the rows stream: every
+/// row runs the filters, hit or miss, and the sends are charged once per
+/// (x, v) with the survivor count (comm charges sum). The merge phase's
+/// charges — |P_uv| × (distinct minus keys of group (u, v)) at v, and at
+/// out_arity >= 2 one send per compatible pair of a plus row and a
+/// distinct minus key — are counted only when a load model is attached
+/// and are held until the extend's phase closes. With
 /// `range.closes_phase` the primitive closes both phases itself (one
 /// accumulation phase, no rows sorted) and returns nothing held; a rank's
 /// range returns the held merge charges, which the caller applies after

@@ -3,13 +3,18 @@
 // extend_with_child) followed by merge_halves. Both must leave the same
 // rows in the cycle sink and charge the Section 7 load model identically
 // (total and per-rank ops, comm, simulated time, accumulation phases),
-// split by split, for every catalog query under PS, PS-EVEN and DB. The
-// epoch-stamped anchor index must never read what an earlier call left,
-// and the sink is the one thing the fused step bounds by the budget.
+// split by split, for every catalog query under PS, PS-EVEN and DB.
+// Without a load model the fused step drops a prefix row whose anchor has
+// no plus group before the extend's filters, so the catalog also runs
+// with no model, and with plus tables thinned to one anchor per end,
+// where almost every row misses. The epoch-stamped anchor index must
+// never read what an earlier call left, and the sink is the one thing the
+// fused step bounds by the budget.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -62,15 +67,38 @@ struct Side {
   }
 };
 
+/// The model charges (when the fused side has a model) and the
+/// accumulation phases.
 void expect_same_model(const Side& fused, const Side& ref,
                        const std::string& what) {
+  EXPECT_EQ(fused.accum.phases, ref.accum.phases) << what;
+  if (fused.cx.load == nullptr) return;
   EXPECT_EQ(fused.load.total_ops(), ref.load.total_ops()) << what;
   EXPECT_EQ(fused.load.max_rank_ops(), ref.load.max_rank_ops()) << what;
   EXPECT_EQ(fused.load.rank_ops(), ref.load.rank_ops()) << what;
   EXPECT_EQ(fused.load.total_comm(), ref.load.total_comm()) << what;
   EXPECT_EQ(fused.load.sim_time(), ref.load.sim_time()) << what;
-  EXPECT_EQ(fused.accum.phases, ref.accum.phases) << what;
 }
+
+/// `plus` with only the rows of the lowest anchor in each end bucket.
+ProjTable one_anchor_per_end(const ProjTable& plus) {
+  std::map<VertexId, VertexId> anchor;  // end -> lowest anchor
+  plus.for_each_entry([&](const TableEntry& e) {
+    const auto [it, fresh] = anchor.try_emplace(e.key.v[1], e.key.v[0]);
+    if (!fresh) it->second = std::min(it->second, e.key.v[0]);
+  });
+  std::vector<TableEntry> rows;
+  plus.for_each_entry([&](const TableEntry& e) {
+    if (anchor.at(e.key.v[1]) == e.key.v[0]) rows.push_back(e);
+  });
+  return ProjTable::from_flat(plus.arity(), std::move(rows));
+}
+
+/// How the fused side of expect_fused_parity runs.
+struct Variant {
+  bool model = true;         // the fused side charges a load model
+  bool sparse_plus = false;  // both sides merge one_anchor_per_end(plus)
+};
 
 /// Walk q's plan block by block as run_plan does, each cycle block through
 /// its walk schedule. Every split ends both ways from the same plus table
@@ -79,7 +107,7 @@ void expect_same_model(const Side& fused, const Side& ref,
 /// end vertices. The
 /// fused side's table is what the pool stores. Returns the fused splits.
 int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
-                        std::uint64_t color_seed) {
+                        std::uint64_t color_seed, Variant variant = {}) {
   constexpr std::uint32_t kRanks = 5;
   const Coloring chi(g.num_vertices(), q.num_nodes(), color_seed);
   const DegreeOrder order(g);
@@ -104,19 +132,23 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
       table = solve_leaf_edge<1>(cx, blk, pool);
     } else {
       Side fused(cx, kRanks), ref(cx, kRanks);
+      if (!variant.model) fused.cx.load = nullptr;
       SharedPath<1> ref_ops{ref.cx, pool};
       run_walks(
           build, schedule_walks(blk, algo), nullptr,
-          [&](const WalkSchedule::Split& s, ProjTable& plus,
+          [&](const WalkSchedule::Split& s, ProjTable& walk_plus,
               ProjTable& prefix) {
             const std::string what = label + " block " + std::to_string(i) +
                                      " split " + std::to_string(s.index);
+            ProjTable thin;
+            if (variant.sparse_plus) thin = one_anchor_per_end(walk_plus);
+            ProjTable& plus = variant.sparse_plus ? thin : walk_plus;
             ProjTable ref_plus = plus;
             if (!s.fused) {
               ProjTable minus = prefix;
               merge_halves<1>(fused.cx, plus, prefix, s.merge, fused.sink);
               merge_halves<1>(ref.cx, ref_plus, minus, s.merge, ref.sink);
-              return;
+              return fused.sink.size();
             }
             ++fused_splits;
             const PathOp& last = *s.fused;
@@ -134,6 +166,7 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
                                    s.merge, fused.sink);
             expect_same_rows(fused.sink, ref.sink, what);
             expect_same_model(fused, ref, what);
+            return fused.sink.size();
           });
       table =
           ProjTable::from_map(blk.boundary_count(), std::move(fused.sink));
@@ -159,19 +192,31 @@ void set_threads(int) {}
 #endif
 
 TEST(ExtendAndMerge, SplitsMatchExtendPlusMergeOverTheCatalog) {
+  // Both sides charge a model, then the fused side runs without one, so
+  // rows whose anchor misses are dropped unfiltered. At one thread, sparse
+  // plus tables make almost every row miss, with and without a model
+  // (SparsePlusMatchesWithAndWithoutModel runs them at four).
   ThreadsGuard guard;
   const CsrGraph er = erdos_renyi(60, 150, 41);
   const CsrGraph cl = chung_lu_power_law(60, 1.6, 5.0, 43);
   int fused = 0;
   for (const int threads : {1, 4}) {
     set_threads(threads);
+    std::vector<Variant> variants = {{true, false}, {false, false}};
+    if (threads == 1) {
+      variants.insert(variants.end(), {{false, true}, {true, true}});
+    }
     for (const std::string& name : catalog_names()) {
       const QueryGraph q = named_query(name);
       for (const Algo algo : {Algo::kPS, Algo::kPSEven, Algo::kDB}) {
-        SCOPED_TRACE(name + " " + algo_name(algo) + " threads " +
-                     std::to_string(threads));
-        fused += expect_fused_parity(er, q, algo, 700);
-        fused += expect_fused_parity(cl, q, algo, 710);
+        for (const Variant v : variants) {
+          SCOPED_TRACE(name + " " + algo_name(algo) + " threads " +
+                       std::to_string(threads) + " model " +
+                       std::to_string(v.model) + " sparse plus " +
+                       std::to_string(v.sparse_plus));
+          fused += expect_fused_parity(er, q, algo, 700, v);
+          fused += expect_fused_parity(cl, q, algo, 710, v);
+        }
       }
     }
   }
@@ -248,6 +293,55 @@ TEST(ExtendAndMerge, ConsecutiveCallsReadNoStaleAnchorIndex) {
       merge_halves(cx, q3, minus, spec, want);
       ASSERT_GT(want.size(), 0u) << what;
       expect_same_rows(second, want, what);
+    }
+  }
+}
+
+TEST(ExtendAndMerge, SparsePlusMatchesWithAndWithoutModel) {
+  // Four-cycles u-a-x-v-u: prefix rows (u, x) of two edges, extended over
+  // the edge x-v into minus rows (u, v) and merged with the edge (u, v).
+  // Each plus bucket keeps one anchor, so almost every prefix row the
+  // fused step visits misses it.
+  ThreadsGuard guard;
+  constexpr std::uint32_t kRanks = 5;
+  const CsrGraph g = chung_lu_power_law(1500, 1.6, 8.0, 57);
+  const Fixture f(g, 5, 58);
+  const ExecContext base = f.cx();
+  ProjTable edges = init_path_from_graph(base, ExtendOpts{});
+  const ProjTable prefix = extend_with_graph(base, edges, ExtendOpts{});
+  const ProjTable plus = one_anchor_per_end(edges);
+  std::size_t visits = 0, misses = 0;
+  std::vector<TableEntry> pscratch, xscratch;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto pv = plus.group_expanded(1, v, pscratch);
+    for (const VertexId x : g.neighbors(v)) {
+      for (const TableEntry& r : prefix.group_expanded(1, x, xscratch)) {
+        ++visits;
+        if (pv.empty() || r.key.v[0] != pv.front().key.v[0]) ++misses;
+      }
+    }
+  }
+  ASSERT_GT(misses, visits * 95 / 100) << misses << " of " << visits;
+  MergeSpec spec;
+  spec.out_arity = 2;
+  spec.out[0] = {0, 0};
+  spec.out[1] = {0, 1};
+  for (const int threads : {1, 4}) {
+    set_threads(threads);
+    for (const bool model : {true, false}) {
+      const std::string what = "threads " + std::to_string(threads) +
+                               " model " + std::to_string(model);
+      Side fused(base, kRanks), ref(base, kRanks);
+      if (!model) fused.cx.load = nullptr;
+      ProjTable fp = prefix, fq = plus;
+      (void)extend_and_merge(fused.cx, fp, nullptr, ExtendOpts{}, fq, spec,
+                             fused.sink);
+      ProjTable rp = prefix, rq = plus;
+      ProjTable minus = extend_with_graph(ref.cx, rp, ExtendOpts{});
+      merge_halves<1>(ref.cx, rq, minus, spec, ref.sink);
+      ASSERT_GT(ref.sink.size(), 0u) << what;
+      expect_same_rows(fused.sink, ref.sink, what);
+      expect_same_model(fused, ref, what);
     }
   }
 }

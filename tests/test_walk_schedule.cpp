@@ -4,7 +4,9 @@
 // of the splits' walks exactly once, hand every split the tables its
 // standalone walks would build, release every table by the end of the
 // block, and run in one deterministic order. The peak number of tables
-// alive at once is reported per query and algorithm.
+// alive at once is reported per query and algorithm. run_walks' peak of
+// live entries (tables plus sink) must match what the tables count
+// themselves, and run_plan must report it on dros under DB.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,9 @@
 
 #include "ccbt/decomp/plan.hpp"
 #include "ccbt/engine/cycle_solver.hpp"
+#include "ccbt/engine/executor.hpp"
+#include "ccbt/engine/leaf_solver.hpp"
+#include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
 
 namespace ccbt {
@@ -28,21 +33,32 @@ struct Counter {
   int builds = 0;
   int live = 0;
   int peak = 0;
+  std::size_t entries = 0;       // of the live tables
+  std::size_t sink = 0;          // the block's sink, as finish last said
+  std::size_t peak_entries = 0;  // most live entries plus sink at once
+
+  void note_entries() { peak_entries = std::max(peak_entries, entries + sink); }
 };
 
-/// A recorded table that counts itself among the live ones until it is
-/// destroyed (a moved-from table no longer counts).
+/// A recorded table that counts itself, and its entries, among the live
+/// ones until it is destroyed (a moved-from table no longer counts).
+template <typename T>
 class Tracked {
  public:
-  Tracked(List ops, Counter* c) : ops_(std::move(ops)), c_(c) {
+  Tracked(T value, Counter* c)
+      : value_(std::move(value)), rows_(value_.size()), c_(c) {
     ++c_->builds;
     c_->peak = std::max(c_->peak, ++c_->live);
+    c_->entries += rows_;
+    c_->note_entries();
   }
   Tracked(Tracked&& o) noexcept
-      : ops_(std::move(o.ops_)), c_(std::exchange(o.c_, nullptr)) {}
+      : value_(std::move(o.value_)), rows_(o.rows_),
+        c_(std::exchange(o.c_, nullptr)) {}
   Tracked& operator=(Tracked&& o) noexcept {
     drop();
-    ops_ = std::move(o.ops_);
+    value_ = std::move(o.value_);
+    rows_ = o.rows_;
     c_ = std::exchange(o.c_, nullptr);
     return *this;
   }
@@ -50,42 +66,73 @@ class Tracked {
   Tracked& operator=(const Tracked&) = delete;
   ~Tracked() { drop(); }
 
-  const List& ops() const { return ops_; }
+  T& value() { return value_; }
+  const T& value() const { return value_; }
+  std::size_t size() const { return rows_; }
 
  private:
   void drop() {
-    if (c_ != nullptr) --c_->live;
+    if (c_ == nullptr) return;
+    --c_->live;
+    c_->entries -= rows_;
     c_ = nullptr;
   }
 
-  List ops_;
+  T value_;
+  std::size_t rows_;  // entries when built
   Counter* c_;
 };
 
+/// Tables that are the op lists which built them; a table's entries are
+/// its ops.
 struct TrackedOps {
   using Kind = PathOp::Kind;
+  using Table = Tracked<List>;
   Counter& c;
 
-  Tracked then(const List& t, const PathOp& op) {
+  Table then(const List& t, const PathOp& op) {
     List ops = t;
     ops.push_back(op);
     return {std::move(ops), &c};
   }
-  Tracked init_graph(const ExtendOpts& o) {
+  Table init_graph(const ExtendOpts& o) {
     return then({}, {Kind::kInitGraph, -1, false, 0, o});
   }
-  Tracked init_child(int child, bool transposed, const ExtendOpts& o) {
+  Table init_child(int child, bool transposed, const ExtendOpts& o) {
     return then({}, {Kind::kInitChild, child, transposed, 0, o});
   }
-  Tracked node_join(Tracked& t, int child, int slot) {
-    return then(t.ops(), {Kind::kNodeJoin, child, false, slot, {}});
+  Table node_join(Table& t, int child, int slot) {
+    return then(t.value(), {Kind::kNodeJoin, child, false, slot, {}});
   }
-  Tracked extend_graph(Tracked& t, const ExtendOpts& o) {
-    return then(t.ops(), {Kind::kExtendGraph, -1, false, 0, o});
+  Table extend_graph(Table& t, const ExtendOpts& o) {
+    return then(t.value(), {Kind::kExtendGraph, -1, false, 0, o});
   }
-  Tracked extend_child(Tracked& t, int child, bool transposed,
-                       const ExtendOpts& o) {
-    return then(t.ops(), {Kind::kExtendChild, child, transposed, 0, o});
+  Table extend_child(Table& t, int child, bool transposed,
+                     const ExtendOpts& o) {
+    return then(t.value(), {Kind::kExtendChild, child, transposed, 0, o});
+  }
+};
+
+/// The shared engine's path primitives, each table tracked with its
+/// entries.
+struct TrackedPath {
+  using Table = Tracked<ProjTable>;
+  SharedPath<1> path;
+  Counter& c;
+
+  Table init_graph(const ExtendOpts& o) { return {path.init_graph(o), &c}; }
+  Table init_child(int child, bool transposed, const ExtendOpts& o) {
+    return {path.init_child(child, transposed, o), &c};
+  }
+  Table node_join(Table& t, int child, int slot) {
+    return {path.node_join(t.value(), child, slot), &c};
+  }
+  Table extend_graph(Table& t, const ExtendOpts& o) {
+    return {path.extend_graph(t.value(), o), &c};
+  }
+  Table extend_child(Table& t, int child, bool transposed,
+                     const ExtendOpts& o) {
+    return {path.extend_child(t.value(), child, transposed, o), &c};
   }
 };
 
@@ -122,26 +169,36 @@ BlockRun run_block(const Block& blk, Algo algo, const std::string& what) {
   EXPECT_EQ(ws.splits.size(), plans.size()) << what;
   std::vector<int> seen(plans.size(), 0);
   TrackedOps ops{out.counter};
-  run_walks(ops, ws, nullptr,
-            [&](const WalkSchedule::Split& s, Tracked& p, Tracked& m) {
-              ASSERT_GE(s.index, 0) << what;
-              ASSERT_LT(s.index, static_cast<int>(plans.size())) << what;
-              ++seen[s.index];
-              const std::string split = what + " split " +
-                                        std::to_string(s.index);
-              EXPECT_EQ(p.ops(), plus[s.index]) << split;
-              List full = m.ops();
-              if (s.fused) {
-                EXPECT_TRUE(s.fused->extends()) << split;
-                full.push_back(*s.fused);
-              }
-              EXPECT_EQ(full, minus[s.index]) << split;
-            });
+  // The sink grows by one entry per split, so the peak counts it too.
+  std::size_t sink = 0;
+  const std::size_t peak = run_walks(
+      ops, ws, nullptr,
+      [&](const WalkSchedule::Split& s, TrackedOps::Table& p,
+          TrackedOps::Table& m) {
+        out.counter.sink = ++sink;
+        out.counter.note_entries();
+        if (s.index < 0 || s.index >= static_cast<int>(plans.size())) {
+          ADD_FAILURE() << what << ": split index " << s.index;
+          return sink;
+        }
+        ++seen[s.index];
+        const std::string split = what + " split " +
+                                  std::to_string(s.index);
+        EXPECT_EQ(p.value(), plus[s.index]) << split;
+        List full = m.value();
+        if (s.fused) {
+          EXPECT_TRUE(s.fused->extends()) << split;
+          full.push_back(*s.fused);
+        }
+        EXPECT_EQ(full, minus[s.index]) << split;
+        return sink;
+      });
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], 1) << what << " split " << i;
   }
   EXPECT_EQ(out.counter.builds, out.distinct) << what;
   EXPECT_EQ(out.counter.live, 0) << what << ": tables left alive";
+  EXPECT_EQ(peak, out.counter.peak_entries) << what;
   return out;
 }
 
@@ -223,6 +280,77 @@ TEST(WalkSchedule, DrosUnderDbBuildsSevenTablesInsteadOfTwentyFive) {
   EXPECT_EQ(cycles, 1);
   EXPECT_EQ(walks, 25);
   EXPECT_EQ(builds, 7);
+}
+
+TEST(WalkSchedule, PeakEntriesCountDrosWalkTablesAndSink) {
+  // run_plan's peak against the same blocks solved here, each cycle
+  // block's walk tables and sink counted while they live.
+  const CsrGraph g = chung_lu_power_law(400, 1.6, 6.0, 61);
+  const QueryGraph q = named_query("dros");
+  const Coloring chi(g.num_vertices(), q.num_nodes(), 62);
+  const DegreeOrder order(g);
+  ExecOptions opts;
+  opts.algo = Algo::kDB;
+  const ExecContext cx{g,
+                       chi,
+                       order,
+                       BlockPartition(g.num_vertices(), 4),
+                       nullptr,
+                       opts};
+  const DecompTree tree = make_plan(q).tree;
+  const ExecStats stats = run_plan(cx, tree);
+
+  TablePool pool(tree.blocks.size(), g.num_vertices());
+  std::size_t want = 0, stored = 0;
+  int most_live = 0;
+  for (std::size_t i = 0; i < tree.blocks.size(); ++i) {
+    const Block& blk = tree.blocks[i];
+    if (blk.kind == BlockKind::kSingleton) continue;
+    ProjTable table;
+    if (blk.kind == BlockKind::kLeafEdge) {
+      table = solve_leaf_edge<1>(cx, blk, pool);
+      want = std::max(want, table.size());
+    } else {
+      Counter c;
+      TrackedPath ops{{cx, pool}, c};
+      AccumMap sink(16, opts.compact_accum);
+      run_walks(ops, schedule_walks(blk, opts.algo), nullptr,
+                [&](const WalkSchedule::Split& s, TrackedPath::Table& plus,
+                    TrackedPath::Table& minus) {
+                  if (s.fused) {
+                    const PathOp& last = *s.fused;
+                    const ProjTable* child =
+                        last.child < 0
+                            ? nullptr
+                            : &pool.oriented(last.child, !last.transposed);
+                    (void)extend_and_merge(cx, minus.value(), child,
+                                           last.opts, plus.value(), s.merge,
+                                           sink);
+                  } else {
+                    merge_halves<1>(cx, plus.value(), minus.value(), s.merge,
+                                    sink);
+                  }
+                  c.sink = sink.size();
+                  c.note_entries();
+                  return sink.size();
+                });
+      EXPECT_EQ(c.live, 0);
+      most_live = std::max(most_live, c.peak);
+      want = std::max(want, c.peak_entries);
+      table = ProjTable::from_map(blk.boundary_count(), std::move(sink));
+    }
+    stored = std::max(stored, table.size());
+    if (static_cast<int>(i) != tree.root) {
+      pool.store(static_cast<int>(i), std::move(table));
+    }
+  }
+  std::printf("dros DB: %d tables alive at most, peak %zu entries, largest "
+              "block table %zu\n",
+              most_live, want, stored);
+  EXPECT_EQ(most_live, 4);
+  EXPECT_EQ(stats.peak_table_entries, want);
+  // More than any one block table: the walk tables count too.
+  EXPECT_GT(want, stored);
 }
 
 }  // namespace
