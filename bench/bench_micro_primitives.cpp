@@ -144,64 +144,6 @@ SealNumbers measure_seal() {
   return out;
 }
 
-struct LaneOpsNumbers {
-  std::size_t rows = 0;
-  double ns_per_row = 0.0;         // simd-hinted LaneOps<8> mul_masked+add
-  double ns_per_row_branchy = 0.0; // branch-per-lane reference
-};
-
-/// The hot dense-path lane arithmetic: one masked multiply-add per row,
-/// simd-hinted (CCBT_SIMD in table_key.hpp) vs the pre-hint branchy
-/// form, measured in-process so BENCH_primitives.json carries its own
-/// before/after line.
-LaneOpsNumbers measure_lane_ops8() {
-  using Ops = LaneOps<8>;
-  LaneOpsNumbers out;
-  const std::size_t n = 1 << 16;
-  const int reps = 24;
-  Rng rng(31);
-  std::vector<Ops::Vec> a(n), b(n);
-  std::vector<LaneMask> masks(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (int l = 0; l < 8; ++l) {
-      a[i][l] = 1 + rng.below(1000);
-      b[i][l] = 1 + rng.below(1000);
-    }
-    masks[i] = static_cast<LaneMask>(1 + rng.below(255));
-  }
-  out.rows = n;
-
-  Ops::Vec acc_simd = Ops::zero();
-  Timer ts;
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Ops::add(acc_simd, Ops::mul_masked(a[i], b[i], masks[i]));
-    }
-  }
-  const double simd_s = ts.seconds();
-  benchmark::DoNotOptimize(acc_simd);
-
-  Ops::Vec acc_ref = Ops::zero();
-  Timer tb;
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (int l = 0; l < 8; ++l) {
-        if ((masks[i] >> l) & 1u) acc_ref[l] += a[i][l] * b[i][l];
-      }
-    }
-  }
-  const double ref_s = tb.seconds();
-  benchmark::DoNotOptimize(acc_ref);
-  if (Ops::total(acc_simd) != Ops::total(acc_ref)) {
-    std::fprintf(stderr, "lane_ops8: simd/branchy mismatch!\n");
-  }
-
-  const double per = static_cast<double>(n) * reps;
-  out.ns_per_row = simd_s * 1e9 / per;
-  out.ns_per_row_branchy = ref_s * 1e9 / per;
-  return out;
-}
-
 struct MergeNumbers {
   std::size_t entries = 0;   // plus + minus input entries
   std::size_t outputs = 0;   // accumulated sink entries
@@ -248,7 +190,6 @@ void write_json_report() {
   const GroupNumbers g = measure_group_lookup();
   const SealNumbers s = measure_seal();
   const MergeNumbers m = measure_merge();
-  const LaneOpsNumbers lo = measure_lane_ops8();
 #ifdef _OPENMP
   const int threads = omp_get_max_threads();
 #else
@@ -280,12 +221,6 @@ void write_json_report() {
                "    \"input_entries\": %zu,\n"
                "    \"output_entries\": %zu,\n"
                "    \"ns_per_entry\": %.3f\n"
-               "  },\n"
-               "  \"lane_ops8\": {\n"
-               "    \"rows\": %zu,\n"
-               "    \"ns_per_row\": %.3f,\n"
-               "    \"ns_per_row_branchy\": %.3f,\n"
-               "    \"speedup_vs_branchy\": %.3f\n"
                "  }\n"
                "}\n",
                threads, g.entries, g.probes, g.ns_per_probe,
@@ -297,18 +232,14 @@ void write_json_report() {
                s.ns_per_entry > 0.0
                    ? s.ns_per_entry_comparison_sort / s.ns_per_entry
                    : 0.0,
-               m.entries, m.outputs, m.ns_per_entry, lo.rows,
-               lo.ns_per_row, lo.ns_per_row_branchy,
-               lo.ns_per_row > 0.0 ? lo.ns_per_row_branchy / lo.ns_per_row
-                                   : 0.0);
+               m.entries, m.outputs, m.ns_per_entry);
   std::fclose(f);
   std::printf(
       "BENCH_primitives.json written: group %.1f ns/probe (binary search "
       "%.1f), seal %.1f ns/entry (comparison sort %.1f), merge %.1f "
-      "ns/entry, lane_ops8 %.2f ns/row (branchy %.2f)\n",
+      "ns/entry\n",
       g.ns_per_probe, g.ns_per_probe_binary_search, s.ns_per_entry,
-      s.ns_per_entry_comparison_sort, m.ns_per_entry, lo.ns_per_row,
-      lo.ns_per_row_branchy);
+      s.ns_per_entry_comparison_sort, m.ns_per_entry);
 }
 
 // -------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "ccbt/bench_support/batch_replay.hpp"
 #include "ccbt/graph/csr_graph.hpp"
 #include "ccbt/query/query_graph.hpp"
 

@@ -5,9 +5,9 @@
 // persists across supersteps: every child-block table the DistPool has
 // stored so far, plus the position (next block, transport superstep) the
 // engine replays from. Shard images use the row encoding of
-// table/lane_payload.hpp — [key | mask | width | count], the count in the
-// narrowest of u16/u32/u64 that holds it and left out when it is zero —
-// so an image costs what its counts need.
+// table/lane_payload.hpp — [key | occupied | width | count], the count in
+// the narrowest of u16/u32/u64 that holds it and left out when it is zero
+// — so an image costs what its counts need.
 //
 // Restore rebuilds each table from its decoded row multiset and re-seals
 // with the storage convention (kByV0, dense). Because serialization
@@ -21,7 +21,6 @@
 // truncated, oversized, or misparsed images throw CheckpointCorrupt
 // (a *fatal* code — a corrupt snapshot cannot be retried away).
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -46,7 +45,7 @@ inline std::vector<std::uint8_t> checkpoint_encode_shard(
   const std::uint64_t rows = shard.size();
   std::memcpy(out.data() + sizeof(std::uint32_t), &rows,
               sizeof(std::uint64_t));
-  shard.for_each_entry([&](const TableEntry& e) { wire_encode<1>(e, out); });
+  shard.for_each_entry([&](const TableEntry& e) { wire_encode(e, out); });
   return out;
 }
 
@@ -68,7 +67,7 @@ inline std::vector<TableEntry> checkpoint_decode_shard(
   std::uint64_t rows = 0;
   std::memcpy(&rows, p, sizeof(std::uint64_t));
   p += sizeof(std::uint64_t);
-  // Every row takes at least its key and mask/width frame: a count the
+  // Every row takes at least its key and occupancy/width frame: a count the
   // image cannot hold is corrupt, and must not size the reservation.
   if (rows > static_cast<std::uint64_t>(end - p) / (kWireKeyBytes + 2)) {
     throw CheckpointCorrupt("shard image claims " + std::to_string(rows) +
@@ -79,26 +78,25 @@ inline std::vector<TableEntry> checkpoint_decode_shard(
   out.reserve(rows);
   for (std::uint64_t i = 0; i < rows; ++i) {
     // Frame check before handing the cursor to wire_decode (which trusts
-    // its input): fixed prefix, then the mask/width-implied payload.
+    // its input): fixed prefix, then the occupancy/width-implied payload.
     if (end - p < static_cast<std::ptrdiff_t>(kWireKeyBytes + 2)) {
       throw CheckpointCorrupt("shard image truncated at row " +
                               std::to_string(i));
     }
-    const LaneMask mask = p[kWireKeyBytes];
+    const int occupied = p[kWireKeyBytes];
     const int width_code = p[kWireKeyBytes + 1];
-    if (width_code > 2 || mask > 1) {
+    if (width_code > 2 || occupied > 1) {
       throw CheckpointCorrupt("shard image row " + std::to_string(i) +
-                              " has a bad mask/width frame");
+                              " has a bad occupancy/width frame");
     }
     const std::ptrdiff_t payload =
-        std::popcount(mask) *
-        payload_width_bytes(payload_width_from_code(width_code));
+        occupied * payload_width_bytes(payload_width_from_code(width_code));
     if (end - p < static_cast<std::ptrdiff_t>(kWireKeyBytes + 2) + payload) {
       throw CheckpointCorrupt("shard image truncated at row " +
                               std::to_string(i));
     }
     TableEntry e;
-    p = wire_decode<1>(p, e);
+    p = wire_decode(p, e);
     out.push_back(e);
   }
   if (p != end) {

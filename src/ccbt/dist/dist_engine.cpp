@@ -75,8 +75,8 @@ void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
         dx.comm.send(r, merge_dest(dx, spec, key), {key, cnt});
       };
       for (VertexId x = dx.part().begin(r); x < dx.part().end(r); ++x) {
-        detail::merge_end_bucket<1>(cx, plus.shard(r), minus.shard(r), x,
-                                    spec, route, pscratch, mscratch);
+        detail::merge_end_bucket(cx, plus.shard(r), minus.shard(r), x, spec,
+                                 route, pscratch, mscratch);
       }
     }
   }
@@ -126,7 +126,7 @@ DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
         dx.comm.send(r, dest, {key, cnt});
       };
       t.shard(r).for_each_entry([&](const TableEntry& e) {
-        kernel_aggregate<1>(cx, e, new_arity, emit);
+        kernel_aggregate(cx, e, new_arity, emit);
       });
     }
   }

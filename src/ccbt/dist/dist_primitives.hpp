@@ -213,7 +213,7 @@ struct DistPath {
 
   DistTable init_graph(const ExtendOpts& o) {
     return build_shards(dx, 2, [&](std::uint32_t, VertexRange range) {
-      return init_path_from_graph<1>(dx.cx, o, range);
+      return init_path_from_graph(dx.cx, o, range);
     });
   }
 
@@ -222,8 +222,8 @@ struct DistPath {
   DistTable init_child(int child, bool transposed, const ExtendOpts& o) {
     const DistTable& pull = pool.oriented(dx, child, !transposed);
     return build_shards(dx, 2, [&](std::uint32_t r, VertexRange range) {
-      return init_path_from_child<1>(dx.cx, pull.shard(r), /*flip=*/true, o,
-                                     range);
+      return init_path_from_child(dx.cx, pull.shard(r), /*flip=*/true, o,
+                                  range);
     });
   }
 
@@ -235,7 +235,7 @@ struct DistPath {
                                               VertexRange range) {
       const ProjTable& unary =
           replica != nullptr ? *replica : pool.get(child).shard(r);
-      return ccbt::node_join<1>(dx.cx, path.shard(r), unary, slot, range);
+      return ccbt::node_join(dx.cx, path.shard(r), unary, slot, range);
     });
   }
 
@@ -244,7 +244,7 @@ struct DistPath {
     return build_shards(dx, path.arity(), [&](std::uint32_t r,
                                               VertexRange range) {
       ProjTable view = halo_view(path, r);
-      return extend_with_graph<1>(dx.cx, view, o, range);
+      return extend_with_graph(dx.cx, view, o, range);
     });
   }
 
@@ -254,8 +254,8 @@ struct DistPath {
     return build_shards(dx, path.arity(), [&](std::uint32_t r,
                                               VertexRange range) {
       ProjTable view = halo_view(path, r);
-      return extend_with_child<1>(dx.cx, view, pull->shard(r), o,
-                                  /*flip=*/true, range);
+      return extend_with_child(dx.cx, view, pull->shard(r), o,
+                               /*flip=*/true, range);
     });
   }
 

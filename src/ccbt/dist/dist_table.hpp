@@ -167,7 +167,7 @@ class DistTable {
                       const BlockPartition& part, bool wide) const {
     const std::vector<TableEntry>& in = comm.inbox(r);
     const ProjTable& own = shards_[r];
-    SortedBucketsT<1> rows(wide, own.size() + in.size());
+    SortedBuckets rows(wide, own.size() + in.size());
     VertexId last = 0;
     for (const TableEntry& e : in) {
       const VertexId v = e.key.v[1];

@@ -76,12 +76,12 @@ WalkSchedule schedule_walks(const Block& blk, Algo algo) {
 ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
                       TablePool& pool, std::size_t* peak_entries) {
   AccumMap sink(16, cx.opts.compact_accum);
-  SharedPath<1> ops{cx, pool};
+  SharedPath ops{cx, pool};
   const std::size_t peak = run_walks(
       ops, schedule_walks(blk, cx.opts.algo), cx.load,
       [&](const WalkSchedule::Split& s, ProjTable& plus, ProjTable& minus) {
         if (!s.fused) {
-          merge_halves<1>(cx, plus, minus, s.merge, sink);
+          merge_halves(cx, plus, minus, s.merge, sink);
           return sink.size();
         }
         // The pulling orientation (see SharedPath::extend_child).

@@ -20,12 +20,12 @@
 namespace ccbt {
 
 /// Wall-clock breakdown of one plan execution by pipeline stage, so a
-/// batch-width speedup (or regression) is attributable stage by stage
-/// (BENCH_batch.json): kernel emission, sorting seals, merge joins, and
-/// — distributed engine only — the transport exchanges.
+/// speedup (or regression) is attributable stage by stage: kernel
+/// emission, sorting seals, merge joins, and — distributed engine only —
+/// the transport exchanges.
 struct StageWall {
   double accumulate = 0.0;  // join kernels emitting rows (incl. hash adds)
-  double seal = 0.0;        // sort + dedup + lane-density scan
+  double seal = 0.0;        // sort + dedup
   double merge = 0.0;       // merge_halves / extend_and_merge sweeps
   double transport = 0.0;   // virtual-MPI encode/exchange/decode
 
@@ -125,15 +125,14 @@ struct ExecOptions {
   bool use_threads = true;
 
   /// Let the hashed sinks — merge sinks, aggregate and the distributed
-  /// engine's supersteps — use the compact AccumMap layouts when keys and
-  /// counts permit: packed 16-byte rows at B = 1, narrow u32 lane rows at
-  /// B > 1 (see table/accum_map.hpp). Path tables are built born sorted
-  /// and never go through an AccumMap.
+  /// engine's supersteps — hold packed 16-byte rows while their keys pack
+  /// (see table/accum_map.hpp). Path tables are built born sorted and
+  /// never go through an AccumMap.
   bool compact_accum = true;
 
   /// Let the path primitives build their tables, and the distributed
   /// engine its path shards, in narrow flat rows (table/flat_rows.hpp);
-  /// off builds them in the dense u64[B] layout. Every other table is
+  /// off builds them in the dense 32-byte layout. Every other table is
   /// dense either way.
   bool lane_compress = true;
 
@@ -156,15 +155,15 @@ inline void check_table_budget(const ExecOptions& opts, const char* who) {
 
 struct ExecContext {
   const CsrGraph& g;
-  ColoringBatch chi;  // 1..kMaxBatchLanes colorings; lane 0 = scalar view
+  ColoringBatch chi;  // the primitives count under lane 0's coloring
   const DegreeOrder& order;
   BlockPartition part;       // ownership map for the load model
   LoadModel* load = nullptr;  // optional
   ExecOptions opts;
 
-  /// Optional collector of the tables' lane-occupancy observations
-  /// (density, narrow row widths); the engines attach one and surface it
-  /// through ExecStats / DistStats.
+  /// Optional collector of the tables' layout observations (occupancy,
+  /// narrow row widths); the engines attach one and surface it through
+  /// ExecStats / DistStats.
   LaneTelemetry* lane_telemetry = nullptr;
 
   /// Optional per-stage wall-clock collector (accumulate / seal / merge /

@@ -17,8 +17,7 @@ namespace {
 /// the most entries one block's solve held at once.
 Count run_coloring(const ExecContext& cx, const DecompTree& tree,
                    std::size_t& peak_entries) {
-  TablePool pool(tree.blocks.size(), cx.g.num_vertices(), /*unused=*/true,
-                 cx.stage);
+  TablePool pool(tree.blocks.size(), cx.g.num_vertices(), cx.stage);
   for (std::size_t i = 0; i < tree.blocks.size(); ++i) {
     const Block& blk = tree.blocks[i];
     const bool is_root = (static_cast<int>(i) == tree.root);
@@ -31,7 +30,7 @@ Count run_coloring(const ExecContext& cx, const DecompTree& tree,
     }
 
     ProjTable table = (blk.kind == BlockKind::kLeafEdge)
-                          ? solve_leaf_edge<1>(cx, blk, pool)
+                          ? solve_leaf_edge(cx, blk, pool)
                           : solve_cycle(cx, blk, pool, &peak_entries);
     peak_entries = std::max(peak_entries, table.size());
     if (is_root) return table.total();

@@ -44,7 +44,7 @@ struct ExecStats {
   StageWall stage;
 
   /// Accumulation telemetry: one phase per path primitive, and the rows
-  /// and bytes it fed to its bucket sorts (at every batch width).
+  /// and bytes it fed to its bucket sorts.
   AccumTelemetry accum;
 
   /// Fault-tolerance scoreboard (injected faults, retries, replays,

@@ -2,13 +2,10 @@
 
 namespace ccbt {
 
-template ProjTableT<1> solve_leaf_edge<1>(const ExecContext&, const Block&,
-                                          TablePoolT<1>&);
-template ProjTableT<2> solve_leaf_edge<2>(const ExecContext&, const Block&,
-                                          TablePoolT<2>&);
-template ProjTableT<4> solve_leaf_edge<4>(const ExecContext&, const Block&,
-                                          TablePoolT<4>&);
-template ProjTableT<8> solve_leaf_edge<8>(const ExecContext&, const Block&,
-                                          TablePoolT<8>&);
+ProjTable solve_leaf_edge(const ExecContext& cx, const Block& blk,
+                          TablePool& pool) {
+  SharedPath ops{cx, pool};
+  return aggregate(cx, walk_leaf_edge(ops, blk), /*new_arity=*/1);
+}
 
 }  // namespace ccbt

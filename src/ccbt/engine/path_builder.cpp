@@ -42,13 +42,10 @@ PathOps walk_path(const Block& blk, const PathSpec& spec) {
   return ops;
 }
 
-template ProjTableT<1> build_path<1>(const ExecContext&, const Block&,
-                                     TablePoolT<1>&, const PathSpec&);
-template ProjTableT<2> build_path<2>(const ExecContext&, const Block&,
-                                     TablePoolT<2>&, const PathSpec&);
-template ProjTableT<4> build_path<4>(const ExecContext&, const Block&,
-                                     TablePoolT<4>&, const PathSpec&);
-template ProjTableT<8> build_path<8>(const ExecContext&, const Block&,
-                                     TablePoolT<8>&, const PathSpec&);
+ProjTable build_path(const ExecContext& cx, const Block& blk,
+                     TablePool& pool, const PathSpec& spec) {
+  SharedPath ops{cx, pool};
+  return run_path(ops, walk_path(blk, spec));
+}
 
 }  // namespace ccbt

@@ -8,10 +8,6 @@
 // configurations), and which of the two shared endpoints' annotations this
 // path owns (P+ owns the end's, P- owns the anchor's — Section 5.2).
 //
-// Pool and builder are parameterized on the batch width B (the aliases
-// keep the scalar names); the construction sequence itself is coloring
-// independent, so all widths share it.
-//
 // A walk is a list of ops (PathOp, from walk_path) that either engine runs
 // on its own table type through apply_op.
 
@@ -29,16 +25,14 @@ namespace ccbt {
 /// Solved child tables, sealed kByV0, with cached transposes; both are
 /// dense, so joins probe them through group() directly. `domain` (the
 /// data graph's vertex count) lets stored tables build their O(1) bucket
-/// index at seal time. The unnamed bool is accepted and ignored:
-/// bench_suite still passes ExecOptions::lane_compress there.
-template <int B>
-class TablePoolT {
+/// index at seal time.
+class TablePool {
  public:
-  explicit TablePoolT(std::size_t num_blocks, VertexId domain = 0,
-                      bool /*unused*/ = true, StageWall* stage = nullptr)
+  explicit TablePool(std::size_t num_blocks, VertexId domain = 0,
+                     StageWall* stage = nullptr)
       : tables_(num_blocks), domain_(domain), stage_(stage) {}
 
-  void store(int block, ProjTableT<B> table) {
+  void store(int block, ProjTable table) {
     {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
       table.seal(SortOrder::kByV0, domain_);
@@ -50,14 +44,14 @@ class TablePoolT {
     tables_[block] = std::move(table);
   }
 
-  const ProjTableT<B>& get(int block) const { return tables_[block]; }
+  const ProjTable& get(int block) const { return tables_[block]; }
 
   /// The child table with slot 0 = `from`'s image; transposes lazily.
-  const ProjTableT<B>& oriented(int block, bool transposed) {
+  const ProjTable& oriented(int block, bool transposed) {
     if (!transposed) return tables_[block];
     if (!has_transposed_[block]) {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
-      ProjTableT<B> t = tables_[block].transposed();
+      ProjTable t = tables_[block].transposed();
       t.seal(SortOrder::kByV0, domain_);
       transposed_[block] = std::move(t);
       has_transposed_[block] = true;
@@ -72,14 +66,12 @@ class TablePoolT {
   }
 
  private:
-  std::vector<ProjTableT<B>> tables_;
-  std::vector<ProjTableT<B>> transposed_;  // lazily filled
+  std::vector<ProjTable> tables_;
+  std::vector<ProjTable> transposed_;  // lazily filled
   std::vector<bool> has_transposed_;
   VertexId domain_ = 0;
   StageWall* stage_ = nullptr;
 };
-
-using TablePool = TablePoolT<1>;
 
 struct PathSpec {
   /// Positions (indices into Block::nodes) visited, anchor first.
@@ -189,46 +181,32 @@ auto walk_leaf_edge(Ops& ops, const Block& blk) {
 /// table is built bucket by bucket from the child rows that end in the
 /// bucket, so edge children are read through the orientation opposite to
 /// the walk (both are cached by the pool), which `flip` says.
-template <int B>
 struct SharedPath {
   const ExecContext& cx;
-  TablePoolT<B>& pool;
+  TablePool& pool;
 
-  ProjTableT<B> init_graph(const ExtendOpts& o) {
-    return init_path_from_graph<B>(cx, o);
+  ProjTable init_graph(const ExtendOpts& o) {
+    return init_path_from_graph(cx, o);
   }
-  ProjTableT<B> init_child(int child, bool transposed, const ExtendOpts& o) {
-    return init_path_from_child<B>(cx, pool.oriented(child, !transposed),
-                                   /*flip=*/true, o);
+  ProjTable init_child(int child, bool transposed, const ExtendOpts& o) {
+    return init_path_from_child(cx, pool.oriented(child, !transposed),
+                                /*flip=*/true, o);
   }
-  ProjTableT<B> node_join(ProjTableT<B>& t, int child, int slot) {
-    return ccbt::node_join<B>(cx, t, pool.get(child), slot);
+  ProjTable node_join(ProjTable& t, int child, int slot) {
+    return ccbt::node_join(cx, t, pool.get(child), slot);
   }
-  ProjTableT<B> extend_graph(ProjTableT<B>& t, const ExtendOpts& o) {
-    return extend_with_graph<B>(cx, t, o);
+  ProjTable extend_graph(ProjTable& t, const ExtendOpts& o) {
+    return extend_with_graph(cx, t, o);
   }
-  ProjTableT<B> extend_child(ProjTableT<B>& t, int child, bool transposed,
-                             const ExtendOpts& o) {
-    return extend_with_child<B>(cx, t, pool.oriented(child, !transposed), o,
-                                /*flip=*/true);
+  ProjTable extend_child(ProjTable& t, int child, bool transposed,
+                         const ExtendOpts& o) {
+    return extend_with_child(cx, t, pool.oriented(child, !transposed), o,
+                             /*flip=*/true);
   }
 };
 
 /// Build the projection table of one half-cycle path.
-template <int B>
-ProjTableT<B> build_path(const ExecContext& cx, const Block& blk,
-                         TablePoolT<B>& pool, const PathSpec& spec) {
-  SharedPath<B> ops{cx, pool};
-  return run_path(ops, walk_path(blk, spec));
-}
-
-extern template ProjTableT<1> build_path<1>(const ExecContext&, const Block&,
-                                            TablePoolT<1>&, const PathSpec&);
-extern template ProjTableT<2> build_path<2>(const ExecContext&, const Block&,
-                                            TablePoolT<2>&, const PathSpec&);
-extern template ProjTableT<4> build_path<4>(const ExecContext&, const Block&,
-                                            TablePoolT<4>&, const PathSpec&);
-extern template ProjTableT<8> build_path<8>(const ExecContext&, const Block&,
-                                            TablePoolT<8>&, const PathSpec&);
+ProjTable build_path(const ExecContext& cx, const Block& blk,
+                     TablePool& pool, const PathSpec& spec);
 
 }  // namespace ccbt

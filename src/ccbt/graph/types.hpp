@@ -24,12 +24,8 @@ using Signature = std::uint32_t;
 /// Signature width limit; queries may have at most this many nodes.
 inline constexpr int kMaxQueryNodes = 16;
 
-/// Maximum number of colorings one plan execution can process at once
-/// (the engine's batch width B; see table/README.md, "Lane layout").
+/// Maximum number of colorings one plan execution can process (the batch
+/// width B; an execution runs its colorings one after another).
 inline constexpr int kMaxBatchLanes = 8;
-
-/// Bit i set <=> lane i participates (e.g. lanes whose coloring gives a
-/// vertex a particular color). Always < 2^kMaxBatchLanes.
-using LaneMask = std::uint32_t;
 
 }  // namespace ccbt

@@ -1,25 +1,15 @@
 #pragma once
-// Lane-compressed count rows: the per-row occupancy encoding of
-// distributed checkpoints (dist/checkpoint.hpp), plus the lane-occupancy
-// telemetry of sealed tables. An entry's dense `Count cnt[B]` is stored
-// as
-//
-//   * a per-row lane-occupancy bitmask (which lanes carry a nonzero
-//     count), and
-//   * the occupied lanes' counts, in ascending lane order, as u16 or u32
-//     words with a u64 overflow escape, the width chosen per row from its
-//     largest count.
-//
-// Every serialized row pays for exactly the lanes it carries, at the
-// width its counts need (the compact rows of Malík et al., extended to
-// the lane dimension). Tables themselves store narrow flat rows
+// Width-coded count rows: the row encoding of distributed checkpoints
+// (dist/checkpoint.hpp), plus the layout telemetry of sealed tables. A
+// serialized row stores its key, an occupancy byte (1 when the count is
+// nonzero) and the count, when nonzero, as a u16 or u32 word with a u64
+// overflow escape, the width chosen per row from the count (the compact
+// rows of Malík et al.). Tables themselves store narrow flat rows
 // (flat_rows.hpp) or dense rows (proj_table.hpp).
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "ccbt/table/table_key.hpp"
@@ -57,13 +47,12 @@ inline constexpr PayloadWidth choose_payload_width(Count max_count) {
   return PayloadWidth::kU64;
 }
 
-/// The lane occupancy of one table's rows (ProjTableT::layout()).
-/// `rows == 0` means "never observed" (unsorted tables, dense B = 1
-/// tables).
+/// The occupancy of one table's rows (ProjTable::layout()). `rows == 0`
+/// means "never observed" (tables not built in narrow rows).
 struct LaneLayoutInfo {
   std::uint64_t rows = 0;
-  std::uint64_t lane_slots = 0;      // rows * B
-  std::uint64_t lanes_occupied = 0;  // nonzero lane slots
+  std::uint64_t lane_slots = 0;      // one count slot per row
+  std::uint64_t lanes_occupied = 0;  // nonzero counts
   Count max_count = 0;
   bool packed = false;               // rows held in the narrow flat layout
   PayloadWidth width = PayloadWidth::kU64;  // narrow width, else by max
@@ -105,54 +94,29 @@ struct LaneTelemetry {
   }
 };
 
-/// Density scan over dense rows: occupancy and max count.
-template <int B>
-LaneLayoutInfo scan_lane_layout(std::span<const TableEntryT<B>> rows) {
-  LaneLayoutInfo info;
-  info.rows = rows.size();
-  info.lane_slots = rows.size() * static_cast<std::uint64_t>(B);
-  for (const TableEntryT<B>& e : rows) {
-    for (int l = 0; l < B; ++l) {
-      const Count c = LaneOps<B>::lane(e.cnt, l);
-      info.lanes_occupied += (c != 0);
-      if (c > info.max_count) info.max_count = c;
-    }
-  }
-  info.width = choose_payload_width(info.max_count);
-  return info;
-}
-
 // ------------------------------------------------------------------ wire
 // The serialized encoding of one row (checkpoint shard images):
 //
 //   v0 v1 v2 v3 sig : 5 x u32 LE   (20 bytes, the unpadded key)
-//   mask            : u8           (lane occupancy)
+//   occupied        : u8           (1 when the count is nonzero)
 //   width code      : u8           (0 = u16, 1 = u32, 2 = u64)
-//   counts          : popcount(mask) x width, LE, ascending lane
+//   count           : width bytes LE, present only when occupied
 //
 // The width is chosen per row, so a row's wire cost is exactly what its
-// counts need.
+// count needs.
 
 inline constexpr std::size_t kWireKeyBytes = 5 * sizeof(std::uint32_t);
 
 /// Append the row's wire encoding to `out`; returns the row's payload
 /// width.
-template <int B>
-PayloadWidth wire_encode(const TableEntryT<B>& e,
-                         std::vector<std::uint8_t>& out) {
-  LaneMask mask = 0;
-  Count max_count = 0;
-  for (int l = 0; l < B; ++l) {
-    const Count c = LaneOps<B>::lane(e.cnt, l);
-    mask |= static_cast<LaneMask>(c != 0) << l;
-    if (c > max_count) max_count = c;
-  }
-  const PayloadWidth width = choose_payload_width(max_count);
+inline PayloadWidth wire_encode(const TableEntry& e,
+                                std::vector<std::uint8_t>& out) {
+  const bool occupied = e.cnt != 0;
+  const PayloadWidth width = choose_payload_width(e.cnt);
   const int w = payload_width_bytes(width);
 
   std::size_t at = out.size();
-  out.resize(at + kWireKeyBytes + 2 +
-             static_cast<std::size_t>(std::popcount(mask)) * w);
+  out.resize(at + kWireKeyBytes + 2 + (occupied ? w : 0));
   std::uint8_t* p = out.data() + at;
   for (int s = 0; s < 4; ++s) {
     std::memcpy(p, &e.key.v[s], sizeof(std::uint32_t));
@@ -161,19 +125,14 @@ PayloadWidth wire_encode(const TableEntryT<B>& e,
   const auto sig = static_cast<std::uint32_t>(e.key.sig);
   std::memcpy(p, &sig, sizeof(std::uint32_t));
   p += sizeof(std::uint32_t);
-  *p++ = static_cast<std::uint8_t>(mask);
+  *p++ = static_cast<std::uint8_t>(occupied);
   *p++ = static_cast<std::uint8_t>(payload_width_code(width));
-  for (LaneMask m = mask; m != 0; m &= m - 1) {
-    const Count c = LaneOps<B>::lane(e.cnt, std::countr_zero(m));
-    std::memcpy(p, &c, w);
-    p += w;
-  }
+  if (occupied) std::memcpy(p, &e.cnt, w);
   return width;
 }
 
 /// Decode one row starting at `p`; returns the cursor past it.
-template <int B>
-const std::uint8_t* wire_decode(const std::uint8_t* p, TableEntryT<B>& e) {
+inline const std::uint8_t* wire_decode(const std::uint8_t* p, TableEntry& e) {
   for (int s = 0; s < 4; ++s) {
     std::memcpy(&e.key.v[s], p, sizeof(std::uint32_t));
     p += sizeof(std::uint32_t);
@@ -182,14 +141,12 @@ const std::uint8_t* wire_decode(const std::uint8_t* p, TableEntryT<B>& e) {
   std::memcpy(&sig, p, sizeof(std::uint32_t));
   p += sizeof(std::uint32_t);
   e.key.sig = static_cast<Signature>(sig);
-  const LaneMask mask = *p++;
+  const bool occupied = *p++ != 0;
   const int w = payload_width_bytes(payload_width_from_code(*p++));
-  e.cnt = LaneOps<B>::zero();
-  for (LaneMask m = mask; m != 0; m &= m - 1) {
-    std::uint64_t c = 0;
-    std::memcpy(&c, p, w);
+  e.cnt = 0;
+  if (occupied) {
+    std::memcpy(&e.cnt, p, w);
     p += w;
-    LaneOps<B>::set_lane(e.cnt, std::countr_zero(m), c);
   }
   return p;
 }

@@ -1,5 +1,5 @@
 #pragma once
-// Projection-table keys and lane-indexed entries.
+// Projection-table keys and entries.
 //
 // A key holds up to four data-vertex slots plus a color signature:
 //   slot 0 — the anchor (π of the path's start node / first boundary node)
@@ -7,30 +7,22 @@
 //   slots 2,3 — "tracked" vertices: the images of boundary nodes that fall
 //               in the interior of a DB path (the additional fields of
 //               Section 5.1, configurations (A) and (B)).
-// Unused slots hold kNoVertex so equality and hashing are uniform.
-//
-// Entries are parameterized on the engine's batch width B: one plan
-// execution processes B independent colorings ("lanes") at once, and an
-// entry's count becomes a lane-indexed vector. Lanes share an entry when
-// their colorings give the partial match the same signature, so the key
-// stays (vertex tuple, signature) at every width. B = 1 keeps the original
-// scalar layout bit for bit.
+// Unused slots hold kNoVertex so equality and hashing are uniform. An
+// entry is a key plus the number of colorful matches under one coloring.
 
 #include <array>
 #include <cstdint>
 
 #include "ccbt/graph/types.hpp"
 
-// The B-wide lane loops below are branchless multiply-adds over small
-// fixed-size arrays — exactly the shape `omp simd` vectorizes. The macro
-// collapses to nothing without OpenMP.
+// Hint for the branchless filter loops of the join kernels (a signature
+// AND/compare per row), which `omp simd` vectorizes. Collapses to nothing
+// without OpenMP.
 #if defined(_OPENMP)
 #define CCBT_PRAGMA(x) _Pragma(#x)
 #define CCBT_SIMD CCBT_PRAGMA(omp simd)
-#define CCBT_SIMD_REDUCTION(op, var) CCBT_PRAGMA(omp simd reduction(op : var))
 #else
 #define CCBT_SIMD
-#define CCBT_SIMD_REDUCTION(op, var)
 #endif
 
 namespace ccbt {
@@ -58,98 +50,11 @@ inline std::uint64_t hash_key(const TableKey& k) {
   return h;
 }
 
-/// Per-width count representation and the lane arithmetic the join
-/// primitives need. The generic case is an array of per-lane counts; the
-/// B = 1 specialization collapses to a plain scalar so the single-coloring
-/// engine compiles to exactly the pre-batching code.
-template <int B>
-struct LaneOps {
-  static_assert(B >= 2 && B <= kMaxBatchLanes, "unsupported batch width");
-  using Vec = std::array<Count, B>;
-
-  static constexpr Vec zero() { return Vec{}; }
-
-  static constexpr bool is_zero(const Vec& v) {
-    for (int l = 0; l < B; ++l) {
-      if (v[l] != 0) return false;
-    }
-    return true;
-  }
-
-  static constexpr Count lane(const Vec& v, int l) { return v[l]; }
-  static constexpr void set_lane(Vec& v, int l, Count c) { v[l] = c; }
-
-  static void add(Vec& d, const Vec& s) {
-    CCBT_SIMD
-    for (int l = 0; l < B; ++l) d[l] += s[l];
-  }
-
-  // The mask-parameterized ops are branchless (multiply by the mask bit)
-  // and simd-hinted so the compiler vectorizes the B-wide loops.
-
-  /// 1 in every lane of `m`, 0 elsewhere.
-  static Vec ones(LaneMask m) {
-    Vec v;
-    CCBT_SIMD
-    for (int l = 0; l < B; ++l) v[l] = (m >> l) & 1u;
-    return v;
-  }
-
-  /// a with lanes outside `m` zeroed.
-  static Vec masked(const Vec& a, LaneMask m) {
-    Vec v;
-    CCBT_SIMD
-    for (int l = 0; l < B; ++l) v[l] = a[l] * ((m >> l) & 1u);
-    return v;
-  }
-
-  /// Lane-wise product, restricted to the lanes of `m`.
-  static Vec mul_masked(const Vec& a, const Vec& b, LaneMask m) {
-    Vec v;
-    CCBT_SIMD
-    for (int l = 0; l < B; ++l) v[l] = a[l] * b[l] * ((m >> l) & 1u);
-    return v;
-  }
-
-  static Count total(const Vec& v) {
-    Count t = 0;
-    CCBT_SIMD_REDUCTION(+, t)
-    for (int l = 0; l < B; ++l) t += v[l];
-    return t;
-  }
-};
-
-template <>
-struct LaneOps<1> {
-  using Vec = Count;
-  static constexpr Vec zero() { return 0; }
-  static constexpr bool is_zero(Vec v) { return v == 0; }
-  static constexpr Count lane(Vec v, int) { return v; }
-  static constexpr void set_lane(Vec& v, int, Count c) { v = c; }
-  static constexpr void add(Vec& d, Vec s) { d += s; }
-  static constexpr Vec ones(LaneMask m) { return m & 1u; }
-  static constexpr Vec masked(Vec a, LaneMask m) { return (m & 1u) ? a : 0; }
-  static constexpr Vec mul_masked(Vec a, Vec b, LaneMask m) {
-    return (m & 1u) ? a * b : 0;
-  }
-  static constexpr Count total(Vec v) { return v; }
-};
-
-/// An accumulated (key -> per-lane counts) row.
-template <int B>
-struct TableEntryT {
-  TableKey key;
-  typename LaneOps<B>::Vec cnt{};
-};
-
-/// B = 1 keeps the original scalar row (32 bytes).
-template <>
-struct TableEntryT<1> {
+/// An accumulated (key -> count) row (32 bytes).
+struct TableEntry {
   TableKey key;
   Count cnt = 0;
 };
-
-using TableEntry = TableEntryT<1>;
 
 // ------------------------------------------------------------------ packed
 // Compact accumulation layout (à la Malík et al.): for queries with at

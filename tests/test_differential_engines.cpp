@@ -9,9 +9,9 @@
 //
 // The sweep is seeded: CCBT_DIFF_SEED offsets the whole configuration
 // stream and CCBT_DIFF_ITERS scales the number of configs, so CI can run
-// a different slice per job (the sanitizer job sweeps a few seeds under
-// CCBT_FORCE_SCALAR_LANES=1) while local failures stay reproducible —
-// the failure message carries the config's derivation.
+// a different slice per job (the sanitizer job sweeps a few seeds) while
+// local failures stay reproducible — the failure message carries the
+// config's derivation.
 
 #include <gtest/gtest.h>
 

@@ -315,7 +315,7 @@ class PhaseParity {
   VirtualComm comm_;
   dist::Dx dx_;
   dist::DistPool dpool_;
-  SharedPath<1> shared_;
+  SharedPath shared_;
   dist::DistPath dist_;
   int phases_ = 0;
 };
@@ -345,7 +345,7 @@ void expect_phase_parity(const CsrGraph& g, const QueryGraph& q,
     if (blk.kind == BlockKind::kLeafEdge) {
       pp.label = label + " leaf";
       (void)walk_leaf_edge(pp, blk);
-      table = solve_leaf_edge<1>(cx, blk, pool);
+      table = solve_leaf_edge(cx, blk, pool);
     } else {
       for (const SplitPlan& plan : splits_for(blk, opts.algo)) {
         pp.label = label + " plus";

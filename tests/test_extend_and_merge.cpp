@@ -121,7 +121,7 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
                        opts};
   const DecompTree tree = make_plan(q).tree;
   TablePool pool(tree.blocks.size(), g.num_vertices());
-  SharedPath<1> build{cx, pool};
+  SharedPath build{cx, pool};
   const std::string label = q.name() + " " + algo_name(algo);
   int fused_splits = 0;
   for (std::size_t i = 0; i < tree.blocks.size(); ++i) {
@@ -129,11 +129,11 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
     if (blk.kind == BlockKind::kSingleton) continue;
     ProjTable table;
     if (blk.kind == BlockKind::kLeafEdge) {
-      table = solve_leaf_edge<1>(cx, blk, pool);
+      table = solve_leaf_edge(cx, blk, pool);
     } else {
       Side fused(cx, kRanks), ref(cx, kRanks);
       if (!variant.model) fused.cx.load = nullptr;
-      SharedPath<1> ref_ops{ref.cx, pool};
+      SharedPath ref_ops{ref.cx, pool};
       run_walks(
           build, schedule_walks(blk, algo), nullptr,
           [&](const WalkSchedule::Split& s, ProjTable& walk_plus,
@@ -146,8 +146,8 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
             ProjTable ref_plus = plus;
             if (!s.fused) {
               ProjTable minus = prefix;
-              merge_halves<1>(fused.cx, plus, prefix, s.merge, fused.sink);
-              merge_halves<1>(ref.cx, ref_plus, minus, s.merge, ref.sink);
+              merge_halves(fused.cx, plus, prefix, s.merge, fused.sink);
+              merge_halves(ref.cx, ref_plus, minus, s.merge, ref.sink);
               return fused.sink.size();
             }
             ++fused_splits;
@@ -158,7 +158,7 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
                     ? ref_ops.extend_graph(ref_prefix, last.opts)
                     : ref_ops.extend_child(ref_prefix, last.child,
                                            last.transposed, last.opts);
-            merge_halves<1>(ref.cx, ref_plus, minus, s.merge, ref.sink);
+            merge_halves(ref.cx, ref_plus, minus, s.merge, ref.sink);
             const ProjTable* child =
                 last.child < 0 ? nullptr
                                : &pool.oriented(last.child, !last.transposed);
@@ -338,7 +338,7 @@ TEST(ExtendAndMerge, SparsePlusMatchesWithAndWithoutModel) {
                              fused.sink);
       ProjTable rp = prefix, rq = plus;
       ProjTable minus = extend_with_graph(ref.cx, rp, ExtendOpts{});
-      merge_halves<1>(ref.cx, rq, minus, spec, ref.sink);
+      merge_halves(ref.cx, rq, minus, spec, ref.sink);
       ASSERT_GT(ref.sink.size(), 0u) << what;
       expect_same_rows(fused.sink, ref.sink, what);
       expect_same_model(fused, ref, what);

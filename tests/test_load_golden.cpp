@@ -96,7 +96,7 @@ std::uint64_t table_digest(const CsrGraph& g, const QueryGraph& q,
     const Block& blk = tree.blocks[i];
     if (blk.kind == BlockKind::kSingleton) continue;
     ProjTable t = blk.kind == BlockKind::kLeafEdge
-                      ? solve_leaf_edge<1>(cx, blk, pool)
+                      ? solve_leaf_edge(cx, blk, pool)
                       : solve_cycle(cx, blk, pool);
     if (static_cast<int>(i) == tree.root) break;
     pool.store(static_cast<int>(i), std::move(t));

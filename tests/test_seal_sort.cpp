@@ -1,10 +1,10 @@
 // The sorting seals that remain after path tables are born sorted: the
 // distributed engine's shards arrive as flat rows with duplicate keys
-// (ProjTableT::from_flat) and seal through the dense counting partition,
+// (ProjTable::from_flat) and seal through the dense counting partition,
 // and a born-sorted table re-sealed in another order (kByV0 for storage)
 // re-sorts in the dense layout. Either must leave exactly the rows a
 // test-local std::stable_sort by the order's comparator plus a run-sum
-// gives — across batch widths, table sizes on both sides of the
+// gives — across table sizes on both sides of the
 // threaded-partition cutoff, small and large vertex domains, out-of-domain
 // keys (the comparison-sort fallback) and duplicate-heavy inputs. The
 // checkpoint restore path additionally relies on re-sealing decoded
@@ -29,21 +29,11 @@
 namespace ccbt {
 namespace {
 
-template <int B>
-using Row = std::pair<TableKey, std::array<Count, B>>;
-
-template <int B>
-TableEntryT<B> entry_of(const Row<B>& r) {
-  TableEntryT<B> e;
-  e.key = r.first;
-  for (int l = 0; l < B; ++l) LaneOps<B>::set_lane(e.cnt, l, r.second[l]);
-  return e;
-}
+using Row = std::pair<TableKey, Count>;
 
 /// The reference: stable sort by the order's slot, then the remaining key
 /// fields, and sum equal-key runs.
-template <int B>
-std::vector<Row<B>> reference(std::vector<Row<B>> rows, SortOrder order) {
+std::vector<Row> reference(std::vector<Row> rows, SortOrder order) {
   const int slot = group_slot(order);
   auto fields = [slot](const TableKey& k) {
     return std::array<std::uint64_t, 6>{
@@ -52,10 +42,10 @@ std::vector<Row<B>> reference(std::vector<Row<B>> rows, SortOrder order) {
   std::stable_sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
     return fields(a.first) < fields(b.first);
   });
-  std::vector<Row<B>> out;
+  std::vector<Row> out;
   for (const auto& [k, c] : rows) {
     if (!out.empty() && out.back().first == k) {
-      for (int l = 0; l < B; ++l) out.back().second[l] += c[l];
+      out.back().second += c;
     } else {
       out.push_back({k, c});
     }
@@ -63,20 +53,13 @@ std::vector<Row<B>> reference(std::vector<Row<B>> rows, SortOrder order) {
   return out;
 }
 
-template <int B>
-std::vector<Row<B>> rows_of(const ProjTableT<B>& t) {
-  std::vector<Row<B>> out;
-  t.for_each_entry([&](const TableEntryT<B>& e) {
-    std::array<Count, B> c;
-    for (int l = 0; l < B; ++l) c[l] = LaneOps<B>::lane(e.cnt, l);
-    out.push_back({e.key, c});
-  });
+std::vector<Row> rows_of(const ProjTable& t) {
+  std::vector<Row> out;
+  t.for_each_entry([&](const TableEntry& e) { out.push_back({e.key, e.cnt}); });
   return out;
 }
 
-template <int B>
-void expect_rows_eq(const std::vector<Row<B>>& got,
-                    const std::vector<Row<B>>& want) {
+void expect_rows_eq(const std::vector<Row>& got, const std::vector<Row>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].first, want[i].first) << "row " << i;
@@ -86,17 +69,16 @@ void expect_rows_eq(const std::vector<Row<B>>& got,
 
 /// Seal a flat-built table and compare it, and its bucket index when one
 /// was built, against the reference.
-template <int B>
-void expect_seal_matches(const std::vector<Row<B>>& rows, SortOrder order,
+void expect_seal_matches(const std::vector<Row>& rows, SortOrder order,
                          VertexId domain) {
-  std::vector<TableEntryT<B>> flat;
-  for (const Row<B>& r : rows) flat.push_back(entry_of<B>(r));
-  ProjTableT<B> t = ProjTableT<B>::from_flat(2, std::move(flat));
+  std::vector<TableEntry> flat;
+  for (const Row& r : rows) flat.push_back({r.first, r.second});
+  ProjTable t = ProjTable::from_flat(2, std::move(flat));
   t.seal(order, domain);
   EXPECT_EQ(t.order(), order);
   EXPECT_FALSE(t.dedup_pending());
-  const std::vector<Row<B>> got = rows_of<B>(t);
-  expect_rows_eq<B>(got, reference<B>(rows, order));
+  const std::vector<Row> got = rows_of(t);
+  expect_rows_eq(got, reference(rows, order));
   if (!t.has_bucket_index()) return;
   // The index may cover less than `domain` (a seal detects a tighter
   // bound from the keys when `domain` is too sparse to pay off).
@@ -112,19 +94,16 @@ void expect_seal_matches(const std::vector<Row<B>>& rows, SortOrder order,
   EXPECT_EQ(next, got.size());
 }
 
-template <int B>
-Row<B> make_row(Rng& rng, VertexId domain, Count max_count) {
-  Row<B> r;
+Row make_row(Rng& rng, VertexId domain, Count max_count) {
+  Row r;
   r.first.v[0] = static_cast<VertexId>(rng.below(domain));
   r.first.v[1] = static_cast<VertexId>(rng.below(domain));
   r.first.sig = static_cast<Signature>(rng.below(256));
-  r.second.fill(0);
-  r.second[rng.below(B)] = 1 + rng.below(max_count);
+  r.second = 1 + rng.below(max_count);
   return r;
 }
 
-template <int B>
-void run_distribution_suite() {
+TEST(SealSort, FlatSealMatchesStableSort) {
   const SortOrder orders[] = {SortOrder::kByV0, SortOrder::kByV1};
   // A small domain (few, crowded buckets) and a large one (mostly empty
   // buckets), each at sizes on both sides of the threaded-partition cutoff.
@@ -132,81 +111,74 @@ void run_distribution_suite() {
     for (const SortOrder order : orders) {
       for (const int n : {1500, 70'000}) {
         Rng rng(100 + n + domain);
-        std::vector<Row<B>> rows;
-        for (int i = 0; i < n; ++i) {
-          rows.push_back(make_row<B>(rng, domain, 900));
-        }
-        expect_seal_matches<B>(rows, order, domain);
+        std::vector<Row> rows;
+        for (int i = 0; i < n; ++i) rows.push_back(make_row(rng, domain, 900));
+        expect_seal_matches(rows, order, domain);
       }
       // Duplicate-heavy: a 24-key universe makes ~250-row runs.
       Rng rng(200 + domain);
-      std::vector<Row<B>> rows;
+      std::vector<Row> rows;
       for (int i = 0; i < 6000; ++i) {
-        Row<B> r = make_row<B>(rng, 24, 0xFFFF);
+        Row r = make_row(rng, 24, 0xFFFF);
         r.first.sig = static_cast<Signature>(1u << rng.below(2));
         rows.push_back(r);
       }
-      expect_seal_matches<B>(rows, order, domain);
+      expect_seal_matches(rows, order, domain);
     }
   }
 }
-
-TEST(SealSort, FlatSealMatchesStableSortB2) { run_distribution_suite<2>(); }
-TEST(SealSort, FlatSealMatchesStableSortB4) { run_distribution_suite<4>(); }
-TEST(SealSort, FlatSealMatchesStableSortB8) { run_distribution_suite<8>(); }
 
 TEST(SealSort, OutOfDomainKeyFallsBackToComparisonSort) {
   // A slot value at or above `domain` (kNoVertex included) cannot be
   // bucketed: the seal falls back to the comparison sort, same rows.
   Rng rng(650);
-  std::vector<Row<4>> rows;
-  for (int i = 0; i < 300; ++i) rows.push_back(make_row<4>(rng, 80, 50));
+  std::vector<Row> rows;
+  for (int i = 0; i < 300; ++i) rows.push_back(make_row(rng, 80, 50));
   rows[100].first.v[1] = 80;  // == domain
   rows[200].first.v[1] = kNoVertex;
-  expect_seal_matches<4>(rows, SortOrder::kByV1, 80);
+  expect_seal_matches(rows, SortOrder::kByV1, 80);
 }
 
 TEST(SealSort, TrackedSlotsOrderInsideBuckets) {
   // Rows equal on (v0, v1) differ only in the tracked slots: the tail
   // order must still be the full key.
   Rng rng(660);
-  std::vector<Row<8>> rows;
+  std::vector<Row> rows;
   for (int i = 0; i < 3000; ++i) {
-    Row<8> r = make_row<8>(rng, 6, 40);
+    Row r = make_row(rng, 6, 40);
     r.first.v[2] = static_cast<VertexId>(rng.below(5));
     r.first.v[3] = static_cast<VertexId>(rng.below(3));
     rows.push_back(r);
   }
   for (const SortOrder order : {SortOrder::kByV0, SortOrder::kByV1}) {
-    expect_seal_matches<8>(rows, order, 6);
+    expect_seal_matches(rows, order, 6);
   }
 }
 
 TEST(SealSort, BornSortedTableResealsByV0) {
   // A born-sorted table stored for probing re-seals kByV0 in the dense
   // layout: same rows as sealing the flat rows directly.
-  constexpr int B = 8;
   const VertexId domain = 50;
   Rng rng(700);
-  std::vector<Row<B>> rows;
-  SortedBucketsT<B> buckets;
-  FlatRowsT<B> scratch;
+  std::vector<Row> rows;
+  SortedBuckets buckets;
+  FlatRows scratch;
   for (VertexId w = 0; w < domain; ++w) {
     scratch.reset();
     for (int i = 0; i < 40; ++i) {
-      Row<B> r = make_row<B>(rng, domain, 900);
+      Row r = make_row(rng, domain, 900);
       r.first.v[1] = w;
       rows.push_back(r);
-      scratch.append(r.first, entry_of<B>(r).cnt);
+      scratch.append(r.first, r.second);
     }
     buckets.close(scratch);
   }
-  ProjTableT<B> t = ProjTableT<B>::from_buckets(2, std::move(buckets));
+  ProjTable t = ProjTable::from_buckets(2, std::move(buckets));
   ASSERT_EQ(t.order(), SortOrder::kByV1);
   for (const SortOrder order : {SortOrder::kByV0, SortOrder::kByV1}) {
     t.seal(order, domain);
     EXPECT_EQ(t.order(), order);
-    expect_rows_eq<B>(rows_of<B>(t), reference<B>(rows, order));
+    expect_rows_eq(rows_of(t), reference(rows, order));
   }
 }
 

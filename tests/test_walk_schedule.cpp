@@ -117,7 +117,7 @@ struct TrackedOps {
 /// entries.
 struct TrackedPath {
   using Table = Tracked<ProjTable>;
-  SharedPath<1> path;
+  SharedPath path;
   Counter& c;
 
   Table init_graph(const ExtendOpts& o) { return {path.init_graph(o), &c}; }
@@ -308,7 +308,7 @@ TEST(WalkSchedule, PeakEntriesCountDrosWalkTablesAndSink) {
     if (blk.kind == BlockKind::kSingleton) continue;
     ProjTable table;
     if (blk.kind == BlockKind::kLeafEdge) {
-      table = solve_leaf_edge<1>(cx, blk, pool);
+      table = solve_leaf_edge(cx, blk, pool);
       want = std::max(want, table.size());
     } else {
       Counter c;
@@ -327,8 +327,8 @@ TEST(WalkSchedule, PeakEntriesCountDrosWalkTablesAndSink) {
                                            last.opts, plus.value(), s.merge,
                                            sink);
                   } else {
-                    merge_halves<1>(cx, plus.value(), minus.value(), s.merge,
-                                    sink);
+                    merge_halves(cx, plus.value(), minus.value(), s.merge,
+                                 sink);
                   }
                   c.sink = sink.size();
                   c.note_entries();
