@@ -1,6 +1,6 @@
 // Accumulate-only microbench: the born-sorted bucket build in isolation
 // (table/flat_rows.hpp), without the estimator noise of the full batch
-// bench. Each cell replays one phase's emission shape — buckets of u16
+// bench. Each cell replays one phase's emission shape — buckets of packed
 // rows with duplicate keys, appended to a per-bucket scratch exactly as
 // the path primitives' extend does — and closes every bucket through
 // SortedBuckets (local sort + exact run sums).
@@ -102,7 +102,7 @@ void replay(const Workload& w, int reps, Cell& cell) {
       scratch.reset();
       Timer emit_timer;
       for (std::size_t i = lo; i < lo + w.bucket_rows; ++i) {
-        scratch.append_u16(w.keys[i], 1);
+        scratch.append_packed(w.keys[i], 1);
       }
       emit_s += emit_timer.seconds();
       Timer close_timer;

@@ -89,8 +89,8 @@ struct Cell {
   bool lanes_match = true;    // per-trial counts identical to baseline
   // Lane-layout telemetry sampled from one batched execution (B > 1).
   double lane_density = 0.0;
-  double packed_share = 0.0;  // narrow rows / rows observed
-  std::array<std::uint64_t, 3> width_hist{};  // narrow rows per u16/u32/u64
+  double packed_share = 0.0;  // packed rows / rows observed
+  std::array<std::uint64_t, 3> width_hist{};  // packed rows per u16/u32/u64
   // Per-stage wall breakdown summed over the cell's plan executions.
   StageWall stage;
   // Accumulate-stage wall vs the B = 1 cell of the same (graph, query):

@@ -107,26 +107,35 @@ struct SealNumbers {
   double ns_per_entry_comparison_sort = 0.0;
 };
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
+/// Median over `reps` timed runs of one 2^18-row seal and of its naive
+/// reference, each after one untimed run that warms the OpenMP pool and
+/// the allocator.
 SealNumbers measure_seal() {
   SealNumbers out;
   const std::size_t n = 1 << 18;
-  const int reps = 9;
+  const int reps = 15;
   const ProjTable pristine = unsorted_table(random_binary_entries(n, 7));
   out.entries = pristine.size();
 
-  double bucket_s = 0.0;
-  double compare_s = 0.0;
-  for (int r = 0; r < reps; ++r) {
+  const auto seal_seconds = [&] {
     ProjTable a = pristine;
-    Timer ta;
+    Timer t;
     a.seal(SortOrder::kByV0, kDomain);
-    bucket_s += ta.seconds();
+    const double s = t.seconds();
     benchmark::DoNotOptimize(a.entries().data());
-
-    // Naive reference: the pre-index whole-table comparison sort.
+    return s;
+  };
+  // Naive reference: the pre-index whole-table comparison sort.
+  const auto sort_seconds = [&] {
     std::vector<TableEntry> b(pristine.entries().begin(),
                               pristine.entries().end());
-    Timer tb;
+    Timer t;
     std::sort(b.begin(), b.end(),
               [](const TableEntry& x, const TableEntry& y) {
                 if (x.key.v[0] != y.key.v[0]) return x.key.v[0] < y.key.v[0];
@@ -135,12 +144,20 @@ SealNumbers measure_seal() {
                 if (x.key.v[3] != y.key.v[3]) return x.key.v[3] < y.key.v[3];
                 return x.key.sig < y.key.sig;
               });
-    compare_s += tb.seconds();
+    const double s = t.seconds();
     benchmark::DoNotOptimize(b.data());
+    return s;
+  };
+  seal_seconds();
+  sort_seconds();
+  std::vector<double> seal_s, sort_s;
+  for (int r = 0; r < reps; ++r) {
+    seal_s.push_back(seal_seconds());
+    sort_s.push_back(sort_seconds());
   }
-  const double per = static_cast<double>(out.entries) * reps;
-  out.ns_per_entry = bucket_s * 1e9 / per;
-  out.ns_per_entry_comparison_sort = compare_s * 1e9 / per;
+  const double per = static_cast<double>(out.entries);
+  out.ns_per_entry = median(seal_s) * 1e9 / per;
+  out.ns_per_entry_comparison_sort = median(sort_s) * 1e9 / per;
   return out;
 }
 
@@ -160,7 +177,7 @@ MergeNumbers measure_merge() {
   ExecOptions opts;
   const ExecContext cx{g, chi, order,
                        BlockPartition(g.num_vertices(), 1), nullptr, opts};
-  const ProjTable edges = init_path_from_graph(cx, ExtendOpts{});
+  ProjTable edges = init_path_from_graph(cx, ExtendOpts{});
   const ProjTable plus0 = extend_with_graph(cx, edges, ExtendOpts{});
   const ProjTable minus0 = extend_with_graph(cx, edges, ExtendOpts{});
   out.entries = plus0.size() + minus0.size();
@@ -301,7 +318,7 @@ void BM_MergeHalves(benchmark::State& state) {
   ExecOptions opts;
   const ExecContext cx{g, chi, order,
                        BlockPartition(g.num_vertices(), 1), nullptr, opts};
-  const ProjTable edges = init_path_from_graph(cx, ExtendOpts{});
+  ProjTable edges = init_path_from_graph(cx, ExtendOpts{});
   const ProjTable plus0 = extend_with_graph(cx, edges, ExtendOpts{});
   const ProjTable minus0 = extend_with_graph(cx, edges, ExtendOpts{});
   MergeSpec spec;
@@ -330,7 +347,7 @@ void BM_ExtendWithGraph(benchmark::State& state) {
   opts.use_threads = false;
   const ExecContext cx{g, chi, order,
                        BlockPartition(g.num_vertices(), 1), nullptr, opts};
-  const ProjTable init = init_path_from_graph(cx, ExtendOpts{});
+  ProjTable init = init_path_from_graph(cx, ExtendOpts{});
   for (auto _ : state) {
     const ProjTable out = extend_with_graph(cx, init, ExtendOpts{});
     benchmark::DoNotOptimize(out.size());
@@ -351,7 +368,7 @@ void BM_ExtendWithGraphAnchored(benchmark::State& state) {
                        BlockPartition(g.num_vertices(), 1), nullptr, opts};
   ExtendOpts anchored;
   anchored.anchor_higher = true;
-  const ProjTable init = init_path_from_graph(cx, anchored);
+  ProjTable init = init_path_from_graph(cx, anchored);
   for (auto _ : state) {
     const ProjTable out = extend_with_graph(cx, init, anchored);
     benchmark::DoNotOptimize(out.size());

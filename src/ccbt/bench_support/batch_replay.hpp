@@ -6,7 +6,6 @@
 // single-coloring code once per lane on a one-lane copy of the context,
 // the way run_plan runs a batch. Leaves together with the replay.
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <utility>
@@ -30,8 +29,10 @@ struct LaneOps {
 
 template <int B>
 struct AccumMapT {
-  explicit AccumMapT(std::size_t expected = 16, bool compact = false) {
-    for (AccumMap& m : lanes) m = AccumMap(expected, compact);
+  /// The second argument is ignored: every sink holds packed rows while
+  /// its keys pack.
+  explicit AccumMapT(std::size_t expected = 16, bool /*compact*/ = true) {
+    for (AccumMap& m : lanes) m = AccumMap(expected);
   }
   std::size_t size() const {
     std::size_t n = 0;
@@ -72,13 +73,8 @@ class TablePoolT {
    public:
     Stored(const TablePoolT& pool, int block) : pool_(pool), block_(block) {
       for (const TablePool& p : pool.lanes) {
-        const LaneLayoutInfo& x = p.get(block).layout();
-        layout_.rows += x.rows;
-        layout_.lane_slots += x.lane_slots;
-        layout_.lanes_occupied += x.lanes_occupied;
-        layout_.max_count = std::max(layout_.max_count, x.max_count);
+        layout_.add(p.get(block).layout());
       }
-      layout_.width = choose_payload_width(layout_.max_count);
     }
     typename LaneOps<B>::Vec lane_totals() const {
       typename LaneOps<B>::Vec v{};

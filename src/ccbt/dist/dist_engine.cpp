@@ -1,5 +1,7 @@
 #include "ccbt/dist/dist_engine.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,7 +103,7 @@ void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
   LoadModel::Held held(cx.load == nullptr ? 0 : cx.load->num_ranks());
   for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
     ProjTable view = ops.halo_view(prefix, r);
-    AccumMap local(16, cx.opts.compact_accum);
+    AccumMap local;
     held.add(extend_and_merge(cx, view,
                               pull == nullptr ? nullptr : &pull->shard(r),
                               step.opts, plus.shard(r), spec, local,
@@ -141,21 +143,25 @@ DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
 
 /// A cycle block through the shared engine's walk schedule
 /// (engine/cycle_solver.hpp), each split ending in the per-rank sinks.
-DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool) {
+/// Raises `peak_entries` to the most entries the block's walk tables and
+/// sinks hold at once, summed over the ranks (run_walks).
+DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool,
+                        std::size_t& peak_entries) {
   dist::DistPath ops{dx, pool};
   std::vector<AccumMap> sinks(dx.ranks());
-  run_walks(ops, schedule_walks(blk, dx.cx.opts.algo), dx.cx.load,
-            [&](const WalkSchedule::Split& s, DistTable& plus,
-                DistTable& minus) {
-              if (s.fused) {
-                d_extend_and_merge(ops, minus, *s.fused, plus, s.merge, sinks);
-              } else {
-                d_merge_halves(dx, plus, minus, s.merge, sinks);
-              }
-              std::size_t rows = 0;
-              for (const AccumMap& m : sinks) rows += m.size();
-              return rows;
-            });
+  const std::size_t peak = run_walks(
+      ops, schedule_walks(blk, dx.cx.opts.algo), dx.cx.load,
+      [&](const WalkSchedule::Split& s, DistTable& plus, DistTable& minus) {
+        if (s.fused) {
+          d_extend_and_merge(ops, minus, *s.fused, plus, s.merge, sinks);
+        } else {
+          d_merge_halves(dx, plus, minus, s.merge, sinks);
+        }
+        std::size_t rows = 0;
+        for (const AccumMap& m : sinks) rows += m.size();
+        return rows;
+      });
+  peak_entries = std::max(peak_entries, peak);
   std::vector<ProjTable> shards;
   for (AccumMap& m : sinks) {
     shards.push_back(ProjTable::from_map(blk.boundary_count(), std::move(m)));
@@ -178,9 +184,10 @@ DistTable d_solve_leaf_edge(Dx& dx, const Block& blk, DistPool& pool) {
 /// resumes from ckpt.next_block; the replayed blocks recompute against
 /// fresh fault rolls, and each replay spends one of `replays_left`.
 /// Non-retryable errors (BudgetExceeded, malformed plans) propagate
-/// unchanged.
+/// unchanged. Raises `peak_entries` as the shared engine's run_coloring
+/// does, counting a leaf table's rows once its duplicate keys are summed.
 Count run_coloring(Dx& dx, const DecompTree& tree, FaultStats& fs,
-                   std::uint32_t& replays_left) {
+                   std::uint32_t& replays_left, std::size_t& peak_entries) {
   const ExecContext& cx = dx.cx;
   const DistOptions& opts = cx.opts.dist;
   VirtualComm& comm = dx.comm;
@@ -205,10 +212,18 @@ Count run_coloring(Dx& dx, const DecompTree& tree, FaultStats& fs,
 
       DistTable table = (blk.kind == BlockKind::kLeafEdge)
                             ? d_solve_leaf_edge(dx, blk, pool)
-                            : d_solve_cycle(dx, blk, pool);
-      if (is_root) return comm.allreduce_sum(table.shard_totals());
+                            : d_solve_cycle(dx, blk, pool, peak_entries);
+      if (is_root) {
+        // A leaf table arrives with its duplicate keys unsummed.
+        if (blk.kind == BlockKind::kLeafEdge) {
+          table.seal_shards(SortOrder::kByV0, cx.g.num_vertices());
+        }
+        peak_entries = std::max(peak_entries, table.size());
+        return comm.allreduce_sum(table.shard_totals());
+      }
       pool.store(static_cast<int>(i), std::move(table));
       const DistTable& stored = pool.get(static_cast<int>(i));
+      peak_entries = std::max(peak_entries, stored.size());
       for (std::uint32_t r = 0; r < stored.num_shards(); ++r) {
         cx.note_lanes(stored.shard(r).layout());
       }
@@ -282,8 +297,9 @@ DistStats run_plan_distributed(const CsrGraph& g, const DecompTree& tree,
                          &stats.stage,
                          &stats.accum};
     Dx dx{cx, comm, opts.max_table_entries, fp};
-    stats.colorful_lane[l] =
-        run_coloring(dx, tree, faults.stats(), replays_left);
+    stats.colorful_lane[l] = run_coloring(dx, tree, faults.stats(),
+                                          replays_left,
+                                          stats.peak_table_entries);
   }
   stats.colorful = stats.colorful_lane[0];
 

@@ -25,6 +25,7 @@
 // run; DistStats::faults reports what the recovery cost.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "ccbt/decomp/block.hpp"
@@ -45,6 +46,11 @@ struct DistStats {
   int lanes_used = 1;
 
   double wall_seconds = 0.0;
+
+  /// Most entries held at once by one block's solve, summed over the
+  /// ranks: a leaf table, or a cycle block's live walk tables plus its
+  /// sinks (see ExecStats::peak_table_entries; the two engines agree).
+  std::size_t peak_table_entries = 0;
 
   // Modeled load — exact parity with the shared engine's ExecStats when
   // run with sim_ranks == ranks.

@@ -287,7 +287,7 @@ struct DistPath {
   /// Rank r's input for an extend over its vertices: its shard plus halo.
   ProjTable halo_view(const DistTable& path, std::uint32_t r) {
     ScopedStage timed(dx.cx.stage_slot(&StageWall::transport));
-    return path.halo_view(r, dx.comm, dx.part(), !dx.cx.opts.lane_compress);
+    return path.halo_view(r, dx.comm, dx.part());
   }
 };
 

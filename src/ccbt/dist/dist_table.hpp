@@ -159,15 +159,15 @@ class DistTable {
   /// buckets the last exchange delivered to r. Senders drain in rank
   /// order, each its buckets in vertex order, and every bucket arrives
   /// whole and already sorted, so the view is assembled in bucket order
-  /// with no sort, sealed kByV1 with a bucket index; `wide` keeps the rows
-  /// dense. The view carries no layout stats: its rows are noted by the
-  /// shards that own them. Empties r's inbox. Throws Error when a halo row
-  /// belongs to r's own vertices or arrives out of bucket order.
+  /// with no sort, sealed kByV1 with a bucket index. The view carries no
+  /// layout stats: its rows are noted by the shards that own them.
+  /// Empties r's inbox. Throws Error when a halo row belongs to r's own
+  /// vertices or arrives out of bucket order.
   ProjTable halo_view(std::uint32_t r, VirtualComm& comm,
-                      const BlockPartition& part, bool wide) const {
+                      const BlockPartition& part) const {
     const std::vector<TableEntry>& in = comm.inbox(r);
     const ProjTable& own = shards_[r];
-    SortedBuckets rows(wide, own.size() + in.size());
+    SortedBuckets rows(own.size() + in.size());
     VertexId last = 0;
     for (const TableEntry& e : in) {
       const VertexId v = e.key.v[1];

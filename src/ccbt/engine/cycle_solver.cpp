@@ -75,7 +75,7 @@ WalkSchedule schedule_walks(const Block& blk, Algo algo) {
 
 ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
                       TablePool& pool, std::size_t* peak_entries) {
-  AccumMap sink(16, cx.opts.compact_accum);
+  AccumMap sink;
   SharedPath ops{cx, pool};
   const std::size_t peak = run_walks(
       ops, schedule_walks(blk, cx.opts.algo), cx.load,

@@ -1,5 +1,8 @@
 #pragma once
-// Execution context shared by all engine primitives.
+// Execution context shared by all engine primitives: the graph, the
+// coloring, the degree order, the optional load model and telemetry
+// collectors, and the run's options. Table rows have one format, packed
+// flat rows (dense where a key does not pack), which no option selects.
 
 #include <cstddef>
 #include <cstdint>
@@ -124,17 +127,12 @@ struct ExecOptions {
   /// Use OpenMP in the join primitives.
   bool use_threads = true;
 
-  /// Let the hashed sinks — merge sinks, aggregate and the distributed
-  /// engine's supersteps — hold packed 16-byte rows while their keys pack
-  /// (see table/accum_map.hpp). Path tables are built born sorted and
-  /// never go through an AccumMap.
-  bool compact_accum = true;
-
-  /// Let the path primitives build their tables, and the distributed
-  /// engine its path shards, in narrow flat rows (table/flat_rows.hpp);
-  /// off builds them in the dense 32-byte layout. Every other table is
-  /// dense either way.
-  bool lane_compress = true;
+  /// Retired row-format settings, fixed on: the hashed sinks hold packed
+  /// rows while their keys pack (table/accum_map.hpp), and the path tables
+  /// are built in packed flat rows (table/flat_rows.hpp). bench_suite's
+  /// traced replay still reads both names; they leave with the replay.
+  static constexpr bool compact_accum = true;
+  static constexpr bool lane_compress = true;
 
   /// Fault injection and recovery (distributed engine only; the shared
   /// engine ignores it).
@@ -162,8 +160,8 @@ struct ExecContext {
   ExecOptions opts;
 
   /// Optional collector of the tables' layout observations (occupancy,
-  /// narrow row widths); the engines attach one and surface it through
-  /// ExecStats / DistStats.
+  /// packed rows and the count widths they need); the engines attach one
+  /// and surface it through ExecStats / DistStats.
   LaneTelemetry* lane_telemetry = nullptr;
 
   /// Optional per-stage wall-clock collector (accumulate / seal / merge /

@@ -34,8 +34,8 @@ struct ExecStats {
 
   /// Lane-layout telemetry aggregated over every table the path
   /// primitives read and every table the pool stores: observed lane
-  /// density, how many rows were narrow, and at which widths (surfaced
-  /// into BENCH_batch.json).
+  /// density, how many rows were packed, and the count widths they need
+  /// (surfaced into BENCH_batch.json).
   LaneTelemetry lanes;
 
   /// Per-stage wall breakdown of the run (accumulate / seal / merge;

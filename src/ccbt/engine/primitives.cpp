@@ -43,13 +43,10 @@ int pool_threads() {
 template <typename Body>
 ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
                         Body&& body, VertexRange range) {
-  using Mode = FlatRows::Mode;
   ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
   const VertexId lo = range.begin;
   const VertexId hi = std::min(range.end, cx.g.num_vertices());
   const VertexId n = hi > lo ? hi - lo : 0;
-  // Narrow rows off keeps every row in the dense layout.
-  const bool wide = !cx.opts.lane_compress;
   int parts = 1;
 #ifdef _OPENMP
   if (cx.opts.use_threads && pool_threads() > 1 && work > 4096 && n > 1) {
@@ -62,7 +59,7 @@ ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
   std::vector<SortedBuckets> built;
   built.reserve(parts);
   // Output tables run at about twice their input's rows.
-  for (int p = 0; p < parts; ++p) built.emplace_back(wide, 2 * work / parts);
+  for (int p = 0; p < parts; ++p) built.emplace_back(2 * work / parts);
   built[0].skip(lo);
   std::atomic<bool> budget_hit{false};
 #ifdef _OPENMP
@@ -76,7 +73,7 @@ ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
         lo + static_cast<VertexId>(std::uint64_t{n} * (p + 1) / parts);
     for (VertexId w = plo; w < phi; ++w) {
       if (budget_hit.load(std::memory_order_relaxed)) break;
-      scratch.reset(wide ? Mode::kWide : Mode::kU16);
+      scratch.reset();
       body(w, scratch);
       part.close(scratch);
       if (part.size() > cx.opts.max_table_entries) {
@@ -143,11 +140,7 @@ void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
   if (cx.opts.use_threads && pool_threads() > 1 && hi > lo + 1 &&
       work > 4096) {
     const int threads = pool_threads();
-    std::vector<AccumMap> maps;
-    maps.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      maps.emplace_back(16, cx.opts.compact_accum);
-    }
+    std::vector<AccumMap> maps(threads);
     std::atomic<bool> budget_hit{false};
 #pragma omp parallel num_threads(threads)
     {
@@ -180,12 +173,12 @@ void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
   }
 }
 
-/// A prefix table's narrow u16 rows, read in place.
+/// A prefix table's packed rows, read in place.
 struct PackedPrefix {
   const ProjTable& t;
-  const std::vector<FlatRows::Row16>& rows;
+  const std::vector<PackedFlatRow>& rows;
 
-  using Row = FlatRows::Row16;
+  using Row = PackedFlatRow;
   std::span<const Row> bucket(VertexId x,
                               std::vector<TableEntry>& /*scratch*/) const {
     const auto [lo, hi] = t.group_span(1, x);
@@ -447,8 +440,8 @@ LoadModel::Held extend_and_merge(const ExecContext& cx, ProjTable& prefix,
           });
     };
     const FlatRows* const flat = prefix.flat_storage();
-    if (flat != nullptr && flat->mode() == FlatRows::Mode::kU16) {
-      run(PackedPrefix{prefix, flat->rows_u16()});
+    if (flat != nullptr) {
+      run(PackedPrefix{prefix, flat->packed_rows()});
     } else {
       run(DensePrefix{prefix});
     }
@@ -515,11 +508,10 @@ ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
   const FlatRows* const flat = path.flat_storage();
   // The packed key holds the new frontier w in 28 bits, so a graph whose
   // ids reach kPacked28NoVertex takes the generic loop.
-  const bool fast16 = flat != nullptr &&
-                      flat->mode() == FlatRows::Mode::kU16 &&
-                      (o.track_slot == -1 || o.track_slot == 1) &&
-                      g.num_vertices() <= kPacked28NoVertex;
-  if (!fast16) {
+  const bool fast = flat != nullptr &&
+                    (o.track_slot == -1 || o.track_slot == 1) &&
+                    g.num_vertices() <= kPacked28NoVertex;
+  if (!fast) {
     return build_buckets(
         cx, path.arity(), path.size(),
         [&](VertexId w, FlatRows& sink) {
@@ -546,11 +538,10 @@ ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
         range);
   }
 
-  // All-16-bit path: each emission is a u16 row copy with the packed key
+  // Packed path: each emission is a packed row copy with the key
   // rewritten in registers. Every bucket is read once per neighbour of
   // its vertex, so the anchors' degree ranks are looked up once up front.
-  using Row16 = FlatRows::Row16;
-  const std::vector<Row16>& rows = flat->rows_u16();
+  const std::vector<PackedFlatRow>& rows = flat->packed_rows();
   std::vector<std::uint32_t> anchor_rank;
   if (o.anchor_higher) {
     anchor_rank.resize(rows.size());
@@ -571,12 +562,12 @@ ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
           cx.charge(x, hi - lo);
           for (std::size_t i = lo; i < hi; ++i) {
             if (o.anchor_higher && anchor_rank[i] <= wrank) continue;
-            const Row16& r = rows[i];
+            const PackedFlatRow& r = rows[i];
             const auto esig = static_cast<Signature>(r.k & 0xFF);
             if (r.c == 0 || (esig & w_bit) != 0) continue;
             const Signature sig = esig | w_bit;
             if (sig <= 0xFF) [[likely]] {
-              sink.append_u16((r.k & kV0Bits) | wfield | sig, r.c);
+              sink.append_packed((r.k & kV0Bits) | wfield | sig, r.c);
             } else {
               // Color >= 8: the signature no longer fits the packed
               // key's 8-bit field.
@@ -591,12 +582,6 @@ ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
         }
       },
       range);
-}
-
-ProjTable extend_with_graph(const ExecContext& cx, const ProjTable& path,
-                            const ExtendOpts& o, VertexRange range) {
-  ProjTable copy = path;
-  return extend_with_graph(cx, copy, o, range);
 }
 
 ProjTable extend_with_child(const ExecContext& cx, ProjTable& path,
@@ -666,7 +651,7 @@ void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
 }
 
 ProjTable aggregate(const ExecContext& cx, const ProjTable& t, int new_arity) {
-  AccumMap map(t.size(), cx.opts.compact_accum);
+  AccumMap map(t.size());
   t.for_each_entry([&](const TableEntry& e) {
     kernel_aggregate(cx, e, new_arity,
                      [&](const TableKey& k, Count c) { map.add(k, c); });

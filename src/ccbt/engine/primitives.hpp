@@ -25,7 +25,7 @@
 // rows that land on w — from the input's bucket of each neighbour x of w,
 // or from the child rows ending at w — then sorts and deduplicates that
 // bucket locally. The table arrives sealed kByV1, the home-slot-1 layout
-// of Section 7, in narrow flat rows and with no global sort; merge_halves
+// of Section 7, in packed flat rows and with no global sort; merge_halves
 // joins two such halves end bucket by end bucket. The one table read only
 // once — the minus half of a cycle split, which the merge joins and drops
 // — is not built at all: extend_and_merge streams each end bucket's rows
@@ -162,12 +162,10 @@ ProjTable init_path_from_child(const ExecContext& cx, const ProjTable& child,
 /// Extend every path entry by one data-graph edge out of the frontier.
 /// Bucket w gathers, for every neighbour x of w, the rows of path bucket
 /// x whose signature lacks w's color, and charges |bucket x| once per
-/// (w, x) adjacency — deg(x)·|bucket x| in all. The mutable overload
-/// seals the path by frontier first (a relabel for the born-sorted tables
-/// the primitives produce).
+/// (w, x) adjacency — deg(x)·|bucket x| in all. The path is sealed by
+/// frontier first (a relabel for the born-sorted tables the primitives
+/// produce).
 ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
-                            const ExtendOpts& o, VertexRange range = {});
-ProjTable extend_with_graph(const ExecContext& cx, const ProjTable& path,
                             const ExtendOpts& o, VertexRange range = {});
 
 /// Extend through a child block's binary table (EdgeJoin): path frontier v
@@ -263,19 +261,17 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntry> pu,
 }
 
 /// Packed-row variant of merge_bucket: both bucket ranges stay in their
-/// narrow flat rows (packed u64 key + u16/u32 count) — the prefilter, the
+/// packed flat rows (packed u64 key + u64 count) — the prefilter, the
 /// pair-compatibility test and the multiply all run on the packed rows,
-/// with no dense expansion of either bucket. Mixed widths join through
-/// the two width template parameters; only a table that left the narrow
-/// layout altogether falls back to the dense kernel. Narrow products
-/// always fit u64 exactly (even u32 x u32 < 2^64). Rows with a zero count
-/// emit nothing; charges and sends otherwise match the dense kernel row
-/// for row. Inside an end bucket the raw packed key orders rows by
-/// (v0, sig), i.e. by the anchor first.
-template <typename WP, typename WM, typename Sink>
+/// with no dense expansion of either bucket. Products wrap mod 2^64
+/// exactly as merge_bucket's do. Rows with a zero count emit nothing;
+/// charges and sends otherwise match the dense kernel row for row. Inside
+/// an end bucket the raw packed key orders rows by (v0, sig), i.e. by the
+/// anchor first.
+template <typename Sink>
 void merge_bucket_packed(const ExecContext& cx,
-                         std::span<const PackedFlatRow<WP>> pu,
-                         std::span<const PackedFlatRow<WM>> mu,
+                         std::span<const PackedFlatRow> pu,
+                         std::span<const PackedFlatRow> mu,
                          const MergeSpec& spec, Sink&& emit) {
   const auto anchor_of = [](std::uint64_t k) {
     return static_cast<VertexId>(k >> 36);
@@ -304,9 +300,9 @@ void merge_bucket_packed(const ExecContext& cx,
     const std::size_t mcount = mj - mi;
     if (compat.size() < mcount) compat.resize(mcount);
     std::uint8_t* const ok = compat.data();
-    const PackedFlatRow<WM>* const mb = mu.data() + mi;
+    const PackedFlatRow* const mb = mu.data() + mi;
     for (std::size_t ai = pi; ai < pj; ++ai) {
-      const PackedFlatRow<WP>& pa = pu[ai];
+      const PackedFlatRow& pa = pu[ai];
       if (pa.c == 0) continue;
       const auto asig = static_cast<Signature>(pa.k & 0xFF);
       CCBT_SIMD
@@ -327,7 +323,7 @@ void merge_bucket_packed(const ExecContext& cx,
           }
         }
         key.sig = asig | static_cast<Signature>(mb[t].k & 0xFF);
-        emit(key, static_cast<Count>(pa.c) * static_cast<Count>(mb[t].c));
+        emit(key, pa.c * mb[t].c);
         if (spec.out_arity >= 2) cx.send(v, key.v[1], 1);
       }
     }
@@ -341,17 +337,16 @@ namespace detail {
 /// Join end bucket x of two half-cycle tables sealed kByV1 (group_span
 /// finds it through the bucket index, or by binary search in a table
 /// sealed without one): through merge_bucket_packed when both kept their
-/// narrow flat rows (dispatching on each side's payload width), otherwise
-/// through merge_bucket over the buckets decoded into the scratches (raw
-/// subspans when dense, so dense tables pay nothing). The one bucket
-/// router of merge_halves and the distributed engine's per-rank merge.
+/// packed flat rows, otherwise through merge_bucket over the buckets
+/// decoded into the scratches (raw subspans when dense, so dense tables
+/// pay nothing). The one bucket router of merge_halves and the
+/// distributed engine's per-rank merge.
 template <typename Sink>
 void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
                       const ProjTable& minus, VertexId x,
                       const MergeSpec& spec, Sink&& emit,
                       std::vector<TableEntry>& pscratch,
                       std::vector<TableEntry>& mscratch) {
-  using Mode = FlatRows::Mode;
   const FlatRows* const pflat = plus.flat_storage();
   const FlatRows* const mflat = minus.flat_storage();
   if (pflat != nullptr && mflat != nullptr) {
@@ -359,22 +354,9 @@ void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
     if (plo == phi) return;
     const auto [mlo, mhi] = minus.group_span(1, x);
     if (mlo == mhi) return;
-    const auto with_plus = [&](auto pspan) {
-      if (mflat->mode() == Mode::kU16) {
-        merge_bucket_packed(
-            cx, pspan, std::span(mflat->rows_u16()).subspan(mlo, mhi - mlo),
-            spec, emit);
-      } else {
-        merge_bucket_packed(
-            cx, pspan, std::span(mflat->rows_u32()).subspan(mlo, mhi - mlo),
-            spec, emit);
-      }
-    };
-    if (pflat->mode() == Mode::kU16) {
-      with_plus(std::span(pflat->rows_u16()).subspan(plo, phi - plo));
-    } else {
-      with_plus(std::span(pflat->rows_u32()).subspan(plo, phi - plo));
-    }
+    merge_bucket_packed(
+        cx, std::span(pflat->packed_rows()).subspan(plo, phi - plo),
+        std::span(mflat->packed_rows()).subspan(mlo, mhi - mlo), spec, emit);
     return;
   }
   const auto pu = plus.group_expanded(1, x, pscratch);
@@ -413,8 +395,8 @@ void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
 /// plus group adds nothing, so without a load model it is dropped before
 /// the filters and before its minus key is built. No minus table is built
 /// and no bucket is sorted; the counts equal extend plus merge_halves
-/// exactly, since the sink is bilinear in the minus rows. A u16 prefix is
-/// read in place, any other through expanded dense entries. `sink` is the
+/// exactly, since the sink is bilinear in the minus rows. A packed prefix
+/// is read in place, a dense one through expanded entries. `sink` is the
 /// only thing it bounds with max_table_entries.
 ///
 /// Load model: the extend's phase is charged exactly as

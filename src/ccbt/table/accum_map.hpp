@@ -7,10 +7,10 @@
 // dense entry vector. Only insertion and accumulation are needed during a
 // join; afterwards the entries are sealed (sorted) for merge joins.
 //
-// Compact layout (à la Malík et al.): while every inserted key is
-// packable (two boundary slots, signature < 256 — see pack_key), entries
-// are held as 16-byte (uint64 key, count) rows, halving the probe
-// bandwidth against the 32-byte wide row. The first unpackable key
+// Packed layout (à la Malík et al.): while every inserted key is packable
+// (two boundary slots, signature < 256 — see pack_key), entries are held
+// as 16-byte packed rows (PackedFlatRow, the flat rows' row), halving the
+// probe bandwidth against the 32-byte wide row. The first unpackable key
 // migrates the map to the wide layout transparently. take_entries()
 // always yields wide rows, so sealing is unaffected.
 
@@ -19,17 +19,12 @@
 #include <vector>
 
 #include "ccbt/table/table_key.hpp"
-#include "ccbt/util/error.hpp"
 
 namespace ccbt {
 
 class AccumMap {
  public:
-  /// `compact` requests the packed 16-byte rows.
-  explicit AccumMap(std::size_t expected = 16, bool compact = false)
-      : packed_mode_(compact) {
-    rehash_for(expected);
-  }
+  explicit AccumMap(std::size_t expected = 16) { rehash_for(expected); }
 
   /// Add `cnt` to the entry for `key`, creating it if absent.
   void add(const TableKey& key, Count cnt) {
@@ -69,7 +64,7 @@ class AccumMap {
   template <typename F>
   void for_each(F&& f) const {
     if (packed_mode_) {
-      for (const PackedEntry& e : packed_) f(unpack_key(e.key), e.cnt);
+      for (const PackedFlatRow& e : packed_) f(unpack_key(e.k), e.c);
       return;
     }
     for (const TableEntry& e : entries_) f(e.key, e.cnt);
@@ -81,8 +76,8 @@ class AccumMap {
     std::vector<TableEntry> out;
     if (packed_mode_) {
       out.reserve(packed_.size());
-      for (const PackedEntry& e : packed_) {
-        out.push_back({unpack_key(e.key), e.cnt});
+      for (const PackedFlatRow& e : packed_) {
+        out.push_back({unpack_key(e.k), e.c});
       }
       packed_.clear();
     } else {
@@ -93,23 +88,8 @@ class AccumMap {
     return out;
   }
 
-  /// Dense wide rows; only valid outside the packed layout (tests and
-  /// callers that construct the map without `compact`). Engine code
-  /// iterates through for_each instead.
-  const std::vector<TableEntry>& entries() const {
-    if (packed_mode_) {
-      throw Error("AccumMap::entries(): map is in the packed layout");
-    }
-    return entries_;
-  }
-
  private:
   static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
-
-  struct PackedEntry {
-    std::uint64_t key;
-    Count cnt;
-  };
 
   void add_wide(const TableKey& key, Count cnt) {
     const std::size_t mask = slots_.size() - 1;
@@ -139,8 +119,8 @@ class AccumMap {
         packed_.push_back({pkey, cnt});
         return;
       }
-      if (packed_[idx].key == pkey) {
-        packed_[idx].cnt += cnt;
+      if (packed_[idx].k == pkey) {
+        packed_[idx].c += cnt;
         return;
       }
       pos = (pos + 1) & mask;
@@ -152,8 +132,8 @@ class AccumMap {
   /// probe table cannot be reused).
   void migrate_to_wide() {
     entries_.reserve(packed_.size() + 1);
-    for (const PackedEntry& e : packed_) {
-      entries_.push_back({unpack_key(e.key), e.cnt});
+    for (const PackedFlatRow& e : packed_) {
+      entries_.push_back({unpack_key(e.k), e.c});
     }
     packed_.clear();
     packed_.shrink_to_fit();
@@ -188,7 +168,7 @@ class AccumMap {
     };
     if (packed_mode_) {
       for (std::size_t i = 0; i < packed_.size(); ++i) {
-        place(hash_packed_key(packed_[i].key), i);
+        place(hash_packed_key(packed_[i].k), i);
       }
     } else {
       for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -199,9 +179,9 @@ class AccumMap {
 
   std::vector<std::uint32_t> slots_;
   std::vector<TableEntry> entries_;
-  std::vector<PackedEntry> packed_;  // active only in packed mode
+  std::vector<PackedFlatRow> packed_;  // active only in packed mode
   std::size_t grow_at_ = 0;
-  bool packed_mode_ = false;
+  bool packed_mode_ = true;
 };
 
 }  // namespace ccbt

@@ -1,16 +1,14 @@
 #pragma once
-// Narrow flat rows — the path tables' storage.
+// Packed flat rows — the path tables' storage.
 //
-// A dense TableEntry is 32 bytes; a narrow flat row is the packed 64-bit
-// key (table_key.hpp: v0:28 | v1:28 | sig:8) plus the count at the
-// narrowest width that holds it, u16 or u32 (16 bytes either way, with
-// padding). The width escalates for the whole buffer the first time a
-// count outgrows it (u16 -> u32), and the buffer migrates to dense wide
-// rows on the first unpackable key (a tracked slot >= 2, a signature past
-// 8 bits) or u64-range count — the engine's correctness never depends on
-// staying narrow. Because the packed key is ordered as (v0, v1, sig) and
-// narrow keys never use slots 2-3, a raw u64 compare inside one frontier
-// bucket reproduces the projection table's kByV1 comparator exactly.
+// A dense TableEntry is 32 bytes; a packed flat row is the packed 64-bit
+// key (table_key.hpp: v0:28 | v1:28 | sig:8) plus its u64 count, 16
+// bytes. The buffer migrates to dense wide rows on the first unpackable
+// key (a tracked slot >= 2, a signature past 8 bits) and never on a
+// count — the engine's correctness never depends on staying packed.
+// Because the packed key is ordered as (v0, v1, sig) and packed keys
+// never use slots 2-3, a raw u64 compare inside one frontier bucket
+// reproduces the projection table's kByV1 comparator exactly.
 //
 // Path primitives build their output born sorted: one frontier vertex w
 // at a time, in ascending w, the rows landing on w are gathered into a
@@ -57,143 +55,80 @@ struct AccumTelemetry {
   }
 };
 
-/// One narrow flat row: packed key + count at width W.
-template <typename W>
-struct PackedFlatRow {
-  std::uint64_t k = 0;
-  W c = 0;
-};
-
-/// What the run-merged rows of a table look like (its layout()
-/// telemetry), gathered while the buckets are deduplicated.
-struct FlatStats {
-  std::uint64_t rows = 0;            // distinct keys
-  std::uint64_t lanes_occupied = 0;  // merged rows with a nonzero count
-  Count max_count = 0;               // largest merged count
-
-  void add(const FlatStats& o) {
-    rows += o.rows;
-    lanes_occupied += o.lanes_occupied;
-    max_count = std::max(max_count, o.max_count);
-  }
-};
-
 class FlatRows {
  public:
-  /// Active row representation; ordered so std::max picks the wider one.
-  enum class Mode : std::uint8_t { kU16 = 0, kU32 = 1, kWide = 2 };
-
-  using Row16 = PackedFlatRow<std::uint16_t>;
-  using Row32 = PackedFlatRow<std::uint32_t>;
-
   FlatRows() = default;
 
   std::size_t size() const {
-    switch (mode_) {
-      case Mode::kU16: return n16_.size();
-      case Mode::kU32: return n32_.size();
-      case Mode::kWide: break;
-    }
-    return wide_.size();
+    return mode_ == Mode::kPacked ? packed_.size() : wide_.size();
   }
   bool empty() const { return size() == 0; }
-  Mode mode() const { return mode_; }
-  bool narrow() const { return mode_ != Mode::kWide; }
 
-  /// Raw u16 rows (valid only while mode() == kU16). The extend hot path
-  /// iterates these directly, with no dense round trip.
-  const std::vector<Row16>& rows_u16() const { return n16_; }
+  /// Whether the rows are packed; false once a key did not pack.
+  bool packed() const { return mode_ == Mode::kPacked; }
 
-  /// Raw u32 rows (valid only while mode() == kU32) — the packed merge
-  /// joins mixed-width tables without a dense expansion.
-  const std::vector<Row32>& rows_u32() const { return n32_; }
-
-  /// Payload width of the narrow modes (kU64 when wide).
-  PayloadWidth width() const {
-    switch (mode_) {
-      case Mode::kU16: return PayloadWidth::kU16;
-      case Mode::kU32: return PayloadWidth::kU32;
-      case Mode::kWide: break;
-    }
-    return PayloadWidth::kU64;
-  }
+  /// Raw packed rows (valid only while packed()). The extend hot path
+  /// and the packed merge read these directly, with no dense round trip.
+  const std::vector<PackedFlatRow>& packed_rows() const { return packed_; }
 
   /// Bytes the rows occupy in the current representation.
   std::uint64_t byte_size() const {
-    switch (mode_) {
-      case Mode::kU16: return n16_.size() * sizeof(Row16);
-      case Mode::kU32: return n32_.size() * sizeof(Row32);
-      case Mode::kWide: break;
-    }
-    return wide_.size() * sizeof(TableEntry);
+    return mode_ == Mode::kPacked ? packed_.size() * sizeof(PackedFlatRow)
+                                  : wide_.size() * sizeof(TableEntry);
   }
 
   /// Reserve room for n rows in the current representation. Untouched
   /// capacity costs address space, not memory.
   void reserve(std::size_t n) {
-    switch (mode_) {
-      case Mode::kU16: n16_.reserve(n); return;
-      case Mode::kU32: n32_.reserve(n); return;
-      case Mode::kWide: break;
+    if (mode_ == Mode::kPacked) {
+      packed_.reserve(n);
+    } else {
+      wide_.reserve(n);
     }
-    wide_.reserve(n);
   }
 
-  /// Empty the buffer and restart it in `start` mode (kU16, or kWide when
-  /// narrow rows are off), keeping its capacity — the per-bucket scratch
-  /// is reset once per frontier vertex.
-  void reset(Mode start = Mode::kU16) {
-    n16_.clear();
-    n32_.clear();
+  /// Empty the buffer and restart it packed, keeping its capacity — the
+  /// per-bucket scratch is reset once per frontier vertex.
+  void reset() {
+    packed_.clear();
     wide_.clear();
-    mode_ = start;
+    mode_ = Mode::kPacked;
   }
 
-  /// Append one emitted row. Escalates the buffer width when the count
-  /// outgrows it; migrates the whole buffer to wide rows on the first
-  /// unpackable key or u64-range count.
+  /// Append one emitted row; migrates the whole buffer to wide rows on
+  /// the first unpackable key.
   void append(const TableKey& key, Count cnt) {
-    if (mode_ != Mode::kWide && packable_key(key) &&
-        push_narrow(pack_key(key), cnt)) {
+    if (mode_ == Mode::kPacked && packable_key(key)) {
+      packed_.push_back({pack_key(key), cnt});
       return;
     }
     to_wide();
     wide_.push_back({key, cnt});
   }
 
-  /// Append a u16 count under a caller-packed key — the all-16-bit
-  /// extend hot path: a u16 buffer takes it with a plain push.
-  void append_u16(std::uint64_t k, std::uint16_t c) {
-    if (mode_ == Mode::kU16) [[likely]] {
-      n16_.push_back({k, c});
+  /// Append a row under a caller-packed key — the extend hot path: a
+  /// packed buffer takes it with a plain push.
+  void append_packed(std::uint64_t k, Count c) {
+    if (mode_ == Mode::kPacked) [[likely]] {
+      packed_.push_back({k, c});
       return;
     }
-    append(unpack_key(k), c);
+    wide_.push_back({unpack_key(k), c});
   }
 
   /// Close one frontier bucket: sort this buffer's rows by full key (they
   /// all share one v1, so this is the kByV1 order inside the bucket) and
-  /// append each equal-key run to `out`, summed exactly in 64 bits. `out`
-  /// widens when a sum outgrows its width or this buffer went wide; `st`
-  /// gathers the merged rows' stats. This buffer is left for reset().
-  void drain_bucket_into(FlatRows& out, FlatStats& st);
+  /// append each equal-key run to `out`, summed in 64 bits (mod 2^64,
+  /// as every count is). `out` goes wide when this buffer did; `st` notes
+  /// the merged rows. This buffer is left for reset().
+  void drain_bucket_into(FlatRows& out, LaneLayoutInfo& st);
 
   TableKey key_at(std::size_t i) const {
-    switch (mode_) {
-      case Mode::kU16: return unpack_key(n16_[i].k);
-      case Mode::kU32: return unpack_key(n32_[i].k);
-      case Mode::kWide: break;
-    }
-    return wide_[i].key;
+    return mode_ == Mode::kPacked ? unpack_key(packed_[i].k) : wide_[i].key;
   }
 
   Count count_at(std::size_t i) const {
-    switch (mode_) {
-      case Mode::kU16: return n16_[i].c;
-      case Mode::kU32: return n32_[i].c;
-      case Mode::kWide: break;
-    }
-    return wide_[i].cnt;
+    return mode_ == Mode::kPacked ? packed_[i].c : wide_[i].cnt;
   }
 
   /// Row i as a dense entry, written into `out`.
@@ -214,8 +149,8 @@ class FlatRows {
   }
 
   /// Append another buffer's rows after this one's (concatenating the
-  /// independently built vertex ranges of one table): both are raised to
-  /// the wider representation first.
+  /// independently built vertex ranges of one table): both go wide first
+  /// when either is.
   void absorb(FlatRows&& o);
 
   /// Convert to dense wide rows (in current order) and hand them over.
@@ -229,42 +164,20 @@ class FlatRows {
   /// Empty the buffer and release its memory.
   void clear() {
     reset();
-    n16_.shrink_to_fit();
-    n32_.shrink_to_fit();
+    packed_.shrink_to_fit();
     wide_.shrink_to_fit();
   }
 
  private:
-  /// Push `cnt` as a narrow row, escalating u16 -> u32 when it needs it.
-  /// False when even u32 is too narrow — the caller goes wide.
-  bool push_narrow(std::uint64_t k, Count cnt) {
-    if (mode_ == Mode::kU16) {
-      if (cnt <= 0xFFFFull) {
-        n16_.push_back({k, static_cast<std::uint16_t>(cnt)});
-        return true;
-      }
-      if (cnt > 0xFFFFFFFFull) return false;
-      to_u32();
-    }
-    if (cnt > 0xFFFFFFFFull) return false;
-    n32_.push_back({k, static_cast<std::uint32_t>(cnt)});
-    return true;
-  }
+  /// Active row representation.
+  enum class Mode : std::uint8_t { kPacked, kWide };
 
-  void push_merged(std::uint64_t k, Count sum);
-  template <typename W>
-  void push_row(const PackedFlatRow<W>& r, FlatStats& st);
-  template <typename W>
-  static void drain_narrow(std::vector<PackedFlatRow<W>>& rows,
-                           FlatRows& out, FlatStats& st);
-  void drain_wide(FlatRows& out, FlatStats& st);
-  void to_u32();
+  void drain_packed(FlatRows& out, LaneLayoutInfo& st);
+  void drain_wide(FlatRows& out, LaneLayoutInfo& st);
   void to_wide();
-  void raise_to(Mode m);
 
-  Mode mode_ = Mode::kU16;
-  std::vector<Row16> n16_;
-  std::vector<Row32> n32_;
+  Mode mode_ = Mode::kPacked;
+  std::vector<PackedFlatRow> packed_;
   std::vector<TableEntry> wide_;
 };
 
@@ -272,16 +185,13 @@ class FlatRows {
 /// one at a time in ascending vertex order, each sorted and deduplicated
 /// locally. A contiguous vertex range can be built by its own part and
 /// the parts concatenated in order (absorb); because every bucket is
-/// independent and the final width is the widest any bucket needed, the
-/// rows are the same however the vertex range was split.
+/// independent and the rows go wide when any bucket needed it, the rows
+/// are the same however the vertex range was split.
 class SortedBuckets {
  public:
-  using Mode = FlatRows::Mode;
-
-  /// `wide` keeps every row dense (narrow rows off); `expect_rows`
-  /// pre-sizes the rows so the table does not grow by copying.
-  explicit SortedBuckets(bool wide = false, std::size_t expect_rows = 0) {
-    if (wide) rows_.reset(Mode::kWide);
+  /// `expect_rows` pre-sizes the rows so the table does not grow by
+  /// copying.
+  explicit SortedBuckets(std::size_t expect_rows = 0) {
     rows_.reserve(expect_rows);
   }
 
@@ -324,7 +234,7 @@ class SortedBuckets {
   std::size_t size() const { return rows_.size(); }
   const FlatRows& rows() const { return rows_; }
   FlatRows take_rows() { return std::move(rows_); }
-  const FlatStats& stats() const { return stats_; }
+  const LaneLayoutInfo& stats() const { return stats_; }
   std::uint64_t emitted_rows() const { return emitted_rows_; }
   std::uint64_t emitted_bytes() const { return emitted_bytes_; }
 
@@ -340,7 +250,7 @@ class SortedBuckets {
  private:
   FlatRows rows_;
   std::vector<std::uint32_t> counts_;
-  FlatStats stats_;
+  LaneLayoutInfo stats_;
   std::uint64_t emitted_rows_ = 0;
   std::uint64_t emitted_bytes_ = 0;
 };

@@ -4,9 +4,11 @@
 // serialized row stores its key, an occupancy byte (1 when the count is
 // nonzero) and the count, when nonzero, as a u16 or u32 word with a u64
 // overflow escape, the width chosen per row from the count (the compact
-// rows of Malík et al.). Tables themselves store narrow flat rows
-// (flat_rows.hpp) or dense rows (proj_table.hpp).
+// rows of Malík et al.). Tables themselves store packed flat rows
+// (flat_rows.hpp: packed key, u64 count) or dense rows (proj_table.hpp);
+// the telemetry reports the width their largest count would need.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -47,21 +49,35 @@ inline constexpr PayloadWidth choose_payload_width(Count max_count) {
   return PayloadWidth::kU64;
 }
 
-/// The occupancy of one table's rows (ProjTable::layout()). `rows == 0`
-/// means "never observed" (tables not built in narrow rows).
+/// The occupancy of one table's rows (ProjTable::layout()), gathered
+/// while its buckets are deduplicated. `rows == 0` means "never observed"
+/// (tables not built in packed flat rows).
 struct LaneLayoutInfo {
-  std::uint64_t rows = 0;
-  std::uint64_t lane_slots = 0;      // one count slot per row
-  std::uint64_t lanes_occupied = 0;  // nonzero counts
-  Count max_count = 0;
-  bool packed = false;               // rows held in the narrow flat layout
-  PayloadWidth width = PayloadWidth::kU64;  // narrow width, else by max
+  std::uint64_t rows = 0;            // distinct keys
+  std::uint64_t lanes_occupied = 0;  // rows with a nonzero count
+  Count max_count = 0;               // largest count
+  bool packed = false;               // rows held in the packed flat layout
+
+  /// Narrowest count width that holds every row's count.
+  PayloadWidth width() const { return choose_payload_width(max_count); }
+
+  /// Note one deduplicated row.
+  void note(Count c) {
+    ++rows;
+    lanes_occupied += c != 0;
+    max_count = std::max(max_count, c);
+  }
+
+  void add(const LaneLayoutInfo& o) {
+    rows += o.rows;
+    lanes_occupied += o.lanes_occupied;
+    max_count = std::max(max_count, o.max_count);
+  }
 
   double density() const {
-    return lane_slots == 0
-               ? 0.0
-               : static_cast<double>(lanes_occupied) /
-                     static_cast<double>(lane_slots);
+    return rows == 0 ? 0.0
+                     : static_cast<double>(lanes_occupied) /
+                           static_cast<double>(rows);
   }
 };
 
@@ -70,27 +86,24 @@ struct LaneLayoutInfo {
 /// (BENCH_batch.json histograms).
 struct LaneTelemetry {
   std::uint64_t rows = 0;
-  std::uint64_t lane_slots = 0;
   std::uint64_t lanes_occupied = 0;
-  std::uint64_t rows_packed = 0;               // rows held narrow
-  std::array<std::uint64_t, 3> width_rows{};  // narrow rows per u16/u32/u64
+  std::uint64_t rows_packed = 0;               // rows held packed
+  std::array<std::uint64_t, 3> width_rows{};  // packed rows per u16/u32/u64
 
   void note(const LaneLayoutInfo& info) {
     if (info.rows == 0) return;
     rows += info.rows;
-    lane_slots += info.lane_slots;
     lanes_occupied += info.lanes_occupied;
     if (info.packed) {
       rows_packed += info.rows;
-      width_rows[payload_width_code(info.width)] += info.rows;
+      width_rows[payload_width_code(info.width())] += info.rows;
     }
   }
 
   double density() const {
-    return lane_slots == 0
-               ? 0.0
-               : static_cast<double>(lanes_occupied) /
-                     static_cast<double>(lane_slots);
+    return rows == 0 ? 0.0
+                     : static_cast<double>(lanes_occupied) /
+                           static_cast<double>(rows);
   }
 };
 

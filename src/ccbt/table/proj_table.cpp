@@ -58,14 +58,9 @@ ProjTable ProjTable::from_buckets(int arity, SortedBuckets&& buckets) {
   t.index_slot_ = 1;
   t.domain_ = static_cast<VertexId>(buckets.buckets());
   t.order_ = SortOrder::kByV1;
-  const FlatStats& st = buckets.stats();
   FlatRows rows = buckets.take_rows();
-  if (rows.narrow() && !rows.empty()) {
-    t.layout_.rows = st.rows;
-    t.layout_.lane_slots = st.rows;
-    t.layout_.lanes_occupied = st.lanes_occupied;
-    t.layout_.max_count = st.max_count;
-    t.layout_.width = rows.width();
+  if (rows.packed() && !rows.empty()) {
+    t.layout_ = buckets.stats();
     t.layout_.packed = true;
     t.pflat_ = std::move(rows);
     t.packed_flat_ = true;
@@ -85,17 +80,6 @@ ProjTable ProjTable::transposed() const {
     out.entries_.push_back(t);
   });
   return out;
-}
-
-ProjTable ProjTable::aggregated(int new_arity) const {
-  AccumMap map(size());
-  for_each_entry([&](const TableEntry& e) {
-    TableKey key;
-    for (int s = 0; s < new_arity; ++s) key.v[s] = e.key.v[s];
-    key.sig = e.key.sig;
-    map.add(key, e.cnt);
-  });
-  return ProjTable::from_map(new_arity, std::move(map));
 }
 
 std::pair<std::size_t, std::size_t> ProjTable::group_span_by_search(

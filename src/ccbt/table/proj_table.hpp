@@ -17,16 +17,15 @@
 // the threading model. A table holds the counts of one coloring.
 //
 // A table holds its rows in one of two layouts:
-//   * narrow flat rows (FlatRows: packed u64 key, u16 or u32 count).
-//     Only a non-empty born-sorted table is narrow, and only while it
-//     keeps its kByV1 order; keys that do not pack and u64-range counts
-//     make the build dense instead;
+//   * packed flat rows (FlatRows: packed u64 key, u64 count). Only a
+//     non-empty born-sorted table is packed, and only while it keeps its
+//     kByV1 order; a key that does not pack makes the build dense instead;
 //   * dense entries (full key, u64 count). Every other table is dense. A
 //     seal into another order re-sorts in the dense layout, so every table
 //     sealed kByV0 — every stored table and transpose — is dense.
 // Readers either take the dense span fast path (entries()/group(), valid
 // while the table is dense) or go through the layout-independent
-// accessors (row_at, for_each_entry, group_expanded), which expand narrow
+// accessors (row_at, for_each_entry, group_expanded), which expand packed
 // rows on the fly.
 
 #include <cstdint>
@@ -86,8 +85,8 @@ class ProjTable {
 
   /// Adopt a born-sorted table: one deduplicated bucket per vertex of
   /// [0, buckets.buckets()), already in kByV1 order, so the table is
-  /// sealed kByV1 with its bucket index on arrival. Non-empty narrow rows
-  /// stay narrow, and layout() is the bucket build's exact stats.
+  /// sealed kByV1 with its bucket index on arrival. Non-empty packed rows
+  /// stay packed, and layout() is the bucket build's exact stats.
   static ProjTable from_buckets(int arity, SortedBuckets&& buckets);
 
   /// Whether rows with duplicate keys may still be present (cleared by
@@ -100,29 +99,29 @@ class ProjTable {
   }
   bool empty() const { return size() == 0; }
 
-  /// Dense row span. Throws when the rows are narrow (use the
+  /// Dense row span. Throws when the rows are packed (use the
   /// layout-independent accessors below).
   std::span<const TableEntry> entries() const {
     if (packed_flat_) {
-      throw Error("ProjTable::entries(): table is in the narrow flat layout");
+      throw Error("ProjTable::entries(): table is in the packed flat layout");
     }
     return entries_;
   }
 
   // ---------------------------------------------- layout-independent API
 
-  /// Whether rows live in the narrow flat layout (born-sorted tables).
+  /// Whether rows live in the packed flat layout (born-sorted tables).
   bool packed_flat() const { return packed_flat_; }
 
-  /// The narrow flat storage itself, or nullptr when dense. The extend
-  /// fast path reads a u16 table's raw rows without expanding them to
-  /// dense entries.
+  /// The packed flat storage itself (always packed()),
+  /// or nullptr when dense. The extend fast path and the packed merge read
+  /// its raw rows without expanding them to dense entries.
   const FlatRows* flat_storage() const {
     return packed_flat_ ? &pflat_ : nullptr;
   }
 
   /// The occupancy of the table's rows, telemetry only (no layout
-  /// decision reads it). A table built born sorted in narrow rows takes
+  /// decision reads it). A table built born sorted in packed rows takes
   /// its bucket build's stats and keeps them through later seals (which
   /// scan nothing); every other table reports rows == 0. Rows change in
   /// place only through push_unchecked, which clears layout().
@@ -133,7 +132,7 @@ class ProjTable {
   }
 
   /// Row i as a dense entry: a reference into the table when dense, a
-  /// reference to `tmp` (filled by expanding the narrow row) otherwise.
+  /// reference to `tmp` (filled by expanding the packed row) otherwise.
   const TableEntry& row_at(std::size_t i, TableEntry& tmp) const {
     if (!packed_flat_) return entries_[i];
     pflat_.row(i, tmp);
@@ -161,7 +160,7 @@ class ProjTable {
   }
 
   /// group() for either layout: the raw span when dense, the bucket
-  /// expanded into `scratch` when narrow. The returned span aliases
+  /// expanded into `scratch` when packed. The returned span aliases
   /// `scratch` in the latter case — one live expansion per scratch.
   std::span<const TableEntry> group_expanded(
       int slot, VertexId v, std::vector<TableEntry>& scratch) const {
@@ -189,7 +188,7 @@ class ProjTable {
   /// tiny per-bucket sorts) and keeps the bucket offsets as an O(1) group
   /// index. With domain 0 and no detectable bound it falls back to a
   /// comparison sort and group() uses binary search. Any order other than
-  /// a narrow table's own kByV1 leaves the rows dense.
+  /// a packed table's own kByV1 leaves the rows dense.
   void seal(SortOrder order, VertexId domain = 0);
   SortOrder order() const { return order_; }
 
@@ -199,10 +198,10 @@ class ProjTable {
   /// Contiguous range of entries whose slot `slot` equals v; requires the
   /// matching seal order (kByV0 for slot 0, kByV1 for slot 1). O(1) when
   /// the bucket index covers `slot`, two binary searches otherwise.
-  /// Dense layout only — narrow tables use group_expanded().
+  /// Dense layout only — packed tables use group_expanded().
   std::span<const TableEntry> group(int slot, VertexId v) const {
     if (packed_flat_) {
-      throw Error("ProjTable::group(): table is in the narrow flat layout");
+      throw Error("ProjTable::group(): table is in the packed flat layout");
     }
     const auto [lo, hi] = group_span(slot, v);
     return {entries_.data() + lo, hi - lo};
@@ -212,11 +211,6 @@ class ProjTable {
   /// ("the boundary tables are transpose of each other"). Invalidates the
   /// seal order; the result is dense and unsealed.
   ProjTable transposed() const;
-
-  /// Sum out every slot except slot 0 (projection to a unary table), or to
-  /// arity 0. Used when a cycle's diagonal split must be re-aggregated to
-  /// the block's true boundary keys.
-  ProjTable aggregated(int new_arity) const;
 
   /// Append one row. The table becomes an unsorted multiset: the next
   /// sorting seal re-sorts it and sums rows with equal keys.
@@ -251,7 +245,7 @@ class ProjTable {
   /// fields.
   void finish_buckets(int slot, const std::vector<std::uint32_t>& off);
 
-  /// Narrow flat rows -> dense entries (order preserved).
+  /// Packed flat rows -> dense entries (order preserved).
   void unpack_flat();
 
   /// Sum runs of equal keys after a full-key sort (flat-built tables).
@@ -269,8 +263,8 @@ class ProjTable {
   std::vector<TableEntry> entries_;
   LaneLayoutInfo layout_;
 
-  // Narrow flat layout (born-sorted tables): packed-key rows with
-  // width-adapted counts. Exactly one of entries_ / pflat_ holds the rows.
+  // Packed flat layout (born-sorted tables): packed-key rows with u64
+  // counts. Exactly one of entries_ / pflat_ holds the rows.
   bool packed_flat_ = false;
   FlatRows pflat_;
 

@@ -61,7 +61,7 @@ struct TableEntry {
 // most 8 mapped vertices (signature fits a byte) and keys that use only
 // the two boundary slots on graphs below 2^28 - 1 vertices, the whole key
 // packs into one 64-bit word — v0:28 | v1:28 | sig:8 — giving a 16-byte
-// (key, count) entry that halves join bandwidth against the 32-byte wide
+// (key, count) row that halves join bandwidth against the 32-byte wide
 // row. kNoVertex maps to the reserved all-ones 28-bit pattern.
 
 inline constexpr std::uint32_t kPacked28NoVertex = 0x0FFFFFFFu;
@@ -90,6 +90,13 @@ inline constexpr TableKey unpack_key(std::uint64_t p) {
   k.sig = static_cast<Signature>(p & 0xFFu);
   return k;
 }
+
+/// One packed row: a packed key and its count, 16 bytes. The packed flat
+/// rows (flat_rows.hpp) and the hashed sinks (accum_map.hpp) both hold it.
+struct PackedFlatRow {
+  std::uint64_t k = 0;
+  Count c = 0;
+};
 
 /// splitmix64 finalizer — the packed-key hash.
 inline constexpr std::uint64_t hash_packed_key(std::uint64_t x) {

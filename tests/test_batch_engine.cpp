@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ccbt/core/color_coding.hpp"
+#include "ccbt/core/exact.hpp"
 #include "ccbt/core/estimator.hpp"
 #include "ccbt/dist/dist_engine.hpp"
 #include "ccbt/graph/generators.hpp"
@@ -77,50 +78,40 @@ TEST(BatchEngine, UnsupportedWidthThrows) {
   EXPECT_THROW(ColoringBatch{std::span<const Coloring>(nine)}, Error);
 }
 
-TEST(BatchEngine, LaneCompressedLayoutMatchesDenseEveryWidth) {
-  // The lane-compressed rows (narrow path tables and accumulation rows,
-  // compressed wire format) are an execution detail: per-lane counts
-  // must equal the dense layout's and the independent scalar runs', at
-  // every width and in both engines.
+TEST(BatchEngine, PackedRowsMatchExactEveryWidth) {
+  // The packed rows (path tables and hashed sinks) are an execution
+  // detail: per-lane counts must equal the exact colorful counts and the
+  // independent scalar runs', at every width.
   const CsrGraph g = barabasi_albert(70, 4, 31);
   const QueryGraph q = q_wiki();
-  const Plan plan = make_plan(q);
+  CountingSession session(g, q, make_plan(q));
   for (const int width : {2, 4, 8}) {
-    ExecOptions on;
-    on.lane_compress = true;
-    ExecOptions off;
-    off.lane_compress = false;
-    CountingSession son(g, q, plan, on);
-    CountingSession soff(g, q, plan, off);
     std::vector<std::uint64_t> seeds;
     for (int l = 0; l < width; ++l) seeds.push_back(800 + l);
-    const auto span =
-        std::span<const std::uint64_t>(seeds.data(), seeds.size());
-    const ExecStats a = son.count_colorful_seeded(span);
-    const ExecStats b = soff.count_colorful_seeded(span);
+    const ExecStats a = session.count_colorful_seeded(
+        std::span<const std::uint64_t>(seeds.data(), seeds.size()));
     for (int l = 0; l < width; ++l) {
-      EXPECT_EQ(a.colorful_lane[l], b.colorful_lane[l])
+      const Coloring chi(g.num_vertices(), q.num_nodes(), seeds[l]);
+      EXPECT_EQ(a.colorful_lane[l], count_colorful_exact(g, q, chi))
           << "width " << width << " lane " << l;
-      const ExecStats solo = son.count_colorful_seeded(seeds[l]);
-      EXPECT_EQ(a.colorful_lane[l], solo.colorful)
+      EXPECT_EQ(a.colorful_lane[l],
+                session.count_colorful_seeded(seeds[l]).colorful)
           << "width " << width << " lane " << l;
     }
-    EXPECT_EQ(b.lanes.rows_packed, 0u);
+    EXPECT_GT(a.lanes.rows_packed, 0u);
   }
 }
 
-TEST(BatchEngine, WideAndCompactAccumAgree) {
+TEST(BatchEngine, PackedSinksMatchExact) {
+  // The cycle sinks and aggregates hold packed rows while their keys
+  // pack; the counts must equal the exact ones.
   const CsrGraph g = erdos_renyi(60, 240, 3);
   const QueryGraph q = q_wiki();
-  ExecOptions wide;
-  wide.compact_accum = false;
-  ExecOptions compact;
-  compact.compact_accum = true;
-  CountingSession sw(g, q, make_plan(q), wide);
-  CountingSession sc(g, q, make_plan(q), compact);
+  CountingSession session(g, q, make_plan(q));
   for (std::uint64_t seed : {11u, 12u, 13u}) {
-    EXPECT_EQ(sw.count_colorful_seeded(seed).colorful,
-              sc.count_colorful_seeded(seed).colorful);
+    const Coloring chi(g.num_vertices(), q.num_nodes(), seed);
+    EXPECT_EQ(session.count_colorful_seeded(seed).colorful,
+              count_colorful_exact(g, q, chi));
   }
 }
 

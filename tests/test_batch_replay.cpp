@@ -86,10 +86,7 @@ std::vector<Count> replay(const CsrGraph& g, const Plan& plan,
       }
     } else {
       AccumMapT<B> sink(16, opts.compact_accum);
-      std::vector<AccumMap> ref_sinks;
-      for (int l = 0; l < B; ++l) {
-        ref_sinks.emplace_back(16, opts.compact_accum);
-      }
+      std::vector<AccumMap> ref_sinks(B);
       for (const SplitPlan& split : splits_for(blk, opts.algo)) {
         ProjTableT<B> plus = build_path<B>(cx, blk, pool, split.plus);
         ProjTableT<B> minus = build_path<B>(cx, blk, pool, split.minus);

@@ -3,12 +3,12 @@
 // hold exactly the rows that land on its vertex, sorted in kByV1 order
 // with equal keys summed in 64 bits. The reference here shares no code
 // with the bucket builder — a std::sort and a run-sum over the raw rows:
-//   * SortedBuckets fed random rows per bucket, through u16 -> u32 ->
-//     wide escalation inside one bucket, wide keys, empty buckets, dense
-//     (narrow rows off) scratch, and split vertex ranges;
+//   * SortedBuckets fed random rows per bucket, run sums past u16 and u32
+//     inside one bucket (the rows stay packed), wide keys, empty buckets,
+//     and split vertex ranges, one of them wide;
 //   * each path primitive against the rows and load-model charges of its
 //     per-entry push kernel, with anchor_higher on and off, a tracked
-//     slot, more than eight colors and narrow rows off;
+//     slot and more than eight colors;
 //   * sealed tables and load totals at one and at four OpenMP threads.
 
 #include <gtest/gtest.h>
@@ -127,12 +127,11 @@ std::vector<RawRows> draw_buckets(const BucketSpec& s, std::uint64_t seed) {
 /// Build buckets [lo, hi) through one SortedBuckets, the way one thread
 /// of build_buckets builds its vertex range.
 SortedBuckets build_range(const std::vector<RawRows>& buckets, VertexId lo,
-                          VertexId hi, bool wide) {
-  using Mode = FlatRows::Mode;
-  SortedBuckets built(wide);
+                          VertexId hi) {
+  SortedBuckets built;
   FlatRows scratch;
   for (VertexId v = lo; v < hi; ++v) {
-    scratch.reset(wide ? Mode::kWide : Mode::kU16);
+    scratch.reset();
     for (const auto& [k, c] : buckets[v]) scratch.append(k, c);
     built.close(scratch);
   }
@@ -142,12 +141,11 @@ SortedBuckets build_range(const std::vector<RawRows>& buckets, VertexId lo,
 /// Build the table in `parts` contiguous vertex ranges, check it against
 /// the reference, and return it.
 ProjTable expect_buckets_match(const std::vector<RawRows>& buckets,
-                               bool wide = false, int parts = 1) {
+                               int parts = 1) {
   const auto n = static_cast<VertexId>(buckets.size());
-  SortedBuckets built = build_range(buckets, 0, n / parts, wide);
+  SortedBuckets built = build_range(buckets, 0, n / parts);
   for (int p = 1; p < parts; ++p) {
-    built.absorb(
-        build_range(buckets, n * p / parts, n * (p + 1) / parts, wide));
+    built.absorb(build_range(buckets, n * p / parts, n * (p + 1) / parts));
   }
   EXPECT_EQ(built.buckets(), buckets.size());
   RawRows all;
@@ -162,13 +160,10 @@ TEST(BornSorted, BucketsMatchSortReference) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto buckets = draw_buckets(BucketSpec{}, seed * 31 + 1);
     const ProjTable t = expect_buckets_match(buckets);
-    // Non-empty narrow builds stay narrow; an empty table is dense.
+    // Non-empty packed builds stay packed; an empty table is dense.
     EXPECT_EQ(t.packed_flat(), t.size() != 0);
     // Split vertex ranges concatenate to the same rows.
-    expect_buckets_match(buckets, /*wide=*/false, /*parts=*/3);
-    // Narrow rows off: dense scratch, same rows.
-    const ProjTable dense = expect_buckets_match(buckets, true);
-    EXPECT_FALSE(dense.packed_flat());
+    expect_buckets_match(buckets, /*parts=*/3);
   }
 }
 
@@ -192,27 +187,50 @@ RawRows repeated_row(VertexId v1, Count count, int reps) {
   return RawRows(static_cast<std::size_t>(reps), {k, count});
 }
 
-TEST(BornSorted, RunSumEscalatesU16ToU32InsideOneBucket) {
+TEST(BornSorted, RunSumPastU16StaysPackedInsideOneBucket) {
   // Every row fits u16; the sum of bucket 2's run does not.
   std::vector<RawRows> buckets(4);
   buckets[1] = repeated_row(1, 7, 3);
   buckets[2] = repeated_row(2, 0xF000, 40);
   buckets[3] = repeated_row(3, 1, 2);
   const ProjTable t = expect_buckets_match(buckets);
-  ASSERT_NE(t.flat_storage(), nullptr);
-  EXPECT_EQ(t.flat_storage()->mode(), FlatRows::Mode::kU32);
+  ASSERT_TRUE(t.packed_flat());
   EXPECT_EQ(t.layout().max_count, Count{0xF000} * 40);
+  EXPECT_EQ(t.layout().width(), PayloadWidth::kU32);
 }
 
-TEST(BornSorted, RunSumEscalatesU32ToWideInsideOneBucket) {
+TEST(BornSorted, RunSumPastU32StaysPackedInsideOneBucket) {
   // Every row fits u32; the sum of bucket 1's run does not.
   std::vector<RawRows> buckets(3);
   buckets[0] = repeated_row(0, 2, 2);
   buckets[1] = repeated_row(1, 0xF0000000ull, 20);
   buckets[2] = repeated_row(2, 0xFFFF, 3);
   const ProjTable t = expect_buckets_match(buckets);
-  EXPECT_FALSE(t.packed_flat());
+  ASSERT_TRUE(t.packed_flat());
   EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.layout().max_count, Count{0xF0000000} * 20);
+  EXPECT_EQ(t.layout().width(), PayloadWidth::kU64);
+}
+
+TEST(BornSorted, PackedUntilAnUnpackableKey) {
+  // Large run sums stay packed; one tracked key in a later bucket moves
+  // the whole table wide — built in one range, and in two whose first is
+  // packed and whose second is wide.
+  std::vector<RawRows> buckets(6);
+  buckets[1] = repeated_row(1, 0xF0000000ull, 20);
+  buckets[2] = repeated_row(2, 0xF000, 40);
+  buckets[4] = repeated_row(4, 3, 2);
+  TableKey tracked;
+  tracked.v[0] = 2;
+  tracked.v[1] = 4;
+  tracked.v[2] = 1;
+  tracked.sig = 5;
+  buckets[4].push_back({tracked, 9});
+  for (const int parts : {1, 2}) {
+    const ProjTable t = expect_buckets_match(buckets, parts);
+    EXPECT_FALSE(t.packed_flat()) << parts;
+    EXPECT_EQ(t.size(), 4u) << parts;
+  }
 }
 
 TEST(BornSorted, TrackedSlotGivesWideKeys) {
@@ -308,13 +326,12 @@ struct Fixture {
   LoadModel load;
   ExecContext cx;
 
-  Fixture(VertexId n, std::size_t m, int colors, std::uint64_t seed,
-          ExecOptions opts = {})
+  Fixture(VertexId n, std::size_t m, int colors, std::uint64_t seed)
       : g(erdos_renyi(n, m, seed)),
         chi(n, colors, seed * 131),
         order(g),
         load(4),
-        cx{g, chi, order, BlockPartition(n, 4), &load, opts} {}
+        cx{g, chi, order, BlockPartition(n, 4), &load, {}} {}
 };
 
 /// Push-kernel reference for one primitive: `run(cx, emit)` replays the
@@ -351,16 +368,13 @@ void expect_primitive_matches(const Fixture& f, const ProjTable& got,
 
 /// Every path primitive, chained the way build_path chains them, each
 /// checked against its push kernel.
-void run_primitive_suite(const ExtendOpts& o, int colors, bool compress,
+void run_primitive_suite(const ExtendOpts& o, int colors,
                          std::uint64_t seed) {
-  ExecOptions opts;
-  opts.lane_compress = compress;
-  Fixture f(90, 360, colors, seed, opts);
+  Fixture f(90, 360, colors, seed);
   const ExecContext& cx = f.cx;
   SCOPED_TRACE("track=" + std::to_string(o.track_slot) + " anchor_higher=" +
                std::to_string(o.anchor_higher) + " colors=" +
-               std::to_string(colors) + " compress=" +
-               std::to_string(compress));
+               std::to_string(colors));
   std::vector<std::uint64_t> ops0;
   std::uint64_t comm0 = 0;
   auto mark = [&] {
@@ -399,7 +413,10 @@ void run_primitive_suite(const ExtendOpts& o, int colors, bool compress,
   // a unary one (its rows summed out to slot 0).
   ProjTable child = init_path_from_graph(cx, ExtendOpts{});
   child.seal(SortOrder::kByV0, f.g.num_vertices());
-  ProjTable unary = child.aggregated(1);
+  // Summed with no load model, so the charges compared below are the
+  // primitives' alone.
+  const ExecContext unmodeled{f.g, f.chi, f.order, cx.part, nullptr, cx.opts};
+  ProjTable unary = aggregate(unmodeled, child, 1);
   unary.seal(SortOrder::kByV0, f.g.num_vertices());
 
   // init_path_from_child, in both orientations.
@@ -463,12 +480,12 @@ TEST(BornSorted, PrimitivesMatchPushKernels) {
   std::uint64_t seed = 41;
   for (const bool anchor_higher : {false, true}) {
     for (const int track : {-1, 2}) {
-      run_primitive_suite(ExtendOpts{track, anchor_higher}, 5, true, ++seed);
+      run_primitive_suite(ExtendOpts{track, anchor_higher}, 5, ++seed);
     }
   }
   // Colors past 8 give signatures the packed key cannot hold.
-  run_primitive_suite(ExtendOpts{}, 10, true, ++seed);
-  run_primitive_suite(ExtendOpts{-1, true}, 5, false, ++seed);
+  run_primitive_suite(ExtendOpts{}, 10, ++seed);
+  run_primitive_suite(ExtendOpts{-1, true}, 5, ++seed);
 }
 
 // ------------------------------------------------------- thread counts

@@ -1,5 +1,5 @@
 // Differential fuzz across the whole engine matrix: random (graph,
-// catalog query, algorithm, batch width, layout options, fault schedule)
+// catalog query, algorithm, batch width, rank count, fault schedule)
 // configs run through the shared-memory engine batched and lane by lane,
 // and through the distributed engine — every route must report each
 // lane's colorful count. The baseline is count_colorful_exact
@@ -57,8 +57,6 @@ struct DiffConfig {
            " n=" + std::to_string(n) +
            " m=" + std::to_string(m) + " B=" + std::to_string(width) +
            " ranks=" + std::to_string(ranks) +
-           " compact=" + std::to_string(opts.compact_accum) +
-           " lane_compress=" + std::to_string(opts.lane_compress) +
            " faulty=" + std::to_string(faulty);
   }
 };
@@ -73,8 +71,10 @@ DiffConfig draw_config(std::uint64_t seed) {
   c.ranks = static_cast<std::uint32_t>(2 + rng.below(4));
   constexpr Algo kAlgos[] = {Algo::kPS, Algo::kPSEven, Algo::kDB};
   c.opts.algo = kAlgos[rng.below(3)];
-  c.opts.compact_accum = rng.below(2) == 0;
-  c.opts.lane_compress = rng.below(4) != 0;  // mostly on (the default)
+  // Two draws once picked the retired row-format settings; they are
+  // still consumed so every seed draws the configs it always drew.
+  (void)rng.below(2);
+  (void)rng.below(4);
   c.faulty = rng.below(2) == 0;
   if (c.faulty) {
     c.opts.dist.faults.seed = seed * 31 + 7;

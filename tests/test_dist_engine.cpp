@@ -11,6 +11,10 @@
 #include <tuple>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "ccbt/core/color_coding.hpp"
 #include "ccbt/core/exact.hpp"
 #include "ccbt/dist/dist_engine.hpp"
@@ -387,6 +391,39 @@ TEST(DistEngine, ParityOnRandomTw2Queries) {
 
 // ---------------------------------------------------------------------
 // Transport-layer invariants.
+
+TEST(DistEngine, PeakTableEntriesMatchSharedEngine) {
+  // The most entries one block's solve holds at once — walk tables plus
+  // cycle sink, or a leaf table — summed over the ranks, equals the shared
+  // engine's peak, at one thread and at four (the threaded bucket builds
+  // and end-bucket loops).
+  const CsrGraph g = erdos_renyi(1500, 6000, 57);
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  const std::vector<int> thread_counts{1, 4};
+#else
+  const std::vector<int> thread_counts{1};
+#endif
+  for (const char* name : {"dros", "brain1"}) {
+    const QueryGraph q = named_query(name);
+    const Coloring chi(g.num_vertices(), q.num_nodes(), 58);
+    for (const int threads : thread_counts) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#endif
+      const std::string label =
+          std::string(name) + " threads " + std::to_string(threads);
+      const ExecStats shared = shared_run(g, q, chi, Algo::kDB, 4);
+      const DistStats dist = dist_run(g, q, chi, Algo::kDB, 4);
+      EXPECT_EQ(dist.colorful, shared.colorful) << label;
+      EXPECT_GT(shared.peak_table_entries, 0u) << label;
+      EXPECT_EQ(dist.peak_table_entries, shared.peak_table_entries) << label;
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
 
 TEST(DistEngine, SingleRankHasNoOffRankTraffic) {
   const CsrGraph g = erdos_renyi(30, 70, 11);

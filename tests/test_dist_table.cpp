@@ -211,10 +211,9 @@ std::vector<std::uint32_t> some_readers(VertexId x, std::uint32_t ranks) {
 
 /// Rank r's halo view must equal from_flat + seal(kByV1) over its own
 /// rows plus the halo rows it received: rows, order and bucket index,
-/// in the narrowest layout that holds them (dense when a key does not
-/// pack or `wide`), with no layout stats of its own.
+/// packed unless a key does not pack, with no layout stats of its own.
 void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
-                       std::uint32_t ranks, bool wide, int arity = 2) {
+                       std::uint32_t ranks, int arity = 2) {
   const BlockPartition part(n, ranks);
   const DistTable t = frontier_table(rows, part, arity);
   VirtualComm comm(ranks);
@@ -226,7 +225,7 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
     t.shard(r).for_each_entry([&](const TableEntry& e) { mine.push_back(e); });
     ProjTable ref = ProjTable::from_flat(arity, std::move(mine));
     ref.seal(SortOrder::kByV1, n);
-    const ProjTable got = t.halo_view(r, comm, part, wide);
+    const ProjTable got = t.halo_view(r, comm, part);
     EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " not emptied";
     EXPECT_EQ(got.order(), SortOrder::kByV1);
     EXPECT_TRUE(got.has_bucket_index());
@@ -234,14 +233,12 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
     ASSERT_EQ(got.size(), ref.size()) << "rank " << r;
     TableEntry gtmp, rtmp;
     bool packable = true;
-    Count max_count = 0;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       const TableEntry& g = got.row_at(i, gtmp);
       const TableEntry& e = ref.row_at(i, rtmp);
       EXPECT_EQ(g.key, e.key) << "rank " << r << " row " << i;
       EXPECT_EQ(g.cnt, e.cnt) << "rank " << r << " row " << i;
       packable = packable && packable_key(e.key);
-      max_count = std::max(max_count, e.cnt);
     }
     for (VertexId v = 0; v < n + 2; ++v) {
       const auto [glo, ghi] = got.group_span(1, v);
@@ -249,41 +246,32 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
       EXPECT_EQ(ghi - glo, rhi - rlo) << "rank " << r << " bucket " << v;
       if (rhi > rlo) EXPECT_EQ(glo, rlo) << "rank " << r << " bucket " << v;
     }
-    const bool narrow =
-        ref.size() > 0 && !wide && packable && max_count <= 0xFFFFFFFFull;
-    EXPECT_EQ(got.packed_flat(), narrow) << "rank " << r;
-    if (narrow) {
-      EXPECT_EQ(got.flat_storage()->width(), choose_payload_width(max_count));
-    }
+    EXPECT_EQ(got.packed_flat(), ref.size() > 0 && packable) << "rank " << r;
   }
 }
 
 TEST(DistTableHaloView, MatchesFlatSeal) {
-  // Duplicate keys merged in the shards, lanes narrow, and the same rows
-  // with lane compression off.
+  // Duplicate keys merged in the shards, rows packed.
   const auto dup = duplicate_heavy_rows(50, 2000, 8);
-  expect_halo_views(dup, 50, 4, /*wide=*/false);
-  expect_halo_views(dup, 50, 4, /*wide=*/true);
+  expect_halo_views(dup, 50, 4);
   // One rank; more ranks than vertices (most ranks own nothing).
-  expect_halo_views(dup, 50, 1, /*wide=*/false);
-  expect_halo_views(duplicate_heavy_rows(5, 200, 11), 5, 8,
-                       /*wide=*/false);
+  expect_halo_views(dup, 50, 1);
+  expect_halo_views(duplicate_heavy_rows(5, 200, 11), 5, 8);
   // An empty rank: every frontier below 12 lives on rank 0.
-  expect_halo_views(duplicate_heavy_rows(12, 300, 13), 50, 4,
-                       /*wide=*/false);
-  // u16 -> u32 -> wide: counts past 0xFFFF, then past 2^32 - 1, on
-  // frontier 7 next to ordinary rows.
-  std::vector<TableEntry> esc = duplicate_heavy_rows(50, 300, 17);
-  esc.push_back(entry(3, 7, 2, 0x12000));
-  expect_halo_views(esc, 50, 4, /*wide=*/false);
-  esc.push_back(entry(4, 7, 1, 0x100000000ull));
-  expect_halo_views(esc, 50, 4, /*wide=*/false);
+  expect_halo_views(duplicate_heavy_rows(12, 300, 13), 50, 4);
+  // Counts past 0xFFFF, then past 2^32 - 1, on frontier 7 next to
+  // ordinary rows: the views stay packed.
+  std::vector<TableEntry> big = duplicate_heavy_rows(50, 300, 17);
+  big.push_back(entry(3, 7, 2, 0x12000));
+  expect_halo_views(big, 50, 4);
+  big.push_back(entry(4, 7, 1, 0x100000000ull));
+  expect_halo_views(big, 50, 4);
   // A tracked slot >= 2: those keys do not pack, so the views are dense.
   std::vector<TableEntry> tracked = duplicate_heavy_rows(50, 300, 19);
   for (std::size_t i = 0; i < tracked.size(); i += 3) {
     tracked[i].key.v[2] = tracked[i].key.v[0] + 1;
   }
-  expect_halo_views(tracked, 50, 4, /*wide=*/false, /*arity=*/3);
+  expect_halo_views(tracked, 50, 4, /*arity=*/3);
 }
 
 TEST(DistTableHaloView, RowOutOfPlaceThrows) {
@@ -293,12 +281,12 @@ TEST(DistTableHaloView, RowOutOfPlaceThrows) {
   VirtualComm comm(2);
   comm.send(1, 0, entry(0, 3, 1, 1));
   comm.exchange();
-  EXPECT_THROW((void)t.halo_view(0, comm, part, /*wide=*/false), Error);
+  EXPECT_THROW((void)t.halo_view(0, comm, part), Error);
   // Halo rows going back to an earlier bucket.
   comm.send(0, 1, entry(0, 4, 1, 1));
   comm.send(0, 1, entry(0, 2, 1, 1));
   comm.exchange();
-  EXPECT_THROW((void)t.halo_view(1, comm, part, /*wide=*/false), Error);
+  EXPECT_THROW((void)t.halo_view(1, comm, part), Error);
 }
 
 /// Views on one comm reuse its inboxes: a second halo with smaller
@@ -322,15 +310,15 @@ TEST(DistTableHaloView, ReusedCommMatchesFresh) {
   VirtualComm comm(kRanks);
   send_halo(big, comm, part, all);
   for (std::uint32_t r = 0; r < kRanks; ++r) {
-    (void)big.halo_view(r, comm, part, /*wide=*/false);
+    (void)big.halo_view(r, comm, part);
   }
   send_halo(small, comm, part, not_two);
   VirtualComm fresh_comm(kRanks);
   send_halo(small, fresh_comm, part, not_two);
   EXPECT_TRUE(comm.inbox(2).empty());
   for (std::uint32_t r = 0; r < kRanks; ++r) {
-    const ProjTable got = small.halo_view(r, comm, part, false);
-    const ProjTable want = small.halo_view(r, fresh_comm, part, false);
+    const ProjTable got = small.halo_view(r, comm, part);
+    const ProjTable want = small.halo_view(r, fresh_comm, part);
     ASSERT_EQ(got.size(), want.size()) << "rank " << r;
     EXPECT_EQ(got.packed_flat(), want.packed_flat()) << "rank " << r;
     TableEntry gtmp, wtmp;

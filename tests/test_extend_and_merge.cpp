@@ -61,7 +61,7 @@ struct Side {
   AccumMap sink;
 
   Side(const ExecContext& base, std::uint32_t ranks)
-      : load(ranks), cx(base), sink(16, base.opts.compact_accum) {
+      : load(ranks), cx(base) {
     cx.load = &load;
     cx.accum = &accum;
   }
@@ -288,7 +288,8 @@ TEST(ExtendAndMerge, ConsecutiveCallsReadNoStaleAnchorIndex) {
       (void)extend_and_merge(cx, p1, nullptr, ExtendOpts{}, q1, spec, first);
       ProjTable p2 = prefix, q2 = second_plus;
       (void)extend_and_merge(cx, p2, nullptr, ExtendOpts{}, q2, spec, second);
-      ProjTable minus = extend_with_graph(cx, prefix, ExtendOpts{});
+      ProjTable p3 = prefix;
+      ProjTable minus = extend_with_graph(cx, p3, ExtendOpts{});
       ProjTable q3 = second_plus;
       merge_halves(cx, q3, minus, spec, want);
       ASSERT_GT(want.size(), 0u) << what;

@@ -1,8 +1,9 @@
-// Narrow count rows (ExecOptions::lane_compress): stored tables are dense
-// and their layout telemetry exact whichever way they were built, the
-// narrow flat rows and the packed merge reproduce the dense rows exactly
-// — across counts past the u16 and u32 limits — and whole runs agree with
-// narrow rows on and off, batched or not.
+// Packed flat rows (a packed key with a u64 count): stored tables are
+// dense and their layout telemetry exact whichever way they were built,
+// the packed flat rows and the packed merge reproduce the dense rows
+// exactly — across counts past the u16 and u32 limits and sums that wrap
+// mod 2^64 — a table stays packed until a key does not pack, and whole
+// runs match the exact colorful counts in both engines, batched or not.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "ccbt/core/color_coding.hpp"
+#include "ccbt/core/exact.hpp"
 #include "ccbt/dist/comm.hpp"
 #include "ccbt/dist/dist_engine.hpp"
 #include "ccbt/engine/primitives.hpp"
@@ -45,7 +47,7 @@ std::vector<TableEntry> random_rows(std::size_t n, Count max_count,
   return rows;
 }
 
-/// The layout() a born-sorted narrow table of `rows` must report: one row
+/// The layout() a born-sorted packed table of `rows` must report: one row
 /// per key, counts summed, computed without the table code.
 LaneLayoutInfo expected_layout(const std::vector<TableEntry>& rows) {
   std::map<std::array<std::uint64_t, 3>, Count> sums;
@@ -54,7 +56,6 @@ LaneLayoutInfo expected_layout(const std::vector<TableEntry>& rows) {
   }
   LaneLayoutInfo info;
   info.rows = sums.size();
-  info.lane_slots = info.rows;
   for (const auto& [key, sum] : sums) {
     info.lanes_occupied += sum != 0;
     info.max_count = std::max(info.max_count, sum);
@@ -65,7 +66,6 @@ LaneLayoutInfo expected_layout(const std::vector<TableEntry>& rows) {
 void expect_counts(const LaneLayoutInfo& got, const LaneLayoutInfo& want,
                    const char* what) {
   EXPECT_EQ(got.rows, want.rows) << what;
-  EXPECT_EQ(got.lane_slots, want.lane_slots) << what;
   EXPECT_EQ(got.lanes_occupied, want.lanes_occupied) << what;
   EXPECT_EQ(got.max_count, want.max_count) << what;
 }
@@ -73,9 +73,9 @@ void expect_counts(const LaneLayoutInfo& got, const LaneLayoutInfo& want,
 /// Build the same rows twice — born sorted (one bucket per frontier
 /// vertex, then resealed kByV0 as a stored table is) and adopted flat
 /// (sealed kByV0) — and require both to be dense, equal row for row and
-/// probe for probe. The born table is narrow while its counts fit u32 and
-/// then reports its bucket build's exact layout, through a relabelling
-/// seal and the dense reseal; the flat table is never observed.
+/// probe for probe. The born table is packed whatever its counts and
+/// reports its bucket build's exact layout, through a relabelling seal and
+/// the dense reseal; the flat table is never observed.
 void expect_layout_parity(const std::vector<TableEntry>& rows) {
   const LaneLayoutInfo want = expected_layout(rows);
   SortedBuckets buckets;
@@ -88,26 +88,20 @@ void expect_layout_parity(const std::vector<TableEntry>& rows) {
     buckets.close(scratch);
   }
   ProjTable born = ProjTable::from_buckets(2, std::move(buckets));
-  const PayloadWidth width = choose_payload_width(want.max_count);
-  const bool narrow = width != PayloadWidth::kU64;
-  EXPECT_EQ(born.packed_flat(), narrow);
-  if (narrow) {
-    EXPECT_TRUE(born.layout().packed);
-    EXPECT_EQ(born.layout().width, width);
-    expect_counts(born.layout(), want, "born sorted");
-    born.seal(SortOrder::kByV1, kDomain);  // a relabel scans nothing
-    EXPECT_TRUE(born.packed_flat());
-    expect_counts(born.layout(), want, "relabel");
-  } else {
-    EXPECT_EQ(born.layout().rows, 0u);
-  }
+  EXPECT_TRUE(born.packed_flat());
+  EXPECT_TRUE(born.layout().packed);
+  EXPECT_EQ(born.layout().width(), choose_payload_width(want.max_count));
+  expect_counts(born.layout(), want, "born sorted");
+  born.seal(SortOrder::kByV1, kDomain);  // a relabel scans nothing
+  EXPECT_TRUE(born.packed_flat());
+  expect_counts(born.layout(), want, "relabel");
 
   ProjTable flat = ProjTable::from_flat(2, std::vector<TableEntry>(rows));
   born.seal(SortOrder::kByV0, kDomain);
   flat.seal(SortOrder::kByV0, kDomain);
   EXPECT_FALSE(born.packed_flat());
   EXPECT_FALSE(born.layout().packed);
-  EXPECT_EQ(born.layout().rows, narrow ? want.rows : 0u);
+  EXPECT_EQ(born.layout().rows, want.rows);
   EXPECT_FALSE(flat.packed_flat());
   EXPECT_EQ(flat.layout().rows, 0u);
 
@@ -133,11 +127,14 @@ TEST(LaneCompress, BornSortedAndFlatStoreAlike) {
   expect_layout_parity(random_rows(4000, 60000, 19));
   expect_layout_parity(random_rows(2000, Count{1} << 40, 21));
   expect_layout_parity(random_rows(2500, 3, 23));
+  // Run sums that wrap mod 2^64, as the dense seal's sums do.
+  expect_layout_parity(random_rows(2000, Count{1} << 63, 25));
 }
 
 TEST(LaneCompress, CountsAtWidthBoundariesStoreExactly) {
-  // Counts at and just past each width limit: the born-sorted build
-  // escalates u16 -> u32 -> wide, and both stored forms keep every count.
+  // Counts at and just past each width limit: the born-sorted build stays
+  // packed, reports the width each needs, and both stored forms keep every
+  // count.
   for (const Count big : {Count{0xFFFF}, Count{0x10000}, Count{0xFFFFFFFF},
                           Count{0x100000000}}) {
     std::vector<TableEntry> rows(64);
@@ -182,83 +179,90 @@ std::map<std::array<std::uint64_t, 5>, Count> flat_totals(FlatRows&& rows) {
   return out;
 }
 
-TEST(LaneCompressFlat, AppendEscalatesMidAccumulation) {
-  // u16 -> u32 -> wide, forced mid-stream; earlier rows must survive each
-  // conversion exactly.
+TEST(LaneCompressFlat, AppendStaysPackedUntilUnpackableKey) {
+  // Counts past u16, u32 and 2^63 stay packed; the first key that does
+  // not pack moves the buffer to wide rows, and earlier rows must survive
+  // the conversion exactly.
   FlatRows f;
   TableKey k;
   k.v[0] = 1;
   k.v[1] = 2;
   k.sig = 4;
-  f.append(k, 9);
-  ASSERT_EQ(f.mode(), FlatRows::Mode::kU16);
-  f.append(k, 0x12345ull);  // > u16
-  EXPECT_EQ(f.mode(), FlatRows::Mode::kU32);
-  f.append(k, 0x1FFFFFFFFull);  // > u32
-  EXPECT_EQ(f.mode(), FlatRows::Mode::kWide);
-  EXPECT_EQ(f.size(), 3u);
+  for (const Count c : {Count{9}, Count{0x12345}, Count{0x1FFFFFFFF},
+                        Count{0x8000000000000001}}) {
+    f.append(k, c);
+    ASSERT_TRUE(f.packed()) << c;
+  }
+  TableKey tracked = k;
+  tracked.v[2] = 7;  // a tracked slot does not pack
+  f.append(tracked, 5);
+  EXPECT_FALSE(f.packed());
+  EXPECT_EQ(f.size(), 5u);
 
   const auto totals = flat_totals(std::move(f));
   const std::array<std::uint64_t, 5> key{1, 2, kNoVertex, kNoVertex, 4};
-  ASSERT_EQ(totals.size(), 1u);
-  EXPECT_EQ(totals.at(key), 9 + 0x12345ull + 0x1FFFFFFFFull);
+  const std::array<std::uint64_t, 5> wide_key{1, 2, 7, kNoVertex, 4};
+  ASSERT_EQ(totals.size(), 2u);
+  EXPECT_EQ(totals.at(key),
+            9 + 0x12345ull + 0x1FFFFFFFFull + 0x8000000000000001ull);
+  EXPECT_EQ(totals.at(wide_key), 5u);
 }
 
-TEST(LaneCompressFlat, U16StreamMatchesGenericAppend) {
-  // The all-16-bit streaming append (packed key + u16 count, no width
-  // decision) against the generic append of the unpacked row — including
-  // after a mid-stream escalation flips it onto its fallback path.
+TEST(LaneCompressFlat, PackedStreamMatchesGenericAppend) {
+  // The streaming append (caller-packed key, no key check) against the
+  // generic append of the unpacked row — including after an unpackable
+  // key flips both onto wide rows and the stream onto its fallback.
   Rng rng(91);
   FlatRows stream_sink;
   FlatRows generic_sink;
-  auto emit_u16 = [&] {
+  auto emit = [&] {
     TableKey k;
     k.v[0] = static_cast<VertexId>(rng.below(40));
     k.v[1] = static_cast<VertexId>(rng.below(40));
     k.sig = static_cast<Signature>(rng.below(256));
-    const auto c = static_cast<std::uint16_t>(rng.below(0x10000));
-    stream_sink.append_u16(pack_key(k), c);
+    const Count c = rng.below(Count{1} << 40);
+    stream_sink.append_packed(pack_key(k), c);
     generic_sink.append(k, c);
   };
-  for (int i = 0; i < 3000; ++i) emit_u16();
-  // Escalate both sinks out of u16 mode with one oversized generic
-  // emission, then keep streaming: append_u16 must take its fallback
-  // branch and still agree.
+  for (int i = 0; i < 3000; ++i) emit();
+  ASSERT_TRUE(stream_sink.packed());
   TableKey bigk;
   bigk.v[0] = 3;
   bigk.v[1] = 5;
-  bigk.sig = 8;
+  bigk.sig = 0x100;  // a ninth colour does not pack
   stream_sink.append(bigk, 0x99999ull);
   generic_sink.append(bigk, 0x99999ull);
-  ASSERT_NE(stream_sink.mode(), FlatRows::Mode::kU16);
-  for (int i = 0; i < 1000; ++i) emit_u16();
+  ASSERT_FALSE(stream_sink.packed());
+  for (int i = 0; i < 1000; ++i) emit();
   EXPECT_EQ(flat_totals(std::move(stream_sink)),
             flat_totals(std::move(generic_sink)));
 }
 
-TEST(LaneCompressFlat, U16RunSumOverflowEscalatesAtBucketClose) {
-  // Repeated same-key u16 appends whose sum outgrows u16 stay duplicate
-  // rows (no wrap); closing the bucket must sum them exactly and escalate
-  // the sealed rows to u32.
+TEST(LaneCompressFlat, RunSumPastU32StaysPackedAtBucketClose) {
+  // Same-key appends whose sum outgrows u32 stay duplicate rows; closing
+  // the bucket sums them exactly and the merged row stays packed.
   FlatRows f;
   TableKey k;
   k.v[0] = 6;
   k.v[1] = 9;
   k.sig = 2;
-  const int reps = 40;  // 40 * 0x7000 = 0x118000 > u16
-  for (int i = 0; i < reps; ++i) f.append_u16(pack_key(k), 0x7000);
-  EXPECT_EQ(f.mode(), FlatRows::Mode::kU16);
+  const int reps = 40;  // 40 * 0xF0000000 > u32
+  for (int i = 0; i < reps; ++i) f.append(k, 0xF0000000ull);
   EXPECT_EQ(f.size(), static_cast<std::size_t>(reps));
   FlatRows sealed;
-  FlatStats st;
+  LaneLayoutInfo st;
   f.drain_bucket_into(sealed, st);
-  EXPECT_EQ(sealed.mode(), FlatRows::Mode::kU32);
-  EXPECT_EQ(sealed.size(), 1u);
-  EXPECT_EQ(st.max_count, static_cast<Count>(reps) * 0x7000ull);
+  const Count want = static_cast<Count>(reps) * 0xF0000000ull;
+  EXPECT_TRUE(sealed.packed());
+  ASSERT_EQ(sealed.size(), 1u);
+  EXPECT_EQ(sealed.packed_rows()[0].c, want);
+  EXPECT_EQ(st.rows, 1u);
+  EXPECT_EQ(st.max_count, want);
+  EXPECT_EQ(st.width(), PayloadWidth::kU64);
   const auto totals = flat_totals(std::move(sealed));
   const std::array<std::uint64_t, 5> key{6, 9, kNoVertex, kNoVertex, 2};
   ASSERT_EQ(totals.count(key), 1u);
-  EXPECT_EQ(totals.at(key), static_cast<Count>(reps) * 0x7000ull);
+  EXPECT_EQ(totals.at(key), want);
 }
 
 // ------------------------------------------------------- packed merge
@@ -281,12 +285,11 @@ struct MergeCx {
 
 /// One end bucket of coherent half-path rows keyed (u, v, sig), all
 /// ending at `v` and sorted in the born kByV1 order, as both the dense
-/// entries and the equivalent packed narrow rows. Signatures mix
+/// entries and the equivalent packed rows. Signatures mix
 /// coloring-consistent pairs (so emissions actually happen) with random
 /// bytes (so the prefilter rejects), counts run up to `mag`, and a few
 /// rows carry a zero count (which the packed kernel skips).
-template <typename W>
-std::pair<std::vector<TableEntry>, std::vector<PackedFlatRow<W>>>
+std::pair<std::vector<TableEntry>, std::vector<PackedFlatRow>>
 merge_bucket_rows(const Coloring& chi, VertexId v, Count mag, Rng& rng) {
   std::vector<TableEntry> dense(300);
   for (auto& e : dense) {
@@ -303,23 +306,23 @@ merge_bucket_rows(const Coloring& chi, VertexId v, Count mag, Rng& rng) {
   std::sort(dense.begin(), dense.end(), [](const auto& a, const auto& b) {
     return pack_key(a.key) < pack_key(b.key);
   });
-  std::vector<PackedFlatRow<W>> packed(dense.size());
+  std::vector<PackedFlatRow> packed(dense.size());
   for (std::size_t i = 0; i < dense.size(); ++i) {
-    packed[i] = {pack_key(dense[i].key), static_cast<W>(dense[i].cnt)};
+    packed[i] = {pack_key(dense[i].key), dense[i].cnt};
   }
   return {std::move(dense), std::move(packed)};
 }
 
 /// merge_bucket_packed against merge_bucket on the same bucket pair:
-/// identical emission sequence (keys, counts, order) for the given width
-/// pairing, once the dense kernel's zero-count emissions are dropped.
-template <typename WP, typename WM>
+/// identical emission sequence (keys, counts, order), once the dense
+/// kernel's zero-count emissions are dropped. The counts are drawn so
+/// that no product of two nonzero counts is 0 mod 2^64.
 void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag) {
   MergeCx f(seed);
   Rng rng(seed);
   const VertexId v = 5;
-  auto [pd, pp] = merge_bucket_rows<WP>(f.chi, v, pmag, rng);
-  auto [md, mp] = merge_bucket_rows<WM>(f.chi, v, mmag, rng);
+  auto [pd, pp] = merge_bucket_rows(f.chi, v, pmag, rng);
+  auto [md, mp] = merge_bucket_rows(f.chi, v, mmag, rng);
 
   using Emit = std::pair<TableKey, Count>;
   for (const int arity : {2, 1, 0}) {
@@ -333,8 +336,8 @@ void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag) {
                  [&](const TableKey& k, Count c) {
                    if (c != 0) dense_out.emplace_back(k, c);
                  });
-    merge_bucket_packed(f.cx, std::span<const PackedFlatRow<WP>>(pp),
-                        std::span<const PackedFlatRow<WM>>(mp), spec,
+    merge_bucket_packed(f.cx, std::span<const PackedFlatRow>(pp),
+                        std::span<const PackedFlatRow>(mp), spec,
                         [&](const TableKey& k, Count c) {
                           packed_out.emplace_back(k, c);
                         });
@@ -349,23 +352,53 @@ void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag) {
   }
 }
 
-TEST(PackedMerge, KernelMatchesDenseU16xU16) {
-  run_packed_kernel_parity<std::uint16_t, std::uint16_t>(301, 900, 900);
-  run_packed_kernel_parity<std::uint16_t, std::uint16_t>(302, 0xFFFF, 0xFFFF);
+TEST(PackedMerge, KernelMatchesDenseSmallCounts) {
+  run_packed_kernel_parity(301, 900, 900);
+  run_packed_kernel_parity(302, 0xFFFF, 0xFFFF);
 }
 
-TEST(PackedMerge, KernelMatchesDenseMixedWidths) {
-  // u16 x u32 both ways, and u32 x u32 with near-boundary counts whose
-  // products stress the no-wrap claim (0xFFFFFFFF^2 < 2^64).
-  run_packed_kernel_parity<std::uint16_t, std::uint32_t>(311, 0xFFFF,
-                                                         0xFFFFFFFFull);
-  run_packed_kernel_parity<std::uint32_t, std::uint16_t>(312, 0xFFFFFFFFull,
-                                                         0xFFFF);
-  run_packed_kernel_parity<std::uint32_t, std::uint32_t>(313, 0xFFFFFFFFull,
-                                                         0xFFFFFFFFull);
+TEST(PackedMerge, KernelMatchesDenseU64Counts) {
+  // Counts past u16 and u32 on either side, then products past 2^64:
+  // the packed kernel must wrap them exactly as merge_bucket does.
+  run_packed_kernel_parity(311, 0xFFFF, 0xFFFFFFFFull);
+  run_packed_kernel_parity(312, 0xFFFFFFFFull, 0xFFFF);
+  run_packed_kernel_parity(313, 0xFFFFFFFFull, 0xFFFFFFFFull);
+  run_packed_kernel_parity(314, Count{1} << 40, Count{1} << 40);
+  run_packed_kernel_parity(315, Count{1} << 62, 0xFFFF);
 }
 
-/// merge_halves over narrow flat halves (the packed merge) and over the
+/// The rows built born sorted over [0, n): bucket w holds the rows ending
+/// at w.
+ProjTable born_table(const std::vector<TableEntry>& rows, VertexId n) {
+  SortedBuckets buckets;
+  FlatRows scratch;
+  for (VertexId w = 0; w < n; ++w) {
+    scratch.reset();
+    for (const TableEntry& e : rows) {
+      if (e.key.v[1] == w) scratch.append(e.key, e.cnt);
+    }
+    buckets.close(scratch);
+  }
+  return ProjTable::from_buckets(2, std::move(buckets));
+}
+
+using SinkRows = std::vector<std::pair<std::array<std::uint64_t, 5>, Count>>;
+
+/// A sink's nonzero rows in key order (the dense merge adds zero products
+/// too).
+SinkRows sink_rows(const AccumMap& sink) {
+  SinkRows out;
+  sink.for_each([&](const TableKey& k, Count c) {
+    if (c == 0) return;
+    out.emplace_back(
+        std::array<std::uint64_t, 5>{k.v[0], k.v[1], k.v[2], k.v[3], k.sig},
+        c);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// merge_halves over packed flat halves (the packed merge) and over the
 /// same rows as dense tables (the dense merge_bucket) must reach the same
 /// sink — `wide_escape` poisons the plus half with an unpackable key
 /// first, so the flat run exercises the dense-fallback dispatch instead.
@@ -375,8 +408,8 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
     MergeCx f(seed);
     Rng rng(seed + 1);
     for (const VertexId v : {3u, 5u, 9u, 11u, 20u}) {
-      auto [pd, pp] = merge_bucket_rows<std::uint16_t>(f.chi, v, 900, rng);
-      auto [md, mp] = merge_bucket_rows<std::uint16_t>(f.chi, v, 900, rng);
+      auto [pd, pp] = merge_bucket_rows(f.chi, v, 900, rng);
+      auto [md, mp] = merge_bucket_rows(f.chi, v, 900, rng);
       prows.insert(prows.end(), pd.begin(), pd.end());
       mrows.insert(mrows.end(), md.begin(), md.end());
     }
@@ -393,23 +426,12 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
   spec.out_arity = 2;
   spec.out[0] = {0, 0};
   spec.out[1] = {1, 1};
-  std::array<std::vector<std::pair<std::array<std::uint64_t, 5>, Count>>, 2>
-      results;
+  std::array<SinkRows, 2> results;
   for (const bool packed : {false, true}) {
     MergeCx f(seed);
     auto table = [&](const std::vector<TableEntry>& rows) {
-      if (!packed) return ProjTable::from_flat(2, std::vector(rows));
-      // Born sorted: bucket w holds the rows ending at w.
-      SortedBuckets buckets;
-      FlatRows scratch;
-      for (VertexId w = 0; w < f.g.num_vertices(); ++w) {
-        scratch.reset();
-        for (const TableEntry& e : rows) {
-          if (e.key.v[1] == w) scratch.append(e.key, e.cnt);
-        }
-        buckets.close(scratch);
-      }
-      return ProjTable::from_buckets(2, std::move(buckets));
+      return packed ? born_table(rows, f.g.num_vertices())
+                    : ProjTable::from_flat(2, std::vector(rows));
     };
     ProjTable plus = table(prows);
     ProjTable minus = table(mrows);
@@ -417,17 +439,9 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
       ASSERT_NE(plus.flat_storage(), nullptr);
       ASSERT_NE(minus.flat_storage(), nullptr);
     }
-    AccumMap sink(16, true);
+    AccumMap sink;
     merge_halves(f.cx, plus, minus, spec, sink);
-    auto& out = results[packed ? 1 : 0];
-    sink.for_each([&](const TableKey& k, Count c) {
-      if (c == 0) return;  // the dense merge adds zero products too
-      out.emplace_back(
-          std::array<std::uint64_t, 5>{k.v[0], k.v[1], k.v[2], k.v[3],
-                                       k.sig},
-          c);
-    });
-    std::sort(out.begin(), out.end());
+    results[packed ? 1 : 0] = sink_rows(sink);
   }
   EXPECT_FALSE(results[0].empty());
   EXPECT_EQ(results[0], results[1]);
@@ -439,6 +453,67 @@ TEST(PackedMerge, MergeHalvesPackedMatchesDense) {
 }
 TEST(PackedMerge, MergeHalvesWideEscapeFallsBackIdentically) {
   run_merge_halves_parity(333, /*wide_escape=*/true);
+}
+
+TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
+  // Packable keys whose run sums pass 2^32 (and whose products pass
+  // 2^64): the bucket build keeps them packed, the merge joins them
+  // through the packed kernel and the fused split reads them as a packed
+  // prefix, and every sink equals the one the dense tables reach.
+  MergeCx f(341);
+  const VertexId n = f.g.num_vertices();
+  Rng rng(342);
+  std::vector<TableEntry> prows, mrows;
+  for (VertexId v = 0; v < n; ++v) {
+    auto [pd, pp] = merge_bucket_rows(f.chi, v, 900, rng);
+    auto [md, mp] = merge_bucket_rows(f.chi, v, 900, rng);
+    for (std::size_t i = 0; i < pd.size(); i += 3) {
+      pd.push_back({pd[i].key, 0xF0000000ull});
+      pd.push_back({pd[i].key, 0xF0000000ull});
+    }
+    for (std::size_t i = 0; i < md.size(); i += 3) {
+      md.push_back({md[i].key, 0xF0000000ull});
+      md.push_back({md[i].key, 0xF0000000ull});
+    }
+    prows.insert(prows.end(), pd.begin(), pd.end());
+    mrows.insert(mrows.end(), md.begin(), md.end());
+  }
+  MergeSpec spec;
+  spec.out_arity = 2;
+  spec.out[0] = {0, 0};
+  spec.out[1] = {1, 1};
+
+  ProjTable plus = born_table(prows, n);
+  ProjTable minus = born_table(mrows, n);
+  for (const ProjTable* t : {&plus, &minus}) {
+    ASSERT_TRUE(t->packed_flat());
+    EXPECT_GT(t->layout().max_count, Count{0xFFFFFFFF});
+    EXPECT_EQ(t->layout().width(), PayloadWidth::kU64);
+  }
+  ProjTable dense_plus = ProjTable::from_flat(2, std::vector(prows));
+  ProjTable dense_minus = ProjTable::from_flat(2, std::vector(mrows));
+
+  AccumMap packed_sink, dense_sink;
+  merge_halves(f.cx, plus, minus, spec, packed_sink);
+  merge_halves(f.cx, dense_plus, dense_minus, spec, dense_sink);
+  EXPECT_TRUE(plus.packed_flat());
+  EXPECT_TRUE(minus.packed_flat());
+  EXPECT_FALSE(dense_plus.packed_flat());
+  const SinkRows merged = sink_rows(dense_sink);
+  EXPECT_FALSE(merged.empty());
+  EXPECT_EQ(sink_rows(packed_sink), merged);
+
+  // The minus table as the prefix of a fused last extend, against the
+  // extend built from the dense rows and merged with the dense plus.
+  AccumMap fused_sink, unfused_sink;
+  (void)extend_and_merge(f.cx, minus, nullptr, ExtendOpts{}, plus, spec,
+                         fused_sink);
+  EXPECT_TRUE(minus.packed_flat());
+  ProjTable extended = extend_with_graph(f.cx, dense_minus, ExtendOpts{});
+  merge_halves(f.cx, dense_plus, extended, spec, unfused_sink);
+  const SinkRows want = sink_rows(unfused_sink);
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(sink_rows(fused_sink), want);
 }
 
 TEST(PackedMergeEngine, SessionAgreesWithScalarLaneForLane) {
@@ -461,57 +536,60 @@ TEST(PackedMergeEngine, SessionAgreesWithScalarLaneForLane) {
 
 // -------------------------------------------------------- end to end
 
-TEST(LaneCompressEngine, CompressedAndDenseRunsAgreeLaneForLane) {
+/// The colorful count of each seeded coloring, enumerated exactly.
+std::vector<Count> exact_lanes(const CsrGraph& g, const QueryGraph& q,
+                               const std::vector<std::uint64_t>& seeds) {
+  std::vector<Count> out;
+  for (const std::uint64_t seed : seeds) {
+    out.push_back(count_colorful_exact(
+        g, q, Coloring(g.num_vertices(), q.num_nodes(), seed)));
+  }
+  return out;
+}
+
+TEST(LaneCompressEngine, PackedRunsMatchExactLaneForLane) {
   const CsrGraph g = erdos_renyi(60, 260, 9);
+  const std::vector<std::uint64_t> seeds{900, 901, 902, 903,
+                                         904, 905, 906, 907};
   for (const QueryGraph& q : {q_glet2(), q_wiki(), q_cycle(5)}) {
-    ExecOptions on;
-    on.lane_compress = true;
-    ExecOptions off;
-    off.lane_compress = false;
-    CountingSession son(g, q, make_plan(q), on);
-    CountingSession soff(g, q, make_plan(q), off);
-    std::vector<std::uint64_t> seeds{900, 901, 902, 903, 904, 905, 906,
-                                     907};
-    const ExecStats a = son.count_colorful_seeded(
+    CountingSession session(g, q, make_plan(q), ExecOptions{});
+    const ExecStats a = session.count_colorful_seeded(
         std::span<const std::uint64_t>(seeds.data(), 8));
-    const ExecStats b = soff.count_colorful_seeded(
-        std::span<const std::uint64_t>(seeds.data(), 8));
+    const std::vector<Count> want = exact_lanes(g, q, seeds);
     for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(a.colorful_lane[l], b.colorful_lane[l])
-          << q.name() << " lane " << l;
+      EXPECT_EQ(a.colorful_lane[l], want[l]) << q.name() << " lane " << l;
     }
-    // The compressed run actually packed something (child tables exist
-    // for these queries) and observed its density.
+    // The run actually packed something (child tables exist for these
+    // queries) and observed its density.
     EXPECT_GT(a.lanes.rows, 0u);
-    EXPECT_EQ(b.lanes.rows_packed, 0u);
+    EXPECT_GT(a.lanes.rows_packed, 0u);
   }
 }
 
-TEST(LaneCompressEngine, DistributedAgreesWithSharedUnderCompression) {
-  // Narrow path rows on and off: the distributed engine's per-coloring
-  // counts equal the shared engine's either way.
+TEST(LaneCompressEngine, DistributedAgreesWithSharedAndExact) {
+  // The distributed engine's per-coloring counts and packed-row telemetry
+  // equal the shared engine's, and both counts equal the exact ones.
   const CsrGraph g = erdos_renyi(40, 170, 15);
   const QueryGraph q = q_glet2();
   const Plan plan = make_plan(q);
+  std::vector<std::uint64_t> seeds;
   std::vector<Coloring> lanes;
   for (int l = 0; l < 8; ++l) {
-    lanes.emplace_back(g.num_vertices(), q.num_nodes(), 1200 + l);
+    seeds.push_back(1200 + l);
+    lanes.emplace_back(g.num_vertices(), q.num_nodes(), seeds.back());
   }
   const ColoringBatch batch(lanes);
-  for (const bool compress : {true, false}) {
-    ExecOptions opts;
-    opts.lane_compress = compress;
-    CountingSession session(g, q, plan, opts);
-    const ExecStats shared = session.count_colorful(batch);
-    const DistStats dist =
-        run_plan_distributed(g, plan.tree, batch, /*ranks=*/3, opts);
-    for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(dist.colorful_lane[l], shared.colorful_lane[l])
-          << "lane_compress " << compress << " lane " << l;
-    }
-    EXPECT_EQ(dist.lanes.rows_packed, shared.lanes.rows_packed) << compress;
-    if (!compress) EXPECT_EQ(dist.lanes.rows_packed, 0u);
+  CountingSession session(g, q, plan, ExecOptions{});
+  const ExecStats shared = session.count_colorful(batch);
+  const DistStats dist =
+      run_plan_distributed(g, plan.tree, batch, /*ranks=*/3, ExecOptions{});
+  const std::vector<Count> want = exact_lanes(g, q, seeds);
+  for (int l = 0; l < 8; ++l) {
+    EXPECT_EQ(shared.colorful_lane[l], want[l]) << "lane " << l;
+    EXPECT_EQ(dist.colorful_lane[l], want[l]) << "lane " << l;
   }
+  EXPECT_EQ(dist.lanes.rows_packed, shared.lanes.rows_packed);
+  EXPECT_GT(shared.lanes.rows_packed, 0u);
 }
 
 }  // namespace

@@ -51,12 +51,12 @@ TEST_F(PrimitivesTest, InitFromGraphAnchorFilterHalves) {
 }
 
 TEST_F(PrimitivesTest, ExtendWithGraphWalksPaths) {
-  const ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
-  const ProjTable paths2 = extend_with_graph(cx_, edges, ExtendOpts{});
+  ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
+  ProjTable paths2 = extend_with_graph(cx_, edges, ExtendOpts{});
   // Ordered simple 2-edge paths in P4: (0,1,2),(1,2,3),(2,1,0),(3,2,1),
   // (0,1,2) reversed... count: 4 ordered paths of length 2.
   EXPECT_EQ(paths2.total(), 4u);
-  const ProjTable paths3 = extend_with_graph(cx_, paths2, ExtendOpts{});
+  ProjTable paths3 = extend_with_graph(cx_, paths2, ExtendOpts{});
   // 3-edge ordered paths in P4: the whole path, 2 orientations.
   EXPECT_EQ(paths3.total(), 2u);
   const ProjTable paths4 = extend_with_graph(cx_, paths3, ExtendOpts{});
@@ -64,7 +64,7 @@ TEST_F(PrimitivesTest, ExtendWithGraphWalksPaths) {
 }
 
 TEST_F(PrimitivesTest, ExtendTracksFrontierIntoSlot) {
-  const ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
+  ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
   ExtendOpts o;
   o.track_slot = 2;
   const ProjTable t = extend_with_graph(cx_, edges, o);
@@ -163,8 +163,9 @@ TEST_F(PrimitivesTest, MergeHalvesRequiresEndpointOnlyOverlap) {
   AccumMap sink_ok;
   merge_halves(cx_, plus, minus_ok, spec, sink_ok);
   ASSERT_EQ(sink_ok.size(), 1u);
-  EXPECT_EQ(sink_ok.entries()[0].cnt, 15u);
-  EXPECT_EQ(signature_size(sink_ok.entries()[0].key.sig), 4);
+  const std::vector<TableEntry> ok = sink_ok.take_entries();
+  EXPECT_EQ(ok[0].cnt, 15u);
+  EXPECT_EQ(signature_size(ok[0].key.sig), 4);
 
   AccumMap sink_bad;
   merge_halves(cx_, plus, minus_bad, spec, sink_bad);
@@ -194,8 +195,9 @@ TEST_F(PrimitivesTest, MergeSpecProjectsChosenSlots) {
   AccumMap sink;
   merge_halves(cx_, plus, minus, spec, sink);
   ASSERT_EQ(sink.size(), 1u);
-  EXPECT_EQ(sink.entries()[0].key.v[0], 1u);
-  EXPECT_EQ(sink.entries()[0].cnt, 6u);
+  const std::vector<TableEntry> out = sink.take_entries();
+  EXPECT_EQ(out[0].key.v[0], 1u);
+  EXPECT_EQ(out[0].cnt, 6u);
 }
 
 TEST_F(PrimitivesTest, AggregateCollapsesToRequestedArity) {
@@ -227,7 +229,7 @@ TEST(PrimitivesStarTest, AnchorFilterPrunesHubExtensions) {
   const ExecContext cx{g, chi, order, BlockPartition(7, 1), nullptr, opts};
   ExtendOpts o;
   o.anchor_higher = true;
-  const ProjTable t = init_path_from_graph(cx, o);
+  ProjTable t = init_path_from_graph(cx, o);
   t.for_each_entry([&](const TableEntry& e) {
     EXPECT_EQ(e.key.v[0], 0u);  // all anchored at the hub
   });

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ccbt/engine/primitives.hpp"
+#include "ccbt/graph/generators.hpp"
 #include "ccbt/table/accum_map.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/table/signature.hpp"
@@ -127,13 +129,22 @@ TEST(ProjTableTest, TransposeSwapsBoundaryOrder) {
   EXPECT_EQ(tt.entries()[0].cnt, 4u);
 }
 
+/// aggregate() under a context with no load model.
+ProjTable aggregate_unmodeled(const ProjTable& t, int new_arity) {
+  const CsrGraph g = path_graph(16);
+  const Coloring chi(16, 3, 1);
+  const DegreeOrder order(g);
+  const ExecContext cx{g, chi, order, BlockPartition(16, 1), nullptr, {}};
+  return aggregate(cx, t, new_arity);
+}
+
 TEST(ProjTableTest, AggregateSumsOutSlots) {
   AccumMap map;
   map.add(key2(1, 2, 1), 4);
   map.add(key2(1, 3, 1), 6);
   map.add(key2(2, 9, 1), 1);
   ProjTable t = ProjTable::from_map(2, std::move(map));
-  ProjTable u = t.aggregated(1);
+  ProjTable u = aggregate_unmodeled(t, 1);
   EXPECT_EQ(u.arity(), 1);
   EXPECT_EQ(u.size(), 2u);  // keys 1 and 2
   u.seal(SortOrder::kByV0);
@@ -145,7 +156,7 @@ TEST(ProjTableTest, AggregateKeepsSignaturesSeparate) {
   map.add(key2(1, 2, 0b01), 4);
   map.add(key2(1, 3, 0b10), 6);
   ProjTable t = ProjTable::from_map(2, std::move(map));
-  const ProjTable u = t.aggregated(1);
+  const ProjTable u = aggregate_unmodeled(t, 1);
   EXPECT_EQ(u.size(), 2u);  // same vertex, different signatures
 }
 

@@ -313,7 +313,7 @@ TEST(WalkSchedule, PeakEntriesCountDrosWalkTablesAndSink) {
     } else {
       Counter c;
       TrackedPath ops{{cx, pool}, c};
-      AccumMap sink(16, opts.compact_accum);
+      AccumMap sink;
       run_walks(ops, schedule_walks(blk, opts.algo), nullptr,
                 [&](const WalkSchedule::Split& s, TrackedPath::Table& plus,
                     TrackedPath::Table& minus) {
