@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the engine's primitives: the
-// accumulation hash map, table sealing (counting partition + bucket
-// index), O(1) group lookup, the parallel half-cycle merge, graph-edge
-// extension, and an end-to-end triangle count. These guard the constants
-// behind every figure bench.
+// sinks' sort-and-sum (FlatRows::sum_duplicates), table sealing
+// (counting partition + bucket index), O(1) group lookup, the parallel
+// half-cycle merge, graph-edge extension, and an end-to-end triangle
+// count. These guard the constants behind every figure bench.
 //
 // The binary first runs a small deterministic harness that times the
 // three hot table-layer operations — group lookup, seal, merge — against
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <random>
 #include <vector>
 
 #include "ccbt/core/color_coding.hpp"
@@ -48,10 +49,15 @@ std::vector<TableEntry> random_binary_entries(std::size_t n,
   return entries;
 }
 
+/// The entries summed through a FlatRows sink, then shuffled: an
+/// unsealed table with one row per key, in no key order.
 ProjTable unsorted_table(const std::vector<TableEntry>& entries) {
-  AccumMap map(entries.size());
-  for (const TableEntry& e : entries) map.add(e.key, e.cnt);
-  return ProjTable::from_map(2, std::move(map));
+  FlatRows sink;
+  for (const TableEntry& e : entries) sink.append(e.key, e.cnt);
+  sink.sum_duplicates();
+  std::vector<TableEntry> rows = sink.take_wide();
+  std::shuffle(rows.begin(), rows.end(), std::mt19937_64(11));
+  return ProjTable::from_flat(2, std::move(rows));
 }
 
 // -------------------------------------------------------------------
@@ -73,13 +79,12 @@ GroupNumbers measure_group_lookup() {
   indexed.seal(SortOrder::kByV0, kDomain);
 
   // Same content without the index (forces the two-binary-search path).
-  ProjTable searched = unsorted_table(random_binary_entries(n, 5));
-  {
-    TableEntry far{};
-    far.key.v[0] = 0xFFFFFFF0u;  // out of any detectable domain
-    searched.push_unchecked(far);
-    searched.seal(SortOrder::kByV0);
-  }
+  std::vector<TableEntry> with_far = random_binary_entries(n, 5);
+  TableEntry far{};
+  far.key.v[0] = 0xFFFFFFF0u;  // out of any detectable domain
+  with_far.push_back(far);
+  ProjTable searched = unsorted_table(with_far);
+  searched.seal(SortOrder::kByV0);
 
   Rng rng(17);
   std::vector<VertexId> keys(probes);
@@ -163,7 +168,7 @@ SealNumbers measure_seal() {
 
 struct MergeNumbers {
   std::size_t entries = 0;   // plus + minus input entries
-  std::size_t outputs = 0;   // accumulated sink entries
+  std::size_t outputs = 0;   // summed sink rows
   double ns_per_entry = 0.0;
 };
 
@@ -191,7 +196,7 @@ MergeNumbers measure_merge() {
   for (int r = 0; r < reps; ++r) {
     ProjTable plus = plus0;
     ProjTable minus = minus0;
-    AccumMap sink;
+    FlatRows sink;
     Timer t;
     merge_halves(cx, plus, minus, spec, sink);
     seconds += t.seconds();
@@ -262,7 +267,8 @@ void write_json_report() {
 // -------------------------------------------------------------------
 // Google benchmarks.
 
-void BM_AccumMapAdd(benchmark::State& state) {
+/// n rows into a sink, then one sort-and-sum.
+void BM_SinkSum(benchmark::State& state) {
   const std::size_t n = state.range(0);
   Rng rng(5);
   std::vector<TableKey> keys(n);
@@ -272,13 +278,14 @@ void BM_AccumMapAdd(benchmark::State& state) {
     k.sig = static_cast<Signature>(rng.below(256));
   }
   for (auto _ : state) {
-    AccumMap map(n);
-    for (const auto& k : keys) map.add(k, 1);
-    benchmark::DoNotOptimize(map.size());
+    FlatRows sink;
+    for (const auto& k : keys) sink.append(k, 1);
+    sink.sum_duplicates();
+    benchmark::DoNotOptimize(sink.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_AccumMapAdd)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK(BM_SinkSum)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_TableSeal(benchmark::State& state) {
   const std::size_t n = state.range(0);
@@ -329,7 +336,7 @@ void BM_MergeHalves(benchmark::State& state) {
     state.PauseTiming();
     ProjTable plus = plus0;
     ProjTable minus = minus0;
-    AccumMap sink;
+    FlatRows sink;
     state.ResumeTiming();
     merge_halves(cx, plus, minus, spec, sink);
     benchmark::DoNotOptimize(sink.size());

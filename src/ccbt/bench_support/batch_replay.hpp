@@ -4,7 +4,9 @@
 // call. The engine itself runs one coloring per pass, so a width-B table
 // here is B single-coloring tables, lane-major, and every call runs the
 // single-coloring code once per lane on a one-lane copy of the context,
-// the way run_plan runs a batch. Leaves together with the replay.
+// the way run_plan runs a batch. A width-B sink keeps the replay's old
+// names, AccumMapT and ProjTableT::from_map, over one FlatRows sink per
+// lane. Leaves together with the replay.
 
 #include <array>
 #include <cstddef>
@@ -14,7 +16,7 @@
 #include "ccbt/engine/leaf_solver.hpp"
 #include "ccbt/engine/path_builder.hpp"
 #include "ccbt/engine/primitives.hpp"
-#include "ccbt/table/accum_map.hpp"
+#include "ccbt/table/flat_rows.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/error.hpp"
 
@@ -29,17 +31,15 @@ struct LaneOps {
 
 template <int B>
 struct AccumMapT {
-  /// The second argument is ignored: every sink holds packed rows while
-  /// its keys pack.
-  explicit AccumMapT(std::size_t expected = 16, bool /*compact*/ = true) {
-    for (AccumMap& m : lanes) m = AccumMap(expected);
-  }
+  /// Both arguments are ignored: every sink holds packed rows while its
+  /// keys pack, and grows as rows arrive.
+  explicit AccumMapT(std::size_t /*expected*/ = 16, bool /*compact*/ = true) {}
   std::size_t size() const {
     std::size_t n = 0;
-    for (const AccumMap& m : lanes) n += m.size();
+    for (const FlatRows& m : lanes) n += m.size();
     return n;
   }
-  std::array<AccumMap, B> lanes;
+  std::array<FlatRows, B> lanes;
 };
 
 template <int B>
@@ -47,7 +47,7 @@ struct ProjTableT {
   static ProjTableT from_map(int arity, AccumMapT<B>&& map) {
     ProjTableT t;
     for (int l = 0; l < B; ++l) {
-      t.lanes[l] = ProjTable::from_map(arity, std::move(map.lanes[l]));
+      t.lanes[l] = ProjTable::from_flat(arity, map.lanes[l].take_wide());
     }
     return t;
   }

@@ -29,9 +29,10 @@ using dist::Dx;
 using dist::maybe_alloc_fail;
 
 /// Deliver every rank's merge outputs queued in the transport, add them
-/// into the per-rank cycle sinks and close the merge phase. Shared by the
-/// two ways a split ends.
-void collect_merged(Dx& dx, std::vector<AccumMap>& sinks) {
+/// to the per-rank cycle sinks, sum each sink and close the merge
+/// phase. The budget bounds the summed rows of all sinks together. Shared
+/// by the two ways a split ends.
+void collect_merged(Dx& dx, std::vector<FlatRows>& sinks) {
   const ExecContext& cx = dx.cx;
   ScopedStage timed(cx.stage_slot(&StageWall::transport));
   dx.comm.exchange();
@@ -41,6 +42,7 @@ void collect_merged(Dx& dx, std::vector<AccumMap>& sinks) {
     for (const TableEntry& e : dx.comm.inbox(r)) {
       sinks[r].add(e.key, e.cnt);
     }
+    sinks[r].sum_duplicates();
     total += sinks[r].size();
   }
   if (total > dx.budget) {
@@ -61,11 +63,11 @@ std::uint32_t merge_dest(const Dx& dx, const MergeSpec& spec,
 /// bucket by end bucket, through the same bucket router as the shared
 /// engine's merge_halves (both halves are born sorted kByV1, so rank r
 /// holds every group whose end v it owns), routing every output to its
-/// merge_dest. Accumulates into the per-rank cycle sinks. Only a split
+/// merge_dest. Adds to the per-rank cycle sinks. Only a split
 /// whose minus half is a single edge ends here (d_extend_and_merge ends
 /// the others).
 void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
-                    const MergeSpec& spec, std::vector<AccumMap>& sinks) {
+                    const MergeSpec& spec, std::vector<FlatRows>& sinks) {
   const ExecContext& cx = dx.cx;
   {
     ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
@@ -94,7 +96,7 @@ void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
 /// in the unfused order.
 void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
                         const PathOp& step, DistTable& plus,
-                        const MergeSpec& spec, std::vector<AccumMap>& sinks) {
+                        const MergeSpec& spec, std::vector<FlatRows>& sinks) {
   Dx& dx = ops.dx;
   const ExecContext& cx = dx.cx;
   const DistTable* pull =
@@ -103,14 +105,14 @@ void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
   LoadModel::Held held(cx.load == nullptr ? 0 : cx.load->num_ranks());
   for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
     ProjTable view = ops.halo_view(prefix, r);
-    AccumMap local;
+    FlatRows local;
     held.add(extend_and_merge(cx, view,
                               pull == nullptr ? nullptr : &pull->shard(r),
                               step.opts, plus.shard(r), spec, local,
                               VertexRange::rank(dx.part(), r)));
     ScopedStage timed(cx.stage_slot(&StageWall::transport));
-    local.for_each([&](const TableKey& key, Count cnt) {
-      dx.comm.send(r, merge_dest(dx, spec, key), {key, cnt});
+    local.for_each_dense([&](const TableEntry& e) {
+      dx.comm.send(r, merge_dest(dx, spec, e.key), e);
     });
   }
   detail::close_build_phase(cx);
@@ -148,7 +150,7 @@ DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
 DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool,
                         std::size_t& peak_entries) {
   dist::DistPath ops{dx, pool};
-  std::vector<AccumMap> sinks(dx.ranks());
+  std::vector<FlatRows> sinks(dx.ranks());
   const std::size_t peak = run_walks(
       ops, schedule_walks(blk, dx.cx.opts.algo), dx.cx.load,
       [&](const WalkSchedule::Split& s, DistTable& plus, DistTable& minus) {
@@ -158,13 +160,14 @@ DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool,
           d_merge_halves(dx, plus, minus, s.merge, sinks);
         }
         std::size_t rows = 0;
-        for (const AccumMap& m : sinks) rows += m.size();
+        for (const FlatRows& m : sinks) rows += m.size();
         return rows;
       });
   peak_entries = std::max(peak_entries, peak);
   std::vector<ProjTable> shards;
-  for (AccumMap& m : sinks) {
-    shards.push_back(ProjTable::from_map(blk.boundary_count(), std::move(m)));
+  for (FlatRows& m : sinks) {
+    shards.push_back(
+        ProjTable::from_flat(blk.boundary_count(), m.take_wide()));
   }
   return DistTable::from_shards(blk.boundary_count(), /*home_slot=*/0,
                                 std::move(shards));

@@ -129,15 +129,6 @@ class DistTable {
     return true;
   }
 
-  /// Flatten into one shared-memory table, accumulating duplicate keys.
-  ProjTable gather() const {
-    AccumMap map(size());
-    for (const auto& s : shards_) {
-      s.for_each_entry([&](const TableEntry& e) { map.add(e.key, e.cnt); });
-    }
-    return ProjTable::from_map(arity_, std::move(map));
-  }
-
   /// Swap key slots 0 and 1 and re-home (one superstep); shards sealed
   /// kByV0 — the storage convention for child-block tables.
   DistTable transposed(VirtualComm& comm, const BlockPartition& part,

@@ -75,7 +75,7 @@ WalkSchedule schedule_walks(const Block& blk, Algo algo) {
 
 ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
                       TablePool& pool, std::size_t* peak_entries) {
-  AccumMap sink;
+  FlatRows sink;
   SharedPath ops{cx, pool};
   const std::size_t peak = run_walks(
       ops, schedule_walks(blk, cx.opts.algo), cx.load,
@@ -94,9 +94,9 @@ ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
         return sink.size();
       });
   if (peak_entries != nullptr) *peak_entries = std::max(*peak_entries, peak);
-  // The merge spec emitted exactly the boundary slots, so the accumulated
-  // keys already project to the block's boundary images.
-  return ProjTable::from_map(blk.boundary_count(), std::move(sink));
+  // The merge spec emitted exactly the boundary slots, so the summed keys
+  // already project to the block's boundary images.
+  return ProjTable::from_flat(blk.boundary_count(), sink.take_wide());
 }
 
 }  // namespace ccbt

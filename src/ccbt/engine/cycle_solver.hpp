@@ -51,12 +51,12 @@ WalkSchedule schedule_walks(const Block& blk, Algo algo);
 /// Run a walk schedule on `ops` (SharedPath or dist::DistPath): build
 /// each node once, call `finish(split, plus, minus)` per split in run
 /// order (`minus` is the prefix of a fused split), release each table
-/// after its last use. `finish` returns the entries the block's sink holds
-/// after the split; run_walks returns the most entries its live tables and
-/// that sink hold at once. The Section 7 model charges every walk as if it
-/// ran alone: `load` (nullable) repeats a node's build phase once per
-/// further walk through it. Telemetry and the transport see only real
-/// builds.
+/// after its last use. `finish` returns the rows the block's sink holds
+/// after the split, summed; run_walks returns the most entries its live
+/// tables and that sink hold at once. The Section 7 model charges every
+/// walk as if it ran alone: `load` (nullable) repeats a node's build
+/// phase once per further walk through it. Telemetry and the transport
+/// see only real builds.
 template <typename Ops, typename Finish>
 std::size_t run_walks(Ops& ops, const WalkSchedule& ws, LoadModel* load,
                       Finish&& finish) {

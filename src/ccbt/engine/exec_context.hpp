@@ -27,7 +27,7 @@ namespace ccbt {
 /// emission, sorting seals, merge joins, and — distributed engine only —
 /// the transport exchanges.
 struct StageWall {
-  double accumulate = 0.0;  // join kernels emitting rows (incl. hash adds)
+  double accumulate = 0.0;  // join kernels emitting rows
   double seal = 0.0;        // sort + dedup
   double merge = 0.0;       // merge_halves / extend_and_merge sweeps
   double transport = 0.0;   // virtual-MPI encode/exchange/decode
@@ -114,10 +114,12 @@ struct ExecOptions {
 
   /// Abort with BudgetExceeded when any table grows beyond this (the
   /// paper's PS runs hit exactly this wall — blank cells in Fig 10). At
-  /// most UINT32_MAX: the engines reject a larger budget at entry. The end
-  /// buckets a cycle split's fused last extend (extend_and_merge) streams
-  /// into its merge are not a table and are not counted; the cycle sink
-  /// they feed stays bounded.
+  /// most UINT32_MAX: the engines reject a larger budget at entry. The
+  /// budget bounds distinct rows: a sink (merge, aggregate) that passes it
+  /// first sums its duplicate keys and throws only if the summed rows
+  /// still exceed it. The end buckets a cycle split's fused last extend
+  /// (extend_and_merge) streams into its merge are not a table and are
+  /// not counted; the cycle sink they feed stays bounded.
   std::size_t max_table_entries = 80'000'000;
 
   /// Ablation: anchor DB at the id order instead of the degree order
@@ -127,10 +129,10 @@ struct ExecOptions {
   /// Use OpenMP in the join primitives.
   bool use_threads = true;
 
-  /// Retired row-format settings, fixed on: the hashed sinks hold packed
-  /// rows while their keys pack (table/accum_map.hpp), and the path tables
-  /// are built in packed flat rows (table/flat_rows.hpp). bench_suite's
-  /// traced replay still reads both names; they leave with the replay.
+  /// Retired row-format settings, fixed on: every sink and every path
+  /// table holds packed flat rows while its keys pack
+  /// (table/flat_rows.hpp). bench_suite's traced replay still reads both
+  /// names; they leave with the replay.
   static constexpr bool compact_accum = true;
   static constexpr bool lane_compress = true;
 

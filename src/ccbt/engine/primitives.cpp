@@ -22,6 +22,20 @@ void check_budget(const ExecContext& cx, std::size_t size) {
   }
 }
 
+/// Whether `sink` fits the budget: past it, its duplicate keys are
+/// summed first, so the budget bounds distinct rows.
+bool sink_fits(const ExecContext& cx, FlatRows& sink) {
+  if (sink.size() <= cx.opts.max_table_entries) return true;
+  sink.sum_duplicates();
+  return sink.size() <= cx.opts.max_table_entries;
+}
+
+/// Hold `sink` to the budget (sink_fits), throwing BudgetExceeded when
+/// even its summed rows exceed it.
+void bound_sink(const ExecContext& cx, FlatRows& sink) {
+  if (!sink_fits(cx, sink)) check_budget(cx, sink.size());
+}
+
 int pool_threads() {
 #ifdef _OPENMP
   return omp_get_max_threads();
@@ -130,17 +144,19 @@ void join_edge(const ExecContext& cx, const TableEntry& e,
 /// Run `body(v, sink, t)` for every end vertex v of [lo, hi): the one
 /// end-bucket loop of merge_halves and extend_and_merge. End buckets are
 /// independent, so once the phase reads more than 4096 rows (`work`)
-/// threads own whole buckets and add into private sinks, `t` being the
-/// thread's index below pool_threads(); the sinks reduce into `sink`
-/// afterwards. Serially t is 0. The budget bounds every sink.
+/// threads own whole buckets and add into private sinks, `t` being
+/// the thread's index below pool_threads(); each thread sums its own
+/// sink, and the sinks are concatenated onto `sink`. Serially t is 0.
+/// The budget bounds every sink (bound_sink), and the loop ends by
+/// summing `sink`, so it holds one row per key.
 template <typename Body>
 void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
-                         std::size_t work, AccumMap& sink, Body&& body) {
+                         std::size_t work, FlatRows& sink, Body&& body) {
 #ifdef _OPENMP
   if (cx.opts.use_threads && pool_threads() > 1 && hi > lo + 1 &&
       work > 4096) {
     const int threads = pool_threads();
-    std::vector<AccumMap> maps(threads);
+    std::vector<FlatRows> parts(threads);
     std::atomic<bool> budget_hit{false};
 #pragma omp parallel num_threads(threads)
     {
@@ -148,20 +164,19 @@ void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
 #pragma omp for schedule(dynamic, 256)
       for (VertexId v = lo; v < hi; ++v) {
         if (budget_hit.load(std::memory_order_relaxed)) continue;
-        body(v, maps[t], t);
-        if (maps[t].size() > cx.opts.max_table_entries) {
+        body(v, parts[t], t);
+        if (!sink_fits(cx, parts[t])) {
           budget_hit.store(true, std::memory_order_relaxed);
         }
       }
+      parts[t].sum_duplicates();
     }
     if (budget_hit.load()) check_budget(cx, cx.opts.max_table_entries + 1);
-    std::size_t total = sink.size();
-    for (const AccumMap& m : maps) total += m.size();
-    sink.reserve(total);
-    for (AccumMap& m : maps) {
-      m.for_each([&](const TableKey& k, Count c) { sink.add(k, c); });
-      check_budget(cx, sink.size());
+    for (FlatRows& part : parts) {
+      sink.absorb(std::move(part));
+      bound_sink(cx, sink);
     }
+    sink.sum_duplicates();
     return;
   }
 #else
@@ -169,8 +184,9 @@ void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
 #endif
   for (VertexId v = lo; v < hi; ++v) {
     body(v, sink, 0);
-    check_budget(cx, sink.size());
+    bound_sink(cx, sink);
   }
+  sink.sum_duplicates();
 }
 
 /// A prefix table's packed rows, read in place.
@@ -256,7 +272,7 @@ class FusedSplit {
 
   /// End bucket v into `sink`; merge charges into `held` when non-null
   /// (a load model is attached).
-  void bucket(VertexId v, AccumMap& sink, LoadModel::Held* held) const {
+  void bucket(VertexId v, FlatRows& sink, LoadModel::Held* held) const {
     thread_local FuseScratch ts;
     const auto pu = plus_.group_expanded(1, v, ts.plus_rows);
     // Without a load model an end with no plus rows has nothing to do; with
@@ -418,7 +434,7 @@ class FusedSplit {
 LoadModel::Held extend_and_merge(const ExecContext& cx, ProjTable& prefix,
                                  const ProjTable* child, const ExtendOpts& o,
                                  ProjTable& plus, const MergeSpec& spec,
-                                 AccumMap& sink, VertexRange range) {
+                                 FlatRows& sink, VertexRange range) {
   const VertexId n = cx.g.num_vertices();
   seal_by_frontier(cx, prefix);
   seal_by_frontier(cx, plus);
@@ -435,7 +451,7 @@ LoadModel::Held extend_and_merge(const ExecContext& cx, ProjTable& prefix,
       const FusedSplit split(cx, rows, child, o, plus, spec);
       for_each_end_bucket(
           cx, range.begin, std::min(range.end, n), prefix.size() + plus.size(),
-          sink, [&](VertexId v, AccumMap& out, int t) {
+          sink, [&](VertexId v, FlatRows& out, int t) {
             split.bucket(v, out, tallies.empty() ? nullptr : &tallies[t]);
           });
     };
@@ -628,7 +644,7 @@ ProjTable node_join(const ExecContext& cx, ProjTable& path,
 }
 
 void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
-                  const MergeSpec& spec, AccumMap& sink) {
+                  const MergeSpec& spec, FlatRows& sink) {
   const VertexId n = cx.g.num_vertices();
   {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
@@ -640,7 +656,7 @@ void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
   ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
   for_each_end_bucket(
       cx, 0, n, plus.size() + minus.size(), sink,
-      [&](VertexId x, AccumMap& out, int) {
+      [&](VertexId x, FlatRows& out, int) {
         thread_local std::vector<TableEntry> pscratch, mscratch;
         detail::merge_end_bucket(
             cx, plus, minus, x, spec,
@@ -651,14 +667,17 @@ void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
 }
 
 ProjTable aggregate(const ExecContext& cx, const ProjTable& t, int new_arity) {
-  AccumMap map(t.size());
+  FlatRows sink;
+  sink.reserve(t.size());
   t.for_each_entry([&](const TableEntry& e) {
-    kernel_aggregate(cx, e, new_arity,
-                     [&](const TableKey& k, Count c) { map.add(k, c); });
+    kernel_aggregate(cx, e, new_arity, [&](const TableKey& k, Count c) {
+      sink.add(k, c);
+      bound_sink(cx, sink);
+    });
   });
-  check_budget(cx, map.size());
+  sink.sum_duplicates();
   cx.end_phase();
-  return ProjTable::from_map(new_arity, std::move(map));
+  return ProjTable::from_flat(new_arity, sink.take_wide());
 }
 
 }  // namespace ccbt

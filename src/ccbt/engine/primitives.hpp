@@ -369,16 +369,20 @@ void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
 }  // namespace detail
 
 /// Join the two half-cycle tables on their shared (anchor, end) pair with
-/// the signature-compatibility test of Fig 6 Procedure 2, accumulating
-/// into `sink` (so the DB solver can sum over all anchor choices, Eq. 1).
-/// The halves are born sorted by their end vertex, so they join end
-/// bucket by end bucket; their seal is a relabel. The cycle solvers call
-/// it only for a split whose minus half is a single edge (PS); every
-/// other split ends in extend_and_merge, which never builds the minus
-/// table. The phase charges |P_uv| × |M_uv| per (anchor u, end v) group
-/// at v and, at out_arity >= 2, one send per compatible pair.
+/// the signature-compatibility test of Fig 6 Procedure 2, adding to
+/// `sink` (FlatRows::add; so the DB solver can sum over all anchor
+/// choices, Eq. 1). The sink may hold earlier splits' rows; it ends
+/// summed, one row per key (FlatRows::sum_duplicates), and is summed
+/// early whenever it passes max_table_entries. Threads that own end
+/// buckets add into private sinks, each summed and then concatenated
+/// onto `sink`. The halves are born sorted by their end vertex, so they
+/// join end bucket by end bucket; their seal is a relabel. The cycle
+/// solvers call it only for a split whose minus half is a single edge
+/// (PS); every other split ends in extend_and_merge, which never builds
+/// the minus table. The phase charges |P_uv| × |M_uv| per (anchor u, end
+/// v) group at v and, at out_arity >= 2, one send per compatible pair.
 void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
-                  const MergeSpec& spec, AccumMap& sink);
+                  const MergeSpec& spec, FlatRows& sink);
 
 /// The last extend of a cycle split's minus walk (a graph edge, or the
 /// edge child `child` in the pulling orientation extend_with_child takes
@@ -391,13 +395,14 @@ void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
 /// each neighbour bucket x (or of child row (v, x)) stream through that
 /// index first, then the extend's count, anchor and colour filters, and
 /// each survivor multiplies into the plus rows of its anchor that pass
-/// the Fig 6 test, adding straight into `sink`. A row whose anchor has no
+/// the Fig 6 test, adding straight to `sink`. A row whose anchor has no
 /// plus group adds nothing, so without a load model it is dropped before
 /// the filters and before its minus key is built. No minus table is built
 /// and no bucket is sorted; the counts equal extend plus merge_halves
 /// exactly, since the sink is bilinear in the minus rows. A packed prefix
 /// is read in place, a dense one through expanded entries. `sink` is the
-/// only thing it bounds with max_table_entries.
+/// only thing it bounds with max_table_entries, and it ends summed, as
+/// merge_halves leaves it.
 ///
 /// Load model: the extend's phase is charged exactly as
 /// extend_with_graph/_with_child charge it, while the rows stream: every
@@ -414,9 +419,11 @@ void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
 LoadModel::Held extend_and_merge(const ExecContext& cx, ProjTable& prefix,
                                  const ProjTable* child, const ExtendOpts& o,
                                  ProjTable& plus, const MergeSpec& spec,
-                                 AccumMap& sink, VertexRange range = {});
+                                 FlatRows& sink, VertexRange range = {});
 
-/// Sum out all slots beyond the first new_arity (with phase accounting).
+/// Sum out all slots beyond the first new_arity (with phase accounting):
+/// the projected rows go to a FlatRows sink, summed at the end and
+/// whenever they pass max_table_entries.
 ProjTable aggregate(const ExecContext& cx, const ProjTable& t, int new_arity);
 
 }  // namespace ccbt

@@ -2,31 +2,39 @@
 
 #include <array>
 #include <bit>
+#include <limits>
+#include <tuple>
 
 namespace ccbt {
 
 namespace {
 
-/// Stable LSD radix sort of `keys` on their bits [lo, lo + bits), one
-/// byte per pass; a pass whose byte is the same in every key is skipped.
-/// Small inputs take std::sort, which gives the same order as long as the
-/// bits below `lo` are unique and ascending in input order.
-void radix_sort(std::vector<std::uint64_t>& keys,
-                std::vector<std::uint64_t>& tmp, int lo, int bits) {
-  const std::size_t n = keys.size();
-  if (n < 64) {
-    std::sort(keys.begin(), keys.end());
+/// Stable LSD radix sort of `v` by the u64 key(x), one byte-wide window
+/// per pass. `vary` holds the key bits that differ between some two
+/// keys: the windows cover exactly those bits, lowest first, and skip the
+/// bits every key shares. `tmp` is the scatter buffer. Small inputs, and
+/// inputs too large for u32 offsets, take std::sort, which gives the same
+/// order up to the order of equal keys.
+template <typename T, typename Key>
+void radix_sort(std::vector<T>& v, std::vector<T>& tmp, Key key,
+                std::uint64_t vary) {
+  const std::size_t n = v.size();
+  if (vary == 0) return;
+  if (n < 64 || n > std::numeric_limits<std::uint32_t>::max()) {
+    std::sort(v.begin(), v.end(),
+              [&](const T& a, const T& b) { return key(a) < key(b); });
     return;
   }
   tmp.resize(n);
-  for (int shift = lo; shift < lo + bits; shift += 8) {
+  while (vary != 0) {
+    const int shift = std::countr_zero(vary);
     std::array<std::uint32_t, 256> pos{};
-    for (const std::uint64_t k : keys) ++pos[(k >> shift) & 0xFF];
-    if (pos[(keys[0] >> shift) & 0xFF] == n) continue;
+    for (const T& x : v) ++pos[(key(x) >> shift) & 0xFF];
     std::uint32_t sum = 0;
     for (std::uint32_t& p : pos) sum += std::exchange(p, sum);
-    for (const std::uint64_t k : keys) tmp[pos[(k >> shift) & 0xFF]++] = k;
-    keys.swap(tmp);
+    for (const T& x : v) tmp[pos[(key(x) >> shift) & 0xFF]++] = x;
+    v.swap(tmp);
+    vary = shift >= 56 ? 0 : vary & (~std::uint64_t{0} << (shift + 8));
   }
 }
 
@@ -69,14 +77,18 @@ void FlatRows::drain_packed(FlatRows& out, LaneLayoutInfo& st) {
   order.resize(n);
   std::uint64_t idx_mask = kIdxMask;
   if (n <= kIdxMask) {
-    std::uint64_t used = 0;
+    const auto v0sig = [](std::uint64_t k) {
+      return ((k >> 36) << 8) | (k & 0xFF);
+    };
+    const std::uint64_t base = n == 0 ? 0 : v0sig(rows[0].k);
+    std::uint64_t vary = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t k = rows[i].k;
-      const std::uint64_t v0sig = ((k >> 36) << 8) | (k & 0xFF);
-      used |= v0sig;
-      order[i] = (v0sig << kIdxBits) | i;
+      const std::uint64_t vs = v0sig(rows[i].k);
+      vary |= vs ^ base;
+      order[i] = (vs << kIdxBits) | i;
     }
-    radix_sort(order, tmp, kIdxBits, std::bit_width(used));
+    radix_sort(order, tmp, [](std::uint64_t k) { return k; },
+               vary << kIdxBits);
   } else {
     std::sort(rows.begin(), rows.end(),
               [](const auto& a, const auto& b) { return a.k < b.k; });
@@ -113,6 +125,43 @@ void FlatRows::drain_wide(FlatRows& out, LaneLayoutInfo& st) {
     st.note(acc.cnt);
     out.wide_.push_back(acc);
   }
+}
+
+void FlatRows::sum_duplicates() {
+  if (mode_ == Mode::kWide) {
+    std::sort(wide_.begin(), wide_.end(),
+              [](const TableEntry& a, const TableEntry& b) {
+                return std::tie(a.key.v, a.key.sig) <
+                       std::tie(b.key.v, b.key.sig);
+              });
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < wide_.size();) {
+      TableEntry acc = wide_[i];
+      for (++i; i < wide_.size() && wide_[i].key == acc.key; ++i) {
+        acc.cnt += wide_[i].cnt;
+      }
+      wide_[w++] = acc;
+    }
+    wide_.resize(w);
+    return;
+  }
+  if (packed_.empty()) return;
+  std::uint64_t vary = 0;
+  for (const PackedFlatRow& r : packed_) vary |= r.k ^ packed_[0].k;
+  {
+    std::vector<PackedFlatRow> tmp;
+    radix_sort(packed_, tmp, [](const PackedFlatRow& r) { return r.k; },
+               vary);
+  }
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < packed_.size();) {
+    PackedFlatRow acc = packed_[i];
+    for (++i; i < packed_.size() && packed_[i].k == acc.k; ++i) {
+      acc.c += packed_[i].c;
+    }
+    packed_[w++] = acc;
+  }
+  packed_.resize(w);
 }
 
 void FlatRows::to_wide() {

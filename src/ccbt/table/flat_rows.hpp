@@ -1,11 +1,12 @@
 #pragma once
-// Packed flat rows — the path tables' storage.
+// Packed flat rows — the path tables' storage and every sink's.
 //
 // A dense TableEntry is 32 bytes; a packed flat row is the packed 64-bit
 // key (table_key.hpp: v0:28 | v1:28 | sig:8) plus its u64 count, 16
-// bytes. The buffer migrates to dense wide rows on the first unpackable
-// key (a tracked slot >= 2, a signature past 8 bits) and never on a
-// count — the engine's correctness never depends on staying packed.
+// bytes (the compact row of Malík et al.). The buffer migrates to dense
+// wide rows on the first unpackable key (a tracked slot >= 2, a signature
+// past 8 bits) and never on a count — the engine's correctness never
+// depends on staying packed.
 // Because the packed key is ordered as (v0, v1, sig) and packed keys
 // never use slots 2-3, a raw u64 compare inside one frontier bucket
 // reproduces the projection table's kByV1 comparator exactly.
@@ -16,6 +17,11 @@
 // sums (drain_bucket_into), and appended to a SortedBuckets together with
 // their bucket offset. The result is already sealed kByV1 — there is no
 // global sort anywhere on the path-table build.
+//
+// The merge sinks and aggregate add their rows unsorted to one FlatRows
+// (add) and sum equal keys in place with sum_duplicates(): at the end of
+// each primitive that fills the sink, and whenever the sink passes the
+// row budget.
 
 #include <algorithm>
 #include <cstdint>
@@ -106,6 +112,28 @@ class FlatRows {
     wide_.push_back({key, cnt});
   }
 
+  /// Add one row to a sink: its count joins the last row's when the two
+  /// keys are equal (the emissions of one merge group often share their
+  /// key), otherwise the row is appended as by append(). sum_duplicates()
+  /// sums the repeats that remain.
+  void add(const TableKey& key, Count cnt) {
+    if (mode_ == Mode::kPacked && packable_key(key)) {
+      const std::uint64_t k = pack_key(key);
+      if (!packed_.empty() && packed_.back().k == k) {
+        packed_.back().c += cnt;
+        return;
+      }
+      packed_.push_back({k, cnt});
+      return;
+    }
+    to_wide();
+    if (!wide_.empty() && wide_.back().key == key) {
+      wide_.back().cnt += cnt;
+      return;
+    }
+    wide_.push_back({key, cnt});
+  }
+
   /// Append a row under a caller-packed key — the extend hot path: a
   /// packed buffer takes it with a plain push.
   void append_packed(std::uint64_t k, Count c) {
@@ -130,6 +158,13 @@ class FlatRows {
   Count count_at(std::size_t i) const {
     return mode_ == Mode::kPacked ? packed_[i].c : wide_[i].cnt;
   }
+
+  /// Sort the rows by full key, (v0, v1, v2, v3, sig), and sum each run
+  /// of equal keys into one row, in 64 bits (mod 2^64, as every count
+  /// is). Packed rows take an LSD radix sort over the key bytes that
+  /// vary, wide rows a comparison sort; the rows stay in their
+  /// representation. The sort's scratch is freed on return.
+  void sum_duplicates();
 
   /// Row i as a dense entry, written into `out`.
   void row(std::size_t i, TableEntry& out) const {

@@ -128,11 +128,11 @@ void ProjTable::unpack_flat() {
   layout_.packed = false;
 }
 
-/// Buckets are independent: sort each by the remaining key fields.
-/// Flat-built tables (duplicates pending) use an unstable sort — the tail
-/// order is a total order over the full key, so equal keys are about to
-/// be merged and stability buys nothing, while std::sort avoids
-/// stable_sort's buffer traffic.
+/// Buckets are independent: sort each by the remaining key fields. The
+/// tail order is a total order over the full key, so a bucket holds
+/// either unique keys or duplicates about to be summed: stability could
+/// never change the result, and std::sort avoids stable_sort's buffer
+/// traffic.
 void ProjTable::finish_buckets(int slot,
                                const std::vector<std::uint32_t>& off) {
   auto tail_less = slot == 0 ? less_tail_v0 : less_tail_v1;
@@ -146,30 +146,26 @@ void ProjTable::finish_buckets(int slot,
     const std::uint32_t lo = off[v];
     const std::uint32_t hi = off[v + 1];
     if (hi - lo > 1) {
-      if (dedup_pending_) {
-        std::sort(entries_.begin() + lo, entries_.begin() + hi, tail_less);
-      } else {
-        std::stable_sort(entries_.begin() + lo, entries_.begin() + hi,
-                         tail_less);
-      }
+      std::sort(entries_.begin() + lo, entries_.begin() + hi, tail_less);
     }
   }
 }
 
+/// Rows before the first repeated key stay in place, so rows with unique
+/// keys (a summed sink's) are only scanned.
 void ProjTable::merge_duplicates() {
-  std::size_t w = 0;
-  std::size_t i = 0;
-  while (i < entries_.size()) {
-    TableEntry acc = entries_[i];
-    std::size_t j = i + 1;
-    while (j < entries_.size() && entries_[j].key == acc.key) {
-      acc.cnt += entries_[j].cnt;
-      ++j;
+  auto w = std::adjacent_find(
+      entries_.begin(), entries_.end(),
+      [](const TableEntry& a, const TableEntry& b) { return a.key == b.key; });
+  if (w == entries_.end()) return;
+  for (auto r = w + 1; r != entries_.end(); ++r) {
+    if (r->key == w->key) {
+      w->cnt += r->cnt;
+    } else {
+      *++w = *r;
     }
-    entries_[w++] = acc;
-    i = j;
   }
-  entries_.resize(w);
+  entries_.erase(w + 1, entries_.end());
 }
 
 void ProjTable::seal(SortOrder order, VertexId domain) {
@@ -202,16 +198,17 @@ void ProjTable::seal(SortOrder order, VertexId domain) {
       entries_.size() < std::numeric_limits<std::uint32_t>::max()) {
     bucket_sort(slot, domain);
   } else {
-    std::stable_sort(entries_.begin(), entries_.end(),
-                     slot == 0 ? less_by_v0 : less_by_v1);
+    std::sort(entries_.begin(), entries_.end(),
+              slot == 0 ? less_by_v0 : less_by_v1);
   }
   // Both sort paths leave entries in full-key order, so flat-built rows
   // with equal keys are adjacent: one linear pass sums them, then the
-  // bucket index (now stale) is recounted over the merged rows.
+  // bucket index, stale if any rows merged, is recounted.
   if (dedup_pending_) {
+    const std::size_t before = entries_.size();
     merge_duplicates();
     dedup_pending_ = false;
-    if (has_bucket_index()) {
+    if (has_bucket_index() && entries_.size() != before) {
       const VertexId d = domain_;
       drop_index();
       build_index(slot, d);
@@ -312,8 +309,8 @@ void ProjTable::bucket_sort(int slot, VertexId domain) {
   for (const TableEntry& e : entries_) {
     const VertexId v = e.key.v[slot];
     if (v >= domain) {  // out-of-domain key: fall back, no index
-      std::stable_sort(entries_.begin(), entries_.end(),
-                       slot == 0 ? less_by_v0 : less_by_v1);
+      std::sort(entries_.begin(), entries_.end(),
+                slot == 0 ? less_by_v0 : less_by_v1);
       return;
     }
     ++off[v + 1];

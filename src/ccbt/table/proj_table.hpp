@@ -5,16 +5,17 @@
 //
 // Lifecycle: the engine's path primitives build their tables born sorted
 // (from_buckets, flat_rows.hpp): already sealed kByV1 with a bucket index
-// over the frontier slot. The distributed engine
-// builds its path shards the same way, bucket by bucket from each rank's
-// delivered rows. Hashed sinks (merge sinks, aggregate) adopt their rows
-// from an AccumMap (from_map), and the distributed engine's other shards
-// (aggregates, re-homed and transposed tables, checkpoint restores) from
-// transport rows (from_flat). Sealing with a known key domain (the data
-// graph's vertex count) builds a CSR-style bucket index over the grouping
-// slot, so group(slot, v) is a single offset lookup instead of two binary
-// searches. See README.md in this directory for the memory layout and
-// the threading model. A table holds the counts of one coloring.
+// over the frontier slot. The distributed engine builds its path shards
+// the same way, bucket by bucket from each rank's delivered rows. Every
+// other table adopts flat rows (from_flat): the merge sinks and aggregate
+// hand over their summed FlatRows, and the distributed engine's other
+// shards (aggregates, re-homed and transposed tables, checkpoint
+// restores) their transport rows. Sealing with a known key domain (the
+// data graph's vertex count) builds a CSR-style bucket index over the
+// grouping slot, so group(slot, v) is a single offset lookup instead of
+// two binary searches. See README.md in this directory for the memory
+// layout and the threading model. A table holds the counts of one
+// coloring.
 //
 // A table holds its rows in one of two layouts:
 //   * packed flat rows (FlatRows: packed u64 key, u64 count). Only a
@@ -33,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "ccbt/table/accum_map.hpp"
 #include "ccbt/table/flat_rows.hpp"
 #include "ccbt/table/lane_payload.hpp"
 #include "ccbt/table/table_key.hpp"
@@ -65,17 +65,12 @@ class ProjTable {
   /// arity = number of meaningful leading vertex slots (0..4).
   explicit ProjTable(int arity) : arity_(arity) {}
 
-  static ProjTable from_map(int arity, AccumMap&& map) {
-    ProjTable t(arity);
-    t.entries_ = map.take_entries();
-    return t;
-  }
-
-  /// Adopt rows that may contain duplicate keys (the distributed engine's
-  /// non-path shards, filled from transport inboxes): counts of equal
-  /// keys are summed by the next seal(). Until then the table behaves like a
-  /// multiset — joins and totals are bilinear, so duplicate rows are
-  /// semantically identical to their merged sum.
+  /// Adopt rows that may contain duplicate keys (a summed sink's rows, or
+  /// the distributed engine's non-path shards, filled from transport
+  /// inboxes): counts of equal keys are summed by the next seal(). Until
+  /// then the table behaves like a multiset — joins and totals are
+  /// bilinear, so duplicate rows are semantically identical to their
+  /// merged sum.
   static ProjTable from_flat(int arity, std::vector<TableEntry>&& rows) {
     ProjTable t(arity);
     t.entries_ = std::move(rows);
@@ -123,8 +118,7 @@ class ProjTable {
   /// The occupancy of the table's rows, telemetry only (no layout
   /// decision reads it). A table built born sorted in packed rows takes
   /// its bucket build's stats and keeps them through later seals (which
-  /// scan nothing); every other table reports rows == 0. Rows change in
-  /// place only through push_unchecked, which clears layout().
+  /// scan nothing); every other table reports rows == 0.
   const LaneLayoutInfo& layout() const { return layout_; }
 
   TableKey key_at(std::size_t i) const {
@@ -211,17 +205,6 @@ class ProjTable {
   /// ("the boundary tables are transpose of each other"). Invalidates the
   /// seal order; the result is dense and unsealed.
   ProjTable transposed() const;
-
-  /// Append one row. The table becomes an unsorted multiset: the next
-  /// sorting seal re-sorts it and sums rows with equal keys.
-  void push_unchecked(const TableEntry& e) {
-    if (packed_flat_) unpack_flat();
-    entries_.push_back(e);
-    drop_index();
-    order_ = SortOrder::kUnsorted;
-    dedup_pending_ = true;
-    layout_ = LaneLayoutInfo{};
-  }
 
  private:
   /// Two binary searches over row indices (works for both layouts

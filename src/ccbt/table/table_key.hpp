@@ -7,7 +7,7 @@
 //   slots 2,3 — "tracked" vertices: the images of boundary nodes that fall
 //               in the interior of a DB path (the additional fields of
 //               Section 5.1, configurations (A) and (B)).
-// Unused slots hold kNoVertex so equality and hashing are uniform. An
+// Unused slots hold kNoVertex so equality and ordering are uniform. An
 // entry is a key plus the number of colorful matches under one coloring.
 
 #include <array>
@@ -33,22 +33,6 @@ struct TableKey {
 
   friend bool operator==(const TableKey&, const TableKey&) = default;
 };
-
-/// 64-bit mix of all key fields (splitmix-style avalanche).
-inline std::uint64_t hash_key(const TableKey& k) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ULL;
-  auto mix = [&h](std::uint64_t x) {
-    h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 27;
-  };
-  mix((static_cast<std::uint64_t>(k.v[0]) << 32) | k.v[1]);
-  mix((static_cast<std::uint64_t>(k.v[2]) << 32) | k.v[3]);
-  mix(k.sig);
-  h *= 0x94D049BB133111EBULL;
-  h ^= h >> 31;
-  return h;
-}
 
 /// An accumulated (key -> count) row (32 bytes).
 struct TableEntry {
@@ -91,19 +75,11 @@ inline constexpr TableKey unpack_key(std::uint64_t p) {
   return k;
 }
 
-/// One packed row: a packed key and its count, 16 bytes. The packed flat
-/// rows (flat_rows.hpp) and the hashed sinks (accum_map.hpp) both hold it.
+/// One packed row: a packed key and its count, 16 bytes — the row of the
+/// packed flat rows (flat_rows.hpp).
 struct PackedFlatRow {
   std::uint64_t k = 0;
   Count c = 0;
 };
-
-/// splitmix64 finalizer — the packed-key hash.
-inline constexpr std::uint64_t hash_packed_key(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace ccbt

@@ -1,16 +1,18 @@
-// Regression tests for the packed 16-byte AccumMap layout against a
-// std::map reference: identical accumulation on packable keys,
-// transparent migration to the wide layout on the first unpackable key,
-// and byte-for-byte key round-tripping through pack/unpack.
+// Regression tests for the sinks' packed 16-byte rows against a std::map
+// reference: FlatRows::sum_duplicates sums packable keys exactly, the
+// rows go wide on the first unpackable key and keep their sums, run sums
+// wrap past 2^64 as every count does, and keys round-trip through
+// pack/unpack.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <map>
+#include <string>
 #include <vector>
 
-#include "ccbt/table/accum_map.hpp"
+#include "ccbt/table/flat_rows.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/rng.hpp"
 
@@ -33,7 +35,7 @@ bool entry_less(const TableEntry& a, const TableEntry& b) {
   return a.key.sig < b.key.sig;
 }
 
-/// Key -> summed count, the reference the maps are checked against.
+/// Key -> summed count, the reference the sinks are checked against.
 class Reference {
  public:
   void add(const TableKey& k, Count c) { sums_[fields(k)] += c; }
@@ -86,30 +88,98 @@ TEST(PackedKey, PackingIsInjective) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
-TEST(PackedAccumMap, MatchesReferenceOnRandomWorkload) {
+/// The summed rows of `sink`, checked to be in ascending full-key order
+/// with one row per key.
+std::vector<TableEntry> summed_rows(FlatRows& sink) {
+  sink.sum_duplicates();
+  std::vector<TableEntry> rows;
+  sink.for_each_dense([&](const TableEntry& e) { rows.push_back(e); });
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_TRUE(entry_less(rows[i - 1], rows[i])) << "row " << i;
+  }
+  return rows;
+}
+
+TEST(PackedSink, MatchesReferenceOnRandomWorkload) {
   Rng rng(42);
-  AccumMap packed;
+  FlatRows sink;
   Reference ref;
-  EXPECT_TRUE(packed.packed());
   for (int i = 0; i < 20000; ++i) {
     const TableKey k = key2(static_cast<VertexId>(rng.below(300)),
                             static_cast<VertexId>(rng.below(300)),
                             static_cast<Signature>(rng.below(32)));
     const Count c = 1 + rng.below(5);
-    packed.add(k, c);
+    sink.append(k, c);
     ref.add(k, c);
   }
-  EXPECT_TRUE(packed.packed());  // every key packable: never migrated
-  EXPECT_EQ(packed.size(), ref.size());
-  ref.expect_matches(packed.take_entries());
+  ref.expect_matches(summed_rows(sink));
+  EXPECT_TRUE(sink.packed());  // every key packable: never went wide
+  EXPECT_EQ(sink.size(), ref.size());
 }
 
-TEST(PackedAccumMap, MigratesOnFirstWideKeyAndKeepsCounts) {
+TEST(PackedSink, AddFoldsRepeatsOfTheLastKeyOnly) {
+  for (const bool wide : {false, true}) {
+    FlatRows sink;
+    TableKey a = key2(1, 2, 3);
+    if (wide) a.v[2] = 4;  // unpackable: the rows are wide from the start
+    const TableKey b = key2(5, 6, 7);
+    sink.add(a, 1);
+    sink.add(a, 2);
+    sink.add(a, 3);
+    EXPECT_EQ(sink.size(), 1u);
+    sink.add(b, 4);
+    sink.add(a, 5);  // not the last key: a row of its own
+    EXPECT_EQ(sink.size(), 3u);
+    EXPECT_EQ(sink.packed(), !wide);
+    sink.sum_duplicates();
+    ASSERT_EQ(sink.size(), 2u);
+    EXPECT_EQ(sink.key_at(0), a);
+    EXPECT_EQ(sink.count_at(0), 11u);
+    EXPECT_EQ(sink.key_at(1), b);
+    EXPECT_EQ(sink.count_at(1), 4u);
+  }
+}
+
+TEST(PackedSink, SumsEveryKeyWidthAndSize) {
+  // Keys that vary in one field only, or in all, at sizes on both sides
+  // of the small-input cutoff: the radix passes cover exactly the bits
+  // that vary, wherever they sit in the packed key.
+  Rng rng(5);
+  const VertexId big = kPacked28NoVertex - 1;
+  for (const std::size_t n : {std::size_t{3}, std::size_t{63},
+                              std::size_t{64}, std::size_t{5000}}) {
+    for (int field = 0; field < 4; ++field) {
+      FlatRows sink;
+      Reference ref;
+      for (std::size_t i = 0; i < n; ++i) {
+        TableKey k = key2(big, 7, 3);
+        if (field == 0 || field == 3) {
+          k.v[0] = static_cast<VertexId>(rng.below(big));
+        }
+        if (field == 1 || field == 3) {
+          k.v[1] = static_cast<VertexId>(rng.below(big));
+        }
+        if (field == 2 || field == 3) {
+          k.sig = static_cast<Signature>(rng.below(256));
+        }
+        const Count c = rng.below(1000);
+        sink.append(k, c);
+        ref.add(k, c);
+      }
+      SCOPED_TRACE("n " + std::to_string(n) + " field " +
+                   std::to_string(field));
+      ref.expect_matches(summed_rows(sink));
+      EXPECT_TRUE(sink.packed());
+    }
+  }
+}
+
+TEST(PackedSink, GoesWideOnFirstUnpackableKeyAndKeepsSums) {
   Rng rng(7);
-  AccumMap packed;
+  FlatRows sink;
   Reference ref;
   auto add_both = [&](const TableKey& k, Count c) {
-    packed.add(k, c);
+    sink.append(k, c);
     ref.add(k, c);
   };
   for (int i = 0; i < 5000; ++i) {
@@ -118,61 +188,80 @@ TEST(PackedAccumMap, MigratesOnFirstWideKeyAndKeepsCounts) {
                   static_cast<Signature>(rng.below(16))),
              1);
   }
-  EXPECT_TRUE(packed.packed());
-  // A tracked-slot key forces the wide layout mid-stream.
+  sink.sum_duplicates();  // a summed packed sink keeps taking rows
+  EXPECT_TRUE(sink.packed());
+  // A tracked-slot key forces the wide rows mid-stream.
   TableKey tracked = key2(3, 4, 1);
   tracked.v[2] = 9;
   add_both(tracked, 2);
-  EXPECT_FALSE(packed.packed());
-  // Accumulation continues across the migration.
+  EXPECT_FALSE(sink.packed());
+  // Summing continues across the switch.
   for (int i = 0; i < 5000; ++i) {
     add_both(key2(static_cast<VertexId>(rng.below(100)),
                   static_cast<VertexId>(rng.below(100)),
                   static_cast<Signature>(rng.below(16))),
              3);
   }
-  EXPECT_EQ(packed.size(), ref.size());
-  ref.expect_matches(packed.take_entries());
+  ref.expect_matches(summed_rows(sink));
+  EXPECT_FALSE(sink.packed());
+  EXPECT_EQ(sink.size(), ref.size());
 }
 
-TEST(PackedAccumMap, ForEachVisitsPackedRows) {
-  AccumMap packed;
-  packed.add(key2(1, 2, 3), 5);
-  packed.add(key2(1, 2, 3), 2);
-  packed.add(key2(4, 5, 6), 1);
-  Count total = 0;
-  std::size_t n = 0;
-  packed.for_each([&](const TableKey&, Count c) {
-    total += c;
-    ++n;
-  });
-  EXPECT_EQ(n, 2u);
-  EXPECT_EQ(total, 8u);
-  EXPECT_TRUE(packed.packed());
+TEST(PackedSink, RunSumsWrapPast2To64InBothRepresentations) {
+  for (const bool wide : {false, true}) {
+    FlatRows sink;
+    Reference ref;
+    auto add_both = [&](const TableKey& k, Count c) {
+      sink.append(k, c);
+      ref.add(k, c);
+    };
+    if (wide) {
+      TableKey tracked = key2(1, 1, 1);
+      tracked.v[3] = 2;
+      add_both(tracked, 1);
+    }
+    for (int i = 0; i < 100; ++i) {
+      add_both(key2(5, 6, 7), 0xFFFFFFFFFFFFFFF0ull);
+      add_both(key2(static_cast<VertexId>(i % 9), 6, 7),
+               0x8000000000000001ull);
+    }
+    const std::vector<TableEntry> rows = summed_rows(sink);
+    EXPECT_EQ(sink.packed(), !wide);
+    ref.expect_matches(rows);
+    Count want = 0;
+    for (int i = 0; i < 100; ++i) want += 0xFFFFFFFFFFFFFFF0ull;
+    const auto it = std::find_if(rows.begin(), rows.end(), [](const auto& e) {
+      return e.key == key2(5, 6, 7);
+    });
+    ASSERT_NE(it, rows.end());
+    EXPECT_EQ(it->cnt, want + 11 * 0x8000000000000001ull);
+  }
 }
 
-TEST(PackedAccumMap, SealsIntoReferenceProjTable) {
-  // A packed map and a map forced wide by one extra key seal into tables
-  // whose groups hold the reference's rows in the sealed key order.
+TEST(PackedSink, SealsIntoReferenceProjTable) {
+  // A packed sink and a sink forced wide by one extra key seal into
+  // tables whose groups hold the reference's rows in the sealed key order.
   Rng rng(99);
-  AccumMap packed;
-  AccumMap wide;
+  FlatRows packed;
+  FlatRows wide;
   Reference ref;
   for (int i = 0; i < 4000; ++i) {
     const TableKey k = key2(static_cast<VertexId>(rng.below(64)),
                             static_cast<VertexId>(rng.below(64)),
                             static_cast<Signature>(rng.below(8)));
-    packed.add(k, 1);
-    wide.add(k, 1);
+    packed.append(k, 1);
+    wide.append(k, 1);
     ref.add(k, 1);
   }
   TableKey tracked = key2(63, 64, 1);  // past every drawn v1
   tracked.v[2] = 9;
-  wide.add(tracked, 0);
+  wide.append(tracked, 0);
+  packed.sum_duplicates();
+  wide.sum_duplicates();
   EXPECT_TRUE(packed.packed());
   EXPECT_FALSE(wide.packed());
-  ProjTable tp = ProjTable::from_map(2, std::move(packed));
-  ProjTable tw = ProjTable::from_map(2, std::move(wide));
+  ProjTable tp = ProjTable::from_flat(2, packed.take_wide());
+  ProjTable tw = ProjTable::from_flat(2, wide.take_wide());
   tp.seal(SortOrder::kByV0, 64);
   tw.seal(SortOrder::kByV0, 64);
   ref.expect_matches(
@@ -183,7 +272,7 @@ TEST(PackedAccumMap, SealsIntoReferenceProjTable) {
     const auto gp = tp.group(0, u);
     EXPECT_TRUE(std::is_sorted(gp.begin(), gp.end(), entry_less));
     const auto gw = tw.group(0, u);
-    // The wide map's extra key sorts last in group 63.
+    // The wide sink's extra key sorts last in group 63.
     ASSERT_EQ(gw.size(), gp.size() + (u == 63 ? 1 : 0)) << "bucket " << u;
     for (std::size_t i = 0; i < gp.size(); ++i) {
       EXPECT_EQ(gp[i].key, gw[i].key);

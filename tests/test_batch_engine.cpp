@@ -79,7 +79,7 @@ TEST(BatchEngine, UnsupportedWidthThrows) {
 }
 
 TEST(BatchEngine, PackedRowsMatchExactEveryWidth) {
-  // The packed rows (path tables and hashed sinks) are an execution
+  // The packed rows (path tables and sinks) are an execution
   // detail: per-lane counts must equal the exact colorful counts and the
   // independent scalar runs', at every width.
   const CsrGraph g = barabasi_albert(70, 4, 31);

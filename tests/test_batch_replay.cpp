@@ -26,15 +26,13 @@ namespace {
 
 using Rows = std::vector<std::pair<std::array<std::uint64_t, 5>, Count>>;
 
-/// A table's rows in table order; `sorted` orders them by key (for tables
-/// adopted from a hash map, whose order is the map's).
-Rows rows_of(const ProjTable& t, bool sorted = false) {
+/// A table's rows in table order.
+Rows rows_of(const ProjTable& t) {
   Rows out;
   t.for_each_entry([&](const TableEntry& e) {
     out.push_back(
         {{e.key.v[0], e.key.v[1], e.key.v[2], e.key.v[3], e.key.sig}, e.cnt});
   });
-  if (sorted) std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -86,7 +84,7 @@ std::vector<Count> replay(const CsrGraph& g, const Plan& plan,
       }
     } else {
       AccumMapT<B> sink(16, opts.compact_accum);
-      std::vector<AccumMap> ref_sinks(B);
+      std::vector<FlatRows> ref_sinks(B);
       for (const SplitPlan& split : splits_for(blk, opts.algo)) {
         ProjTableT<B> plus = build_path<B>(cx, blk, pool, split.plus);
         ProjTableT<B> minus = build_path<B>(cx, blk, pool, split.minus);
@@ -101,9 +99,9 @@ std::vector<Count> replay(const CsrGraph& g, const Plan& plan,
       }
       table = ProjTableT<B>::from_map(blk.boundary_count(), std::move(sink));
       for (int l = 0; l < B; ++l) {
-        want[l] = ProjTable::from_map(blk.boundary_count(),
-                                      std::move(ref_sinks[l]));
-        EXPECT_EQ(rows_of(table.lanes[l], true), rows_of(want[l], true))
+        want[l] = ProjTable::from_flat(blk.boundary_count(),
+                                       ref_sinks[l].take_wide());
+        EXPECT_EQ(rows_of(table.lanes[l]), rows_of(want[l]))
             << "lane " << l;
       }
     }

@@ -101,13 +101,19 @@ TEST(DistTable, AllgatheredReplicaHoldsEveryShard) {
   EXPECT_EQ(replica.total(), 17u);
 }
 
-TEST(DistTable, GatherAccumulatesAcrossShards) {
+TEST(DistTable, ShardRowsSumAcrossProducersAtTheSeal) {
   VirtualComm comm(3);
   const BlockPartition part(30, 3);
   // Same key routed from two different logical producers.
   const DistTable t = build({entry(4, 25, 1, 2), entry(4, 25, 1, 3)},
                             /*home_slot=*/1, comm, part);
-  const ProjTable flat = t.gather();
+  std::vector<TableEntry> rows;
+  for (std::uint32_t r = 0; r < t.num_shards(); ++r) {
+    t.shard(r).for_each_entry(
+        [&](const TableEntry& e) { rows.push_back(e); });
+  }
+  ProjTable flat = ProjTable::from_flat(t.arity(), std::move(rows));
+  flat.seal(SortOrder::kByV0, 30);
   ASSERT_EQ(flat.size(), 1u);
   EXPECT_EQ(flat.total(), 5u);
 }

@@ -32,16 +32,16 @@
 namespace ccbt {
 namespace {
 
-std::vector<TableEntry> sink_rows(const AccumMap& m) {
+std::vector<TableEntry> sink_rows(const FlatRows& m) {
   std::vector<TableEntry> out;
-  m.for_each([&](const TableKey& k, Count c) { out.push_back({k, c}); });
+  m.for_each_dense([&](const TableEntry& e) { out.push_back(e); });
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return std::tie(a.key.v, a.key.sig) < std::tie(b.key.v, b.key.sig);
   });
   return out;
 }
 
-void expect_same_rows(const AccumMap& got, const AccumMap& want,
+void expect_same_rows(const FlatRows& got, const FlatRows& want,
                       const std::string& what) {
   const std::vector<TableEntry> g = sink_rows(got);
   const std::vector<TableEntry> w = sink_rows(want);
@@ -58,7 +58,7 @@ struct Side {
   LoadModel load;
   AccumTelemetry accum;
   ExecContext cx;
-  AccumMap sink;
+  FlatRows sink;
 
   Side(const ExecContext& base, std::uint32_t ranks)
       : load(ranks), cx(base) {
@@ -168,8 +168,8 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
             expect_same_model(fused, ref, what);
             return fused.sink.size();
           });
-      table =
-          ProjTable::from_map(blk.boundary_count(), std::move(fused.sink));
+      table = ProjTable::from_flat(blk.boundary_count(),
+                                   fused.sink.take_wide());
     }
     if (static_cast<int>(i) != tree.root) {
       pool.store(static_cast<int>(i), std::move(table));
@@ -283,7 +283,7 @@ TEST(ExtendAndMerge, ConsecutiveCallsReadNoStaleAnchorIndex) {
       const std::string what = "threads " + std::to_string(threads) +
                                (high_second ? " all then high"
                                             : " high then all");
-      AccumMap first, second, want;
+      FlatRows first, second, want;
       ProjTable p1 = prefix, q1 = first_plus;
       (void)extend_and_merge(cx, p1, nullptr, ExtendOpts{}, q1, spec, first);
       ProjTable p2 = prefix, q2 = second_plus;
@@ -365,7 +365,7 @@ TEST(ExtendAndMerge, SinkAloneOverTheBudgetThrowsBudgetExceeded) {
     f.opts.max_table_entries = budget;
     const ExecContext cx = f.cx();
     ProjTable prefix = edges, plus = edges;
-    AccumMap sink;
+    FlatRows sink;
     (void)extend_and_merge(cx, prefix, nullptr, ExtendOpts{}, plus, spec,
                            sink);
     return sink.size();
@@ -377,6 +377,53 @@ TEST(ExtendAndMerge, SinkAloneOverTheBudgetThrowsBudgetExceeded) {
     EXPECT_EQ(fused_rows(rows), rows) << "threads " << threads;
     EXPECT_THROW((void)fused_rows(rows - 1), BudgetExceeded)
         << "threads " << threads;
+  }
+}
+
+TEST(ExtendAndMerge, SinkSumsBeforeTheBudgetThrows) {
+  // Under three colors every triangle u-x-v whose merge passes the Fig 6
+  // test is colored {0, 1, 2}, so a merge keyed by the anchor alone
+  // emits one row per such triangle under one of 80 keys (u, {0, 1, 2}).
+  // FlatRows::add folds only a repeat of the last key, and the end
+  // buckets interleave the anchors, so the rows the sink takes exceed a
+  // budget of 80, while the summed sink fits it. Likewise aggregate to
+  // arity 0 emits one row per edge into at most three keys.
+  ThreadsGuard guard;
+  const CsrGraph g = complete_graph(80);
+  Fixture f(g, 3, 59);
+  const ProjTable edges = init_path_from_graph(f.cx(), ExtendOpts{});
+  ProjTable minus_in = edges;
+  const ProjTable minus = extend_with_graph(f.cx(), minus_in, ExtendOpts{});
+  MergeSpec spec;
+  spec.out_arity = 1;
+  spec.out[0] = {0, 0};
+  for (const int threads : {1, 4}) {
+    set_threads(threads);
+    const std::string what = "threads " + std::to_string(threads);
+    f.opts.max_table_entries = g.num_vertices();
+    const ExecContext cx = f.cx();
+    FlatRows fused, merged;
+    ProjTable prefix = edges, plus = edges;
+    (void)extend_and_merge(cx, prefix, nullptr, ExtendOpts{}, plus, spec,
+                           fused);
+    ProjTable p2 = edges, m2 = minus;
+    merge_halves(cx, p2, m2, spec, merged);
+    for (const FlatRows* sink : {&fused, &merged}) {
+      ASSERT_EQ(sink->size(), g.num_vertices()) << what;
+      Count total = 0;
+      for (std::size_t i = 0; i < sink->size(); ++i) {
+        EXPECT_EQ(sink->key_at(i).v[0], i) << what;
+        EXPECT_EQ(sink->key_at(i).sig, 0b111u) << what;
+        total += sink->count_at(i);
+      }
+      // Every emission counts one triangle.
+      EXPECT_GT(total, Count{10} * g.num_vertices()) << what;
+    }
+    expect_same_rows(fused, merged, what);
+    f.opts.max_table_entries = 3;
+    const ProjTable scalar = aggregate(f.cx(), edges, 0);
+    EXPECT_LE(scalar.size(), 3u) << what;
+    EXPECT_EQ(scalar.total(), edges.size()) << what;
   }
 }
 

@@ -386,9 +386,11 @@ using SinkRows = std::vector<std::pair<std::array<std::uint64_t, 5>, Count>>;
 
 /// A sink's nonzero rows in key order (the dense merge adds zero products
 /// too).
-SinkRows sink_rows(const AccumMap& sink) {
+SinkRows sink_rows(const FlatRows& sink) {
   SinkRows out;
-  sink.for_each([&](const TableKey& k, Count c) {
+  sink.for_each_dense([&](const TableEntry& e) {
+    const TableKey& k = e.key;
+    const Count c = e.cnt;
     if (c == 0) return;
     out.emplace_back(
         std::array<std::uint64_t, 5>{k.v[0], k.v[1], k.v[2], k.v[3], k.sig},
@@ -439,7 +441,7 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
       ASSERT_NE(plus.flat_storage(), nullptr);
       ASSERT_NE(minus.flat_storage(), nullptr);
     }
-    AccumMap sink;
+    FlatRows sink;
     merge_halves(f.cx, plus, minus, spec, sink);
     results[packed ? 1 : 0] = sink_rows(sink);
   }
@@ -493,7 +495,7 @@ TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
   ProjTable dense_plus = ProjTable::from_flat(2, std::vector(prows));
   ProjTable dense_minus = ProjTable::from_flat(2, std::vector(mrows));
 
-  AccumMap packed_sink, dense_sink;
+  FlatRows packed_sink, dense_sink;
   merge_halves(f.cx, plus, minus, spec, packed_sink);
   merge_halves(f.cx, dense_plus, dense_minus, spec, dense_sink);
   EXPECT_TRUE(plus.packed_flat());
@@ -505,7 +507,7 @@ TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
 
   // The minus table as the prefix of a fused last extend, against the
   // extend built from the dense rows and merged with the dense plus.
-  AccumMap fused_sink, unfused_sink;
+  FlatRows fused_sink, unfused_sink;
   (void)extend_and_merge(f.cx, minus, nullptr, ExtendOpts{}, plus, spec,
                          fused_sink);
   EXPECT_TRUE(minus.packed_flat());

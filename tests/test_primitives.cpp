@@ -76,12 +76,10 @@ TEST_F(PrimitivesTest, ExtendTracksFrontierIntoSlot) {
 TEST_F(PrimitivesTest, NodeJoinMultipliesCompatibleCounts) {
   // Unary child at vertex 1 with color-3 partner: child counts matches
   // of a pendant structure; join must multiply counts and merge sigs.
-  AccumMap child_map;
   TableKey ck;
   ck.v[0] = 1;
   ck.sig = chi_.bit(1) | chi_.bit(3);  // colors {1,3}
-  child_map.add(ck, 5);
-  ProjTable child = ProjTable::from_map(1, std::move(child_map));
+  ProjTable child = ProjTable::from_flat(1, {{ck, 5}});
   child.seal(SortOrder::kByV0);
 
   // Path entries ending at vertex 1: (0,1) and (2,1).
@@ -103,12 +101,10 @@ TEST_F(PrimitivesTest, NodeJoinMultipliesCompatibleCounts) {
 }
 
 TEST_F(PrimitivesTest, NodeJoinRejectsOverlappingColors) {
-  AccumMap child_map;
   TableKey ck;
   ck.v[0] = 1;
   ck.sig = chi_.bit(1) | chi_.bit(0);  // colors {0,1}: overlaps path (0,1)
-  child_map.add(ck, 7);
-  ProjTable child = ProjTable::from_map(1, std::move(child_map));
+  ProjTable child = ProjTable::from_flat(1, {{ck, 7}});
   child.seal(SortOrder::kByV0);
   ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
   const ProjTable joined = node_join(cx_, edges, child, 1);
@@ -121,13 +117,11 @@ TEST_F(PrimitivesTest, NodeJoinRejectsOverlappingColors) {
 TEST_F(PrimitivesTest, ExtendWithChildJoinsOnFrontier) {
   // Child binary table standing in for a contracted block between
   // vertices 1 and 3 (not an edge of P4): join from frontier 1 to 3.
-  AccumMap child_map;
   TableKey ck;
   ck.v[0] = 1;
   ck.v[1] = 3;
   ck.sig = chi_.bit(1) | chi_.bit(3);
-  child_map.add(ck, 4);
-  ProjTable child = ProjTable::from_map(2, std::move(child_map));
+  ProjTable child = ProjTable::from_flat(2, {{ck, 4}});
   child.seal(SortOrder::kByV0);
 
   ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
@@ -144,13 +138,11 @@ TEST_F(PrimitivesTest, ExtendWithChildJoinsOnFrontier) {
 TEST_F(PrimitivesTest, MergeHalvesRequiresEndpointOnlyOverlap) {
   // Build two half tables over a shared (u=0, v=2) pair.
   auto make_half = [&](Signature mid_color_bit, Count cnt) {
-    AccumMap m;
     TableKey k;
     k.v[0] = 0;
     k.v[1] = 2;
     k.sig = chi_.bit(VertexId{0}) | chi_.bit(VertexId{2}) | mid_color_bit;
-    m.add(k, cnt);
-    return ProjTable::from_map(2, std::move(m));
+    return ProjTable::from_flat(2, {{k, cnt}});
   };
   ProjTable plus = make_half(Signature{1} << 1, 3);   // interior color 1
   ProjTable minus_ok = make_half(Signature{1} << 3, 5);   // color 3: disjoint
@@ -160,42 +152,39 @@ TEST_F(PrimitivesTest, MergeHalvesRequiresEndpointOnlyOverlap) {
   spec.out_arity = 2;
   spec.out[0] = {0, 0};
   spec.out[1] = {0, 1};
-  AccumMap sink_ok;
+  FlatRows sink_ok;
   merge_halves(cx_, plus, minus_ok, spec, sink_ok);
   ASSERT_EQ(sink_ok.size(), 1u);
-  const std::vector<TableEntry> ok = sink_ok.take_entries();
+  const std::vector<TableEntry> ok = sink_ok.take_wide();
   EXPECT_EQ(ok[0].cnt, 15u);
   EXPECT_EQ(signature_size(ok[0].key.sig), 4);
 
-  AccumMap sink_bad;
+  FlatRows sink_bad;
   merge_halves(cx_, plus, minus_bad, spec, sink_bad);
   EXPECT_EQ(sink_bad.size(), 0u);
 }
 
 TEST_F(PrimitivesTest, MergeSpecProjectsChosenSlots) {
-  AccumMap pm, mm;
   TableKey pk;
   pk.v[0] = 0;
   pk.v[1] = 2;
   pk.v[2] = 1;  // tracked interior vertex on the plus path
   pk.sig = chi_.bit(VertexId{0}) | chi_.bit(VertexId{2}) |
            chi_.bit(VertexId{1});
-  pm.add(pk, 2);
   TableKey mk;
   mk.v[0] = 0;
   mk.v[1] = 2;
   mk.sig = chi_.bit(VertexId{0}) | chi_.bit(VertexId{2}) |
            chi_.bit(VertexId{3});
-  mm.add(mk, 3);
-  ProjTable plus = ProjTable::from_map(2, std::move(pm));
-  ProjTable minus = ProjTable::from_map(2, std::move(mm));
+  ProjTable plus = ProjTable::from_flat(2, {{pk, 2}});
+  ProjTable minus = ProjTable::from_flat(2, {{mk, 3}});
   MergeSpec spec;
   spec.out_arity = 1;
   spec.out[0] = {0, 2};  // project the tracked vertex
-  AccumMap sink;
+  FlatRows sink;
   merge_halves(cx_, plus, minus, spec, sink);
   ASSERT_EQ(sink.size(), 1u);
-  const std::vector<TableEntry> out = sink.take_entries();
+  const std::vector<TableEntry> out = sink.take_wide();
   EXPECT_EQ(out[0].key.v[0], 1u);
   EXPECT_EQ(out[0].cnt, 6u);
 }

@@ -1,11 +1,14 @@
-// Unit tests for signatures, table keys, the accumulation map, and the
+// Unit tests for signatures, table keys, the summing sink, and the
 // sealed projection-table operations the join engine relies on.
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "ccbt/engine/primitives.hpp"
 #include "ccbt/graph/generators.hpp"
-#include "ccbt/table/accum_map.hpp"
+#include "ccbt/table/flat_rows.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/table/signature.hpp"
 
@@ -42,14 +45,12 @@ TEST(SignatureTest, MergeCompatibility) {
   EXPECT_FALSE(merge_compatible(0b0111, 0b0111, 0b0101));
 }
 
-TEST(TableKeyTest, EqualityAndHash) {
+TEST(TableKeyTest, Equality) {
   const TableKey a = key2(1, 2, 0b11);
   TableKey b = key2(1, 2, 0b11);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(hash_key(a), hash_key(b));
   b.sig = 0b101;
   EXPECT_NE(a, b);
-  EXPECT_NE(hash_key(a), hash_key(b));  // overwhelmingly likely
 }
 
 TEST(TableKeyTest, UnusedSlotsParticipateUniformly) {
@@ -59,46 +60,47 @@ TEST(TableKeyTest, UnusedSlotsParticipateUniformly) {
   EXPECT_NE(a, b);
 }
 
-TEST(AccumMapTest, AccumulatesDuplicates) {
-  AccumMap map;
-  map.add(key2(1, 2, 3), 5);
-  map.add(key2(1, 2, 3), 7);
-  map.add(key2(2, 1, 3), 1);
-  EXPECT_EQ(map.size(), 2u);
-  const auto entries = map.take_entries();
+TEST(FlatRowsSink, SumsDuplicates) {
+  FlatRows sink;
+  sink.append(key2(1, 2, 3), 5);
+  sink.append(key2(1, 2, 3), 7);
+  sink.append(key2(2, 1, 3), 1);
+  sink.sum_duplicates();
+  EXPECT_EQ(sink.size(), 2u);
+  const auto entries = sink.take_wide();
   Count total = 0;
   for (const auto& e : entries) total += e.cnt;
   EXPECT_EQ(total, 13u);
 }
 
-TEST(AccumMapTest, GrowsPastInitialCapacity) {
-  AccumMap map(4);
-  for (VertexId i = 0; i < 10000; ++i) {
-    map.add(key2(i, i + 1, 1), 1);
+TEST(FlatRowsSink, SummingAgainAddsNoRows) {
+  FlatRows sink;
+  for (VertexId i = 0; i < 10000; ++i) sink.append(key2(i, i + 1, 1), 1);
+  sink.sum_duplicates();
+  EXPECT_EQ(sink.size(), 10000u);
+  // Every key still sums: re-adding does not keep new rows.
+  for (VertexId i = 0; i < 10000; ++i) sink.append(key2(i, i + 1, 1), 1);
+  sink.sum_duplicates();
+  EXPECT_EQ(sink.size(), 10000u);
+  for (std::size_t i = 0; i < sink.size(); ++i) {
+    EXPECT_EQ(sink.count_at(i), 2u);
   }
-  EXPECT_EQ(map.size(), 10000u);
-  // All keys still reachable: re-adding does not create new entries.
-  for (VertexId i = 0; i < 10000; ++i) {
-    map.add(key2(i, i + 1, 1), 1);
-  }
-  EXPECT_EQ(map.size(), 10000u);
+}
+
+/// A table of the given rows (duplicates are summed by the first seal).
+ProjTable table_of(std::vector<TableEntry> rows) {
+  return ProjTable::from_flat(2, std::move(rows));
 }
 
 TEST(ProjTableTest, TotalSumsCounts) {
-  AccumMap map;
-  map.add(key2(1, 2, 1), 10);
-  map.add(key2(3, 4, 2), 32);
-  const ProjTable t = ProjTable::from_map(2, std::move(map));
+  const ProjTable t = table_of({{key2(1, 2, 1), 10}, {key2(3, 4, 2), 32}});
   EXPECT_EQ(t.total(), 42u);
   EXPECT_EQ(t.arity(), 2);
 }
 
 TEST(ProjTableTest, SealByV0GroupsCorrectly) {
-  AccumMap map;
-  map.add(key2(5, 1, 1), 1);
-  map.add(key2(3, 2, 1), 2);
-  map.add(key2(5, 9, 2), 3);
-  ProjTable t = ProjTable::from_map(2, std::move(map));
+  ProjTable t = table_of(
+      {{key2(5, 1, 1), 1}, {key2(3, 2, 1), 2}, {key2(5, 9, 2), 3}});
   t.seal(SortOrder::kByV0);
   const auto g5 = t.group(0, 5);
   EXPECT_EQ(g5.size(), 2u);
@@ -108,20 +110,15 @@ TEST(ProjTableTest, SealByV0GroupsCorrectly) {
 }
 
 TEST(ProjTableTest, SealByV1GroupsByFrontier) {
-  AccumMap map;
-  map.add(key2(1, 7, 1), 1);
-  map.add(key2(2, 7, 1), 2);
-  map.add(key2(3, 8, 1), 3);
-  ProjTable t = ProjTable::from_map(2, std::move(map));
+  ProjTable t = table_of(
+      {{key2(1, 7, 1), 1}, {key2(2, 7, 1), 2}, {key2(3, 8, 1), 3}});
   t.seal(SortOrder::kByV1);
   EXPECT_EQ(t.group(1, 7).size(), 2u);
   EXPECT_EQ(t.group(1, 8).size(), 1u);
 }
 
 TEST(ProjTableTest, TransposeSwapsBoundaryOrder) {
-  AccumMap map;
-  map.add(key2(1, 2, 1), 4);
-  ProjTable t = ProjTable::from_map(2, std::move(map));
+  ProjTable t = table_of({{key2(1, 2, 1), 4}});
   const ProjTable tt = t.transposed();
   ASSERT_EQ(tt.size(), 1u);
   EXPECT_EQ(tt.entries()[0].key.v[0], 2u);
@@ -139,11 +136,8 @@ ProjTable aggregate_unmodeled(const ProjTable& t, int new_arity) {
 }
 
 TEST(ProjTableTest, AggregateSumsOutSlots) {
-  AccumMap map;
-  map.add(key2(1, 2, 1), 4);
-  map.add(key2(1, 3, 1), 6);
-  map.add(key2(2, 9, 1), 1);
-  ProjTable t = ProjTable::from_map(2, std::move(map));
+  ProjTable t = table_of(
+      {{key2(1, 2, 1), 4}, {key2(1, 3, 1), 6}, {key2(2, 9, 1), 1}});
   ProjTable u = aggregate_unmodeled(t, 1);
   EXPECT_EQ(u.arity(), 1);
   EXPECT_EQ(u.size(), 2u);  // keys 1 and 2
@@ -152,10 +146,7 @@ TEST(ProjTableTest, AggregateSumsOutSlots) {
 }
 
 TEST(ProjTableTest, AggregateKeepsSignaturesSeparate) {
-  AccumMap map;
-  map.add(key2(1, 2, 0b01), 4);
-  map.add(key2(1, 3, 0b10), 6);
-  ProjTable t = ProjTable::from_map(2, std::move(map));
+  ProjTable t = table_of({{key2(1, 2, 0b01), 4}, {key2(1, 3, 0b10), 6}});
   const ProjTable u = aggregate_unmodeled(t, 1);
   EXPECT_EQ(u.size(), 2u);  // same vertex, different signatures
 }

@@ -31,8 +31,8 @@ bool less_full_v1(const TableEntry& a, const TableEntry& b) {
 }
 
 /// Reference seal: a stable comparison sort of the whole entry vector,
-/// then one row per key with its counts summed (rows pushed with
-/// push_unchecked are a multiset that the next seal merges).
+/// then one row per key with its counts summed (rows adopted with
+/// from_flat are a multiset that the next seal merges).
 std::vector<TableEntry> reference_sorted(std::vector<TableEntry> entries,
                                          SortOrder order) {
   std::stable_sort(entries.begin(), entries.end(),
@@ -83,9 +83,7 @@ std::vector<TableEntry> random_entries(Rng& rng, std::size_t n,
 }
 
 ProjTable table_of(int arity, const std::vector<TableEntry>& entries) {
-  ProjTable t(arity);
-  for (const TableEntry& e : entries) t.push_unchecked(e);
-  return t;
+  return ProjTable::from_flat(arity, std::vector(entries));
 }
 
 bool same_entries(std::span<const TableEntry> got,
@@ -223,50 +221,16 @@ TEST(BucketSeal, EmptyAndSingleton) {
   empty.seal(SortOrder::kByV0, 100);
   EXPECT_TRUE(empty.group(0, 5).empty());
 
-  ProjTable one(2);
   TableEntry e{};
   e.key.v[0] = 42;
   e.key.v[1] = 7;
   e.cnt = 3;
-  one.push_unchecked(e);
+  ProjTable one = ProjTable::from_flat(2, {e});
   one.seal(SortOrder::kByV0, 100);
   ASSERT_EQ(one.group(0, 42).size(), 1u);
   EXPECT_TRUE(one.group(0, 41).empty());
   EXPECT_TRUE(one.group(0, 99).empty());
   EXPECT_TRUE(one.group(0, 1000).empty());
-}
-
-TEST(BucketSeal, PushIntoSealedTableResortsAndMerges) {
-  // A row pushed into a sealed table must make the next seal sort and
-  // merge again, even a seal in the order the table already held.
-  auto row = [](VertexId v0, Count cnt) {
-    TableEntry e{};
-    e.key.v[0] = v0;
-    e.key.v[1] = 2;
-    e.key.sig = 1;
-    e.cnt = cnt;
-    return e;
-  };
-  ProjTable t(2);
-  t.push_unchecked(row(1, 1));
-  t.push_unchecked(row(5, 1));
-  t.seal(SortOrder::kByV0, 8);
-  t.push_unchecked(row(3, 1));
-  EXPECT_EQ(t.order(), SortOrder::kUnsorted);
-  t.seal(SortOrder::kByV0, 8);
-  for (const VertexId v : {VertexId{1}, VertexId{3}, VertexId{5}}) {
-    const auto g = t.group(0, v);
-    ASSERT_EQ(g.size(), 1u) << "v=" << v;
-    EXPECT_EQ(g[0].key.v[0], v);
-  }
-
-  // Pushing a key the table holds leaves one row with the summed count.
-  t.push_unchecked(row(5, 2));
-  t.seal(SortOrder::kByV0, 8);
-  EXPECT_EQ(t.size(), 3u);
-  const auto g = t.group(0, 5);
-  ASSERT_EQ(g.size(), 1u);
-  EXPECT_EQ(g[0].cnt, 3u);
 }
 
 }  // namespace

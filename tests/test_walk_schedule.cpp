@@ -313,7 +313,7 @@ TEST(WalkSchedule, PeakEntriesCountDrosWalkTablesAndSink) {
     } else {
       Counter c;
       TrackedPath ops{{cx, pool}, c};
-      AccumMap sink;
+      FlatRows sink;
       run_walks(ops, schedule_walks(blk, opts.algo), nullptr,
                 [&](const WalkSchedule::Split& s, TrackedPath::Table& plus,
                     TrackedPath::Table& minus) {
@@ -337,7 +337,7 @@ TEST(WalkSchedule, PeakEntriesCountDrosWalkTablesAndSink) {
       EXPECT_EQ(c.live, 0);
       most_live = std::max(most_live, c.peak);
       want = std::max(want, c.peak_entries);
-      table = ProjTable::from_map(blk.boundary_count(), std::move(sink));
+      table = ProjTable::from_flat(blk.boundary_count(), sink.take_wide());
     }
     stored = std::max(stored, table.size());
     if (static_cast<int>(i) != tree.root) {
