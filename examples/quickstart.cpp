@@ -28,7 +28,7 @@ int main() {
   const QueryGraph query = named_query("cycle5");
 
   // The planner decomposes the query into blocks (Section 4) and picks
-  // the best decomposition tree by the Section 6 heuristic.
+  // the decomposition tree of least structural cost (decomp/plan.hpp).
   const Plan plan = make_plan(query);
   std::cout << "plan: " << plan.tree.blocks.size() << " block(s), longest "
             << "cycle " << plan.features.longest_cycle << "\n";

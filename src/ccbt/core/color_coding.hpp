@@ -58,7 +58,7 @@ class CountingSession {
   DegreeOrder id_order_;
 };
 
-/// One-shot: count colorful matches with the heuristic plan.
+/// One-shot: count colorful matches with make_plan's plan.
 Count count_colorful_matches(const CsrGraph& g, const QueryGraph& q,
                              const Coloring& chi, ExecOptions opts = {});
 

@@ -1,11 +1,13 @@
 // Differential fuzz across the whole engine matrix: random (graph,
-// catalog query, algorithm, batch width, rank count, fault schedule)
-// configs run through the shared-memory engine batched and lane by lane,
-// and through the distributed engine — every route must report each
-// lane's colorful count. The baseline is count_colorful_exact
+// catalog query, plan, algorithm, batch width, rank count, fault
+// schedule) configs run through the shared-memory engine batched and lane
+// by lane, and through the distributed engine — every route must report
+// each lane's colorful count. The baseline is count_colorful_exact
 // (core/exact.cpp), a backtracking enumerator that shares no code with
 // either engine: no plan, decomposition, signature join or table. A
-// divergence localizes to whichever route disagrees with it.
+// divergence localizes to whichever route disagrees with it. The plan is
+// any of the query's enumerated decomposition trees, not only make_plan's,
+// since a count must not depend on the plan that computed it.
 //
 // The sweep is seeded: CCBT_DIFF_SEED offsets the whole configuration
 // stream and CCBT_DIFF_ITERS scales the number of configs, so CI can run
@@ -22,6 +24,7 @@
 
 #include "ccbt/core/color_coding.hpp"
 #include "ccbt/core/exact.hpp"
+#include "ccbt/decomp/decompose.hpp"
 #include "ccbt/dist/dist_engine.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
@@ -102,7 +105,15 @@ TEST(DifferentialEngines, RandomConfigsAgreeAcrossEnginesAndWidths) {
     Rng qrng(c.seed * 17 + 3);
     const QueryGraph q = pick_query(qrng.below(1000));
     SCOPED_TRACE(q.name());
-    const Plan plan = make_plan(q);
+    // Any enumerated plan, drawn by a stream of its own so every seed
+    // still draws the graph, query and options it always drew.
+    const std::vector<Plan> plans = enumerate_plans(q);
+    Rng prng(c.seed * 19 + 11);
+    const std::size_t at = prng.below(plans.size());
+    const Plan& plan = plans[at];
+    SCOPED_TRACE("plan " + std::to_string(at) + " of " +
+                 std::to_string(plans.size()) + ": " +
+                 Contractor::canonical_string(plan.tree));
 
     std::vector<Coloring> lanes;
     for (int l = 0; l < c.width; ++l) {
