@@ -4,48 +4,58 @@
 // A checkpoint is a byte-level snapshot of the sealed-shard state that
 // persists across supersteps: every child-block table the DistPool has
 // stored so far, plus the position (next block, transport superstep) the
-// engine replays from. Shard images use the row encoding of
-// table/lane_payload.hpp — [key | occupied | width | count], the count in
-// the narrowest of u16/u32/u64 that holds it and left out when it is zero
-// — so an image costs what its counts need.
+// engine replays from. A shard image is a 12-byte header followed by one
+// fixed 28-byte record per row, the row the transport moves
+// (kWireRowBytes in comm.hpp), all words little-endian:
 //
-// Restore rebuilds each table from its decoded row multiset and re-seals
-// with the storage convention (kByV0, dense). Because serialization
-// iterates the sealed row order, the decoded rows are already sorted with
-// unique keys: the seal's counting partition is stable and each bucket's
-// sort orders unique keys totally — so a restored table is bit-identical
-// to the one checkpointed, the property behind the "replayed run equals
-// fault-free run" guarantee.
+//   magic u32 | rows u64 | rows x (v0 v1 v2 v3 sig : u32, count : u64)
 //
-// Integrity: every shard image carries a magic word and its row count;
-// truncated, oversized, or misparsed images throw CheckpointCorrupt
-// (a *fatal* code — a corrupt snapshot cannot be retried away).
+// Restore rebuilds each table from its decoded rows and re-seals with the
+// storage convention (kByV0, dense). Because serialization iterates the
+// sealed row order, the decoded rows are already sorted with unique keys:
+// the seal's counting partition is stable and each bucket's sort orders
+// unique keys totally — so a restored table is bit-identical to the one
+// checkpointed, the property behind the "replayed run equals fault-free
+// run" guarantee.
+//
+// Integrity: an image whose magic word is wrong, or whose size is not
+// exactly 12 + 28 x rows bytes, throws CheckpointCorrupt (a *fatal* code
+// — a corrupt snapshot cannot be retried away).
 
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "ccbt/table/lane_payload.hpp"
+#include "ccbt/dist/comm.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/error.hpp"
 
 namespace ccbt {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x54504B43u;  // "CKPT" LE
+inline constexpr std::uint64_t kCheckpointHeaderBytes =
+    sizeof(std::uint32_t) + sizeof(std::uint64_t);
 
-/// Serialize one sealed shard: [magic u32][rows u64][wire-encoded rows].
+/// Serialize one sealed shard: the header, then its rows' records in
+/// sealed order.
 inline std::vector<std::uint8_t> checkpoint_encode_shard(
     const ProjTable& shard) {
-  std::vector<std::uint8_t> out;
-  out.reserve(sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-              shard.size() * (kWireKeyBytes + 2 + sizeof(Count)));
-  out.resize(sizeof(std::uint32_t) + sizeof(std::uint64_t));
-  std::memcpy(out.data(), &kCheckpointMagic, sizeof(std::uint32_t));
   const std::uint64_t rows = shard.size();
-  std::memcpy(out.data() + sizeof(std::uint32_t), &rows,
-              sizeof(std::uint64_t));
-  shard.for_each_entry([&](const TableEntry& e) { wire_encode(e, out); });
+  std::vector<std::uint8_t> out(kCheckpointHeaderBytes +
+                                rows * kWireRowBytes);
+  std::uint8_t* p = out.data();
+  const auto put = [&p](const auto& word) {
+    std::memcpy(p, &word, sizeof(word));
+    p += sizeof(word);
+  };
+  put(kCheckpointMagic);
+  put(rows);
+  shard.for_each_entry([&](const TableEntry& e) {
+    for (const VertexId v : e.key.v) put(v);
+    put(e.key.sig);
+    put(e.cnt);
+  });
   return out;
 }
 
@@ -53,54 +63,38 @@ inline std::vector<std::uint8_t> checkpoint_encode_shard(
 /// Throws CheckpointCorrupt on any framing violation.
 inline std::vector<TableEntry> checkpoint_decode_shard(
     const std::vector<std::uint8_t>& bytes) {
-  const std::uint8_t* p = bytes.data();
-  const std::uint8_t* const end = p + bytes.size();
-  if (bytes.size() < sizeof(std::uint32_t) + sizeof(std::uint64_t)) {
+  if (bytes.size() < kCheckpointHeaderBytes) {
     throw CheckpointCorrupt("shard image shorter than its header");
   }
+  const std::uint8_t* p = bytes.data();
+  const auto get = [&p](auto& word) {
+    std::memcpy(&word, p, sizeof(word));
+    p += sizeof(word);
+  };
   std::uint32_t magic = 0;
-  std::memcpy(&magic, p, sizeof(std::uint32_t));
-  p += sizeof(std::uint32_t);
+  get(magic);
   if (magic != kCheckpointMagic) {
     throw CheckpointCorrupt("shard image has a bad magic word");
   }
   std::uint64_t rows = 0;
-  std::memcpy(&rows, p, sizeof(std::uint64_t));
-  p += sizeof(std::uint64_t);
-  // Every row takes at least its key and occupancy/width frame: a count the
-  // image cannot hold is corrupt, and must not size the reservation.
-  if (rows > static_cast<std::uint64_t>(end - p) / (kWireKeyBytes + 2)) {
+  get(rows);
+  // A row count the bytes cannot hold is corrupt, and must not size the
+  // reservation.
+  const std::uint64_t body = bytes.size() - kCheckpointHeaderBytes;
+  if (rows > body / kWireRowBytes) {
     throw CheckpointCorrupt("shard image claims " + std::to_string(rows) +
-                            " rows, more than its bytes can hold");
+                            " rows, more than its " + std::to_string(body) +
+                            " bytes hold");
+  }
+  if (body != rows * kWireRowBytes) {
+    throw CheckpointCorrupt("shard image has trailing bytes");
   }
 
-  std::vector<TableEntry> out;
-  out.reserve(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    // Frame check before handing the cursor to wire_decode (which trusts
-    // its input): fixed prefix, then the occupancy/width-implied payload.
-    if (end - p < static_cast<std::ptrdiff_t>(kWireKeyBytes + 2)) {
-      throw CheckpointCorrupt("shard image truncated at row " +
-                              std::to_string(i));
-    }
-    const int occupied = p[kWireKeyBytes];
-    const int width_code = p[kWireKeyBytes + 1];
-    if (width_code > 2 || occupied > 1) {
-      throw CheckpointCorrupt("shard image row " + std::to_string(i) +
-                              " has a bad occupancy/width frame");
-    }
-    const std::ptrdiff_t payload =
-        occupied * payload_width_bytes(payload_width_from_code(width_code));
-    if (end - p < static_cast<std::ptrdiff_t>(kWireKeyBytes + 2) + payload) {
-      throw CheckpointCorrupt("shard image truncated at row " +
-                              std::to_string(i));
-    }
-    TableEntry e;
-    p = wire_decode(p, e);
-    out.push_back(e);
-  }
-  if (p != end) {
-    throw CheckpointCorrupt("shard image has trailing bytes");
+  std::vector<TableEntry> out(rows);
+  for (TableEntry& e : out) {
+    for (VertexId& v : e.key.v) get(v);
+    get(e.key.sig);
+    get(e.cnt);
   }
   return out;
 }

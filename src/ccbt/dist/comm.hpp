@@ -35,9 +35,10 @@
 // missing traffic) — both retryable, so the engine can replay from its
 // last checkpoint.
 //
-// Wire format: fixed-size rows of sizeof(TableKey) + sizeof(Count) bytes,
-// one count per row. A coloring batch runs its lanes one after another,
-// so the transport never carries more than one count per row.
+// Wire format: fixed 28-byte rows (kWireRowBytes), one count per row. A
+// coloring batch runs its lanes one after another, so the transport never
+// carries more than one count per row. Checkpoint shard images store the
+// same row (dist/checkpoint.hpp).
 
 #include <algorithm>
 #include <cstdint>
@@ -51,6 +52,12 @@
 
 namespace ccbt {
 
+/// Bytes of one row on the wire and in a checkpoint record: the key's
+/// five u32 words (v0 v1 v2 v3 sig) and the u64 count, unpadded.
+inline constexpr std::uint64_t kWireRowBytes =
+    5 * sizeof(std::uint32_t) + sizeof(Count);
+static_assert(sizeof(TableKey) + sizeof(Count) == kWireRowBytes);
+
 struct CommStats {
   std::uint64_t supersteps = 0;
   std::uint64_t entries_sent = 0;      // all sends, local included
@@ -58,12 +65,9 @@ struct CommStats {
   std::uint64_t max_step_recv = 0;     // max entries one rank received
                                        // in one superstep
 
-  /// Wire size of one row.
-  std::uint64_t entry_bytes = sizeof(TableKey) + sizeof(Count);
-
   /// Wire volume of the off-rank traffic.
   std::uint64_t off_rank_bytes() const {
-    return off_rank_entries * entry_bytes;
+    return off_rank_entries * kWireRowBytes;
   }
 
   /// Occupied share of the count lanes sent. Rows carry a single count,
@@ -246,7 +250,7 @@ class VirtualComm {
           continue;
         }
         if (stalled[m.from] != 0) continue;
-        if (m.tried) fs.retransmit_bytes += stats_.entry_bytes;
+        if (m.tried) fs.retransmit_bytes += kWireRowBytes;
         m.tried = true;
         switch (faults_->message_fate()) {
           case FaultPlan::Fate::kDrop:
@@ -256,7 +260,7 @@ class VirtualComm {
             // number, indistinguishable from the retransmission).
             break;
           case FaultPlan::Fate::kDuplicate:
-            fs.retransmit_bytes += stats_.entry_bytes;
+            fs.retransmit_bytes += kWireRowBytes;
             [[fallthrough]];
           case FaultPlan::Fate::kDeliver:
             m.delivered = true;

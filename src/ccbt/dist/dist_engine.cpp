@@ -28,15 +28,16 @@ using dist::DistPool;
 using dist::Dx;
 using dist::maybe_alloc_fail;
 
-/// Deliver every rank's merge outputs queued in the transport, add them
-/// to the per-rank cycle sinks, sum each sink and close the merge
-/// phase. The budget bounds the summed rows of all sinks together. Shared
-/// by the two ways a split ends.
-void collect_merged(Dx& dx, std::vector<FlatRows>& sinks) {
+/// Deliver every rank's rows queued in the transport, add them to the
+/// per-rank sinks, sum each sink and close the phase; `where` names the
+/// allocation fault point. The budget bounds the summed rows of all sinks
+/// together. Shared by the two ways a split ends and by the aggregate.
+void collect_summed(Dx& dx, std::vector<FlatRows>& sinks,
+                    const char* where) {
   const ExecContext& cx = dx.cx;
   ScopedStage timed(cx.stage_slot(&StageWall::transport));
   dx.comm.exchange();
-  maybe_alloc_fail(dx, "merge_halves");
+  maybe_alloc_fail(dx, where);
   std::size_t total = 0;
   for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
     for (const TableEntry& e : dx.comm.inbox(r)) {
@@ -84,7 +85,7 @@ void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
       }
     }
   }
-  collect_merged(dx, sinks);
+  collect_summed(dx, sinks, "merge_halves");
 }
 
 /// A split's last minus extend fused with its merge (extend_and_merge):
@@ -117,9 +118,20 @@ void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
   }
   detail::close_build_phase(cx);
   if (cx.load != nullptr) held.apply(*cx.load);
-  collect_merged(dx, sinks);
+  collect_summed(dx, sinks, "merge_halves");
 }
 
+/// One shard per rank, homed at slot 0, from the summed per-rank sinks.
+DistTable shards_of(int arity, std::vector<FlatRows>& sinks) {
+  std::vector<ProjTable> shards;
+  for (FlatRows& m : sinks) {
+    shards.push_back(ProjTable::from_flat(arity, m.take_wide()));
+  }
+  return DistTable::from_shards(arity, /*home_slot=*/0, std::move(shards));
+}
+
+/// Route every aggregated row to the owner of its slot-0 image (rank 0
+/// for a root aggregate, new_arity 0) and sum it there.
 DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
   const ExecContext& cx = dx.cx;
   {
@@ -134,13 +146,9 @@ DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
       });
     }
   }
-  ScopedStage timed(cx.stage_slot(&StageWall::transport));
-  dx.comm.exchange();
-  maybe_alloc_fail(dx, "aggregate");
-  DistTable out = DistTable::collect(new_arity, /*home_slot=*/0, dx.comm,
-                                    SortOrder::kUnsorted, dx.budget);
-  cx.end_phase();
-  return out;
+  std::vector<FlatRows> sinks(dx.ranks());
+  collect_summed(dx, sinks, "aggregate");
+  return shards_of(new_arity, sinks);
 }
 
 /// A cycle block through the shared engine's walk schedule
@@ -164,13 +172,7 @@ DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool,
         return rows;
       });
   peak_entries = std::max(peak_entries, peak);
-  std::vector<ProjTable> shards;
-  for (FlatRows& m : sinks) {
-    shards.push_back(
-        ProjTable::from_flat(blk.boundary_count(), m.take_wide()));
-  }
-  return DistTable::from_shards(blk.boundary_count(), /*home_slot=*/0,
-                                std::move(shards));
+  return shards_of(blk.boundary_count(), sinks);
 }
 
 DistTable d_solve_leaf_edge(Dx& dx, const Block& blk, DistPool& pool) {
@@ -188,7 +190,7 @@ DistTable d_solve_leaf_edge(Dx& dx, const Block& blk, DistPool& pool) {
 /// fresh fault rolls, and each replay spends one of `replays_left`.
 /// Non-retryable errors (BudgetExceeded, malformed plans) propagate
 /// unchanged. Raises `peak_entries` as the shared engine's run_coloring
-/// does, counting a leaf table's rows once its duplicate keys are summed.
+/// does.
 Count run_coloring(Dx& dx, const DecompTree& tree, FaultStats& fs,
                    std::uint32_t& replays_left, std::size_t& peak_entries) {
   const ExecContext& cx = dx.cx;
@@ -217,10 +219,6 @@ Count run_coloring(Dx& dx, const DecompTree& tree, FaultStats& fs,
                             ? d_solve_leaf_edge(dx, blk, pool)
                             : d_solve_cycle(dx, blk, pool, peak_entries);
       if (is_root) {
-        // A leaf table arrives with its duplicate keys unsummed.
-        if (blk.kind == BlockKind::kLeafEdge) {
-          table.seal_shards(SortOrder::kByV0, cx.g.num_vertices());
-        }
         peak_entries = std::max(peak_entries, table.size());
         return comm.allreduce_sum(table.shard_totals());
       }

@@ -29,11 +29,11 @@ class DistTable {
   DistTable() = default;
 
   /// Drain every rank's inbox (as delivered by the last exchange) into
-  /// its shard, accumulating duplicate keys, and seal each shard in
-  /// `order` (`domain` enables the shards' O(1) bucket index). Throws
-  /// BudgetExceeded when the total entry count exceeds `budget`. The
-  /// inbox rows are adopted flat; duplicates merge at the shard's first
-  /// sorting seal.
+  /// its shard and seal each shard in `order` (`domain` enables the
+  /// shards' O(1) bucket index). The inbox rows are adopted as they are
+  /// (ProjTable::from_flat), so no key may arrive twice: a transpose
+  /// re-homes unique keys. Throws BudgetExceeded when the total entry
+  /// count exceeds `budget`.
   static DistTable collect(int arity, int home_slot, VirtualComm& comm,
                            SortOrder order, std::size_t budget,
                            VertexId domain = 0) {

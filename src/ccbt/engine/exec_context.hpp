@@ -15,7 +15,6 @@
 #include "ccbt/graph/degree_order.hpp"
 #include "ccbt/graph/partition.hpp"
 #include "ccbt/table/flat_rows.hpp"
-#include "ccbt/table/lane_payload.hpp"
 #include "ccbt/util/error.hpp"
 #include "ccbt/util/fault.hpp"
 #include "ccbt/util/timer.hpp"

@@ -22,16 +22,80 @@
 // (add) and sum equal keys in place with sum_duplicates(): at the end of
 // each primitive that fills the sink, and whenever the sink passes the
 // row budget.
+//
+// LaneLayoutInfo and LaneTelemetry report the rows a bucket build
+// deduplicated: how many, how many nonzero, and the largest count.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "ccbt/table/lane_payload.hpp"
 #include "ccbt/table/table_key.hpp"
 
 namespace ccbt {
+
+/// The occupancy of one table's rows (ProjTable::layout()), gathered
+/// while its buckets are deduplicated. `rows == 0` means "never observed"
+/// (tables not built in packed flat rows).
+struct LaneLayoutInfo {
+  std::uint64_t rows = 0;            // distinct keys
+  std::uint64_t lanes_occupied = 0;  // rows with a nonzero count
+  Count max_count = 0;               // largest count
+  bool packed = false;               // rows held in the packed flat layout
+
+  /// Note one deduplicated row.
+  void note(Count c) {
+    ++rows;
+    lanes_occupied += c != 0;
+    max_count = std::max(max_count, c);
+  }
+
+  void add(const LaneLayoutInfo& o) {
+    rows += o.rows;
+    lanes_occupied += o.lanes_occupied;
+    max_count = std::max(max_count, o.max_count);
+  }
+
+  double density() const {
+    return rows == 0 ? 0.0
+                     : static_cast<double>(lanes_occupied) /
+                           static_cast<double>(rows);
+  }
+};
+
+/// Run-wide accumulation of LaneLayoutInfo over the tables the engines
+/// note — the telemetry surfaced through ExecStats / DistStats
+/// (BENCH_batch.json histograms).
+struct LaneTelemetry {
+  std::uint64_t rows = 0;
+  std::uint64_t lanes_occupied = 0;
+  std::uint64_t rows_packed = 0;  // rows held packed
+  // Packed rows by the narrowest count word their table's largest count
+  // fits: u16, u32, u64. Every packed row stores a u64 count; this only
+  // reports how large the counts run.
+  std::array<std::uint64_t, 3> width_rows{};
+
+  void note(const LaneLayoutInfo& info) {
+    if (info.rows == 0) return;
+    rows += info.rows;
+    lanes_occupied += info.lanes_occupied;
+    if (info.packed) {
+      rows_packed += info.rows;
+      const int w = info.max_count <= 0xFFFFull       ? 0
+                    : info.max_count <= 0xFFFFFFFFull ? 1
+                                                      : 2;
+      width_rows[w] += info.rows;
+    }
+  }
+
+  double density() const {
+    return rows == 0 ? 0.0
+                     : static_cast<double>(lanes_occupied) /
+                           static_cast<double>(rows);
+  }
+};
 
 /// Accumulation-stage telemetry, one phase per path primitive
 /// (ExecStats::accum): the rows the per-bucket sorts consumed and the

@@ -72,7 +72,6 @@ ProjTable ProjTable::from_buckets(int arity, SortedBuckets&& buckets) {
 
 ProjTable ProjTable::transposed() const {
   ProjTable out(arity_);
-  out.dedup_pending_ = dedup_pending_;
   out.entries_.reserve(size());
   for_each_entry([&](const TableEntry& e) {
     TableEntry t = e;
@@ -129,10 +128,9 @@ void ProjTable::unpack_flat() {
 }
 
 /// Buckets are independent: sort each by the remaining key fields. The
-/// tail order is a total order over the full key, so a bucket holds
-/// either unique keys or duplicates about to be summed: stability could
-/// never change the result, and std::sort avoids stable_sort's buffer
-/// traffic.
+/// tail order is a total order over the full key and the keys are
+/// unique, so stability could never change the result, and std::sort
+/// avoids stable_sort's buffer traffic.
 void ProjTable::finish_buckets(int slot,
                                const std::vector<std::uint32_t>& off) {
   auto tail_less = slot == 0 ? less_tail_v0 : less_tail_v1;
@@ -149,23 +147,6 @@ void ProjTable::finish_buckets(int slot,
       std::sort(entries_.begin() + lo, entries_.begin() + hi, tail_less);
     }
   }
-}
-
-/// Rows before the first repeated key stay in place, so rows with unique
-/// keys (a summed sink's) are only scanned.
-void ProjTable::merge_duplicates() {
-  auto w = std::adjacent_find(
-      entries_.begin(), entries_.end(),
-      [](const TableEntry& a, const TableEntry& b) { return a.key == b.key; });
-  if (w == entries_.end()) return;
-  for (auto r = w + 1; r != entries_.end(); ++r) {
-    if (r->key == w->key) {
-      w->cnt += r->cnt;
-    } else {
-      *++w = *r;
-    }
-  }
-  entries_.erase(w + 1, entries_.end());
 }
 
 void ProjTable::seal(SortOrder order, VertexId domain) {
@@ -200,19 +181,6 @@ void ProjTable::seal(SortOrder order, VertexId domain) {
   } else {
     std::sort(entries_.begin(), entries_.end(),
               slot == 0 ? less_by_v0 : less_by_v1);
-  }
-  // Both sort paths leave entries in full-key order, so flat-built rows
-  // with equal keys are adjacent: one linear pass sums them, then the
-  // bucket index, stale if any rows merged, is recounted.
-  if (dedup_pending_) {
-    const std::size_t before = entries_.size();
-    merge_duplicates();
-    dedup_pending_ = false;
-    if (has_bucket_index() && entries_.size() != before) {
-      const VertexId d = domain_;
-      drop_index();
-      build_index(slot, d);
-    }
   }
   order_ = order;
 }

@@ -7,10 +7,10 @@
 // (from_buckets, flat_rows.hpp): already sealed kByV1 with a bucket index
 // over the frontier slot. The distributed engine builds its path shards
 // the same way, bucket by bucket from each rank's delivered rows. Every
-// other table adopts flat rows (from_flat): the merge sinks and aggregate
-// hand over their summed FlatRows, and the distributed engine's other
-// shards (aggregates, re-homed and transposed tables, checkpoint
-// restores) their transport rows. Sealing with a known key domain (the
+// other table adopts rows with unique keys (from_flat): the merge sinks
+// and aggregates, shared or per rank, hand over their summed FlatRows,
+// and the distributed engine's transposed shards, unary replicas and
+// checkpoint restores their rows. Sealing with a known key domain (the
 // data graph's vertex count) builds a CSR-style bucket index over the
 // grouping slot, so group(slot, v) is a single offset lookup instead of
 // two binary searches. See README.md in this directory for the memory
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "ccbt/table/flat_rows.hpp"
-#include "ccbt/table/lane_payload.hpp"
 #include "ccbt/table/table_key.hpp"
 #include "ccbt/util/error.hpp"
 
@@ -65,16 +64,13 @@ class ProjTable {
   /// arity = number of meaningful leading vertex slots (0..4).
   explicit ProjTable(int arity) : arity_(arity) {}
 
-  /// Adopt rows that may contain duplicate keys (a summed sink's rows, or
-  /// the distributed engine's non-path shards, filled from transport
-  /// inboxes): counts of equal keys are summed by the next seal(). Until
-  /// then the table behaves like a multiset — joins and totals are
-  /// bilinear, so duplicate rows are semantically identical to their
-  /// merged sum.
+  /// Adopt dense rows with unique keys, in any order (a summed sink's
+  /// rows, a transposed or replicated table's, a decoded checkpoint's):
+  /// the table is dense and unsealed. Nothing sums equal keys here or in
+  /// seal(); callers sum first (FlatRows::sum_duplicates).
   static ProjTable from_flat(int arity, std::vector<TableEntry>&& rows) {
     ProjTable t(arity);
     t.entries_ = std::move(rows);
-    t.dedup_pending_ = !t.entries_.empty();
     return t;
   }
 
@@ -83,10 +79,6 @@ class ProjTable {
   /// sealed kByV1 with its bucket index on arrival. Non-empty packed rows
   /// stay packed, and layout() is the bucket build's exact stats.
   static ProjTable from_buckets(int arity, SortedBuckets&& buckets);
-
-  /// Whether rows with duplicate keys may still be present (cleared by
-  /// the first sorting seal).
-  bool dedup_pending() const { return dedup_pending_; }
 
   int arity() const { return arity_; }
   std::size_t size() const {
@@ -231,9 +223,6 @@ class ProjTable {
   /// Packed flat rows -> dense entries (order preserved).
   void unpack_flat();
 
-  /// Sum runs of equal keys after a full-key sort (flat-built tables).
-  void merge_duplicates();
-
   void drop_index() {
     bucket_off_.clear();
     index_slot_ = -1;
@@ -242,7 +231,6 @@ class ProjTable {
 
   int arity_ = 0;
   SortOrder order_ = SortOrder::kUnsorted;
-  bool dedup_pending_ = false;
   std::vector<TableEntry> entries_;
   LaneLayoutInfo layout_;
 

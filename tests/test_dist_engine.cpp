@@ -198,8 +198,8 @@ void expect_batched_parity(const CsrGraph& g, const QueryGraph& q,
 }
 
 TEST(DistEngine, BatchedLoadParityOnPendantAndCycleQueries) {
-  // dros and ecoli2 end in pendant nodes, so their node joins read path
-  // tables with duplicate rows on the distributed side unless sealed.
+  // dros and ecoli2 end in pendant nodes, so their node joins read leaf
+  // tables that each rank sums from the aggregate rows routed to it.
   const CsrGraph er = erdos_renyi(300, 1500, 5);
   const CsrGraph cl = chung_lu_power_law(300, 1.5, 6.0, 23);
   for (const char* name : {"dros", "ecoli2", "brain1", "wiki"}) {
@@ -396,7 +396,8 @@ TEST(DistEngine, PeakTableEntriesMatchSharedEngine) {
   // The most entries one block's solve holds at once — walk tables plus
   // cycle sink, or a leaf table — summed over the ranks, equals the shared
   // engine's peak, at one thread and at four (the threaded bucket builds
-  // and end-bucket loops).
+  // and end-bucket loops). path5 is a tree: its root is a leaf block,
+  // whose summed rows are the peak.
   const CsrGraph g = erdos_renyi(1500, 6000, 57);
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
@@ -404,7 +405,7 @@ TEST(DistEngine, PeakTableEntriesMatchSharedEngine) {
 #else
   const std::vector<int> thread_counts{1};
 #endif
-  for (const char* name : {"dros", "brain1"}) {
+  for (const char* name : {"dros", "brain1", "path5"}) {
     const QueryGraph q = named_query(name);
     const Coloring chi(g.num_vertices(), q.num_nodes(), 58);
     for (const int threads : thread_counts) {

@@ -9,6 +9,7 @@
 #include "ccbt/dist/dist_table.hpp"
 #include "ccbt/util/error.hpp"
 #include "ccbt/util/rng.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -44,15 +45,6 @@ TEST(DistTable, CollectPlacesEntriesAtHomeOwner) {
   EXPECT_EQ(t.shard(part.owner(10)).size(), 1u);
   EXPECT_EQ(t.shard(part.owner(60)).size(), 1u);
   EXPECT_EQ(t.shard(part.owner(99)).size(), 1u);
-}
-
-TEST(DistTable, CollectAccumulatesDuplicateKeys) {
-  VirtualComm comm(2);
-  const BlockPartition part(10, 2);
-  const DistTable t = build({entry(1, 8, 3, 2), entry(1, 8, 3, 5)},
-                            /*home_slot=*/1, comm, part);
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.total(), 7u);
 }
 
 TEST(DistTable, TotalSumsAcrossShards) {
@@ -101,23 +93,6 @@ TEST(DistTable, AllgatheredReplicaHoldsEveryShard) {
   EXPECT_EQ(replica.total(), 17u);
 }
 
-TEST(DistTable, ShardRowsSumAcrossProducersAtTheSeal) {
-  VirtualComm comm(3);
-  const BlockPartition part(30, 3);
-  // Same key routed from two different logical producers.
-  const DistTable t = build({entry(4, 25, 1, 2), entry(4, 25, 1, 3)},
-                            /*home_slot=*/1, comm, part);
-  std::vector<TableEntry> rows;
-  for (std::uint32_t r = 0; r < t.num_shards(); ++r) {
-    t.shard(r).for_each_entry(
-        [&](const TableEntry& e) { rows.push_back(e); });
-  }
-  ProjTable flat = ProjTable::from_flat(t.arity(), std::move(rows));
-  flat.seal(SortOrder::kByV0, 30);
-  ASSERT_EQ(flat.size(), 1u);
-  EXPECT_EQ(flat.total(), 5u);
-}
-
 TEST(DistTable, CollectEnforcesBudget) {
   VirtualComm comm(2);
   const BlockPartition part(10, 2);
@@ -164,11 +139,11 @@ std::vector<TableEntry> duplicate_heavy_rows(VertexId n, std::size_t m,
 }
 
 /// A path table homed at its frontiers: rank r's shard holds the rows
-/// of r's vertices, sealed kByV1 with a bucket index.
+/// of r's vertices, equal keys summed, sealed kByV1 with a bucket index.
 DistTable frontier_table(const std::vector<TableEntry>& rows,
                          const BlockPartition& part, int arity = 2) {
   std::vector<std::vector<TableEntry>> by_rank(part.num_ranks());
-  for (const TableEntry& e : rows) {
+  for (const TableEntry& e : sum_equal_keys(rows)) {
     by_rank[part.owner(e.key.v[1])].push_back(e);
   }
   std::vector<ProjTable> shards;
@@ -216,8 +191,9 @@ std::vector<std::uint32_t> some_readers(VertexId x, std::uint32_t ranks) {
 }
 
 /// Rank r's halo view must equal from_flat + seal(kByV1) over its own
-/// rows plus the halo rows it received: rows, order and bucket index,
-/// packed unless a key does not pack, with no layout stats of its own.
+/// rows plus the halo rows it received (unique keys: each bucket lives on
+/// one shard): rows, order and bucket index, packed unless a key does not
+/// pack, with no layout stats of its own.
 void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
                        std::uint32_t ranks, int arity = 2) {
   const BlockPartition part(n, ranks);
@@ -257,7 +233,7 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
 }
 
 TEST(DistTableHaloView, MatchesFlatSeal) {
-  // Duplicate keys merged in the shards, rows packed.
+  // Keys summed before sharding, rows packed.
   const auto dup = duplicate_heavy_rows(50, 2000, 8);
   expect_halo_views(dup, 50, 4);
   // One rank; more ranks than vertices (most ranks own nothing).

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include "ccbt/core/planted.hpp"
 #include "ccbt/dist/checkpoint.hpp"
 #include "ccbt/dist/dist_engine.hpp"
+#include "ccbt/dist/dist_primitives.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/util/error.hpp"
@@ -148,7 +150,7 @@ ProjTable make_sealed_shard(int rows) {
     e.key.v[0] = static_cast<VertexId>((rows - i) * 3);
     e.key.v[1] = static_cast<VertexId>(i);
     e.key.sig = static_cast<Signature>(i & 0x1f);
-    // Counts of every payload width exercise the width codes.
+    // Counts past u16 and past u32 next to small ones.
     const Count base[] = {0, 0x10000ull, 0x100000000ull};
     e.cnt = base[i % 3] + static_cast<Count>(i + 1);
     entries.push_back(e);
@@ -158,17 +160,76 @@ ProjTable make_sealed_shard(int rows) {
   return shard;
 }
 
+std::vector<TableEntry> rows_of(const ProjTable& t) {
+  std::vector<TableEntry> out;
+  t.for_each_entry([&](const TableEntry& e) { out.push_back(e); });
+  return out;
+}
+
+void expect_same_rows(const std::vector<TableEntry>& got,
+                      const std::vector<TableEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "row " << i;
+    EXPECT_EQ(got[i].cnt, want[i].cnt) << "row " << i;
+  }
+}
+
 TEST(Checkpoint, ShardRoundtrip) {
   const ProjTable shard = make_sealed_shard(64);
   const std::vector<std::uint8_t> image = checkpoint_encode_shard(shard);
-  const std::vector<TableEntry> rows = checkpoint_decode_shard(image);
-  ASSERT_EQ(rows.size(), shard.size());
-  std::size_t i = 0;
-  shard.for_each_entry([&](const TableEntry& e) {
-    EXPECT_EQ(rows[i].key, e.key);
-    EXPECT_EQ(rows[i].cnt, e.cnt);
-    ++i;
-  });
+  EXPECT_EQ(image.size(), 12 + 28 * shard.size());
+  expect_same_rows(checkpoint_decode_shard(image), rows_of(shard));
+
+  const std::vector<std::uint8_t> empty =
+      checkpoint_encode_shard(ProjTable(2));
+  EXPECT_EQ(empty.size(), 12u);
+  EXPECT_TRUE(checkpoint_decode_shard(empty).empty());
+}
+
+TEST(Checkpoint, RecordsHoldEveryCountAndWideKeys) {
+  // Counts at the edges of u16, u32 and u64, a key with both tracked
+  // slots set and a signature past 8 bits: each record keeps them whole.
+  std::vector<TableEntry> rows;
+  VertexId v = 0;
+  for (const Count c : {Count{0}, Count{0xFFFF}, Count{0x10000},
+                        Count{0xFFFFFFFF}, Count{1} << 32, ~Count{0}}) {
+    TableEntry e;
+    e.key.v[0] = v;
+    e.key.v[1] = v + 1;
+    e.key.sig = 0b11;
+    e.cnt = c;
+    rows.push_back(e);
+    ++v;
+  }
+  TableEntry wide;
+  wide.key.v = {0x0FFFFFFEu, 7, 0x12345678u, 0xFFFFFFFEu};
+  wide.key.sig = 0x1FF03;
+  wide.cnt = 0x0102030405060708ull;
+  rows.push_back(wide);
+  ProjTable shard = ProjTable::from_flat(4, std::vector(rows));
+  shard.seal(SortOrder::kByV0);
+
+  const std::vector<std::uint8_t> image = checkpoint_encode_shard(shard);
+  ASSERT_EQ(image.size(), 12 + 28 * rows.size());
+  expect_same_rows(checkpoint_decode_shard(image), rows_of(shard));
+
+  // The header and the last record (the wide key sorts last), word by
+  // word: magic, rows, then v0 v1 v2 v3 sig as u32 and the count as u64.
+  std::uint32_t magic = 0;
+  std::uint64_t n = 0;
+  std::memcpy(&magic, image.data(), 4);
+  std::memcpy(&n, image.data() + 4, 8);
+  EXPECT_EQ(magic, kCheckpointMagic);
+  EXPECT_EQ(n, rows.size());
+  const std::uint8_t* rec = image.data() + 12 + 28 * (rows.size() - 1);
+  std::array<std::uint32_t, 5> words{};
+  std::memcpy(words.data(), rec, 20);
+  Count cnt = 0;
+  std::memcpy(&cnt, rec + 20, 8);
+  EXPECT_EQ(words, (std::array<std::uint32_t, 5>{0x0FFFFFFEu, 7, 0x12345678u,
+                                                 0xFFFFFFFEu, 0x1FF03}));
+  EXPECT_EQ(cnt, wide.cnt);
 }
 
 TEST(Checkpoint, CorruptionIsDetected) {
@@ -179,33 +240,61 @@ TEST(Checkpoint, CorruptionIsDetected) {
   bad_magic[0] ^= 0xff;
   EXPECT_THROW(checkpoint_decode_shard(bad_magic), CheckpointCorrupt);
 
-  std::vector<std::uint8_t> truncated(image.begin(), image.end() - 3);
+  // One byte short, a record and a half short, and one byte long of
+  // 12 + 28 x rows.
+  std::vector<std::uint8_t> short_one(image.begin(), image.end() - 1);
+  EXPECT_THROW(checkpoint_decode_shard(short_one), CheckpointCorrupt);
+  std::vector<std::uint8_t> truncated(image.begin(), image.end() - 42);
   EXPECT_THROW(checkpoint_decode_shard(truncated), CheckpointCorrupt);
-
-  std::vector<std::uint8_t> trailing = image;
-  trailing.push_back(0);
-  EXPECT_THROW(checkpoint_decode_shard(trailing), CheckpointCorrupt);
+  std::vector<std::uint8_t> long_one = image;
+  long_one.push_back(0);
+  EXPECT_THROW(checkpoint_decode_shard(long_one), CheckpointCorrupt);
 
   EXPECT_THROW(checkpoint_decode_shard(std::vector<std::uint8_t>(5)),
+               CheckpointCorrupt);
+  EXPECT_THROW(checkpoint_decode_shard(std::vector<std::uint8_t>(11)),
                CheckpointCorrupt);
 
   // A row count far past what the bytes hold fails typed, before any
   // reservation sized by it (2^62 rows would be a length_error, 2^40 a
-  // bad_alloc).
-  for (const std::uint64_t rows : {std::uint64_t{1} << 62,
-                                   std::uint64_t{1} << 40}) {
-    std::vector<std::uint8_t> huge =
-        checkpoint_encode_shard(make_sealed_shard(3));
-    std::memcpy(huge.data() + sizeof(std::uint32_t), &rows, sizeof(rows));
-    EXPECT_THROW(checkpoint_decode_shard(huge), CheckpointCorrupt)
+  // bad_alloc), and so does one a record off either way.
+  for (const std::uint64_t rows :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 40, std::uint64_t{17},
+        std::uint64_t{15}}) {
+    std::vector<std::uint8_t> miscounted = image;
+    std::memcpy(miscounted.data() + sizeof(std::uint32_t), &rows,
+                sizeof(rows));
+    EXPECT_THROW(checkpoint_decode_shard(miscounted), CheckpointCorrupt)
         << rows << " rows";
   }
+}
 
-  // A lane mask wider than the one count a row carries.
-  std::vector<std::uint8_t> bad_mask = image;
-  bad_mask[sizeof(std::uint32_t) + sizeof(std::uint64_t) + kWireKeyBytes] =
-      0x03;
-  EXPECT_THROW(checkpoint_decode_shard(bad_mask), CheckpointCorrupt);
+TEST(Checkpoint, PoolImageIsItsShardRecords) {
+  // A stored table's checkpoint costs 12 + 28 x rows per shard, and
+  // restoring it gives back the same shards row for row.
+  constexpr std::uint32_t kRanks = 3;
+  constexpr VertexId kDomain = 300;
+  std::vector<ProjTable> shards;
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    shards.push_back(make_sealed_shard(static_cast<int>(10 + 7 * r)));
+  }
+  shards.push_back(ProjTable(2));  // an empty rank
+  dist::DistPool pool(/*num_blocks=*/2, kDomain);
+  pool.store(0, DistTable::from_shards(2, /*home_slot=*/0, shards));
+  const CheckpointImage img = pool.checkpoint(/*next_block=*/1, 0);
+  const DistTable& stored = pool.get(0);
+  std::uint64_t want = 0;
+  for (std::uint32_t r = 0; r < stored.num_shards(); ++r) {
+    want += 12 + 28 * stored.shard(r).size();
+  }
+  EXPECT_EQ(img.bytes(), want);
+
+  dist::DistPool restored(/*num_blocks=*/2, kDomain);
+  restored.restore(img, stored.num_shards());
+  for (std::uint32_t r = 0; r < stored.num_shards(); ++r) {
+    expect_same_rows(rows_of(restored.get(0).shard(r)),
+                     rows_of(stored.shard(r)));
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -23,9 +23,9 @@
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/table/flat_rows.hpp"
-#include "ccbt/table/lane_payload.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/rng.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -33,7 +33,7 @@ namespace {
 constexpr VertexId kDomain = 512;
 
 /// Random flat rows with counts uniform in [1, max_count]. Keys collide
-/// freely so the sealing dedup runs too.
+/// freely, so the bucket builds sum runs.
 std::vector<TableEntry> random_rows(std::size_t n, Count max_count,
                                     std::uint64_t seed) {
   Rng rng(seed);
@@ -72,8 +72,8 @@ void expect_counts(const LaneLayoutInfo& got, const LaneLayoutInfo& want,
 
 /// Build the same rows twice — born sorted (one bucket per frontier
 /// vertex, then resealed kByV0 as a stored table is) and adopted flat
-/// (sealed kByV0) — and require both to be dense, equal row for row and
-/// probe for probe. The born table is packed whatever its counts and
+/// with their equal keys summed (sealed kByV0) — and require both to be
+/// dense, equal row for row and probe for probe. The born table is packed whatever its counts and
 /// reports its bucket build's exact layout, through a relabelling seal and
 /// the dense reseal; the flat table is never observed.
 void expect_layout_parity(const std::vector<TableEntry>& rows) {
@@ -90,13 +90,12 @@ void expect_layout_parity(const std::vector<TableEntry>& rows) {
   ProjTable born = ProjTable::from_buckets(2, std::move(buckets));
   EXPECT_TRUE(born.packed_flat());
   EXPECT_TRUE(born.layout().packed);
-  EXPECT_EQ(born.layout().width(), choose_payload_width(want.max_count));
   expect_counts(born.layout(), want, "born sorted");
   born.seal(SortOrder::kByV1, kDomain);  // a relabel scans nothing
   EXPECT_TRUE(born.packed_flat());
   expect_counts(born.layout(), want, "relabel");
 
-  ProjTable flat = ProjTable::from_flat(2, std::vector<TableEntry>(rows));
+  ProjTable flat = ProjTable::from_flat(2, sum_equal_keys(rows));
   born.seal(SortOrder::kByV0, kDomain);
   flat.seal(SortOrder::kByV0, kDomain);
   EXPECT_FALSE(born.packed_flat());
@@ -132,9 +131,9 @@ TEST(LaneCompress, BornSortedAndFlatStoreAlike) {
 }
 
 TEST(LaneCompress, CountsAtWidthBoundariesStoreExactly) {
-  // Counts at and just past each width limit: the born-sorted build stays
-  // packed, reports the width each needs, and both stored forms keep every
-  // count.
+  // Counts at and just past the u16 and u32 limits: the born-sorted build
+  // stays packed, reports each largest count, and both stored forms keep
+  // every count.
   for (const Count big : {Count{0xFFFF}, Count{0x10000}, Count{0xFFFFFFFF},
                           Count{0x100000000}}) {
     std::vector<TableEntry> rows(64);
@@ -258,11 +257,39 @@ TEST(LaneCompressFlat, RunSumPastU32StaysPackedAtBucketClose) {
   EXPECT_EQ(sealed.packed_rows()[0].c, want);
   EXPECT_EQ(st.rows, 1u);
   EXPECT_EQ(st.max_count, want);
-  EXPECT_EQ(st.width(), PayloadWidth::kU64);
+  EXPECT_GT(st.max_count, Count{0xFFFFFFFF});
   const auto totals = flat_totals(std::move(sealed));
   const std::array<std::uint64_t, 5> key{6, 9, kNoVertex, kNoVertex, 2};
   ASSERT_EQ(totals.count(key), 1u);
   EXPECT_EQ(totals.at(key), want);
+}
+
+TEST(LaneTelemetry, FilesPackedRowsByLargestCount) {
+  // A packed table's rows land under u16, u32 or u64 by its largest
+  // count; an unpacked table adds to the row totals only, and a table
+  // never observed (rows == 0) adds nothing.
+  LaneTelemetry t;
+  auto note = [&](std::uint64_t rows, Count max_count, bool packed) {
+    LaneLayoutInfo info;
+    info.rows = rows;
+    info.lanes_occupied = rows;
+    info.max_count = max_count;
+    info.packed = packed;
+    t.note(info);
+  };
+  note(1, 0xFFFF, true);
+  note(2, 0x10000, true);
+  note(4, 0xFFFFFFFF, true);
+  note(8, Count{1} << 32, true);
+  note(16, ~Count{0}, true);
+  EXPECT_EQ(t.width_rows, (std::array<std::uint64_t, 3>{1, 6, 24}));
+  EXPECT_EQ(t.rows_packed, 31u);
+  note(32, 5, false);
+  note(0, 0x10000, true);
+  EXPECT_EQ(t.width_rows, (std::array<std::uint64_t, 3>{1, 6, 24}));
+  EXPECT_EQ(t.rows_packed, 31u);
+  EXPECT_EQ(t.rows, 63u);
+  EXPECT_EQ(t.lanes_occupied, 63u);
 }
 
 // ------------------------------------------------------- packed merge
@@ -433,7 +460,7 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
     MergeCx f(seed);
     auto table = [&](const std::vector<TableEntry>& rows) {
       return packed ? born_table(rows, f.g.num_vertices())
-                    : ProjTable::from_flat(2, std::vector(rows));
+                    : ProjTable::from_flat(2, sum_equal_keys(rows));
     };
     ProjTable plus = table(prows);
     ProjTable minus = table(mrows);
@@ -490,10 +517,9 @@ TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
   for (const ProjTable* t : {&plus, &minus}) {
     ASSERT_TRUE(t->packed_flat());
     EXPECT_GT(t->layout().max_count, Count{0xFFFFFFFF});
-    EXPECT_EQ(t->layout().width(), PayloadWidth::kU64);
   }
-  ProjTable dense_plus = ProjTable::from_flat(2, std::vector(prows));
-  ProjTable dense_minus = ProjTable::from_flat(2, std::vector(mrows));
+  ProjTable dense_plus = ProjTable::from_flat(2, sum_equal_keys(prows));
+  ProjTable dense_minus = ProjTable::from_flat(2, sum_equal_keys(mrows));
 
   FlatRows packed_sink, dense_sink;
   merge_halves(f.cx, plus, minus, spec, packed_sink);

@@ -1,14 +1,14 @@
-// The sorting seals that remain after path tables are born sorted: the
-// distributed engine's shards arrive as flat rows with duplicate keys
-// (ProjTable::from_flat) and seal through the dense counting partition,
-// and a born-sorted table re-sealed in another order (kByV0 for storage)
-// re-sorts in the dense layout. Either must leave exactly the rows a
-// test-local std::stable_sort by the order's comparator plus a run-sum
-// gives — across table sizes on both sides of the
-// threaded-partition cutoff, small and large vertex domains, out-of-domain
-// keys (the comparison-sort fallback) and duplicate-heavy inputs. The
-// checkpoint restore path additionally relies on re-sealing decoded
-// shards.
+// The sorting seals that remain after path tables are born sorted: sink
+// tables and the distributed engine's non-path shards arrive as flat rows
+// with unique keys (ProjTable::from_flat) and seal through the dense
+// counting partition, and a born-sorted table re-sealed in another order
+// (kByV0 for storage) re-sorts in the dense layout. Either must leave
+// exactly the rows a test-local std::stable_sort by the order's
+// comparator plus a run-sum gives — across table sizes on both sides of
+// the threaded-partition cutoff, small and large vertex domains,
+// out-of-domain keys (the comparison-sort fallback) and rows drawn from a
+// few keys, summed before the flat adoption. The checkpoint restore path
+// additionally relies on re-sealing decoded shards.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/rng.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -67,16 +68,16 @@ void expect_rows_eq(const std::vector<Row>& got, const std::vector<Row>& want) {
   }
 }
 
-/// Seal a flat-built table and compare it, and its bucket index when one
-/// was built, against the reference.
+/// Seal a flat-built table of the rows, their equal keys summed first,
+/// and compare it, and its bucket index when one was built, against the
+/// reference.
 void expect_seal_matches(const std::vector<Row>& rows, SortOrder order,
                          VertexId domain) {
   std::vector<TableEntry> flat;
   for (const Row& r : rows) flat.push_back({r.first, r.second});
-  ProjTable t = ProjTable::from_flat(2, std::move(flat));
+  ProjTable t = ProjTable::from_flat(2, sum_equal_keys(flat));
   t.seal(order, domain);
   EXPECT_EQ(t.order(), order);
-  EXPECT_FALSE(t.dedup_pending());
   const std::vector<Row> got = rows_of(t);
   expect_rows_eq(got, reference(rows, order));
   if (!t.has_bucket_index()) return;
@@ -115,7 +116,8 @@ TEST(SealSort, FlatSealMatchesStableSort) {
         for (int i = 0; i < n; ++i) rows.push_back(make_row(rng, domain, 900));
         expect_seal_matches(rows, order, domain);
       }
-      // Duplicate-heavy: a 24-key universe makes ~250-row runs.
+      // Few keys: a 24-vertex universe and two signatures crowd every
+      // bucket, and each key sums about five rows.
       Rng rng(200 + domain);
       std::vector<Row> rows;
       for (int i = 0; i < 6000; ++i) {

@@ -87,7 +87,7 @@ TEST(FlatRowsSink, SummingAgainAddsNoRows) {
   }
 }
 
-/// A table of the given rows (duplicates are summed by the first seal).
+/// A table of the given rows (unique keys, as from_flat takes them).
 ProjTable table_of(std::vector<TableEntry> rows) {
   return ProjTable::from_flat(2, std::move(rows));
 }

@@ -1,10 +1,10 @@
 // Property tests for the bucket-indexed table layer: seal() with a
 // counting partition plus per-bucket sorts must produce entry-identical
-// arrays to a naive stable comparison sort that then sums equal keys
-// (every key field and count, in the same positions), and group() through
-// the O(1) bucket index must
+// arrays to a naive stable comparison sort (every key field and count, in
+// the same positions), and group() through the O(1) bucket index must
 // return exactly the ranges a binary search finds — across randomized
-// arities, sort orders, domains and duplicate-heavy inputs.
+// arities, sort orders, domains and crowded small-domain inputs, whose
+// equal keys are summed before the table adopts them.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/rng.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -30,22 +31,12 @@ bool less_full_v1(const TableEntry& a, const TableEntry& b) {
   return less_full_v0(a, b);
 }
 
-/// Reference seal: a stable comparison sort of the whole entry vector,
-/// then one row per key with its counts summed (rows adopted with
-/// from_flat are a multiset that the next seal merges).
+/// Reference seal: a stable comparison sort of the whole entry vector.
 std::vector<TableEntry> reference_sorted(std::vector<TableEntry> entries,
                                          SortOrder order) {
   std::stable_sort(entries.begin(), entries.end(),
                    group_slot(order) == 0 ? less_full_v0 : less_full_v1);
-  std::vector<TableEntry> merged;
-  for (const TableEntry& e : entries) {
-    if (!merged.empty() && merged.back().key == e.key) {
-      merged.back().cnt += e.cnt;
-    } else {
-      merged.push_back(e);
-    }
-  }
-  return merged;
+  return entries;
 }
 
 /// Reference group: linear scan over the reference-sorted entries.
@@ -58,9 +49,10 @@ std::vector<TableEntry> reference_group(
   return out;
 }
 
-/// Random entries over `domain` vertices; `arity` leading slots used,
-/// remaining slots sometimes carry tracked vertices, sometimes kNoVertex.
-/// Low domains make the input duplicate-heavy on every key field.
+/// Random entries over `domain` vertices with unique keys (the input
+/// from_flat takes); `arity` leading slots used, remaining slots
+/// sometimes carry tracked vertices, sometimes kNoVertex. Low domains
+/// draw many rows per key, summed into one, and crowd every bucket.
 std::vector<TableEntry> random_entries(Rng& rng, std::size_t n,
                                        VertexId domain, int arity,
                                        bool tracked_slots) {
@@ -79,7 +71,7 @@ std::vector<TableEntry> random_entries(Rng& rng, std::size_t n,
     e.key.sig = static_cast<Signature>(rng.below(64));
     e.cnt = rng.below(1000) + 1;
   }
-  return entries;
+  return sum_equal_keys(entries);
 }
 
 ProjTable table_of(int arity, const std::vector<TableEntry>& entries) {
