@@ -1,9 +1,10 @@
 // Accumulate-only microbench: the born-sorted bucket build in isolation
 // (table/flat_rows.hpp), without the estimator noise of the full batch
 // bench. Each cell replays one phase's emission shape — buckets of packed
-// rows with duplicate keys, appended to a per-bucket scratch exactly as
-// the path primitives' extend does — and closes every bucket through
-// SortedBuckets (local sort + exact run sums).
+// rows with duplicate keys, packed in the key layout of a graph with as
+// many vertices as the cell has buckets (at least 60,000) and appended to
+// a per-bucket scratch exactly as the path primitives' extend does — and
+// closes every bucket through SortedBuckets (local sort + exact run sums).
 //
 // Two sweeps share the grid: rows per bucket {16, 64, 256, 1024, 4096}
 // with a key universe 3/4 the bucket's size (about a third of the rows
@@ -43,8 +44,9 @@ int bench_reps() {
 /// packed keys each, drawn from a key universe of `universe` times the
 /// bucket's size.
 struct Workload {
-  std::vector<std::uint64_t> keys;  // bucket after bucket
+  std::vector<std::uint64_t> keys;  // bucket after bucket, packed in layout
   std::size_t bucket_rows = 0;
+  KeyLayout layout;
 
   static Workload make(std::size_t bucket_rows, double universe,
                        std::uint64_t seed) {
@@ -54,13 +56,18 @@ struct Workload {
         std::max<std::size_t>(1, 2'000'000 / bucket_rows);
     const auto keys_per_bucket = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(universe * bucket_rows));
+    w.layout =
+        KeyLayout::for_vertices(std::max<std::size_t>(buckets, 60'000));
     Rng rng(seed);
     w.keys.reserve(buckets * bucket_rows);
     for (std::size_t v1 = 0; v1 < buckets; ++v1) {
       for (std::size_t i = 0; i < bucket_rows; ++i) {
         const std::uint64_t x = rng.below(keys_per_bucket);
-        const std::uint64_t v0 = x * 7919 % 60'000;
-        w.keys.push_back((v0 << 36) | (v1 << 8) | (x & 0x3F));
+        TableKey k;
+        k.v[0] = static_cast<VertexId>(x * 7919 % 60'000);
+        k.v[1] = static_cast<VertexId>(v1);
+        k.sig = static_cast<Signature>(x & 0x3F);
+        w.keys.push_back(w.layout.pack(k));
       }
     }
     return w;
@@ -94,8 +101,8 @@ struct Cell {
 /// separately and kept as the best of `reps` runs.
 void replay(const Workload& w, int reps, Cell& cell) {
   for (int r = 0; r < reps; ++r) {
-    SortedBuckets built;
-    FlatRows scratch;
+    SortedBuckets built(w.layout);
+    FlatRows scratch(w.layout);
     double emit_s = 0.0;
     double close_s = 0.0;
     for (std::size_t lo = 0; lo < w.keys.size(); lo += w.bucket_rows) {

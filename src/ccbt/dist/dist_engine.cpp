@@ -106,7 +106,7 @@ void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
   LoadModel::Held held(cx.load == nullptr ? 0 : cx.load->num_ranks());
   for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
     ProjTable view = ops.halo_view(prefix, r);
-    FlatRows local;
+    FlatRows local(cx.key_layout());
     held.add(extend_and_merge(cx, view,
                               pull == nullptr ? nullptr : &pull->shard(r),
                               step.opts, plus.shard(r), spec, local,
@@ -125,7 +125,7 @@ void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
 DistTable shards_of(int arity, std::vector<FlatRows>& sinks) {
   std::vector<ProjTable> shards;
   for (FlatRows& m : sinks) {
-    shards.push_back(ProjTable::from_flat(arity, m.take_wide()));
+    shards.push_back(ProjTable::from_sink(arity, std::move(m)));
   }
   return DistTable::from_shards(arity, /*home_slot=*/0, std::move(shards));
 }
@@ -146,7 +146,7 @@ DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
       });
     }
   }
-  std::vector<FlatRows> sinks(dx.ranks());
+  std::vector<FlatRows> sinks(dx.ranks(), FlatRows(dx.cx.key_layout()));
   collect_summed(dx, sinks, "aggregate");
   return shards_of(new_arity, sinks);
 }
@@ -158,7 +158,7 @@ DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
 DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool,
                         std::size_t& peak_entries) {
   dist::DistPath ops{dx, pool};
-  std::vector<FlatRows> sinks(dx.ranks());
+  std::vector<FlatRows> sinks(dx.ranks(), FlatRows(dx.cx.key_layout()));
   const std::size_t peak = run_walks(
       ops, schedule_walks(blk, dx.cx.opts.algo), dx.cx.load,
       [&](const WalkSchedule::Split& s, DistTable& plus, DistTable& minus) {

@@ -150,15 +150,17 @@ class DistTable {
   /// buckets the last exchange delivered to r. Senders drain in rank
   /// order, each its buckets in vertex order, and every bucket arrives
   /// whole and already sorted, so the view is assembled in bucket order
-  /// with no sort, sealed kByV1 with a bucket index. The view carries no
-  /// layout stats: its rows are noted by the shards that own them.
+  /// with no sort, sealed kByV1 with a bucket index, its rows packed in
+  /// the key layout of the partitioned graph. The view carries no layout
+  /// stats: its rows are noted by the shards that own them.
   /// Empties r's inbox. Throws Error when a halo row belongs to r's own
   /// vertices or arrives out of bucket order.
   ProjTable halo_view(std::uint32_t r, VirtualComm& comm,
                       const BlockPartition& part) const {
     const std::vector<TableEntry>& in = comm.inbox(r);
     const ProjTable& own = shards_[r];
-    SortedBuckets rows(own.size() + in.size());
+    SortedBuckets rows(KeyLayout::for_vertices(part.num_vertices()),
+                       own.size() + in.size());
     VertexId last = 0;
     for (const TableEntry& e : in) {
       const VertexId v = e.key.v[1];
@@ -172,8 +174,12 @@ class DistTable {
     for (; i < in.size() && in[i].key.v[1] < part.begin(r); ++i) {
       rows.append_sorted(in[i].key, in[i].cnt);
     }
-    own.for_each_entry(
-        [&](const TableEntry& e) { rows.append_sorted(e.key, e.cnt); });
+    if (const FlatRows* flat = own.flat_storage()) {
+      rows.append_sorted(*flat);
+    } else {
+      own.for_each_entry(
+          [&](const TableEntry& e) { rows.append_sorted(e.key, e.cnt); });
+    }
     for (; i < in.size(); ++i) rows.append_sorted(in[i].key, in[i].cnt);
     comm.clear_inbox(r);
     return ProjTable::from_buckets(arity_, std::move(rows));

@@ -75,7 +75,7 @@ WalkSchedule schedule_walks(const Block& blk, Algo algo) {
 
 ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
                       TablePool& pool, std::size_t* peak_entries) {
-  FlatRows sink;
+  FlatRows sink(cx.key_layout());
   SharedPath ops{cx, pool};
   const std::size_t peak = run_walks(
       ops, schedule_walks(blk, cx.opts.algo), cx.load,
@@ -96,7 +96,7 @@ ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
   if (peak_entries != nullptr) *peak_entries = std::max(*peak_entries, peak);
   // The merge spec emitted exactly the boundary slots, so the summed keys
   // already project to the block's boundary images.
-  return ProjTable::from_flat(blk.boundary_count(), sink.take_wide());
+  return ProjTable::from_sink(blk.boundary_count(), std::move(sink));
 }
 
 }  // namespace ccbt

@@ -181,6 +181,12 @@ struct ExecContext {
 
   std::uint32_t owner(VertexId v) const { return part.owner(v); }
 
+  /// The packed key layout of the data graph, which every sink and bucket
+  /// build packs its rows in.
+  KeyLayout key_layout() const {
+    return KeyLayout::for_vertices(g.num_vertices());
+  }
+
   void note_lanes(const LaneLayoutInfo& info) const {
     if (lane_telemetry != nullptr) lane_telemetry->note(info);
   }

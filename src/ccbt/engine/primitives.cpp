@@ -52,8 +52,8 @@ int pool_threads() {
 /// kByV1 with no global sort; vertices below the range get empty buckets.
 /// Threads build contiguous vertex ranges that concatenate in order, so
 /// the table is the same at every thread count; `work` (the input rows
-/// the phase reads) decides whether threads pay. The budget bounds the
-/// deduplicated rows.
+/// the phase reads) decides whether threads pay. Rows pack in the data
+/// graph's key layout. The budget bounds the deduplicated rows.
 template <typename Body>
 ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
                         Body&& body, VertexRange range) {
@@ -70,10 +70,11 @@ ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
 #else
   (void)work;
 #endif
+  const KeyLayout layout = cx.key_layout();
   std::vector<SortedBuckets> built;
   built.reserve(parts);
   // Output tables run at about twice their input's rows.
-  for (int p = 0; p < parts; ++p) built.emplace_back(2 * work / parts);
+  for (int p = 0; p < parts; ++p) built.emplace_back(layout, 2 * work / parts);
   built[0].skip(lo);
   std::atomic<bool> budget_hit{false};
 #ifdef _OPENMP
@@ -87,7 +88,7 @@ ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
         lo + static_cast<VertexId>(std::uint64_t{n} * (p + 1) / parts);
     for (VertexId w = plo; w < phi; ++w) {
       if (budget_hit.load(std::memory_order_relaxed)) break;
-      scratch.reset();
+      scratch.reset(layout);
       body(w, scratch);
       part.close(scratch);
       if (part.size() > cx.opts.max_table_entries) {
@@ -141,6 +142,86 @@ void join_edge(const ExecContext& cx, const TableEntry& e,
   cx.send(joint, w, 1);
 }
 
+/// An extend's packed input, read in place: each emission is a packed row
+/// copy with v1, the tracked slot and the signature rewritten in
+/// registers, and the other fields kept. Every bucket is read once per
+/// neighbour of its vertex, so the anchors' degree ranks are looked up
+/// once up front.
+class PackedExtend {
+ public:
+  /// The packed rows of `path`, or nullptr unless they are packed in the
+  /// data graph's layout and the layout holds the tracked slot.
+  static const FlatRows* input(const ExecContext& cx, const ProjTable& path,
+                               const ExtendOpts& o) {
+    const FlatRows* flat = path.flat_storage();
+    const KeyLayout lay = cx.key_layout();
+    return flat != nullptr && flat->layout() == lay &&
+                   o.track_slot < lay.slots()
+               ? flat
+               : nullptr;
+  }
+
+  PackedExtend(const ExecContext& cx, const FlatRows& flat,
+               const ExtendOpts& o)
+      : cx_(cx), o_(o), lay_(flat.layout()), rows_(flat.packed_rows()) {
+    if (o.anchor_higher) {
+      anchor_rank_.resize(rows_.size());
+      for (std::size_t i = 0; i < rows_.size(); ++i) {
+        anchor_rank_[i] = cx.order.rank(lay_.v0(rows_[i].k));
+      }
+    }
+    std::uint64_t rewritten = lay_.field_mask(1) | 0xFF;
+    if (o.track_slot >= 0) rewritten |= lay_.field_mask(o.track_slot);
+    keep_ = ~rewritten;
+  }
+
+  /// The new frontier w: its degree rank and its packed fields.
+  struct Target {
+    VertexId w;
+    std::uint32_t rank;
+    std::uint64_t fields;
+  };
+
+  Target target(VertexId w) const {
+    std::uint64_t fields = std::uint64_t{w} << lay_.shift(1);
+    if (o_.track_slot >= 0) {
+      fields |= std::uint64_t{w} << lay_.shift(o_.track_slot);
+    }
+    return {w, cx_.order.rank(w), fields};
+  }
+
+  const PackedFlatRow& row(std::size_t i) const { return rows_[i]; }
+
+  /// Row i passes the extend's anchor-order test for `to`.
+  bool anchor_ok(std::size_t i, const Target& to) const {
+    return !o_.anchor_higher || anchor_rank_[i] > to.rank;
+  }
+
+  /// Row `r` moved to `to` under signature `sig` with count `c`.
+  void emit(FlatRows& sink, const PackedFlatRow& r, const Target& to,
+            Signature sig, Count c) const {
+    if (sig <= 0xFF) [[likely]] {
+      sink.append_packed((r.k & keep_) | to.fields | sig, c);
+      return;
+    }
+    // Color >= 8: the signature no longer fits the packed key's 8-bit
+    // field.
+    TableKey key = lay_.unpack(r.k);
+    key.v[1] = to.w;
+    if (o_.track_slot >= 0) key.v[o_.track_slot] = to.w;
+    key.sig = sig;
+    sink.append(key, c);
+  }
+
+ private:
+  const ExecContext& cx_;
+  const ExtendOpts& o_;
+  KeyLayout lay_;
+  const std::vector<PackedFlatRow>& rows_;
+  std::vector<std::uint32_t> anchor_rank_;
+  std::uint64_t keep_ = 0;
+};
+
 /// Run `body(v, sink, t)` for every end vertex v of [lo, hi): the one
 /// end-bucket loop of merge_halves and extend_and_merge. End buckets are
 /// independent, so once the phase reads more than 4096 rows (`work`)
@@ -156,7 +237,7 @@ void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
   if (cx.opts.use_threads && pool_threads() > 1 && hi > lo + 1 &&
       work > 4096) {
     const int threads = pool_threads();
-    std::vector<FlatRows> parts(threads);
+    std::vector<FlatRows> parts(threads, FlatRows(sink.layout()));
     std::atomic<bool> budget_hit{false};
 #pragma omp parallel num_threads(threads)
     {
@@ -192,26 +273,21 @@ void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
 /// A prefix table's packed rows, read in place.
 struct PackedPrefix {
   const ProjTable& t;
-  const std::vector<PackedFlatRow>& rows;
+  const PackedFlatRow* rows;
+  KeyLayout lay;
 
   using Row = PackedFlatRow;
   std::span<const Row> bucket(VertexId x,
                               std::vector<TableEntry>& /*scratch*/) const {
     const auto [lo, hi] = t.group_span(1, x);
-    return {rows.data() + lo, hi - lo};
+    return {rows + lo, hi - lo};
   }
-  static VertexId anchor(const Row& r) {
-    return static_cast<VertexId>(r.k >> 36);
-  }
+  VertexId anchor(const Row& r) const { return lay.v0(r.k); }
   static Signature sig(const Row& r) {
     return static_cast<Signature>(r.k & 0xFF);
   }
   static Count count(const Row& r) { return r.c; }
-  static TableKey key(const Row& r) {
-    TableKey k;
-    k.v[0] = anchor(r);
-    return k;
-  }
+  TableKey key(const Row& r) const { return lay.unpack(r.k); }
 };
 
 /// Any other prefix table, bucket by bucket as dense entries.
@@ -274,6 +350,8 @@ class FusedSplit {
   /// (a load model is attached).
   void bucket(VertexId v, FlatRows& sink, LoadModel::Held* held) const {
     thread_local FuseScratch ts;
+    // A local copy the row loops can keep in registers.
+    const Prefix prefix = prefix_;
     const auto pu = plus_.group_expanded(1, v, ts.plus_rows);
     // Without a load model an end with no plus rows has nothing to do; with
     // one, its extend charges still stream.
@@ -317,7 +395,7 @@ class FusedSplit {
     };
 
     const auto minus_key = [&](const typename Prefix::Row& r, Signature sig) {
-      TableKey k = Prefix::key(r);
+      TableKey k = prefix.key(r);
       k.v[1] = v;
       if (o_.track_slot >= 0) k.v[o_.track_slot] = v;
       k.sig = sig;
@@ -330,20 +408,20 @@ class FusedSplit {
     if (child_ == nullptr) {
       // extend_with_graph: bucket x of every neighbour x of v.
       for (const VertexId x : cx_.g.neighbors(v)) {
-        const auto rows = prefix_.bucket(x, ts.prefix_rows);
+        const auto rows = prefix.bucket(x, ts.prefix_rows);
         if (rows.empty()) continue;
         cx_.charge(x, rows.size());
         std::uint64_t sent = 0;
         for (const auto& r : rows) {
-          const FuseScratch::Anchor& a = ts.anchors[Prefix::anchor(r)];
+          const FuseScratch::Anchor& a = ts.anchors[prefix.anchor(r)];
           const bool hit = a.stamp == ep;
           if (!hit && cx_.load == nullptr) continue;
-          const Count c = Prefix::count(r);
+          const Count c = prefix.count(r);
           if (c == 0) continue;
-          if (o_.anchor_higher && !cx_.order.higher(Prefix::anchor(r), v)) {
+          if (o_.anchor_higher && !cx_.order.higher(prefix.anchor(r), v)) {
             continue;
           }
-          const Signature sig = Prefix::sig(r);
+          const Signature sig = prefix.sig(r);
           if ((sig & vbit) != 0) continue;
           ++sent;
           if (hit) absorb(a, minus_key(r, sig | vbit), c);
@@ -354,21 +432,21 @@ class FusedSplit {
       // extend_with_child: bucket x of every child row (v, x).
       for (const TableEntry& ce : child_->group(0, v)) {
         const VertexId x = ce.key.v[1];
-        const auto rows = prefix_.bucket(x, ts.prefix_rows);
+        const auto rows = prefix.bucket(x, ts.prefix_rows);
         cx_.charge(x, rows.size());
         const Signature xbit = cx_.chi.bit(x);
         std::uint64_t sent = 0;
         for (const auto& r : rows) {
-          const FuseScratch::Anchor& a = ts.anchors[Prefix::anchor(r)];
+          const FuseScratch::Anchor& a = ts.anchors[prefix.anchor(r)];
           const bool hit = a.stamp == ep;
           if (!hit && cx_.load == nullptr) continue;
-          const Signature sig = Prefix::sig(r);
+          const Signature sig = prefix.sig(r);
           // xbit is one bit: the halves share exactly the colour of x.
           if ((sig & ce.key.sig) != xbit) continue;
-          if (o_.anchor_higher && !cx_.order.higher(Prefix::anchor(r), v)) {
+          if (o_.anchor_higher && !cx_.order.higher(prefix.anchor(r), v)) {
             continue;
           }
-          const Count c = Prefix::count(r) * ce.cnt;
+          const Count c = prefix.count(r) * ce.cnt;
           if (c == 0) continue;
           ++sent;
           if (hit) absorb(a, minus_key(r, sig | ce.key.sig), c);
@@ -457,7 +535,7 @@ LoadModel::Held extend_and_merge(const ExecContext& cx, ProjTable& prefix,
     };
     const FlatRows* const flat = prefix.flat_storage();
     if (flat != nullptr) {
-      run(PackedPrefix{prefix, flat->packed_rows()});
+      run(PackedPrefix{prefix, flat->packed_rows().data(), flat->layout()});
     } else {
       run(DensePrefix{prefix});
     }
@@ -521,78 +599,48 @@ ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
   const CsrGraph& g = cx.g;
   seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
-  const FlatRows* const flat = path.flat_storage();
-  // The packed key holds the new frontier w in 28 bits, so a graph whose
-  // ids reach kPacked28NoVertex takes the generic loop.
-  const bool fast = flat != nullptr &&
-                    (o.track_slot == -1 || o.track_slot == 1) &&
-                    g.num_vertices() <= kPacked28NoVertex;
-  if (!fast) {
+  if (const FlatRows* flat = PackedExtend::input(cx, path, o)) {
+    const PackedExtend in(cx, *flat, o);
     return build_buckets(
         cx, path.arity(), path.size(),
         [&](VertexId w, FlatRows& sink) {
-          thread_local std::vector<TableEntry> scratch;
           const Signature w_bit = cx.chi.bit(w);
+          const PackedExtend::Target to = in.target(w);
           for (VertexId x : g.neighbors(w)) {
-            const auto bucket = path.group_expanded(1, x, scratch);
-            if (bucket.empty()) continue;
-            cx.charge(x, bucket.size());
-            for (const TableEntry& e : bucket) {
-              if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) {
-                continue;
-              }
-              if (e.cnt == 0 || (e.key.sig & w_bit) != 0) continue;
-              TableKey key = e.key;
-              key.v[1] = w;
-              if (o.track_slot >= 0) key.v[o.track_slot] = w;
-              key.sig = e.key.sig | w_bit;
-              sink.append(key, e.cnt);
+            const auto [lo, hi] = path.group_span(1, x);
+            if (lo == hi) continue;
+            cx.charge(x, hi - lo);
+            for (std::size_t i = lo; i < hi; ++i) {
+              if (!in.anchor_ok(i, to)) continue;
+              const PackedFlatRow& r = in.row(i);
+              const auto esig = static_cast<Signature>(r.k & 0xFF);
+              if (r.c == 0 || (esig & w_bit) != 0) continue;
+              in.emit(sink, r, to, esig | w_bit, r.c);
               cx.send(x, w, 1);
             }
           }
         },
         range);
   }
-
-  // Packed path: each emission is a packed row copy with the key
-  // rewritten in registers. Every bucket is read once per neighbour of
-  // its vertex, so the anchors' degree ranks are looked up once up front.
-  const std::vector<PackedFlatRow>& rows = flat->packed_rows();
-  std::vector<std::uint32_t> anchor_rank;
-  if (o.anchor_higher) {
-    anchor_rank.resize(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      anchor_rank[i] = cx.order.rank(static_cast<VertexId>(rows[i].k >> 36));
-    }
-  }
-  constexpr std::uint64_t kV0Bits = std::uint64_t{kPacked28NoVertex} << 36;
   return build_buckets(
       cx, path.arity(), path.size(),
       [&](VertexId w, FlatRows& sink) {
+        thread_local std::vector<TableEntry> scratch;
         const Signature w_bit = cx.chi.bit(w);
-        const std::uint32_t wrank = cx.order.rank(w);
-        const std::uint64_t wfield = std::uint64_t{w} << 8;
         for (VertexId x : g.neighbors(w)) {
-          const auto [lo, hi] = path.group_span(1, x);
-          if (lo == hi) continue;
-          cx.charge(x, hi - lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (o.anchor_higher && anchor_rank[i] <= wrank) continue;
-            const PackedFlatRow& r = rows[i];
-            const auto esig = static_cast<Signature>(r.k & 0xFF);
-            if (r.c == 0 || (esig & w_bit) != 0) continue;
-            const Signature sig = esig | w_bit;
-            if (sig <= 0xFF) [[likely]] {
-              sink.append_packed((r.k & kV0Bits) | wfield | sig, r.c);
-            } else {
-              // Color >= 8: the signature no longer fits the packed
-              // key's 8-bit field.
-              TableKey key;
-              key.v[0] = static_cast<VertexId>(r.k >> 36);
-              key.v[1] = w;
-              key.sig = sig;
-              sink.append(key, r.c);
+          const auto bucket = path.group_expanded(1, x, scratch);
+          if (bucket.empty()) continue;
+          cx.charge(x, bucket.size());
+          for (const TableEntry& e : bucket) {
+            if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) {
+              continue;
             }
+            if (e.cnt == 0 || (e.key.sig & w_bit) != 0) continue;
+            TableKey key = e.key;
+            key.v[1] = w;
+            if (o.track_slot >= 0) key.v[o.track_slot] = w;
+            key.sig = e.key.sig | w_bit;
+            sink.append(key, e.cnt);
             cx.send(x, w, 1);
           }
         }
@@ -609,6 +657,32 @@ ProjTable extend_with_child(const ExecContext& cx, ProjTable& path,
   }
   seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
+  if (const FlatRows* flat = PackedExtend::input(cx, path, o)) {
+    const PackedExtend in(cx, *flat, o);
+    return build_buckets(
+        cx, path.arity(), path.size(),
+        [&](VertexId w, FlatRows& sink) {
+          const PackedExtend::Target to = in.target(w);
+          for (const TableEntry& ce : child.group(0, w)) {
+            const VertexId x = ce.key.v[1];
+            const auto [lo, hi] = path.group_span(1, x);
+            cx.charge(x, hi - lo);
+            // The halves share exactly the joint's color (join_edge).
+            const Signature x_bit = cx.chi.bit(x);
+            for (std::size_t i = lo; i < hi; ++i) {
+              const PackedFlatRow& r = in.row(i);
+              const auto esig = static_cast<Signature>(r.k & 0xFF);
+              if ((esig & ce.key.sig) != x_bit) continue;
+              if (!in.anchor_ok(i, to)) continue;
+              const Count cnt = r.c * ce.cnt;
+              if (cnt == 0) continue;
+              in.emit(sink, r, to, esig | ce.key.sig, cnt);
+              cx.send(x, w, 1);
+            }
+          }
+        },
+        range);
+  }
   return build_buckets(
       cx, path.arity(), path.size(),
       [&](VertexId w, FlatRows& sink) {
@@ -667,7 +741,7 @@ void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
 }
 
 ProjTable aggregate(const ExecContext& cx, const ProjTable& t, int new_arity) {
-  FlatRows sink;
+  FlatRows sink(cx.key_layout());
   sink.reserve(t.size());
   t.for_each_entry([&](const TableEntry& e) {
     kernel_aggregate(cx, e, new_arity, [&](const TableKey& k, Count c) {
@@ -677,7 +751,7 @@ ProjTable aggregate(const ExecContext& cx, const ProjTable& t, int new_arity) {
   });
   sink.sum_duplicates();
   cx.end_phase();
-  return ProjTable::from_flat(new_arity, sink.take_wide());
+  return ProjTable::from_sink(new_arity, std::move(sink));
 }
 
 }  // namespace ccbt

@@ -261,21 +261,19 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntry> pu,
 }
 
 /// Packed-row variant of merge_bucket: both bucket ranges stay in their
-/// packed flat rows (packed u64 key + u64 count) — the prefilter, the
-/// pair-compatibility test and the multiply all run on the packed rows,
-/// with no dense expansion of either bucket. Products wrap mod 2^64
+/// packed flat rows (u64 key packed in `lay`, u64 count) — the prefilter,
+/// the pair-compatibility test and the multiply all run on the packed
+/// rows, with no dense expansion of either bucket. Products wrap mod 2^64
 /// exactly as merge_bucket's do. Rows with a zero count emit nothing;
 /// charges and sends otherwise match the dense kernel row for row. Inside
-/// an end bucket the raw packed key orders rows by (v0, sig), i.e. by the
-/// anchor first.
+/// an end bucket the raw packed key orders rows by (v0, v2, v3, sig),
+/// i.e. by the anchor first.
 template <typename Sink>
-void merge_bucket_packed(const ExecContext& cx,
+void merge_bucket_packed(const ExecContext& cx, KeyLayout lay,
                          std::span<const PackedFlatRow> pu,
                          std::span<const PackedFlatRow> mu,
                          const MergeSpec& spec, Sink&& emit) {
-  const auto anchor_of = [](std::uint64_t k) {
-    return static_cast<VertexId>(k >> 36);
-  };
+  const auto anchor_of = [&](std::uint64_t k) { return lay.v0(k); };
   std::size_t pi = 0, mi = 0;
   while (pi < pu.size() && mi < mu.size()) {
     const VertexId pv = anchor_of(pu[pi].k);
@@ -290,7 +288,7 @@ void merge_bucket_packed(const ExecContext& cx,
     }
     // Same (u, v) group in both tables.
     const VertexId u = pv;
-    const auto v = static_cast<VertexId>((pu[pi].k >> 8) & kPacked28NoVertex);
+    const VertexId v = lay.field(pu[pi].k, 1);
     std::size_t pj = pi, mj = mi;
     while (pj < pu.size() && anchor_of(pu[pj].k) == pv) ++pj;
     while (mj < mu.size() && anchor_of(mu[mj].k) == pv) ++mj;
@@ -311,12 +309,12 @@ void merge_bucket_packed(const ExecContext& cx,
             ((asig & static_cast<Signature>(mb[t].k & 0xFF)) == uv_bits) &
             (mb[t].c != 0));
       }
-      const TableKey pk = unpack_key(pa.k);
+      const TableKey pk = lay.unpack(pa.k);
       for (std::size_t t = 0; t < mcount; ++t) {
         if (!ok[t]) continue;
         TableKey key;
         if (spec.out_arity > 0) {
-          const TableKey mk = unpack_key(mb[t].k);
+          const TableKey mk = lay.unpack(mb[t].k);
           for (int s = 0; s < spec.out_arity; ++s) {
             const MergeOut& src = spec.out[s];
             key.v[s] = (src.side == 0 ? pk : mk).v[src.slot];
@@ -337,7 +335,8 @@ namespace detail {
 /// Join end bucket x of two half-cycle tables sealed kByV1 (group_span
 /// finds it through the bucket index, or by binary search in a table
 /// sealed without one): through merge_bucket_packed when both kept their
-/// packed flat rows, otherwise through merge_bucket over the buckets
+/// packed flat rows in one layout, otherwise through merge_bucket over the
+/// buckets
 /// decoded into the scratches (raw subspans when dense, so dense tables
 /// pay nothing). The one bucket router of merge_halves and the
 /// distributed engine's per-rank merge.
@@ -349,13 +348,15 @@ void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
                       std::vector<TableEntry>& mscratch) {
   const FlatRows* const pflat = plus.flat_storage();
   const FlatRows* const mflat = minus.flat_storage();
-  if (pflat != nullptr && mflat != nullptr) {
+  if (pflat != nullptr && mflat != nullptr &&
+      pflat->layout() == mflat->layout()) {
     const auto [plo, phi] = plus.group_span(1, x);
     if (plo == phi) return;
     const auto [mlo, mhi] = minus.group_span(1, x);
     if (mlo == mhi) return;
     merge_bucket_packed(
-        cx, std::span(pflat->packed_rows()).subspan(plo, phi - plo),
+        cx, pflat->layout(),
+        std::span(pflat->packed_rows()).subspan(plo, phi - plo),
         std::span(mflat->packed_rows()).subspan(mlo, mhi - mlo), spec, emit);
     return;
   }

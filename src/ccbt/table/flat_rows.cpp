@@ -41,9 +41,10 @@ void radix_sort(std::vector<T>& v, std::vector<T>& tmp, Key key,
 }  // namespace
 
 void FlatRows::drain_bucket_into(FlatRows& out, LaneLayoutInfo& st) {
-  if (mode_ == Mode::kPacked) {
+  if (mode_ == Mode::kPacked && layout_ == out.layout_) {
     drain_packed(out, st);
   } else {
+    to_wide();
     drain_wide(out, st);
   }
 }
@@ -54,7 +55,8 @@ void FlatRows::absorb(FlatRows&& o) {
     *this = std::move(o);
     return;
   }
-  if (mode_ == Mode::kPacked && o.mode_ == Mode::kPacked) {
+  if (mode_ == Mode::kPacked && o.mode_ == Mode::kPacked &&
+      layout_ == o.layout_) {
     packed_.insert(packed_.end(), o.packed_.begin(), o.packed_.end());
   } else {
     to_wide();
@@ -64,46 +66,56 @@ void FlatRows::absorb(FlatRows&& o) {
   o.clear();
 }
 
-/// Order the bucket through 8-byte sort keys — the (v0, sig) bits that
-/// vary inside one bucket, above the row index — instead of moving whole
-/// rows, then sum each equal-key run exactly in 64 bits. A bucket too large
-/// to index that way sorts its rows directly.
+/// Order the bucket through 8-byte sort keys — every key field but v1
+/// (which the whole bucket shares), above the row index — instead of
+/// moving whole rows, then sum each equal-key run exactly in 64 bits. A
+/// bucket whose fields and row index together pass 64 bits sorts its rows
+/// directly.
 void FlatRows::drain_packed(FlatRows& out, LaneLayoutInfo& st) {
-  constexpr int kIdxBits = 28;
-  constexpr std::uint64_t kIdxMask = (std::uint64_t{1} << kIdxBits) - 1;
   std::vector<PackedFlatRow>& rows = packed_;
   const std::size_t n = rows.size();
+  if (n == 0) return;
+  // Append each equal-key run of the rows in sorted order, row(i) being
+  // the i-th.
+  const auto sum_runs = [&](auto row) {
+    for (std::size_t i = 0; i < n;) {
+      const PackedFlatRow& first = row(i);
+      Count sum = first.c;
+      for (++i; i < n && row(i).k == first.k; ++i) sum += row(i).c;
+      out.append_packed(first.k, sum);
+      st.note(sum);
+    }
+  };
+  // Every field but v1 spans shift(0) bits: S - 1 vertex fields and the
+  // signature.
+  const int idx_bits = std::bit_width(n - 1);
+  if (layout_.shift(0) + idx_bits > 64) {
+    std::uint64_t vary = 0;
+    for (const PackedFlatRow& r : rows) vary |= r.k ^ rows[0].k;
+    std::vector<PackedFlatRow> tmp;
+    radix_sort(rows, tmp, [](const PackedFlatRow& r) { return r.k; }, vary);
+    sum_runs([&](std::size_t i) -> const PackedFlatRow& { return rows[i]; });
+    return;
+  }
+  const int below_v1 = layout_.shift(1);
+  const int above_v1 = below_v1 + layout_.bits();
+  const std::uint64_t low = (std::uint64_t{1} << below_v1) - 1;
   thread_local std::vector<std::uint64_t> order, tmp;
   order.resize(n);
-  std::uint64_t idx_mask = kIdxMask;
-  if (n <= kIdxMask) {
-    const auto v0sig = [](std::uint64_t k) {
-      return ((k >> 36) << 8) | (k & 0xFF);
-    };
-    const std::uint64_t base = n == 0 ? 0 : v0sig(rows[0].k);
-    std::uint64_t vary = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t vs = v0sig(rows[i].k);
-      vary |= vs ^ base;
-      order[i] = (vs << kIdxBits) | i;
-    }
-    radix_sort(order, tmp, [](std::uint64_t k) { return k; },
-               vary << kIdxBits);
-  } else {
-    std::sort(rows.begin(), rows.end(),
-              [](const auto& a, const auto& b) { return a.k < b.k; });
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    idx_mask = ~std::uint64_t{0};
+  const std::uint64_t base = ((rows[0].k >> above_v1) << below_v1) |
+                             (rows[0].k & low);
+  std::uint64_t vary = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = rows[i].k;
+    const std::uint64_t rest = ((k >> above_v1) << below_v1) | (k & low);
+    vary |= rest ^ base;
+    order[i] = (rest << idx_bits) | i;
   }
-  for (std::size_t i = 0; i < n;) {
-    const PackedFlatRow& first = rows[order[i] & idx_mask];
-    Count sum = first.c;
-    for (++i; i < n && rows[order[i] & idx_mask].k == first.k; ++i) {
-      sum += rows[order[i] & idx_mask].c;
-    }
-    out.append_packed(first.k, sum);
-    st.note(sum);
-  }
+  radix_sort(order, tmp, [](std::uint64_t k) { return k; }, vary << idx_bits);
+  const std::uint64_t idx_mask = (std::uint64_t{1} << idx_bits) - 1;
+  sum_runs([&](std::size_t i) -> const PackedFlatRow& {
+    return rows[order[i] & idx_mask];
+  });
 }
 
 void FlatRows::drain_wide(FlatRows& out, LaneLayoutInfo& st) {
@@ -168,7 +180,7 @@ void FlatRows::to_wide() {
   if (mode_ == Mode::kWide) return;
   wide_.resize(packed_.size());
   for (std::size_t i = 0; i < packed_.size(); ++i) {
-    wide_[i] = {unpack_key(packed_[i].k), packed_[i].c};
+    wide_[i] = {layout_.unpack(packed_[i].k), packed_[i].c};
   }
   packed_.clear();
   mode_ = Mode::kWide;

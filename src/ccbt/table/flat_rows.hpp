@@ -2,14 +2,17 @@
 // Packed flat rows — the path tables' storage and every sink's.
 //
 // A dense TableEntry is 32 bytes; a packed flat row is the packed 64-bit
-// key (table_key.hpp: v0:28 | v1:28 | sig:8) plus its u64 count, 16
-// bytes (the compact row of Malík et al.). The buffer migrates to dense
-// wide rows on the first unpackable key (a tracked slot >= 2, a signature
-// past 8 bits) and never on a count — the engine's correctness never
-// depends on staying packed.
-// Because the packed key is ordered as (v0, v1, sig) and packed keys
-// never use slots 2-3, a raw u64 compare inside one frontier bucket
-// reproduces the projection table's kByV1 comparator exactly.
+// key (table_key.hpp: v0 | v1 | ... | sig, its vertex fields sized to the
+// data graph by the rows' KeyLayout) plus its u64 count, 16 bytes (the
+// compact row of Malík et al.). The engine builds every FlatRows in the
+// layout of its data graph (KeyLayout::for_vertices), so on every graph
+// below 2^14 vertices keys with tracked slots pack too. The buffer
+// migrates to dense wide rows on the first key its layout cannot pack (a
+// slot past the layout's, a signature past 8 bits) and never on a count —
+// the engine's correctness never depends on staying packed.
+// Because the packed key is ordered as (v0, v1, v2, v3, sig), a raw u64
+// compare inside one frontier bucket reproduces the projection table's
+// kByV1 comparator exactly, and across buckets its kByV0 comparator.
 //
 // Path primitives build their output born sorted: one frontier vertex w
 // at a time, in ascending w, the rows landing on w are gathered into a
@@ -21,7 +24,7 @@
 // The merge sinks and aggregate add their rows unsorted to one FlatRows
 // (add) and sum equal keys in place with sum_duplicates(): at the end of
 // each primitive that fills the sink, and whenever the sink passes the
-// row budget.
+// row budget. A summed sink is in full-key order, which is kByV0.
 //
 // LaneLayoutInfo and LaneTelemetry report the rows a bucket build
 // deduplicated: how many, how many nonzero, and the largest count.
@@ -127,7 +130,13 @@ struct AccumTelemetry {
 
 class FlatRows {
  public:
+  /// Rows in the default layout (KeyLayout()).
   FlatRows() = default;
+  /// Rows packed in `layout`, the data graph's.
+  explicit FlatRows(KeyLayout layout) : layout_(layout) {}
+
+  /// The layout packed keys are in.
+  KeyLayout layout() const { return layout_; }
 
   std::size_t size() const {
     return mode_ == Mode::kPacked ? packed_.size() : wide_.size();
@@ -159,17 +168,22 @@ class FlatRows {
 
   /// Empty the buffer and restart it packed, keeping its capacity — the
   /// per-bucket scratch is reset once per frontier vertex.
-  void reset() {
+  void reset() { reset(layout_); }
+
+  /// reset() into `layout`.
+  void reset(KeyLayout layout) {
     packed_.clear();
     wide_.clear();
     mode_ = Mode::kPacked;
+    layout_ = layout;
   }
 
   /// Append one emitted row; migrates the whole buffer to wide rows on
   /// the first unpackable key.
   void append(const TableKey& key, Count cnt) {
-    if (mode_ == Mode::kPacked && packable_key(key)) {
-      packed_.push_back({pack_key(key), cnt});
+    std::uint64_t k = 0;
+    if (mode_ == Mode::kPacked && layout_.try_pack(key, k)) {
+      packed_.push_back({k, cnt});
       return;
     }
     to_wide();
@@ -181,8 +195,8 @@ class FlatRows {
   /// key), otherwise the row is appended as by append(). sum_duplicates()
   /// sums the repeats that remain.
   void add(const TableKey& key, Count cnt) {
-    if (mode_ == Mode::kPacked && packable_key(key)) {
-      const std::uint64_t k = pack_key(key);
+    std::uint64_t k = 0;
+    if (mode_ == Mode::kPacked && layout_.try_pack(key, k)) {
       if (!packed_.empty() && packed_.back().k == k) {
         packed_.back().c += cnt;
         return;
@@ -198,25 +212,27 @@ class FlatRows {
     wide_.push_back({key, cnt});
   }
 
-  /// Append a row under a caller-packed key — the extend hot path: a
-  /// packed buffer takes it with a plain push.
+  /// Append a row under a key the caller packed in layout() — the extend
+  /// hot path: a packed buffer takes it with a plain push.
   void append_packed(std::uint64_t k, Count c) {
     if (mode_ == Mode::kPacked) [[likely]] {
       packed_.push_back({k, c});
       return;
     }
-    wide_.push_back({unpack_key(k), c});
+    wide_.push_back({layout_.unpack(k), c});
   }
 
   /// Close one frontier bucket: sort this buffer's rows by full key (they
   /// all share one v1, so this is the kByV1 order inside the bucket) and
   /// append each equal-key run to `out`, summed in 64 bits (mod 2^64,
-  /// as every count is). `out` goes wide when this buffer did; `st` notes
-  /// the merged rows. This buffer is left for reset().
+  /// as every count is). `out` goes wide when this buffer did, or when
+  /// the two layouts differ; `st` notes the merged rows. This buffer is
+  /// left for reset().
   void drain_bucket_into(FlatRows& out, LaneLayoutInfo& st);
 
   TableKey key_at(std::size_t i) const {
-    return mode_ == Mode::kPacked ? unpack_key(packed_[i].k) : wide_[i].key;
+    return mode_ == Mode::kPacked ? layout_.unpack(packed_[i].k)
+                                  : wide_[i].key;
   }
 
   Count count_at(std::size_t i) const {
@@ -249,7 +265,8 @@ class FlatRows {
 
   /// Append another buffer's rows after this one's (concatenating the
   /// independently built vertex ranges of one table): both go wide first
-  /// when either is.
+  /// when either is, or when their layouts differ. An empty buffer takes
+  /// the other's rows, layout and all.
   void absorb(FlatRows&& o);
 
   /// Convert to dense wide rows (in current order) and hand them over.
@@ -276,6 +293,7 @@ class FlatRows {
   void to_wide();
 
   Mode mode_ = Mode::kPacked;
+  KeyLayout layout_;
   std::vector<PackedFlatRow> packed_;
   std::vector<TableEntry> wide_;
 };
@@ -288,14 +306,19 @@ class FlatRows {
 /// are the same however the vertex range was split.
 class SortedBuckets {
  public:
-  /// `expect_rows` pre-sizes the rows so the table does not grow by
-  /// copying.
-  explicit SortedBuckets(std::size_t expect_rows = 0) {
+  /// Buckets in the default layout (KeyLayout()).
+  SortedBuckets() = default;
+
+  /// Buckets packed in `layout`, the data graph's. `expect_rows` pre-sizes
+  /// the rows so the table does not grow by copying.
+  explicit SortedBuckets(KeyLayout layout, std::size_t expect_rows = 0)
+      : rows_(layout) {
     rows_.reserve(expect_rows);
   }
 
   /// Close the next vertex's bucket from the rows emitted into `scratch`
-  /// (in any order, duplicates allowed); the caller resets the scratch.
+  /// (in any order, duplicates allowed; packed in layout() to stay
+  /// packed); the caller resets the scratch.
   void close(FlatRows& scratch) {
     emitted_rows_ += scratch.size();
     emitted_bytes_ += scratch.byte_size();
@@ -319,6 +342,25 @@ class SortedBuckets {
     ++counts_[v];
   }
 
+  /// append_sorted() every row of `from` in order; rows packed in this
+  /// layout are copied packed, with no decode.
+  void append_sorted(const FlatRows& from) {
+    if (!from.packed() || !rows_.packed() || from.layout() != layout()) {
+      for (std::size_t i = 0; i < from.size(); ++i) {
+        append_sorted(from.key_at(i), from.count_at(i));
+      }
+      return;
+    }
+    const KeyLayout lay = layout();
+    for (const PackedFlatRow& r : from.packed_rows()) {
+      const VertexId v = lay.field(r.k, 1);
+      counts_.resize(std::max<std::size_t>(counts_.size(), v + std::size_t{1}),
+                     0);
+      rows_.append_packed(r.k, r.c);
+      ++counts_[v];
+    }
+  }
+
   /// Append the buckets of the part covering the next vertex range.
   void absorb(SortedBuckets&& next) {
     rows_.absorb(std::move(next.rows_));
@@ -331,6 +373,7 @@ class SortedBuckets {
   /// Buckets closed so far (one per vertex).
   std::size_t buckets() const { return counts_.size(); }
   std::size_t size() const { return rows_.size(); }
+  KeyLayout layout() const { return rows_.layout(); }
   const FlatRows& rows() const { return rows_; }
   FlatRows take_rows() { return std::move(rows_); }
   const LaneLayoutInfo& stats() const { return stats_; }

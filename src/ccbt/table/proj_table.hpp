@@ -6,21 +6,25 @@
 // Lifecycle: the engine's path primitives build their tables born sorted
 // (from_buckets, flat_rows.hpp): already sealed kByV1 with a bucket index
 // over the frontier slot. The distributed engine builds its path shards
-// the same way, bucket by bucket from each rank's delivered rows. Every
-// other table adopts rows with unique keys (from_flat): the merge sinks
-// and aggregates, shared or per rank, hand over their summed FlatRows,
-// and the distributed engine's transposed shards, unary replicas and
-// checkpoint restores their rows. Sealing with a known key domain (the
-// data graph's vertex count) builds a CSR-style bucket index over the
+// the same way, bucket by bucket from each rank's delivered rows. The
+// merge sinks and aggregates, shared or per rank, hand over their summed
+// FlatRows (from_sink): sum_duplicates left them in full-key order, so
+// those tables arrive sealed kByV0 and storing them only builds the
+// index. Every other table adopts unsorted rows with unique keys
+// (from_flat): the distributed engine's transposed shards, unary replicas
+// and checkpoint restores. Sealing with a known key domain (the data
+// graph's vertex count) builds a CSR-style bucket index over the
 // grouping slot, so group(slot, v) is a single offset lookup instead of
 // two binary searches. See README.md in this directory for the memory
 // layout and the threading model. A table holds the counts of one
 // coloring.
 //
 // A table holds its rows in one of two layouts:
-//   * packed flat rows (FlatRows: packed u64 key, u64 count). Only a
-//     non-empty born-sorted table is packed, and only while it keeps its
-//     kByV1 order; a key that does not pack makes the build dense instead;
+//   * packed flat rows (FlatRows: a u64 key packed in the data graph's
+//     KeyLayout, u64 count). Only a non-empty born-sorted table is packed,
+//     and only while it keeps its kByV1 order; a key that does not pack
+//     (a slot past the layout's, a signature past 8 bits) makes the build
+//     dense instead;
 //   * dense entries (full key, u64 count). Every other table is dense. A
 //     seal into another order re-sorts in the dense layout, so every table
 //     sealed kByV0 — every stored table and transpose — is dense.
@@ -64,13 +68,22 @@ class ProjTable {
   /// arity = number of meaningful leading vertex slots (0..4).
   explicit ProjTable(int arity) : arity_(arity) {}
 
-  /// Adopt dense rows with unique keys, in any order (a summed sink's
-  /// rows, a transposed or replicated table's, a decoded checkpoint's):
-  /// the table is dense and unsealed. Nothing sums equal keys here or in
-  /// seal(); callers sum first (FlatRows::sum_duplicates).
+  /// Adopt dense rows with unique keys, in any order (a transposed or
+  /// replicated table's, a decoded checkpoint's): the table is dense and
+  /// unsealed. Nothing sums equal keys here or in seal().
   static ProjTable from_flat(int arity, std::vector<TableEntry>&& rows) {
     ProjTable t(arity);
     t.entries_ = std::move(rows);
+    return t;
+  }
+
+  /// Adopt a summed sink (FlatRows::sum_duplicates ran last): its rows
+  /// are unique and in full-key order, which is the kByV0 order, so the
+  /// dense table arrives sealed kByV0 and seal(kByV0) only builds its
+  /// index.
+  static ProjTable from_sink(int arity, FlatRows&& sink) {
+    ProjTable t = from_flat(arity, sink.take_wide());
+    t.order_ = SortOrder::kByV0;
     return t;
   }
 
@@ -153,7 +166,11 @@ class ProjTable {
     const auto [lo, hi] = group_span(slot, v);
     if (!packed_flat_) return {entries_.data() + lo, hi - lo};
     scratch.resize(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) pflat_.row(i, scratch[i - lo]);
+    const KeyLayout lay = pflat_.layout();
+    const PackedFlatRow* const rows = pflat_.packed_rows().data();
+    for (std::size_t i = lo; i < hi; ++i) {
+      scratch[i - lo] = {lay.unpack(rows[i].k), rows[i].c};
+    }
     return {scratch.data(), scratch.size()};
   }
 

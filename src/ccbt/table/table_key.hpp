@@ -10,7 +10,9 @@
 // Unused slots hold kNoVertex so equality and ordering are uniform. An
 // entry is a key plus the number of colorful matches under one coloring.
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "ccbt/graph/types.hpp"
@@ -41,39 +43,119 @@ struct TableEntry {
 };
 
 // ------------------------------------------------------------------ packed
-// Compact accumulation layout (à la Malík et al.): for queries with at
-// most 8 mapped vertices (signature fits a byte) and keys that use only
-// the two boundary slots on graphs below 2^28 - 1 vertices, the whole key
-// packs into one 64-bit word — v0:28 | v1:28 | sig:8 — giving a 16-byte
+// Compact accumulation layout (à la Malík et al.): a key whose signature
+// fits a byte (queries with at most 8 mapped vertices) and whose used
+// slots fit the layout packs into one 64-bit word, giving a 16-byte
 // (key, count) row that halves join bandwidth against the 32-byte wide
-// row. kNoVertex maps to the reserved all-ones 28-bit pattern.
+// row. The vertex fields are sized to the data graph: b = bit_width(n)
+// bits each, so every id stays below the all-ones pattern that encodes
+// kNoVertex, and S = min(4, 56 / b) slots pack above the 8-bit
+// signature, high bits to low:
+//
+//   v0 | v1 | ... | v(S-1) | sig
+//
+// A raw u64 compare therefore orders packed keys by (v0, v1, v2, v3,
+// sig), the full-key (kByV0) order, and inside one frontier bucket by the
+// kByV1 order. Every graph below 2^14 vertices packs all four slots;
+// from 2^14 on three, from 2^18 on two (28-bit fields at most); from
+// 2^28 on none. A key that uses a slot >= S or a signature
+// past 8 bits does not pack and takes the wide row.
 
-inline constexpr std::uint32_t kPacked28NoVertex = 0x0FFFFFFFu;
+class KeyLayout {
+ public:
+  /// The layout of a data graph with `num_vertices` vertices.
+  static constexpr KeyLayout for_vertices(std::uint64_t num_vertices) {
+    const int bits = static_cast<int>(std::bit_width(num_vertices));
+    return KeyLayout(std::clamp(bits, 1, 33));
+  }
 
-inline constexpr bool packable_slot(VertexId v) {
-  return v < kPacked28NoVertex || v == kNoVertex;
-}
+  /// Without a graph: 28-bit fields in two slots, the layout of any graph
+  /// from 2^27 to 2^28 - 1 vertices, which holds every key of a smaller
+  /// graph that does not use a tracked slot.
+  constexpr KeyLayout() : KeyLayout(28) {}
 
-inline constexpr bool packable_key(const TableKey& k) {
-  return k.v[2] == kNoVertex && k.v[3] == kNoVertex && k.sig < 256 &&
-         packable_slot(k.v[0]) && packable_slot(k.v[1]);
-}
+  /// Bits per vertex field.
+  constexpr int bits() const { return bits_; }
+  /// Vertex slots that pack (0: no key packs).
+  constexpr int slots() const { return slots_; }
+  /// The field pattern of kNoVertex; every packed id is below it.
+  constexpr std::uint64_t none() const { return none_; }
 
-inline constexpr std::uint64_t pack_key(const TableKey& k) {
-  const std::uint64_t v0 = k.v[0] == kNoVertex ? kPacked28NoVertex : k.v[0];
-  const std::uint64_t v1 = k.v[1] == kNoVertex ? kPacked28NoVertex : k.v[1];
-  return (v0 << 36) | (v1 << 8) | k.sig;
-}
+  /// Position of slot s's field (s < slots()).
+  constexpr int shift(int s) const { return shift_[s]; }
+  /// The bits of slot s's field.
+  constexpr std::uint64_t field_mask(int s) const { return none_ << shift(s); }
+  /// Slot s of a packed key, raw: none() stands for kNoVertex.
+  constexpr VertexId field(std::uint64_t p, int s) const {
+    return static_cast<VertexId>((p >> shift(s)) & none_);
+  }
+  /// field(p, 0): the top field, which needs no mask.
+  constexpr VertexId v0(std::uint64_t p) const {
+    return static_cast<VertexId>(p >> shift_[0]);
+  }
 
-inline constexpr TableKey unpack_key(std::uint64_t p) {
-  TableKey k;
-  const auto v0 = static_cast<std::uint32_t>(p >> 36) & kPacked28NoVertex;
-  const auto v1 = static_cast<std::uint32_t>(p >> 8) & kPacked28NoVertex;
-  k.v[0] = v0 == kPacked28NoVertex ? kNoVertex : v0;
-  k.v[1] = v1 == kPacked28NoVertex ? kNoVertex : v1;
-  k.sig = static_cast<Signature>(p & 0xFFu);
-  return k;
-}
+  // The loops below run over all four slots without a branch, so that
+  // they unroll: past slots(), limit_ is 0 and shift_ is 0.
+
+  /// Pack `k` into `p` and return true, or return false (leaving `p`
+  /// unspecified) when `k` does not pack.
+  constexpr bool try_pack(const TableKey& k, std::uint64_t& p) const {
+    bool ok = (slots_ != 0) & (k.sig <= 0xFF);
+    std::uint64_t out = k.sig;
+    for (int s = 0; s < 4; ++s) {
+      const VertexId v = k.v[s];
+      const bool no = v == kNoVertex;
+      ok &= no | (v < limit_[s]);
+      out |= std::uint64_t{no ? limit_[s] : v} << shift_[s];
+    }
+    p = out;
+    return ok;
+  }
+
+  constexpr bool packable(const TableKey& k) const {
+    std::uint64_t p = 0;
+    return try_pack(k, p);
+  }
+
+  /// The packed word of a packable key.
+  constexpr std::uint64_t pack(const TableKey& k) const {
+    std::uint64_t p = 0;
+    try_pack(k, p);
+    return p;
+  }
+
+  constexpr TableKey unpack(std::uint64_t p) const {
+    TableKey k;
+    for (int s = 0; s < 4; ++s) {
+      // A slot past slots() reads as none().
+      const std::uint64_t v = ((p >> shift_[s]) & none_) | (none_ ^ limit_[s]);
+      k.v[s] = v == none_ ? kNoVertex : static_cast<VertexId>(v);
+    }
+    k.sig = static_cast<Signature>(p & 0xFFu);
+    return k;
+  }
+
+  friend constexpr bool operator==(const KeyLayout&,
+                                   const KeyLayout&) = default;
+
+ private:
+  explicit constexpr KeyLayout(int bits)
+      : bits_(static_cast<std::uint8_t>(bits)),
+        slots_(static_cast<std::uint8_t>(
+            56 / bits >= 2 ? std::min(4, 56 / bits) : 0)),
+        none_((std::uint64_t{1} << bits) - 1) {
+    for (int s = 0; s < slots_; ++s) {
+      shift_[s] = static_cast<std::uint8_t>(8 + (slots_ - 1 - s) * bits);
+      limit_[s] = static_cast<VertexId>(none_);
+    }
+  }
+
+  std::uint8_t bits_;
+  std::uint8_t slots_;
+  std::uint64_t none_;
+  std::array<std::uint8_t, 4> shift_{};  // 0 past slots_
+  std::array<VertexId, 4> limit_{};      // none_, and 0 past slots_
+};
 
 /// One packed row: a packed key and its count, 16 bytes — the row of the
 /// packed flat rows (flat_rows.hpp).

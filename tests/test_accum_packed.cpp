@@ -1,8 +1,10 @@
 // Regression tests for the sinks' packed 16-byte rows against a std::map
 // reference: FlatRows::sum_duplicates sums packable keys exactly, the
 // rows go wide on the first unpackable key and keep their sums, run sums
-// wrap past 2^64 as every count does, and keys round-trip through
-// pack/unpack.
+// wrap past 2^64 as every count does, a summed sink arrives sealed kByV0,
+// and keys round-trip through KeyLayout's pack/unpack, whose fields
+// shrink and whose slots drop at the vertex counts where the field width
+// grows past 14, 18 and 28 bits.
 
 #include <gtest/gtest.h>
 
@@ -60,32 +62,127 @@ class Reference {
 };
 
 TEST(PackedKey, RoundTripsPackableKeys) {
-  for (const TableKey k :
-       {key2(0, 0, 0), key2(1, 2, 0b11), key2(kPacked28NoVertex - 1, 7, 255),
-        key2(kNoVertex, kNoVertex, 0), key2(5, kNoVertex, 0b101)}) {
-    ASSERT_TRUE(packable_key(k));
-    EXPECT_EQ(unpack_key(pack_key(k)), k);
+  const KeyLayout lay;
+  for (const TableKey k : {key2(0, 0, 0), key2(1, 2, 0b11),
+                           key2(static_cast<VertexId>(lay.none() - 1), 7, 255),
+                           key2(kNoVertex, kNoVertex, 0),
+                           key2(5, kNoVertex, 0b101)}) {
+    ASSERT_TRUE(lay.packable(k));
+    EXPECT_EQ(lay.unpack(lay.pack(k)), k);
   }
 }
 
 TEST(PackedKey, RejectsWideKeys) {
-  EXPECT_FALSE(packable_key(key2(1, 2, 0x100)));          // 9-color sig
-  EXPECT_FALSE(packable_key(key2(kPacked28NoVertex, 2, 1)));  // 28-bit max
+  // The default layout: two 28-bit slots.
+  const KeyLayout lay;
+  EXPECT_FALSE(lay.packable(key2(1, 2, 0x100)));  // 9-color sig
+  EXPECT_FALSE(lay.packable(key2(static_cast<VertexId>(lay.none()), 2, 1)));
   TableKey tracked = key2(1, 2, 1);
-  tracked.v[2] = 3;  // tracked slot in use
-  EXPECT_FALSE(packable_key(tracked));
+  tracked.v[2] = 3;  // a slot past the layout's two
+  EXPECT_FALSE(lay.packable(tracked));
+  // A graph of 1000 vertices: four 10-bit slots hold the tracked key, but
+  // not an id of 10 bits' all-ones pattern, nor a 9-color signature.
+  const KeyLayout small = KeyLayout::for_vertices(1000);
+  EXPECT_TRUE(small.packable(tracked));
+  EXPECT_EQ(small.unpack(small.pack(tracked)), tracked);
+  EXPECT_FALSE(small.packable(key2(1023, 2, 1)));
+  tracked.sig = 0x100;
+  EXPECT_FALSE(small.packable(tracked));
 }
 
 TEST(PackedKey, PackingIsInjective) {
   // Distinct packable keys map to distinct words (spot check over a grid).
-  std::vector<std::uint64_t> seen;
-  for (VertexId u = 0; u < 20; ++u) {
-    for (VertexId v = 0; v < 20; ++v) {
-      for (Signature s = 0; s < 8; ++s) seen.push_back(pack_key(key2(u, v, s)));
+  for (const KeyLayout lay : {KeyLayout(), KeyLayout::for_vertices(20)}) {
+    std::vector<std::uint64_t> seen;
+    for (VertexId u = 0; u < 20; ++u) {
+      for (VertexId v = 0; v < 20; ++v) {
+        for (Signature s = 0; s < 8; ++s) {
+          seen.push_back(lay.pack(key2(u, v, s)));
+          TableKey k = key2(u, v, s);
+          k.v[lay.slots() - 1] = (u + v) % 7;
+          if (lay.slots() > 2) seen.push_back(lay.pack(k));
+        }
+      }
+    }
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+  }
+}
+
+/// Lexicographic (v0, v1, v2, v3, sig) with kNoVertex last: the kByV0
+/// order of ProjTable.
+bool key_less(const TableKey& a, const TableKey& b) {
+  for (int s = 0; s < 4; ++s) {
+    if (a.v[s] != b.v[s]) return a.v[s] < b.v[s];
+  }
+  return a.sig < b.sig;
+}
+
+TEST(KeyLayout, FieldWidthAndSlotsAtTheLimits) {
+  struct Limit {
+    std::uint64_t n;
+    int bits;
+    int slots;
+  };
+  for (const Limit& l :
+       {Limit{(1u << 14) - 1, 14, 4}, Limit{1u << 14, 15, 3},
+        Limit{(1u << 18) - 1, 18, 3}, Limit{1u << 18, 19, 2},
+        Limit{(1u << 28) - 1, 28, 2}, Limit{1u << 28, 29, 0}}) {
+    SCOPED_TRACE("n " + std::to_string(l.n));
+    const KeyLayout lay = KeyLayout::for_vertices(l.n);
+    EXPECT_EQ(lay.bits(), l.bits);
+    EXPECT_EQ(lay.slots(), l.slots);
+    // Every vertex id of the graph stays below the kNoVertex pattern.
+    EXPECT_GE(lay.none(), l.n);
+    const auto last = static_cast<VertexId>(l.n - 1);
+    // No key packs once the fields pass 28 bits.
+    if (l.slots == 0) {
+      EXPECT_FALSE(lay.packable(key2(0, 0, 0)));
+      EXPECT_FALSE(lay.packable(TableKey{}));
+      continue;
+    }
+    // The largest id and kNoVertex round-trip in every field.
+    for (int s = 0; s < l.slots; ++s) {
+      for (const VertexId v : {last, kNoVertex, VertexId{0}}) {
+        TableKey k = key2(1, 2, 0x81);
+        k.v[s] = v;
+        ASSERT_TRUE(lay.packable(k)) << s << " " << v;
+        EXPECT_EQ(lay.unpack(lay.pack(k)), k) << s << " " << v;
+        EXPECT_EQ(lay.field(lay.pack(k), s),
+                  v == kNoVertex ? lay.none() : v);
+      }
+      TableKey past = key2(1, 2, 3);
+      past.v[s] = static_cast<VertexId>(lay.none());
+      EXPECT_FALSE(lay.packable(past)) << s;
+    }
+    // A slot past the layout's does not pack.
+    if (l.slots < 4) {
+      TableKey k = key2(1, 2, 3);
+      k.v[l.slots] = 0;
+      EXPECT_FALSE(lay.packable(k));
+    }
+    // The packed word orders like the full key.
+    Rng rng(l.n);
+    std::vector<TableKey> keys;
+    for (int i = 0; i < 400; ++i) {
+      TableKey k;
+      for (int s = 0; s < l.slots; ++s) {
+        const std::uint64_t draw = rng.below(6);
+        k.v[s] = draw == 0   ? kNoVertex
+                 : draw == 1 ? last
+                             : static_cast<VertexId>(rng.below(l.n));
+      }
+      k.sig = static_cast<Signature>(rng.below(256));
+      ASSERT_TRUE(lay.packable(k));
+      keys.push_back(k);
+    }
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+      const TableKey& a = keys[i - 1];
+      const TableKey& b = keys[i];
+      EXPECT_EQ(lay.pack(a) < lay.pack(b), key_less(a, b)) << i;
+      EXPECT_EQ(lay.pack(a) == lay.pack(b), a == b) << i;
     }
   }
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
 /// The summed rows of `sink`, checked to be in ascending full-key order
@@ -119,9 +216,11 @@ TEST(PackedSink, MatchesReferenceOnRandomWorkload) {
 
 TEST(PackedSink, AddFoldsRepeatsOfTheLastKeyOnly) {
   for (const bool wide : {false, true}) {
-    FlatRows sink;
+    // A graph of 100 vertices packs the tracked slot.
+    FlatRows sink(KeyLayout::for_vertices(100));
     TableKey a = key2(1, 2, 3);
-    if (wide) a.v[2] = 4;  // unpackable: the rows are wide from the start
+    a.v[2] = 4;
+    if (wide) a.sig = 0x100;  // unpackable: the rows are wide from the start
     const TableKey b = key2(5, 6, 7);
     sink.add(a, 1);
     sink.add(a, 2);
@@ -144,32 +243,36 @@ TEST(PackedSink, SumsEveryKeyWidthAndSize) {
   // Keys that vary in one field only, or in all, at sizes on both sides
   // of the small-input cutoff: the radix passes cover exactly the bits
   // that vary, wherever they sit in the packed key.
+  // Both the default layout and a four-slot one, whose tracked fields
+  // sit between v1 and the signature.
   Rng rng(5);
-  const VertexId big = kPacked28NoVertex - 1;
-  for (const std::size_t n : {std::size_t{3}, std::size_t{63},
-                              std::size_t{64}, std::size_t{5000}}) {
-    for (int field = 0; field < 4; ++field) {
-      FlatRows sink;
-      Reference ref;
-      for (std::size_t i = 0; i < n; ++i) {
-        TableKey k = key2(big, 7, 3);
-        if (field == 0 || field == 3) {
-          k.v[0] = static_cast<VertexId>(rng.below(big));
+  for (const KeyLayout lay :
+       {KeyLayout(), KeyLayout::for_vertices((1u << 14) - 1)}) {
+    const auto big = static_cast<VertexId>(lay.none() - 1);
+    for (const std::size_t n : {std::size_t{3}, std::size_t{63},
+                                std::size_t{64}, std::size_t{5000}}) {
+      // Fields 0..3 vary one key slot, 4 the signature, 5 all of them.
+      for (int field = 0; field < 6; ++field) {
+        if (field < 4 && field >= lay.slots()) continue;
+        FlatRows sink(lay);
+        Reference ref;
+        for (std::size_t i = 0; i < n; ++i) {
+          TableKey k = key2(big, 7, 3);
+          for (int s = 0; s < lay.slots(); ++s) {
+            if (field == s || field == 5) {
+              k.v[s] = static_cast<VertexId>(rng.below(big));
+            }
+          }
+          if (field >= 4) k.sig = static_cast<Signature>(rng.below(256));
+          const Count c = rng.below(1000);
+          sink.append(k, c);
+          ref.add(k, c);
         }
-        if (field == 1 || field == 3) {
-          k.v[1] = static_cast<VertexId>(rng.below(big));
-        }
-        if (field == 2 || field == 3) {
-          k.sig = static_cast<Signature>(rng.below(256));
-        }
-        const Count c = rng.below(1000);
-        sink.append(k, c);
-        ref.add(k, c);
+        SCOPED_TRACE("slots " + std::to_string(lay.slots()) + " n " +
+                     std::to_string(n) + " field " + std::to_string(field));
+        ref.expect_matches(summed_rows(sink));
+        EXPECT_TRUE(sink.packed());
       }
-      SCOPED_TRACE("n " + std::to_string(n) + " field " +
-                   std::to_string(field));
-      ref.expect_matches(summed_rows(sink));
-      EXPECT_TRUE(sink.packed());
     }
   }
 }
@@ -277,6 +380,52 @@ TEST(PackedSink, SealsIntoReferenceProjTable) {
     for (std::size_t i = 0; i < gp.size(); ++i) {
       EXPECT_EQ(gp[i].key, gw[i].key);
       EXPECT_EQ(gp[i].cnt, gw[i].cnt);
+    }
+  }
+}
+
+TEST(PackedSink, SummedSinkArrivesSealedByV0) {
+  // A summed sink is in full-key order, so its table arrives sealed kByV0
+  // and sealing it again only builds the index: its rows and groups equal
+  // those of a shuffled copy sealed by the counting partition — packed in
+  // the default layout, packed with tracked slots, and wide.
+  for (const int kind : {0, 1, 2}) {
+    SCOPED_TRACE("kind " + std::to_string(kind));
+    const VertexId n = 70;
+    Rng rng(123 + kind);
+    FlatRows sink(kind == 0 ? KeyLayout() : KeyLayout::for_vertices(n));
+    for (int i = 0; i < 3000; ++i) {
+      const Signature sig_range = kind == 2 ? 512 : 64;
+      TableKey k = key2(static_cast<VertexId>(rng.below(n)),
+                        static_cast<VertexId>(rng.below(n)),
+                        static_cast<Signature>(rng.below(sig_range)));
+      if (kind != 0 && rng.below(2) == 0) {
+        k.v[2] = static_cast<VertexId>(rng.below(n));
+      }
+      if (kind == 0 && rng.below(4) == 0) k.v[0] = kNoVertex;
+      sink.add(k, 1 + rng.below(3));
+    }
+    sink.sum_duplicates();
+    EXPECT_EQ(sink.packed(), kind != 2);
+    std::vector<TableEntry> shuffled;
+    sink.for_each_dense([&](const TableEntry& e) { shuffled.push_back(e); });
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    }
+    ProjTable stored = ProjTable::from_sink(3, std::move(sink));
+    EXPECT_EQ(stored.order(), SortOrder::kByV0);
+    ProjTable resorted = ProjTable::from_flat(3, std::move(shuffled));
+    EXPECT_EQ(resorted.order(), SortOrder::kUnsorted);
+    stored.seal(SortOrder::kByV0, n);
+    resorted.seal(SortOrder::kByV0, n);
+    EXPECT_EQ(stored.has_bucket_index(), resorted.has_bucket_index());
+    ASSERT_EQ(stored.size(), resorted.size());
+    for (std::size_t i = 0; i < stored.size(); ++i) {
+      ASSERT_EQ(stored.entries()[i].key, resorted.entries()[i].key) << i;
+      ASSERT_EQ(stored.entries()[i].cnt, resorted.entries()[i].cnt) << i;
+    }
+    for (VertexId u = 0; u <= n; ++u) {
+      EXPECT_EQ(stored.group_span(0, u), resorted.group_span(0, u)) << u;
     }
   }
 }

@@ -4,8 +4,10 @@
 // with equal keys summed in 64 bits. The reference here shares no code
 // with the bucket builder — a std::sort and a run-sum over the raw rows:
 //   * SortedBuckets fed random rows per bucket, run sums past u16 and u32
-//     inside one bucket (the rows stay packed), wide keys, empty buckets,
-//     and split vertex ranges, one of them wide;
+//     inside one bucket (the rows stay packed), tracked slots packed in a
+//     four-slot layout and wide in the default one, buckets too large for
+//     the index sort, wide keys, empty buckets, and split vertex ranges,
+//     one of them wide;
 //   * each path primitive against the rows and load-model charges of its
 //     per-entry push kernel, with anchor_higher on and off, a tracked
 //     slot and more than eight colors;
@@ -124,28 +126,29 @@ std::vector<RawRows> draw_buckets(const BucketSpec& s, std::uint64_t seed) {
   return out;
 }
 
-/// Build buckets [lo, hi) through one SortedBuckets, the way one thread
-/// of build_buckets builds its vertex range.
+/// Build buckets [lo, hi) through one SortedBuckets packed in `lay`, the
+/// way one thread of build_buckets builds its vertex range.
 SortedBuckets build_range(const std::vector<RawRows>& buckets, VertexId lo,
-                          VertexId hi) {
-  SortedBuckets built;
+                          VertexId hi, KeyLayout lay) {
+  SortedBuckets built(lay);
   FlatRows scratch;
   for (VertexId v = lo; v < hi; ++v) {
-    scratch.reset();
+    scratch.reset(lay);
     for (const auto& [k, c] : buckets[v]) scratch.append(k, c);
     built.close(scratch);
   }
   return built;
 }
 
-/// Build the table in `parts` contiguous vertex ranges, check it against
-/// the reference, and return it.
+/// Build the table in `parts` contiguous vertex ranges packed in `lay`,
+/// check it against the reference, and return it.
 ProjTable expect_buckets_match(const std::vector<RawRows>& buckets,
-                               int parts = 1) {
+                               int parts = 1, KeyLayout lay = {}) {
   const auto n = static_cast<VertexId>(buckets.size());
-  SortedBuckets built = build_range(buckets, 0, n / parts);
+  SortedBuckets built = build_range(buckets, 0, n / parts, lay);
   for (int p = 1; p < parts; ++p) {
-    built.absorb(build_range(buckets, n * p / parts, n * (p + 1) / parts));
+    built.absorb(
+        build_range(buckets, n * p / parts, n * (p + 1) / parts, lay));
   }
   EXPECT_EQ(built.buckets(), buckets.size());
   RawRows all;
@@ -177,6 +180,17 @@ TEST(BornSorted, LargeBucketsMatchSortReference) {
   expect_buckets_match(draw_buckets(s, 77));
   s.v0_range = 40;  // long equal-key runs
   expect_buckets_match(draw_buckets(s, 78));
+  // Tracked keys in the four 14-bit slots of a graph below 2^14 vertices:
+  // every field but v1 and a 15-bit row index pass 64 bits, so buckets of
+  // more than 2^14 rows sort their rows directly.
+  const KeyLayout lay = KeyLayout::for_vertices((1u << 14) - 1);
+  s.max_rows = 40'000;
+  s.v0_range = (1u << 14) - 2;
+  s.tracked = true;
+  for (const std::uint64_t seed : {79, 80}) {
+    const ProjTable t = expect_buckets_match(draw_buckets(s, seed), 1, lay);
+    EXPECT_TRUE(t.packed_flat());
+  }
 }
 
 RawRows repeated_row(VertexId v1, Count count, int reps) {
@@ -213,34 +227,46 @@ TEST(BornSorted, RunSumPastU32StaysPackedInsideOneBucket) {
 }
 
 TEST(BornSorted, PackedUntilAnUnpackableKey) {
-  // Large run sums stay packed; one tracked key in a later bucket moves
-  // the whole table wide — built in one range, and in two whose first is
-  // packed and whose second is wide.
+  // In the layout of a 6-vertex graph, large run sums and a tracked key
+  // stay packed; one 9-color key in a later bucket moves the whole table
+  // wide — built in one range, and in two whose first is packed and whose
+  // second is wide.
+  const KeyLayout lay = KeyLayout::for_vertices(6);
   std::vector<RawRows> buckets(6);
   buckets[1] = repeated_row(1, 0xF0000000ull, 20);
   buckets[2] = repeated_row(2, 0xF000, 40);
-  buckets[4] = repeated_row(4, 3, 2);
+  buckets[3] = repeated_row(3, 3, 2);
   TableKey tracked;
   tracked.v[0] = 2;
-  tracked.v[1] = 4;
+  tracked.v[1] = 3;
   tracked.v[2] = 1;
   tracked.sig = 5;
-  buckets[4].push_back({tracked, 9});
+  buckets[3].push_back({tracked, 9});
+  EXPECT_TRUE(expect_buckets_match(buckets, 1, lay).packed_flat());
+  TableKey wide = tracked;
+  wide.v[1] = 4;
+  wide.sig = 0x105;
+  buckets[4].push_back({wide, 9});
   for (const int parts : {1, 2}) {
-    const ProjTable t = expect_buckets_match(buckets, parts);
+    const ProjTable t = expect_buckets_match(buckets, parts, lay);
     EXPECT_FALSE(t.packed_flat()) << parts;
-    EXPECT_EQ(t.size(), 4u) << parts;
+    EXPECT_EQ(t.size(), 5u) << parts;
   }
 }
 
-TEST(BornSorted, TrackedSlotGivesWideKeys) {
-  // A tracked slot >= 2 does not pack: the rows go dense and each bucket
-  // orders by (v0, v2, v3, sig).
+TEST(BornSorted, TrackedSlotsPackWhereTheLayoutHoldsThem) {
+  // A tracked slot packs in the layout of a graph with few enough
+  // vertices and goes wide in the default two-slot layout; either way
+  // each bucket orders by (v0, v2, v3, sig).
   BucketSpec s;
   s.tracked = true;
+  const KeyLayout small = KeyLayout::for_vertices(s.buckets);
+  ASSERT_EQ(small.slots(), 4);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const ProjTable t = expect_buckets_match(draw_buckets(s, seed));
-    EXPECT_FALSE(t.packed_flat());
+    const auto buckets = draw_buckets(s, seed);
+    EXPECT_TRUE(expect_buckets_match(buckets, 1, small).packed_flat());
+    EXPECT_TRUE(expect_buckets_match(buckets, 3, small).packed_flat());
+    EXPECT_FALSE(expect_buckets_match(buckets).packed_flat());
   }
 }
 
@@ -479,12 +505,15 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
 TEST(BornSorted, PrimitivesMatchPushKernels) {
   std::uint64_t seed = 41;
   for (const bool anchor_higher : {false, true}) {
-    for (const int track : {-1, 2}) {
+    // The graph's 90 vertices pack all four slots, so tracked keys stay
+    // packed through the extends.
+    for (const int track : {-1, 2, 3}) {
       run_primitive_suite(ExtendOpts{track, anchor_higher}, 5, ++seed);
     }
   }
   // Colors past 8 give signatures the packed key cannot hold.
   run_primitive_suite(ExtendOpts{}, 10, ++seed);
+  run_primitive_suite(ExtendOpts{2, false}, 10, ++seed);
   run_primitive_suite(ExtendOpts{-1, true}, 5, ++seed);
 }
 

@@ -193,7 +193,7 @@ std::vector<std::uint32_t> some_readers(VertexId x, std::uint32_t ranks) {
 /// Rank r's halo view must equal from_flat + seal(kByV1) over its own
 /// rows plus the halo rows it received (unique keys: each bucket lives on
 /// one shard): rows, order and bucket index, packed unless a key does not
-/// pack, with no layout stats of its own.
+/// pack in the graph's layout, with no layout stats of its own.
 void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
                        std::uint32_t ranks, int arity = 2) {
   const BlockPartition part(n, ranks);
@@ -220,7 +220,7 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
       const TableEntry& e = ref.row_at(i, rtmp);
       EXPECT_EQ(g.key, e.key) << "rank " << r << " row " << i;
       EXPECT_EQ(g.cnt, e.cnt) << "rank " << r << " row " << i;
-      packable = packable && packable_key(e.key);
+      packable = packable && KeyLayout::for_vertices(n).packable(e.key);
     }
     for (VertexId v = 0; v < n + 2; ++v) {
       const auto [glo, ghi] = got.group_span(1, v);

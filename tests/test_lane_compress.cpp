@@ -179,10 +179,11 @@ std::map<std::array<std::uint64_t, 5>, Count> flat_totals(FlatRows&& rows) {
 }
 
 TEST(LaneCompressFlat, AppendStaysPackedUntilUnpackableKey) {
-  // Counts past u16, u32 and 2^63 stay packed; the first key that does
-  // not pack moves the buffer to wide rows, and earlier rows must survive
-  // the conversion exactly.
-  FlatRows f;
+  // In the layout of a 100-vertex graph, counts past u16, u32 and 2^63
+  // and tracked slots stay packed; the first key that does not pack (a
+  // ninth color) moves the buffer to wide rows, and earlier rows must
+  // survive the conversion exactly.
+  FlatRows f(KeyLayout::for_vertices(100));
   TableKey k;
   k.v[0] = 1;
   k.v[1] = 2;
@@ -193,34 +194,46 @@ TEST(LaneCompressFlat, AppendStaysPackedUntilUnpackableKey) {
     ASSERT_TRUE(f.packed()) << c;
   }
   TableKey tracked = k;
-  tracked.v[2] = 7;  // a tracked slot does not pack
+  tracked.v[2] = 7;
+  tracked.v[3] = 99;
   f.append(tracked, 5);
+  ASSERT_TRUE(f.packed());
+  TableKey wide = k;
+  wide.sig = 0x104;
+  f.append(wide, 6);
   EXPECT_FALSE(f.packed());
-  EXPECT_EQ(f.size(), 5u);
+  EXPECT_EQ(f.size(), 6u);
 
   const auto totals = flat_totals(std::move(f));
   const std::array<std::uint64_t, 5> key{1, 2, kNoVertex, kNoVertex, 4};
-  const std::array<std::uint64_t, 5> wide_key{1, 2, 7, kNoVertex, 4};
-  ASSERT_EQ(totals.size(), 2u);
+  const std::array<std::uint64_t, 5> tracked_key{1, 2, 7, 99, 4};
+  const std::array<std::uint64_t, 5> wide_key{1, 2, kNoVertex, kNoVertex,
+                                              0x104};
+  ASSERT_EQ(totals.size(), 3u);
   EXPECT_EQ(totals.at(key),
             9 + 0x12345ull + 0x1FFFFFFFFull + 0x8000000000000001ull);
-  EXPECT_EQ(totals.at(wide_key), 5u);
+  EXPECT_EQ(totals.at(tracked_key), 5u);
+  EXPECT_EQ(totals.at(wide_key), 6u);
 }
 
 TEST(LaneCompressFlat, PackedStreamMatchesGenericAppend) {
   // The streaming append (caller-packed key, no key check) against the
   // generic append of the unpacked row — including after an unpackable
   // key flips both onto wide rows and the stream onto its fallback.
+  // Keys carry tracked slots, which a 40-vertex graph's layout packs.
   Rng rng(91);
-  FlatRows stream_sink;
-  FlatRows generic_sink;
+  const KeyLayout lay = KeyLayout::for_vertices(40);
+  FlatRows stream_sink(lay);
+  FlatRows generic_sink(lay);
   auto emit = [&] {
     TableKey k;
     k.v[0] = static_cast<VertexId>(rng.below(40));
     k.v[1] = static_cast<VertexId>(rng.below(40));
+    if (rng.below(2) == 0) k.v[2] = static_cast<VertexId>(rng.below(40));
+    if (rng.below(2) == 0) k.v[3] = static_cast<VertexId>(rng.below(40));
     k.sig = static_cast<Signature>(rng.below(256));
     const Count c = rng.below(Count{1} << 40);
-    stream_sink.append_packed(pack_key(k), c);
+    stream_sink.append_packed(lay.pack(k), c);
     generic_sink.append(k, c);
   };
   for (int i = 0; i < 3000; ++i) emit();
@@ -310,18 +323,21 @@ struct MergeCx {
         cx{g, chi, order, BlockPartition(n, 2), nullptr, opts} {}
 };
 
-/// One end bucket of coherent half-path rows keyed (u, v, sig), all
-/// ending at `v` and sorted in the born kByV1 order, as both the dense
-/// entries and the equivalent packed rows. Signatures mix
+/// One end bucket of coherent half-path rows keyed (u, v, sig), a third
+/// of them with a tracked slot 2, all ending at `v` and sorted in the born
+/// kByV1 order, as both the dense entries and the equivalent rows packed
+/// in `lay`. Signatures mix
 /// coloring-consistent pairs (so emissions actually happen) with random
 /// bytes (so the prefilter rejects), counts run up to `mag`, and a few
 /// rows carry a zero count (which the packed kernel skips).
 std::pair<std::vector<TableEntry>, std::vector<PackedFlatRow>>
-merge_bucket_rows(const Coloring& chi, VertexId v, Count mag, Rng& rng) {
+merge_bucket_rows(const Coloring& chi, const KeyLayout& lay, VertexId v,
+                  Count mag, Rng& rng) {
   std::vector<TableEntry> dense(300);
   for (auto& e : dense) {
     e.key.v[0] = static_cast<VertexId>(rng.below(20));
     e.key.v[1] = v;
+    if (rng.below(3) == 0) e.key.v[2] = static_cast<VertexId>(rng.below(20));
     e.key.sig = rng.below(3) == 0
                     ? static_cast<Signature>(rng.below(256))
                     : static_cast<Signature>(
@@ -330,12 +346,12 @@ merge_bucket_rows(const Coloring& chi, VertexId v, Count mag, Rng& rng) {
                                              : Signature{0}));
     e.cnt = rng.below(10) == 0 ? 0 : 1 + rng.below(mag);
   }
-  std::sort(dense.begin(), dense.end(), [](const auto& a, const auto& b) {
-    return pack_key(a.key) < pack_key(b.key);
+  std::sort(dense.begin(), dense.end(), [&](const auto& a, const auto& b) {
+    return lay.pack(a.key) < lay.pack(b.key);
   });
   std::vector<PackedFlatRow> packed(dense.size());
   for (std::size_t i = 0; i < dense.size(); ++i) {
-    packed[i] = {pack_key(dense[i].key), dense[i].cnt};
+    packed[i] = {lay.pack(dense[i].key), dense[i].cnt};
   }
   return {std::move(dense), std::move(packed)};
 }
@@ -348,8 +364,10 @@ void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag) {
   MergeCx f(seed);
   Rng rng(seed);
   const VertexId v = 5;
-  auto [pd, pp] = merge_bucket_rows(f.chi, v, pmag, rng);
-  auto [md, mp] = merge_bucket_rows(f.chi, v, mmag, rng);
+  const KeyLayout lay = f.cx.key_layout();
+  ASSERT_EQ(lay.slots(), 4);
+  auto [pd, pp] = merge_bucket_rows(f.chi, lay, v, pmag, rng);
+  auto [md, mp] = merge_bucket_rows(f.chi, lay, v, mmag, rng);
 
   using Emit = std::pair<TableKey, Count>;
   for (const int arity : {2, 1, 0}) {
@@ -363,7 +381,7 @@ void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag) {
                  [&](const TableKey& k, Count c) {
                    if (c != 0) dense_out.emplace_back(k, c);
                  });
-    merge_bucket_packed(f.cx, std::span<const PackedFlatRow>(pp),
+    merge_bucket_packed(f.cx, lay, std::span<const PackedFlatRow>(pp),
                         std::span<const PackedFlatRow>(mp), spec,
                         [&](const TableKey& k, Count c) {
                           packed_out.emplace_back(k, c);
@@ -394,13 +412,14 @@ TEST(PackedMerge, KernelMatchesDenseU64Counts) {
   run_packed_kernel_parity(315, Count{1} << 62, 0xFFFF);
 }
 
-/// The rows built born sorted over [0, n): bucket w holds the rows ending
-/// at w.
+/// The rows built born sorted over [0, n), packed in the layout of an
+/// n-vertex graph: bucket w holds the rows ending at w.
 ProjTable born_table(const std::vector<TableEntry>& rows, VertexId n) {
-  SortedBuckets buckets;
+  const KeyLayout lay = KeyLayout::for_vertices(n);
+  SortedBuckets buckets(lay);
   FlatRows scratch;
   for (VertexId w = 0; w < n; ++w) {
-    scratch.reset();
+    scratch.reset(lay);
     for (const TableEntry& e : rows) {
       if (e.key.v[1] == w) scratch.append(e.key, e.cnt);
     }
@@ -437,8 +456,8 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
     MergeCx f(seed);
     Rng rng(seed + 1);
     for (const VertexId v : {3u, 5u, 9u, 11u, 20u}) {
-      auto [pd, pp] = merge_bucket_rows(f.chi, v, 900, rng);
-      auto [md, mp] = merge_bucket_rows(f.chi, v, 900, rng);
+      auto [pd, pp] = merge_bucket_rows(f.chi, f.cx.key_layout(), v, 900, rng);
+      auto [md, mp] = merge_bucket_rows(f.chi, f.cx.key_layout(), v, 900, rng);
       prows.insert(prows.end(), pd.begin(), pd.end());
       mrows.insert(mrows.end(), md.begin(), md.end());
     }
@@ -446,8 +465,8 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
       TableKey k;
       k.v[0] = 3;
       k.v[1] = 4;
-      k.v[2] = 6;  // unpackable: drives the flat sink wide
-      k.sig = 0x11;
+      k.v[2] = 6;
+      k.sig = 0x111;  // a ninth color does not pack: drives the sink wide
       prows.push_back({k, 2});
     }
   }
@@ -494,8 +513,8 @@ TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
   Rng rng(342);
   std::vector<TableEntry> prows, mrows;
   for (VertexId v = 0; v < n; ++v) {
-    auto [pd, pp] = merge_bucket_rows(f.chi, v, 900, rng);
-    auto [md, mp] = merge_bucket_rows(f.chi, v, 900, rng);
+    auto [pd, pp] = merge_bucket_rows(f.chi, f.cx.key_layout(), v, 900, rng);
+    auto [md, mp] = merge_bucket_rows(f.chi, f.cx.key_layout(), v, 900, rng);
     for (std::size_t i = 0; i < pd.size(); i += 3) {
       pd.push_back({pd[i].key, 0xF0000000ull});
       pd.push_back({pd[i].key, 0xF0000000ull});
