@@ -50,14 +50,13 @@ struct Workload {
 
   static Workload make(std::size_t bucket_rows, double universe,
                        std::uint64_t seed) {
-    Workload w;
-    w.bucket_rows = bucket_rows;
     const std::size_t buckets =
         std::max<std::size_t>(1, 2'000'000 / bucket_rows);
     const auto keys_per_bucket = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(universe * bucket_rows));
-    w.layout =
-        KeyLayout::for_vertices(std::max<std::size_t>(buckets, 60'000));
+    Workload w{{},
+               bucket_rows,
+               KeyLayout::for_vertices(std::max<std::size_t>(buckets, 60'000))};
     Rng rng(seed);
     w.keys.reserve(buckets * bucket_rows);
     for (std::size_t v1 = 0; v1 < buckets; ++v1) {

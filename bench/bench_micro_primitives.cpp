@@ -52,7 +52,7 @@ std::vector<TableEntry> random_binary_entries(std::size_t n,
 /// The entries summed through a FlatRows sink, then shuffled: an
 /// unsealed table with one row per key, in no key order.
 ProjTable unsorted_table(const std::vector<TableEntry>& entries) {
-  FlatRows sink;
+  FlatRows sink(KeyLayout::for_vertices(kDomain));
   for (const TableEntry& e : entries) sink.append(e.key, e.cnt);
   sink.sum_duplicates();
   std::vector<TableEntry> rows = sink.take_wide();
@@ -196,7 +196,7 @@ MergeNumbers measure_merge() {
   for (int r = 0; r < reps; ++r) {
     ProjTable plus = plus0;
     ProjTable minus = minus0;
-    FlatRows sink;
+    FlatRows sink(cx.key_layout());
     Timer t;
     merge_halves(cx, plus, minus, spec, sink);
     seconds += t.seconds();
@@ -278,7 +278,7 @@ void BM_SinkSum(benchmark::State& state) {
     k.sig = static_cast<Signature>(rng.below(256));
   }
   for (auto _ : state) {
-    FlatRows sink;
+    FlatRows sink(KeyLayout::for_vertices(kDomain));
     for (const auto& k : keys) sink.append(k, 1);
     sink.sum_duplicates();
     benchmark::DoNotOptimize(sink.size());
@@ -336,7 +336,7 @@ void BM_MergeHalves(benchmark::State& state) {
     state.PauseTiming();
     ProjTable plus = plus0;
     ProjTable minus = minus0;
-    FlatRows sink;
+    FlatRows sink(cx.key_layout());
     state.ResumeTiming();
     merge_halves(cx, plus, minus, spec, sink);
     benchmark::DoNotOptimize(sink.size());

@@ -39,7 +39,9 @@ struct AccumMapT {
     for (const FlatRows& m : lanes) n += m.size();
     return n;
   }
-  std::array<FlatRows, B> lanes;
+  /// One sink per lane, in the data graph's key layout: made by the first
+  /// merge_halves, which knows the graph.
+  std::vector<FlatRows> lanes;
 };
 
 template <int B>
@@ -47,7 +49,9 @@ struct ProjTableT {
   static ProjTableT from_map(int arity, AccumMapT<B>&& map) {
     ProjTableT t;
     for (int l = 0; l < B; ++l) {
-      t.lanes[l] = ProjTable::from_flat(arity, map.lanes[l].take_wide());
+      t.lanes[l] = map.lanes.empty()
+                       ? ProjTable(arity)
+                       : ProjTable::from_sink(arity, std::move(map.lanes[l]));
     }
     return t;
   }
@@ -136,6 +140,7 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
                   ProjTableT<B>& minus, const MergeSpec& spec,
                   AccumMapT<B>& sink) {
   if (cx.chi.lanes() != B) throw Error("merge_halves: batch is not B wide");
+  if (sink.lanes.empty()) sink.lanes.assign(B, FlatRows(cx.key_layout()));
   for (int l = 0; l < B; ++l) {
     ExecContext one = cx;
     one.chi = ColoringBatch(cx.chi.lane(l));

@@ -174,12 +174,8 @@ class DistTable {
     for (; i < in.size() && in[i].key.v[1] < part.begin(r); ++i) {
       rows.append_sorted(in[i].key, in[i].cnt);
     }
-    if (const FlatRows* flat = own.flat_storage()) {
-      rows.append_sorted(*flat);
-    } else {
-      own.for_each_entry(
-          [&](const TableEntry& e) { rows.append_sorted(e.key, e.cnt); });
-    }
+    own.for_each_entry(
+        [&](const TableEntry& e) { rows.append_sorted(e.key, e.cnt); });
     for (; i < in.size(); ++i) rows.append_sorted(in[i].key, in[i].cnt);
     comm.clear_inbox(r);
     return ProjTable::from_buckets(arity_, std::move(rows));

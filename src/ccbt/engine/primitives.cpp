@@ -81,7 +81,7 @@ ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
 #pragma omp parallel for schedule(dynamic, 1) if (parts > 1)
 #endif
   for (int p = 0; p < parts; ++p) {
-    thread_local FlatRows scratch;
+    thread_local FlatRows scratch(layout);
     SortedBuckets& part = built[p];
     const auto plo = lo + static_cast<VertexId>(std::uint64_t{n} * p / parts);
     const auto phi =
@@ -141,86 +141,6 @@ void join_edge(const ExecContext& cx, const TableEntry& e,
   sink.append(key, cnt);
   cx.send(joint, w, 1);
 }
-
-/// An extend's packed input, read in place: each emission is a packed row
-/// copy with v1, the tracked slot and the signature rewritten in
-/// registers, and the other fields kept. Every bucket is read once per
-/// neighbour of its vertex, so the anchors' degree ranks are looked up
-/// once up front.
-class PackedExtend {
- public:
-  /// The packed rows of `path`, or nullptr unless they are packed in the
-  /// data graph's layout and the layout holds the tracked slot.
-  static const FlatRows* input(const ExecContext& cx, const ProjTable& path,
-                               const ExtendOpts& o) {
-    const FlatRows* flat = path.flat_storage();
-    const KeyLayout lay = cx.key_layout();
-    return flat != nullptr && flat->layout() == lay &&
-                   o.track_slot < lay.slots()
-               ? flat
-               : nullptr;
-  }
-
-  PackedExtend(const ExecContext& cx, const FlatRows& flat,
-               const ExtendOpts& o)
-      : cx_(cx), o_(o), lay_(flat.layout()), rows_(flat.packed_rows()) {
-    if (o.anchor_higher) {
-      anchor_rank_.resize(rows_.size());
-      for (std::size_t i = 0; i < rows_.size(); ++i) {
-        anchor_rank_[i] = cx.order.rank(lay_.v0(rows_[i].k));
-      }
-    }
-    std::uint64_t rewritten = lay_.field_mask(1) | 0xFF;
-    if (o.track_slot >= 0) rewritten |= lay_.field_mask(o.track_slot);
-    keep_ = ~rewritten;
-  }
-
-  /// The new frontier w: its degree rank and its packed fields.
-  struct Target {
-    VertexId w;
-    std::uint32_t rank;
-    std::uint64_t fields;
-  };
-
-  Target target(VertexId w) const {
-    std::uint64_t fields = std::uint64_t{w} << lay_.shift(1);
-    if (o_.track_slot >= 0) {
-      fields |= std::uint64_t{w} << lay_.shift(o_.track_slot);
-    }
-    return {w, cx_.order.rank(w), fields};
-  }
-
-  const PackedFlatRow& row(std::size_t i) const { return rows_[i]; }
-
-  /// Row i passes the extend's anchor-order test for `to`.
-  bool anchor_ok(std::size_t i, const Target& to) const {
-    return !o_.anchor_higher || anchor_rank_[i] > to.rank;
-  }
-
-  /// Row `r` moved to `to` under signature `sig` with count `c`.
-  void emit(FlatRows& sink, const PackedFlatRow& r, const Target& to,
-            Signature sig, Count c) const {
-    if (sig <= 0xFF) [[likely]] {
-      sink.append_packed((r.k & keep_) | to.fields | sig, c);
-      return;
-    }
-    // Color >= 8: the signature no longer fits the packed key's 8-bit
-    // field.
-    TableKey key = lay_.unpack(r.k);
-    key.v[1] = to.w;
-    if (o_.track_slot >= 0) key.v[o_.track_slot] = to.w;
-    key.sig = sig;
-    sink.append(key, c);
-  }
-
- private:
-  const ExecContext& cx_;
-  const ExtendOpts& o_;
-  KeyLayout lay_;
-  const std::vector<PackedFlatRow>& rows_;
-  std::vector<std::uint32_t> anchor_rank_;
-  std::uint64_t keep_ = 0;
-};
 
 /// Run `body(v, sink, t)` for every end vertex v of [lo, hi): the one
 /// end-bucket loop of merge_halves and extend_and_merge. End buckets are
@@ -599,48 +519,83 @@ ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
   const CsrGraph& g = cx.g;
   seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
-  if (const FlatRows* flat = PackedExtend::input(cx, path, o)) {
-    const PackedExtend in(cx, *flat, o);
+  const FlatRows* const flat = path.flat_storage();
+  // The packed path rewrites the tracked slot's field in place, so a
+  // tracked slot the layout does not hold takes the generic loop.
+  if (flat == nullptr || o.track_slot >= flat->layout().slots()) {
     return build_buckets(
         cx, path.arity(), path.size(),
         [&](VertexId w, FlatRows& sink) {
+          thread_local std::vector<TableEntry> scratch;
           const Signature w_bit = cx.chi.bit(w);
-          const PackedExtend::Target to = in.target(w);
           for (VertexId x : g.neighbors(w)) {
-            const auto [lo, hi] = path.group_span(1, x);
-            if (lo == hi) continue;
-            cx.charge(x, hi - lo);
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (!in.anchor_ok(i, to)) continue;
-              const PackedFlatRow& r = in.row(i);
-              const auto esig = static_cast<Signature>(r.k & 0xFF);
-              if (r.c == 0 || (esig & w_bit) != 0) continue;
-              in.emit(sink, r, to, esig | w_bit, r.c);
+            const auto bucket = path.group_expanded(1, x, scratch);
+            if (bucket.empty()) continue;
+            cx.charge(x, bucket.size());
+            for (const TableEntry& e : bucket) {
+              if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) {
+                continue;
+              }
+              if (e.cnt == 0 || (e.key.sig & w_bit) != 0) continue;
+              TableKey key = e.key;
+              key.v[1] = w;
+              if (o.track_slot >= 0) key.v[o.track_slot] = w;
+              key.sig = e.key.sig | w_bit;
+              sink.append(key, e.cnt);
               cx.send(x, w, 1);
             }
           }
         },
         range);
   }
+
+  // Packed path: each emission is a packed row copy with v1, the tracked
+  // slot and the signature rewritten in registers, and the other fields
+  // kept. Every bucket is read once per neighbour of its vertex, so the
+  // anchors' degree ranks are looked up once up front.
+  const KeyLayout lay = flat->layout();
+  assert(lay == cx.key_layout());
+  const std::vector<PackedFlatRow>& rows = flat->packed_rows();
+  std::vector<std::uint32_t> anchor_rank;
+  if (o.anchor_higher) {
+    anchor_rank.resize(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      anchor_rank[i] = cx.order.rank(lay.v0(rows[i].k));
+    }
+  }
+  std::uint64_t rewritten = lay.field_mask(1) | 0xFF;
+  if (o.track_slot >= 0) rewritten |= lay.field_mask(o.track_slot);
+  const std::uint64_t keep = ~rewritten;
   return build_buckets(
       cx, path.arity(), path.size(),
       [&](VertexId w, FlatRows& sink) {
-        thread_local std::vector<TableEntry> scratch;
         const Signature w_bit = cx.chi.bit(w);
+        const std::uint32_t wrank = cx.order.rank(w);
+        std::uint64_t wfields = std::uint64_t{w} << lay.shift(1);
+        if (o.track_slot >= 0) {
+          wfields |= std::uint64_t{w} << lay.shift(o.track_slot);
+        }
         for (VertexId x : g.neighbors(w)) {
-          const auto bucket = path.group_expanded(1, x, scratch);
-          if (bucket.empty()) continue;
-          cx.charge(x, bucket.size());
-          for (const TableEntry& e : bucket) {
-            if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) {
-              continue;
+          const auto [lo, hi] = path.group_span(1, x);
+          if (lo == hi) continue;
+          cx.charge(x, hi - lo);
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (o.anchor_higher && anchor_rank[i] <= wrank) continue;
+            const PackedFlatRow& r = rows[i];
+            const auto esig = static_cast<Signature>(r.k & 0xFF);
+            if (r.c == 0 || (esig & w_bit) != 0) continue;
+            const Signature sig = esig | w_bit;
+            if (sig <= 0xFF) [[likely]] {
+              sink.append_packed((r.k & keep) | wfields | sig, r.c);
+            } else {
+              // Color >= 8: the signature no longer fits the packed
+              // key's 8-bit field.
+              TableKey key = lay.unpack(r.k);
+              key.v[1] = w;
+              if (o.track_slot >= 0) key.v[o.track_slot] = w;
+              key.sig = sig;
+              sink.append(key, r.c);
             }
-            if (e.cnt == 0 || (e.key.sig & w_bit) != 0) continue;
-            TableKey key = e.key;
-            key.v[1] = w;
-            if (o.track_slot >= 0) key.v[o.track_slot] = w;
-            key.sig = e.key.sig | w_bit;
-            sink.append(key, e.cnt);
             cx.send(x, w, 1);
           }
         }
@@ -657,32 +612,6 @@ ProjTable extend_with_child(const ExecContext& cx, ProjTable& path,
   }
   seal_by_frontier(cx, path);
   cx.note_lanes(path.layout());
-  if (const FlatRows* flat = PackedExtend::input(cx, path, o)) {
-    const PackedExtend in(cx, *flat, o);
-    return build_buckets(
-        cx, path.arity(), path.size(),
-        [&](VertexId w, FlatRows& sink) {
-          const PackedExtend::Target to = in.target(w);
-          for (const TableEntry& ce : child.group(0, w)) {
-            const VertexId x = ce.key.v[1];
-            const auto [lo, hi] = path.group_span(1, x);
-            cx.charge(x, hi - lo);
-            // The halves share exactly the joint's color (join_edge).
-            const Signature x_bit = cx.chi.bit(x);
-            for (std::size_t i = lo; i < hi; ++i) {
-              const PackedFlatRow& r = in.row(i);
-              const auto esig = static_cast<Signature>(r.k & 0xFF);
-              if ((esig & ce.key.sig) != x_bit) continue;
-              if (!in.anchor_ok(i, to)) continue;
-              const Count cnt = r.c * ce.cnt;
-              if (cnt == 0) continue;
-              in.emit(sink, r, to, esig | ce.key.sig, cnt);
-              cx.send(x, w, 1);
-            }
-          }
-        },
-        range);
-  }
   return build_buckets(
       cx, path.arity(), path.size(),
       [&](VertexId w, FlatRows& sink) {

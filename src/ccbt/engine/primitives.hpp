@@ -44,6 +44,7 @@
 // extend plus merge_halves.
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -335,9 +336,8 @@ namespace detail {
 /// Join end bucket x of two half-cycle tables sealed kByV1 (group_span
 /// finds it through the bucket index, or by binary search in a table
 /// sealed without one): through merge_bucket_packed when both kept their
-/// packed flat rows in one layout, otherwise through merge_bucket over the
-/// buckets
-/// decoded into the scratches (raw subspans when dense, so dense tables
+/// packed flat rows (in the data graph's one layout), otherwise through
+/// merge_bucket over the buckets decoded into the scratches (raw subspans when dense, so dense tables
 /// pay nothing). The one bucket router of merge_halves and the
 /// distributed engine's per-rank merge.
 template <typename Sink>
@@ -348,8 +348,8 @@ void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
                       std::vector<TableEntry>& mscratch) {
   const FlatRows* const pflat = plus.flat_storage();
   const FlatRows* const mflat = minus.flat_storage();
-  if (pflat != nullptr && mflat != nullptr &&
-      pflat->layout() == mflat->layout()) {
+  if (pflat != nullptr && mflat != nullptr) {
+    assert(pflat->layout() == mflat->layout());
     const auto [plo, phi] = plus.group_span(1, x);
     if (plo == phi) return;
     const auto [mlo, mhi] = minus.group_span(1, x);

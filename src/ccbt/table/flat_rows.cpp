@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <limits>
 #include <tuple>
 
@@ -41,22 +42,22 @@ void radix_sort(std::vector<T>& v, std::vector<T>& tmp, Key key,
 }  // namespace
 
 void FlatRows::drain_bucket_into(FlatRows& out, LaneLayoutInfo& st) {
-  if (mode_ == Mode::kPacked && layout_ == out.layout_) {
+  assert(layout_ == out.layout_);
+  if (mode_ == Mode::kPacked) {
     drain_packed(out, st);
   } else {
-    to_wide();
     drain_wide(out, st);
   }
 }
 
 void FlatRows::absorb(FlatRows&& o) {
+  assert(layout_ == o.layout_);
   if (o.empty()) return;
   if (empty()) {
     *this = std::move(o);
     return;
   }
-  if (mode_ == Mode::kPacked && o.mode_ == Mode::kPacked &&
-      layout_ == o.layout_) {
+  if (mode_ == Mode::kPacked && o.mode_ == Mode::kPacked) {
     packed_.insert(packed_.end(), o.packed_.begin(), o.packed_.end());
   } else {
     to_wide();

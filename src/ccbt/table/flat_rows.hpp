@@ -130,8 +130,6 @@ struct AccumTelemetry {
 
 class FlatRows {
  public:
-  /// Rows in the default layout (KeyLayout()).
-  FlatRows() = default;
   /// Rows packed in `layout`, the data graph's.
   explicit FlatRows(KeyLayout layout) : layout_(layout) {}
 
@@ -170,7 +168,7 @@ class FlatRows {
   /// per-bucket scratch is reset once per frontier vertex.
   void reset() { reset(layout_); }
 
-  /// reset() into `layout`.
+  /// reset() into `layout` — a thread's scratch may serve several graphs.
   void reset(KeyLayout layout) {
     packed_.clear();
     wide_.clear();
@@ -225,9 +223,9 @@ class FlatRows {
   /// Close one frontier bucket: sort this buffer's rows by full key (they
   /// all share one v1, so this is the kByV1 order inside the bucket) and
   /// append each equal-key run to `out`, summed in 64 bits (mod 2^64,
-  /// as every count is). `out` goes wide when this buffer did, or when
-  /// the two layouts differ; `st` notes the merged rows. This buffer is
-  /// left for reset().
+  /// as every count is). Both buffers share one layout; `out` goes wide
+  /// when this buffer did. `st` notes the merged rows. This buffer is left
+  /// for reset().
   void drain_bucket_into(FlatRows& out, LaneLayoutInfo& st);
 
   TableKey key_at(std::size_t i) const {
@@ -264,9 +262,8 @@ class FlatRows {
   }
 
   /// Append another buffer's rows after this one's (concatenating the
-  /// independently built vertex ranges of one table): both go wide first
-  /// when either is, or when their layouts differ. An empty buffer takes
-  /// the other's rows, layout and all.
+  /// independently built vertex ranges of one table, in one layout): both
+  /// go wide first when either is.
   void absorb(FlatRows&& o);
 
   /// Convert to dense wide rows (in current order) and hand them over.
@@ -306,9 +303,6 @@ class FlatRows {
 /// are the same however the vertex range was split.
 class SortedBuckets {
  public:
-  /// Buckets in the default layout (KeyLayout()).
-  SortedBuckets() = default;
-
   /// Buckets packed in `layout`, the data graph's. `expect_rows` pre-sizes
   /// the rows so the table does not grow by copying.
   explicit SortedBuckets(KeyLayout layout, std::size_t expect_rows = 0)
@@ -340,25 +334,6 @@ class SortedBuckets {
                    0);
     rows_.append(key, cnt);
     ++counts_[v];
-  }
-
-  /// append_sorted() every row of `from` in order; rows packed in this
-  /// layout are copied packed, with no decode.
-  void append_sorted(const FlatRows& from) {
-    if (!from.packed() || !rows_.packed() || from.layout() != layout()) {
-      for (std::size_t i = 0; i < from.size(); ++i) {
-        append_sorted(from.key_at(i), from.count_at(i));
-      }
-      return;
-    }
-    const KeyLayout lay = layout();
-    for (const PackedFlatRow& r : from.packed_rows()) {
-      const VertexId v = lay.field(r.k, 1);
-      counts_.resize(std::max<std::size_t>(counts_.size(), v + std::size_t{1}),
-                     0);
-      rows_.append_packed(r.k, r.c);
-      ++counts_[v];
-    }
   }
 
   /// Append the buckets of the part covering the next vertex range.

@@ -63,7 +63,6 @@ ProjTable ProjTable::from_buckets(int arity, SortedBuckets&& buckets) {
     t.layout_ = buckets.stats();
     t.layout_.packed = true;
     t.pflat_ = std::move(rows);
-    t.packed_flat_ = true;
   } else {
     t.entries_ = rows.take_wide();
   }
@@ -120,10 +119,9 @@ VertexId ProjTable::detect_domain(int slot) const {
 
 void ProjTable::unpack_flat() {
   entries_.clear();
-  entries_.reserve(pflat_.size());
-  pflat_.for_each_dense([&](const TableEntry& e) { entries_.push_back(e); });
-  pflat_.clear();
-  packed_flat_ = false;
+  entries_.reserve(pflat_->size());
+  pflat_->for_each_dense([&](const TableEntry& e) { entries_.push_back(e); });
+  pflat_.reset();
   layout_.packed = false;
 }
 
@@ -170,7 +168,7 @@ void ProjTable::seal(SortOrder order, VertexId domain) {
     return;
   }
   // Re-sorting moves whole rows: work in the dense layout.
-  if (packed_flat_) unpack_flat();
+  if (pflat_) unpack_flat();
   drop_index();
   if (!domain_worthwhile(size(), domain)) {
     domain = detect_domain(slot);

@@ -34,6 +34,7 @@
 // rows on the fly.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -95,14 +96,14 @@ class ProjTable {
 
   int arity() const { return arity_; }
   std::size_t size() const {
-    return packed_flat_ ? pflat_.size() : entries_.size();
+    return pflat_ ? pflat_->size() : entries_.size();
   }
   bool empty() const { return size() == 0; }
 
   /// Dense row span. Throws when the rows are packed (use the
   /// layout-independent accessors below).
   std::span<const TableEntry> entries() const {
-    if (packed_flat_) {
+    if (pflat_) {
       throw Error("ProjTable::entries(): table is in the packed flat layout");
     }
     return entries_;
@@ -111,13 +112,13 @@ class ProjTable {
   // ---------------------------------------------- layout-independent API
 
   /// Whether rows live in the packed flat layout (born-sorted tables).
-  bool packed_flat() const { return packed_flat_; }
+  bool packed_flat() const { return pflat_.has_value(); }
 
   /// The packed flat storage itself (always packed()),
   /// or nullptr when dense. The extend fast path and the packed merge read
   /// its raw rows without expanding them to dense entries.
   const FlatRows* flat_storage() const {
-    return packed_flat_ ? &pflat_ : nullptr;
+    return pflat_ ? &*pflat_ : nullptr;
   }
 
   /// The occupancy of the table's rows, telemetry only (no layout
@@ -127,22 +128,22 @@ class ProjTable {
   const LaneLayoutInfo& layout() const { return layout_; }
 
   TableKey key_at(std::size_t i) const {
-    return packed_flat_ ? pflat_.key_at(i) : entries_[i].key;
+    return pflat_ ? pflat_->key_at(i) : entries_[i].key;
   }
 
   /// Row i as a dense entry: a reference into the table when dense, a
   /// reference to `tmp` (filled by expanding the packed row) otherwise.
   const TableEntry& row_at(std::size_t i, TableEntry& tmp) const {
-    if (!packed_flat_) return entries_[i];
-    pflat_.row(i, tmp);
+    if (!pflat_) return entries_[i];
+    pflat_->row(i, tmp);
     return tmp;
   }
 
   /// Visit every row as a dense entry, in table order.
   template <typename F>
   void for_each_entry(F&& f) const {
-    if (packed_flat_) {
-      pflat_.for_each_dense(f);
+    if (pflat_) {
+      pflat_->for_each_dense(f);
       return;
     }
     for (const TableEntry& e : entries_) f(e);
@@ -164,10 +165,10 @@ class ProjTable {
   std::span<const TableEntry> group_expanded(
       int slot, VertexId v, std::vector<TableEntry>& scratch) const {
     const auto [lo, hi] = group_span(slot, v);
-    if (!packed_flat_) return {entries_.data() + lo, hi - lo};
+    if (!pflat_) return {entries_.data() + lo, hi - lo};
     scratch.resize(hi - lo);
-    const KeyLayout lay = pflat_.layout();
-    const PackedFlatRow* const rows = pflat_.packed_rows().data();
+    const KeyLayout lay = pflat_->layout();
+    const PackedFlatRow* const rows = pflat_->packed_rows().data();
     for (std::size_t i = lo; i < hi; ++i) {
       scratch[i - lo] = {lay.unpack(rows[i].k), rows[i].c};
     }
@@ -203,7 +204,7 @@ class ProjTable {
   /// the bucket index covers `slot`, two binary searches otherwise.
   /// Dense layout only — packed tables use group_expanded().
   std::span<const TableEntry> group(int slot, VertexId v) const {
-    if (packed_flat_) {
+    if (pflat_) {
       throw Error("ProjTable::group(): table is in the packed flat layout");
     }
     const auto [lo, hi] = group_span(slot, v);
@@ -252,9 +253,8 @@ class ProjTable {
   LaneLayoutInfo layout_;
 
   // Packed flat layout (born-sorted tables): packed-key rows with u64
-  // counts. Exactly one of entries_ / pflat_ holds the rows.
-  bool packed_flat_ = false;
-  FlatRows pflat_;
+  // counts; empty when entries_ holds the rows.
+  std::optional<FlatRows> pflat_;
 
   // CSR bucket index over the grouping slot: entries with key slot value v
   // occupy [bucket_off_[v], bucket_off_[v + 1]). Empty when not built.

@@ -69,11 +69,6 @@ class KeyLayout {
     return KeyLayout(std::clamp(bits, 1, 33));
   }
 
-  /// Without a graph: 28-bit fields in two slots, the layout of any graph
-  /// from 2^27 to 2^28 - 1 vertices, which holds every key of a smaller
-  /// graph that does not use a tracked slot.
-  constexpr KeyLayout() : KeyLayout(28) {}
-
   /// Bits per vertex field.
   constexpr int bits() const { return bits_; }
   /// Vertex slots that pack (0: no key packs).

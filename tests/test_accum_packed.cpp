@@ -21,6 +21,10 @@
 namespace ccbt {
 namespace {
 
+/// Two 28-bit slots: the layout of a graph of 2^28 - 1 vertices, where a
+/// tracked slot does not pack.
+const KeyLayout kTwoSlots = KeyLayout::for_vertices((1u << 28) - 1);
+
 TableKey key2(VertexId u, VertexId v, Signature sig) {
   TableKey k;
   k.v[0] = u;
@@ -62,7 +66,7 @@ class Reference {
 };
 
 TEST(PackedKey, RoundTripsPackableKeys) {
-  const KeyLayout lay;
+  const KeyLayout lay = kTwoSlots;
   for (const TableKey k : {key2(0, 0, 0), key2(1, 2, 0b11),
                            key2(static_cast<VertexId>(lay.none() - 1), 7, 255),
                            key2(kNoVertex, kNoVertex, 0),
@@ -73,8 +77,7 @@ TEST(PackedKey, RoundTripsPackableKeys) {
 }
 
 TEST(PackedKey, RejectsWideKeys) {
-  // The default layout: two 28-bit slots.
-  const KeyLayout lay;
+  const KeyLayout lay = kTwoSlots;
   EXPECT_FALSE(lay.packable(key2(1, 2, 0x100)));  // 9-color sig
   EXPECT_FALSE(lay.packable(key2(static_cast<VertexId>(lay.none()), 2, 1)));
   TableKey tracked = key2(1, 2, 1);
@@ -92,7 +95,7 @@ TEST(PackedKey, RejectsWideKeys) {
 
 TEST(PackedKey, PackingIsInjective) {
   // Distinct packable keys map to distinct words (spot check over a grid).
-  for (const KeyLayout lay : {KeyLayout(), KeyLayout::for_vertices(20)}) {
+  for (const KeyLayout lay : {kTwoSlots, KeyLayout::for_vertices(20)}) {
     std::vector<std::uint64_t> seen;
     for (VertexId u = 0; u < 20; ++u) {
       for (VertexId v = 0; v < 20; ++v) {
@@ -199,7 +202,7 @@ std::vector<TableEntry> summed_rows(FlatRows& sink) {
 
 TEST(PackedSink, MatchesReferenceOnRandomWorkload) {
   Rng rng(42);
-  FlatRows sink;
+  FlatRows sink(kTwoSlots);
   Reference ref;
   for (int i = 0; i < 20000; ++i) {
     const TableKey k = key2(static_cast<VertexId>(rng.below(300)),
@@ -243,11 +246,11 @@ TEST(PackedSink, SumsEveryKeyWidthAndSize) {
   // Keys that vary in one field only, or in all, at sizes on both sides
   // of the small-input cutoff: the radix passes cover exactly the bits
   // that vary, wherever they sit in the packed key.
-  // Both the default layout and a four-slot one, whose tracked fields
+  // Both the two-slot layout and a four-slot one, whose tracked fields
   // sit between v1 and the signature.
   Rng rng(5);
   for (const KeyLayout lay :
-       {KeyLayout(), KeyLayout::for_vertices((1u << 14) - 1)}) {
+       {kTwoSlots, KeyLayout::for_vertices((1u << 14) - 1)}) {
     const auto big = static_cast<VertexId>(lay.none() - 1);
     for (const std::size_t n : {std::size_t{3}, std::size_t{63},
                                 std::size_t{64}, std::size_t{5000}}) {
@@ -279,7 +282,7 @@ TEST(PackedSink, SumsEveryKeyWidthAndSize) {
 
 TEST(PackedSink, GoesWideOnFirstUnpackableKeyAndKeepsSums) {
   Rng rng(7);
-  FlatRows sink;
+  FlatRows sink(kTwoSlots);
   Reference ref;
   auto add_both = [&](const TableKey& k, Count c) {
     sink.append(k, c);
@@ -312,7 +315,7 @@ TEST(PackedSink, GoesWideOnFirstUnpackableKeyAndKeepsSums) {
 
 TEST(PackedSink, RunSumsWrapPast2To64InBothRepresentations) {
   for (const bool wide : {false, true}) {
-    FlatRows sink;
+    FlatRows sink(kTwoSlots);
     Reference ref;
     auto add_both = [&](const TableKey& k, Count c) {
       sink.append(k, c);
@@ -345,8 +348,8 @@ TEST(PackedSink, SealsIntoReferenceProjTable) {
   // A packed sink and a sink forced wide by one extra key seal into
   // tables whose groups hold the reference's rows in the sealed key order.
   Rng rng(99);
-  FlatRows packed;
-  FlatRows wide;
+  FlatRows packed(kTwoSlots);
+  FlatRows wide(kTwoSlots);
   Reference ref;
   for (int i = 0; i < 4000; ++i) {
     const TableKey k = key2(static_cast<VertexId>(rng.below(64)),
@@ -388,12 +391,12 @@ TEST(PackedSink, SummedSinkArrivesSealedByV0) {
   // A summed sink is in full-key order, so its table arrives sealed kByV0
   // and sealing it again only builds the index: its rows and groups equal
   // those of a shuffled copy sealed by the counting partition — packed in
-  // the default layout, packed with tracked slots, and wide.
+  // two slots, packed with tracked slots, and wide.
   for (const int kind : {0, 1, 2}) {
     SCOPED_TRACE("kind " + std::to_string(kind));
     const VertexId n = 70;
     Rng rng(123 + kind);
-    FlatRows sink(kind == 0 ? KeyLayout() : KeyLayout::for_vertices(n));
+    FlatRows sink(kind == 0 ? kTwoSlots : KeyLayout::for_vertices(n));
     for (int i = 0; i < 3000; ++i) {
       const Signature sig_range = kind == 2 ? 512 : 64;
       TableKey k = key2(static_cast<VertexId>(rng.below(n)),

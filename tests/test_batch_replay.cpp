@@ -84,7 +84,7 @@ std::vector<Count> replay(const CsrGraph& g, const Plan& plan,
       }
     } else {
       AccumMapT<B> sink(16, opts.compact_accum);
-      std::vector<FlatRows> ref_sinks(B);
+      std::vector<FlatRows> ref_sinks(B, FlatRows(cx.key_layout()));
       for (const SplitPlan& split : splits_for(blk, opts.algo)) {
         ProjTableT<B> plus = build_path<B>(cx, blk, pool, split.plus);
         ProjTableT<B> minus = build_path<B>(cx, blk, pool, split.minus);

@@ -5,7 +5,7 @@
 // with the bucket builder — a std::sort and a run-sum over the raw rows:
 //   * SortedBuckets fed random rows per bucket, run sums past u16 and u32
 //     inside one bucket (the rows stay packed), tracked slots packed in a
-//     four-slot layout and wide in the default one, buckets too large for
+//     four-slot layout and wide in a two-slot one, buckets too large for
 //     the index sort, wide keys, empty buckets, and split vertex ranges,
 //     one of them wide;
 //   * each path primitive against the rows and load-model charges of its
@@ -35,6 +35,10 @@
 
 namespace ccbt {
 namespace {
+
+/// Two 28-bit slots: the layout of a graph of 2^28 - 1 vertices, where a
+/// tracked slot does not pack.
+const KeyLayout kTwoSlots = KeyLayout::for_vertices((1u << 28) - 1);
 
 /// A key in kByV1 order: (v1, v0, v2, v3, sig).
 using OrderKey = std::array<std::uint64_t, 5>;
@@ -131,9 +135,9 @@ std::vector<RawRows> draw_buckets(const BucketSpec& s, std::uint64_t seed) {
 SortedBuckets build_range(const std::vector<RawRows>& buckets, VertexId lo,
                           VertexId hi, KeyLayout lay) {
   SortedBuckets built(lay);
-  FlatRows scratch;
+  FlatRows scratch(lay);
   for (VertexId v = lo; v < hi; ++v) {
-    scratch.reset(lay);
+    scratch.reset();
     for (const auto& [k, c] : buckets[v]) scratch.append(k, c);
     built.close(scratch);
   }
@@ -143,7 +147,8 @@ SortedBuckets build_range(const std::vector<RawRows>& buckets, VertexId lo,
 /// Build the table in `parts` contiguous vertex ranges packed in `lay`,
 /// check it against the reference, and return it.
 ProjTable expect_buckets_match(const std::vector<RawRows>& buckets,
-                               int parts = 1, KeyLayout lay = {}) {
+                               int parts = 1,
+                               KeyLayout lay = kTwoSlots) {
   const auto n = static_cast<VertexId>(buckets.size());
   SortedBuckets built = build_range(buckets, 0, n / parts, lay);
   for (int p = 1; p < parts; ++p) {
@@ -256,7 +261,7 @@ TEST(BornSorted, PackedUntilAnUnpackableKey) {
 
 TEST(BornSorted, TrackedSlotsPackWhereTheLayoutHoldsThem) {
   // A tracked slot packs in the layout of a graph with few enough
-  // vertices and goes wide in the default two-slot layout; either way
+  // vertices and goes wide in the two-slot layout; either way
   // each bucket orders by (v0, v2, v3, sig).
   BucketSpec s;
   s.tracked = true;

@@ -61,7 +61,7 @@ struct Side {
   FlatRows sink;
 
   Side(const ExecContext& base, std::uint32_t ranks)
-      : load(ranks), cx(base) {
+      : load(ranks), cx(base), sink(base.key_layout()) {
     cx.load = &load;
     cx.accum = &accum;
   }
@@ -283,7 +283,8 @@ TEST(ExtendAndMerge, ConsecutiveCallsReadNoStaleAnchorIndex) {
       const std::string what = "threads " + std::to_string(threads) +
                                (high_second ? " all then high"
                                             : " high then all");
-      FlatRows first, second, want;
+      FlatRows first(cx.key_layout()), second(cx.key_layout()),
+          want(cx.key_layout());
       ProjTable p1 = prefix, q1 = first_plus;
       (void)extend_and_merge(cx, p1, nullptr, ExtendOpts{}, q1, spec, first);
       ProjTable p2 = prefix, q2 = second_plus;
@@ -365,7 +366,7 @@ TEST(ExtendAndMerge, SinkAloneOverTheBudgetThrowsBudgetExceeded) {
     f.opts.max_table_entries = budget;
     const ExecContext cx = f.cx();
     ProjTable prefix = edges, plus = edges;
-    FlatRows sink;
+    FlatRows sink(cx.key_layout());
     (void)extend_and_merge(cx, prefix, nullptr, ExtendOpts{}, plus, spec,
                            sink);
     return sink.size();
@@ -402,7 +403,7 @@ TEST(ExtendAndMerge, SinkSumsBeforeTheBudgetThrows) {
     const std::string what = "threads " + std::to_string(threads);
     f.opts.max_table_entries = g.num_vertices();
     const ExecContext cx = f.cx();
-    FlatRows fused, merged;
+    FlatRows fused(cx.key_layout()), merged(cx.key_layout());
     ProjTable prefix = edges, plus = edges;
     (void)extend_and_merge(cx, prefix, nullptr, ExtendOpts{}, plus, spec,
                            fused);

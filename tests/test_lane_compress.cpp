@@ -78,8 +78,8 @@ void expect_counts(const LaneLayoutInfo& got, const LaneLayoutInfo& want,
 /// the dense reseal; the flat table is never observed.
 void expect_layout_parity(const std::vector<TableEntry>& rows) {
   const LaneLayoutInfo want = expected_layout(rows);
-  SortedBuckets buckets;
-  FlatRows scratch;
+  SortedBuckets buckets(KeyLayout::for_vertices(kDomain));
+  FlatRows scratch(buckets.layout());
   for (VertexId w = 0; w < kDomain; ++w) {
     scratch.reset();
     for (const TableEntry& e : rows) {
@@ -253,7 +253,7 @@ TEST(LaneCompressFlat, PackedStreamMatchesGenericAppend) {
 TEST(LaneCompressFlat, RunSumPastU32StaysPackedAtBucketClose) {
   // Same-key appends whose sum outgrows u32 stay duplicate rows; closing
   // the bucket sums them exactly and the merged row stays packed.
-  FlatRows f;
+  FlatRows f(KeyLayout::for_vertices(10));
   TableKey k;
   k.v[0] = 6;
   k.v[1] = 9;
@@ -261,7 +261,7 @@ TEST(LaneCompressFlat, RunSumPastU32StaysPackedAtBucketClose) {
   const int reps = 40;  // 40 * 0xF0000000 > u32
   for (int i = 0; i < reps; ++i) f.append(k, 0xF0000000ull);
   EXPECT_EQ(f.size(), static_cast<std::size_t>(reps));
-  FlatRows sealed;
+  FlatRows sealed(f.layout());
   LaneLayoutInfo st;
   f.drain_bucket_into(sealed, st);
   const Count want = static_cast<Count>(reps) * 0xF0000000ull;
@@ -417,9 +417,9 @@ TEST(PackedMerge, KernelMatchesDenseU64Counts) {
 ProjTable born_table(const std::vector<TableEntry>& rows, VertexId n) {
   const KeyLayout lay = KeyLayout::for_vertices(n);
   SortedBuckets buckets(lay);
-  FlatRows scratch;
+  FlatRows scratch(lay);
   for (VertexId w = 0; w < n; ++w) {
-    scratch.reset(lay);
+    scratch.reset();
     for (const TableEntry& e : rows) {
       if (e.key.v[1] == w) scratch.append(e.key, e.cnt);
     }
@@ -487,7 +487,7 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
       ASSERT_NE(plus.flat_storage(), nullptr);
       ASSERT_NE(minus.flat_storage(), nullptr);
     }
-    FlatRows sink;
+    FlatRows sink(f.cx.key_layout());
     merge_halves(f.cx, plus, minus, spec, sink);
     results[packed ? 1 : 0] = sink_rows(sink);
   }
@@ -540,7 +540,7 @@ TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
   ProjTable dense_plus = ProjTable::from_flat(2, sum_equal_keys(prows));
   ProjTable dense_minus = ProjTable::from_flat(2, sum_equal_keys(mrows));
 
-  FlatRows packed_sink, dense_sink;
+  FlatRows packed_sink(f.cx.key_layout()), dense_sink(f.cx.key_layout());
   merge_halves(f.cx, plus, minus, spec, packed_sink);
   merge_halves(f.cx, dense_plus, dense_minus, spec, dense_sink);
   EXPECT_TRUE(plus.packed_flat());
@@ -552,7 +552,7 @@ TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
 
   // The minus table as the prefix of a fused last extend, against the
   // extend built from the dense rows and merged with the dense plus.
-  FlatRows fused_sink, unfused_sink;
+  FlatRows fused_sink(f.cx.key_layout()), unfused_sink(f.cx.key_layout());
   (void)extend_and_merge(f.cx, minus, nullptr, ExtendOpts{}, plus, spec,
                          fused_sink);
   EXPECT_TRUE(minus.packed_flat());

@@ -152,14 +152,14 @@ TEST_F(PrimitivesTest, MergeHalvesRequiresEndpointOnlyOverlap) {
   spec.out_arity = 2;
   spec.out[0] = {0, 0};
   spec.out[1] = {0, 1};
-  FlatRows sink_ok;
+  FlatRows sink_ok(cx_.key_layout());
   merge_halves(cx_, plus, minus_ok, spec, sink_ok);
   ASSERT_EQ(sink_ok.size(), 1u);
   const std::vector<TableEntry> ok = sink_ok.take_wide();
   EXPECT_EQ(ok[0].cnt, 15u);
   EXPECT_EQ(signature_size(ok[0].key.sig), 4);
 
-  FlatRows sink_bad;
+  FlatRows sink_bad(cx_.key_layout());
   merge_halves(cx_, plus, minus_bad, spec, sink_bad);
   EXPECT_EQ(sink_bad.size(), 0u);
 }
@@ -181,7 +181,7 @@ TEST_F(PrimitivesTest, MergeSpecProjectsChosenSlots) {
   MergeSpec spec;
   spec.out_arity = 1;
   spec.out[0] = {0, 2};  // project the tracked vertex
-  FlatRows sink;
+  FlatRows sink(cx_.key_layout());
   merge_halves(cx_, plus, minus, spec, sink);
   ASSERT_EQ(sink.size(), 1u);
   const std::vector<TableEntry> out = sink.take_wide();

@@ -163,8 +163,9 @@ TEST(SealSort, BornSortedTableResealsByV0) {
   const VertexId domain = 50;
   Rng rng(700);
   std::vector<Row> rows;
-  SortedBuckets buckets;
-  FlatRows scratch;
+  const KeyLayout lay = KeyLayout::for_vertices(domain);
+  SortedBuckets buckets(lay);
+  FlatRows scratch(lay);
   for (VertexId w = 0; w < domain; ++w) {
     scratch.reset();
     for (int i = 0; i < 40; ++i) {

@@ -61,7 +61,7 @@ TEST(TableKeyTest, UnusedSlotsParticipateUniformly) {
 }
 
 TEST(FlatRowsSink, SumsDuplicates) {
-  FlatRows sink;
+  FlatRows sink(KeyLayout::for_vertices(3));
   sink.append(key2(1, 2, 3), 5);
   sink.append(key2(1, 2, 3), 7);
   sink.append(key2(2, 1, 3), 1);
@@ -74,7 +74,7 @@ TEST(FlatRowsSink, SumsDuplicates) {
 }
 
 TEST(FlatRowsSink, SummingAgainAddsNoRows) {
-  FlatRows sink;
+  FlatRows sink(KeyLayout::for_vertices(10001));
   for (VertexId i = 0; i < 10000; ++i) sink.append(key2(i, i + 1, 1), 1);
   sink.sum_duplicates();
   EXPECT_EQ(sink.size(), 10000u);

@@ -316,7 +316,7 @@ TEST(WalkSchedule, PeakEntriesCountDrosWalkTablesAndSink) {
     } else {
       Counter c;
       TrackedPath ops{{cx, pool}, c};
-      FlatRows sink;
+      FlatRows sink(cx.key_layout());
       run_walks(ops, schedule_walks(blk, opts.algo), nullptr,
                 [&](const WalkSchedule::Split& s, TrackedPath::Table& plus,
                     TrackedPath::Table& minus) {
