@@ -371,8 +371,9 @@ int main() {
   wt.print(std::cout);
 
   // Distributed B = 8 seal share: seal wall over the summed stage wall of
-  // the B = 8 wire cells. Path shards are built born sorted, so only the
-  // stored tables' seals are left in it.
+  // the B = 8 wire cells. No table is sorted there: the seal stage holds
+  // only the bucket indexes the per-rank sink tables build (transposes
+  // and replicas are timed under transport).
   StageWall dist_b8;
   for (const WireCell& c : wire) {
     if (c.width == 8) dist_b8.add(c.stage);

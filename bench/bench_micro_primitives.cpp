@@ -1,21 +1,23 @@
 // Google-benchmark microbenchmarks of the engine's primitives: the
-// sinks' sort-and-sum (FlatRows::sum_duplicates), table sealing
-// (counting partition + bucket index), O(1) group lookup, the parallel
-// half-cycle merge, graph-edge extension, and an end-to-end triangle
-// count. These guard the constants behind every figure bench.
+// sinks' sort-and-sum (FlatRows::sum_duplicates), the transpose of a
+// stored table (a summed sink with its bucket index), O(1) group lookup,
+// the parallel half-cycle merge, graph-edge extension, and an end-to-end
+// triangle count. These guard the constants behind every figure bench.
 //
 // The binary first runs a small deterministic harness that times the
-// three hot table-layer operations — group lookup, seal, merge — against
-// their naive references (two binary searches per probe; a whole-table
-// comparison sort) and writes the results to BENCH_primitives.json, so
-// successive PRs can track the perf trajectory mechanically. The google
-// benchmarks run afterwards.
+// three hot table-layer operations — group lookup, transpose, merge —
+// against their naive references (two binary searches per probe; a
+// whole-table comparison sort) and writes the results to
+// BENCH_primitives.json, so successive changes can track the perf
+// trajectory mechanically. It exits 1 when the transposed rows or their
+// groups differ from the comparison sort's. The google benchmarks run
+// afterwards.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <random>
+#include <utility>
 #include <vector>
 
 #include "ccbt/core/color_coding.hpp"
@@ -49,19 +51,25 @@ std::vector<TableEntry> random_binary_entries(std::size_t n,
   return entries;
 }
 
-/// The entries summed through a FlatRows sink, then shuffled: an
-/// unsealed table with one row per key, in no key order.
-ProjTable unsorted_table(const std::vector<TableEntry>& entries) {
+/// The entries summed through a FlatRows sink: a stored table, sealed
+/// kByV0 with its bucket index over kDomain when every key lies inside it.
+ProjTable stored_table(const std::vector<TableEntry>& entries) {
   FlatRows sink(KeyLayout::for_vertices(kDomain));
   for (const TableEntry& e : entries) sink.append(e.key, e.cnt);
   sink.sum_duplicates();
-  std::vector<TableEntry> rows = sink.take_wide();
-  std::shuffle(rows.begin(), rows.end(), std::mt19937_64(11));
-  return ProjTable::from_flat(2, std::move(rows));
+  return ProjTable::from_sink(2, std::move(sink), kDomain);
+}
+
+bool full_key_less(const TableEntry& x, const TableEntry& y) {
+  if (x.key.v[0] != y.key.v[0]) return x.key.v[0] < y.key.v[0];
+  if (x.key.v[1] != y.key.v[1]) return x.key.v[1] < y.key.v[1];
+  if (x.key.v[2] != y.key.v[2]) return x.key.v[2] < y.key.v[2];
+  if (x.key.v[3] != y.key.v[3]) return x.key.v[3] < y.key.v[3];
+  return x.key.sig < y.key.sig;
 }
 
 // -------------------------------------------------------------------
-// JSON harness: ns/probe (group), ns/entry (seal, merge), with naive
+// JSON harness: ns/probe (group), ns/entry (transpose, merge), with naive
 // baselines measured in-process so every report carries its own speedup.
 
 struct GroupNumbers {
@@ -75,16 +83,14 @@ GroupNumbers measure_group_lookup() {
   GroupNumbers out;
   const std::size_t n = 1 << 17;
   const std::size_t probes = 1 << 21;
-  ProjTable indexed = unsorted_table(random_binary_entries(n, 5));
-  indexed.seal(SortOrder::kByV0, kDomain);
+  const ProjTable indexed = stored_table(random_binary_entries(n, 5));
 
   // Same content without the index (forces the two-binary-search path).
   std::vector<TableEntry> with_far = random_binary_entries(n, 5);
   TableEntry far{};
   far.key.v[0] = 0xFFFFFFF0u;  // out of any detectable domain
   with_far.push_back(far);
-  ProjTable searched = unsorted_table(with_far);
-  searched.seal(SortOrder::kByV0);
+  const ProjTable searched = stored_table(with_far);
 
   Rng rng(17);
   std::vector<VertexId> keys(probes);
@@ -106,10 +112,11 @@ GroupNumbers measure_group_lookup() {
   return out;
 }
 
-struct SealNumbers {
+struct TransposeNumbers {
   std::size_t entries = 0;
   double ns_per_entry = 0.0;
   double ns_per_entry_comparison_sort = 0.0;
+  bool matches = false;  // rows and groups equal the comparison sort's
 };
 
 double median(std::vector<double> v) {
@@ -118,51 +125,68 @@ double median(std::vector<double> v) {
   return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
 }
 
-/// Median over `reps` timed runs of one 2^18-row seal and of its naive
-/// reference, each after one untimed run that warms the OpenMP pool and
-/// the allocator.
-SealNumbers measure_seal() {
-  SealNumbers out;
+/// Whether `t` holds exactly `want` and each of its slot-0 groups is the
+/// run of `want` with that slot-0 value.
+bool same_table(const ProjTable& t, const std::vector<TableEntry>& want) {
+  if (!t.has_bucket_index() || t.size() != want.size()) return false;
+  const auto got = t.entries();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (!(got[i].key == want[i].key) || got[i].cnt != want[i].cnt) {
+      return false;
+    }
+  }
+  std::size_t lo = 0;
+  for (VertexId v = 0; v < kDomain; ++v) {
+    std::size_t hi = lo;
+    while (hi < want.size() && want[hi].key.v[0] == v) ++hi;
+    if (t.group_span(0, v) != std::pair<std::size_t, std::size_t>{lo, hi}) {
+      return false;
+    }
+    lo = hi;
+  }
+  return lo == want.size();
+}
+
+/// Median over `reps` timed transposes of one 2^18-row stored table and
+/// of its naive reference (swap every key, then a whole-table comparison
+/// sort), each after one untimed run that warms the allocator; and
+/// whether the transpose equals the reference.
+TransposeNumbers measure_transpose() {
+  TransposeNumbers out;
   const std::size_t n = 1 << 18;
   const int reps = 15;
-  const ProjTable pristine = unsorted_table(random_binary_entries(n, 7));
-  out.entries = pristine.size();
+  const ProjTable stored = stored_table(random_binary_entries(n, 7));
+  out.entries = stored.size();
 
-  const auto seal_seconds = [&] {
-    ProjTable a = pristine;
+  const auto transpose_seconds = [&] {
     Timer t;
-    a.seal(SortOrder::kByV0, kDomain);
+    const ProjTable tt = stored.transposed(kDomain);
     const double s = t.seconds();
-    benchmark::DoNotOptimize(a.entries().data());
+    benchmark::DoNotOptimize(tt.entries().data());
     return s;
   };
-  // Naive reference: the pre-index whole-table comparison sort.
+  std::vector<TableEntry> want;
   const auto sort_seconds = [&] {
-    std::vector<TableEntry> b(pristine.entries().begin(),
-                              pristine.entries().end());
+    std::vector<TableEntry> b(stored.entries().begin(),
+                              stored.entries().end());
     Timer t;
-    std::sort(b.begin(), b.end(),
-              [](const TableEntry& x, const TableEntry& y) {
-                if (x.key.v[0] != y.key.v[0]) return x.key.v[0] < y.key.v[0];
-                if (x.key.v[1] != y.key.v[1]) return x.key.v[1] < y.key.v[1];
-                if (x.key.v[2] != y.key.v[2]) return x.key.v[2] < y.key.v[2];
-                if (x.key.v[3] != y.key.v[3]) return x.key.v[3] < y.key.v[3];
-                return x.key.sig < y.key.sig;
-              });
+    for (TableEntry& e : b) std::swap(e.key.v[0], e.key.v[1]);
+    std::sort(b.begin(), b.end(), full_key_less);
     const double s = t.seconds();
-    benchmark::DoNotOptimize(b.data());
+    want = std::move(b);
     return s;
   };
-  seal_seconds();
+  transpose_seconds();
   sort_seconds();
-  std::vector<double> seal_s, sort_s;
+  std::vector<double> transpose_s, sort_s;
   for (int r = 0; r < reps; ++r) {
-    seal_s.push_back(seal_seconds());
+    transpose_s.push_back(transpose_seconds());
     sort_s.push_back(sort_seconds());
   }
   const double per = static_cast<double>(out.entries);
-  out.ns_per_entry = median(seal_s) * 1e9 / per;
+  out.ns_per_entry = median(transpose_s) * 1e9 / per;
   out.ns_per_entry_comparison_sort = median(sort_s) * 1e9 / per;
+  out.matches = same_table(stored.transposed(kDomain), want);
   return out;
 }
 
@@ -208,9 +232,11 @@ MergeNumbers measure_merge() {
   return out;
 }
 
-void write_json_report() {
+/// Writes BENCH_primitives.json; returns whether the transpose matched
+/// its reference.
+bool write_json_report() {
   const GroupNumbers g = measure_group_lookup();
-  const SealNumbers s = measure_seal();
+  const TransposeNumbers s = measure_transpose();
   const MergeNumbers m = measure_merge();
 #ifdef _OPENMP
   const int threads = omp_get_max_threads();
@@ -220,7 +246,7 @@ void write_json_report() {
   std::FILE* f = std::fopen("BENCH_primitives.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_primitives.json\n");
-    return;
+    return s.matches;
   }
   std::fprintf(f,
                "{\n"
@@ -233,11 +259,12 @@ void write_json_report() {
                "    \"ns_per_probe_binary_search\": %.3f,\n"
                "    \"speedup_vs_binary_search\": %.3f\n"
                "  },\n"
-               "  \"seal\": {\n"
+               "  \"transpose\": {\n"
                "    \"entries\": %zu,\n"
                "    \"ns_per_entry\": %.3f,\n"
                "    \"ns_per_entry_comparison_sort\": %.3f,\n"
-               "    \"speedup_vs_comparison_sort\": %.3f\n"
+               "    \"speedup_vs_comparison_sort\": %.3f,\n"
+               "    \"matches_comparison_sort\": %s\n"
                "  },\n"
                "  \"merge\": {\n"
                "    \"input_entries\": %zu,\n"
@@ -254,14 +281,20 @@ void write_json_report() {
                s.ns_per_entry > 0.0
                    ? s.ns_per_entry_comparison_sort / s.ns_per_entry
                    : 0.0,
-               m.entries, m.outputs, m.ns_per_entry);
+               s.matches ? "true" : "false", m.entries, m.outputs,
+               m.ns_per_entry);
   std::fclose(f);
   std::printf(
       "BENCH_primitives.json written: group %.1f ns/probe (binary search "
-      "%.1f), seal %.1f ns/entry (comparison sort %.1f), merge %.1f "
+      "%.1f), transpose %.1f ns/entry (comparison sort %.1f), merge %.1f "
       "ns/entry\n",
       g.ns_per_probe, g.ns_per_probe_binary_search, s.ns_per_entry,
       s.ns_per_entry_comparison_sort, m.ns_per_entry);
+  if (!s.matches) {
+    std::fprintf(stderr,
+                 "transpose differs from the comparison-sort reference\n");
+  }
+  return s.matches;
 }
 
 // -------------------------------------------------------------------
@@ -287,24 +320,20 @@ void BM_SinkSum(benchmark::State& state) {
 }
 BENCHMARK(BM_SinkSum)->Arg(1 << 12)->Arg(1 << 16);
 
-void BM_TableSeal(benchmark::State& state) {
+void BM_Transpose(benchmark::State& state) {
   const std::size_t n = state.range(0);
-  const ProjTable pristine = unsorted_table(random_binary_entries(n, 7));
+  const ProjTable stored = stored_table(random_binary_entries(n, 7));
   for (auto _ : state) {
-    state.PauseTiming();
-    ProjTable t = pristine;
-    state.ResumeTiming();
-    t.seal(SortOrder::kByV0, kDomain);
+    const ProjTable t = stored.transposed(kDomain);
     benchmark::DoNotOptimize(t.entries().data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_TableSeal)->Arg(1 << 14)->Arg(1 << 17);
+BENCHMARK(BM_Transpose)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_GroupLookup(benchmark::State& state) {
   const std::size_t n = state.range(0);
-  ProjTable t = unsorted_table(random_binary_entries(n, 9));
-  t.seal(SortOrder::kByV0, kDomain);
+  const ProjTable t = stored_table(random_binary_entries(n, 9));
   Rng rng(23);
   std::vector<VertexId> keys(1 << 12);
   for (auto& v : keys) v = static_cast<VertexId>(rng.below(kDomain));
@@ -413,7 +442,7 @@ BENCHMARK(BM_Brain1DBvsPS)->Arg(0)->Arg(1);
 }  // namespace
 
 int main(int argc, char** argv) {
-  write_json_report();
+  if (!write_json_report()) return 1;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -39,19 +39,25 @@ struct AccumMapT {
     for (const FlatRows& m : lanes) n += m.size();
     return n;
   }
-  /// One sink per lane, in the data graph's key layout: made by the first
-  /// merge_halves, which knows the graph.
+  /// One sink per lane, in the data graph's key layout, and the graph's
+  /// vertex count and stage collector, which the tables take their index
+  /// and seal time from: set by the first merge_halves, which knows the
+  /// graph.
   std::vector<FlatRows> lanes;
+  VertexId domain = 0;
+  StageWall* stage = nullptr;
 };
 
 template <int B>
 struct ProjTableT {
   static ProjTableT from_map(int arity, AccumMapT<B>&& map) {
     ProjTableT t;
+    ScopedStage timed(map.stage == nullptr ? nullptr : &map.stage->seal);
     for (int l = 0; l < B; ++l) {
       t.lanes[l] = map.lanes.empty()
                        ? ProjTable(arity)
-                       : ProjTable::from_sink(arity, std::move(map.lanes[l]));
+                       : ProjTable::from_sink(arity, std::move(map.lanes[l]),
+                                              map.domain);
     }
     return t;
   }
@@ -140,7 +146,11 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
                   ProjTableT<B>& minus, const MergeSpec& spec,
                   AccumMapT<B>& sink) {
   if (cx.chi.lanes() != B) throw Error("merge_halves: batch is not B wide");
-  if (sink.lanes.empty()) sink.lanes.assign(B, FlatRows(cx.key_layout()));
+  if (sink.lanes.empty()) {
+    sink.lanes.assign(B, FlatRows(cx.key_layout()));
+    sink.domain = cx.g.num_vertices();
+    sink.stage = cx.stage;
+  }
   for (int l = 0; l < B; ++l) {
     ExecContext one = cx;
     one.chi = ColoringBatch(cx.chi.lane(l));

@@ -10,11 +10,11 @@
 //
 //   magic u32 | rows u64 | rows x (v0 v1 v2 v3 sig : u32, count : u64)
 //
-// Restore rebuilds each table from its decoded rows and re-seals with the
-// storage convention (kByV0, dense). Because serialization iterates the
-// sealed row order, the decoded rows are already sorted with unique keys:
-// the seal's counting partition is stable and each bucket's sort orders
-// unique keys totally — so a restored table is bit-identical to the one
+// Restore rebuilds each shard from its decoded rows as a summed sink,
+// which arrives in the storage convention (kByV0, dense). Because
+// serialization iterates the kByV0 row order, the decoded rows are
+// already sorted with unique keys: the sum orders unique keys totally and
+// adds nothing — so a restored table is bit-identical to the one
 // checkpointed, the property behind the "replayed run equals fault-free
 // run" guarantee.
 //
@@ -37,8 +37,8 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x54504B43u;  // "CKPT" LE
 inline constexpr std::uint64_t kCheckpointHeaderBytes =
     sizeof(std::uint32_t) + sizeof(std::uint64_t);
 
-/// Serialize one sealed shard: the header, then its rows' records in
-/// sealed order.
+/// Serialize one stored shard: the header, then its rows' records in
+/// kByV0 order.
 inline std::vector<std::uint8_t> checkpoint_encode_shard(
     const ProjTable& shard) {
   const std::uint64_t rows = shard.size();
@@ -59,7 +59,7 @@ inline std::vector<std::uint8_t> checkpoint_encode_shard(
   return out;
 }
 
-/// Decode a shard image back into its row sequence (sealed order).
+/// Decode a shard image back into its row sequence (kByV0 order).
 /// Throws CheckpointCorrupt on any framing violation.
 inline std::vector<TableEntry> checkpoint_decode_shard(
     const std::vector<std::uint8_t>& bytes) {

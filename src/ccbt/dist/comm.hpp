@@ -155,13 +155,6 @@ class VirtualComm {
   /// for the next exchange().
   void clear_inbox(std::uint32_t rank) { inbox_[rank].clear(); }
 
-  /// Move `rank`'s delivered entries out, buffer included: lets a
-  /// collector adopt the rows without a copy, and the next exchange()
-  /// reserves that inbox afresh.
-  std::vector<TableEntry> take_inbox(std::uint32_t rank) {
-    return std::move(inbox_[rank]);
-  }
-
   /// Sum one per-rank contribution vector (MPI_Allreduce stand-in).
   Count allreduce_sum(const std::vector<Count>& parts) const {
     Count sum = 0;

@@ -29,27 +29,16 @@ using dist::Dx;
 using dist::maybe_alloc_fail;
 
 /// Deliver every rank's rows queued in the transport, add them to the
-/// per-rank sinks, sum each sink and close the phase; `where` names the
-/// allocation fault point. The budget bounds the summed rows of all sinks
-/// together. Shared by the two ways a split ends and by the aggregate.
+/// per-rank sinks, sum each sink (DistTable::sum_inboxes, which the budget
+/// bounds) and close the phase; `where` names the allocation fault point.
+/// Shared by the two ways a split ends and by the aggregate.
 void collect_summed(Dx& dx, std::vector<FlatRows>& sinks,
                     const char* where) {
   const ExecContext& cx = dx.cx;
   ScopedStage timed(cx.stage_slot(&StageWall::transport));
   dx.comm.exchange();
   maybe_alloc_fail(dx, where);
-  std::size_t total = 0;
-  for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-    for (const TableEntry& e : dx.comm.inbox(r)) {
-      sinks[r].add(e.key, e.cnt);
-    }
-    sinks[r].sum_duplicates();
-    total += sinks[r].size();
-  }
-  if (total > dx.budget) {
-    throw BudgetExceeded("projection table exceeded " +
-                         std::to_string(dx.budget) + " entries");
-  }
+  DistTable::sum_inboxes(dx.comm, sinks, dx.budget);
   cx.end_phase();
 }
 
@@ -122,12 +111,10 @@ void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
 }
 
 /// One shard per rank, homed at slot 0, from the summed per-rank sinks.
-DistTable shards_of(int arity, std::vector<FlatRows>& sinks) {
-  std::vector<ProjTable> shards;
-  for (FlatRows& m : sinks) {
-    shards.push_back(ProjTable::from_sink(arity, std::move(m)));
-  }
-  return DistTable::from_shards(arity, /*home_slot=*/0, std::move(shards));
+DistTable shards_of(const Dx& dx, int arity, std::vector<FlatRows>& sinks) {
+  ScopedStage timed(dx.cx.stage_slot(&StageWall::seal));
+  return DistTable::from_sinks(arity, /*home_slot=*/0, sinks,
+                               dx.cx.g.num_vertices());
 }
 
 /// Route every aggregated row to the owner of its slot-0 image (rank 0
@@ -148,7 +135,7 @@ DistTable d_aggregate(Dx& dx, const DistTable& t, int new_arity) {
   }
   std::vector<FlatRows> sinks(dx.ranks(), FlatRows(dx.cx.key_layout()));
   collect_summed(dx, sinks, "aggregate");
-  return shards_of(new_arity, sinks);
+  return shards_of(dx, new_arity, sinks);
 }
 
 /// A cycle block through the shared engine's walk schedule
@@ -172,7 +159,7 @@ DistTable d_solve_cycle(Dx& dx, const Block& blk, DistPool& pool,
         return rows;
       });
   peak_entries = std::max(peak_entries, peak);
-  return shards_of(blk.boundary_count(), sinks);
+  return shards_of(dx, blk.boundary_count(), sinks);
 }
 
 DistTable d_solve_leaf_edge(Dx& dx, const Block& blk, DistPool& pool) {

@@ -48,10 +48,11 @@ inline void maybe_alloc_fail(Dx& dx, const char* where) {
   }
 }
 
-/// Solved child-block tables: stored home slot 0, shards sealed kByV0
-/// (the same convention as the shared TablePool, so every shard is
-/// dense), with two caches each built by one transport superstep on first
-/// use: the transpose, and the replica of a unary table.
+/// Solved child-block tables: stored home slot 0, each shard a summed sink
+/// that arrived sealed kByV0 with its bucket index (the same convention as
+/// the shared TablePool, so every shard is dense, and storing a table
+/// moves it in), with two caches each built by one transport superstep on
+/// first use: the transpose, and the replica of a unary table.
 class DistPool {
  public:
   DistPool(std::size_t num_blocks, VertexId domain,
@@ -62,24 +63,17 @@ class DistPool {
         domain_(domain),
         stage_(stage) {}
 
-  void store(int block, DistTable table) {
-    {
-      ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
-      table.seal_shards(SortOrder::kByV0, domain_);
-    }
-    tables_[block] = std::move(table);
-  }
+  void store(int block, DistTable table) { tables_[block] = std::move(table); }
 
   const DistTable& get(int block) const { return *tables_[block]; }
 
   const DistTable& oriented(Dx& dx, int block, bool transposed) {
     if (!transposed) return get(block);
     if (!transposed_[block]) {
-      // A transpose is a transport superstep plus a sealing collect;
-      // charge it to transport (the seal inside is not separable here).
+      // A transpose is a transport superstep plus a summing collect;
+      // charge it to transport (the sum inside is not separable here).
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->transport);
-      transposed_[block] =
-          get(block).transposed(dx.comm, dx.part(), dx.budget, domain_);
+      transposed_[block] = get(block).transposed(dx.comm, dx.part(), dx.budget);
     }
     return *transposed_[block];
   }
@@ -119,9 +113,9 @@ class DistPool {
   }
 
   /// Rebuild the stored tables from `img`, dropping everything newer.
-  /// Decoded rows arrive in sealed order with unique keys, so re-sealing
-  /// reproduces the checkpointed shards bit for bit: the counting
-  /// partition is stable and unique keys sort totally inside each bucket.
+  /// Decoded rows arrive in kByV0 order with unique keys, so summing them
+  /// into sinks reproduces the checkpointed shards bit for bit
+  /// (DistTable::from_shard_rows).
   void restore(const CheckpointImage& img, std::uint32_t ranks) {
     for (auto& t : tables_) t.reset();
     for (auto& t : transposed_) t.reset();
@@ -139,9 +133,8 @@ class DistPool {
       for (const std::vector<std::uint8_t>& bytes : ti.shards) {
         rows.push_back(checkpoint_decode_shard(bytes));
       }
-      tables_[ti.block] = DistTable::from_shard_rows(
-          ti.arity, ti.home_slot, std::move(rows), SortOrder::kByV0,
-          domain_);
+      tables_[ti.block] =
+          DistTable::from_shard_rows(ti.arity, ti.home_slot, rows, domain_);
     }
   }
 
@@ -222,8 +215,7 @@ struct DistPath {
   DistTable init_child(int child, bool transposed, const ExtendOpts& o) {
     const DistTable& pull = pool.oriented(dx, child, !transposed);
     return build_shards(dx, 2, [&](std::uint32_t r, VertexRange range) {
-      return init_path_from_child(dx.cx, pull.shard(r), /*flip=*/true, o,
-                                  range);
+      return init_path_from_child(dx.cx, pull.shard(r), o, range);
     });
   }
 
@@ -254,8 +246,7 @@ struct DistPath {
     return build_shards(dx, path.arity(), [&](std::uint32_t r,
                                               VertexRange range) {
       ProjTable view = halo_view(path, r);
-      return extend_with_child(dx.cx, view, pull->shard(r), o,
-                               /*flip=*/true, range);
+      return extend_with_child(dx.cx, view, pull->shard(r), o, range);
     });
   }
 

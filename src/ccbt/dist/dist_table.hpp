@@ -10,7 +10,9 @@
 // Every movement between ranks — a transposition, the halo buckets an
 // extend reads (halo_view), the replica of a unary table (allgathered) —
 // happens through VirtualComm supersteps, so the transport statistics
-// account for it.
+// account for it. A path shard is born sorted kByV1 on its rank; every
+// other shard is a summed FlatRows sink, adopted sealed kByV0
+// (ProjTable::from_sink), so nothing re-sorts a shard.
 
 #include <cstdint>
 #include <string>
@@ -28,50 +30,69 @@ class DistTable {
  public:
   DistTable() = default;
 
-  /// Drain every rank's inbox (as delivered by the last exchange) into
-  /// its shard and seal each shard in `order` (`domain` enables the
-  /// shards' O(1) bucket index). The inbox rows are adopted as they are
-  /// (ProjTable::from_flat), so no key may arrive twice: a transpose
-  /// re-homes unique keys. Throws BudgetExceeded when the total entry
-  /// count exceeds `budget`.
-  static DistTable collect(int arity, int home_slot, VirtualComm& comm,
-                           SortOrder order, std::size_t budget,
-                           VertexId domain = 0) {
-    DistTable t;
-    t.arity_ = arity;
-    t.home_slot_ = home_slot;
-    t.shards_.resize(comm.num_ranks());
+  /// Add the rows the last exchange delivered to each rank to that rank's
+  /// sink, emptying the inbox, and sum every sink
+  /// (FlatRows::sum_duplicates). Throws BudgetExceeded when the summed
+  /// rows of all sinks together exceed `budget`.
+  static void sum_inboxes(VirtualComm& comm, std::vector<FlatRows>& sinks,
+                          std::size_t budget) {
     std::size_t total = 0;
     for (std::uint32_t r = 0; r < comm.num_ranks(); ++r) {
-      ProjTable shard = ProjTable::from_flat(arity, comm.take_inbox(r));
-      total += shard.size();
-      if (total > budget) {
-        throw BudgetExceeded("distributed table exceeded " +
-                             std::to_string(budget) + " entries");
-      }
-      shard.seal(order, domain);
-      t.shards_[r] = std::move(shard);
+      for (const TableEntry& e : comm.inbox(r)) sinks[r].add(e.key, e.cnt);
+      comm.clear_inbox(r);
+      sinks[r].sum_duplicates();
+      total += sinks[r].size();
     }
-    return t;
+    if (total > budget) {
+      throw BudgetExceeded("projection table exceeded " +
+                           std::to_string(budget) + " entries");
+    }
   }
 
-  /// Materialize from per-rank row sequences (checkpoint restore), one
-  /// shard per rank, sealed in `order`. Rows decoded from a checkpoint
-  /// arrive in sealed order with unique keys, so re-sealing (a
-  /// deterministic sort) reproduces the checkpointed table bit for bit.
-  static DistTable from_shard_rows(int arity, int home_slot,
-                                   std::vector<std::vector<TableEntry>> rows,
-                                   SortOrder order, VertexId domain) {
-    DistTable t;
-    t.arity_ = arity;
-    t.home_slot_ = home_slot;
-    t.shards_.resize(rows.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      ProjTable shard = ProjTable::from_flat(arity, std::move(rows[r]));
-      shard.seal(order, domain);
-      t.shards_[r] = std::move(shard);
+  /// One shard per rank from the summed per-rank sinks, homed at
+  /// `home_slot`, each sealed kByV0 with its bucket index over the data
+  /// graph's `num_vertices` (ProjTable::from_sink).
+  static DistTable from_sinks(int arity, int home_slot,
+                              std::vector<FlatRows>& sinks,
+                              VertexId num_vertices) {
+    std::vector<ProjTable> shards;
+    shards.reserve(sinks.size());
+    for (FlatRows& m : sinks) {
+      shards.push_back(
+          ProjTable::from_sink(arity, std::move(m), num_vertices));
     }
-    return t;
+    return from_shards(arity, home_slot, std::move(shards));
+  }
+
+  /// The rows the last exchange delivered, rank r's summed into shard r
+  /// (sum_inboxes, then from_sinks) in the key layout of the
+  /// `num_vertices`-vertex data graph. Throws BudgetExceeded as
+  /// sum_inboxes does.
+  static DistTable collect(int arity, int home_slot, VirtualComm& comm,
+                           std::size_t budget, VertexId num_vertices) {
+    std::vector<FlatRows> sinks(
+        comm.num_ranks(), FlatRows(KeyLayout::for_vertices(num_vertices)));
+    sum_inboxes(comm, sinks, budget);
+    return from_sinks(arity, home_slot, sinks, num_vertices);
+  }
+
+  /// A stored table restored from per-rank row sequences (a checkpoint's
+  /// decoded shards), one shard per rank, each rebuilt as a summed sink.
+  /// The rows were encoded in kByV0 order with unique keys, so the sum
+  /// only sorts them and the restored table equals the checkpointed one
+  /// bit for bit.
+  static DistTable from_shard_rows(
+      int arity, int home_slot,
+      const std::vector<std::vector<TableEntry>>& rows,
+      VertexId num_vertices) {
+    std::vector<FlatRows> sinks(
+        rows.size(), FlatRows(KeyLayout::for_vertices(num_vertices)));
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      sinks[r].reserve(rows[r].size());
+      for (const TableEntry& e : rows[r]) sinks[r].append(e.key, e.cnt);
+      sinks[r].sum_duplicates();
+    }
+    return from_sinks(arity, home_slot, sinks, num_vertices);
   }
 
   /// Adopt one shard per rank (each built in place on its rank).
@@ -129,10 +150,11 @@ class DistTable {
     return true;
   }
 
-  /// Swap key slots 0 and 1 and re-home (one superstep); shards sealed
-  /// kByV0 — the storage convention for child-block tables.
+  /// Swap key slots 0 and 1 and re-home (one superstep): every rank sums
+  /// the swapped rows it receives into its shard (collect), sealed kByV0 —
+  /// the storage convention for child-block tables.
   DistTable transposed(VirtualComm& comm, const BlockPartition& part,
-                       std::size_t budget, VertexId domain = 0) const {
+                       std::size_t budget) const {
     for (std::uint32_t r = 0; r < num_shards(); ++r) {
       shards_[r].for_each_entry([&](const TableEntry& e) {
         TableEntry t = e;
@@ -141,8 +163,7 @@ class DistTable {
       });
     }
     comm.exchange();
-    return collect(arity_, home_slot_, comm, SortOrder::kByV0, budget,
-                   domain);
+    return collect(arity_, home_slot_, comm, budget, part.num_vertices());
   }
 
   /// Rank r's view of this born-sorted path table (home slot 1) for a
@@ -183,9 +204,11 @@ class DistTable {
 
   /// Every rank's copy of the whole table after one allgather superstep:
   /// each shard goes to every other rank. All copies hold the same rows,
-  /// so one stands for them all: rank 0's, sealed kByV0 (`domain`
-  /// enables its bucket index). Empties every inbox.
-  ProjTable allgathered(VirtualComm& comm, VertexId domain) const {
+  /// so one stands for them all: rank 0's, its own shard and the rows it
+  /// received summed into one sink in the key layout of the
+  /// `num_vertices`-vertex data graph, sealed kByV0 with its index over
+  /// `num_vertices`. Empties every inbox.
+  ProjTable allgathered(VirtualComm& comm, VertexId num_vertices) const {
     for (std::uint32_t s = 0; s < num_shards(); ++s) {
       shards_[s].for_each_entry([&](const TableEntry& e) {
         for (std::uint32_t d = 0; d < num_shards(); ++d) {
@@ -194,19 +217,14 @@ class DistTable {
       });
     }
     comm.exchange();
-    std::vector<TableEntry> rows;
-    rows.reserve(shards_[0].size() + comm.inbox(0).size());
-    shards_[0].for_each_entry([&](const TableEntry& e) { rows.push_back(e); });
-    rows.insert(rows.end(), comm.inbox(0).begin(), comm.inbox(0).end());
+    FlatRows sink(KeyLayout::for_vertices(num_vertices));
+    sink.reserve(shards_[0].size() + comm.inbox(0).size());
+    shards_[0].for_each_entry(
+        [&](const TableEntry& e) { sink.append(e.key, e.cnt); });
+    for (const TableEntry& e : comm.inbox(0)) sink.append(e.key, e.cnt);
     for (std::uint32_t r = 0; r < num_shards(); ++r) comm.clear_inbox(r);
-    ProjTable copy = ProjTable::from_flat(arity_, std::move(rows));
-    copy.seal(SortOrder::kByV0, domain);
-    return copy;
-  }
-
-  /// Seal every shard (used when a table is stored).
-  void seal_shards(SortOrder order, VertexId domain = 0) {
-    for (auto& s : shards_) s.seal(order, domain);
+    sink.sum_duplicates();
+    return ProjTable::from_sink(arity_, std::move(sink), num_vertices);
   }
 
  private:

@@ -96,7 +96,9 @@ ProjTable solve_cycle(const ExecContext& cx, const Block& blk,
   if (peak_entries != nullptr) *peak_entries = std::max(*peak_entries, peak);
   // The merge spec emitted exactly the boundary slots, so the summed keys
   // already project to the block's boundary images.
-  return ProjTable::from_sink(blk.boundary_count(), std::move(sink));
+  ScopedStage timed(cx.stage_slot(&StageWall::seal));
+  return ProjTable::from_sink(blk.boundary_count(), std::move(sink),
+                              cx.g.num_vertices());
 }
 
 }  // namespace ccbt

@@ -23,11 +23,11 @@ namespace ccbt {
 
 /// Wall-clock breakdown of one plan execution by pipeline stage, so a
 /// speedup (or regression) is attributable stage by stage: kernel
-/// emission, sorting seals, merge joins, and — distributed engine only —
-/// the transport exchanges.
+/// emission, sink tables' index builds and transposes, merge joins, and —
+/// distributed engine only — the transport exchanges.
 struct StageWall {
   double accumulate = 0.0;  // join kernels emitting rows
-  double seal = 0.0;        // sort + dedup
+  double seal = 0.0;        // sink table indexes + shared transposes
   double merge = 0.0;       // merge_halves / extend_and_merge sweeps
   double transport = 0.0;   // virtual-MPI encode/exchange/decode
 

@@ -11,7 +11,9 @@
 // A walk is a list of ops (PathOp, from walk_path) that either engine runs
 // on its own table type through apply_op.
 
+#include <cassert>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ccbt/decomp/block.hpp"
@@ -22,25 +24,22 @@
 
 namespace ccbt {
 
-/// Solved child tables, sealed kByV0, with cached transposes; both are
-/// dense, so joins probe them through group() directly. `domain` (the
-/// data graph's vertex count) lets stored tables build their O(1) bucket
-/// index at seal time.
+/// Solved child tables with cached transposes. Each is a summed sink
+/// that arrived sealed kByV0 with its bucket index (ProjTable::from_sink),
+/// so storing one moves it in, and both are dense, so joins probe them
+/// through group() directly. `domain` is the data graph's vertex count,
+/// which a transpose builds its sink and index over.
 class TablePool {
  public:
   explicit TablePool(std::size_t num_blocks, VertexId domain = 0,
                      StageWall* stage = nullptr)
-      : tables_(num_blocks), domain_(domain), stage_(stage) {}
+      : tables_(num_blocks),
+        transposed_(num_blocks),
+        domain_(domain),
+        stage_(stage) {}
 
   void store(int block, ProjTable table) {
-    {
-      ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
-      table.seal(SortOrder::kByV0, domain_);
-    }
-    if (transposed_.empty()) {
-      transposed_.resize(tables_.size());
-      has_transposed_.resize(tables_.size(), false);
-    }
+    assert(table.order() == SortOrder::kByV0);
     tables_[block] = std::move(table);
   }
 
@@ -49,14 +48,11 @@ class TablePool {
   /// The child table with slot 0 = `from`'s image; transposes lazily.
   const ProjTable& oriented(int block, bool transposed) {
     if (!transposed) return tables_[block];
-    if (!has_transposed_[block]) {
+    if (!transposed_[block]) {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
-      ProjTable t = tables_[block].transposed();
-      t.seal(SortOrder::kByV0, domain_);
-      transposed_[block] = std::move(t);
-      has_transposed_[block] = true;
+      transposed_[block] = tables_[block].transposed(domain_);
     }
-    return transposed_[block];
+    return *transposed_[block];
   }
 
   std::size_t total_entries() const {
@@ -67,8 +63,7 @@ class TablePool {
 
  private:
   std::vector<ProjTable> tables_;
-  std::vector<ProjTable> transposed_;  // lazily filled
-  std::vector<bool> has_transposed_;
+  std::vector<std::optional<ProjTable>> transposed_;  // lazily filled
   VertexId domain_ = 0;
   StageWall* stage_ = nullptr;
 };
@@ -180,7 +175,7 @@ auto walk_leaf_edge(Ops& ops, const Block& blk) {
 /// The shared engine's primitives over a TablePool, for the walks. Each
 /// table is built bucket by bucket from the child rows that end in the
 /// bucket, so edge children are read through the orientation opposite to
-/// the walk (both are cached by the pool), which `flip` says.
+/// the walk (both are cached by the pool).
 struct SharedPath {
   const ExecContext& cx;
   TablePool& pool;
@@ -189,8 +184,7 @@ struct SharedPath {
     return init_path_from_graph(cx, o);
   }
   ProjTable init_child(int child, bool transposed, const ExtendOpts& o) {
-    return init_path_from_child(cx, pool.oriented(child, !transposed),
-                                /*flip=*/true, o);
+    return init_path_from_child(cx, pool.oriented(child, !transposed), o);
   }
   ProjTable node_join(ProjTable& t, int child, int slot) {
     return ccbt::node_join(cx, t, pool.get(child), slot);
@@ -200,8 +194,7 @@ struct SharedPath {
   }
   ProjTable extend_child(ProjTable& t, int child, bool transposed,
                          const ExtendOpts& o) {
-    return extend_with_child(cx, t, pool.oriented(child, !transposed), o,
-                             /*flip=*/true);
+    return extend_with_child(cx, t, pool.oriented(child, !transposed), o);
   }
 };
 

@@ -108,22 +108,6 @@ ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
   return ProjTable::from_buckets(arity, std::move(out));
 }
 
-/// The same rows with key slots 0 and 1 swapped, sealed kByV0: a child
-/// table grouped by its other endpoint (tables are stored kByV0).
-ProjTable transposed_by_v0(const ExecContext& cx, const ProjTable& t) {
-  ScopedStage timed(cx.stage_slot(&StageWall::seal));
-  ProjTable out = t.transposed();
-  out.seal(SortOrder::kByV0, cx.g.num_vertices());
-  return out;
-}
-
-/// Seal a path input in its born order (a relabel for a born-sorted
-/// table) so its frontier buckets can be pulled.
-void seal_by_frontier(const ExecContext& cx, ProjTable& path) {
-  ScopedStage timed(cx.stage_slot(&StageWall::seal));
-  path.seal(SortOrder::kByV1, cx.g.num_vertices());
-}
-
 /// EdgeJoin of one path row `e`, whose frontier is `joint`, with one
 /// child row `ce` running from `joint` to `w`: the matches must share
 /// exactly the joint's color.
@@ -429,13 +413,14 @@ class FusedSplit {
 
 }  // namespace
 
-LoadModel::Held extend_and_merge(const ExecContext& cx, ProjTable& prefix,
+LoadModel::Held extend_and_merge(const ExecContext& cx,
+                                 const ProjTable& prefix,
                                  const ProjTable* child, const ExtendOpts& o,
-                                 ProjTable& plus, const MergeSpec& spec,
+                                 const ProjTable& plus, const MergeSpec& spec,
                                  FlatRows& sink, VertexRange range) {
   const VertexId n = cx.g.num_vertices();
-  seal_by_frontier(cx, prefix);
-  seal_by_frontier(cx, plus);
+  assert(prefix.order() == SortOrder::kByV1);
+  assert(plus.order() == SortOrder::kByV1);
   cx.note_lanes(prefix.layout());
   cx.note_lanes(plus.layout());
   const std::uint32_t ranks = cx.load == nullptr ? 0 : cx.load->num_ranks();
@@ -496,28 +481,23 @@ ProjTable init_path_from_graph(const ExecContext& cx, const ExtendOpts& o,
 }
 
 ProjTable init_path_from_child(const ExecContext& cx, const ProjTable& child,
-                               bool flip, const ExtendOpts& o,
-                               VertexRange range) {
-  if (!flip) {
-    return init_path_from_child(cx, transposed_by_v0(cx, child),
-                                /*flip=*/true, o, range);
-  }
+                               const ExtendOpts& o, VertexRange range) {
   return build_buckets(
       cx, 2, child.size(),
       [&](VertexId w, FlatRows& sink) {
         for (const TableEntry& ce : child.group(0, w)) {
           kernel_init_from_child(
-              cx, ce, /*flip=*/true, o,
+              cx, ce, o,
               [&](const TableKey& k, Count c) { sink.append(k, c); });
         }
       },
       range);
 }
 
-ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
+ProjTable extend_with_graph(const ExecContext& cx, const ProjTable& path,
                             const ExtendOpts& o, VertexRange range) {
   const CsrGraph& g = cx.g;
-  seal_by_frontier(cx, path);
+  assert(path.order() == SortOrder::kByV1);
   cx.note_lanes(path.layout());
   const FlatRows* const flat = path.flat_storage();
   // The packed path rewrites the tracked slot's field in place, so a
@@ -603,14 +583,10 @@ ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
       range);
 }
 
-ProjTable extend_with_child(const ExecContext& cx, ProjTable& path,
+ProjTable extend_with_child(const ExecContext& cx, const ProjTable& path,
                             const ProjTable& child, const ExtendOpts& o,
-                            bool flip, VertexRange range) {
-  if (!flip) {
-    return extend_with_child(cx, path, transposed_by_v0(cx, child), o,
-                             /*flip=*/true, range);
-  }
-  seal_by_frontier(cx, path);
+                            VertexRange range) {
+  assert(path.order() == SortOrder::kByV1);
   cx.note_lanes(path.layout());
   return build_buckets(
       cx, path.arity(), path.size(),
@@ -628,9 +604,9 @@ ProjTable extend_with_child(const ExecContext& cx, ProjTable& path,
       range);
 }
 
-ProjTable node_join(const ExecContext& cx, ProjTable& path,
+ProjTable node_join(const ExecContext& cx, const ProjTable& path,
                     const ProjTable& child, int slot, VertexRange range) {
-  seal_by_frontier(cx, path);
+  assert(path.order() == SortOrder::kByV1);
   return build_buckets(
       cx, path.arity(), path.size(),
       [&](VertexId w, FlatRows& sink) {
@@ -646,14 +622,12 @@ ProjTable node_join(const ExecContext& cx, ProjTable& path,
       range);
 }
 
-void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
-                  const MergeSpec& spec, FlatRows& sink) {
+void merge_halves(const ExecContext& cx, const ProjTable& plus,
+                  const ProjTable& minus, const MergeSpec& spec,
+                  FlatRows& sink) {
   const VertexId n = cx.g.num_vertices();
-  {
-    ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    plus.seal(SortOrder::kByV1, n);
-    minus.seal(SortOrder::kByV1, n);
-  }
+  assert(plus.order() == SortOrder::kByV1);
+  assert(minus.order() == SortOrder::kByV1);
   cx.note_lanes(plus.layout());
   cx.note_lanes(minus.layout());
   ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
@@ -680,7 +654,8 @@ ProjTable aggregate(const ExecContext& cx, const ProjTable& t, int new_arity) {
   });
   sink.sum_duplicates();
   cx.end_phase();
-  return ProjTable::from_sink(new_arity, std::move(sink));
+  ScopedStage timed(cx.stage_slot(&StageWall::seal));
+  return ProjTable::from_sink(new_arity, std::move(sink), cx.g.num_vertices());
 }
 
 }  // namespace ccbt

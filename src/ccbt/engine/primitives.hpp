@@ -31,8 +31,8 @@
 // — is not built at all: extend_and_merge streams each end bucket's rows
 // straight into the merge against the plus bucket, with no sort. A cycle
 // block's walk schedule (cycle_solver.hpp) may feed one table to several
-// later primitives: each only reads it (its seal in born order is a
-// relabel). Every primitive takes the frontier vertices it builds as a
+// later primitives: each only reads it, in the order it was born in.
+// Every primitive takes the frontier vertices it builds as a
 // VertexRange: all of them in the shared engine, one rank's block when
 // the virtual-MPI engine in ccbt/dist runs it over the rank's shard and
 // halo.
@@ -98,12 +98,13 @@ inline void close_build_phase(const ExecContext& cx) {
 // Per-entry row helpers the pull bodies run. Each performs its load-model
 // charges itself and hands finished rows to `emit(key, count)`.
 
-/// Re-key one child-table entry as an initial path entry.
+/// Re-key one child-table entry, read in the orientation opposite to the
+/// walk (b, a), as the initial path entry (a, b).
 template <typename Emit>
 void kernel_init_from_child(const ExecContext& cx, const TableEntry& e,
-                            bool flip, const ExtendOpts& o, Emit&& emit) {
-  const VertexId a = e.key.v[flip ? 1 : 0];
-  const VertexId b = e.key.v[flip ? 0 : 1];
+                            const ExtendOpts& o, Emit&& emit) {
+  const VertexId a = e.key.v[1];
+  const VertexId b = e.key.v[0];
   cx.charge(b, 1);
   if (o.anchor_higher && !cx.order.higher(a, b)) return;
   TableKey key;
@@ -150,41 +151,37 @@ void kernel_aggregate(const ExecContext& cx, const TableEntry& e,
 ProjTable init_path_from_graph(const ExecContext& cx, const ExtendOpts& o,
                                VertexRange range = {});
 
-/// Initial path table from a child block's binary table, sealed kByV0.
-/// Slot 0 of the result is the walk's starting node: the child's slot 0,
-/// or its slot 1 when `flip`. Bucket w is built from the child rows whose
-/// walk end is w, which is the child's kByV0 group when `flip` —
-/// build_path hands it the pool's opposite orientation for exactly that;
-/// an unflipped child is transposed first.
+/// Initial path table from a child block's binary table, sealed kByV0 and
+/// oriented opposite to the walk: a child row (w, a) is the path row
+/// (a, w), so bucket w is built from the child's group(0, w). build_path
+/// hands it the pool's opposite orientation for exactly that.
 ProjTable init_path_from_child(const ExecContext& cx, const ProjTable& child,
-                               bool flip, const ExtendOpts& o,
-                               VertexRange range = {});
+                               const ExtendOpts& o, VertexRange range = {});
 
 /// Extend every path entry by one data-graph edge out of the frontier.
 /// Bucket w gathers, for every neighbour x of w, the rows of path bucket
 /// x whose signature lacks w's color, and charges |bucket x| once per
-/// (w, x) adjacency — deg(x)·|bucket x| in all. The path is sealed by
-/// frontier first (a relabel for the born-sorted tables the primitives
-/// produce).
-ProjTable extend_with_graph(const ExecContext& cx, ProjTable& path,
+/// (w, x) adjacency — deg(x)·|bucket x| in all. Like every path input,
+/// `path` must be born sorted (kByV1).
+ProjTable extend_with_graph(const ExecContext& cx, const ProjTable& path,
                             const ExtendOpts& o, VertexRange range = {});
 
-/// Extend through a child block's binary table (EdgeJoin): path frontier v
-/// joins child entries (v, w, sig2). `child` must be sealed kByV0 and
-/// oriented (use TablePool::oriented); `flip` says it is stored the other
-/// way round, (w, v, sig2). Bucket w is built from the child rows (w, x)
-/// and path bucket x — the flipped orientation, which build_path hands
-/// it; an unflipped child is transposed first. The pull charges
-/// |bucket x| per child row (x, w): |group(x)|·|bucket x| in all.
-ProjTable extend_with_child(const ExecContext& cx, ProjTable& path,
+/// Extend through a child block's binary table (EdgeJoin): path frontier x
+/// joins the child's matches of the edge (x, w). `child` must be sealed
+/// kByV0 and oriented opposite to the walk, holding that edge as the row
+/// (w, x, sig2) — the orientation build_path hands it (TablePool::oriented).
+/// Bucket w is built from the child rows (w, x) and path bucket x; the
+/// pull charges |bucket x| per child row (w, x): |group(x)|·|bucket x| in
+/// all.
+ProjTable extend_with_child(const ExecContext& cx, const ProjTable& path,
                             const ProjTable& child, const ExtendOpts& o,
-                            bool flip = false, VertexRange range = {});
+                            VertexRange range = {});
 
 /// NodeJoin: multiply in a unary child at key slot `slot` (0 = anchor,
 /// 1 = frontier). `child` must be sealed kByV0. A join keeps every key's
 /// frontier, so bucket w of the result comes from bucket w of the
 /// (born-sorted) path alone.
-ProjTable node_join(const ExecContext& cx, ProjTable& path,
+ProjTable node_join(const ExecContext& cx, const ProjTable& path,
                     const ProjTable& child, int slot, VertexRange range = {});
 
 /// Where each output key slot of a merge comes from.
@@ -334,12 +331,12 @@ void merge_bucket_packed(const ExecContext& cx, KeyLayout lay,
 namespace detail {
 
 /// Join end bucket x of two half-cycle tables sealed kByV1 (group_span
-/// finds it through the bucket index, or by binary search in a table
-/// sealed without one): through merge_bucket_packed when both kept their
-/// packed flat rows (in the data graph's one layout), otherwise through
-/// merge_bucket over the buckets decoded into the scratches (raw subspans when dense, so dense tables
-/// pay nothing). The one bucket router of merge_halves and the
-/// distributed engine's per-rank merge.
+/// finds it through their bucket index): through merge_bucket_packed when
+/// both kept their packed flat rows (in the data graph's one layout),
+/// otherwise through merge_bucket over the buckets decoded into the
+/// scratches (raw subspans when dense, so dense tables pay nothing). The
+/// one bucket router of merge_halves and the distributed engine's
+/// per-rank merge.
 template <typename Sink>
 void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
                       const ProjTable& minus, VertexId x,
@@ -376,18 +373,19 @@ void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
 /// summed, one row per key (FlatRows::sum_duplicates), and is summed
 /// early whenever it passes max_table_entries. Threads that own end
 /// buckets add into private sinks, each summed and then concatenated
-/// onto `sink`. The halves are born sorted by their end vertex, so they
-/// join end bucket by end bucket; their seal is a relabel. The cycle
+/// onto `sink`. The halves are born sorted by their end vertex (kByV1),
+/// so they join end bucket by end bucket. The cycle
 /// solvers call it only for a split whose minus half is a single edge
 /// (PS); every other split ends in extend_and_merge, which never builds
 /// the minus table. The phase charges |P_uv| × |M_uv| per (anchor u, end
 /// v) group at v and, at out_arity >= 2, one send per compatible pair.
-void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
-                  const MergeSpec& spec, FlatRows& sink);
+void merge_halves(const ExecContext& cx, const ProjTable& plus,
+                  const ProjTable& minus, const MergeSpec& spec,
+                  FlatRows& sink);
 
 /// The last extend of a cycle split's minus walk (a graph edge, or the
-/// edge child `child` in the pulling orientation extend_with_child takes
-/// with flip) fused with its merge_halves against `plus`. `prefix` is the
+/// edge child `child` in the pulling orientation extend_with_child takes)
+/// fused with its merge_halves against `plus`. `prefix` is the
 /// minus walk one extend short of its end (the walk schedule's fused op);
 /// it may be the very table `plus` is, which both only read.
 ///
@@ -417,14 +415,16 @@ void merge_halves(const ExecContext& cx, ProjTable& plus, ProjTable& minus,
 /// accumulation phase, no rows sorted) and returns nothing held; a rank's
 /// range returns the held merge charges, which the caller applies after
 /// it closes the extend's phase over all ranks.
-LoadModel::Held extend_and_merge(const ExecContext& cx, ProjTable& prefix,
+LoadModel::Held extend_and_merge(const ExecContext& cx,
+                                 const ProjTable& prefix,
                                  const ProjTable* child, const ExtendOpts& o,
-                                 ProjTable& plus, const MergeSpec& spec,
+                                 const ProjTable& plus, const MergeSpec& spec,
                                  FlatRows& sink, VertexRange range = {});
 
 /// Sum out all slots beyond the first new_arity (with phase accounting):
 /// the projected rows go to a FlatRows sink, summed at the end and
-/// whenever they pass max_table_entries.
+/// whenever they pass max_table_entries, which the table adopts sealed
+/// kByV0 (ProjTable::from_sink).
 ProjTable aggregate(const ExecContext& cx, const ProjTable& t, int new_arity);
 
 }  // namespace ccbt

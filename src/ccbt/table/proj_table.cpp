@@ -1,56 +1,69 @@
 #include "ccbt/table/proj_table.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include <tuple>
 
 namespace ccbt {
 
 namespace {
 
-bool less_by_v0(const TableEntry& a, const TableEntry& b) {
-  if (a.key.v[0] != b.key.v[0]) return a.key.v[0] < b.key.v[0];
-  if (a.key.v[1] != b.key.v[1]) return a.key.v[1] < b.key.v[1];
-  if (a.key.v[2] != b.key.v[2]) return a.key.v[2] < b.key.v[2];
-  if (a.key.v[3] != b.key.v[3]) return a.key.v[3] < b.key.v[3];
-  return a.key.sig < b.key.sig;
-}
-
-bool less_by_v1(const TableEntry& a, const TableEntry& b) {
-  if (a.key.v[1] != b.key.v[1]) return a.key.v[1] < b.key.v[1];
-  return less_by_v0(a, b);
-}
-
-/// Tie-break inside one slot-0 bucket (slot 0 equal by construction).
-bool less_tail_v0(const TableEntry& a, const TableEntry& b) {
-  if (a.key.v[1] != b.key.v[1]) return a.key.v[1] < b.key.v[1];
-  if (a.key.v[2] != b.key.v[2]) return a.key.v[2] < b.key.v[2];
-  if (a.key.v[3] != b.key.v[3]) return a.key.v[3] < b.key.v[3];
-  return a.key.sig < b.key.sig;
-}
-
-/// Tie-break inside one slot-1 bucket (slot 1 equal by construction).
-bool less_tail_v1(const TableEntry& a, const TableEntry& b) {
-  if (a.key.v[0] != b.key.v[0]) return a.key.v[0] < b.key.v[0];
-  if (a.key.v[2] != b.key.v[2]) return a.key.v[2] < b.key.v[2];
-  if (a.key.v[3] != b.key.v[3]) return a.key.v[3] < b.key.v[3];
-  return a.key.sig < b.key.sig;
-}
-
-/// Whether a counting partition over `domain` buckets pays off for n
-/// entries: the offsets array must not dominate the sort itself. Applies
-/// to explicit domains too — a tiny late-stage table on a huge graph must
-/// not pay O(num_vertices) per seal.
+/// Whether an index over `domain` buckets pays off for n entries: the
+/// offsets array must not dominate the table itself. Applies to explicit
+/// domains too — a tiny late-stage table on a huge graph must not pay
+/// O(num_vertices) per build.
 bool domain_worthwhile(std::size_t n, VertexId domain) {
   return domain > 0 &&
          std::uint64_t{domain} <=
              8 * std::uint64_t{std::max<std::size_t>(n, 1)} + 1024;
 }
 
+/// The domain the rows, sorted kByV0, show for themselves: their largest
+/// slot-0 value + 1, or 0 when that is too sparse (or is kNoVertex) to
+/// pay off.
+VertexId detect_domain(const std::vector<TableEntry>& rows) {
+  const VertexId max_v = rows.empty() ? 0 : rows.back().key.v[0];
+  if (max_v == std::numeric_limits<VertexId>::max()) return 0;  // kNoVertex
+  const auto domain = static_cast<VertexId>(std::uint64_t{max_v} + 1);
+  return domain_worthwhile(rows.size(), domain) ? domain : 0;
+}
+
+/// The CSR offsets of `rows`, sorted kByV0, over slot 0's values
+/// [0, domain): bucket v occupies [off[v], off[v + 1]). Empty when a key
+/// falls outside the domain.
+std::vector<std::uint32_t> v0_offsets(const std::vector<TableEntry>& rows,
+                                      VertexId domain) {
+  std::vector<std::uint32_t> off(static_cast<std::size_t>(domain) + 1, 0);
+  for (const TableEntry& e : rows) {
+    if (e.key.v[0] >= domain) return {};
+    ++off[e.key.v[0] + 1];
+  }
+  for (std::size_t v = 1; v <= domain; ++v) off[v] += off[v - 1];
+  return off;
+}
+
 }  // namespace
+
+ProjTable ProjTable::from_sink(int arity, FlatRows&& sink, VertexId domain) {
+  ProjTable t(arity);
+  t.entries_ = sink.take_wide();
+  const std::vector<TableEntry>& rows = t.entries_;
+  assert(std::adjacent_find(rows.begin(), rows.end(),
+                            [](const TableEntry& a, const TableEntry& b) {
+                              return std::tie(a.key.v, a.key.sig) >=
+                                     std::tie(b.key.v, b.key.sig);
+                            }) == rows.end());
+  if (!domain_worthwhile(rows.size(), domain)) domain = detect_domain(rows);
+  if (domain > 0 && rows.size() < std::numeric_limits<std::uint32_t>::max()) {
+    t.bucket_off_ = v0_offsets(rows, domain);
+    if (!t.bucket_off_.empty()) {
+      t.index_slot_ = 0;
+      t.domain_ = domain;
+    }
+  }
+  return t;
+}
 
 ProjTable ProjTable::from_buckets(int arity, SortedBuckets&& buckets) {
   ProjTable t(arity);
@@ -69,15 +82,16 @@ ProjTable ProjTable::from_buckets(int arity, SortedBuckets&& buckets) {
   return t;
 }
 
-ProjTable ProjTable::transposed() const {
-  ProjTable out(arity_);
-  out.entries_.reserve(size());
+ProjTable ProjTable::transposed(VertexId num_vertices) const {
+  FlatRows sink(KeyLayout::for_vertices(num_vertices));
+  sink.reserve(size());
   for_each_entry([&](const TableEntry& e) {
-    TableEntry t = e;
-    std::swap(t.key.v[0], t.key.v[1]);
-    out.entries_.push_back(t);
+    TableKey k = e.key;
+    std::swap(k.v[0], k.v[1]);
+    sink.append(k, e.cnt);
   });
-  return out;
+  sink.sum_duplicates();
+  return from_sink(arity_, std::move(sink), num_vertices);
 }
 
 std::pair<std::size_t, std::size_t> ProjTable::group_span_by_search(
@@ -103,198 +117,6 @@ std::pair<std::size_t, std::size_t> ProjTable::group_span_by_search(
     }
   }
   return {lo, lo2};
-}
-
-VertexId ProjTable::detect_domain(int slot) const {
-  VertexId max_v = 0;
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    max_v = std::max(max_v, key_at(i).v[slot]);
-  }
-  if (max_v == std::numeric_limits<VertexId>::max()) return 0;  // kNoVertex
-  const std::uint64_t domain = std::uint64_t{max_v} + 1;
-  if (!domain_worthwhile(n, static_cast<VertexId>(domain))) return 0;
-  return static_cast<VertexId>(domain);
-}
-
-void ProjTable::unpack_flat() {
-  entries_.clear();
-  entries_.reserve(pflat_->size());
-  pflat_->for_each_dense([&](const TableEntry& e) { entries_.push_back(e); });
-  pflat_.reset();
-  layout_.packed = false;
-}
-
-/// Buckets are independent: sort each by the remaining key fields. The
-/// tail order is a total order over the full key and the keys are
-/// unique, so stability could never change the result, and std::sort
-/// avoids stable_sort's buffer traffic.
-void ProjTable::finish_buckets(int slot,
-                               const std::vector<std::uint32_t>& off) {
-  auto tail_less = slot == 0 ? less_tail_v0 : less_tail_v1;
-  const std::size_t domain = off.size() - 1;
-  const std::size_t n = entries_.size();
-  (void)n;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1024) if (n > (1u << 15))
-#endif
-  for (std::size_t v = 0; v < domain; ++v) {
-    const std::uint32_t lo = off[v];
-    const std::uint32_t hi = off[v + 1];
-    if (hi - lo > 1) {
-      std::sort(entries_.begin() + lo, entries_.begin() + hi, tail_less);
-    }
-  }
-}
-
-void ProjTable::seal(SortOrder order, VertexId domain) {
-  if (order == SortOrder::kUnsorted) {
-    order_ = order;
-    drop_index();
-    return;
-  }
-  const int slot = group_slot(order);
-  if (order_ == order) {
-    // Staying put never re-sorts and scans nothing: at most the index is
-    // (re)built.
-    if (!has_bucket_index() || index_slot_ != slot) {
-      if (!domain_worthwhile(size(), domain)) {
-        domain = detect_domain(slot);
-      }
-      if (domain > 0 && size() < std::numeric_limits<std::uint32_t>::max()) {
-        build_index(slot, domain);
-      }
-    }
-    return;
-  }
-  // Re-sorting moves whole rows: work in the dense layout.
-  if (pflat_) unpack_flat();
-  drop_index();
-  if (!domain_worthwhile(size(), domain)) {
-    domain = detect_domain(slot);
-  }
-  if (domain > 0 &&
-      entries_.size() < std::numeric_limits<std::uint32_t>::max()) {
-    bucket_sort(slot, domain);
-  } else {
-    std::sort(entries_.begin(), entries_.end(),
-              slot == 0 ? less_by_v0 : less_by_v1);
-  }
-  order_ = order;
-}
-
-void ProjTable::build_index(int slot, VertexId domain) {
-  std::vector<std::uint32_t> off(static_cast<std::size_t>(domain) + 1, 0);
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const VertexId v = key_at(i).v[slot];
-    if (v >= domain) return;  // out-of-domain key: keep binary search
-    ++off[v + 1];
-  }
-  for (std::size_t v = 1; v <= domain; ++v) off[v] += off[v - 1];
-  bucket_off_ = std::move(off);
-  index_slot_ = slot;
-  domain_ = domain;
-}
-
-void ProjTable::bucket_sort(int slot, VertexId domain) {
-  const std::size_t n = entries_.size();
-  std::vector<std::uint32_t> off(static_cast<std::size_t>(domain) + 1, 0);
-
-#ifdef _OPENMP
-  // Parallel counting pass + stable scatter with per-chunk histograms:
-  // the input splits into a fixed number of contiguous chunks, each
-  // chunk counts into its own histogram, the per-bucket cursors are laid
-  // out so chunk c's share of bucket v starts after chunks < c (chunks
-  // are in input order, so the scatter stays stable), and each chunk then
-  // scatters independently. Work is distributed over chunk INDICES with
-  // `omp for`, so the result is identical for any team size the runtime
-  // actually delivers (dynamic teams, nested regions, 1 core). Gated on
-  // dense-ish domains so the histograms (chunks x domain u32) stay
-  // within the table's own footprint.
-  const int max_threads = omp_get_max_threads();
-  if (max_threads > 1 && n >= (1u << 16) && domain <= n) {
-    const int nchunks = max_threads;
-    const std::size_t chunk = (n + nchunks - 1) / nchunks;
-    std::vector<std::vector<std::uint32_t>> hist(nchunks);
-    bool out_of_domain = false;
-#pragma omp parallel for schedule(static, 1) reduction(|| : out_of_domain)
-    for (int c = 0; c < nchunks; ++c) {
-      const std::size_t lo = std::min(n, c * chunk);
-      const std::size_t hi = std::min(n, lo + chunk);
-      auto& h = hist[c];
-      h.assign(static_cast<std::size_t>(domain), 0);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const VertexId v = entries_[i].key.v[slot];
-        if (v >= domain) {
-          out_of_domain = true;
-          break;
-        }
-        ++h[v];
-      }
-    }
-    if (!out_of_domain) {
-      // off[v+1] = bucket totals -> exclusive prefix; then rebase each
-      // chunk's histogram into its scatter cursor for bucket v.
-      for (int c = 0; c < nchunks; ++c) {
-        for (std::size_t v = 0; v < domain; ++v) off[v + 1] += hist[c][v];
-      }
-      for (std::size_t v = 1; v <= domain; ++v) off[v] += off[v - 1];
-#pragma omp parallel for schedule(static)
-      for (std::size_t v = 0; v < domain; ++v) {
-        std::uint32_t cursor = off[v];
-        for (int c = 0; c < nchunks; ++c) {
-          const std::uint32_t cnt = hist[c][v];
-          hist[c][v] = cursor;
-          cursor += cnt;
-        }
-      }
-      std::vector<TableEntry> sorted(n);
-#pragma omp parallel for schedule(static, 1)
-      for (int c = 0; c < nchunks; ++c) {
-        const std::size_t lo = std::min(n, c * chunk);
-        const std::size_t hi = std::min(n, lo + chunk);
-        auto& cur = hist[c];
-        for (std::size_t i = lo; i < hi; ++i) {
-          sorted[cur[entries_[i].key.v[slot]]++] = entries_[i];
-        }
-      }
-      entries_ = std::move(sorted);
-      finish_buckets(slot, off);
-      bucket_off_ = std::move(off);
-      index_slot_ = slot;
-      domain_ = domain;
-      return;
-    }
-    // Out-of-domain key seen: fall through to the serial path, which
-    // handles the comparison-sort fallback.
-    off.assign(static_cast<std::size_t>(domain) + 1, 0);
-  }
-#endif
-
-  for (const TableEntry& e : entries_) {
-    const VertexId v = e.key.v[slot];
-    if (v >= domain) {  // out-of-domain key: fall back, no index
-      std::sort(entries_.begin(), entries_.end(),
-                slot == 0 ? less_by_v0 : less_by_v1);
-      return;
-    }
-    ++off[v + 1];
-  }
-  for (std::size_t v = 1; v <= domain; ++v) off[v] += off[v - 1];
-
-  // Stable scatter: cursor[v] walks its bucket in input order.
-  std::vector<TableEntry> sorted(n);
-  {
-    std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
-    for (const TableEntry& e : entries_) sorted[cursor[e.key.v[slot]]++] = e;
-  }
-  entries_ = std::move(sorted);
-
-  finish_buckets(slot, off);
-  bucket_off_ = std::move(off);
-  index_slot_ = slot;
-  domain_ = domain;
 }
 
 }  // namespace ccbt

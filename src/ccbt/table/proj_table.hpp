@@ -3,31 +3,33 @@
 // subquery, keyed by the images of its boundary nodes (plus tracked
 // vertices during DB path construction) and the color signature.
 //
-// Lifecycle: the engine's path primitives build their tables born sorted
-// (from_buckets, flat_rows.hpp): already sealed kByV1 with a bucket index
-// over the frontier slot. The distributed engine builds its path shards
-// the same way, bucket by bucket from each rank's delivered rows. The
-// merge sinks and aggregates, shared or per rank, hand over their summed
-// FlatRows (from_sink): sum_duplicates left them in full-key order, so
-// those tables arrive sealed kByV0 and storing them only builds the
-// index. Every other table adopts unsorted rows with unique keys
-// (from_flat): the distributed engine's transposed shards, unary replicas
-// and checkpoint restores. Sealing with a known key domain (the data
-// graph's vertex count) builds a CSR-style bucket index over the
-// grouping slot, so group(slot, v) is a single offset lookup instead of
-// two binary searches. See README.md in this directory for the memory
-// layout and the threading model. A table holds the counts of one
-// coloring.
+// Every table is born in its order; nothing re-sorts a table. The paper
+// keeps two orders (Section 7): frontier-homed while a path grows, and
+// slot-0-homed once stored.
+//   * Path tables arrive sealed kByV1 (from_buckets, flat_rows.hpp): the
+//     path primitives build them bucket by bucket over the frontier slot,
+//     and the distributed engine builds its path shards the same way.
+//   * Every other table is a summed FlatRows sink (from_sink):
+//     sum_duplicates left its rows in full-key order, which is the kByV0
+//     order, so it arrives sealed kByV0. The merge sinks and aggregates
+//     are sinks by nature. A table that needs the other order — a
+//     transpose ("the boundary tables are transpose of each other",
+//     Section 5.2), shared or distributed — and a table rebuilt from rows
+//     (a unary replica, a checkpoint restore) is one too: its rows go into
+//     a sink, whose sum only sorts them, since their keys are unique.
+// Either way the table carries a CSR-style bucket index over its grouping
+// slot when the key domain (the data graph's vertex count) pays off, so
+// group(slot, v) is a single offset lookup instead of two binary
+// searches. See README.md in this directory for the memory layout and
+// the threading model. A table holds the counts of one coloring.
 //
 // A table holds its rows in one of two layouts:
 //   * packed flat rows (FlatRows: a u64 key packed in the data graph's
-//     KeyLayout, u64 count). Only a non-empty born-sorted table is packed,
-//     and only while it keeps its kByV1 order; a key that does not pack
-//     (a slot past the layout's, a signature past 8 bits) makes the build
-//     dense instead;
-//   * dense entries (full key, u64 count). Every other table is dense. A
-//     seal into another order re-sorts in the dense layout, so every table
-//     sealed kByV0 — every stored table and transpose — is dense.
+//     KeyLayout, u64 count). Only a non-empty born-sorted table is packed;
+//     a key that does not pack (a slot past the layout's, a signature past
+//     8 bits) makes the build dense instead;
+//   * dense entries (full key, u64 count). Every sink table is dense, so
+//     every stored table and transpose is.
 // Readers either take the dense span fast path (entries()/group(), valid
 // while the table is dense) or go through the layout-independent
 // accessors (row_at, for_each_entry, group_expanded), which expand packed
@@ -45,48 +47,28 @@
 
 namespace ccbt {
 
-/// Sort orders used by the join procedures.
+/// The two orders a table is born in.
 enum class SortOrder : std::uint8_t {
-  kUnsorted,
   kByV0,  // group by slot 0 (child-table lookups by first boundary)
   kByV1,  // group by slot 1 (frontier-grouped extensions, merge joins)
 };
-
-/// The key slot a sort order groups by (-1 for kUnsorted).
-inline constexpr int group_slot(SortOrder order) {
-  switch (order) {
-    case SortOrder::kByV0: return 0;
-    case SortOrder::kByV1: return 1;
-    case SortOrder::kUnsorted: break;
-  }
-  return -1;
-}
 
 class ProjTable {
  public:
   ProjTable() = default;
 
-  /// arity = number of meaningful leading vertex slots (0..4).
+  /// An empty table; arity = number of meaningful leading vertex slots
+  /// (0..4).
   explicit ProjTable(int arity) : arity_(arity) {}
-
-  /// Adopt dense rows with unique keys, in any order (a transposed or
-  /// replicated table's, a decoded checkpoint's): the table is dense and
-  /// unsealed. Nothing sums equal keys here or in seal().
-  static ProjTable from_flat(int arity, std::vector<TableEntry>&& rows) {
-    ProjTable t(arity);
-    t.entries_ = std::move(rows);
-    return t;
-  }
 
   /// Adopt a summed sink (FlatRows::sum_duplicates ran last): its rows
   /// are unique and in full-key order, which is the kByV0 order, so the
-  /// dense table arrives sealed kByV0 and seal(kByV0) only builds its
-  /// index.
-  static ProjTable from_sink(int arity, FlatRows&& sink) {
-    ProjTable t = from_flat(arity, sink.take_wide());
-    t.order_ = SortOrder::kByV0;
-    return t;
-  }
+  /// dense table arrives sealed kByV0. `domain` is the exclusive upper
+  /// bound on slot 0's values (the data graph's vertex count): when it is
+  /// small enough against the row count — or a small enough bound shows
+  /// in the rows themselves — the table builds its O(1) bucket index over
+  /// slot 0; otherwise group() takes two binary searches.
+  static ProjTable from_sink(int arity, FlatRows&& sink, VertexId domain);
 
   /// Adopt a born-sorted table: one deduplicated bucket per vertex of
   /// [0, buckets.buckets()), already in kByV1 order, so the table is
@@ -123,8 +105,7 @@ class ProjTable {
 
   /// The occupancy of the table's rows, telemetry only (no layout
   /// decision reads it). A table built born sorted in packed rows takes
-  /// its bucket build's stats and keeps them through later seals (which
-  /// scan nothing); every other table reports rows == 0.
+  /// its bucket build's stats; every other table reports rows == 0.
   const LaneLayoutInfo& layout() const { return layout_; }
 
   TableKey key_at(std::size_t i) const {
@@ -184,23 +165,15 @@ class ProjTable {
     return sum;
   }
 
-  /// Sort entries for joins; remembers the order (no-op if sorted).
-  /// `domain` is the exclusive upper bound on the grouping
-  /// slot's values (the data graph's vertex count): when positive — or
-  /// when a small bound can be detected from the data — sealing runs a
-  /// stable counting partition on the grouping slot (O(n + domain) plus
-  /// tiny per-bucket sorts) and keeps the bucket offsets as an O(1) group
-  /// index. With domain 0 and no detectable bound it falls back to a
-  /// comparison sort and group() uses binary search. Any order other than
-  /// a packed table's own kByV1 leaves the rows dense.
-  void seal(SortOrder order, VertexId domain = 0);
+  /// The order the table was born in: kByV1 from from_buckets, kByV0
+  /// otherwise (an empty table is in both).
   SortOrder order() const { return order_; }
 
   /// Whether group() resolves through the O(1) bucket index.
   bool has_bucket_index() const { return !bucket_off_.empty(); }
 
   /// Contiguous range of entries whose slot `slot` equals v; requires the
-  /// matching seal order (kByV0 for slot 0, kByV1 for slot 1). O(1) when
+  /// matching order (kByV0 for slot 0, kByV1 for slot 1). O(1) when
   /// the bucket index covers `slot`, two binary searches otherwise.
   /// Dense layout only — packed tables use group_expanded().
   std::span<const TableEntry> group(int slot, VertexId v) const {
@@ -211,10 +184,12 @@ class ProjTable {
     return {entries_.data() + lo, hi - lo};
   }
 
-  /// Swap slots 0 and 1 in every key — the transpose of Section 5.2
-  /// ("the boundary tables are transpose of each other"). Invalidates the
-  /// seal order; the result is dense and unsealed.
-  ProjTable transposed() const;
+  /// The transpose of Section 5.2 ("the boundary tables are transpose of
+  /// each other"): slots 0 and 1 swapped in every key. The swapped rows
+  /// go into a sink in the key layout of a `num_vertices`-vertex data
+  /// graph, whose sum only sorts them, so the result arrives sealed kByV0
+  /// with its index over `num_vertices` (from_sink).
+  ProjTable transposed(VertexId num_vertices) const;
 
  private:
   /// Two binary searches over row indices (works for both layouts
@@ -222,33 +197,8 @@ class ProjTable {
   std::pair<std::size_t, std::size_t> group_span_by_search(int slot,
                                                            VertexId v) const;
 
-  /// Smallest detectable domain for an index-less seal: max slot value +
-  /// 1, or 0 when the values are too sparse (or are kNoVertex) for a
-  /// counting partition to pay off.
-  VertexId detect_domain(int slot) const;
-
-  /// Stable counting partition by `slot` over [0, domain), then sort each
-  /// bucket by the remaining key fields; keeps the offsets as the index.
-  void bucket_sort(int slot, VertexId domain);
-
-  /// Entries already sorted for `order_`; (re)build the offset index only.
-  void build_index(int slot, VertexId domain);
-
-  /// After the counting partition: sort each bucket by the remaining key
-  /// fields.
-  void finish_buckets(int slot, const std::vector<std::uint32_t>& off);
-
-  /// Packed flat rows -> dense entries (order preserved).
-  void unpack_flat();
-
-  void drop_index() {
-    bucket_off_.clear();
-    index_slot_ = -1;
-    domain_ = 0;
-  }
-
   int arity_ = 0;
-  SortOrder order_ = SortOrder::kUnsorted;
+  SortOrder order_ = SortOrder::kByV0;
   std::vector<TableEntry> entries_;
   LaneLayoutInfo layout_;
 

@@ -99,8 +99,9 @@ std::vector<Count> replay(const CsrGraph& g, const Plan& plan,
       }
       table = ProjTableT<B>::from_map(blk.boundary_count(), std::move(sink));
       for (int l = 0; l < B; ++l) {
-        want[l] = ProjTable::from_flat(blk.boundary_count(),
-                                       ref_sinks[l].take_wide());
+        want[l] = ProjTable::from_sink(blk.boundary_count(),
+                                       std::move(ref_sinks[l]),
+                                       g.num_vertices());
         EXPECT_EQ(rows_of(table.lanes[l]), rows_of(want[l]))
             << "lane " << l;
       }

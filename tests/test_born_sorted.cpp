@@ -32,6 +32,7 @@
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/util/rng.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -440,34 +441,38 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
     expect_primitive_matches(f, path, want, ops0, comm0);
   }
 
-  // A binary child table (the graph's edges, sealed kByV0 as stored) and
-  // a unary one (its rows summed out to slot 0).
-  ProjTable child = init_path_from_graph(cx, ExtendOpts{});
-  child.seal(SortOrder::kByV0, f.g.num_vertices());
+  // A binary child table (the graph's edges, stored as a summed sink
+  // sealed kByV0), its transpose, and a unary one (its rows summed out to
+  // slot 0).
+  const VertexId n = f.g.num_vertices();
+  std::vector<TableEntry> edges;
+  init_path_from_graph(cx, ExtendOpts{}).for_each_entry([&](
+      const TableEntry& e) { edges.push_back(e); });
+  const ProjTable child = sink_table(2, edges, n);
+  const ProjTable flipped = child.transposed(n);
   // Summed with no load model, so the charges compared below are the
   // primitives' alone.
   const ExecContext unmodeled{f.g, f.chi, f.order, cx.part, nullptr, cx.opts};
-  ProjTable unary = aggregate(unmodeled, child, 1);
-  unary.seal(SortOrder::kByV0, f.g.num_vertices());
+  const ProjTable unary = aggregate(unmodeled, child, 1);
 
-  // init_path_from_child, in both orientations.
-  for (const bool flip : {false, true}) {
+  // init_path_from_child, reading either orientation of the edge table as
+  // the one opposite to the walk.
+  for (const ProjTable* pull : {&child, &flipped}) {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
           TableEntry tmp;
-          for (std::size_t i = 0; i < child.size(); ++i) {
-            kernel_init_from_child(rcx, child.row_at(i, tmp), flip, o, emit);
+          for (std::size_t i = 0; i < pull->size(); ++i) {
+            kernel_init_from_child(rcx, pull->row_at(i, tmp), o, emit);
           }
         });
     mark();
-    const ProjTable init = init_path_from_child(cx, child, flip, o);
+    const ProjTable init = init_path_from_child(cx, *pull, o);
     expect_primitive_matches(f, init, want, ops0, comm0);
   }
 
-  // extend_with_child: the child probed by the path's frontier, handed
-  // over as stored (transposed inside) and in the flipped orientation.
-  ProjTable flipped = child.transposed();
-  flipped.seal(SortOrder::kByV0, f.g.num_vertices());
+  // extend_with_child: the push kernel probes the child by the path's
+  // frontier; the pull reads its transpose, the orientation opposite to
+  // the walk.
   {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
@@ -480,12 +485,9 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
                 emit);
           }
         });
-    for (const bool flip : {false, true}) {
-      mark();
-      const ProjTable ext =
-          extend_with_child(cx, path, flip ? flipped : child, o, flip);
-      expect_primitive_matches(f, ext, want, ops0, comm0);
-    }
+    mark();
+    const ProjTable ext = extend_with_child(cx, path, flipped, o);
+    expect_primitive_matches(f, ext, want, ops0, comm0);
   }
 
   // node_join at either key slot.

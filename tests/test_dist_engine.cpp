@@ -275,9 +275,8 @@ class PhaseParity {
       comm_.send(0, cx_.owner(e.key.v[0]), e);
     });
     comm_.exchange();
-    dpool_.store(block,
-                 DistTable::collect(t.arity(), 0, comm_, SortOrder::kByV0,
-                                    kBudget, cx_.g.num_vertices()));
+    dpool_.store(block, DistTable::collect(t.arity(), 0, comm_, kBudget,
+                                           cx_.g.num_vertices()));
   }
 
  private:

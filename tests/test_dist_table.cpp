@@ -23,7 +23,8 @@ TableEntry entry(VertexId a, VertexId b, Signature sig, Count cnt) {
   return e;
 }
 
-/// Route entries to owner(key.v[home_slot]) and collect.
+/// Route entries to owner(key.v[home_slot]) and collect: each rank sums
+/// its rows into a shard sealed kByV0.
 DistTable build(const std::vector<TableEntry>& entries, int home_slot,
                 VirtualComm& comm, const BlockPartition& part,
                 std::size_t budget = 1'000'000) {
@@ -31,7 +32,7 @@ DistTable build(const std::vector<TableEntry>& entries, int home_slot,
     comm.send(0, part.owner(e.key.v[home_slot]), e);
   }
   comm.exchange();
-  return DistTable::collect(2, home_slot, comm, SortOrder::kByV1, budget);
+  return DistTable::collect(2, home_slot, comm, budget, part.num_vertices());
 }
 
 TEST(DistTable, CollectPlacesEntriesAtHomeOwner) {
@@ -107,8 +108,7 @@ TEST(DistTable, WellPlacedDetectsMisplacement) {
   // Deliberately send an entry to the wrong owner.
   comm.send(0, 0, entry(0, 9, 1, 1));  // owner(9) is rank 1
   comm.exchange();
-  const DistTable t =
-      DistTable::collect(2, 1, comm, SortOrder::kByV1, 1'000'000);
+  const DistTable t = DistTable::collect(2, 1, comm, 1'000'000, 10);
   EXPECT_FALSE(t.well_placed(part));
 }
 
@@ -139,17 +139,17 @@ std::vector<TableEntry> duplicate_heavy_rows(VertexId n, std::size_t m,
 }
 
 /// A path table homed at its frontiers: rank r's shard holds the rows
-/// of r's vertices, equal keys summed, sealed kByV1 with a bucket index.
+/// of r's vertices, equal keys summed, born sorted kByV1 with a bucket
+/// index.
 DistTable frontier_table(const std::vector<TableEntry>& rows,
                          const BlockPartition& part, int arity = 2) {
   std::vector<std::vector<TableEntry>> by_rank(part.num_ranks());
-  for (const TableEntry& e : sum_equal_keys(rows)) {
+  for (const TableEntry& e : rows) {
     by_rank[part.owner(e.key.v[1])].push_back(e);
   }
   std::vector<ProjTable> shards;
-  for (auto& r : by_rank) {
-    shards.push_back(ProjTable::from_flat(arity, std::move(r)));
-    shards.back().seal(SortOrder::kByV1, part.num_vertices());
+  for (const auto& r : by_rank) {
+    shards.push_back(path_table(arity, r, part.num_vertices()));
   }
   return DistTable::from_shards(arity, 1, std::move(shards));
 }
@@ -190,10 +190,10 @@ std::vector<std::uint32_t> some_readers(VertexId x, std::uint32_t ranks) {
   return out;
 }
 
-/// Rank r's halo view must equal from_flat + seal(kByV1) over its own
-/// rows plus the halo rows it received (unique keys: each bucket lives on
-/// one shard): rows, order and bucket index, packed unless a key does not
-/// pack in the graph's layout, with no layout stats of its own.
+/// Rank r's halo view must equal the path table built born sorted from
+/// its own rows plus the halo rows it received (unique keys: each bucket
+/// lives on one shard): rows, order and bucket index, packed unless a key
+/// does not pack in the graph's layout, with no layout stats of its own.
 void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
                        std::uint32_t ranks, int arity = 2) {
   const BlockPartition part(n, ranks);
@@ -205,8 +205,7 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
   for (std::uint32_t r = 0; r < ranks; ++r) {
     std::vector<TableEntry> mine = got_halo[r];
     t.shard(r).for_each_entry([&](const TableEntry& e) { mine.push_back(e); });
-    ProjTable ref = ProjTable::from_flat(arity, std::move(mine));
-    ref.seal(SortOrder::kByV1, n);
+    const ProjTable ref = path_table(arity, mine, n);
     const ProjTable got = t.halo_view(r, comm, part);
     EXPECT_TRUE(comm.inbox(r).empty()) << "inbox " << r << " not emptied";
     EXPECT_EQ(got.order(), SortOrder::kByV1);
@@ -232,7 +231,7 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
   }
 }
 
-TEST(DistTableHaloView, MatchesFlatSeal) {
+TEST(DistTableHaloView, MatchesBornSortedTable) {
   // Keys summed before sharding, rows packed.
   const auto dup = duplicate_heavy_rows(50, 2000, 8);
   expect_halo_views(dup, 50, 4);
@@ -248,10 +247,15 @@ TEST(DistTableHaloView, MatchesFlatSeal) {
   expect_halo_views(big, 50, 4);
   big.push_back(entry(4, 7, 1, 0x100000000ull));
   expect_halo_views(big, 50, 4);
-  // A tracked slot >= 2: those keys do not pack, so the views are dense.
+  // A tracked slot >= 2, which the 50-vertex key layout packs as well.
   std::vector<TableEntry> tracked = duplicate_heavy_rows(50, 300, 19);
   for (std::size_t i = 0; i < tracked.size(); i += 3) {
     tracked[i].key.v[2] = tracked[i].key.v[0] + 1;
+  }
+  expect_halo_views(tracked, 50, 4, /*arity=*/3);
+  // A signature past 8 bits does not pack, so those views are dense.
+  for (std::size_t i = 0; i < tracked.size(); i += 7) {
+    tracked[i].key.sig |= 0x100;
   }
   expect_halo_views(tracked, 50, 4, /*arity=*/3);
 }

@@ -24,6 +24,7 @@
 #include "ccbt/engine/leaf_solver.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
+#include "unique_rows.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -80,8 +81,9 @@ void expect_same_model(const Side& fused, const Side& ref,
   EXPECT_EQ(fused.load.sim_time(), ref.load.sim_time()) << what;
 }
 
-/// `plus` with only the rows of the lowest anchor in each end bucket.
-ProjTable one_anchor_per_end(const ProjTable& plus) {
+/// `plus` with only the rows of the lowest anchor in each end bucket, born
+/// sorted over the frontiers of an n-vertex graph.
+ProjTable one_anchor_per_end(const ProjTable& plus, VertexId n) {
   std::map<VertexId, VertexId> anchor;  // end -> lowest anchor
   plus.for_each_entry([&](const TableEntry& e) {
     const auto [it, fresh] = anchor.try_emplace(e.key.v[1], e.key.v[0]);
@@ -91,7 +93,7 @@ ProjTable one_anchor_per_end(const ProjTable& plus) {
   plus.for_each_entry([&](const TableEntry& e) {
     if (anchor.at(e.key.v[1]) == e.key.v[0]) rows.push_back(e);
   });
-  return ProjTable::from_flat(plus.arity(), std::move(rows));
+  return path_table(plus.arity(), rows, n);
 }
 
 /// How the fused side of expect_fused_parity runs.
@@ -141,7 +143,9 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
             const std::string what = label + " block " + std::to_string(i) +
                                      " split " + std::to_string(s.index);
             ProjTable thin;
-            if (variant.sparse_plus) thin = one_anchor_per_end(walk_plus);
+            if (variant.sparse_plus) {
+              thin = one_anchor_per_end(walk_plus, g.num_vertices());
+            }
             ProjTable& plus = variant.sparse_plus ? thin : walk_plus;
             ProjTable ref_plus = plus;
             if (!s.fused) {
@@ -168,8 +172,8 @@ int expect_fused_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
             expect_same_model(fused, ref, what);
             return fused.sink.size();
           });
-      table = ProjTable::from_flat(blk.boundary_count(),
-                                   fused.sink.take_wide());
+      table = ProjTable::from_sink(blk.boundary_count(),
+                                   std::move(fused.sink), g.num_vertices());
     }
     if (static_cast<int>(i) != tree.root) {
       pool.store(static_cast<int>(i), std::move(table));
@@ -311,7 +315,7 @@ TEST(ExtendAndMerge, SparsePlusMatchesWithAndWithoutModel) {
   const ExecContext base = f.cx();
   ProjTable edges = init_path_from_graph(base, ExtendOpts{});
   const ProjTable prefix = extend_with_graph(base, edges, ExtendOpts{});
-  const ProjTable plus = one_anchor_per_end(edges);
+  const ProjTable plus = one_anchor_per_end(edges, g.num_vertices());
   std::size_t visits = 0, misses = 0;
   std::vector<TableEntry> pscratch, xscratch;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {

@@ -24,6 +24,7 @@
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/util/error.hpp"
 #include "ccbt/util/fault.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -155,9 +156,7 @@ ProjTable make_sealed_shard(int rows) {
     e.cnt = base[i % 3] + static_cast<Count>(i + 1);
     entries.push_back(e);
   }
-  ProjTable shard = ProjTable::from_flat(2, std::move(entries));
-  shard.seal(SortOrder::kByV0, /*domain=*/1000);
-  return shard;
+  return sink_table(2, entries, /*num_vertices=*/1000);
 }
 
 std::vector<TableEntry> rows_of(const ProjTable& t) {
@@ -207,8 +206,8 @@ TEST(Checkpoint, RecordsHoldEveryCountAndWideKeys) {
   wide.key.sig = 0x1FF03;
   wide.cnt = 0x0102030405060708ull;
   rows.push_back(wide);
-  ProjTable shard = ProjTable::from_flat(4, std::vector(rows));
-  shard.seal(SortOrder::kByV0);
+  // A graph large enough for the wide key's ids.
+  const ProjTable shard = sink_table(4, rows, 0x0FFFFFFF);
 
   const std::vector<std::uint8_t> image = checkpoint_encode_shard(shard);
   ASSERT_EQ(image.size(), 12 + 28 * rows.size());
@@ -271,7 +270,7 @@ TEST(Checkpoint, CorruptionIsDetected) {
 
 TEST(Checkpoint, PoolImageIsItsShardRecords) {
   // A stored table's checkpoint costs 12 + 28 x rows per shard, and
-  // restoring it gives back the same shards row for row.
+  // restoring it gives back the same shards row for row, indexed alike.
   constexpr std::uint32_t kRanks = 3;
   constexpr VertexId kDomain = 300;
   std::vector<ProjTable> shards;
@@ -292,8 +291,14 @@ TEST(Checkpoint, PoolImageIsItsShardRecords) {
   dist::DistPool restored(/*num_blocks=*/2, kDomain);
   restored.restore(img, stored.num_shards());
   for (std::uint32_t r = 0; r < stored.num_shards(); ++r) {
-    expect_same_rows(rows_of(restored.get(0).shard(r)),
-                     rows_of(stored.shard(r)));
+    const ProjTable& got = restored.get(0).shard(r);
+    expect_same_rows(rows_of(got), rows_of(stored.shard(r)));
+    EXPECT_EQ(got.order(), SortOrder::kByV0);
+    EXPECT_TRUE(got.has_bucket_index());
+    for (VertexId v = 0; v < kDomain; ++v) {
+      EXPECT_EQ(got.group_span(0, v), stored.shard(r).group_span(0, v))
+          << "shard " << r << " bucket " << v;
+    }
   }
 }
 

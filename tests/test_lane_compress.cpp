@@ -71,62 +71,47 @@ void expect_counts(const LaneLayoutInfo& got, const LaneLayoutInfo& want,
 }
 
 /// Build the same rows twice — born sorted (one bucket per frontier
-/// vertex, then resealed kByV0 as a stored table is) and adopted flat
-/// with their equal keys summed (sealed kByV0) — and require both to be
-/// dense, equal row for row and probe for probe. The born table is packed whatever its counts and
-/// reports its bucket build's exact layout, through a relabelling seal and
-/// the dense reseal; the flat table is never observed.
+/// vertex) and as a stored sink table (sealed kByV0) — and require the
+/// born table to be packed and report its bucket build's exact layout
+/// whatever its counts, the sink table to be dense and unobserved, and
+/// the born table transposed twice (each a sink table) to equal the sink
+/// table row for row and probe for probe.
 void expect_layout_parity(const std::vector<TableEntry>& rows) {
   const LaneLayoutInfo want = expected_layout(rows);
-  SortedBuckets buckets(KeyLayout::for_vertices(kDomain));
-  FlatRows scratch(buckets.layout());
-  for (VertexId w = 0; w < kDomain; ++w) {
-    scratch.reset();
-    for (const TableEntry& e : rows) {
-      if (e.key.v[1] == w) scratch.append(e.key, e.cnt);
-    }
-    buckets.close(scratch);
-  }
-  ProjTable born = ProjTable::from_buckets(2, std::move(buckets));
+  const ProjTable born = path_table(2, rows, kDomain);
   EXPECT_TRUE(born.packed_flat());
   EXPECT_TRUE(born.layout().packed);
   expect_counts(born.layout(), want, "born sorted");
-  born.seal(SortOrder::kByV1, kDomain);  // a relabel scans nothing
-  EXPECT_TRUE(born.packed_flat());
-  expect_counts(born.layout(), want, "relabel");
 
-  ProjTable flat = ProjTable::from_flat(2, sum_equal_keys(rows));
-  born.seal(SortOrder::kByV0, kDomain);
-  flat.seal(SortOrder::kByV0, kDomain);
-  EXPECT_FALSE(born.packed_flat());
-  EXPECT_FALSE(born.layout().packed);
-  EXPECT_EQ(born.layout().rows, want.rows);
-  EXPECT_FALSE(flat.packed_flat());
-  EXPECT_EQ(flat.layout().rows, 0u);
+  const ProjTable stored = sink_table(2, rows, kDomain);
+  EXPECT_FALSE(stored.packed_flat());
+  EXPECT_EQ(stored.layout().rows, 0u);
+  const ProjTable round = born.transposed(kDomain).transposed(kDomain);
+  EXPECT_FALSE(round.packed_flat());
 
-  ASSERT_EQ(born.size(), want.rows);
-  ASSERT_EQ(flat.size(), want.rows);
-  const auto be = born.entries();
-  const auto fe = flat.entries();
-  for (std::size_t i = 0; i < be.size(); ++i) {
-    EXPECT_EQ(be[i].key, fe[i].key) << "row " << i;
-    EXPECT_EQ(be[i].cnt, fe[i].cnt) << "row " << i;
+  ASSERT_EQ(round.size(), want.rows);
+  ASSERT_EQ(stored.size(), want.rows);
+  const auto re = round.entries();
+  const auto se = stored.entries();
+  for (std::size_t i = 0; i < re.size(); ++i) {
+    EXPECT_EQ(re[i].key, se[i].key) << "row " << i;
+    EXPECT_EQ(re[i].cnt, se[i].cnt) << "row " << i;
   }
   for (VertexId v = 0; v < kDomain + 3; ++v) {
-    const auto bg = born.group(0, v);
-    const auto fg = flat.group(0, v);
-    ASSERT_EQ(bg.size(), fg.size()) << "group " << v;
-    ASSERT_EQ(bg.data() - be.data(), fg.data() - fe.data()) << "group " << v;
+    const auto rg = round.group(0, v);
+    const auto sg = stored.group(0, v);
+    ASSERT_EQ(rg.size(), sg.size()) << "group " << v;
+    ASSERT_EQ(rg.data() - re.data(), sg.data() - se.data()) << "group " << v;
   }
 }
 
-TEST(LaneCompress, BornSortedAndFlatStoreAlike) {
+TEST(LaneCompress, BornSortedAndSinkTablesAlike) {
   expect_layout_parity(random_rows(4000, 1000, 17));
   // Run sums pass the u16 limit, single counts the u32 limit.
   expect_layout_parity(random_rows(4000, 60000, 19));
   expect_layout_parity(random_rows(2000, Count{1} << 40, 21));
   expect_layout_parity(random_rows(2500, 3, 23));
-  // Run sums that wrap mod 2^64, as the dense seal's sums do.
+  // Run sums that wrap mod 2^64, as the sink's sums do.
   expect_layout_parity(random_rows(2000, Count{1} << 63, 25));
 }
 
@@ -412,22 +397,6 @@ TEST(PackedMerge, KernelMatchesDenseU64Counts) {
   run_packed_kernel_parity(315, Count{1} << 62, 0xFFFF);
 }
 
-/// The rows built born sorted over [0, n), packed in the layout of an
-/// n-vertex graph: bucket w holds the rows ending at w.
-ProjTable born_table(const std::vector<TableEntry>& rows, VertexId n) {
-  const KeyLayout lay = KeyLayout::for_vertices(n);
-  SortedBuckets buckets(lay);
-  FlatRows scratch(lay);
-  for (VertexId w = 0; w < n; ++w) {
-    scratch.reset();
-    for (const TableEntry& e : rows) {
-      if (e.key.v[1] == w) scratch.append(e.key, e.cnt);
-    }
-    buckets.close(scratch);
-  }
-  return ProjTable::from_buckets(2, std::move(buckets));
-}
-
 using SinkRows = std::vector<std::pair<std::array<std::uint64_t, 5>, Count>>;
 
 /// A sink's nonzero rows in key order (the dense merge adds zero products
@@ -478,8 +447,7 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
   for (const bool packed : {false, true}) {
     MergeCx f(seed);
     auto table = [&](const std::vector<TableEntry>& rows) {
-      return packed ? born_table(rows, f.g.num_vertices())
-                    : ProjTable::from_flat(2, sum_equal_keys(rows));
+      return path_table(2, rows, f.g.num_vertices(), /*dense=*/!packed);
     };
     ProjTable plus = table(prows);
     ProjTable minus = table(mrows);
@@ -531,14 +499,14 @@ TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
   spec.out[0] = {0, 0};
   spec.out[1] = {1, 1};
 
-  ProjTable plus = born_table(prows, n);
-  ProjTable minus = born_table(mrows, n);
+  ProjTable plus = path_table(2, prows, n);
+  ProjTable minus = path_table(2, mrows, n);
   for (const ProjTable* t : {&plus, &minus}) {
     ASSERT_TRUE(t->packed_flat());
     EXPECT_GT(t->layout().max_count, Count{0xFFFFFFFF});
   }
-  ProjTable dense_plus = ProjTable::from_flat(2, sum_equal_keys(prows));
-  ProjTable dense_minus = ProjTable::from_flat(2, sum_equal_keys(mrows));
+  ProjTable dense_plus = path_table(2, prows, n, /*dense=*/true);
+  ProjTable dense_minus = path_table(2, mrows, n, /*dense=*/true);
 
   FlatRows packed_sink(f.cx.key_layout()), dense_sink(f.cx.key_layout());
   merge_halves(f.cx, plus, minus, spec, packed_sink);

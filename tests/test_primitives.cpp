@@ -6,6 +6,7 @@
 
 #include "ccbt/engine/primitives.hpp"
 #include "ccbt/graph/generators.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -79,8 +80,7 @@ TEST_F(PrimitivesTest, NodeJoinMultipliesCompatibleCounts) {
   TableKey ck;
   ck.v[0] = 1;
   ck.sig = chi_.bit(1) | chi_.bit(3);  // colors {1,3}
-  ProjTable child = ProjTable::from_flat(1, {{ck, 5}});
-  child.seal(SortOrder::kByV0);
+  const ProjTable child = sink_table(1, {{ck, 5}}, 4);
 
   // Path entries ending at vertex 1: (0,1) and (2,1).
   ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
@@ -104,8 +104,7 @@ TEST_F(PrimitivesTest, NodeJoinRejectsOverlappingColors) {
   TableKey ck;
   ck.v[0] = 1;
   ck.sig = chi_.bit(1) | chi_.bit(0);  // colors {0,1}: overlaps path (0,1)
-  ProjTable child = ProjTable::from_flat(1, {{ck, 7}});
-  child.seal(SortOrder::kByV0);
+  const ProjTable child = sink_table(1, {{ck, 7}}, 4);
   ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
   const ProjTable joined = node_join(cx_, edges, child, 1);
   // Only (2,1) qualifies: sig {2,1} ∩ {0,1} == {1}. (0,1) overlaps on 0.
@@ -116,13 +115,13 @@ TEST_F(PrimitivesTest, NodeJoinRejectsOverlappingColors) {
 
 TEST_F(PrimitivesTest, ExtendWithChildJoinsOnFrontier) {
   // Child binary table standing in for a contracted block between
-  // vertices 1 and 3 (not an edge of P4): join from frontier 1 to 3.
+  // vertices 1 and 3 (not an edge of P4): join from frontier 1 to 3. The
+  // extend reads it oriented opposite to the walk, as the row (3, 1).
   TableKey ck;
   ck.v[0] = 1;
   ck.v[1] = 3;
   ck.sig = chi_.bit(1) | chi_.bit(3);
-  ProjTable child = ProjTable::from_flat(2, {{ck, 4}});
-  child.seal(SortOrder::kByV0);
+  const ProjTable child = sink_table(2, {{ck, 4}}, 4).transposed(4);
 
   ProjTable edges = init_path_from_graph(cx_, ExtendOpts{});
   const ProjTable out = extend_with_child(cx_, edges, child, ExtendOpts{});
@@ -142,7 +141,7 @@ TEST_F(PrimitivesTest, MergeHalvesRequiresEndpointOnlyOverlap) {
     k.v[0] = 0;
     k.v[1] = 2;
     k.sig = chi_.bit(VertexId{0}) | chi_.bit(VertexId{2}) | mid_color_bit;
-    return ProjTable::from_flat(2, {{k, cnt}});
+    return path_table(2, {{k, cnt}}, 4);
   };
   ProjTable plus = make_half(Signature{1} << 1, 3);   // interior color 1
   ProjTable minus_ok = make_half(Signature{1} << 3, 5);   // color 3: disjoint
@@ -176,8 +175,8 @@ TEST_F(PrimitivesTest, MergeSpecProjectsChosenSlots) {
   mk.v[1] = 2;
   mk.sig = chi_.bit(VertexId{0}) | chi_.bit(VertexId{2}) |
            chi_.bit(VertexId{3});
-  ProjTable plus = ProjTable::from_flat(2, {{pk, 2}});
-  ProjTable minus = ProjTable::from_flat(2, {{mk, 3}});
+  const ProjTable plus = path_table(2, {{pk, 2}}, 4);
+  const ProjTable minus = path_table(2, {{mk, 3}}, 4);
   MergeSpec spec;
   spec.out_arity = 1;
   spec.out[0] = {0, 2};  // project the tracked vertex

@@ -1,14 +1,13 @@
-// The sorting seals that remain after path tables are born sorted: sink
-// tables and the distributed engine's non-path shards arrive as flat rows
-// with unique keys (ProjTable::from_flat) and seal through the dense
-// counting partition, and a born-sorted table re-sealed in another order
-// (kByV0 for storage) re-sorts in the dense layout. Either must leave
-// exactly the rows a test-local std::stable_sort by the order's
-// comparator plus a run-sum gives — across table sizes on both sides of
-// the threaded-partition cutoff, small and large vertex domains,
-// out-of-domain keys (the comparison-sort fallback) and rows drawn from a
-// few keys, summed before the flat adoption. The checkpoint restore path
-// additionally relies on re-sealing decoded shards.
+// The tables that need an order their rows do not arrive in — a transpose,
+// shared (TablePool::oriented) or distributed (DistTable::transposed), a
+// unary replica (DistTable::allgathered) and a checkpoint restore — are
+// built as summed FlatRows sinks, whose sum only sorts their unique keys.
+// Each must leave exactly the rows a test-local std::sort by the full key
+// gives, sealed kByV0 with the bucket index a linear scan agrees with:
+// at a domain that pays for the index and at one that does not, with keys
+// that pack and with wide keys (10 colours), from dense stored tables and
+// from a packed born-sorted one. A checkpoint restore must give back its
+// table bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +15,14 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "ccbt/core/color_coding.hpp"
 #include "ccbt/dist/dist_engine.hpp"
+#include "ccbt/dist/dist_primitives.hpp"
+#include "ccbt/engine/path_builder.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/table/proj_table.hpp"
@@ -30,165 +32,183 @@
 namespace ccbt {
 namespace {
 
-using Row = std::pair<TableKey, Count>;
+/// One shape of input: its vertex count and colour count.
+struct Shape {
+  const char* name;
+  VertexId n;       // the data graph's vertex count
+  std::size_t rows; // rows drawn (equal keys summed)
+  int colors;       // 10 colours give signatures that do not pack
+  bool indexed;     // whether n pays for a bucket index at this size
+};
 
-/// The reference: stable sort by the order's slot, then the remaining key
-/// fields, and sum equal-key runs.
-std::vector<Row> reference(std::vector<Row> rows, SortOrder order) {
-  const int slot = group_slot(order);
-  auto fields = [slot](const TableKey& k) {
-    return std::array<std::uint64_t, 6>{
-        k.v[slot], k.v[0], k.v[1], k.v[2], k.v[3], k.sig};
-  };
-  std::stable_sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
-    return fields(a.first) < fields(b.first);
-  });
-  std::vector<Row> out;
-  for (const auto& [k, c] : rows) {
-    if (!out.empty() && out.back().first == k) {
-      out.back().second += c;
-    } else {
-      out.push_back({k, c});
-    }
+// 64 and 16000 vertices both pack all four key slots; 16000 is too many
+// buckets for 1500 rows (or a rank's share of them) to index.
+const Shape kShapes[] = {
+    {"indexed packed", 64, 6000, 8, true},
+    {"indexed wide", 64, 6000, 10, true},
+    {"index-less packed", 16000, 1500, 8, false},
+    {"index-less wide", 16000, 1500, 10, false},
+};
+
+/// Rows of arity 2 with tracked slots 2 and 3 set now and then, so the
+/// full key orders rows equal on (v0, v1).
+std::vector<TableEntry> random_rows(const Shape& s, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TableEntry> rows(s.rows);
+  for (TableEntry& e : rows) {
+    e.key.v[0] = static_cast<VertexId>(rng.below(s.n));
+    e.key.v[1] = static_cast<VertexId>(rng.below(s.n));
+    if (rng.below(4) == 0) e.key.v[2] = static_cast<VertexId>(rng.below(5));
+    if (rng.below(8) == 0) e.key.v[3] = static_cast<VertexId>(rng.below(3));
+    e.key.sig = static_cast<Signature>(rng.below(Signature{1} << s.colors));
+    e.cnt = 1 + rng.below(900);
   }
+  return rows;
+}
+
+bool key_less(const TableEntry& a, const TableEntry& b) {
+  return std::tie(a.key.v, a.key.sig) < std::tie(b.key.v, b.key.sig);
+}
+
+/// The reference transpose: equal keys summed, slots 0 and 1 swapped,
+/// then std::sort by the full key.
+std::vector<TableEntry> reference_transpose(
+    const std::vector<TableEntry>& rows) {
+  std::vector<TableEntry> out = sum_equal_keys(rows);
+  for (TableEntry& e : out) std::swap(e.key.v[0], e.key.v[1]);
+  std::sort(out.begin(), out.end(), key_less);
   return out;
 }
 
-std::vector<Row> rows_of(const ProjTable& t) {
-  std::vector<Row> out;
-  t.for_each_entry([&](const TableEntry& e) { out.push_back({e.key, e.cnt}); });
+std::vector<TableEntry> rows_of(const ProjTable& t) {
+  std::vector<TableEntry> out;
+  t.for_each_entry([&](const TableEntry& e) { out.push_back(e); });
   return out;
 }
 
-void expect_rows_eq(const std::vector<Row>& got, const std::vector<Row>& want) {
-  ASSERT_EQ(got.size(), want.size());
+/// `t` holds exactly `want`, in order, sealed kByV0, and each of its
+/// slot-0 groups is the range a scan of `want` finds.
+void expect_table_eq(const ProjTable& t, const std::vector<TableEntry>& want,
+                     bool indexed, const std::string& what) {
+  EXPECT_EQ(t.order(), SortOrder::kByV0) << what;
+  EXPECT_EQ(t.has_bucket_index(), indexed) << what;
+  const std::vector<TableEntry> got = rows_of(t);
+  ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].first, want[i].first) << "row " << i;
-    ASSERT_EQ(got[i].second, want[i].second) << "row " << i;
+    ASSERT_EQ(got[i].key, want[i].key) << what << " row " << i;
+    ASSERT_EQ(got[i].cnt, want[i].cnt) << what << " row " << i;
+  }
+  for (std::size_t lo = 0; lo < want.size();) {
+    const VertexId v = want[lo].key.v[0];
+    std::size_t hi = lo;
+    while (hi < want.size() && want[hi].key.v[0] == v) ++hi;
+    ASSERT_EQ(t.group_span(0, v), (std::pair<std::size_t, std::size_t>{lo, hi}))
+        << what << " group " << v;
+    lo = hi;
+  }
+  // A vertex no row holds has an empty group.
+  const VertexId missing = want.empty() ? 0 : want.back().key.v[0] + 1;
+  const auto [mlo, mhi] = t.group_span(0, missing);
+  EXPECT_EQ(mlo, mhi) << what;
+}
+
+TEST(SealSort, SharedTransposeMatchesStdSort) {
+  for (const Shape& s : kShapes) {
+    const std::vector<TableEntry> rows = random_rows(s, 100 + s.n + s.colors);
+    const std::vector<TableEntry> want = reference_transpose(rows);
+    // A stored table, and its transpose through the pool's cache.
+    TablePool pool(1, s.n);
+    pool.store(0, sink_table(2, rows, s.n));
+    expect_table_eq(pool.oriented(0, true), want, s.indexed,
+                    std::string(s.name) + " pool");
+    EXPECT_EQ(&pool.oriented(0, true), &pool.oriented(0, true));
+    // Transposing back gives the stored table.
+    std::vector<TableEntry> stored = rows_of(pool.get(0));
+    expect_table_eq(pool.oriented(0, true).transposed(s.n), stored,
+                    s.indexed, std::string(s.name) + " round trip");
   }
 }
 
-/// Seal a flat-built table of the rows, their equal keys summed first,
-/// and compare it, and its bucket index when one was built, against the
-/// reference.
-void expect_seal_matches(const std::vector<Row>& rows, SortOrder order,
-                         VertexId domain) {
-  std::vector<TableEntry> flat;
-  for (const Row& r : rows) flat.push_back({r.first, r.second});
-  ProjTable t = ProjTable::from_flat(2, sum_equal_keys(flat));
-  t.seal(order, domain);
-  EXPECT_EQ(t.order(), order);
-  const std::vector<Row> got = rows_of(t);
-  expect_rows_eq(got, reference(rows, order));
-  if (!t.has_bucket_index()) return;
-  // The index may cover less than `domain` (a seal detects a tighter
-  // bound from the keys when `domain` is too sparse to pay off).
-  const int slot = group_slot(order);
-  const VertexId used = got.empty() ? 0 : got.back().first.v[slot] + 1;
-  std::size_t next = 0;
-  for (VertexId v = 0; v < used; ++v) {
-    const auto [lo, hi] = t.group_span(slot, v);
-    ASSERT_EQ(lo, next) << "bucket " << v;
-    for (std::size_t i = lo; i < hi; ++i) ASSERT_EQ(got[i].first.v[slot], v);
-    next = hi;
-  }
-  EXPECT_EQ(next, got.size());
+TEST(SealSort, BornSortedTransposeMatchesStdSort) {
+  // A packed path table, read row by row out of its frontier buckets.
+  const Shape s{"path", 64, 6000, 8, true};
+  const std::vector<TableEntry> rows = random_rows(s, 300);
+  const ProjTable path = path_table(2, rows, s.n);
+  ASSERT_TRUE(path.packed_flat());
+  expect_table_eq(path.transposed(s.n), reference_transpose(rows), true,
+                  "born sorted");
 }
 
-Row make_row(Rng& rng, VertexId domain, Count max_count) {
-  Row r;
-  r.first.v[0] = static_cast<VertexId>(rng.below(domain));
-  r.first.v[1] = static_cast<VertexId>(rng.below(domain));
-  r.first.sig = static_cast<Signature>(rng.below(256));
-  r.second = 1 + rng.below(max_count);
-  return r;
-}
+TEST(SealSort, DistTransposeAndReplicaMatchStdSort) {
+  constexpr std::uint32_t kRanks = 4;
+  for (const Shape& s : kShapes) {
+    const std::vector<TableEntry> rows = random_rows(s, 200 + s.n + s.colors);
+    const BlockPartition part(s.n, kRanks);
+    VirtualComm comm(kRanks);
+    // Stored: every row on the owner of its slot-0 image.
+    for (const TableEntry& e : rows) comm.send(0, part.owner(e.key.v[0]), e);
+    comm.exchange();
+    const DistTable stored =
+        DistTable::collect(2, /*home_slot=*/0, comm, 1'000'000, s.n);
+    ASSERT_TRUE(stored.well_placed(part)) << s.name;
 
-TEST(SealSort, FlatSealMatchesStableSort) {
-  const SortOrder orders[] = {SortOrder::kByV0, SortOrder::kByV1};
-  // A small domain (few, crowded buckets) and a large one (mostly empty
-  // buckets), each at sizes on both sides of the threaded-partition cutoff.
-  for (const VertexId domain : {VertexId{64}, VertexId{100'000}}) {
-    for (const SortOrder order : orders) {
-      for (const int n : {1500, 70'000}) {
-        Rng rng(100 + n + domain);
-        std::vector<Row> rows;
-        for (int i = 0; i < n; ++i) rows.push_back(make_row(rng, domain, 900));
-        expect_seal_matches(rows, order, domain);
+    const DistTable flipped = stored.transposed(comm, part, 1'000'000);
+    EXPECT_TRUE(flipped.well_placed(part)) << s.name;
+    const std::vector<TableEntry> want = reference_transpose(rows);
+    for (std::uint32_t r = 0; r < kRanks; ++r) {
+      std::vector<TableEntry> mine;
+      for (const TableEntry& e : want) {
+        if (part.owner(e.key.v[0]) == r) mine.push_back(e);
       }
-      // Few keys: a 24-vertex universe and two signatures crowd every
-      // bucket, and each key sums about five rows.
-      Rng rng(200 + domain);
-      std::vector<Row> rows;
-      for (int i = 0; i < 6000; ++i) {
-        Row r = make_row(rng, 24, 0xFFFF);
-        r.first.sig = static_cast<Signature>(1u << rng.below(2));
-        rows.push_back(r);
-      }
-      expect_seal_matches(rows, order, domain);
+      expect_table_eq(flipped.shard(r), mine, s.indexed,
+                      std::string(s.name) + " rank " + std::to_string(r));
     }
-  }
-}
 
-TEST(SealSort, OutOfDomainKeyFallsBackToComparisonSort) {
-  // A slot value at or above `domain` (kNoVertex included) cannot be
-  // bucketed: the seal falls back to the comparison sort, same rows.
-  Rng rng(650);
-  std::vector<Row> rows;
-  for (int i = 0; i < 300; ++i) rows.push_back(make_row(rng, 80, 50));
-  rows[100].first.v[1] = 80;  // == domain
-  rows[200].first.v[1] = kNoVertex;
-  expect_seal_matches(rows, SortOrder::kByV1, 80);
-}
-
-TEST(SealSort, TrackedSlotsOrderInsideBuckets) {
-  // Rows equal on (v0, v1) differ only in the tracked slots: the tail
-  // order must still be the full key.
-  Rng rng(660);
-  std::vector<Row> rows;
-  for (int i = 0; i < 3000; ++i) {
-    Row r = make_row(rng, 6, 40);
-    r.first.v[2] = static_cast<VertexId>(rng.below(5));
-    r.first.v[3] = static_cast<VertexId>(rng.below(3));
-    rows.push_back(r);
-  }
-  for (const SortOrder order : {SortOrder::kByV0, SortOrder::kByV1}) {
-    expect_seal_matches(rows, order, 6);
-  }
-}
-
-TEST(SealSort, BornSortedTableResealsByV0) {
-  // A born-sorted table stored for probing re-seals kByV0 in the dense
-  // layout: same rows as sealing the flat rows directly.
-  const VertexId domain = 50;
-  Rng rng(700);
-  std::vector<Row> rows;
-  const KeyLayout lay = KeyLayout::for_vertices(domain);
-  SortedBuckets buckets(lay);
-  FlatRows scratch(lay);
-  for (VertexId w = 0; w < domain; ++w) {
-    scratch.reset();
-    for (int i = 0; i < 40; ++i) {
-      Row r = make_row(rng, domain, 900);
-      r.first.v[1] = w;
-      rows.push_back(r);
-      scratch.append(r.first, r.second);
+    // The replica of the table summed out to its first slot.
+    std::vector<TableEntry> unary;
+    for (TableEntry e : sum_equal_keys(rows)) {
+      e.key.v[1] = e.key.v[2] = e.key.v[3] = kNoVertex;
+      unary.push_back(e);
     }
-    buckets.close(scratch);
+    for (const TableEntry& e : unary) comm.send(0, part.owner(e.key.v[0]), e);
+    comm.exchange();
+    const DistTable unary_table =
+        DistTable::collect(1, /*home_slot=*/0, comm, 1'000'000, s.n);
+    std::vector<TableEntry> unary_want = sum_equal_keys(unary);
+    std::sort(unary_want.begin(), unary_want.end(), key_less);
+    expect_table_eq(unary_table.allgathered(comm, s.n), unary_want,
+                    s.indexed, std::string(s.name) + " replica");
   }
-  ProjTable t = ProjTable::from_buckets(2, std::move(buckets));
-  ASSERT_EQ(t.order(), SortOrder::kByV1);
-  for (const SortOrder order : {SortOrder::kByV0, SortOrder::kByV1}) {
-    t.seal(order, domain);
-    EXPECT_EQ(t.order(), order);
-    expect_rows_eq(rows_of(t), reference(rows, order));
+}
+
+TEST(SealSort, CheckpointRestoreBitIdentical) {
+  // A stored table restored from its checkpoint is its original, row for
+  // row and probe for probe, at every shape.
+  constexpr std::uint32_t kRanks = 3;
+  for (const Shape& s : kShapes) {
+    const BlockPartition part(s.n, kRanks);
+    VirtualComm comm(kRanks);
+    for (const TableEntry& e : random_rows(s, 400 + s.n + s.colors)) {
+      comm.send(0, part.owner(e.key.v[0]), e);
+    }
+    comm.exchange();
+    dist::DistPool pool(/*num_blocks=*/1, s.n);
+    pool.store(0, DistTable::collect(2, 0, comm, 1'000'000, s.n));
+    const CheckpointImage img = pool.checkpoint(/*next_block=*/1, 0);
+    dist::DistPool restored(/*num_blocks=*/1, s.n);
+    restored.restore(img, kRanks);
+    for (std::uint32_t r = 0; r < kRanks; ++r) {
+      const ProjTable& want = pool.get(0).shard(r);
+      expect_table_eq(restored.get(0).shard(r), rows_of(want),
+                      want.has_bucket_index(),
+                      std::string(s.name) + " rank " + std::to_string(r));
+    }
   }
 }
 
 TEST(SealSort, CheckpointReplayBitIdentical) {
   // End to end: a faulty distributed run that restores from checkpoints
-  // must report the fault-free counts after re-sealing the decoded
-  // shards.
+  // must report the fault-free counts.
   const CsrGraph g = erdos_renyi(32, 110, 8);
   const QueryGraph q = q_glet2();
   const Plan plan = make_plan(q);

@@ -1,5 +1,5 @@
 // Unit tests for signatures, table keys, the summing sink, and the
-// sealed projection-table operations the join engine relies on.
+// projection-table operations the join engine relies on.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "ccbt/table/flat_rows.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/table/signature.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -87,9 +88,9 @@ TEST(FlatRowsSink, SummingAgainAddsNoRows) {
   }
 }
 
-/// A table of the given rows (unique keys, as from_flat takes them).
-ProjTable table_of(std::vector<TableEntry> rows) {
-  return ProjTable::from_flat(2, std::move(rows));
+/// A stored table of the given rows over a 16-vertex graph.
+ProjTable table_of(const std::vector<TableEntry>& rows) {
+  return sink_table(2, rows, 16);
 }
 
 TEST(ProjTableTest, TotalSumsCounts) {
@@ -98,10 +99,11 @@ TEST(ProjTableTest, TotalSumsCounts) {
   EXPECT_EQ(t.arity(), 2);
 }
 
-TEST(ProjTableTest, SealByV0GroupsCorrectly) {
-  ProjTable t = table_of(
+TEST(ProjTableTest, SinkTableGroupsByV0) {
+  const ProjTable t = table_of(
       {{key2(5, 1, 1), 1}, {key2(3, 2, 1), 2}, {key2(5, 9, 2), 3}});
-  t.seal(SortOrder::kByV0);
+  EXPECT_EQ(t.order(), SortOrder::kByV0);
+  EXPECT_TRUE(t.has_bucket_index());
   const auto g5 = t.group(0, 5);
   EXPECT_EQ(g5.size(), 2u);
   const auto g3 = t.group(0, 3);
@@ -109,17 +111,19 @@ TEST(ProjTableTest, SealByV0GroupsCorrectly) {
   EXPECT_TRUE(t.group(0, 4).empty());
 }
 
-TEST(ProjTableTest, SealByV1GroupsByFrontier) {
-  ProjTable t = table_of(
-      {{key2(1, 7, 1), 1}, {key2(2, 7, 1), 2}, {key2(3, 8, 1), 3}});
-  t.seal(SortOrder::kByV1);
+TEST(ProjTableTest, PathTableGroupsByFrontier) {
+  const ProjTable t = path_table(
+      2, {{key2(1, 7, 1), 1}, {key2(2, 7, 1), 2}, {key2(3, 8, 1), 3}}, 16,
+      /*dense=*/true);
+  EXPECT_EQ(t.order(), SortOrder::kByV1);
   EXPECT_EQ(t.group(1, 7).size(), 2u);
   EXPECT_EQ(t.group(1, 8).size(), 1u);
 }
 
 TEST(ProjTableTest, TransposeSwapsBoundaryOrder) {
-  ProjTable t = table_of({{key2(1, 2, 1), 4}});
-  const ProjTable tt = t.transposed();
+  const ProjTable t = table_of({{key2(1, 2, 1), 4}});
+  const ProjTable tt = t.transposed(16);
+  EXPECT_EQ(tt.order(), SortOrder::kByV0);
   ASSERT_EQ(tt.size(), 1u);
   EXPECT_EQ(tt.entries()[0].key.v[0], 2u);
   EXPECT_EQ(tt.entries()[0].key.v[1], 1u);
@@ -141,7 +145,7 @@ TEST(ProjTableTest, AggregateSumsOutSlots) {
   ProjTable u = aggregate_unmodeled(t, 1);
   EXPECT_EQ(u.arity(), 1);
   EXPECT_EQ(u.size(), 2u);  // keys 1 and 2
-  u.seal(SortOrder::kByV0);
+  EXPECT_EQ(u.order(), SortOrder::kByV0);
   EXPECT_EQ(u.group(0, 1)[0].cnt, 10u);
 }
 
@@ -152,8 +156,7 @@ TEST(ProjTableTest, AggregateKeepsSignaturesSeparate) {
 }
 
 TEST(ProjTableTest, EmptyTableBehaves) {
-  ProjTable t(2);
-  t.seal(SortOrder::kByV0);
+  const ProjTable t(2);
   EXPECT_TRUE(t.group(0, 0).empty());
   EXPECT_EQ(t.total(), 0u);
 }

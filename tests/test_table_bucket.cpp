@@ -1,10 +1,11 @@
-// Property tests for the bucket-indexed table layer: seal() with a
-// counting partition plus per-bucket sorts must produce entry-identical
-// arrays to a naive stable comparison sort (every key field and count, in
-// the same positions), and group() through the O(1) bucket index must
-// return exactly the ranges a binary search finds — across randomized
-// arities, sort orders, domains and crowded small-domain inputs, whose
-// equal keys are summed before the table adopts them.
+// Property tests for the bucket-indexed table layer. A table is born in
+// its order — a summed sink sealed kByV0 (ProjTable::from_sink), a path
+// table built bucket by bucket sealed kByV1 (from_buckets) — and must hold
+// exactly the rows a naive stable comparison sort of its summed input
+// gives (every key field and count, in the same positions), while group()
+// through the O(1) bucket index returns exactly the ranges a linear scan
+// finds: across randomized arities, orders, explicit and detected
+// domains, and crowded small-domain inputs whose equal keys are summed.
 
 #include <gtest/gtest.h>
 
@@ -31,11 +32,13 @@ bool less_full_v1(const TableEntry& a, const TableEntry& b) {
   return less_full_v0(a, b);
 }
 
-/// Reference seal: a stable comparison sort of the whole entry vector.
-std::vector<TableEntry> reference_sorted(std::vector<TableEntry> entries,
+/// Reference table: the rows with equal keys summed, in a stable
+/// comparison sort of the whole vector by the order's comparator.
+std::vector<TableEntry> reference_sorted(const std::vector<TableEntry>& rows,
                                          SortOrder order) {
+  std::vector<TableEntry> entries = sum_equal_keys(rows);
   std::stable_sort(entries.begin(), entries.end(),
-                   group_slot(order) == 0 ? less_full_v0 : less_full_v1);
+                   order == SortOrder::kByV0 ? less_full_v0 : less_full_v1);
   return entries;
 }
 
@@ -49,10 +52,9 @@ std::vector<TableEntry> reference_group(
   return out;
 }
 
-/// Random entries over `domain` vertices with unique keys (the input
-/// from_flat takes); `arity` leading slots used, remaining slots
-/// sometimes carry tracked vertices, sometimes kNoVertex. Low domains
-/// draw many rows per key, summed into one, and crowd every bucket.
+/// Random entries over `domain` vertices; `arity` leading slots used,
+/// remaining slots sometimes carry tracked vertices, sometimes kNoVertex.
+/// Low domains draw many rows per key and crowd every bucket.
 std::vector<TableEntry> random_entries(Rng& rng, std::size_t n,
                                        VertexId domain, int arity,
                                        bool tracked_slots) {
@@ -71,11 +73,13 @@ std::vector<TableEntry> random_entries(Rng& rng, std::size_t n,
     e.key.sig = static_cast<Signature>(rng.below(64));
     e.cnt = rng.below(1000) + 1;
   }
-  return sum_equal_keys(entries);
+  return entries;
 }
 
-ProjTable table_of(int arity, const std::vector<TableEntry>& entries) {
-  return ProjTable::from_flat(arity, std::vector(entries));
+std::vector<TableEntry> rows_of(const ProjTable& t) {
+  std::vector<TableEntry> out;
+  t.for_each_entry([&](const TableEntry& e) { out.push_back(e); });
+  return out;
 }
 
 bool same_entries(std::span<const TableEntry> got,
@@ -89,73 +93,78 @@ bool same_entries(std::span<const TableEntry> got,
   return true;
 }
 
-void expect_entry_identical(const ProjTable& sealed,
-                            const std::vector<TableEntry>& reference) {
-  ASSERT_EQ(sealed.size(), reference.size());
-  EXPECT_TRUE(same_entries(sealed.entries(), reference));
-}
+/// How the property builds its table.
+enum class Build { kSinkExplicitDomain, kSinkDetectedDomain, kPath };
 
-class BucketSealProperty
-    : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
+class BucketIndexProperty
+    : public ::testing::TestWithParam<std::tuple<int, Build>> {};
 
-TEST_P(BucketSealProperty, MatchesNaiveReferenceAcrossSeeds) {
-  const auto [arity, order_idx, explicit_domain] = GetParam();
-  // Index 1 reseals kByV0 from a table already sealed kByV1: the re-sort
-  // out of another order must reach the same entries and index.
+TEST_P(BucketIndexProperty, MatchesNaiveReferenceAcrossSeeds) {
+  const auto [arity, build] = GetParam();
   const SortOrder order =
-      order_idx == 2 ? SortOrder::kByV1 : SortOrder::kByV0;
-  const int slot = group_slot(order);
+      build == Build::kPath ? SortOrder::kByV1 : SortOrder::kByV0;
+  const int slot = order == SortOrder::kByV0 ? 0 : 1;
   if (slot >= arity) GTEST_SKIP() << "order needs slot " << slot;
 
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     Rng rng(100 * seed + arity);
     // Small domains force heavy duplication; larger ones exercise sparse
-    // buckets. Sizes straddle the parallel threshold.
+    // buckets.
     const VertexId domain =
         static_cast<VertexId>(rng.below(3) == 0 ? 7 : 400);
     const std::size_t n = 1 + rng.below(seed % 3 == 0 ? 40000 : 500);
     const std::vector<TableEntry> raw =
         random_entries(rng, n, domain, arity, /*tracked_slots=*/true);
 
-    ProjTable t = table_of(arity, raw);
-    const VertexId seal_domain = explicit_domain ? domain : 0;
-    if (order_idx == 1) t.seal(SortOrder::kByV1, seal_domain);
-    t.seal(order, seal_domain);
+    const ProjTable t =
+        build == Build::kPath ? path_table(arity, raw, domain)
+        : build == Build::kSinkExplicitDomain
+            ? sink_table(arity, raw, domain)
+            : ProjTable::from_sink(arity, [&] {
+                FlatRows sink(KeyLayout::for_vertices(domain));
+                for (const TableEntry& e : raw) sink.add(e.key, e.cnt);
+                sink.sum_duplicates();
+                return sink;
+              }(), /*domain=*/0);
+    EXPECT_EQ(t.order(), order);
+    EXPECT_TRUE(t.has_bucket_index());
     const std::vector<TableEntry> ref = reference_sorted(raw, order);
-    expect_entry_identical(t, ref);
+    const std::vector<TableEntry> got = rows_of(t);
+    ASSERT_TRUE(same_entries(got, ref));
 
-    // Totals survive sealing.
+    // Totals survive the sums.
     Count ref_total = 0;
     for (const TableEntry& e : ref) ref_total += e.cnt;
     EXPECT_EQ(t.total(), ref_total);
 
     // Every group (probed at members, boundaries and misses) matches the
     // reference scan exactly.
+    std::vector<TableEntry> scratch;
     for (VertexId v : {VertexId{0}, VertexId{3}, domain / 2, domain - 1,
                        domain, domain + 17}) {
-      const auto got = t.group(slot, v);
       const auto want = reference_group(ref, slot, v);
-      EXPECT_TRUE(same_entries(got, want)) << "v=" << v;
+      EXPECT_TRUE(same_entries(t.group_expanded(slot, v, scratch), want))
+          << "v=" << v;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AritiesOrdersDomains, BucketSealProperty,
+    AritiesOrdersDomains, BucketIndexProperty,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                       ::testing::Values(0, 1, 2),
-                       ::testing::Bool()));
+                       ::testing::Values(Build::kSinkExplicitDomain,
+                                         Build::kSinkDetectedDomain,
+                                         Build::kPath)));
 
-TEST(BucketSeal, IndexedAndSearchGroupsAgree) {
-  // The same sealed content probed through the bucket index and through
-  // the binary-search fallback must agree: seal one copy with the domain
-  // (index built) and one without after planting an out-of-domain key
-  // (which forces the comparison path).
+TEST(BucketIndex, IndexedAndSearchGroupsAgree) {
+  // The same rows probed through the bucket index and through the
+  // binary-search fallback must agree: one table is built with the
+  // domain (index built), one with an out-of-domain key planted (which
+  // leaves it without an index).
   Rng rng(7);
-  std::vector<TableEntry> raw =
+  const std::vector<TableEntry> raw =
       random_entries(rng, 2000, 150, 2, /*tracked_slots=*/false);
-  ProjTable indexed = table_of(2, raw);
-  indexed.seal(SortOrder::kByV0, 150);
+  const ProjTable indexed = sink_table(2, raw, 150);
   ASSERT_TRUE(indexed.has_bucket_index());
 
   TableEntry far{};
@@ -164,8 +173,7 @@ TEST(BucketSeal, IndexedAndSearchGroupsAgree) {
   far.cnt = 1;
   std::vector<TableEntry> raw2 = raw;
   raw2.push_back(far);
-  ProjTable searched = table_of(2, raw2);
-  searched.seal(SortOrder::kByV0);
+  const ProjTable searched = sink_table(2, raw2, 150);
   ASSERT_FALSE(searched.has_bucket_index());
 
   for (VertexId v = 0; v < 150; ++v) {
@@ -174,51 +182,30 @@ TEST(BucketSeal, IndexedAndSearchGroupsAgree) {
   }
 }
 
-TEST(BucketSeal, RepeatedSealKeepsEntriesAndIndex) {
-  // Sealing a table in the order it holds must not re-sort, must keep
-  // the index, and must not change bytes; a round trip through the
-  // other order must come back to the same entries.
-  Rng rng(11);
-  const std::vector<TableEntry> raw =
-      random_entries(rng, 3000, 97, 2, /*tracked_slots=*/false);
-  ProjTable t = table_of(2, raw);
-  t.seal(SortOrder::kByV0, 97);
-  ASSERT_TRUE(t.has_bucket_index());
-  const std::vector<TableEntry> before(t.entries().begin(),
-                                       t.entries().end());
-  t.seal(SortOrder::kByV0);
-  EXPECT_EQ(t.order(), SortOrder::kByV0);
-  EXPECT_TRUE(t.has_bucket_index());
-  expect_entry_identical(t, before);
-  t.seal(SortOrder::kByV1, 97);
-  EXPECT_EQ(t.order(), SortOrder::kByV1);
-  t.seal(SortOrder::kByV0, 97);
-  EXPECT_EQ(t.order(), SortOrder::kByV0);
-  EXPECT_TRUE(t.has_bucket_index());
-  expect_entry_identical(t, before);
-}
-
-TEST(BucketSeal, AutoDomainDetectionBuildsIndex) {
+TEST(BucketIndex, TinyTableOnHugeDomainDetectsItsOwn) {
+  // A domain far past the row count does not pay for an index; the one
+  // the rows show for themselves does.
   Rng rng(13);
   const std::vector<TableEntry> raw =
       random_entries(rng, 5000, 64, 2, /*tracked_slots=*/false);
-  ProjTable t = table_of(2, raw);
-  t.seal(SortOrder::kByV1);  // no domain passed
+  const ProjTable t = sink_table(2, raw, 1'000'000);
   EXPECT_TRUE(t.has_bucket_index());
-  expect_entry_identical(t, reference_sorted(raw, SortOrder::kByV1));
+  EXPECT_TRUE(same_entries(t.entries(),
+                           reference_sorted(raw, SortOrder::kByV0)));
+  EXPECT_EQ(t.group_span(0, 64), (std::pair<std::size_t, std::size_t>{0, 0}));
 }
 
-TEST(BucketSeal, EmptyAndSingleton) {
-  ProjTable empty(2);
-  empty.seal(SortOrder::kByV0, 100);
+TEST(BucketIndex, EmptyAndSingleton) {
+  const ProjTable empty(2);
   EXPECT_TRUE(empty.group(0, 5).empty());
+  const ProjTable empty_sink = sink_table(2, {}, 100);
+  EXPECT_TRUE(empty_sink.group(0, 5).empty());
 
   TableEntry e{};
   e.key.v[0] = 42;
   e.key.v[1] = 7;
   e.cnt = 3;
-  ProjTable one = ProjTable::from_flat(2, {e});
-  one.seal(SortOrder::kByV0, 100);
+  const ProjTable one = sink_table(2, {e}, 100);
   ASSERT_EQ(one.group(0, 42).size(), 1u);
   EXPECT_TRUE(one.group(0, 41).empty());
   EXPECT_TRUE(one.group(0, 99).empty());

@@ -340,7 +340,8 @@ TEST(WalkSchedule, PeakEntriesCountDrosWalkTablesAndSink) {
       EXPECT_EQ(c.live, 0);
       most_live = std::max(most_live, c.peak);
       want = std::max(want, c.peak_entries);
-      table = ProjTable::from_flat(blk.boundary_count(), sink.take_wide());
+      table = ProjTable::from_sink(blk.boundary_count(), std::move(sink),
+                                   g.num_vertices());
     }
     stored = std::max(stored, table.size());
     if (static_cast<int>(i) != tree.root) {
