@@ -98,10 +98,16 @@ GroupNumbers measure_group_lookup() {
 
   std::size_t sink = 0;
   Timer t_idx;
-  for (VertexId v : keys) sink += indexed.group(0, v).size();
+  for (VertexId v : keys) {
+    const auto [lo, hi] = indexed.group_span(0, v);
+    sink += hi - lo;
+  }
   const double ns_idx = t_idx.seconds() * 1e9 / static_cast<double>(probes);
   Timer t_bin;
-  for (VertexId v : keys) sink += searched.group(0, v).size();
+  for (VertexId v : keys) {
+    const auto [lo, hi] = searched.group_span(0, v);
+    sink += hi - lo;
+  }
   const double ns_bin = t_bin.seconds() * 1e9 / static_cast<double>(probes);
   benchmark::DoNotOptimize(sink);
 
@@ -129,12 +135,13 @@ double median(std::vector<double> v) {
 /// run of `want` with that slot-0 value.
 bool same_table(const ProjTable& t, const std::vector<TableEntry>& want) {
   if (!t.has_bucket_index() || t.size() != want.size()) return false;
-  const auto got = t.entries();
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (!(got[i].key == want[i].key) || got[i].cnt != want[i].cnt) {
-      return false;
-    }
-  }
+  bool same = true;
+  std::size_t i = 0;
+  t.for_each_entry([&](const TableEntry& e) {
+    same = same && e.key == want[i].key && e.cnt == want[i].cnt;
+    ++i;
+  });
+  if (!same) return false;
   std::size_t lo = 0;
   for (VertexId v = 0; v < kDomain; ++v) {
     std::size_t hi = lo;
@@ -162,13 +169,15 @@ TransposeNumbers measure_transpose() {
     Timer t;
     const ProjTable tt = stored.transposed(kDomain);
     const double s = t.seconds();
-    benchmark::DoNotOptimize(tt.entries().data());
+    benchmark::DoNotOptimize(tt.size());
     return s;
   };
+  std::vector<TableEntry> rows;
+  rows.reserve(stored.size());
+  stored.for_each_entry([&](const TableEntry& e) { rows.push_back(e); });
   std::vector<TableEntry> want;
   const auto sort_seconds = [&] {
-    std::vector<TableEntry> b(stored.entries().begin(),
-                              stored.entries().end());
+    std::vector<TableEntry> b = rows;
     Timer t;
     for (TableEntry& e : b) std::swap(e.key.v[0], e.key.v[1]);
     std::sort(b.begin(), b.end(), full_key_less);
@@ -325,7 +334,7 @@ void BM_Transpose(benchmark::State& state) {
   const ProjTable stored = stored_table(random_binary_entries(n, 7));
   for (auto _ : state) {
     const ProjTable t = stored.transposed(kDomain);
-    benchmark::DoNotOptimize(t.entries().data());
+    benchmark::DoNotOptimize(t.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -339,7 +348,10 @@ void BM_GroupLookup(benchmark::State& state) {
   for (auto& v : keys) v = static_cast<VertexId>(rng.below(kDomain));
   for (auto _ : state) {
     std::size_t sink = 0;
-    for (VertexId v : keys) sink += t.group(0, v).size();
+    for (VertexId v : keys) {
+      const auto [lo, hi] = t.group_span(0, v);
+      sink += hi - lo;
+    }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(state.iterations() * keys.size());
@@ -375,12 +387,27 @@ void BM_MergeHalves(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeHalves)->Arg(2000)->Arg(8000);
 
+/// Holds the OpenMP pool at one thread for its scope, so a benchmark
+/// times the serial paths, and restores the pool's size on exit.
+class OneThread {
+ public:
+#ifdef _OPENMP
+  OneThread() : threads_(omp_get_max_threads()) { omp_set_num_threads(1); }
+  ~OneThread() { omp_set_num_threads(threads_); }
+  OneThread(const OneThread&) = delete;
+  OneThread& operator=(const OneThread&) = delete;
+
+ private:
+  int threads_;
+#endif
+};
+
 void BM_ExtendWithGraph(benchmark::State& state) {
   const CsrGraph g = chung_lu_power_law(4000, 1.7, 8.0, 3);
   const Coloring chi(g.num_vertices(), 5, 1);
   const DegreeOrder order(g);
   ExecOptions opts;
-  opts.use_threads = false;
+  const OneThread serial;
   const ExecContext cx{g, chi, order,
                        BlockPartition(g.num_vertices(), 1), nullptr, opts};
   ProjTable init = init_path_from_graph(cx, ExtendOpts{});
@@ -399,7 +426,7 @@ void BM_ExtendWithGraphAnchored(benchmark::State& state) {
   const Coloring chi(g.num_vertices(), 5, 1);
   const DegreeOrder order(g);
   ExecOptions opts;
-  opts.use_threads = false;
+  const OneThread serial;
   const ExecContext cx{g, chi, order,
                        BlockPartition(g.num_vertices(), 1), nullptr, opts};
   ExtendOpts anchored;

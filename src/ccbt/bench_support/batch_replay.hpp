@@ -99,7 +99,8 @@ class TablePoolT {
     LaneLayoutInfo layout_;
   };
 
-  /// The third argument is ignored: every pool stores dense tables.
+  /// The third argument is ignored: every table holds one row format,
+  /// packed while its keys pack.
   TablePoolT(std::size_t num_blocks, VertexId domain, bool /*lane_compress*/,
              StageWall* stage) {
     for (int l = 0; l < B; ++l) lanes.emplace_back(num_blocks, domain, stage);

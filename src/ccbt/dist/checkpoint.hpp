@@ -11,7 +11,8 @@
 //   magic u32 | rows u64 | rows x (v0 v1 v2 v3 sig : u32, count : u64)
 //
 // Restore rebuilds each shard from its decoded rows as a summed sink,
-// which arrives in the storage convention (kByV0, dense). Because
+// which arrives in the storage convention (kByV0, in packed rows while
+// its keys pack). Because
 // serialization iterates the kByV0 row order, the decoded rows are
 // already sorted with unique keys: the sum orders unique keys totally and
 // adds nothing — so a restored table is bit-identical to the one

@@ -61,7 +61,6 @@ void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
   const ExecContext& cx = dx.cx;
   {
     ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
-    std::vector<TableEntry> pscratch, mscratch;
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
       cx.note_lanes(plus.shard(r).layout());
       cx.note_lanes(minus.shard(r).layout());
@@ -70,7 +69,7 @@ void d_merge_halves(Dx& dx, const DistTable& plus, const DistTable& minus,
       };
       for (VertexId x = dx.part().begin(r); x < dx.part().end(r); ++x) {
         detail::merge_end_bucket(cx, plus.shard(r), minus.shard(r), x, spec,
-                                 route, pscratch, mscratch);
+                                 route);
       }
     }
   }
@@ -101,7 +100,7 @@ void d_extend_and_merge(dist::DistPath& ops, DistTable& prefix,
                               step.opts, plus.shard(r), spec, local,
                               VertexRange::rank(dx.part(), r)));
     ScopedStage timed(cx.stage_slot(&StageWall::transport));
-    local.for_each_dense([&](const TableEntry& e) {
+    local.for_each_entry([&](const TableEntry& e) {
       dx.comm.send(r, merge_dest(dx, spec, e.key), e);
     });
   }

@@ -49,8 +49,8 @@ inline void maybe_alloc_fail(Dx& dx, const char* where) {
 }
 
 /// Solved child-block tables: stored home slot 0, each shard a summed sink
-/// that arrived sealed kByV0 with its bucket index (the same convention as
-/// the shared TablePool, so every shard is dense, and storing a table
+/// that arrived sealed kByV0 with its bucket index, in the rows it was
+/// summed in (the same convention as the shared TablePool; storing a table
 /// moves it in), with two caches each built by one transport superstep on
 /// first use: the transpose, and the replica of a unary table.
 class DistPool {
@@ -174,26 +174,27 @@ void send_halo(Dx& dx, const DistTable& path, Readers&& readers) {
   ScopedStage timed(dx.cx.stage_slot(&StageWall::transport));
   std::vector<VertexId> sent(dx.ranks(), kNoVertex);  // last bucket per rank
   std::vector<std::uint32_t> dests;
-  TableEntry tmp;
   for (std::uint32_t s = 0; s < dx.ranks(); ++s) {
     const ProjTable& shard = path.shard(s);
     dx.cx.note_lanes(shard.layout());  // the views carry no layout stats
-    for (VertexId x = dx.part().begin(s); x < dx.part().end(s); ++x) {
-      const auto [lo, hi] = shard.group_span(1, x);
-      if (lo == hi) continue;
-      dests.clear();
-      readers(x, [&](VertexId w) {
-        const std::uint32_t d = dx.owner(w);
-        if (d != s && sent[d] != x) {
-          sent[d] = x;
-          dests.push_back(d);
+    shard.visit([&](const auto& rows) {
+      for (VertexId x = dx.part().begin(s); x < dx.part().end(s); ++x) {
+        const auto bucket = shard.group(rows, 1, x);
+        if (bucket.empty()) continue;
+        dests.clear();
+        readers(x, [&](VertexId w) {
+          const std::uint32_t d = dx.owner(w);
+          if (d != s && sent[d] != x) {
+            sent[d] = x;
+            dests.push_back(d);
+          }
+        });
+        for (const auto& r : bucket) {
+          const TableEntry e = rows.entry(r);
+          for (const std::uint32_t d : dests) dx.comm.send(s, d, e);
         }
-      });
-      for (std::size_t i = lo; i < hi; ++i) {
-        const TableEntry& e = shard.row_at(i, tmp);
-        for (const std::uint32_t d : dests) dx.comm.send(s, d, e);
       }
-    }
+    });
   }
   dx.comm.exchange();
 }
@@ -268,9 +269,10 @@ struct DistPath {
     const DistTable& along = pool.oriented(dx, child, transposed);
     const DistTable& pull = pool.oriented(dx, child, !transposed);
     send_halo(dx, path, [&](VertexId x, auto&& add) {
-      for (const TableEntry& ce : along.shard(dx.owner(x)).group(0, x)) {
-        add(ce.key.v[1]);
-      }
+      const ProjTable& t = along.shard(dx.owner(x));
+      t.visit([&](const auto& rows) {
+        for (const auto& ce : t.group(rows, 0, x)) add(rows.slot(ce, 1));
+      });
     });
     return &pull;
   }

@@ -2,7 +2,7 @@
 // Execution context shared by all engine primitives: the graph, the
 // coloring, the degree order, the optional load model and telemetry
 // collectors, and the run's options. Table rows have one format, packed
-// flat rows (dense where a key does not pack), which no option selects.
+// flat rows (wide where a key does not pack), which no option selects.
 
 #include <cstddef>
 #include <cstdint>
@@ -124,9 +124,6 @@ struct ExecOptions {
   /// Ablation: anchor DB at the id order instead of the degree order
   /// (isolates the value of degree information from symmetry breaking).
   bool order_by_id = false;
-
-  /// Use OpenMP in the join primitives.
-  bool use_threads = true;
 
   /// Retired row-format settings, fixed on: every sink and every path
   /// table holds packed flat rows while its keys pack

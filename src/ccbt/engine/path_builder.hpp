@@ -26,8 +26,9 @@ namespace ccbt {
 
 /// Solved child tables with cached transposes. Each is a summed sink
 /// that arrived sealed kByV0 with its bucket index (ProjTable::from_sink),
-/// so storing one moves it in, and both are dense, so joins probe them
-/// through group() directly. `domain` is the data graph's vertex count,
+/// so storing one moves it in, and joins probe both through their bucket
+/// index in the rows they were summed in. `domain` is the data graph's
+/// vertex count,
 /// which a transpose builds its sink and index over.
 class TablePool {
  public:

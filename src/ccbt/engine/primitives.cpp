@@ -63,7 +63,7 @@ ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
   const VertexId n = hi > lo ? hi - lo : 0;
   int parts = 1;
 #ifdef _OPENMP
-  if (cx.opts.use_threads && pool_threads() > 1 && work > 4096 && n > 1) {
+  if (pool_threads() > 1 && work > 4096 && n > 1) {
     parts = static_cast<int>(
         std::min<VertexId>(n, static_cast<VertexId>(8 * pool_threads())));
   }
@@ -108,24 +108,6 @@ ProjTable build_buckets(const ExecContext& cx, int arity, std::size_t work,
   return ProjTable::from_buckets(arity, std::move(out));
 }
 
-/// EdgeJoin of one path row `e`, whose frontier is `joint`, with one
-/// child row `ce` running from `joint` to `w`: the matches must share
-/// exactly the joint's color.
-void join_edge(const ExecContext& cx, const TableEntry& e,
-               const TableEntry& ce, VertexId joint, VertexId w,
-               const ExtendOpts& o, FlatRows& sink) {
-  if ((e.key.sig & ce.key.sig) != cx.chi.bit(joint)) return;
-  if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) return;
-  const Count cnt = e.cnt * ce.cnt;
-  if (cnt == 0) return;
-  TableKey key = e.key;
-  key.v[1] = w;
-  if (o.track_slot >= 0) key.v[o.track_slot] = w;
-  key.sig = e.key.sig | ce.key.sig;
-  sink.append(key, cnt);
-  cx.send(joint, w, 1);
-}
-
 /// Run `body(v, sink, t)` for every end vertex v of [lo, hi): the one
 /// end-bucket loop of merge_halves and extend_and_merge. End buckets are
 /// independent, so once the phase reads more than 4096 rows (`work`)
@@ -138,8 +120,7 @@ template <typename Body>
 void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
                          std::size_t work, FlatRows& sink, Body&& body) {
 #ifdef _OPENMP
-  if (cx.opts.use_threads && pool_threads() > 1 && hi > lo + 1 &&
-      work > 4096) {
+  if (pool_threads() > 1 && hi > lo + 1 && work > 4096) {
     const int threads = pool_threads();
     std::vector<FlatRows> parts(threads, FlatRows(sink.layout()));
     std::atomic<bool> budget_hit{false};
@@ -174,41 +155,6 @@ void for_each_end_bucket(const ExecContext& cx, VertexId lo, VertexId hi,
   sink.sum_duplicates();
 }
 
-/// A prefix table's packed rows, read in place.
-struct PackedPrefix {
-  const ProjTable& t;
-  const PackedFlatRow* rows;
-  KeyLayout lay;
-
-  using Row = PackedFlatRow;
-  std::span<const Row> bucket(VertexId x,
-                              std::vector<TableEntry>& /*scratch*/) const {
-    const auto [lo, hi] = t.group_span(1, x);
-    return {rows + lo, hi - lo};
-  }
-  VertexId anchor(const Row& r) const { return lay.v0(r.k); }
-  static Signature sig(const Row& r) {
-    return static_cast<Signature>(r.k & 0xFF);
-  }
-  static Count count(const Row& r) { return r.c; }
-  TableKey key(const Row& r) const { return lay.unpack(r.k); }
-};
-
-/// Any other prefix table, bucket by bucket as dense entries.
-struct DensePrefix {
-  const ProjTable& t;
-
-  using Row = TableEntry;
-  std::span<const Row> bucket(VertexId x,
-                              std::vector<TableEntry>& scratch) const {
-    return t.group_expanded(1, x, scratch);
-  }
-  static VertexId anchor(const Row& e) { return e.key.v[0]; }
-  static Signature sig(const Row& e) { return e.key.sig; }
-  static Count count(const Row& e) { return e.cnt; }
-  static const TableKey& key(const Row& e) { return e.key; }
-};
-
 /// One thread's working set for extend_and_merge, kept across calls.
 struct FuseScratch {
   /// Plus group of anchor u in the current end bucket: rows [lo, hi) of
@@ -224,7 +170,6 @@ struct FuseScratch {
   };
   std::vector<Anchor> anchors;
   std::uint32_t epoch = 0;
-  std::vector<TableEntry> plus_rows, prefix_rows;
   // Distinct minus keys per plus group, for the merge charges: a bitset
   // over the 8-bit signatures of untracked keys, the others listed.
   std::vector<std::array<std::uint64_t, 4>> seen;
@@ -240,32 +185,34 @@ struct FuseScratch {
   }
 };
 
-/// extend_and_merge's per-end-bucket body over one prefix representation.
-template <typename Prefix>
+/// extend_and_merge's per-end-bucket body over the row views of the plus
+/// table and of the prefix table.
+template <typename PlusRows, typename PrefixRows>
 class FusedSplit {
  public:
-  FusedSplit(const ExecContext& cx, const Prefix& prefix,
-             const ProjTable* child, const ExtendOpts& o,
-             const ProjTable& plus, const MergeSpec& spec)
-      : cx_(cx), prefix_(prefix), child_(child), o_(o), plus_(plus),
-        spec_(spec) {}
+  FusedSplit(const ExecContext& cx, const ProjTable& prefix,
+             const PrefixRows& prefix_rows, const ProjTable* child,
+             const ExtendOpts& o, const ProjTable& plus,
+             const PlusRows& plus_rows, const MergeSpec& spec)
+      : cx_(cx), prefix_(prefix), prefix_rows_(prefix_rows), child_(child),
+        o_(o), plus_(plus), plus_rows_(plus_rows), spec_(spec) {}
 
   /// End bucket v into `sink`; merge charges into `held` when non-null
   /// (a load model is attached).
   void bucket(VertexId v, FlatRows& sink, LoadModel::Held* held) const {
     thread_local FuseScratch ts;
     // A local copy the row loops can keep in registers.
-    const Prefix prefix = prefix_;
-    const auto pu = plus_.group_expanded(1, v, ts.plus_rows);
+    const PrefixRows prefix = prefix_rows_;
+    const PlusRows pu = plus_.group(plus_rows_, 1, v);
     // Without a load model an end with no plus rows has nothing to do; with
     // one, its extend charges still stream.
     if (pu.empty() && held == nullptr) return;
     const std::uint32_t ep = ts.next_epoch(cx_.g.num_vertices());
     std::uint32_t groups = 0;
     for (std::size_t i = 0; i < pu.size();) {
-      const VertexId u = pu[i].key.v[0];
+      const VertexId u = pu.anchor(pu[i]);
       std::size_t j = i + 1;
-      while (j < pu.size() && pu[j].key.v[0] == u) ++j;
+      while (j < pu.size() && pu.anchor(pu[j]) == u) ++j;
       ts.anchors[u] = {ep, static_cast<std::uint32_t>(i),
                        static_cast<std::uint32_t>(j), groups++};
       i = j;
@@ -281,9 +228,10 @@ class FusedSplit {
                             Count mcnt) {
       const Signature uv = cx_.chi.bit(mk.v[0]) | vbit;
       for (std::uint32_t p = a.lo; p < a.hi; ++p) {
-        const TableEntry& pe = pu[p];
-        if ((pe.key.sig & mk.sig) != uv) continue;
-        sink.add(out_key(pe.key, mk), pe.cnt * mcnt);
+        const auto& pr = pu[p];
+        if ((pu.sig(pr) & mk.sig) != uv) continue;
+        const Count c = pu.count(pr) * mcnt;
+        if (c != 0) sink.add(out_key(pu, pr, mk), c);
       }
       if (held == nullptr) return;
       if (mk.v[2] == kNoVertex && mk.v[3] == kNoVertex && mk.sig <= 0xFF) {
@@ -298,13 +246,6 @@ class FusedSplit {
       }
     };
 
-    const auto minus_key = [&](const typename Prefix::Row& r, Signature sig) {
-      TableKey k = prefix.key(r);
-      k.v[1] = v;
-      if (o_.track_slot >= 0) k.v[o_.track_slot] = v;
-      k.sig = sig;
-      return k;
-    };
     // A row whose anchor has no plus group in this bucket adds nothing to
     // the sink: without a load model it is dropped before the extend's
     // filters. With one, every row still runs them, so the sends the
@@ -312,7 +253,7 @@ class FusedSplit {
     if (child_ == nullptr) {
       // extend_with_graph: bucket x of every neighbour x of v.
       for (const VertexId x : cx_.g.neighbors(v)) {
-        const auto rows = prefix.bucket(x, ts.prefix_rows);
+        const PrefixRows rows = prefix_.group(prefix, 1, x);
         if (rows.empty()) continue;
         cx_.charge(x, rows.size());
         std::uint64_t sent = 0;
@@ -328,35 +269,45 @@ class FusedSplit {
           const Signature sig = prefix.sig(r);
           if ((sig & vbit) != 0) continue;
           ++sent;
-          if (hit) absorb(a, minus_key(r, sig | vbit), c);
+          if (hit) {
+            absorb(a, moved_key(prefix.key(r), v, o_.track_slot, sig | vbit),
+                   c);
+          }
         }
         if (sent != 0) cx_.send(x, v, sent);
       }
     } else {
       // extend_with_child: bucket x of every child row (v, x).
-      for (const TableEntry& ce : child_->group(0, v)) {
-        const VertexId x = ce.key.v[1];
-        const auto rows = prefix.bucket(x, ts.prefix_rows);
-        cx_.charge(x, rows.size());
-        const Signature xbit = cx_.chi.bit(x);
-        std::uint64_t sent = 0;
-        for (const auto& r : rows) {
-          const FuseScratch::Anchor& a = ts.anchors[prefix.anchor(r)];
-          const bool hit = a.stamp == ep;
-          if (!hit && cx_.load == nullptr) continue;
-          const Signature sig = prefix.sig(r);
-          // xbit is one bit: the halves share exactly the colour of x.
-          if ((sig & ce.key.sig) != xbit) continue;
-          if (o_.anchor_higher && !cx_.order.higher(prefix.anchor(r), v)) {
-            continue;
+      child_->visit([&](const auto& crows) {
+        for (const auto& ce : child_->group(crows, 0, v)) {
+          const VertexId x = crows.slot(ce, 1);
+          const Signature csig = crows.sig(ce);
+          const PrefixRows rows = prefix_.group(prefix, 1, x);
+          cx_.charge(x, rows.size());
+          const Signature xbit = cx_.chi.bit(x);
+          std::uint64_t sent = 0;
+          for (const auto& r : rows) {
+            const FuseScratch::Anchor& a = ts.anchors[prefix.anchor(r)];
+            const bool hit = a.stamp == ep;
+            if (!hit && cx_.load == nullptr) continue;
+            const Signature sig = prefix.sig(r);
+            // xbit is one bit: the halves share exactly the colour of x.
+            if ((sig & csig) != xbit) continue;
+            if (o_.anchor_higher && !cx_.order.higher(prefix.anchor(r), v)) {
+              continue;
+            }
+            const Count c = prefix.count(r) * crows.count(ce);
+            if (c == 0) continue;
+            ++sent;
+            if (hit) {
+              absorb(a,
+                     moved_key(prefix.key(r), v, o_.track_slot, sig | csig),
+                     c);
+            }
           }
-          const Count c = prefix.count(r) * ce.cnt;
-          if (c == 0) continue;
-          ++sent;
-          if (hit) absorb(a, minus_key(r, sig | ce.key.sig), c);
+          if (sent != 0) cx_.send(x, v, sent);
         }
-        if (sent != 0) cx_.send(x, v, sent);
-      }
+      });
     }
 
     if (held == nullptr || ts.seen_wide.empty()) return;
@@ -378,19 +329,22 @@ class FusedSplit {
   }
 
  private:
-  TableKey out_key(const TableKey& pk, const TableKey& mk) const {
+  /// The merge's output key of plus row `pr` and minus key `mk`.
+  TableKey out_key(const PlusRows& pu, const typename PlusRows::Row& pr,
+                   const TableKey& mk) const {
     TableKey key;
     for (int s = 0; s < spec_.out_arity; ++s) {
       const MergeOut& src = spec_.out[s];
-      key.v[s] = (src.side == 0 ? pk : mk).v[src.slot];
+      key.v[s] = src.side == 0 ? pu.slot(pr, src.slot) : mk.v[src.slot];
     }
-    key.sig = pk.sig | mk.sig;
+    key.sig = pu.sig(pr) | mk.sig;
     return key;
   }
 
   /// merge_halves' charges for one distinct minus key `mk` of the group
-  /// `a` of end v: |P_uv| at v, and one send per compatible plus row.
-  void merge_charges(VertexId v, std::span<const TableEntry> pu,
+  /// `a` of end v: |P_uv| at v, and one send per compatible plus row
+  /// whose count is not 0.
+  void merge_charges(VertexId v, const PlusRows& pu,
                      const FuseScratch::Anchor& a, const TableKey& mk,
                      LoadModel::Held& held) const {
     const std::uint32_t at = cx_.owner(v);
@@ -398,16 +352,19 @@ class FusedSplit {
     if (spec_.out_arity < 2) return;
     const Signature uv = cx_.chi.bit(mk.v[0]) | cx_.chi.bit(v);
     for (std::uint32_t p = a.lo; p < a.hi; ++p) {
-      if ((pu[p].key.sig & mk.sig) != uv) continue;
-      held.add_comm(at, cx_.owner(out_key(pu[p].key, mk).v[1]), 1);
+      const auto& pr = pu[p];
+      if ((pu.sig(pr) & mk.sig) != uv || pu.count(pr) == 0) continue;
+      held.add_comm(at, cx_.owner(out_key(pu, pr, mk).v[1]), 1);
     }
   }
 
   const ExecContext& cx_;
-  const Prefix& prefix_;
+  const ProjTable& prefix_;
+  const PrefixRows prefix_rows_;
   const ProjTable* child_;
   const ExtendOpts& o_;
   const ProjTable& plus_;
+  const PlusRows plus_rows_;
   const MergeSpec& spec_;
 };
 
@@ -430,20 +387,18 @@ LoadModel::Held extend_and_merge(const ExecContext& cx,
     // One merge-charge tally per thread of the end-bucket loop.
     std::vector<LoadModel::Held> tallies(
         cx.load == nullptr ? 0 : pool_threads(), held);
-    const auto run = [&](const auto& rows) {
-      const FusedSplit split(cx, rows, child, o, plus, spec);
-      for_each_end_bucket(
-          cx, range.begin, std::min(range.end, n), prefix.size() + plus.size(),
-          sink, [&](VertexId v, FlatRows& out, int t) {
-            split.bucket(v, out, tallies.empty() ? nullptr : &tallies[t]);
-          });
-    };
-    const FlatRows* const flat = prefix.flat_storage();
-    if (flat != nullptr) {
-      run(PackedPrefix{prefix, flat->packed_rows().data(), flat->layout()});
-    } else {
-      run(DensePrefix{prefix});
-    }
+    plus.visit([&](const auto& plus_rows) {
+      prefix.visit([&](const auto& prefix_rows) {
+        const FusedSplit split(cx, prefix, prefix_rows, child, o, plus,
+                               plus_rows, spec);
+        for_each_end_bucket(
+            cx, range.begin, std::min(range.end, n),
+            prefix.size() + plus.size(), sink,
+            [&](VertexId v, FlatRows& out, int t) {
+              split.bucket(v, out, tallies.empty() ? nullptr : &tallies[t]);
+            });
+      });
+    });
     for (const LoadModel::Held& t : tallies) held.add(t);
   }
   if (!range.closes_phase) return held;
@@ -482,16 +437,25 @@ ProjTable init_path_from_graph(const ExecContext& cx, const ExtendOpts& o,
 
 ProjTable init_path_from_child(const ExecContext& cx, const ProjTable& child,
                                const ExtendOpts& o, VertexRange range) {
-  return build_buckets(
-      cx, 2, child.size(),
-      [&](VertexId w, FlatRows& sink) {
-        for (const TableEntry& ce : child.group(0, w)) {
-          kernel_init_from_child(
-              cx, ce, o,
-              [&](const TableKey& k, Count c) { sink.append(k, c); });
-        }
-      },
-      range);
+  return child.visit([&](const auto& crows) {
+    return build_buckets(
+        cx, 2, child.size(),
+        [&](VertexId w, FlatRows& sink) {
+          // The child row (w, a) is the path row (a, w).
+          for (const auto& ce : child.group(crows, 0, w)) {
+            const VertexId a = crows.slot(ce, 1);
+            cx.charge(w, 1);
+            if (o.anchor_higher && !cx.order.higher(a, w)) continue;
+            TableKey key;
+            key.v[0] = a;
+            key.v[1] = w;
+            if (o.track_slot >= 0) key.v[o.track_slot] = w;
+            key.sig = crows.sig(ce);
+            sink.append(key, crows.count(ce));
+          }
+        },
+        range);
+  });
 }
 
 ProjTable extend_with_graph(const ExecContext& cx, const ProjTable& path,
@@ -499,88 +463,39 @@ ProjTable extend_with_graph(const ExecContext& cx, const ProjTable& path,
   const CsrGraph& g = cx.g;
   assert(path.order() == SortOrder::kByV1);
   cx.note_lanes(path.layout());
-  const FlatRows* const flat = path.flat_storage();
-  // The packed path rewrites the tracked slot's field in place, so a
-  // tracked slot the layout does not hold takes the generic loop.
-  if (flat == nullptr || o.track_slot >= flat->layout().slots()) {
+  return path.visit([&](const auto& rows) {
+    // Every bucket is read once per neighbour of its vertex, so the
+    // anchors' degree ranks are looked up once up front.
+    std::vector<std::uint32_t> anchor_rank;
+    if (o.anchor_higher) {
+      anchor_rank.resize(rows.size());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        anchor_rank[i] = cx.order.rank(rows.anchor(rows[i]));
+      }
+    }
     return build_buckets(
         cx, path.arity(), path.size(),
         [&](VertexId w, FlatRows& sink) {
-          thread_local std::vector<TableEntry> scratch;
           const Signature w_bit = cx.chi.bit(w);
+          const std::uint32_t wrank = cx.order.rank(w);
+          const auto move = rows.mover(w, o.track_slot);
           for (VertexId x : g.neighbors(w)) {
-            const auto bucket = path.group_expanded(1, x, scratch);
-            if (bucket.empty()) continue;
-            cx.charge(x, bucket.size());
-            for (const TableEntry& e : bucket) {
-              if (o.anchor_higher && !cx.order.higher(e.key.v[0], w)) {
-                continue;
-              }
-              if (e.cnt == 0 || (e.key.sig & w_bit) != 0) continue;
-              TableKey key = e.key;
-              key.v[1] = w;
-              if (o.track_slot >= 0) key.v[o.track_slot] = w;
-              key.sig = e.key.sig | w_bit;
-              sink.append(key, e.cnt);
+            const auto [lo, hi] = path.group_span(1, x);
+            if (lo == hi) continue;
+            cx.charge(x, hi - lo);
+            for (std::size_t i = lo; i < hi; ++i) {
+              if (o.anchor_higher && anchor_rank[i] <= wrank) continue;
+              const auto& r = rows[i];
+              const Count c = rows.count(r);
+              const Signature sig = rows.sig(r);
+              if (c == 0 || (sig & w_bit) != 0) continue;
+              move(sink, r, sig | w_bit, c);
               cx.send(x, w, 1);
             }
           }
         },
         range);
-  }
-
-  // Packed path: each emission is a packed row copy with v1, the tracked
-  // slot and the signature rewritten in registers, and the other fields
-  // kept. Every bucket is read once per neighbour of its vertex, so the
-  // anchors' degree ranks are looked up once up front.
-  const KeyLayout lay = flat->layout();
-  assert(lay == cx.key_layout());
-  const std::vector<PackedFlatRow>& rows = flat->packed_rows();
-  std::vector<std::uint32_t> anchor_rank;
-  if (o.anchor_higher) {
-    anchor_rank.resize(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      anchor_rank[i] = cx.order.rank(lay.v0(rows[i].k));
-    }
-  }
-  std::uint64_t rewritten = lay.field_mask(1) | 0xFF;
-  if (o.track_slot >= 0) rewritten |= lay.field_mask(o.track_slot);
-  const std::uint64_t keep = ~rewritten;
-  return build_buckets(
-      cx, path.arity(), path.size(),
-      [&](VertexId w, FlatRows& sink) {
-        const Signature w_bit = cx.chi.bit(w);
-        const std::uint32_t wrank = cx.order.rank(w);
-        std::uint64_t wfields = std::uint64_t{w} << lay.shift(1);
-        if (o.track_slot >= 0) {
-          wfields |= std::uint64_t{w} << lay.shift(o.track_slot);
-        }
-        for (VertexId x : g.neighbors(w)) {
-          const auto [lo, hi] = path.group_span(1, x);
-          if (lo == hi) continue;
-          cx.charge(x, hi - lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (o.anchor_higher && anchor_rank[i] <= wrank) continue;
-            const PackedFlatRow& r = rows[i];
-            const auto esig = static_cast<Signature>(r.k & 0xFF);
-            if (r.c == 0 || (esig & w_bit) != 0) continue;
-            const Signature sig = esig | w_bit;
-            if (sig <= 0xFF) [[likely]] {
-              sink.append_packed((r.k & keep) | wfields | sig, r.c);
-            } else {
-              // Color >= 8: the signature no longer fits the packed
-              // key's 8-bit field.
-              TableKey key = lay.unpack(r.k);
-              key.v[1] = w;
-              if (o.track_slot >= 0) key.v[o.track_slot] = w;
-              key.sig = sig;
-              sink.append(key, r.c);
-            }
-            cx.send(x, w, 1);
-          }
-        }
-      },
-      range);
+  });
 }
 
 ProjTable extend_with_child(const ExecContext& cx, const ProjTable& path,
@@ -588,38 +503,65 @@ ProjTable extend_with_child(const ExecContext& cx, const ProjTable& path,
                             VertexRange range) {
   assert(path.order() == SortOrder::kByV1);
   cx.note_lanes(path.layout());
-  return build_buckets(
-      cx, path.arity(), path.size(),
-      [&](VertexId w, FlatRows& sink) {
-        thread_local std::vector<TableEntry> scratch;
-        for (const TableEntry& ce : child.group(0, w)) {
-          const VertexId x = ce.key.v[1];
-          const auto bucket = path.group_expanded(1, x, scratch);
-          cx.charge(x, bucket.size());
-          for (const TableEntry& e : bucket) {
-            join_edge(cx, e, ce, x, w, o, sink);
-          }
-        }
-      },
-      range);
+  return path.visit([&](const auto& rows) {
+    return child.visit([&](const auto& crows) {
+      return build_buckets(
+          cx, path.arity(), path.size(),
+          [&](VertexId w, FlatRows& sink) {
+            const auto move = rows.mover(w, o.track_slot);
+            // EdgeJoin of path bucket x with the child row (w, x): the
+            // matches must share exactly the joint x's color.
+            for (const auto& ce : child.group(crows, 0, w)) {
+              const VertexId x = crows.slot(ce, 1);
+              const Signature csig = crows.sig(ce);
+              const Signature xbit = cx.chi.bit(x);
+              const auto [lo, hi] = path.group_span(1, x);
+              cx.charge(x, hi - lo);
+              for (std::size_t i = lo; i < hi; ++i) {
+                const auto& r = rows[i];
+                const Signature sig = rows.sig(r);
+                if ((sig & csig) != xbit) continue;
+                if (o.anchor_higher && !cx.order.higher(rows.anchor(r), w)) {
+                  continue;
+                }
+                const Count c = rows.count(r) * crows.count(ce);
+                if (c == 0) continue;
+                move(sink, r, sig | csig, c);
+                cx.send(x, w, 1);
+              }
+            }
+          },
+          range);
+    });
+  });
 }
 
 ProjTable node_join(const ExecContext& cx, const ProjTable& path,
                     const ProjTable& child, int slot, VertexRange range) {
   assert(path.order() == SortOrder::kByV1);
-  return build_buckets(
-      cx, path.arity(), path.size(),
-      [&](VertexId w, FlatRows& sink) {
-        const auto [lo, hi] = path.group_span(1, w);
-        TableEntry tmp;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const TableEntry& e = path.row_at(i, tmp);
-          kernel_node_join(
-              cx, e, child.group(0, e.key.v[slot]), slot,
-              [&](const TableKey& k, Count c) { sink.append(k, c); });
-        }
-      },
-      range);
+  return path.visit([&](const auto& rows) {
+    return child.visit([&](const auto& crows) {
+      return build_buckets(
+          cx, path.arity(), path.size(),
+          [&](VertexId w, FlatRows& sink) {
+            // Each row keeps its keys and takes the child's colors.
+            const auto move = rows.mover(w, -1);
+            for (const auto& r : path.group(rows, 1, w)) {
+              const VertexId x = rows.slot(r, slot);
+              const auto group = child.group(crows, 0, x);
+              cx.charge(x, group.size());
+              const Signature x_bit = cx.chi.bit(x);
+              const Signature sig = rows.sig(r);
+              for (const auto& ce : group) {
+                if (!node_join_compatible(sig, crows.sig(ce), x_bit)) continue;
+                move(sink, r, sig | crows.sig(ce),
+                     rows.count(r) * crows.count(ce));
+              }
+            }
+          },
+          range);
+    });
+  });
 }
 
 void merge_halves(const ExecContext& cx, const ProjTable& plus,
@@ -634,11 +576,9 @@ void merge_halves(const ExecContext& cx, const ProjTable& plus,
   for_each_end_bucket(
       cx, 0, n, plus.size() + minus.size(), sink,
       [&](VertexId x, FlatRows& out, int) {
-        thread_local std::vector<TableEntry> pscratch, mscratch;
         detail::merge_end_bucket(
             cx, plus, minus, x, spec,
-            [&](const TableKey& k, Count c) { out.add(k, c); }, pscratch,
-            mscratch);
+            [&](const TableKey& k, Count c) { out.add(k, c); });
       });
   cx.end_phase();
 }

@@ -17,8 +17,14 @@
 // compatibility tests of Figs 6 and 7 ("shares exactly the joint
 // colors") therefore compare signatures with the colour bits of the
 // joint vertices directly. This header declares the primitives, whose
-// bodies live in primitives.cpp, and holds the per-row kernels and the
-// merge-join kernels that the distributed engine and the tests share.
+// bodies live in primitives.cpp, and holds the aggregate's row kernel and
+// the merge-join kernel that the distributed engine and the tests share.
+//
+// A table's rows are packed while their keys pack and wide otherwise
+// (flat_rows.hpp). Every join reads its inputs through the row views
+// ProjTable::visit hands it and is written once, as a template over
+// them, so a packed table is read in place and a wide one is never
+// converted.
 //
 // One build path for both engines: each path table is built born sorted.
 // One frontier vertex w at a time, in ascending w, a primitive pulls the
@@ -47,7 +53,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "ccbt/engine/exec_context.hpp"
@@ -95,42 +100,6 @@ inline void close_build_phase(const ExecContext& cx) {
 }  // namespace detail
 
 // ---------------------------------------------------------------- kernels
-// Per-entry row helpers the pull bodies run. Each performs its load-model
-// charges itself and hands finished rows to `emit(key, count)`.
-
-/// Re-key one child-table entry, read in the orientation opposite to the
-/// walk (b, a), as the initial path entry (a, b).
-template <typename Emit>
-void kernel_init_from_child(const ExecContext& cx, const TableEntry& e,
-                            const ExtendOpts& o, Emit&& emit) {
-  const VertexId a = e.key.v[1];
-  const VertexId b = e.key.v[0];
-  cx.charge(b, 1);
-  if (o.anchor_higher && !cx.order.higher(a, b)) return;
-  TableKey key;
-  key.v[0] = a;
-  key.v[1] = b;
-  if (o.track_slot >= 0) key.v[o.track_slot] = b;
-  key.sig = e.key.sig;
-  emit(key, e.cnt);
-}
-
-/// NodeJoin: multiply one path entry against the unary child group of its
-/// key slot `slot` vertex.
-template <typename Emit>
-void kernel_node_join(const ExecContext& cx, const TableEntry& e,
-                      std::span<const TableEntry> group, int slot,
-                      Emit&& emit) {
-  const VertexId x = e.key.v[slot];
-  cx.charge(x, group.size());
-  const Signature x_bit = cx.chi.bit(x);
-  for (const TableEntry& ce : group) {
-    if (!node_join_compatible(e.key.sig, ce.key.sig, x_bit)) continue;
-    TableKey key = e.key;
-    key.sig = e.key.sig | ce.key.sig;
-    emit(key, e.cnt * ce.cnt);
-  }
-}
 
 /// Project one entry onto its first new_arity slots.
 template <typename Emit>
@@ -197,18 +166,19 @@ struct MergeSpec {
 
 /// The merge-join kernel shared by merge_halves and the distributed
 /// engine: join the matching (u, v) subgroups of one end bucket pair —
-/// both ranges hold one value of key slot 1 (the end v) and are sorted by
-/// the anchor slot 0 — with a two-pointer sweep over the anchor, charging
-/// the load model per group at v and calling `emit(key, count)` for every
-/// compatible pair.
-template <typename Sink>
-void merge_bucket(const ExecContext& cx, std::span<const TableEntry> pu,
-                  std::span<const TableEntry> mu, const MergeSpec& spec,
-                  Sink&& emit) {
+/// both row views (flat_rows.hpp, either format) hold one value of key
+/// slot 1 (the end v) and are sorted by the anchor slot 0 — with a
+/// two-pointer sweep over the anchor, charging the load model per group
+/// at v and calling `emit(key, count)` for every compatible pair.
+/// Products wrap mod 2^64; as in the extends, a zero count emits nothing
+/// and charges no send.
+template <typename P, typename M, typename Sink>
+void merge_bucket(const ExecContext& cx, const P& pu, const M& mu,
+                  const MergeSpec& spec, Sink&& emit) {
   std::size_t pi = 0, mi = 0;
   while (pi < pu.size() && mi < mu.size()) {
-    const VertexId pv = pu[pi].key.v[0];
-    const VertexId mv = mu[mi].key.v[0];
+    const VertexId pv = pu.anchor(pu[pi]);
+    const VertexId mv = mu.anchor(mu[mi]);
     if (pv < mv) {
       ++pi;
       continue;
@@ -219,10 +189,10 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntry> pu,
     }
     // Same (u, v) group in both tables.
     const VertexId u = pv;
-    const VertexId v = pu[pi].key.v[1];
+    const VertexId v = pu.slot(pu[pi], 1);
     std::size_t pj = pi, mj = mi;
-    while (pj < pu.size() && pu[pj].key.v[0] == pv) ++pj;
-    while (mj < mu.size() && mu[mj].key.v[0] == pv) ++mj;
+    while (pj < pu.size() && pu.anchor(pu[pj]) == u) ++pj;
+    while (mj < mu.size() && mu.anchor(mu[mj]) == u) ++mj;
     cx.charge(v, (pj - pi) * (mj - mi));
     const Signature uv_bits = cx.chi.bit(u) | cx.chi.bit(v);
     // The signature compatibility tests are a branchless AND/compare:
@@ -232,94 +202,27 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntry> pu,
     const std::size_t mcount = mj - mi;
     if (compat.size() < mcount) compat.resize(mcount);
     std::uint8_t* const ok = compat.data();
-    const TableEntry* const mb = mu.data() + mi;
+    const auto* const mb = &mu[mi];
     for (std::size_t a = pi; a < pj; ++a) {
-      const Signature asig = pu[a].key.sig;
-      const Count acnt = pu[a].cnt;
+      const auto& pa = pu[a];
+      const Signature asig = pu.sig(pa);
+      const Count acnt = pu.count(pa);
       CCBT_SIMD
       for (std::size_t t = 0; t < mcount; ++t) {
-        ok[t] = (asig & mb[t].key.sig) == uv_bits;
+        ok[t] = (asig & mu.sig(mb[t])) == uv_bits;
       }
       for (std::size_t t = 0; t < mcount; ++t) {
         if (!ok[t]) continue;
-        const std::size_t b = mi + t;
+        const Count c = acnt * mu.count(mb[t]);
+        if (c == 0) continue;
         TableKey key;
         for (int s = 0; s < spec.out_arity; ++s) {
           const MergeOut& src = spec.out[s];
-          key.v[s] = (src.side == 0 ? pu[a] : mu[b]).key.v[src.slot];
+          key.v[s] = src.side == 0 ? pu.slot(pa, src.slot)
+                                   : mu.slot(mb[t], src.slot);
         }
-        key.sig = asig | mu[b].key.sig;
-        emit(key, acnt * mu[b].cnt);
-        if (spec.out_arity >= 2) cx.send(v, key.v[1], 1);
-      }
-    }
-    pi = pj;
-    mi = mj;
-  }
-}
-
-/// Packed-row variant of merge_bucket: both bucket ranges stay in their
-/// packed flat rows (u64 key packed in `lay`, u64 count) — the prefilter,
-/// the pair-compatibility test and the multiply all run on the packed
-/// rows, with no dense expansion of either bucket. Products wrap mod 2^64
-/// exactly as merge_bucket's do. Rows with a zero count emit nothing;
-/// charges and sends otherwise match the dense kernel row for row. Inside
-/// an end bucket the raw packed key orders rows by (v0, v2, v3, sig),
-/// i.e. by the anchor first.
-template <typename Sink>
-void merge_bucket_packed(const ExecContext& cx, KeyLayout lay,
-                         std::span<const PackedFlatRow> pu,
-                         std::span<const PackedFlatRow> mu,
-                         const MergeSpec& spec, Sink&& emit) {
-  const auto anchor_of = [&](std::uint64_t k) { return lay.v0(k); };
-  std::size_t pi = 0, mi = 0;
-  while (pi < pu.size() && mi < mu.size()) {
-    const VertexId pv = anchor_of(pu[pi].k);
-    const VertexId mv = anchor_of(mu[mi].k);
-    if (pv < mv) {
-      ++pi;
-      continue;
-    }
-    if (mv < pv) {
-      ++mi;
-      continue;
-    }
-    // Same (u, v) group in both tables.
-    const VertexId u = pv;
-    const VertexId v = lay.field(pu[pi].k, 1);
-    std::size_t pj = pi, mj = mi;
-    while (pj < pu.size() && anchor_of(pu[pj].k) == pv) ++pj;
-    while (mj < mu.size() && anchor_of(mu[mj].k) == pv) ++mj;
-    cx.charge(v, (pj - pi) * (mj - mi));
-    const Signature uv_bits = cx.chi.bit(u) | cx.chi.bit(v);
-    thread_local std::vector<std::uint8_t> compat;
-    const std::size_t mcount = mj - mi;
-    if (compat.size() < mcount) compat.resize(mcount);
-    std::uint8_t* const ok = compat.data();
-    const PackedFlatRow* const mb = mu.data() + mi;
-    for (std::size_t ai = pi; ai < pj; ++ai) {
-      const PackedFlatRow& pa = pu[ai];
-      if (pa.c == 0) continue;
-      const auto asig = static_cast<Signature>(pa.k & 0xFF);
-      CCBT_SIMD
-      for (std::size_t t = 0; t < mcount; ++t) {
-        ok[t] = static_cast<std::uint8_t>(
-            ((asig & static_cast<Signature>(mb[t].k & 0xFF)) == uv_bits) &
-            (mb[t].c != 0));
-      }
-      const TableKey pk = lay.unpack(pa.k);
-      for (std::size_t t = 0; t < mcount; ++t) {
-        if (!ok[t]) continue;
-        TableKey key;
-        if (spec.out_arity > 0) {
-          const TableKey mk = lay.unpack(mb[t].k);
-          for (int s = 0; s < spec.out_arity; ++s) {
-            const MergeOut& src = spec.out[s];
-            key.v[s] = (src.side == 0 ? pk : mk).v[src.slot];
-          }
-        }
-        key.sig = asig | static_cast<Signature>(mb[t].k & 0xFF);
-        emit(key, pa.c * mb[t].c);
+        key.sig = asig | mu.sig(mb[t]);
+        emit(key, c);
         if (spec.out_arity >= 2) cx.send(v, key.v[1], 1);
       }
     }
@@ -331,37 +234,21 @@ void merge_bucket_packed(const ExecContext& cx, KeyLayout lay,
 namespace detail {
 
 /// Join end bucket x of two half-cycle tables sealed kByV1 (group_span
-/// finds it through their bucket index): through merge_bucket_packed when
-/// both kept their packed flat rows (in the data graph's one layout),
-/// otherwise through merge_bucket over the buckets decoded into the
-/// scratches (raw subspans when dense, so dense tables pay nothing). The
-/// one bucket router of merge_halves and the distributed engine's
-/// per-rank merge.
+/// finds it through their bucket index) through merge_bucket, each read
+/// in its own format. The one bucket router of merge_halves and the
+/// distributed engine's per-rank merge.
 template <typename Sink>
 void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
                       const ProjTable& minus, VertexId x,
-                      const MergeSpec& spec, Sink&& emit,
-                      std::vector<TableEntry>& pscratch,
-                      std::vector<TableEntry>& mscratch) {
-  const FlatRows* const pflat = plus.flat_storage();
-  const FlatRows* const mflat = minus.flat_storage();
-  if (pflat != nullptr && mflat != nullptr) {
-    assert(pflat->layout() == mflat->layout());
-    const auto [plo, phi] = plus.group_span(1, x);
-    if (plo == phi) return;
-    const auto [mlo, mhi] = minus.group_span(1, x);
-    if (mlo == mhi) return;
-    merge_bucket_packed(
-        cx, pflat->layout(),
-        std::span(pflat->packed_rows()).subspan(plo, phi - plo),
-        std::span(mflat->packed_rows()).subspan(mlo, mhi - mlo), spec, emit);
-    return;
-  }
-  const auto pu = plus.group_expanded(1, x, pscratch);
-  if (pu.empty()) return;
-  const auto mu = minus.group_expanded(1, x, mscratch);
-  if (mu.empty()) return;
-  merge_bucket(cx, pu, mu, spec, emit);
+                      const MergeSpec& spec, Sink&& emit) {
+  plus.visit([&](const auto& prows) {
+    const auto pu = plus.group(prows, 1, x);
+    if (pu.empty()) return;
+    minus.visit([&](const auto& mrows) {
+      const auto mu = minus.group(mrows, 1, x);
+      if (!mu.empty()) merge_bucket(cx, pu, mu, spec, emit);
+    });
+  });
 }
 
 }  // namespace detail
@@ -378,7 +265,8 @@ void merge_end_bucket(const ExecContext& cx, const ProjTable& plus,
 /// solvers call it only for a split whose minus half is a single edge
 /// (PS); every other split ends in extend_and_merge, which never builds
 /// the minus table. The phase charges |P_uv| × |M_uv| per (anchor u, end
-/// v) group at v and, at out_arity >= 2, one send per compatible pair.
+/// v) group at v and, at out_arity >= 2, one send per compatible pair
+/// whose product is not 0.
 void merge_halves(const ExecContext& cx, const ProjTable& plus,
                   const ProjTable& minus, const MergeSpec& spec,
                   FlatRows& sink);
@@ -398,8 +286,8 @@ void merge_halves(const ExecContext& cx, const ProjTable& plus,
 /// plus group adds nothing, so without a load model it is dropped before
 /// the filters and before its minus key is built. No minus table is built
 /// and no bucket is sorted; the counts equal extend plus merge_halves
-/// exactly, since the sink is bilinear in the minus rows. A packed prefix
-/// is read in place, a dense one through expanded entries. `sink` is the
+/// exactly, since the sink is bilinear in the minus rows. Both tables are
+/// read in place, in their formats. `sink` is the
 /// only thing it bounds with max_table_entries, and it ends summed, as
 /// merge_halves leaves it.
 ///
@@ -409,7 +297,8 @@ void merge_halves(const ExecContext& cx, const ProjTable& plus,
 /// (x, v) with the survivor count (comm charges sum). The merge phase's
 /// charges — |P_uv| × (distinct minus keys of group (u, v)) at v, and at
 /// out_arity >= 2 one send per compatible pair of a plus row and a
-/// distinct minus key — are counted only when a load model is attached
+/// distinct minus key whose plus row's count is not 0 (merge_bucket's
+/// zero-count rule) — are counted only when a load model is attached
 /// and are held until the extend's phase closes. With
 /// `range.closes_phase` the primitive closes both phases itself (one
 /// accumulation phase, no rows sorted) and returns nothing held; a rank's

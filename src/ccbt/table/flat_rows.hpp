@@ -1,5 +1,5 @@
 #pragma once
-// Packed flat rows — the path tables' storage and every sink's.
+// Packed flat rows — the storage of every table and every sink.
 //
 // A dense TableEntry is 32 bytes; a packed flat row is the packed 64-bit
 // key (table_key.hpp: v0 | v1 | ... | sig, its vertex fields sized to the
@@ -7,12 +7,16 @@
 // compact row of Malík et al.). The engine builds every FlatRows in the
 // layout of its data graph (KeyLayout::for_vertices), so on every graph
 // below 2^14 vertices keys with tracked slots pack too. The buffer
-// migrates to dense wide rows on the first key its layout cannot pack (a
-// slot past the layout's, a signature past 8 bits) and never on a count —
-// the engine's correctness never depends on staying packed.
+// migrates to wide rows (TableEntry) on the first key its layout cannot
+// pack (a slot past the layout's, a signature past 8 bits) and never on
+// a count — the engine's correctness never depends on staying packed.
 // Because the packed key is ordered as (v0, v1, v2, v3, sig), a raw u64
 // compare inside one frontier bucket reproduces the projection table's
 // kByV1 comparator exactly, and across buckets its kByV0 comparator.
+//
+// Readers see the rows through one of two views, PackedRows and WideRows,
+// which share one interface; visit() hands the buffer's view to a
+// generic reader, so each join is written once for both formats.
 //
 // Path primitives build their output born sorted: one frontier vertex w
 // at a time, in ascending w, the rows landing on w are gathered into a
@@ -31,7 +35,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -128,6 +134,105 @@ struct AccumTelemetry {
   }
 };
 
+/// `k` moved onto the frontier w: slot 1, and slot `track` when it is not
+/// -1, set to w, and the signature set to `sig` — the key an extend
+/// emits.
+inline TableKey moved_key(TableKey k, VertexId w, int track, Signature sig) {
+  k.v[1] = w;
+  if (track >= 0) k.v[track] = w;
+  k.sig = sig;
+  return k;
+}
+
+// ------------------------------------------------------------ row views
+// Two read-only views of rows, one per format, with one interface: a
+// span of `Row`s (begin/end/size/[], sub(lo, hi) for a range of them),
+// and for a row r: anchor(r) (slot 0, which must be set), slot(r, s)
+// (kNoVertex when unset), sig(r), count(r), key(r) and entry(r), plus
+// mover(w, track), the appender of extended rows, and kPacked, the
+// format (telemetry reports it). The joins are
+// templates over these views; FlatRows::visit, and through it
+// ProjTable::visit, is the one place that picks a view.
+
+template <typename R>
+struct RowSpan {
+  using Row = R;
+  std::span<const R> rows;
+
+  auto begin() const { return rows.begin(); }
+  auto end() const { return rows.end(); }
+  std::size_t size() const { return rows.size(); }
+  bool empty() const { return rows.empty(); }
+  const R& operator[](std::size_t i) const { return rows[i]; }
+};
+
+/// Packed rows, read in place through their KeyLayout.
+struct PackedRows : RowSpan<PackedFlatRow> {
+  static constexpr bool kPacked = true;
+  KeyLayout lay;
+
+  PackedRows sub(std::size_t lo, std::size_t hi) const {
+    return {{rows.subspan(lo, hi - lo)}, lay};
+  }
+  VertexId anchor(const Row& r) const { return lay.v0(r.k); }
+  VertexId slot(const Row& r, int s) const {
+    if (s >= lay.slots()) return kNoVertex;
+    const VertexId v = lay.field(r.k, s);
+    return v == lay.none() ? kNoVertex : v;
+  }
+  static Signature sig(const Row& r) {
+    return static_cast<Signature>(r.k & 0xFF);
+  }
+  static Count count(const Row& r) { return r.c; }
+  TableKey key(const Row& r) const { return lay.unpack(r.k); }
+  TableEntry entry(const Row& r) const { return {key(r), r.c}; }
+
+  /// `append(sink, r, sig, c)` appends row r moved onto the frontier w
+  /// (moved_key) with count c. While the moved key packs, it is the row's
+  /// packed word with v1, the tracked field and the signature rewritten
+  /// in registers; `sink` must be in this layout.
+  auto mover(VertexId w, int track) const {
+    std::uint64_t rewritten = lay.field_mask(1) | 0xFF;
+    std::uint64_t fields = std::uint64_t{w} << lay.shift(1);
+    const bool fits = track < lay.slots();
+    if (track >= 0 && fits) {
+      rewritten |= lay.field_mask(track);
+      fields |= std::uint64_t{w} << lay.shift(track);
+    }
+    return [lay = lay, keep = ~rewritten, fields, fits, w, track](
+               auto& sink, const Row& r, Signature sig, Count c) {
+      assert(sink.layout() == lay);
+      if (fits && sig <= 0xFF) [[likely]] {
+        sink.append_packed((r.k & keep) | fields | sig, c);
+      } else {
+        sink.append(moved_key(lay.unpack(r.k), w, track, sig), c);
+      }
+    };
+  }
+};
+
+/// Wide rows (TableEntry), for keys that do not pack.
+struct WideRows : RowSpan<TableEntry> {
+  static constexpr bool kPacked = false;
+
+  WideRows sub(std::size_t lo, std::size_t hi) const {
+    return {{rows.subspan(lo, hi - lo)}};
+  }
+  static VertexId anchor(const Row& e) { return e.key.v[0]; }
+  static VertexId slot(const Row& e, int s) { return e.key.v[s]; }
+  static Signature sig(const Row& e) { return e.key.sig; }
+  static Count count(const Row& e) { return e.cnt; }
+  static const TableKey& key(const Row& e) { return e.key; }
+  static const TableEntry& entry(const Row& e) { return e; }
+
+  /// As PackedRows::mover, through the moved key.
+  static auto mover(VertexId w, int track) {
+    return [w, track](auto& sink, const Row& e, Signature sig, Count c) {
+      sink.append(moved_key(e.key, w, track, sig), c);
+    };
+  }
+};
+
 class FlatRows {
  public:
   /// Rows packed in `layout`, the data graph's.
@@ -144,9 +249,16 @@ class FlatRows {
   /// Whether the rows are packed; false once a key did not pack.
   bool packed() const { return mode_ == Mode::kPacked; }
 
-  /// Raw packed rows (valid only while packed()). The extend hot path
-  /// and the packed merge read these directly, with no dense round trip.
+  /// Raw packed rows (valid only while packed()).
   const std::vector<PackedFlatRow>& packed_rows() const { return packed_; }
+
+  /// Call `f` with the view of the rows in their format — PackedRows
+  /// while packed, WideRows once wide — and return what it returns.
+  template <typename F>
+  decltype(auto) visit(F&& f) const {
+    if (mode_ == Mode::kPacked) return f(PackedRows{{packed_}, layout_});
+    return f(WideRows{{wide_}});
+  }
 
   /// Bytes the rows occupy in the current representation.
   std::uint64_t byte_size() const {
@@ -228,13 +340,11 @@ class FlatRows {
   /// for reset().
   void drain_bucket_into(FlatRows& out, LaneLayoutInfo& st);
 
-  TableKey key_at(std::size_t i) const {
-    return mode_ == Mode::kPacked ? layout_.unpack(packed_[i].k)
-                                  : wide_[i].key;
-  }
-
-  Count count_at(std::size_t i) const {
-    return mode_ == Mode::kPacked ? packed_[i].c : wide_[i].cnt;
+  /// Row i as a decoded entry.
+  TableEntry entry_at(std::size_t i) const {
+    return visit([i](const auto& rows) -> TableEntry {
+      return rows.entry(rows[i]);
+    });
   }
 
   /// Sort the rows by full key, (v0, v1, v2, v3, sig), and sum each run
@@ -244,35 +354,18 @@ class FlatRows {
   /// representation. The sort's scratch is freed on return.
   void sum_duplicates();
 
-  /// Row i as a dense entry, written into `out`.
-  void row(std::size_t i, TableEntry& out) const {
-    out.key = key_at(i);
-    out.cnt = count_at(i);
-  }
-
-  /// Visit every row as a dense entry, in storage order.
+  /// Visit every row as a decoded entry, in storage order.
   template <typename F>
-  void for_each_dense(F&& f) const {
-    TableEntry tmp;
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-      row(i, tmp);
-      f(tmp);
-    }
+  void for_each_entry(F&& f) const {
+    visit([&](const auto& rows) {
+      for (const auto& r : rows) f(rows.entry(r));
+    });
   }
 
   /// Append another buffer's rows after this one's (concatenating the
   /// independently built vertex ranges of one table, in one layout): both
   /// go wide first when either is.
   void absorb(FlatRows&& o);
-
-  /// Convert to dense wide rows (in current order) and hand them over.
-  std::vector<TableEntry> take_wide() {
-    to_wide();
-    std::vector<TableEntry> out = std::move(wide_);
-    clear();
-    return out;
-  }
 
   /// Empty the buffer and release its memory.
   void clear() {

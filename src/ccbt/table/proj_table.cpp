@@ -22,9 +22,10 @@ bool domain_worthwhile(std::size_t n, VertexId domain) {
 /// The domain the rows, sorted kByV0, show for themselves: their largest
 /// slot-0 value + 1, or 0 when that is too sparse (or is kNoVertex) to
 /// pay off.
-VertexId detect_domain(const std::vector<TableEntry>& rows) {
-  const VertexId max_v = rows.empty() ? 0 : rows.back().key.v[0];
-  if (max_v == std::numeric_limits<VertexId>::max()) return 0;  // kNoVertex
+template <typename Rows>
+VertexId detect_domain(const Rows& rows) {
+  const VertexId max_v = rows.empty() ? 0 : rows.slot(rows[rows.size() - 1], 0);
+  if (max_v == kNoVertex) return 0;
   const auto domain = static_cast<VertexId>(std::uint64_t{max_v} + 1);
   return domain_worthwhile(rows.size(), domain) ? domain : 0;
 }
@@ -32,12 +33,13 @@ VertexId detect_domain(const std::vector<TableEntry>& rows) {
 /// The CSR offsets of `rows`, sorted kByV0, over slot 0's values
 /// [0, domain): bucket v occupies [off[v], off[v + 1]). Empty when a key
 /// falls outside the domain.
-std::vector<std::uint32_t> v0_offsets(const std::vector<TableEntry>& rows,
-                                      VertexId domain) {
+template <typename Rows>
+std::vector<std::uint32_t> v0_offsets(const Rows& rows, VertexId domain) {
   std::vector<std::uint32_t> off(static_cast<std::size_t>(domain) + 1, 0);
-  for (const TableEntry& e : rows) {
-    if (e.key.v[0] >= domain) return {};
-    ++off[e.key.v[0] + 1];
+  for (const auto& r : rows) {
+    const VertexId v = rows.slot(r, 0);
+    if (v >= domain) return {};
+    ++off[v + 1];
   }
   for (std::size_t v = 1; v <= domain; ++v) off[v] += off[v - 1];
   return off;
@@ -47,20 +49,24 @@ std::vector<std::uint32_t> v0_offsets(const std::vector<TableEntry>& rows,
 
 ProjTable ProjTable::from_sink(int arity, FlatRows&& sink, VertexId domain) {
   ProjTable t(arity);
-  t.entries_ = sink.take_wide();
-  const std::vector<TableEntry>& rows = t.entries_;
-  assert(std::adjacent_find(rows.begin(), rows.end(),
-                            [](const TableEntry& a, const TableEntry& b) {
-                              return std::tie(a.key.v, a.key.sig) >=
-                                     std::tie(b.key.v, b.key.sig);
-                            }) == rows.end());
-  if (!domain_worthwhile(rows.size(), domain)) domain = detect_domain(rows);
-  if (domain > 0 && rows.size() < std::numeric_limits<std::uint32_t>::max()) {
-    t.bucket_off_ = v0_offsets(rows, domain);
-    if (!t.bucket_off_.empty()) {
-      t.index_slot_ = 0;
-      t.domain_ = domain;
+  t.rows_ = std::move(sink);
+  const std::size_t n = t.size();
+  t.visit([&](const auto& rows) {
+    assert(std::adjacent_find(rows.begin(), rows.end(),
+                              [&](const auto& a, const auto& b) {
+                                const TableKey x = rows.key(a);
+                                const TableKey y = rows.key(b);
+                                return std::tie(x.v, x.sig) >=
+                                       std::tie(y.v, y.sig);
+                              }) == rows.end());
+    if (!domain_worthwhile(n, domain)) domain = detect_domain(rows);
+    if (domain > 0 && n < std::numeric_limits<std::uint32_t>::max()) {
+      t.bucket_off_ = v0_offsets(rows, domain);
     }
+  });
+  if (!t.bucket_off_.empty()) {
+    t.index_slot_ = 0;
+    t.domain_ = domain;
   }
   return t;
 }
@@ -71,15 +77,22 @@ ProjTable ProjTable::from_buckets(int arity, SortedBuckets&& buckets) {
   t.index_slot_ = 1;
   t.domain_ = static_cast<VertexId>(buckets.buckets());
   t.order_ = SortOrder::kByV1;
-  FlatRows rows = buckets.take_rows();
-  if (rows.packed() && !rows.empty()) {
-    t.layout_ = buckets.stats();
-    t.layout_.packed = true;
-    t.pflat_ = std::move(rows);
-  } else {
-    t.entries_ = rows.take_wide();
-  }
+  t.rows_ = buckets.take_rows();
+  t.visit([&](const auto& rows) {
+    if (rows.kPacked && !rows.empty()) {
+      t.layout_ = buckets.stats();
+      t.layout_.packed = true;
+    }
+  });
   return t;
+}
+
+Count ProjTable::total() const {
+  return visit([](const auto& rows) {
+    Count sum = 0;
+    for (const auto& r : rows) sum += rows.count(r);
+    return sum;
+  });
 }
 
 ProjTable ProjTable::transposed(VertexId num_vertices) const {
@@ -96,27 +109,15 @@ ProjTable ProjTable::transposed(VertexId num_vertices) const {
 
 std::pair<std::size_t, std::size_t> ProjTable::group_span_by_search(
     int slot, VertexId v) const {
-  const std::size_t n = size();
-  std::size_t lo = 0, hi = n;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (key_at(mid).v[slot] < v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  std::size_t hi2 = n;
-  std::size_t lo2 = lo;
-  while (lo2 < hi2) {
-    const std::size_t mid = lo2 + (hi2 - lo2) / 2;
-    if (key_at(mid).v[slot] <= v) {
-      lo2 = mid + 1;
-    } else {
-      hi2 = mid;
-    }
-  }
-  return {lo, lo2};
+  return visit([&](const auto& rows) {
+    const auto lo = std::partition_point(
+        rows.begin(), rows.end(),
+        [&](const auto& r) { return rows.slot(r, slot) < v; });
+    const auto hi = std::partition_point(
+        lo, rows.end(), [&](const auto& r) { return rows.slot(r, slot) <= v; });
+    return std::pair<std::size_t, std::size_t>(lo - rows.begin(),
+                                               hi - rows.begin());
+  });
 }
 
 }  // namespace ccbt

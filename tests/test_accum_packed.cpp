@@ -17,6 +17,7 @@
 #include "ccbt/table/flat_rows.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/rng.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -193,7 +194,7 @@ TEST(KeyLayout, FieldWidthAndSlotsAtTheLimits) {
 std::vector<TableEntry> summed_rows(FlatRows& sink) {
   sink.sum_duplicates();
   std::vector<TableEntry> rows;
-  sink.for_each_dense([&](const TableEntry& e) { rows.push_back(e); });
+  sink.for_each_entry([&](const TableEntry& e) { rows.push_back(e); });
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_TRUE(entry_less(rows[i - 1], rows[i])) << "row " << i;
   }
@@ -235,10 +236,10 @@ TEST(PackedSink, AddFoldsRepeatsOfTheLastKeyOnly) {
     EXPECT_EQ(sink.packed(), !wide);
     sink.sum_duplicates();
     ASSERT_EQ(sink.size(), 2u);
-    EXPECT_EQ(sink.key_at(0), a);
-    EXPECT_EQ(sink.count_at(0), 11u);
-    EXPECT_EQ(sink.key_at(1), b);
-    EXPECT_EQ(sink.count_at(1), 4u);
+    EXPECT_EQ(sink.entry_at(0).key, a);
+    EXPECT_EQ(sink.entry_at(0).cnt, 11u);
+    EXPECT_EQ(sink.entry_at(1).key, b);
+    EXPECT_EQ(sink.entry_at(1).cnt, 4u);
   }
 }
 
@@ -368,14 +369,16 @@ TEST(PackedSink, AdoptsIntoReferenceProjTable) {
   EXPECT_FALSE(wide.packed());
   const ProjTable tp = ProjTable::from_sink(2, std::move(packed), 64);
   const ProjTable tw = ProjTable::from_sink(2, std::move(wide), 64);
-  ref.expect_matches(
-      std::vector<TableEntry>(tp.entries().begin(), tp.entries().end()));
+  // Each table keeps the rows its sink was summed in.
+  EXPECT_TRUE(is_packed(tp));
+  EXPECT_FALSE(is_packed(tw));
+  ref.expect_matches(entries_of(tp));
   ASSERT_EQ(tw.size(), tp.size() + 1);
   EXPECT_EQ(tp.total(), 4000u);
   for (VertexId u = 0; u < 64; ++u) {
-    const auto gp = tp.group(0, u);
+    const auto gp = group_of(tp, 0, u);
     EXPECT_TRUE(std::is_sorted(gp.begin(), gp.end(), entry_less));
-    const auto gw = tw.group(0, u);
+    const auto gw = group_of(tw, 0, u);
     // The wide sink's extra key sorts last in group 63.
     ASSERT_EQ(gw.size(), gp.size() + (u == 63 ? 1 : 0)) << "bucket " << u;
     for (std::size_t i = 0; i < gp.size(); ++i) {
@@ -410,7 +413,7 @@ TEST(PackedSink, SummedSinkArrivesSealedByV0) {
     sink.sum_duplicates();
     EXPECT_EQ(sink.packed(), kind != 2);
     std::vector<TableEntry> want;
-    sink.for_each_dense([&](const TableEntry& e) { want.push_back(e); });
+    sink.for_each_entry([&](const TableEntry& e) { want.push_back(e); });
     for (std::size_t i = want.size(); i > 1; --i) {
       std::swap(want[i - 1], want[rng.below(i)]);
     }
@@ -418,10 +421,12 @@ TEST(PackedSink, SummedSinkArrivesSealedByV0) {
     const ProjTable stored = ProjTable::from_sink(3, std::move(sink), n);
     EXPECT_EQ(stored.order(), SortOrder::kByV0);
     EXPECT_EQ(stored.has_bucket_index(), kind != 0);
+    EXPECT_EQ(is_packed(stored), kind != 2);
     ASSERT_EQ(stored.size(), want.size());
-    for (std::size_t i = 0; i < stored.size(); ++i) {
-      ASSERT_EQ(stored.entries()[i].key, want[i].key) << i;
-      ASSERT_EQ(stored.entries()[i].cnt, want[i].cnt) << i;
+    const std::vector<TableEntry> got = entries_of(stored);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].key, want[i].key) << i;
+      ASSERT_EQ(got[i].cnt, want[i].cnt) << i;
     }
     for (VertexId u = 0; u <= n; ++u) {
       std::size_t lo = 0;

@@ -169,8 +169,8 @@ TEST(BornSorted, BucketsMatchSortReference) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto buckets = draw_buckets(BucketSpec{}, seed * 31 + 1);
     const ProjTable t = expect_buckets_match(buckets);
-    // Non-empty packed builds stay packed; an empty table is dense.
-    EXPECT_EQ(t.packed_flat(), t.size() != 0);
+    // A build whose keys pack stays packed, empty or not.
+    EXPECT_TRUE(is_packed(t));
     // Split vertex ranges concatenate to the same rows.
     expect_buckets_match(buckets, /*parts=*/3);
   }
@@ -195,7 +195,7 @@ TEST(BornSorted, LargeBucketsMatchSortReference) {
   s.tracked = true;
   for (const std::uint64_t seed : {79, 80}) {
     const ProjTable t = expect_buckets_match(draw_buckets(s, seed), 1, lay);
-    EXPECT_TRUE(t.packed_flat());
+    EXPECT_TRUE(is_packed(t));
   }
 }
 
@@ -214,7 +214,7 @@ TEST(BornSorted, RunSumPastU16StaysPackedInsideOneBucket) {
   buckets[2] = repeated_row(2, 0xF000, 40);
   buckets[3] = repeated_row(3, 1, 2);
   const ProjTable t = expect_buckets_match(buckets);
-  ASSERT_TRUE(t.packed_flat());
+  ASSERT_TRUE(is_packed(t));
   EXPECT_EQ(t.layout().max_count, Count{0xF000} * 40);
   EXPECT_GT(t.layout().max_count, Count{0xFFFF});
 }
@@ -226,7 +226,7 @@ TEST(BornSorted, RunSumPastU32StaysPackedInsideOneBucket) {
   buckets[1] = repeated_row(1, 0xF0000000ull, 20);
   buckets[2] = repeated_row(2, 0xFFFF, 3);
   const ProjTable t = expect_buckets_match(buckets);
-  ASSERT_TRUE(t.packed_flat());
+  ASSERT_TRUE(is_packed(t));
   EXPECT_EQ(t.size(), 3u);
   EXPECT_EQ(t.layout().max_count, Count{0xF0000000} * 20);
   EXPECT_GT(t.layout().max_count, Count{0xFFFFFFFF});
@@ -248,14 +248,14 @@ TEST(BornSorted, PackedUntilAnUnpackableKey) {
   tracked.v[2] = 1;
   tracked.sig = 5;
   buckets[3].push_back({tracked, 9});
-  EXPECT_TRUE(expect_buckets_match(buckets, 1, lay).packed_flat());
+  EXPECT_TRUE(is_packed(expect_buckets_match(buckets, 1, lay)));
   TableKey wide = tracked;
   wide.v[1] = 4;
   wide.sig = 0x105;
   buckets[4].push_back({wide, 9});
   for (const int parts : {1, 2}) {
     const ProjTable t = expect_buckets_match(buckets, parts, lay);
-    EXPECT_FALSE(t.packed_flat()) << parts;
+    EXPECT_FALSE(is_packed(t)) << parts;
     EXPECT_EQ(t.size(), 5u) << parts;
   }
 }
@@ -270,9 +270,9 @@ TEST(BornSorted, TrackedSlotsPackWhereTheLayoutHoldsThem) {
   ASSERT_EQ(small.slots(), 4);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto buckets = draw_buckets(s, seed);
-    EXPECT_TRUE(expect_buckets_match(buckets, 1, small).packed_flat());
-    EXPECT_TRUE(expect_buckets_match(buckets, 3, small).packed_flat());
-    EXPECT_FALSE(expect_buckets_match(buckets).packed_flat());
+    EXPECT_TRUE(is_packed(expect_buckets_match(buckets, 1, small)));
+    EXPECT_TRUE(is_packed(expect_buckets_match(buckets, 3, small)));
+    EXPECT_FALSE(is_packed(expect_buckets_match(buckets)));
   }
 }
 
@@ -286,8 +286,8 @@ TEST(BornSorted, AllBucketsEmpty) {
 
 // Per-entry push kernels, the primitives' reference: each performs the
 // load-model charges itself and hands finished rows to `emit(key, count)`.
-// With kernel_init_from_child and kernel_node_join, the row helpers the
-// pull bodies run, they cover every path primitive.
+// They cover every path primitive, and read decoded entries whatever the
+// format the table under test holds.
 
 /// Initial path entries out of one data vertex u (Procedure 1 init).
 template <typename Emit>
@@ -347,6 +347,40 @@ void kernel_extend_with_child(const ExecContext& cx, const TableEntry& e,
     key.sig = e.key.sig | ce.key.sig;
     emit(key, e.cnt * ce.cnt);
     cx.send(v, w, 1);
+  }
+}
+
+/// Re-key one child-table entry, read in the orientation opposite to the
+/// walk (b, a), as the initial path entry (a, b).
+template <typename Emit>
+void kernel_init_from_child(const ExecContext& cx, const TableEntry& e,
+                            const ExtendOpts& o, Emit&& emit) {
+  const VertexId a = e.key.v[1];
+  const VertexId b = e.key.v[0];
+  cx.charge(b, 1);
+  if (o.anchor_higher && !cx.order.higher(a, b)) return;
+  TableKey key;
+  key.v[0] = a;
+  key.v[1] = b;
+  if (o.track_slot >= 0) key.v[o.track_slot] = b;
+  key.sig = e.key.sig;
+  emit(key, e.cnt);
+}
+
+/// NodeJoin: multiply one path entry against the unary child group of its
+/// key slot `slot` vertex.
+template <typename Emit>
+void kernel_node_join(const ExecContext& cx, const TableEntry& e,
+                      std::span<const TableEntry> group, int slot,
+                      Emit&& emit) {
+  const VertexId x = e.key.v[slot];
+  cx.charge(x, group.size());
+  const Signature x_bit = cx.chi.bit(x);
+  for (const TableEntry& ce : group) {
+    if (!node_join_compatible(e.key.sig, ce.key.sig, x_bit)) continue;
+    TableKey key = e.key;
+    key.sig = e.key.sig | ce.key.sig;
+    emit(key, e.cnt * ce.cnt);
   }
 }
 
@@ -431,9 +465,8 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
   for (int step = 0; step < 2; ++step) {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
-          TableEntry tmp;
           for (std::size_t i = 0; i < path.size(); ++i) {
-            kernel_extend_with_graph(rcx, path.row_at(i, tmp), o, emit);
+            kernel_extend_with_graph(rcx, path.entry_at(i), o, emit);
           }
         });
     mark();
@@ -460,9 +493,8 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
   for (const ProjTable* pull : {&child, &flipped}) {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
-          TableEntry tmp;
           for (std::size_t i = 0; i < pull->size(); ++i) {
-            kernel_init_from_child(rcx, pull->row_at(i, tmp), o, emit);
+            kernel_init_from_child(rcx, pull->entry_at(i), o, emit);
           }
         });
     mark();
@@ -476,13 +508,10 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
   {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
-          std::vector<TableEntry> scratch;
-          TableEntry tmp;
           for (std::size_t i = 0; i < path.size(); ++i) {
-            const TableEntry& e = path.row_at(i, tmp);
-            kernel_extend_with_child(
-                rcx, e, child.group_expanded(0, e.key.v[1], scratch), o,
-                emit);
+            const TableEntry e = path.entry_at(i);
+            kernel_extend_with_child(rcx, e, group_of(child, 0, e.key.v[1]),
+                                     o, emit);
           }
         });
     mark();
@@ -494,13 +523,10 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
   for (const int slot : {0, 1}) {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
-          std::vector<TableEntry> scratch;
-          TableEntry tmp;
           for (std::size_t i = 0; i < path.size(); ++i) {
-            const TableEntry& e = path.row_at(i, tmp);
-            kernel_node_join(rcx, e,
-                             unary.group_expanded(0, e.key.v[slot], scratch),
-                             slot, emit);
+            const TableEntry e = path.entry_at(i);
+            kernel_node_join(rcx, e, group_of(unary, 0, e.key.v[slot]), slot,
+                             emit);
           }
         });
     mark();

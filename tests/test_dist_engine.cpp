@@ -295,7 +295,6 @@ class PhaseParity {
     ++phases_;
     ASSERT_EQ(dist.num_shards(), ranks()) << what;
     EXPECT_EQ(dist.size(), shared.size()) << what;
-    TableEntry stmp, dtmp;
     for (std::uint32_t r = 0; r < ranks(); ++r) {
       const ProjTable& shard = dist.shard(r);
       std::size_t i = 0;
@@ -304,8 +303,8 @@ class PhaseParity {
         const auto [dlo, dhi] = shard.group_span(1, v);
         ASSERT_EQ(dhi - dlo, hi - lo) << what << " rank " << r << " v " << v;
         for (std::size_t j = lo; j < hi; ++j, ++i) {
-          const TableEntry& want = shared.row_at(j, stmp);
-          const TableEntry& got = shard.row_at(i, dtmp);
+          const TableEntry& want = shared.entry_at(j);
+          const TableEntry& got = shard.entry_at(i);
           ASSERT_EQ(got.key, want.key) << what << " rank " << r;
           ASSERT_EQ(got.cnt, want.cnt) << what << " rank " << r;
         }

@@ -68,9 +68,9 @@ TEST(DistTable, TransposeSwapsSlotsAndRehomes) {
   ASSERT_EQ(flipped.size(), 1u);
   const auto& shard = flipped.shard(part.owner(2));
   ASSERT_EQ(shard.size(), 1u);
-  EXPECT_EQ(shard.entries()[0].key.v[0], 2u);
-  EXPECT_EQ(shard.entries()[0].key.v[1], 90u);
-  EXPECT_EQ(shard.entries()[0].cnt, 7u);
+  EXPECT_EQ(entries_of(shard)[0].key.v[0], 2u);
+  EXPECT_EQ(entries_of(shard)[0].key.v[1], 90u);
+  EXPECT_EQ(entries_of(shard)[0].cnt, 7u);
 }
 
 TEST(DistTable, AllgatheredReplicaHoldsEveryShard) {
@@ -88,9 +88,9 @@ TEST(DistTable, AllgatheredReplicaHoldsEveryShard) {
   for (std::uint32_t r = 0; r < 4; ++r) EXPECT_TRUE(comm.inbox(r).empty());
   EXPECT_EQ(replica.order(), SortOrder::kByV0);
   ASSERT_EQ(replica.size(), 4u);
-  EXPECT_EQ(replica.group(0, 3).size(), 2u);
-  EXPECT_EQ(replica.group(0, 17).size(), 1u);
-  EXPECT_EQ(replica.group(0, 39)[0].cnt, 9u);
+  EXPECT_EQ(group_of(replica, 0, 3).size(), 2u);
+  EXPECT_EQ(group_of(replica, 0, 17).size(), 1u);
+  EXPECT_EQ(group_of(replica, 0, 39)[0].cnt, 9u);
   EXPECT_EQ(replica.total(), 17u);
 }
 
@@ -163,14 +163,13 @@ std::vector<std::vector<TableEntry>> send_halo(const DistTable& t,
                                                const BlockPartition& part,
                                                Readers&& readers) {
   std::vector<std::vector<TableEntry>> got(part.num_ranks());
-  TableEntry tmp;
   for (std::uint32_t s = 0; s < part.num_ranks(); ++s) {
     for (VertexId x = part.begin(s); x < part.end(s); ++x) {
       const auto [lo, hi] = t.shard(s).group_span(1, x);
       for (const std::uint32_t d : readers(x)) {
         if (d == s) continue;
         for (std::size_t i = lo; i < hi; ++i) {
-          const TableEntry& e = t.shard(s).row_at(i, tmp);
+          const TableEntry& e = t.shard(s).entry_at(i);
           comm.send(s, d, e);
           got[d].push_back(e);
         }
@@ -212,11 +211,10 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
     EXPECT_TRUE(got.has_bucket_index());
     EXPECT_EQ(got.layout().rows, 0u);
     ASSERT_EQ(got.size(), ref.size()) << "rank " << r;
-    TableEntry gtmp, rtmp;
     bool packable = true;
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      const TableEntry& g = got.row_at(i, gtmp);
-      const TableEntry& e = ref.row_at(i, rtmp);
+      const TableEntry g = got.entry_at(i);
+      const TableEntry e = ref.entry_at(i);
       EXPECT_EQ(g.key, e.key) << "rank " << r << " row " << i;
       EXPECT_EQ(g.cnt, e.cnt) << "rank " << r << " row " << i;
       packable = packable && KeyLayout::for_vertices(n).packable(e.key);
@@ -227,7 +225,7 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
       EXPECT_EQ(ghi - glo, rhi - rlo) << "rank " << r << " bucket " << v;
       if (rhi > rlo) EXPECT_EQ(glo, rlo) << "rank " << r << " bucket " << v;
     }
-    EXPECT_EQ(got.packed_flat(), ref.size() > 0 && packable) << "rank " << r;
+    EXPECT_EQ(is_packed(got), packable) << "rank " << r;
   }
 }
 
@@ -306,11 +304,10 @@ TEST(DistTableHaloView, ReusedCommMatchesFresh) {
     const ProjTable got = small.halo_view(r, comm, part);
     const ProjTable want = small.halo_view(r, fresh_comm, part);
     ASSERT_EQ(got.size(), want.size()) << "rank " << r;
-    EXPECT_EQ(got.packed_flat(), want.packed_flat()) << "rank " << r;
-    TableEntry gtmp, wtmp;
+    EXPECT_EQ(is_packed(got), is_packed(want)) << "rank " << r;
     for (std::size_t i = 0; i < want.size(); ++i) {
-      const TableEntry& g = got.row_at(i, gtmp);
-      const TableEntry& w = want.row_at(i, wtmp);
+      const TableEntry g = got.entry_at(i);
+      const TableEntry w = want.entry_at(i);
       EXPECT_EQ(g.key, w.key) << "rank " << r << " row " << i;
       EXPECT_EQ(g.cnt, w.cnt) << "rank " << r << " row " << i;
     }

@@ -7,6 +7,10 @@
 
 #include <tuple>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "ccbt/core/color_coding.hpp"
 #include "ccbt/core/exact.hpp"
 #include "ccbt/graph/generators.hpp"
@@ -129,14 +133,18 @@ TEST_P(ColoringInvariants, ThreadCountIndependent) {
   const CsrGraph g = erdos_renyi(200, 800, 900 + seed);
   const QueryGraph q = q_wiki();
   const Plan plan = make_plan(q);
-  ExecOptions serial;
-  serial.use_threads = false;
-  ExecOptions parallel;
-  parallel.use_threads = true;
-  CountingSession s1(g, q, plan, serial);
-  CountingSession s2(g, q, plan, parallel);
-  EXPECT_EQ(s1.count_colorful_seeded(seed).colorful,
-            s2.count_colorful_seeded(seed).colorful);
+  CountingSession session(g, q, plan, ExecOptions{});
+  const Count pooled = session.count_colorful_seeded(seed).colorful;
+  // One OpenMP thread takes every serial path; the pool is restored.
+#ifdef _OPENMP
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  const Count serial = session.count_colorful_seeded(seed).colorful;
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#endif
+  EXPECT_EQ(serial, pooled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColoringInvariants, ::testing::Range(1, 9));

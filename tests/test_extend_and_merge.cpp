@@ -35,7 +35,7 @@ namespace {
 
 std::vector<TableEntry> sink_rows(const FlatRows& m) {
   std::vector<TableEntry> out;
-  m.for_each_dense([&](const TableEntry& e) { out.push_back(e); });
+  m.for_each_entry([&](const TableEntry& e) { out.push_back(e); });
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return std::tie(a.key.v, a.key.sig) < std::tie(b.key.v, b.key.sig);
   });
@@ -317,11 +317,10 @@ TEST(ExtendAndMerge, SparsePlusMatchesWithAndWithoutModel) {
   const ProjTable prefix = extend_with_graph(base, edges, ExtendOpts{});
   const ProjTable plus = one_anchor_per_end(edges, g.num_vertices());
   std::size_t visits = 0, misses = 0;
-  std::vector<TableEntry> pscratch, xscratch;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto pv = plus.group_expanded(1, v, pscratch);
+    const auto pv = group_of(plus, 1, v);
     for (const VertexId x : g.neighbors(v)) {
-      for (const TableEntry& r : prefix.group_expanded(1, x, xscratch)) {
+      for (const TableEntry& r : group_of(prefix, 1, x)) {
         ++visits;
         if (pv.empty() || r.key.v[0] != pv.front().key.v[0]) ++misses;
       }
@@ -417,9 +416,9 @@ TEST(ExtendAndMerge, SinkSumsBeforeTheBudgetThrows) {
       ASSERT_EQ(sink->size(), g.num_vertices()) << what;
       Count total = 0;
       for (std::size_t i = 0; i < sink->size(); ++i) {
-        EXPECT_EQ(sink->key_at(i).v[0], i) << what;
-        EXPECT_EQ(sink->key_at(i).sig, 0b111u) << what;
-        total += sink->count_at(i);
+        EXPECT_EQ(sink->entry_at(i).key.v[0], i) << what;
+        EXPECT_EQ(sink->entry_at(i).key.sig, 0b111u) << what;
+        total += sink->entry_at(i).cnt;
       }
       // Every emission counts one triangle.
       EXPECT_GT(total, Count{10} * g.num_vertices()) << what;

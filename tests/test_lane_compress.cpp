@@ -1,9 +1,10 @@
-// Packed flat rows (a packed key with a u64 count): stored tables are
-// dense and their layout telemetry exact whichever way they were built,
-// the packed flat rows and the packed merge reproduce the dense rows
-// exactly — across counts past the u16 and u32 limits and sums that wrap
-// mod 2^64 — a table stays packed until a key does not pack, and whole
-// runs match the exact colorful counts in both engines, batched or not.
+// Packed flat rows (a packed key with a u64 count): a table keeps the rows
+// it was built in, packed while its keys pack, and its layout telemetry is
+// exact whichever way it was built; the merge kernel over packed rows
+// reproduces its run over the same rows held wide exactly — emissions and
+// load-model charges, across counts past the u16 and u32 limits, products
+// that wrap mod 2^64 and zero counts — and whole runs match the exact
+// colorful counts in both engines, batched or not.
 
 #include <gtest/gtest.h>
 
@@ -71,37 +72,35 @@ void expect_counts(const LaneLayoutInfo& got, const LaneLayoutInfo& want,
 }
 
 /// Build the same rows twice — born sorted (one bucket per frontier
-/// vertex) and as a stored sink table (sealed kByV0) — and require the
-/// born table to be packed and report its bucket build's exact layout
-/// whatever its counts, the sink table to be dense and unobserved, and
-/// the born table transposed twice (each a sink table) to equal the sink
+/// vertex) and as a stored sink table (sealed kByV0) — and require both
+/// to stay packed, the born table to report its bucket build's exact
+/// layout whatever its counts, the sink table to be unobserved, and the
+/// born table transposed twice (each a sink table) to equal the sink
 /// table row for row and probe for probe.
 void expect_layout_parity(const std::vector<TableEntry>& rows) {
   const LaneLayoutInfo want = expected_layout(rows);
   const ProjTable born = path_table(2, rows, kDomain);
-  EXPECT_TRUE(born.packed_flat());
+  EXPECT_TRUE(is_packed(born));
   EXPECT_TRUE(born.layout().packed);
   expect_counts(born.layout(), want, "born sorted");
 
   const ProjTable stored = sink_table(2, rows, kDomain);
-  EXPECT_FALSE(stored.packed_flat());
+  EXPECT_TRUE(is_packed(stored));
   EXPECT_EQ(stored.layout().rows, 0u);
   const ProjTable round = born.transposed(kDomain).transposed(kDomain);
-  EXPECT_FALSE(round.packed_flat());
+  EXPECT_TRUE(is_packed(round));
 
   ASSERT_EQ(round.size(), want.rows);
   ASSERT_EQ(stored.size(), want.rows);
-  const auto re = round.entries();
-  const auto se = stored.entries();
+  const auto re = entries_of(round);
+  const auto se = entries_of(stored);
   for (std::size_t i = 0; i < re.size(); ++i) {
     EXPECT_EQ(re[i].key, se[i].key) << "row " << i;
     EXPECT_EQ(re[i].cnt, se[i].cnt) << "row " << i;
   }
   for (VertexId v = 0; v < kDomain + 3; ++v) {
-    const auto rg = round.group(0, v);
-    const auto sg = stored.group(0, v);
-    ASSERT_EQ(rg.size(), sg.size()) << "group " << v;
-    ASSERT_EQ(rg.data() - re.data(), sg.data() - se.data()) << "group " << v;
+    ASSERT_EQ(round.group_span(0, v), stored.group_span(0, v))
+        << "group " << v;
   }
 }
 
@@ -156,7 +155,7 @@ TEST(LaneCompressWire, ScalarWireFormatUnchanged) {
 /// width the sink happened to hold them in.
 std::map<std::array<std::uint64_t, 5>, Count> flat_totals(FlatRows&& rows) {
   std::map<std::array<std::uint64_t, 5>, Count> out;
-  for (const auto& e : rows.take_wide()) {
+  for (const auto& e : entries_of(rows)) {
     out[{e.key.v[0], e.key.v[1], e.key.v[2], e.key.v[3], e.key.sig}] +=
         e.cnt;
   }
@@ -293,33 +292,34 @@ TEST(LaneTelemetry, FilesPackedRowsByLargestCount) {
 // ------------------------------------------------------- packed merge
 
 /// A single-coloring context whose coloring the pair-compatibility test
-/// consults.
+/// consults, with a load model over its two ranks.
 struct MergeCx {
   CsrGraph g;
   Coloring chi;
   DegreeOrder order;
   ExecOptions opts;
+  LoadModel load;
   ExecContext cx;
 
   explicit MergeCx(std::uint64_t seed, VertexId n = 64)
       : g(erdos_renyi(n, 4 * n, seed)),
         chi(n, 8, seed * 131),
         order(g),
-        cx{g, chi, order, BlockPartition(n, 2), nullptr, opts} {}
+        load(2),
+        cx{g, chi, order, BlockPartition(n, 2), &load, opts} {}
 };
 
 /// One end bucket of coherent half-path rows keyed (u, v, sig), a third
 /// of them with a tracked slot 2, all ending at `v` and sorted in the born
-/// kByV1 order, as both the dense entries and the equivalent rows packed
-/// in `lay`. Signatures mix
-/// coloring-consistent pairs (so emissions actually happen) with random
-/// bytes (so the prefilter rejects), counts run up to `mag`, and a few
-/// rows carry a zero count (which the packed kernel skips).
+/// kByV1 order, as wide rows and as the equivalent rows packed in `lay`.
+/// Signatures mix coloring-consistent pairs (so emissions actually
+/// happen) with random bytes (so the prefilter rejects), counts run up to
+/// `mag`, and a few rows carry a zero count (which emit nothing).
 std::pair<std::vector<TableEntry>, std::vector<PackedFlatRow>>
 merge_bucket_rows(const Coloring& chi, const KeyLayout& lay, VertexId v,
                   Count mag, Rng& rng) {
-  std::vector<TableEntry> dense(300);
-  for (auto& e : dense) {
+  std::vector<TableEntry> wide(300);
+  for (auto& e : wide) {
     e.key.v[0] = static_cast<VertexId>(rng.below(20));
     e.key.v[1] = v;
     if (rng.below(3) == 0) e.key.v[2] = static_cast<VertexId>(rng.below(20));
@@ -331,94 +331,111 @@ merge_bucket_rows(const Coloring& chi, const KeyLayout& lay, VertexId v,
                                              : Signature{0}));
     e.cnt = rng.below(10) == 0 ? 0 : 1 + rng.below(mag);
   }
-  std::sort(dense.begin(), dense.end(), [&](const auto& a, const auto& b) {
+  std::sort(wide.begin(), wide.end(), [&](const auto& a, const auto& b) {
     return lay.pack(a.key) < lay.pack(b.key);
   });
-  std::vector<PackedFlatRow> packed(dense.size());
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    packed[i] = {lay.pack(dense[i].key), dense[i].cnt};
+  std::vector<PackedFlatRow> packed(wide.size());
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    packed[i] = {lay.pack(wide[i].key), wide[i].cnt};
   }
-  return {std::move(dense), std::move(packed)};
+  return {std::move(wide), std::move(packed)};
 }
 
-/// merge_bucket_packed against merge_bucket on the same bucket pair:
-/// identical emission sequence (keys, counts, order), once the dense
-/// kernel's zero-count emissions are dropped. The counts are drawn so
-/// that no product of two nonzero counts is 0 mod 2^64.
-void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag) {
+/// What one run of the merge kernel emitted and charged.
+struct KernelRun {
+  std::vector<std::pair<TableKey, Count>> out;
+  std::uint64_t ops = 0;
+  std::uint64_t comm = 0;
+};
+
+/// merge_bucket over a bucket pair held wide, and over the same rows
+/// packed on either side or both: identical emission sequence (keys,
+/// counts, order) and identical load-model charges. No emission carries
+/// a zero count: zero rows, and at the largest magnitudes products that
+/// wrap to 0 mod 2^64, emit nothing and charge no send.
+void run_kernel_format_parity(std::uint64_t seed, Count pmag, Count mmag) {
   MergeCx f(seed);
   Rng rng(seed);
   const VertexId v = 5;
   const KeyLayout lay = f.cx.key_layout();
   ASSERT_EQ(lay.slots(), 4);
-  auto [pd, pp] = merge_bucket_rows(f.chi, lay, v, pmag, rng);
-  auto [md, mp] = merge_bucket_rows(f.chi, lay, v, mmag, rng);
+  const auto [pw, pp] = merge_bucket_rows(f.chi, lay, v, pmag, rng);
+  const auto [mw, mp] = merge_bucket_rows(f.chi, lay, v, mmag, rng);
+  const WideRows pwide{{pw}};
+  const WideRows mwide{{mw}};
+  const PackedRows ppacked{{pp}, lay};
+  const PackedRows mpacked{{mp}, lay};
 
-  using Emit = std::pair<TableKey, Count>;
   for (const int arity : {2, 1, 0}) {
     MergeSpec spec;
     spec.out_arity = arity;
     spec.out[0] = {0, 0};
     spec.out[1] = {1, 1};
-    std::vector<Emit> dense_out, packed_out;
-    merge_bucket(f.cx, std::span<const TableEntry>(pd),
-                 std::span<const TableEntry>(md), spec,
-                 [&](const TableKey& k, Count c) {
-                   if (c != 0) dense_out.emplace_back(k, c);
-                 });
-    merge_bucket_packed(f.cx, lay, std::span<const PackedFlatRow>(pp),
-                        std::span<const PackedFlatRow>(mp), spec,
-                        [&](const TableKey& k, Count c) {
-                          packed_out.emplace_back(k, c);
-                        });
-    ASSERT_EQ(dense_out.size(), packed_out.size()) << "arity " << arity;
-    for (std::size_t i = 0; i < dense_out.size(); ++i) {
-      EXPECT_EQ(dense_out[i].first, packed_out[i].first) << "row " << i;
-      EXPECT_EQ(dense_out[i].second, packed_out[i].second) << "row " << i;
-    }
+    const auto run = [&](const auto& pu, const auto& mu) {
+      LoadModel load(2);
+      ExecContext cx = f.cx;
+      cx.load = &load;
+      KernelRun r;
+      merge_bucket(cx, pu, mu, spec, [&](const TableKey& k, Count c) {
+        r.out.emplace_back(k, c);
+      });
+      cx.end_phase();
+      r.ops = load.total_ops();
+      r.comm = load.total_comm();
+      return r;
+    };
+    const KernelRun want = run(pwide, mwide);
     if (arity == 2) {
-      EXPECT_FALSE(dense_out.empty());
+      EXPECT_FALSE(want.out.empty());
+    }
+    for (const auto& [k, c] : want.out) EXPECT_NE(c, 0u);
+    for (const KernelRun& got :
+         {run(ppacked, mpacked), run(ppacked, mwide), run(pwide, mpacked)}) {
+      ASSERT_EQ(got.out.size(), want.out.size()) << "arity " << arity;
+      for (std::size_t i = 0; i < got.out.size(); ++i) {
+        EXPECT_EQ(got.out[i].first, want.out[i].first) << "row " << i;
+        EXPECT_EQ(got.out[i].second, want.out[i].second) << "row " << i;
+      }
+      EXPECT_EQ(got.ops, want.ops) << "arity " << arity;
+      EXPECT_EQ(got.comm, want.comm) << "arity " << arity;
     }
   }
 }
 
-TEST(PackedMerge, KernelMatchesDenseSmallCounts) {
-  run_packed_kernel_parity(301, 900, 900);
-  run_packed_kernel_parity(302, 0xFFFF, 0xFFFF);
+TEST(PackedMerge, KernelMatchesAcrossFormatsSmallCounts) {
+  run_kernel_format_parity(301, 900, 900);
+  run_kernel_format_parity(302, 0xFFFF, 0xFFFF);
 }
 
-TEST(PackedMerge, KernelMatchesDenseU64Counts) {
+TEST(PackedMerge, KernelMatchesAcrossFormatsU64Counts) {
   // Counts past u16 and u32 on either side, then products past 2^64:
-  // the packed kernel must wrap them exactly as merge_bucket does.
-  run_packed_kernel_parity(311, 0xFFFF, 0xFFFFFFFFull);
-  run_packed_kernel_parity(312, 0xFFFFFFFFull, 0xFFFF);
-  run_packed_kernel_parity(313, 0xFFFFFFFFull, 0xFFFFFFFFull);
-  run_packed_kernel_parity(314, Count{1} << 40, Count{1} << 40);
-  run_packed_kernel_parity(315, Count{1} << 62, 0xFFFF);
+  // every format must wrap them alike.
+  run_kernel_format_parity(311, 0xFFFF, 0xFFFFFFFFull);
+  run_kernel_format_parity(312, 0xFFFFFFFFull, 0xFFFF);
+  run_kernel_format_parity(313, 0xFFFFFFFFull, 0xFFFFFFFFull);
+  run_kernel_format_parity(314, Count{1} << 40, Count{1} << 40);
+  run_kernel_format_parity(315, Count{1} << 62, 0xFFFF);
 }
 
 using SinkRows = std::vector<std::pair<std::array<std::uint64_t, 5>, Count>>;
 
-/// A sink's nonzero rows in key order (the dense merge adds zero products
-/// too).
+/// A sink's rows in key order.
 SinkRows sink_rows(const FlatRows& sink) {
   SinkRows out;
-  sink.for_each_dense([&](const TableEntry& e) {
+  sink.for_each_entry([&](const TableEntry& e) {
     const TableKey& k = e.key;
-    const Count c = e.cnt;
-    if (c == 0) return;
     out.emplace_back(
         std::array<std::uint64_t, 5>{k.v[0], k.v[1], k.v[2], k.v[3], k.sig},
-        c);
+        e.cnt);
   });
   std::sort(out.begin(), out.end());
   return out;
 }
 
-/// merge_halves over packed flat halves (the packed merge) and over the
-/// same rows as dense tables (the dense merge_bucket) must reach the same
-/// sink — `wide_escape` poisons the plus half with an unpackable key
-/// first, so the flat run exercises the dense-fallback dispatch instead.
+/// merge_halves over packed and over wide halves holding the same rows,
+/// in all four mixes, must reach the same sink and charge the same load —
+/// `wide_escape` poisons the plus half with an unpackable key first, so
+/// its packed build goes wide too and the sink follows it.
 void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
   std::vector<TableEntry> prows, mrows;
   {
@@ -443,39 +460,47 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
   spec.out_arity = 2;
   spec.out[0] = {0, 0};
   spec.out[1] = {1, 1};
-  std::array<SinkRows, 2> results;
-  for (const bool packed : {false, true}) {
-    MergeCx f(seed);
-    auto table = [&](const std::vector<TableEntry>& rows) {
-      return path_table(2, rows, f.g.num_vertices(), /*dense=*/!packed);
-    };
-    ProjTable plus = table(prows);
-    ProjTable minus = table(mrows);
-    if (packed && !wide_escape) {
-      ASSERT_NE(plus.flat_storage(), nullptr);
-      ASSERT_NE(minus.flat_storage(), nullptr);
+  struct Result {
+    SinkRows rows;
+    std::uint64_t ops = 0;
+    std::uint64_t comm = 0;
+  };
+  std::vector<Result> results;
+  for (const bool plus_wide : {false, true}) {
+    for (const bool minus_wide : {false, true}) {
+      MergeCx f(seed);
+      const VertexId n = f.g.num_vertices();
+      const ProjTable plus = path_table(2, prows, n, plus_wide);
+      const ProjTable minus = path_table(2, mrows, n, minus_wide);
+      EXPECT_EQ(is_packed(plus), !plus_wide && !wide_escape);
+      EXPECT_EQ(is_packed(minus), !minus_wide);
+      FlatRows sink(f.cx.key_layout());
+      merge_halves(f.cx, plus, minus, spec, sink);
+      results.push_back(
+          {sink_rows(sink), f.load.total_ops(), f.load.total_comm()});
     }
-    FlatRows sink(f.cx.key_layout());
-    merge_halves(f.cx, plus, minus, spec, sink);
-    results[packed ? 1 : 0] = sink_rows(sink);
   }
-  EXPECT_FALSE(results[0].empty());
-  EXPECT_EQ(results[0], results[1]);
+  EXPECT_FALSE(results[0].rows.empty());
+  for (const Result& r : results) {
+    EXPECT_EQ(r.rows, results[0].rows);
+    EXPECT_EQ(r.ops, results[0].ops);
+    EXPECT_EQ(r.comm, results[0].comm);
+  }
 }
 
-TEST(PackedMerge, MergeHalvesPackedMatchesDense) {
+TEST(PackedMerge, MergeHalvesAgreesAcrossFormats) {
   run_merge_halves_parity(331, /*wide_escape=*/false);
   run_merge_halves_parity(332, /*wide_escape=*/false);
 }
-TEST(PackedMerge, MergeHalvesWideEscapeFallsBackIdentically) {
+TEST(PackedMerge, MergeHalvesWideEscapeAgreesAcrossFormats) {
   run_merge_halves_parity(333, /*wide_escape=*/true);
 }
 
 TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
   // Packable keys whose run sums pass 2^32 (and whose products pass
-  // 2^64): the bucket build keeps them packed, the merge joins them
-  // through the packed kernel and the fused split reads them as a packed
-  // prefix, and every sink equals the one the dense tables reach.
+  // 2^64): the bucket build keeps them packed, the merge joins them in
+  // place and the fused split reads them as a packed prefix, and every
+  // sink equals the one the same rows held wide reach.
   MergeCx f(341);
   const VertexId n = f.g.num_vertices();
   Rng rng(342);
@@ -502,33 +527,79 @@ TEST(PackedMerge, RunSumsPast2To32StayPackedThroughMergeAndFusedSplit) {
   ProjTable plus = path_table(2, prows, n);
   ProjTable minus = path_table(2, mrows, n);
   for (const ProjTable* t : {&plus, &minus}) {
-    ASSERT_TRUE(t->packed_flat());
+    ASSERT_TRUE(is_packed(*t));
     EXPECT_GT(t->layout().max_count, Count{0xFFFFFFFF});
   }
-  ProjTable dense_plus = path_table(2, prows, n, /*dense=*/true);
-  ProjTable dense_minus = path_table(2, mrows, n, /*dense=*/true);
+  ProjTable wide_plus = path_table(2, prows, n, /*wide=*/true);
+  ProjTable wide_minus = path_table(2, mrows, n, /*wide=*/true);
 
-  FlatRows packed_sink(f.cx.key_layout()), dense_sink(f.cx.key_layout());
+  FlatRows packed_sink(f.cx.key_layout()), wide_sink(f.cx.key_layout());
   merge_halves(f.cx, plus, minus, spec, packed_sink);
-  merge_halves(f.cx, dense_plus, dense_minus, spec, dense_sink);
-  EXPECT_TRUE(plus.packed_flat());
-  EXPECT_TRUE(minus.packed_flat());
-  EXPECT_FALSE(dense_plus.packed_flat());
-  const SinkRows merged = sink_rows(dense_sink);
+  merge_halves(f.cx, wide_plus, wide_minus, spec, wide_sink);
+  EXPECT_TRUE(is_packed(plus));
+  EXPECT_TRUE(is_packed(minus));
+  EXPECT_FALSE(is_packed(wide_plus));
+  const SinkRows merged = sink_rows(wide_sink);
   EXPECT_FALSE(merged.empty());
   EXPECT_EQ(sink_rows(packed_sink), merged);
 
   // The minus table as the prefix of a fused last extend, against the
-  // extend built from the dense rows and merged with the dense plus.
+  // extend built from the wide rows and merged with the wide plus.
   FlatRows fused_sink(f.cx.key_layout()), unfused_sink(f.cx.key_layout());
   (void)extend_and_merge(f.cx, minus, nullptr, ExtendOpts{}, plus, spec,
                          fused_sink);
-  EXPECT_TRUE(minus.packed_flat());
-  ProjTable extended = extend_with_graph(f.cx, dense_minus, ExtendOpts{});
-  merge_halves(f.cx, dense_plus, extended, spec, unfused_sink);
+  EXPECT_TRUE(is_packed(minus));
+  ProjTable extended = extend_with_graph(f.cx, wide_minus, ExtendOpts{});
+  merge_halves(f.cx, wide_plus, extended, spec, unfused_sink);
   const SinkRows want = sink_rows(unfused_sink);
   EXPECT_FALSE(want.empty());
   EXPECT_EQ(sink_rows(fused_sink), want);
+}
+
+/// The sum of a sink's counts.
+Count total_of(const FlatRows& sink) {
+  Count sum = 0;
+  sink.for_each_entry([&](const TableEntry& e) { sum += e.cnt; });
+  return sum;
+}
+
+TEST(MixedFormats, HalvesInEitherFormatCountFourCyclesExactly) {
+  // One split of the 4-cycle u-a-v-b with one half packed and the other
+  // wide, both ways round: merge_halves joins the two-edge halves (u, a,
+  // v) and (u, b, v), and extend_and_merge joins the first with the
+  // second's one-edge prefix (u, b). Every colorful match of the cycle
+  // is exactly one compatible pair, so each sink sums to the exact
+  // colorful count.
+  const CsrGraph g = erdos_renyi(40, 160, 71);
+  const VertexId n = g.num_vertices();
+  const QueryGraph q = q_cycle(4);
+  const DegreeOrder order(g);
+  for (const std::uint64_t seed : {72u, 73u, 74u}) {
+    const Coloring chi(n, 4, seed);
+    const ExecContext cx{g, chi, order, BlockPartition(n, 3), nullptr, {}};
+    const Count want = count_colorful_exact(g, q, chi);
+    ASSERT_GT(want, 0u) << seed;
+    const ProjTable edges = init_path_from_graph(cx, ExtendOpts{});
+    const ProjTable halves = extend_with_graph(cx, edges, ExtendOpts{});
+    const auto held = [&](const ProjTable& t, bool wide) {
+      return path_table(2, entries_of(t), n, wide);
+    };
+    const MergeSpec spec;  // out_arity 0: the count alone
+    for (const bool plus_wide : {false, true}) {
+      const ProjTable plus = held(halves, plus_wide);
+      const ProjTable minus = held(halves, !plus_wide);
+      const ProjTable prefix = held(edges, !plus_wide);
+      ASSERT_EQ(is_packed(plus), !plus_wide);
+      ASSERT_EQ(is_packed(minus), plus_wide);
+      ASSERT_EQ(is_packed(prefix), plus_wide);
+      FlatRows merged(cx.key_layout()), fused(cx.key_layout());
+      merge_halves(cx, plus, minus, spec, merged);
+      (void)extend_and_merge(cx, prefix, nullptr, ExtendOpts{}, plus, spec,
+                             fused);
+      EXPECT_EQ(total_of(merged), want) << seed << " plus wide " << plus_wide;
+      EXPECT_EQ(total_of(fused), want) << seed << " plus wide " << plus_wide;
+    }
+  }
 }
 
 TEST(PackedMergeEngine, SessionAgreesWithScalarLaneForLane) {

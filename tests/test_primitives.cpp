@@ -109,8 +109,7 @@ TEST_F(PrimitivesTest, NodeJoinRejectsOverlappingColors) {
   const ProjTable joined = node_join(cx_, edges, child, 1);
   // Only (2,1) qualifies: sig {2,1} ∩ {0,1} == {1}. (0,1) overlaps on 0.
   ASSERT_EQ(joined.size(), 1u);
-  TableEntry tmp;
-  EXPECT_EQ(joined.row_at(0, tmp).key.v[0], 2u);
+  EXPECT_EQ(joined.entry_at(0).key.v[0], 2u);
 }
 
 TEST_F(PrimitivesTest, ExtendWithChildJoinsOnFrontier) {
@@ -154,7 +153,7 @@ TEST_F(PrimitivesTest, MergeHalvesRequiresEndpointOnlyOverlap) {
   FlatRows sink_ok(cx_.key_layout());
   merge_halves(cx_, plus, minus_ok, spec, sink_ok);
   ASSERT_EQ(sink_ok.size(), 1u);
-  const std::vector<TableEntry> ok = sink_ok.take_wide();
+  const std::vector<TableEntry> ok = entries_of(sink_ok);
   EXPECT_EQ(ok[0].cnt, 15u);
   EXPECT_EQ(signature_size(ok[0].key.sig), 4);
 
@@ -183,7 +182,7 @@ TEST_F(PrimitivesTest, MergeSpecProjectsChosenSlots) {
   FlatRows sink(cx_.key_layout());
   merge_halves(cx_, plus, minus, spec, sink);
   ASSERT_EQ(sink.size(), 1u);
-  const std::vector<TableEntry> out = sink.take_wide();
+  const std::vector<TableEntry> out = entries_of(sink);
   EXPECT_EQ(out[0].key.v[0], 1u);
   EXPECT_EQ(out[0].cnt, 6u);
 }

@@ -80,19 +80,13 @@ std::vector<TableEntry> reference_transpose(
   return out;
 }
 
-std::vector<TableEntry> rows_of(const ProjTable& t) {
-  std::vector<TableEntry> out;
-  t.for_each_entry([&](const TableEntry& e) { out.push_back(e); });
-  return out;
-}
-
 /// `t` holds exactly `want`, in order, sealed kByV0, and each of its
 /// slot-0 groups is the range a scan of `want` finds.
 void expect_table_eq(const ProjTable& t, const std::vector<TableEntry>& want,
                      bool indexed, const std::string& what) {
   EXPECT_EQ(t.order(), SortOrder::kByV0) << what;
   EXPECT_EQ(t.has_bucket_index(), indexed) << what;
-  const std::vector<TableEntry> got = rows_of(t);
+  const std::vector<TableEntry> got = entries_of(t);
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].key, want[i].key) << what << " row " << i;
@@ -123,7 +117,7 @@ TEST(SealSort, SharedTransposeMatchesStdSort) {
                     std::string(s.name) + " pool");
     EXPECT_EQ(&pool.oriented(0, true), &pool.oriented(0, true));
     // Transposing back gives the stored table.
-    std::vector<TableEntry> stored = rows_of(pool.get(0));
+    std::vector<TableEntry> stored = entries_of(pool.get(0));
     expect_table_eq(pool.oriented(0, true).transposed(s.n), stored,
                     s.indexed, std::string(s.name) + " round trip");
   }
@@ -134,7 +128,7 @@ TEST(SealSort, BornSortedTransposeMatchesStdSort) {
   const Shape s{"path", 64, 6000, 8, true};
   const std::vector<TableEntry> rows = random_rows(s, 300);
   const ProjTable path = path_table(2, rows, s.n);
-  ASSERT_TRUE(path.packed_flat());
+  ASSERT_TRUE(is_packed(path));
   expect_table_eq(path.transposed(s.n), reference_transpose(rows), true,
                   "born sorted");
 }
@@ -199,7 +193,7 @@ TEST(SealSort, CheckpointRestoreBitIdentical) {
     restored.restore(img, kRanks);
     for (std::uint32_t r = 0; r < kRanks; ++r) {
       const ProjTable& want = pool.get(0).shard(r);
-      expect_table_eq(restored.get(0).shard(r), rows_of(want),
+      expect_table_eq(restored.get(0).shard(r), entries_of(want),
                       want.has_bucket_index(),
                       std::string(s.name) + " rank " + std::to_string(r));
     }

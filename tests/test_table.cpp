@@ -68,9 +68,8 @@ TEST(FlatRowsSink, SumsDuplicates) {
   sink.append(key2(2, 1, 3), 1);
   sink.sum_duplicates();
   EXPECT_EQ(sink.size(), 2u);
-  const auto entries = sink.take_wide();
   Count total = 0;
-  for (const auto& e : entries) total += e.cnt;
+  for (const auto& e : entries_of(sink)) total += e.cnt;
   EXPECT_EQ(total, 13u);
 }
 
@@ -84,7 +83,7 @@ TEST(FlatRowsSink, SummingAgainAddsNoRows) {
   sink.sum_duplicates();
   EXPECT_EQ(sink.size(), 10000u);
   for (std::size_t i = 0; i < sink.size(); ++i) {
-    EXPECT_EQ(sink.count_at(i), 2u);
+    EXPECT_EQ(sink.entry_at(i).cnt, 2u);
   }
 }
 
@@ -104,30 +103,58 @@ TEST(ProjTableTest, SinkTableGroupsByV0) {
       {{key2(5, 1, 1), 1}, {key2(3, 2, 1), 2}, {key2(5, 9, 2), 3}});
   EXPECT_EQ(t.order(), SortOrder::kByV0);
   EXPECT_TRUE(t.has_bucket_index());
-  const auto g5 = t.group(0, 5);
+  EXPECT_TRUE(is_packed(t));
+  const auto g5 = group_of(t, 0, 5);
   EXPECT_EQ(g5.size(), 2u);
-  const auto g3 = t.group(0, 3);
+  const auto g3 = group_of(t, 0, 3);
   EXPECT_EQ(g3.size(), 1u);
-  EXPECT_TRUE(t.group(0, 4).empty());
+  EXPECT_TRUE(group_of(t, 0, 4).empty());
 }
 
 TEST(ProjTableTest, PathTableGroupsByFrontier) {
   const ProjTable t = path_table(
       2, {{key2(1, 7, 1), 1}, {key2(2, 7, 1), 2}, {key2(3, 8, 1), 3}}, 16,
-      /*dense=*/true);
+      /*wide=*/true);
   EXPECT_EQ(t.order(), SortOrder::kByV1);
-  EXPECT_EQ(t.group(1, 7).size(), 2u);
-  EXPECT_EQ(t.group(1, 8).size(), 1u);
+  EXPECT_FALSE(is_packed(t));
+  EXPECT_EQ(group_of(t, 1, 7).size(), 2u);
+  EXPECT_EQ(group_of(t, 1, 8).size(), 1u);
 }
 
 TEST(ProjTableTest, TransposeSwapsBoundaryOrder) {
   const ProjTable t = table_of({{key2(1, 2, 1), 4}});
   const ProjTable tt = t.transposed(16);
   EXPECT_EQ(tt.order(), SortOrder::kByV0);
+  EXPECT_TRUE(is_packed(tt));
   ASSERT_EQ(tt.size(), 1u);
-  EXPECT_EQ(tt.entries()[0].key.v[0], 2u);
-  EXPECT_EQ(tt.entries()[0].key.v[1], 1u);
-  EXPECT_EQ(tt.entries()[0].cnt, 4u);
+  EXPECT_EQ(tt.entry_at(0).key.v[0], 2u);
+  EXPECT_EQ(tt.entry_at(0).key.v[1], 1u);
+  EXPECT_EQ(tt.entry_at(0).cnt, 4u);
+}
+
+TEST(ProjTableTest, SinkTableGoesWideOnANinthColour) {
+  // A stored table keeps the rows its sink was summed in: packed while
+  // every key packs, wide once a signature holds a ninth colour. Either
+  // way it reads the same, and so does its transpose.
+  const std::vector<TableEntry> rows{{key2(1, 2, 0x80), 4},
+                                     {key2(3, 4, 0x2), 1}};
+  const ProjTable packed = table_of(rows);
+  EXPECT_TRUE(is_packed(packed));
+  std::vector<TableEntry> ninth = rows;
+  ninth.push_back({key2(3, 5, 0x100), 6});
+  const ProjTable wide = table_of(ninth);
+  EXPECT_FALSE(is_packed(wide));
+  EXPECT_TRUE(wide.has_bucket_index());
+  EXPECT_EQ(wide.total(), 11u);
+  const auto g3 = group_of(wide, 0, 3);
+  ASSERT_EQ(g3.size(), 2u);
+  EXPECT_EQ(g3[0].key.sig, 0x2u);
+  EXPECT_EQ(g3[1].key.sig, 0x100u);
+  EXPECT_EQ(group_of(packed, 0, 1)[0].cnt, group_of(wide, 0, 1)[0].cnt);
+  const ProjTable flipped = wide.transposed(16);
+  EXPECT_FALSE(is_packed(flipped));
+  ASSERT_EQ(group_of(flipped, 0, 5).size(), 1u);
+  EXPECT_EQ(group_of(flipped, 0, 5)[0].cnt, 6u);
 }
 
 /// aggregate() under a context with no load model.
@@ -146,7 +173,8 @@ TEST(ProjTableTest, AggregateSumsOutSlots) {
   EXPECT_EQ(u.arity(), 1);
   EXPECT_EQ(u.size(), 2u);  // keys 1 and 2
   EXPECT_EQ(u.order(), SortOrder::kByV0);
-  EXPECT_EQ(u.group(0, 1)[0].cnt, 10u);
+  EXPECT_TRUE(is_packed(u));
+  EXPECT_EQ(group_of(u, 0, 1)[0].cnt, 10u);
 }
 
 TEST(ProjTableTest, AggregateKeepsSignaturesSeparate) {
@@ -157,7 +185,7 @@ TEST(ProjTableTest, AggregateKeepsSignaturesSeparate) {
 
 TEST(ProjTableTest, EmptyTableBehaves) {
   const ProjTable t(2);
-  EXPECT_TRUE(t.group(0, 0).empty());
+  EXPECT_TRUE(group_of(t, 0, 0).empty());
   EXPECT_EQ(t.total(), 0u);
 }
 

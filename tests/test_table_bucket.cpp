@@ -76,12 +76,6 @@ std::vector<TableEntry> random_entries(Rng& rng, std::size_t n,
   return entries;
 }
 
-std::vector<TableEntry> rows_of(const ProjTable& t) {
-  std::vector<TableEntry> out;
-  t.for_each_entry([&](const TableEntry& e) { out.push_back(e); });
-  return out;
-}
-
 bool same_entries(std::span<const TableEntry> got,
                   std::span<const TableEntry> want) {
   if (got.size() != want.size()) return false;
@@ -129,7 +123,7 @@ TEST_P(BucketIndexProperty, MatchesNaiveReferenceAcrossSeeds) {
     EXPECT_EQ(t.order(), order);
     EXPECT_TRUE(t.has_bucket_index());
     const std::vector<TableEntry> ref = reference_sorted(raw, order);
-    const std::vector<TableEntry> got = rows_of(t);
+    const std::vector<TableEntry> got = entries_of(t);
     ASSERT_TRUE(same_entries(got, ref));
 
     // Totals survive the sums.
@@ -139,12 +133,10 @@ TEST_P(BucketIndexProperty, MatchesNaiveReferenceAcrossSeeds) {
 
     // Every group (probed at members, boundaries and misses) matches the
     // reference scan exactly.
-    std::vector<TableEntry> scratch;
     for (VertexId v : {VertexId{0}, VertexId{3}, domain / 2, domain - 1,
                        domain, domain + 17}) {
       const auto want = reference_group(ref, slot, v);
-      EXPECT_TRUE(same_entries(t.group_expanded(slot, v, scratch), want))
-          << "v=" << v;
+      EXPECT_TRUE(same_entries(group_of(t, slot, v), want)) << "v=" << v;
     }
   }
 }
@@ -177,7 +169,8 @@ TEST(BucketIndex, IndexedAndSearchGroupsAgree) {
   ASSERT_FALSE(searched.has_bucket_index());
 
   for (VertexId v = 0; v < 150; ++v) {
-    EXPECT_TRUE(same_entries(indexed.group(0, v), searched.group(0, v)))
+    EXPECT_TRUE(
+        same_entries(group_of(indexed, 0, v), group_of(searched, 0, v)))
         << "v=" << v;
   }
 }
@@ -190,26 +183,26 @@ TEST(BucketIndex, TinyTableOnHugeDomainDetectsItsOwn) {
       random_entries(rng, 5000, 64, 2, /*tracked_slots=*/false);
   const ProjTable t = sink_table(2, raw, 1'000'000);
   EXPECT_TRUE(t.has_bucket_index());
-  EXPECT_TRUE(same_entries(t.entries(),
+  EXPECT_TRUE(same_entries(entries_of(t),
                            reference_sorted(raw, SortOrder::kByV0)));
   EXPECT_EQ(t.group_span(0, 64), (std::pair<std::size_t, std::size_t>{0, 0}));
 }
 
 TEST(BucketIndex, EmptyAndSingleton) {
   const ProjTable empty(2);
-  EXPECT_TRUE(empty.group(0, 5).empty());
+  EXPECT_TRUE(group_of(empty, 0, 5).empty());
   const ProjTable empty_sink = sink_table(2, {}, 100);
-  EXPECT_TRUE(empty_sink.group(0, 5).empty());
+  EXPECT_TRUE(group_of(empty_sink, 0, 5).empty());
 
   TableEntry e{};
   e.key.v[0] = 42;
   e.key.v[1] = 7;
   e.cnt = 3;
   const ProjTable one = sink_table(2, {e}, 100);
-  ASSERT_EQ(one.group(0, 42).size(), 1u);
-  EXPECT_TRUE(one.group(0, 41).empty());
-  EXPECT_TRUE(one.group(0, 99).empty());
-  EXPECT_TRUE(one.group(0, 1000).empty());
+  ASSERT_EQ(group_of(one, 0, 42).size(), 1u);
+  EXPECT_TRUE(group_of(one, 0, 41).empty());
+  EXPECT_TRUE(group_of(one, 0, 99).empty());
+  EXPECT_TRUE(group_of(one, 0, 1000).empty());
 }
 
 }  // namespace

@@ -48,12 +48,12 @@ inline ProjTable sink_table(int arity, const std::vector<TableEntry>& rows,
 /// A path table of `rows`, whose frontiers (slot 1) lie below
 /// `num_vertices`: born sorted kByV1, one bucket per vertex, each sorted
 /// and summed (ProjTable::from_buckets). Its rows pack in the
-/// `num_vertices`-vertex graph's key layout, or with `dense` in one no
-/// key packs in, so the table holds dense entries.
+/// `num_vertices`-vertex graph's key layout, or with `wide` in one no
+/// key packs in, so the table holds wide rows.
 inline ProjTable path_table(int arity, const std::vector<TableEntry>& rows,
-                            VertexId num_vertices, bool dense = false) {
+                            VertexId num_vertices, bool wide = false) {
   const KeyLayout lay = KeyLayout::for_vertices(
-      dense ? std::uint64_t{1} << 32 : std::uint64_t{num_vertices});
+      wide ? std::uint64_t{1} << 32 : std::uint64_t{num_vertices});
   std::vector<std::vector<const TableEntry*>> by_frontier(num_vertices);
   for (const TableEntry& e : rows) by_frontier.at(e.key.v[1]).push_back(&e);
   SortedBuckets buckets(lay);
@@ -64,6 +64,31 @@ inline ProjTable path_table(int arity, const std::vector<TableEntry>& rows,
     buckets.close(scratch);
   }
   return ProjTable::from_buckets(arity, std::move(buckets));
+}
+
+/// Every row of `rows` — a FlatRows or a ProjTable — as a decoded entry,
+/// in storage order.
+template <typename Rows>
+std::vector<TableEntry> entries_of(const Rows& rows) {
+  std::vector<TableEntry> out;
+  out.reserve(rows.size());
+  rows.for_each_entry([&](const TableEntry& e) { out.push_back(e); });
+  return out;
+}
+
+/// The rows of `t` whose key slot `slot` is v (ProjTable::group_span),
+/// decoded.
+inline std::vector<TableEntry> group_of(const ProjTable& t, int slot,
+                                        VertexId v) {
+  const auto [lo, hi] = t.group_span(slot, v);
+  std::vector<TableEntry> out;
+  for (std::size_t i = lo; i < hi; ++i) out.push_back(t.entry_at(i));
+  return out;
+}
+
+/// Whether the rows of `t` are packed: the format its view reports.
+inline bool is_packed(const ProjTable& t) {
+  return t.visit([](const auto& rows) { return rows.kPacked; });
 }
 
 }  // namespace ccbt
