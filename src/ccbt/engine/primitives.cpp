@@ -478,7 +478,7 @@ ProjTable extend_with_graph(const ExecContext& cx, const ProjTable& path,
         [&](VertexId w, FlatRows& sink) {
           const Signature w_bit = cx.chi.bit(w);
           const std::uint32_t wrank = cx.order.rank(w);
-          const auto move = rows.mover(w, o.track_slot);
+          const auto move = rows.mover(sink.layout(), w, o.track_slot);
           for (VertexId x : g.neighbors(w)) {
             const auto [lo, hi] = path.group_span(1, x);
             if (lo == hi) continue;
@@ -508,7 +508,7 @@ ProjTable extend_with_child(const ExecContext& cx, const ProjTable& path,
       return build_buckets(
           cx, path.arity(), path.size(),
           [&](VertexId w, FlatRows& sink) {
-            const auto move = rows.mover(w, o.track_slot);
+            const auto move = rows.mover(sink.layout(), w, o.track_slot);
             // EdgeJoin of path bucket x with the child row (w, x): the
             // matches must share exactly the joint x's color.
             for (const auto& ce : child.group(crows, 0, w)) {
@@ -545,7 +545,7 @@ ProjTable node_join(const ExecContext& cx, const ProjTable& path,
           cx, path.arity(), path.size(),
           [&](VertexId w, FlatRows& sink) {
             // Each row keeps its keys and takes the child's colors.
-            const auto move = rows.mover(w, -1);
+            const auto move = rows.mover(sink.layout(), w, -1);
             for (const auto& r : path.group(rows, 1, w)) {
               const VertexId x = rows.slot(r, slot);
               const auto group = child.group(crows, 0, x);

@@ -296,10 +296,16 @@ void merge_halves(const ExecContext& cx, const ProjTable& plus,
 /// row runs the filters, hit or miss, and the sends are charged once per
 /// (x, v) with the survivor count (comm charges sum). The merge phase's
 /// charges — |P_uv| × (distinct minus keys of group (u, v)) at v, and at
-/// out_arity >= 2 one send per compatible pair of a plus row and a
-/// distinct minus key whose plus row's count is not 0 (merge_bucket's
-/// zero-count rule) — are counted only when a load model is attached
-/// and are held until the extend's phase closes. With
+/// out_arity >= 2 one send per compatible pair of a plus row whose count
+/// is not 0 and a distinct minus key — are counted only when a load
+/// model is attached and are held until the extend's phase closes. The
+/// minus keys are charged as they first stream in, before their counts
+/// are summed, so where merge_bucket skips a pair whose product is 0 this
+/// charges it whenever the plus row's count is not 0. The two differ only
+/// when counts wrap mod 2^64: a minus key whose summed count wraps to 0,
+/// or a product that does. Likewise each survivor's product enters the
+/// sink on its own, so a sum that wraps to 0 leaves a zero-count row
+/// where merge_halves adds none; the counts are equal mod 2^64. With
 /// `range.closes_phase` the primitive closes both phases itself (one
 /// accumulation phase, no rows sorted) and returns nothing held; a rank's
 /// range returns the held merge charges, which the caller applies after

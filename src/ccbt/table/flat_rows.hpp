@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -149,7 +148,7 @@ inline TableKey moved_key(TableKey k, VertexId w, int track, Signature sig) {
 // span of `Row`s (begin/end/size/[], sub(lo, hi) for a range of them),
 // and for a row r: anchor(r) (slot 0, which must be set), slot(r, s)
 // (kNoVertex when unset), sig(r), count(r), key(r) and entry(r), plus
-// mover(w, track), the appender of extended rows, and kPacked, the
+// mover(to, w, track), the appender of extended rows, and kPacked, the
 // format (telemetry reports it). The joins are
 // templates over these views; FlatRows::visit, and through it
 // ProjTable::visit, is the one place that picks a view.
@@ -188,20 +187,20 @@ struct PackedRows : RowSpan<PackedFlatRow> {
   TableEntry entry(const Row& r) const { return {key(r), r.c}; }
 
   /// `append(sink, r, sig, c)` appends row r moved onto the frontier w
-  /// (moved_key) with count c. While the moved key packs, it is the row's
-  /// packed word with v1, the tracked field and the signature rewritten
-  /// in registers; `sink` must be in this layout.
-  auto mover(VertexId w, int track) const {
+  /// (moved_key) with count c to `sink`, a FlatRows in layout `to`. When
+  /// `to` is this layout and the moved key packs, it is the row's packed
+  /// word with v1, the tracked field and the signature rewritten in
+  /// registers; otherwise it goes through the decoded key.
+  auto mover(KeyLayout to, VertexId w, int track) const {
     std::uint64_t rewritten = lay.field_mask(1) | 0xFF;
     std::uint64_t fields = std::uint64_t{w} << lay.shift(1);
-    const bool fits = track < lay.slots();
+    const bool fits = to == lay && track < lay.slots();
     if (track >= 0 && fits) {
       rewritten |= lay.field_mask(track);
       fields |= std::uint64_t{w} << lay.shift(track);
     }
     return [lay = lay, keep = ~rewritten, fields, fits, w, track](
                auto& sink, const Row& r, Signature sig, Count c) {
-      assert(sink.layout() == lay);
       if (fits && sig <= 0xFF) [[likely]] {
         sink.append_packed((r.k & keep) | fields | sig, c);
       } else {
@@ -225,8 +224,8 @@ struct WideRows : RowSpan<TableEntry> {
   static const TableKey& key(const Row& e) { return e.key; }
   static const TableEntry& entry(const Row& e) { return e; }
 
-  /// As PackedRows::mover, through the moved key.
-  static auto mover(VertexId w, int track) {
+  /// As PackedRows::mover, through the moved key, in any layout.
+  static auto mover(KeyLayout, VertexId w, int track) {
     return [w, track](auto& sink, const Row& e, Signature sig, Count c) {
       sink.append(moved_key(e.key, w, track, sig), c);
     };
@@ -245,12 +244,6 @@ class FlatRows {
     return mode_ == Mode::kPacked ? packed_.size() : wide_.size();
   }
   bool empty() const { return size() == 0; }
-
-  /// Whether the rows are packed; false once a key did not pack.
-  bool packed() const { return mode_ == Mode::kPacked; }
-
-  /// Raw packed rows (valid only while packed()).
-  const std::vector<PackedFlatRow>& packed_rows() const { return packed_; }
 
   /// Call `f` with the view of the rows in their format — PackedRows
   /// while packed, WideRows once wide — and return what it returns.
@@ -339,13 +332,6 @@ class FlatRows {
   /// when this buffer did. `st` notes the merged rows. This buffer is left
   /// for reset().
   void drain_bucket_into(FlatRows& out, LaneLayoutInfo& st);
-
-  /// Row i as a decoded entry.
-  TableEntry entry_at(std::size_t i) const {
-    return visit([i](const auto& rows) -> TableEntry {
-      return rows.entry(rows[i]);
-    });
-  }
 
   /// Sort the rows by full key, (v0, v1, v2, v3, sig), and sum each run
   /// of equal keys into one row, in 64 bits (mod 2^64, as every count

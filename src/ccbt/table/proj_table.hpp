@@ -28,7 +28,7 @@
 // the layout's, a signature past 8 bits). Readers never branch on the
 // format: visit() hands them the rows' view (PackedRows or WideRows,
 // flat_rows.hpp), and every join is a template over it. for_each_entry
-// and entry_at read rows as decoded entries, whatever the format.
+// reads rows as decoded entries, whatever the format.
 
 #include <cstdint>
 #include <utility>
@@ -101,9 +101,6 @@ class ProjTable {
     const auto [lo, hi] = group_span(slot, v);
     return rows.sub(lo, hi);
   }
-
-  /// Row i as a decoded entry.
-  TableEntry entry_at(std::size_t i) const { return rows_.entry_at(i); }
 
   /// Visit every row as a decoded entry, in table order.
   template <typename F>

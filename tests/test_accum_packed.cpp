@@ -214,7 +214,7 @@ TEST(PackedSink, MatchesReferenceOnRandomWorkload) {
     ref.add(k, c);
   }
   ref.expect_matches(summed_rows(sink));
-  EXPECT_TRUE(sink.packed());  // every key packable: never went wide
+  EXPECT_TRUE(is_packed(sink));  // every key packable: never went wide
   EXPECT_EQ(sink.size(), ref.size());
 }
 
@@ -233,13 +233,14 @@ TEST(PackedSink, AddFoldsRepeatsOfTheLastKeyOnly) {
     sink.add(b, 4);
     sink.add(a, 5);  // not the last key: a row of its own
     EXPECT_EQ(sink.size(), 3u);
-    EXPECT_EQ(sink.packed(), !wide);
+    EXPECT_EQ(is_packed(sink), !wide);
     sink.sum_duplicates();
     ASSERT_EQ(sink.size(), 2u);
-    EXPECT_EQ(sink.entry_at(0).key, a);
-    EXPECT_EQ(sink.entry_at(0).cnt, 11u);
-    EXPECT_EQ(sink.entry_at(1).key, b);
-    EXPECT_EQ(sink.entry_at(1).cnt, 4u);
+    const std::vector<TableEntry> rows = entries_of(sink);
+    EXPECT_EQ(rows[0].key, a);
+    EXPECT_EQ(rows[0].cnt, 11u);
+    EXPECT_EQ(rows[1].key, b);
+    EXPECT_EQ(rows[1].cnt, 4u);
   }
 }
 
@@ -275,7 +276,7 @@ TEST(PackedSink, SumsEveryKeyWidthAndSize) {
         SCOPED_TRACE("slots " + std::to_string(lay.slots()) + " n " +
                      std::to_string(n) + " field " + std::to_string(field));
         ref.expect_matches(summed_rows(sink));
-        EXPECT_TRUE(sink.packed());
+        EXPECT_TRUE(is_packed(sink));
       }
     }
   }
@@ -296,12 +297,12 @@ TEST(PackedSink, GoesWideOnFirstUnpackableKeyAndKeepsSums) {
              1);
   }
   sink.sum_duplicates();  // a summed packed sink keeps taking rows
-  EXPECT_TRUE(sink.packed());
+  EXPECT_TRUE(is_packed(sink));
   // A tracked-slot key forces the wide rows mid-stream.
   TableKey tracked = key2(3, 4, 1);
   tracked.v[2] = 9;
   add_both(tracked, 2);
-  EXPECT_FALSE(sink.packed());
+  EXPECT_FALSE(is_packed(sink));
   // Summing continues across the switch.
   for (int i = 0; i < 5000; ++i) {
     add_both(key2(static_cast<VertexId>(rng.below(100)),
@@ -310,7 +311,7 @@ TEST(PackedSink, GoesWideOnFirstUnpackableKeyAndKeepsSums) {
              3);
   }
   ref.expect_matches(summed_rows(sink));
-  EXPECT_FALSE(sink.packed());
+  EXPECT_FALSE(is_packed(sink));
   EXPECT_EQ(sink.size(), ref.size());
 }
 
@@ -333,7 +334,7 @@ TEST(PackedSink, RunSumsWrapPast2To64InBothRepresentations) {
                0x8000000000000001ull);
     }
     const std::vector<TableEntry> rows = summed_rows(sink);
-    EXPECT_EQ(sink.packed(), !wide);
+    EXPECT_EQ(is_packed(sink), !wide);
     ref.expect_matches(rows);
     Count want = 0;
     for (int i = 0; i < 100; ++i) want += 0xFFFFFFFFFFFFFFF0ull;
@@ -365,8 +366,8 @@ TEST(PackedSink, AdoptsIntoReferenceProjTable) {
   wide.append(tracked, 0);
   packed.sum_duplicates();
   wide.sum_duplicates();
-  EXPECT_TRUE(packed.packed());
-  EXPECT_FALSE(wide.packed());
+  EXPECT_TRUE(is_packed(packed));
+  EXPECT_FALSE(is_packed(wide));
   const ProjTable tp = ProjTable::from_sink(2, std::move(packed), 64);
   const ProjTable tw = ProjTable::from_sink(2, std::move(wide), 64);
   // Each table keeps the rows its sink was summed in.
@@ -411,7 +412,7 @@ TEST(PackedSink, SummedSinkArrivesSealedByV0) {
       sink.add(k, 1 + rng.below(3));
     }
     sink.sum_duplicates();
-    EXPECT_EQ(sink.packed(), kind != 2);
+    EXPECT_EQ(is_packed(sink), kind != 2);
     std::vector<TableEntry> want;
     sink.for_each_entry([&](const TableEntry& e) { want.push_back(e); });
     for (std::size_t i = want.size(); i > 1; --i) {

@@ -465,8 +465,8 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
   for (int step = 0; step < 2; ++step) {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
-          for (std::size_t i = 0; i < path.size(); ++i) {
-            kernel_extend_with_graph(rcx, path.entry_at(i), o, emit);
+          for (const TableEntry& e : entries_of(path)) {
+            kernel_extend_with_graph(rcx, e, o, emit);
           }
         });
     mark();
@@ -493,8 +493,8 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
   for (const ProjTable* pull : {&child, &flipped}) {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
-          for (std::size_t i = 0; i < pull->size(); ++i) {
-            kernel_init_from_child(rcx, pull->entry_at(i), o, emit);
+          for (const TableEntry& e : entries_of(*pull)) {
+            kernel_init_from_child(rcx, e, o, emit);
           }
         });
     mark();
@@ -508,8 +508,7 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
   {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
-          for (std::size_t i = 0; i < path.size(); ++i) {
-            const TableEntry e = path.entry_at(i);
+          for (const TableEntry& e : entries_of(path)) {
             kernel_extend_with_child(rcx, e, group_of(child, 0, e.key.v[1]),
                                      o, emit);
           }
@@ -523,8 +522,7 @@ void run_primitive_suite(const ExtendOpts& o, int colors,
   for (const int slot : {0, 1}) {
     const Reference want =
         push_reference(cx, [&](const ExecContext& rcx, auto&& emit) {
-          for (std::size_t i = 0; i < path.size(); ++i) {
-            const TableEntry e = path.entry_at(i);
+          for (const TableEntry& e : entries_of(path)) {
             kernel_node_join(rcx, e, group_of(unary, 0, e.key.v[slot]), slot,
                              emit);
           }

@@ -27,6 +27,7 @@
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/query/random_tw2.hpp"
 #include "ccbt/util/error.hpp"
+#include "unique_rows.hpp"
 
 namespace ccbt {
 namespace {
@@ -295,16 +296,18 @@ class PhaseParity {
     ++phases_;
     ASSERT_EQ(dist.num_shards(), ranks()) << what;
     EXPECT_EQ(dist.size(), shared.size()) << what;
+    const std::vector<TableEntry> shared_rows = entries_of(shared);
     for (std::uint32_t r = 0; r < ranks(); ++r) {
       const ProjTable& shard = dist.shard(r);
+      const std::vector<TableEntry> shard_rows = entries_of(shard);
       std::size_t i = 0;
       for (VertexId v = cx_.part.begin(r); v < cx_.part.end(r); ++v) {
         const auto [lo, hi] = shared.group_span(1, v);
         const auto [dlo, dhi] = shard.group_span(1, v);
         ASSERT_EQ(dhi - dlo, hi - lo) << what << " rank " << r << " v " << v;
         for (std::size_t j = lo; j < hi; ++j, ++i) {
-          const TableEntry& want = shared.entry_at(j);
-          const TableEntry& got = shard.entry_at(i);
+          const TableEntry& want = shared_rows.at(j);
+          const TableEntry& got = shard_rows.at(i);
           ASSERT_EQ(got.key, want.key) << what << " rank " << r;
           ASSERT_EQ(got.cnt, want.cnt) << what << " rank " << r;
         }

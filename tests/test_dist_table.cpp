@@ -164,12 +164,13 @@ std::vector<std::vector<TableEntry>> send_halo(const DistTable& t,
                                                Readers&& readers) {
   std::vector<std::vector<TableEntry>> got(part.num_ranks());
   for (std::uint32_t s = 0; s < part.num_ranks(); ++s) {
+    const std::vector<TableEntry> rows = entries_of(t.shard(s));
     for (VertexId x = part.begin(s); x < part.end(s); ++x) {
       const auto [lo, hi] = t.shard(s).group_span(1, x);
       for (const std::uint32_t d : readers(x)) {
         if (d == s) continue;
         for (std::size_t i = lo; i < hi; ++i) {
-          const TableEntry& e = t.shard(s).entry_at(i);
+          const TableEntry& e = rows[i];
           comm.send(s, d, e);
           got[d].push_back(e);
         }
@@ -212,9 +213,11 @@ void expect_halo_views(const std::vector<TableEntry>& rows, VertexId n,
     EXPECT_EQ(got.layout().rows, 0u);
     ASSERT_EQ(got.size(), ref.size()) << "rank " << r;
     bool packable = true;
+    const std::vector<TableEntry> got_rows = entries_of(got);
+    const std::vector<TableEntry> ref_rows = entries_of(ref);
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      const TableEntry g = got.entry_at(i);
-      const TableEntry e = ref.entry_at(i);
+      const TableEntry& g = got_rows[i];
+      const TableEntry& e = ref_rows[i];
       EXPECT_EQ(g.key, e.key) << "rank " << r << " row " << i;
       EXPECT_EQ(g.cnt, e.cnt) << "rank " << r << " row " << i;
       packable = packable && KeyLayout::for_vertices(n).packable(e.key);
@@ -305,9 +308,11 @@ TEST(DistTableHaloView, ReusedCommMatchesFresh) {
     const ProjTable want = small.halo_view(r, fresh_comm, part);
     ASSERT_EQ(got.size(), want.size()) << "rank " << r;
     EXPECT_EQ(is_packed(got), is_packed(want)) << "rank " << r;
+    const std::vector<TableEntry> got_rows = entries_of(got);
+    const std::vector<TableEntry> want_rows = entries_of(want);
     for (std::size_t i = 0; i < want.size(); ++i) {
-      const TableEntry g = got.entry_at(i);
-      const TableEntry w = want.entry_at(i);
+      const TableEntry& g = got_rows[i];
+      const TableEntry& w = want_rows[i];
       EXPECT_EQ(g.key, w.key) << "rank " << r << " row " << i;
       EXPECT_EQ(g.cnt, w.cnt) << "rank " << r << " row " << i;
     }

@@ -415,10 +415,11 @@ TEST(ExtendAndMerge, SinkSumsBeforeTheBudgetThrows) {
     for (const FlatRows* sink : {&fused, &merged}) {
       ASSERT_EQ(sink->size(), g.num_vertices()) << what;
       Count total = 0;
-      for (std::size_t i = 0; i < sink->size(); ++i) {
-        EXPECT_EQ(sink->entry_at(i).key.v[0], i) << what;
-        EXPECT_EQ(sink->entry_at(i).key.sig, 0b111u) << what;
-        total += sink->entry_at(i).cnt;
+      const std::vector<TableEntry> rows = entries_of(*sink);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].key.v[0], i) << what;
+        EXPECT_EQ(rows[i].key.sig, 0b111u) << what;
+        total += rows[i].cnt;
       }
       // Every emission counts one triangle.
       EXPECT_GT(total, Count{10} * g.num_vertices()) << what;

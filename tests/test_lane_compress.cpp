@@ -175,17 +175,17 @@ TEST(LaneCompressFlat, AppendStaysPackedUntilUnpackableKey) {
   for (const Count c : {Count{9}, Count{0x12345}, Count{0x1FFFFFFFF},
                         Count{0x8000000000000001}}) {
     f.append(k, c);
-    ASSERT_TRUE(f.packed()) << c;
+    ASSERT_TRUE(is_packed(f)) << c;
   }
   TableKey tracked = k;
   tracked.v[2] = 7;
   tracked.v[3] = 99;
   f.append(tracked, 5);
-  ASSERT_TRUE(f.packed());
+  ASSERT_TRUE(is_packed(f));
   TableKey wide = k;
   wide.sig = 0x104;
   f.append(wide, 6);
-  EXPECT_FALSE(f.packed());
+  EXPECT_FALSE(is_packed(f));
   EXPECT_EQ(f.size(), 6u);
 
   const auto totals = flat_totals(std::move(f));
@@ -221,14 +221,14 @@ TEST(LaneCompressFlat, PackedStreamMatchesGenericAppend) {
     generic_sink.append(k, c);
   };
   for (int i = 0; i < 3000; ++i) emit();
-  ASSERT_TRUE(stream_sink.packed());
+  ASSERT_TRUE(is_packed(stream_sink));
   TableKey bigk;
   bigk.v[0] = 3;
   bigk.v[1] = 5;
   bigk.sig = 0x100;  // a ninth colour does not pack
   stream_sink.append(bigk, 0x99999ull);
   generic_sink.append(bigk, 0x99999ull);
-  ASSERT_FALSE(stream_sink.packed());
+  ASSERT_FALSE(is_packed(stream_sink));
   for (int i = 0; i < 1000; ++i) emit();
   EXPECT_EQ(flat_totals(std::move(stream_sink)),
             flat_totals(std::move(generic_sink)));
@@ -249,9 +249,9 @@ TEST(LaneCompressFlat, RunSumPastU32StaysPackedAtBucketClose) {
   LaneLayoutInfo st;
   f.drain_bucket_into(sealed, st);
   const Count want = static_cast<Count>(reps) * 0xF0000000ull;
-  EXPECT_TRUE(sealed.packed());
+  EXPECT_TRUE(is_packed(sealed));
   ASSERT_EQ(sealed.size(), 1u);
-  EXPECT_EQ(sealed.packed_rows()[0].c, want);
+  EXPECT_EQ(entries_of(sealed)[0].cnt, want);
   EXPECT_EQ(st.rows, 1u);
   EXPECT_EQ(st.max_count, want);
   EXPECT_GT(st.max_count, Count{0xFFFFFFFF});

@@ -109,7 +109,7 @@ TEST_F(PrimitivesTest, NodeJoinRejectsOverlappingColors) {
   const ProjTable joined = node_join(cx_, edges, child, 1);
   // Only (2,1) qualifies: sig {2,1} ∩ {0,1} == {1}. (0,1) overlaps on 0.
   ASSERT_EQ(joined.size(), 1u);
-  EXPECT_EQ(joined.entry_at(0).key.v[0], 2u);
+  EXPECT_EQ(entries_of(joined)[0].key.v[0], 2u);
 }
 
 TEST_F(PrimitivesTest, ExtendWithChildJoinsOnFrontier) {
@@ -226,6 +226,57 @@ TEST(PrimitivesStarTest, AnchorFilterPrunesHubExtensions) {
   t2.for_each_entry([&](const TableEntry& e) {
     EXPECT_EQ(e.key.v[0], 0u);
   });
+}
+
+/// Whether two tables hold the same rows in the same order.
+void expect_same_rows(const ProjTable& got, const ProjTable& want,
+                      const char* what) {
+  const std::vector<TableEntry> g = entries_of(got);
+  const std::vector<TableEntry> w = entries_of(want);
+  ASSERT_EQ(g.size(), w.size()) << what;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(g[i].key, w[i].key) << what << " row " << i;
+    EXPECT_EQ(g[i].cnt, w[i].cnt) << what << " row " << i;
+  }
+}
+
+TEST_F(PrimitivesTest, ExtendsReadPathRowsPackedInAnotherLayout) {
+  // The same path rows packed for this 4-vertex graph (the context's key
+  // layout) and for a 64-vertex one. An extend rewrites a row's packed
+  // word in place only when the path and its output share one layout;
+  // the other path's rows move through their decoded keys, so both give
+  // the same table.
+  const std::vector<TableEntry> edges =
+      entries_of(init_path_from_graph(cx_, ExtendOpts{}));
+  const ProjTable own = path_table(3, edges, 4);
+  const ProjTable other = path_table(3, edges, 64);
+  ASSERT_TRUE(is_packed(own));
+  ASSERT_TRUE(is_packed(other));
+  ExtendOpts o;
+  o.track_slot = 2;
+  const ProjTable walks = extend_with_graph(cx_, own, o);
+  EXPECT_GT(walks.size(), 0u);
+  expect_same_rows(extend_with_graph(cx_, other, o), walks, "graph");
+  // The graph's edges as an edge child, (w, x) for every edge.
+  const ProjTable child = sink_table(2, edges, 4);
+  const ProjTable joined = extend_with_child(cx_, own, child, o);
+  EXPECT_GT(joined.size(), 0u);
+  expect_same_rows(extend_with_child(cx_, other, child, o), joined,
+                   "child");
+  // A unary child that fits every vertex: x with x's colour, count 3.
+  std::vector<TableEntry> unary_rows;
+  for (VertexId x = 0; x < 4; ++x) {
+    TableKey k;
+    k.v[0] = x;
+    k.sig = chi_.bit(x);
+    unary_rows.push_back({k, 3});
+  }
+  const ProjTable unary = sink_table(1, unary_rows, 4);
+  for (const int slot : {0, 1}) {
+    const ProjTable want = node_join(cx_, own, unary, slot);
+    EXPECT_EQ(want.total(), 3 * own.total());
+    expect_same_rows(node_join(cx_, other, unary, slot), want, "node");
+  }
 }
 
 }  // namespace

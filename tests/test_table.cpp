@@ -82,9 +82,7 @@ TEST(FlatRowsSink, SummingAgainAddsNoRows) {
   for (VertexId i = 0; i < 10000; ++i) sink.append(key2(i, i + 1, 1), 1);
   sink.sum_duplicates();
   EXPECT_EQ(sink.size(), 10000u);
-  for (std::size_t i = 0; i < sink.size(); ++i) {
-    EXPECT_EQ(sink.entry_at(i).cnt, 2u);
-  }
+  for (const TableEntry& e : entries_of(sink)) EXPECT_EQ(e.cnt, 2u);
 }
 
 /// A stored table of the given rows over a 16-vertex graph.
@@ -127,9 +125,10 @@ TEST(ProjTableTest, TransposeSwapsBoundaryOrder) {
   EXPECT_EQ(tt.order(), SortOrder::kByV0);
   EXPECT_TRUE(is_packed(tt));
   ASSERT_EQ(tt.size(), 1u);
-  EXPECT_EQ(tt.entry_at(0).key.v[0], 2u);
-  EXPECT_EQ(tt.entry_at(0).key.v[1], 1u);
-  EXPECT_EQ(tt.entry_at(0).cnt, 4u);
+  const TableEntry e = entries_of(tt)[0];
+  EXPECT_EQ(e.key.v[0], 2u);
+  EXPECT_EQ(e.key.v[1], 1u);
+  EXPECT_EQ(e.cnt, 4u);
 }
 
 TEST(ProjTableTest, SinkTableGoesWideOnANinthColour) {

@@ -76,19 +76,22 @@ std::vector<TableEntry> entries_of(const Rows& rows) {
   return out;
 }
 
-/// The rows of `t` whose key slot `slot` is v (ProjTable::group_span),
+/// The rows of `t` whose key slot `slot` is v (ProjTable::group),
 /// decoded.
 inline std::vector<TableEntry> group_of(const ProjTable& t, int slot,
                                         VertexId v) {
-  const auto [lo, hi] = t.group_span(slot, v);
   std::vector<TableEntry> out;
-  for (std::size_t i = lo; i < hi; ++i) out.push_back(t.entry_at(i));
+  t.visit([&](const auto& rows) {
+    for (const auto& r : t.group(rows, slot, v)) out.push_back(rows.entry(r));
+  });
   return out;
 }
 
-/// Whether the rows of `t` are packed: the format its view reports.
-inline bool is_packed(const ProjTable& t) {
-  return t.visit([](const auto& rows) { return rows.kPacked; });
+/// Whether `rows` — a FlatRows or a ProjTable — hold packed rows: the
+/// format of the view visit() hands out.
+template <typename Rows>
+bool is_packed(const Rows& rows) {
+  return rows.visit([](const auto& view) { return view.kPacked; });
 }
 
 }  // namespace ccbt
